@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def frac(value) -> Fraction:
@@ -30,83 +30,82 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
-def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve a square rational system by Gaussian elimination.
+class Echelon(NamedTuple):
+    """Reduced row-echelon form of a rational matrix."""
+    rows: list          # the nonzero reduced rows, one per pivot
+    pivots: tuple       # pivot column of each row, increasing
+    factor: Fraction    # product of the pivots, signed by the row swaps
 
-    Returns None when the matrix is singular.
+
+def row_reduce(rows: Sequence[Sequence], ncols: int | None = None) -> Echelon:
+    """Gauss-Jordan elimination over the rationals.
+
+    For a square matrix of full rank, ``factor`` is its determinant.
+    ``ncols`` is needed only when ``rows`` is empty.
     """
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+    mat = [[Fraction(v) for v in row] for row in rows]
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    pivots = []
+    factor = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(mat)) if mat[k][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            factor = -factor
+        inv = mat[r][col]
+        factor *= inv
+        mat[r] = [v / inv for v in mat[r]]
+        for k in range(len(mat)):
+            if k != r and mat[k][col] != 0:
+                c = mat[k][col]
+                mat[k] = [v - c * w for v, w in zip(mat[k], mat[r])]
+        pivots.append(col)
+        if len(pivots) == len(mat):
+            break
+    return Echelon(mat[:len(pivots)], tuple(pivots), factor)
+
+
+def affine_solutions(rows: Sequence[Sequence], rhs: Sequence, n: int):
+    """(x0, null) with {x in Q^n : rows @ x = rhs} = x0 + span(null).
+
+    Returns None when the system is inconsistent.  ``null`` is the basis with
+    one vector per free column, read off the reduced form.
+    """
+    ech = row_reduce([list(r) + [b] for r, b in zip(rows, rhs)], n + 1)
+    if n in ech.pivots:
+        return None
+    x0 = [Fraction(0)] * n
+    for row, pc in zip(ech.rows, ech.pivots):
+        x0[pc] = row[n]
+    null = []
+    for fc in range(n):
+        if fc in ech.pivots:
+            continue
+        u = [Fraction(0)] * n
+        u[fc] = Fraction(1)
+        for row, pc in zip(ech.rows, ech.pivots):
+            u[pc] = -row[fc]
+        null.append(tuple(u))
+    return tuple(x0), null
+
+
+def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
+    """The solution of a square rational system; None when it is singular."""
+    sol = affine_solutions(rows, rhs, len(rows))
+    return sol[0] if sol is not None and not sol[1] else None
 
 
 def rank_exact(rows: Sequence[Sequence]) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = mat[row][col]
-        mat[row] = [v / inv for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
+    return len(row_reduce(rows).pivots)
 
 
 def det_exact(rows: Sequence[Sequence]) -> Fraction:
-    n = len(rows)
-    mat = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = mat[col][col]
-        mat[col] = [v / inv for v in mat[col]]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[col])]
-    return det
+    ech = row_reduce(rows, len(rows))
+    return ech.factor if len(ech.pivots) == len(rows) else Fraction(0)
 
 
 def gcd_vec(values: Iterable[int]) -> int:
@@ -137,25 +136,17 @@ def primitivize(vec: Sequence) -> tuple[tuple[int, ...], Fraction]:
     return tuple(i // g for i in ints), scale
 
 
-def matmul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
 def invert_unimodular(mat: Sequence[Sequence[int]]) -> list[list[int]]:
     """Invert an integer matrix with determinant +-1; result is integral."""
     n = len(mat)
-    inv_cols = []
-    for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        col = solve_exact(mat, rhs)
-        if col is None:
-            raise ValueError("matrix is singular")
-        for v in col:
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-        inv_cols.append([int(v) for v in col])
-    return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+    ech = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(mat)], 2 * n)
+    if ech.pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    inv = [row[n:] for row in ech.rows]
+    if any(v.denominator != 1 for row in inv for v in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(v) for v in row] for row in inv]
 
 
 class SaturationError(ValueError):

@@ -62,7 +62,7 @@ class CheckResult:
         return line
 
 
-def c01_beta_norm_oracle(**_) -> CheckResult:
+def c01_beta_norm_oracle() -> CheckResult:
     """s = 0 density masses against the Beta-integral closed form."""
     t0 = time.time()
     worst = 0.0
@@ -79,7 +79,7 @@ def c01_beta_norm_oracle(**_) -> CheckResult:
                        time.time() - t0, {"worst_rel": worst})
 
 
-def c02_affine_tail(**_) -> CheckResult:
+def c02_affine_tail() -> CheckResult:
     """Single even bump: psi(x) = A(x - m) exactly beyond the support."""
     t0 = time.time()
     P = make_polytope([[1], [-1]], [0, -2])
@@ -96,7 +96,7 @@ def c02_affine_tail(**_) -> CheckResult:
                        {"cosine": worst["cosine"], "smooth": worst["smooth"]})
 
 
-def c03_gap_plateau_values(**_) -> CheckResult:
+def c03_gap_plateau_values() -> CheckResult:
     """Three bumps: rate function constant on each gap with the stacked value."""
     t0 = time.time()
     sc = scenarios.three_bumps("cosine")
@@ -115,7 +115,7 @@ def c03_gap_plateau_values(**_) -> CheckResult:
                        worst <= 1e-10, time.time() - t0, {"worst": worst})
 
 
-def c04_delta_convergence(threads=1, **_) -> CheckResult:
+def c04_delta_convergence() -> CheckResult:
     """Concentration at an interior-support lattice point, both variants."""
     t0 = time.time()
     sc = scenarios.segment("cosine")
@@ -125,7 +125,7 @@ def c04_delta_convergence(threads=1, **_) -> CheckResult:
     ok = True
     for label, weighted in (("bare", False), ("weighted", True)):
         res = delta_diagnostic(sc.polytope, sc.generator, [1], s_grid, bat,
-                               weighted=weighted, threads=threads)
+                               weighted=weighted)
         fit = res.fit
         good = (fit.is_decreasing(noise=0.05)
                 and fit.model == "power"
@@ -138,7 +138,7 @@ def c04_delta_convergence(threads=1, **_) -> CheckResult:
                        time.time() - t0, details)
 
 
-def c05_uniform_convergence(threads=1, **_) -> CheckResult:
+def c05_uniform_convergence() -> CheckResult:
     """Flattening on the gap components with gap-exponential target rate."""
     t0 = time.time()
     sc = scenarios.segment("cosine")
@@ -150,8 +150,7 @@ def c05_uniform_convergence(threads=1, **_) -> CheckResult:
         region = sc.regions[region_key]
         for label, weighted in (("bare", False), ("weighted", True)):
             res = uniform_diagnostic(sc.polytope, sc.generator, list(n),
-                                     s_grid, bat, region, weighted=weighted,
-                                     threads=threads)
+                                     s_grid, bat, region, weighted=weighted)
             fit = res.fit
             good = (fit.model == "exponential"
                     and fit.aux.get("gap_match", False)
@@ -168,7 +167,7 @@ def c05_uniform_convergence(threads=1, **_) -> CheckResult:
         "of s; exponential target unattainable (see notes)")
 
 
-def c06_gcst_limits(threads=1, **_) -> CheckResult:
+def c06_gcst_limits() -> CheckResult:
     """Transform limits: restriction on a gap component, Laplace at center."""
     t0 = time.time()
     sc = scenarios.corrected_segment("cosine")
@@ -208,7 +207,7 @@ def c06_gcst_limits(threads=1, **_) -> CheckResult:
                        time.time() - t0, details, note=note)
 
 
-def c07_polarization(**_) -> CheckResult:
+def c07_polarization() -> CheckResult:
     """Stasis off the support, 1/s approach to the real plane, mixed limit."""
     t0 = time.time()
     details = {}
@@ -250,7 +249,7 @@ def c07_polarization(**_) -> CheckResult:
                        time.time() - t0, details)
 
 
-def c08_higher_dim_localization(threads=1, **_) -> CheckResult:
+def c08_higher_dim_localization() -> CheckResult:
     """CP^2 wall scenario: component flattening and on-wall localization."""
     t0 = time.time()
     sc = scenarios.cp2_wall(eps=Fraction(1, 10), kernel="smooth")
@@ -273,7 +272,7 @@ def c08_higher_dim_localization(threads=1, **_) -> CheckResult:
     ]
     # window past the e^(-s psi_eps(m)) transient, which dies near s ~ 700
     res = face_delta_diagnostic(P, gen, [1, 1], [1024, 2048, 4096, 8192],
-                                frame, sep, weighted=False, threads=threads)
+                                frame, sep, weighted=False)
     ok_b = res.fit.model == "power" and 0.8 <= res.fit.exponent <= 1.2
     details["transverse_exponent"] = res.fit.exponent
     details["face_final_err"] = float(res.fit.errors[-1])
@@ -286,7 +285,7 @@ def c08_higher_dim_localization(threads=1, **_) -> CheckResult:
                        time.time() - t0, details, note=note)
 
 
-def c09_nice_family(**_) -> CheckResult:
+def c09_nice_family() -> CheckResult:
     """Shipped smoothing family passes a-e; strict control fails e only."""
     t0 = time.time()
     sc = scenarios.cp2_wall()
@@ -308,7 +307,7 @@ def c09_nice_family(**_) -> CheckResult:
                        ok, time.time() - t0, details)
 
 
-def c10_decomposition_q(**_) -> CheckResult:
+def c10_decomposition_q() -> CheckResult:
     """Two-wall decomposition count/volumes and test-configuration vertices."""
     t0 = time.time()
     sc = scenarios.cp2_two_walls()
@@ -333,7 +332,7 @@ def c10_decomposition_q(**_) -> CheckResult:
                        {"pieces": len(dec.subpolytopes), "vol_defect": defect})
 
 
-def c11_metric_degeneration(**_) -> CheckResult:
+def c11_metric_degeneration() -> CheckResult:
     """sqrt(s) stretching across the bump, stasis off it, shrinking circles."""
     t0 = time.time()
     sc = scenarios.segment("cosine")
@@ -380,9 +379,9 @@ ALL_CRITERIA = {
 KNOWN_UNATTAINABLE = (5, 6, 8)
 
 
-def run_acceptance(ids=None, threads: int = 1):
+def run_acceptance(ids=None):
     ids = sorted(ALL_CRITERIA) if ids is None else sorted(ids)
     results = []
     for cid in ids:
-        results.append(ALL_CRITERIA[cid](threads=threads))
+        results.append(ALL_CRITERIA[cid]())
     return results

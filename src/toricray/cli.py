@@ -310,7 +310,7 @@ def cmd_verify(args) -> int:
         if unknown:
             print(f"unknown criteria {unknown}", file=sys.stderr)
             return 2
-    results = run_acceptance(ids, threads=args.threads)
+    results = run_acceptance(ids)
     for r in results:
         print(r.as_line())
     failed = [r.cid for r in results if not r.passed]
@@ -325,13 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="toricray",
         description="Mabuchi-ray experiments on toric polytopes")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for any sampled checks (default 0)")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--max-s", type=float, default=1e4,
                     help="cap applied to scenario s grids")
-    ap.add_argument("--tol-override", type=float, default=None,
-                    help="scale factor applied to quadrature tolerances")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="sample psi'', psi', psi to CSV")
@@ -384,10 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    np.random.seed(args.seed)
-    if args.tol_override is not None:
-        from .quantization import set_tolerance_scale
-        set_tolerance_scale(args.tol_override)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

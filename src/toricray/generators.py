@@ -368,14 +368,6 @@ class PLConvex:
         """Maximum of f over P; attained at a vertex by convexity."""
         return max(self.value_exact(v) for v in P.vertices)
 
-    def restrict_to_line(self, x0, direction):
-        """Slopes/intercepts of the pieces along t -> x0 + t*direction."""
-        x0 = np.asarray(x0, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        slopes = self.G @ direction
-        intercepts = self.piece_values(x0)
-        return slopes, intercepts
-
     def __repr__(self):
         return f"PLConvex(pieces={self.npieces}, dim={self.dim})"
 

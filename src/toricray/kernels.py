@@ -21,11 +21,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .quadrature import GL15_NODES, GL15_WEIGHTS
+
 __all__ = ["Kernel", "get_kernel", "KERNEL_NAMES"]
 
 KERNEL_NAMES = ("cosine", "smooth")
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 def _panel_integrals(f, grid):
@@ -34,9 +34,9 @@ def _panel_integrals(f, grid):
     b = grid[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    pts = mid[:, None] + half[:, None] * GL15_NODES[None, :]
     vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ _GL_WEIGHTS)
+    return half * (vals @ GL15_WEIGHTS)
 
 
 class Kernel:
@@ -146,9 +146,9 @@ def _smooth_kernel(grid_size: int = 8193) -> Kernel:
         a = grid[idx]
         half = 0.5 * (t - a)
         mid = 0.5 * (t + a)
-        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+        pts = mid[:, None] + half[:, None] * GL15_NODES[None, :]
         vals = density(pts.ravel()).reshape(pts.shape)
-        return base + half * (vals @ _GL_WEIGHTS)
+        return base + half * (vals @ GL15_WEIGHTS)
 
     k2_panels = _panel_integrals(lambda t: exact_cdf(t), grid)
     k2_nodes = np.concatenate([[0.0], np.cumsum(k2_panels)])

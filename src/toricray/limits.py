@@ -24,7 +24,7 @@ import numpy as np
 from .generators import Generator
 from .polytope import FaceFrame, Polytope
 from .potentials import RayPoint, ray_jet
-from .quadrature import integrate_1d
+from .quadrature import GL15_NODES, GL15_WEIGHTS, integrate_1d
 from .quantization import MonomialDensity, base_log_weight, rate_gap
 
 __all__ = [
@@ -253,18 +253,11 @@ class DiagnosticResult:
         return "\n".join(lines)
 
 
-def _max_battery_errors(P, gen, m, s_grid, battery, limits, *, weighted,
-                        rel_tol=None, threads=1):
-    def one(s):
-        md = MonomialDensity(P, gen, m, s, weighted=weighted, rel_tol=rel_tol)
-        return {t.name: md.pair(t) - limits[t.name] for t in battery}
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_s = list(ex.map(one, s_grid))
-    else:
-        per_s = [one(s) for s in s_grid]
+def _max_battery_errors(P, gen, m, s_grid, battery, limits, *, weighted):
+    per_s = []
+    for s in s_grid:
+        md = MonomialDensity(P, gen, m, s, weighted=weighted)
+        per_s.append({t.name: md.pair(t) - limits[t.name] for t in battery})
     table = {t.name: np.array([abs(row[t.name]) for row in per_s])
              for t in battery}
     errors = np.array([max(abs(v) for v in row.values()) for row in per_s])
@@ -272,8 +265,8 @@ def _max_battery_errors(P, gen, m, s_grid, battery, limits, *, weighted,
 
 
 def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
-                     battery: TestBattery, *, weighted=False,
-                     threads=1) -> DiagnosticResult:
+                     battery: TestBattery, *,
+                     weighted=False) -> DiagnosticResult:
     """Concentration at m: pairings approach point evaluation at m.
 
     Laplace order predicts a power law with exponent near one.
@@ -281,15 +274,15 @@ def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     m_arr = np.asarray(m, dtype=float)
     limits = {t.name: float(t(m_arr[None, :])[0]) for t in battery}
     errors, table = _max_battery_errors(P, gen, m, s_grid, battery, limits,
-                                        weighted=weighted, threads=threads)
+                                        weighted=weighted)
     fit = fit_rate(s_grid, errors)
     return DiagnosticResult(fit=fit, table=table, limits=limits)
 
 
 def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
                        battery: TestBattery, region: Polytope, *,
-                       weighted=False, gap_scan: int = 10000,
-                       threads=1) -> DiagnosticResult:
+                       weighted=False,
+                       gap_scan: int = 10000) -> DiagnosticResult:
     """Flattening onto the affinity component: pairings approach the
     (uniform or base-weighted) mean of tau over the component.
 
@@ -302,7 +295,7 @@ def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     else:
         limits = {t.name: region_mean(region, t) for t in battery}
     errors, table = _max_battery_errors(P, gen, m, s_grid, battery, limits,
-                                        weighted=weighted, threads=threads)
+                                        weighted=weighted)
     fit = fit_rate(s_grid, errors)
 
     lo, hi = P.bbox()
@@ -326,8 +319,8 @@ def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
 
 
 def face_delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
-                          frame: FaceFrame, separable, *, weighted=False,
-                          threads=1) -> DiagnosticResult:
+                          frame: FaceFrame, separable, *,
+                          weighted=False) -> DiagnosticResult:
     """Localization on a wall chord: transverse delta times parallel profile.
 
     ``separable`` lists (name, tau_perp(t), tau_par(u)) factors in the frame
@@ -355,7 +348,7 @@ def face_delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
         limits[name] = float(tperp(np.array([c]))[0]) * par_mean
     battery = TestBattery(taus)
     errors, table = _max_battery_errors(P, gen, m, s_grid, battery, limits,
-                                        weighted=weighted, threads=threads)
+                                        weighted=weighted)
     fit = fit_rate(s_grid, errors)
     return DiagnosticResult(fit=fit, table=table, limits=limits)
 
@@ -437,7 +430,6 @@ def metric_length(P: Polytope, gen: Generator, s: float, path,
     Panels are split at the generator's support boundaries so segments off
     the support integrate identically for every s.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(15)
     total = 0.0
     path = [(np.asarray(x, dtype=float), np.asarray(th, dtype=float))
             for x, th in path]
@@ -457,7 +449,7 @@ def metric_length(P: Polytope, gen: Generator, s: float, path,
             for pa, pb in zip(edges[:-1], edges[1:]):
                 mid = 0.5 * (pa + pb)
                 half = 0.5 * (pb - pa)
-                for node, wt in zip(nodes, weights):
+                for node, wt in zip(GL15_NODES, GL15_WEIGHTS):
                     t = mid + half * node
                     x = x0 + t * dx
                     jet = ray_jet(RayPoint(P, gen, s, x))

@@ -25,8 +25,24 @@ from ._exact import (SaturationError, det_exact, dot, frac, is_primitive,
 __all__ = [
     "Polytope", "FaceFrame", "PolytopeError", "DelzantError",
     "parse_polytope", "make_polytope", "ell_values", "integral_points",
-    "face_frame",
+    "face_frame", "vertices_of_system",
 ]
+
+
+def vertices_of_system(normals, offsets, dim: int) -> list:
+    """Sorted exact vertices of {x : <v_j, x> >= o_j}, assumed bounded.
+
+    Every dim-subset of the constraints with a unique common solution is a
+    candidate; the feasible ones are the vertices.  The list may be empty.
+    """
+    verts = set()
+    for subset in combinations(range(len(normals)), dim):
+        x = solve_exact([normals[j] for j in subset],
+                        [offsets[j] for j in subset])
+        if x is not None and all(dot(v, x) >= o
+                                 for v, o in zip(normals, offsets)):
+            verts.add(x)
+    return sorted(verts)
 
 
 class PolytopeError(ValueError):
@@ -73,7 +89,8 @@ class Polytope:
             pass
 
         self._check_bounded_nonempty()
-        self.vertices = self._enumerate_vertices()
+        self.vertices = tuple(vertices_of_system(self.normals, self.offsets,
+                                                 self.dim))
         if len(self.vertices) < self.dim + 1:
             raise PolytopeError("polytope is not full-dimensional")
         if rank_exact([[v[i] - self.vertices[0][i] for i in range(self.dim)]
@@ -111,20 +128,6 @@ class Polytope:
                     raise PolytopeError(f"feasibility LP failed: {res.message}")
         if d < self.dim + 1:
             raise PolytopeError("too few facets to bound a polytope")
-
-    def _enumerate_vertices(self):
-        verts = {}
-        idx = range(len(self.normals))
-        for subset in combinations(idx, self.dim):
-            rows = [self.normals[j] for j in subset]
-            rhs = [self.offsets[j] for j in subset]
-            x = solve_exact(rows, rhs)
-            if x is None:
-                continue
-            if all(self.ell_exact(x, j) >= 0 for j in idx):
-                verts.setdefault(x, None)
-        ordered = sorted(verts.keys())
-        return tuple(ordered)
 
     def _prune_facets(self):
         """Drop facets that do not support an (n-1)-dimensional face."""

@@ -22,7 +22,7 @@ from .polytope import Polytope
 
 __all__ = [
     "BoundaryError", "NewtonError", "PotentialJet", "RayPoint",
-    "guillemin_jet", "ray_jet", "guillemin_value_grad",
+    "guillemin_jet", "ray_jet",
     "legendre_forward", "legendre_inverse", "holo_log_coordinate",
     "kahler_dual_value", "det_identity_check", "DetIdentityReport",
 ]
@@ -79,17 +79,6 @@ def guillemin_jet(P: Polytope, x) -> PotentialJet:
     grad = 0.5 * (log_ell + 1.0) @ A
     hess = 0.5 * np.einsum("r,ri,rj->ij", 1.0 / ell, A, A)
     return PotentialJet(value, grad, hess)
-
-
-def guillemin_value_grad(P: Polytope, X):
-    """Vectorized (value, gradient) of g_P over points X of shape (..., n)."""
-    X = np.asarray(X, dtype=float)
-    ell = P.ell(X)
-    safe = np.maximum(ell, 1e-300)
-    log_ell = np.log(safe)
-    value = 0.5 * np.sum(ell * log_ell, axis=-1)
-    grad = 0.5 * (log_ell + 1.0) @ P._A
-    return value, grad
 
 
 def ray_jet(rp: RayPoint) -> PotentialJet:

@@ -29,15 +29,16 @@ class QuadratureError(RuntimeError):
     pass
 
 
-_NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
+# the 15-point Gauss-Legendre rule on [-1, 1], shared by the package
+GL15_NODES, GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 def _gl_panel_values(f, a, b):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    pts = mid + half * _NODES15
+    pts = mid + half * GL15_NODES
     vals = np.asarray(f(pts), dtype=float)
-    return half * float(vals @ _WEIGHTS15)
+    return half * float(vals @ GL15_WEIGHTS)
 
 
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,

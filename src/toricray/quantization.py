@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -40,14 +41,9 @@ class QuantizationError(ValueError):
     pass
 
 
-# default quadrature tolerances; the CLI --tol-override flag scales them
-DEFAULT_REL_TOL = {1: 1e-10, 2: 1e-6}
-
-
-def set_tolerance_scale(scale: float):
-    """Scale the default density-quadrature tolerances (CLI override)."""
-    DEFAULT_REL_TOL[1] = 1e-10 * scale
-    DEFAULT_REL_TOL[2] = 1e-6 * scale
+# default density-quadrature tolerance per dimension, read-only; a caller
+# that needs another one passes MonomialDensity(rel_tol=...)
+DEFAULT_REL_TOL = MappingProxyType({1: 1e-10, 2: 1e-6})
 
 
 def base_log_weight(P: Polytope, m, X) -> np.ndarray:

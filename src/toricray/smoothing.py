@@ -31,14 +31,13 @@ import numpy as np
 from .generators import Generator, PLConvex
 from .kernels import Kernel, get_kernel
 from .polytope import FaceFrame, Polytope
+from .quadrature import GL15_NODES, GL15_WEIGHTS
 from .testconfig import Decomposition, thickening_membership
 
 __all__ = [
     "build_nice_smoothing", "verify_nice_family", "NiceSmoothingGenerator",
     "NiceFamilyReport", "SmoothingError", "default_check_samples",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 class SmoothingError(ValueError):
@@ -211,8 +210,8 @@ class IteratedMollifier:
             edges = np.linspace(-r, r, self.panels + 1)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
-            ys = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-            wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+            ys = (mid[:, None] + half[:, None] * GL15_NODES[None, :]).ravel()
+            wts = (half[:, None] * GL15_WEIGHTS[None, :]).ravel()
             theta = kernel.density(ys / r) / r
             self._levels.append((w, ys, wts * theta))
 

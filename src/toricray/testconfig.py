@@ -19,68 +19,17 @@ from typing import Optional
 
 import numpy as np
 
-from ._exact import (SaturationError, dot, frac, primitivize, rank_exact,
-                     solve_exact)
+from ._exact import (SaturationError, affine_solutions, dot, frac,
+                     primitivize, rank_exact, row_reduce)
 from .generators import PLConvex
 from .polytope import (FaceFrame, Polytope, PolytopeError, face_frame,
-                       make_polytope)
+                       make_polytope, vertices_of_system)
 
 __all__ = [
     "Face", "Decomposition", "QPolytope", "nondiff_locus", "decompose",
     "thickening_membership", "build_Q", "central_fiber_report",
     "CentralFiberReport",
 ]
-
-
-def _nullspace_exact(rows, n):
-    """Rational basis of {u : rows @ u = 0} for independent rational rows."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for k in range(r, len(mat)):
-            if mat[k][col] != 0:
-                piv = k
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [v / inv for v in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][col] != 0:
-                fct = mat[k][col]
-                mat[k] = [v - fct * w for v, w in zip(mat[k], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row_i, pc in enumerate(pivots):
-            vec[pc] = -mat[row_i][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _vertices_of_system(normals, offsets, dim):
-    """Exact vertices of {u : <v_j, u> >= o_j} assumed bounded; may be empty."""
-    if dim == 0:
-        return [()] if all(Fraction(0) >= o for o in offsets) else []
-    verts = {}
-    idx = range(len(normals))
-    for subset in combinations(idx, dim):
-        rows = [normals[j] for j in subset]
-        if rank_exact(rows) != dim:
-            continue
-        u = solve_exact(rows, [offsets[j] for j in subset])
-        if u is None:
-            continue
-        if all(dot(normals[j], u) >= offsets[j] for j in idx):
-            verts.setdefault(u, None)
-    return sorted(verts)
 
 
 @dataclass
@@ -99,10 +48,6 @@ class Face:
     def barycenter(self) -> np.ndarray:
         v = np.array([[float(c) for c in p] for p in self.vertices])
         return v.mean(axis=0)
-
-    def shadow_rows(self):
-        """Constraints on the parallel frame coordinates cut out by the face."""
-        return self._shadow
 
     def contains_parallel(self, x_par, tol: float = 1e-12) -> bool:
         if self._shadow is None:
@@ -128,32 +73,17 @@ class Face:
 def _face_for_subset(f: PLConvex, P: Polytope, subset):
     pieces = [f.pieces[i] for i in subset]
     g0, b0 = pieces[0]
-    diffs, rhs = [], []
-    for g, b in pieces[1:]:
-        diffs.append(tuple(gi - g0i for gi, g0i in zip(g, g0)))
-        rhs.append(b0 - b)
-    j = rank_exact(diffs)
-    if j == 0 or j > P.dim:
+    diffs = [tuple(gi - g0i for gi, g0i in zip(g, g0)) for g, _ in pieces[1:]]
+    rhs = [b0 - b for _, b in pieces[1:]]
+    # the first independent difference rows: the pivot columns of diffs^T
+    indep = row_reduce(list(zip(*diffs))).pivots
+    j = len(indep)
+    if j == 0:
         return None
-    # a particular solution of the equality system
-    indep = []
-    indep_rhs = []
-    for d, r in zip(diffs, rhs):
-        if rank_exact(indep + [d]) > len(indep):
-            indep.append(d)
-            indep_rhs.append(r)
-    if len(indep) != j:
+    sol = affine_solutions(diffs, rhs, P.dim)
+    if sol is None:
         return None
-    # pad to a square system with nullspace directions to pick one solution
-    null = _nullspace_exact(indep, P.dim)
-    rows = indep + [n for n in null]
-    x0 = solve_exact(rows, indep_rhs + [Fraction(0)] * len(null))
-    if x0 is None:
-        return None
-    # consistency: all equalities must hold at x0
-    for d, r in zip(diffs, rhs):
-        if dot(d, x0) != r:
-            return None
+    x0, null = sol
 
     # constraints restricted to the affine subspace x0 + span(null)
     con_normals, con_offsets = [], []
@@ -171,7 +101,7 @@ def _face_for_subset(f: PLConvex, P: Polytope, subset):
         con_offsets.append((bk - b0) - dot(d, x0))
 
     dim_face = P.dim - j
-    uverts = _vertices_of_system(con_normals, con_offsets, dim_face)
+    uverts = vertices_of_system(con_normals, con_offsets, dim_face)
     if not uverts:
         return None
     verts = []
@@ -192,7 +122,7 @@ def _face_for_subset(f: PLConvex, P: Polytope, subset):
     if f.active_set_exact(bary) != frozenset(subset):
         return None
 
-    prim_normals = [primitivize(d)[0] for d in indep]
+    prim_normals = [primitivize(diffs[k])[0] for k in indep]
     offsets = [dot(nu, x0) for nu in prim_normals]
     frame = None
     err = None
@@ -266,16 +196,6 @@ class Decomposition:
     def volume_defect(self) -> Fraction:
         return self.polytope.volume_exact() - sum(self.volumes_exact())
 
-    def region_of(self, x, tol: float = 1e-12):
-        """Index into subpolytopes of the activity region containing x."""
-        vals = self.pl.piece_values(np.asarray(x, dtype=float))
-        best = None
-        for pos, (i, Q) in enumerate(self.subpolytopes):
-            if np.all(Q.ell(np.asarray(x, dtype=float)) >= -tol):
-                if best is None or vals[i] > vals[self.subpolytopes[best][0]]:
-                    best = pos
-        return best
-
     def activity_consistency_exact(self) -> bool:
         """f at every vertex of every region equals its piece's affine value."""
         for i, Q in self.subpolytopes:
@@ -294,6 +214,8 @@ def decompose(f: PLConvex, P: Polytope) -> Decomposition:
         if (g, b) in seen_pieces:
             continue
         seen_pieces.add((g, b))
+        if any(gk == g and bk > b for gk, bk in f.pieces):
+            continue  # a parallel piece lies above this one everywhere
         normals = [list(v) for v in P.normals]
         offsets = list(P.offsets)
         for k, (gk, bk) in enumerate(f.pieces):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from toricray import quantization
 from toricray.cli import main
 
 
@@ -127,3 +128,13 @@ def test_verify_subset_exit_codes():
 def test_input_errors_exit_two(tmp_path):
     assert run(["profile", "--generator", "builtin:not-a-scenario"]) == 2
     assert run(["decompose", "--polytope", "{bad json", "--pl", "{}"]) == 2
+
+
+def test_density_tolerances_are_read_only():
+    before = dict(quantization.DEFAULT_REL_TOL)
+    with pytest.raises(TypeError):
+        quantization.DEFAULT_REL_TOL[2] = 1e-4
+    with pytest.raises(SystemExit) as exc:
+        run(["--tol-override", "100", "verify", "--only", "2"])
+    assert exc.value.code == 2
+    assert dict(quantization.DEFAULT_REL_TOL) == before == {1: 1e-10, 2: 1e-6}

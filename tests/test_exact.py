@@ -1,0 +1,187 @@
+"""Property tests for the exact rational core and the decompositions on it."""
+
+from fractions import Fraction
+from itertools import permutations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricray._exact import (affine_solutions, det_exact, invert_unimodular,
+                             rank_exact, solve_exact, unimodular_completion)
+from toricray.generators import PLConvex
+from toricray.polytope import make_polytope
+from toricray.testconfig import decompose
+
+exact = settings(derandomize=True, deadline=None, max_examples=80)
+
+entries = st.one_of(st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+def matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def matvec(a, x):
+    return [sum((ai * xi for ai, xi in zip(row, x)), Fraction(0)) for row in a]
+
+
+def null_basis(a, n):
+    return affine_solutions(a, [0] * len(a), n)[1]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Small rational matrices; half of them products through a thin inner
+    dimension, so singular and rank-deficient inputs are common."""
+    m = draw(st.integers(1, 4)) if rows is None else rows
+    n = draw(st.integers(1, 4)) if cols is None else cols
+
+    def block(r, c):
+        return [[draw(entries) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.booleans()):
+        return block(m, n)
+    k = draw(st.integers(1, min(m, n)))
+    return matmul(block(m, k), block(k, n))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return draw(matrices(n, n))
+
+
+@st.composite
+def unimodular(draw, n):
+    """(U, U^-1) as a product of integer shears, swaps and sign flips."""
+    U, Uinv = identity(n), identity(n)
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            E = identity(n)
+            E[i][i] = -1
+            Einv = E
+        elif draw(st.booleans()):
+            k = draw(st.integers(-2, 2))
+            E, Einv = identity(n), identity(n)
+            E[i][j], Einv[i][j] = k, -k
+        else:
+            E = identity(n)
+            E[i], E[j] = E[j], E[i]
+            Einv = E
+        U, Uinv = matmul(E, U), matmul(Uinv, Einv)
+    return ([[int(v) for v in row] for row in U],
+            [[int(v) for v in row] for row in Uinv])
+
+
+def leibniz(a):
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
+
+
+@exact
+@given(square_matrices(), st.data())
+def test_det_rank_and_solve_agree(A, data):
+    n = len(A)
+    b = [data.draw(entries) for _ in range(n)]
+    x = solve_exact(A, b)
+    assert (det_exact(A) != 0) == (rank_exact(A) == n) == (x is not None)
+    if x is not None:
+        assert matvec(A, x) == b
+
+
+@exact
+@given(matrices())
+def test_null_basis_spans_the_kernel(A):
+    n = len(A[0])
+    basis = null_basis(A, n)
+    assert len(basis) == n - rank_exact(A)
+    for u in basis:
+        assert all(v == 0 for v in matvec(A, u))
+    assert rank_exact(basis) == len(basis)
+
+
+@exact
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(matrices(n, n), matrices(n, n))))
+def test_det_is_multiplicative(AB):
+    A, B = AB
+    assert det_exact(matmul(A, B)) == det_exact(A) * det_exact(B)
+
+
+@exact
+@given(square_matrices())
+def test_det_matches_leibniz_expansion(A):
+    assert det_exact(A) == leibniz(A)
+
+
+@exact
+@given(st.integers(1, 4).flatmap(unimodular))
+def test_invert_unimodular(pair):
+    U, Uinv = pair
+    inv = invert_unimodular(U)
+    assert inv == Uinv
+    assert matmul(inv, U) == identity(len(U))
+
+
+@exact
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(unimodular(n), st.integers(1, n))))
+def test_unimodular_completion_keeps_rows_last(args):
+    (U, _), j = args
+    n = len(U)
+    rows = U[n - j:]
+    C = unimodular_completion(rows, n)
+    assert abs(det_exact(C)) == 1
+    assert C[n - j:] == rows
+
+
+def cp2(N=3):
+    return make_polytope([[1, 0], [0, 1], [-1, -1]], [0, 0, -N])
+
+
+half_integers = st.builds(Fraction, st.integers(-4, 4), st.just(2))
+pl_pieces = st.lists(
+    st.tuples(st.tuples(half_integers, half_integers),
+              st.builds(Fraction, st.integers(-6, 6), st.just(2))),
+    min_size=2, max_size=4, unique_by=lambda piece: piece[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(unimodular(2), st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       pl_pieces)
+def test_decompositions_of_unimodular_images(U_pair, t, pieces):
+    """f on cp2(3) and its transport along y = U x + t decompose alike."""
+    _, Uinv = U_pair
+    P = cp2()
+
+    def pull(v):  # covector v -> v U^-1
+        return tuple(sum(v[k] * Uinv[k][i] for k in range(2)) for i in range(2))
+
+    normals = [pull(v) for v in P.normals]
+    image = make_polytope(
+        normals, [lam + sum(a * b for a, b in zip(nu, t))
+                  for nu, lam in zip(normals, P.offsets)])
+    f = PLConvex(pieces)
+    f_image = PLConvex([(pull(g), b - sum(a * c for a, c in zip(pull(g), t)))
+                        for g, b in pieces])
+    dec, dec_image = decompose(f, P), decompose(f_image, image)
+    assert dec_image.volume_defect() == 0
+    assert dec_image.activity_consistency_exact()
+    assert sorted(dec_image.volumes_exact()) == sorted(dec.volumes_exact())
+    assert ([(sorted(F.active), F.codim) for F in dec_image.faces]
+            == [(sorted(F.active), F.codim) for F in dec.faces])

@@ -124,14 +124,10 @@ def test_adaptive_panels_endpoint_singularity():
         2.0, abs=1e-12)
 
 
-def test_delta_diagnostic_threaded_matches_serial():
+def test_delta_diagnostic_quality_gates():
     sc = segment("cosine")
     bat = battery_for(sc.polytope)
-    grid = [64, 256, 1024]
-    serial = delta_diagnostic(sc.polytope, sc.generator, [1], grid, bat)
-    threaded = delta_diagnostic(sc.polytope, sc.generator, [1], grid, bat,
-                                threads=3)
-    assert np.array_equal(serial.fit.errors, threaded.fit.errors)
+    res = delta_diagnostic(sc.polytope, sc.generator, [1], [64, 256, 1024], bat)
     # spec'd quality gates for the shipped scenario
-    assert serial.fit.residual < 0.1
-    assert serial.fit.is_decreasing(noise=0.05)
+    assert res.fit.residual < 0.1
+    assert res.fit.is_decreasing(noise=0.05)

@@ -54,6 +54,10 @@ def test_never_active_piece_pruned():
     assert len(faces) == 1
     dec = decompose(f, cp2())
     assert len(dec.subpolytopes) == 2
+    # a piece under a parallel one has no region, even with no third piece
+    dec = decompose(PLConvex([((0, 1), 0), ((0, 1), 1)]), cp2())
+    assert [i for i, _ in dec.subpolytopes] == [1]
+    assert dec.volume_defect() == 0
 
 
 def test_decompose_single_wall_vertex_sets():
