@@ -126,16 +126,10 @@ def cmd_profile(args) -> int:
         return 2
     lo, hi = P.bbox()
     xs = np.linspace(float(lo[0]), float(hi[0]), args.samples)
-    if hasattr(gen, "psi"):
-        d2, d1, d0 = gen.d2psi(xs), gen.dpsi(xs), gen.psi(xs)
-    else:
-        X = xs[:, None]
-        d0 = gen.value(X)
-        d1 = gen.gradient(X)[:, 0]
-        d2 = gen.hessian(X)[:, 0, 0]
+    d0, d1, d2 = gen.jet(xs[:, None], 2)
     path = _write_csv(
         args.output, ["x", "d2psi", "dpsi", "psi"],
-        zip(xs, d2, d1, d0),
+        zip(xs, d2[:, 0, 0], d1[:, 0], d0),
         comment="gnuplot: plot 'profile.csv' every ::1 using 1:4 with lines")
     print(f"wrote {path}")
     return 0

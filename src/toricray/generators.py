@@ -1,8 +1,8 @@
 """Convex generators for Mabuchi rays.
 
-A generator is a convex function psi on the moment polytope with evaluators
-for its value, gradient, and Hessian, plus a description of where the
-Hessian is supported.  Three families are built here:
+A generator is a convex function psi on the moment polytope with one
+evaluator, ``jet``, for its value, gradient and Hessian, plus a description
+of where the Hessian is supported.  Three families are built here:
 
 * 1-D generators whose second derivative is a sum of bump kernels with
   pairwise disjoint supports.  Off the supports psi is exactly affine with
@@ -85,20 +85,27 @@ class SupportSlabs:
 
 
 class Generator:
-    """Base interface: value/gradient/hessian over points of shape (..., n)."""
+    """Base interface: the jet of psi over points of shape (..., n).
+
+    ``jet(x, order)`` returns (value, gradient, hessian) with shapes (...),
+    (..., n) and (..., n, n), and None for the entries above ``order``.
+    """
 
     dim: int
     support: SupportSlabs
     provenance: str
 
-    def value(self, x) -> np.ndarray:
+    def jet(self, x, order: int):
         raise NotImplementedError
+
+    def value(self, x) -> np.ndarray:
+        return self.jet(x, 0)[0]
 
     def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet(x, 1)[1]
 
     def hessian(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet(x, 2)[2]
 
 
 class Bump1D:
@@ -242,17 +249,11 @@ class BumpGenerator1D(Generator):
 
     # Generator interface ------------------------------------------------------
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.psi(x[..., 0])
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.dpsi(x[..., 0])[..., None]
-
-    def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.d2psi(x[..., 0])[..., None, None]
+    def jet(self, x, order):
+        t = np.asarray(x, dtype=float)[..., 0]
+        return (self.psi(t),
+                self.dpsi(t)[..., None] if order >= 1 else None,
+                self.d2psi(t)[..., None, None] if order >= 2 else None)
 
 
 class ZeroGenerator(Generator):
@@ -262,17 +263,12 @@ class ZeroGenerator(Generator):
         self.provenance = "empty"
         self.support = SupportSlabs([])
 
-    def value(self, x):
+    def jet(self, x, order):
         x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
-
-    def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (self.dim, self.dim))
+        return (np.zeros(x.shape[:-1]),
+                np.zeros_like(x) if order >= 1 else None,
+                np.zeros(x.shape[:-1] + (self.dim, self.dim))
+                if order >= 2 else None)
 
 
 class WallSumGenerator(Generator):
@@ -299,26 +295,20 @@ class WallSumGenerator(Generator):
             slabs.append((nu_arr, bump.lo, bump.hi))
         self.support = SupportSlabs(slabs)
 
-    def value(self, x):
+    def jet(self, x, order):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
+        val = np.zeros(x.shape[:-1])
+        grad = np.zeros_like(x) if order >= 1 else None
+        hess = np.zeros(x.shape[:-1] + (self.dim, self.dim)) \
+            if order >= 2 else None
         for nu, b in zip(self.normals, self.bumps):
-            out = out + b.d0(x @ nu)
-        return out
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for nu, b in zip(self.normals, self.bumps):
-            out = out + b.d1(x @ nu)[..., None] * nu
-        return out
-
-    def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.dim, self.dim))
-        for nu, b in zip(self.normals, self.bumps):
-            out = out + b.d2(x @ nu)[..., None, None] * np.outer(nu, nu)
-        return out
+            t = x @ nu
+            val = val + b.d0(t)
+            if order >= 1:
+                grad = grad + b.d1(t)[..., None] * nu
+            if order >= 2:
+                hess = hess + b.d2(t)[..., None, None] * np.outer(nu, nu)
+        return val, grad, hess
 
 
 class PLConvex:
@@ -388,4 +378,4 @@ def eval_generator(gen: Generator, x):
     P = getattr(gen, "polytope", None)
     if P is not None and not np.all(P.contains(x, tol=1e-12)):
         raise GeneratorError(f"point {x} is outside the polytope")
-    return gen.value(x), gen.gradient(x), gen.hessian(x)
+    return gen.jet(x, 2)

@@ -16,10 +16,9 @@ from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
-from ._exact import (SaturationError, det_exact, dot, frac, is_primitive,
-                     invert_unimodular, rank_exact, solve_exact,
+from ._exact import (SaturationError, affine_solutions, det_exact, dot, frac,
+                     is_primitive, invert_unimodular, rank_exact, solve_exact,
                      unimodular_completion, vec_frac)
 
 __all__ = [
@@ -111,22 +110,33 @@ class Polytope:
     # -- construction internals ------------------------------------------------
 
     def _check_bounded_nonempty(self):
-        d = len(self.normals)
-        A_ub = -np.array(self.normals, dtype=float)
-        b_ub = -np.array([float(o) for o in self.offsets])
-        for i in range(self.dim):
-            for sgn in (1.0, -1.0):
-                c = np.zeros(self.dim)
-                c[i] = sgn
-                res = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                              bounds=[(None, None)] * self.dim, method="highs")
-                if res.status == 2:
-                    raise PolytopeError("polytope is empty")
-                if res.status == 3:
+        """Exact emptiness and boundedness of the facet system.
+
+        A nonempty system has a minimal face: the solutions of rank(V)
+        tight rows, so it is empty iff no such subsystem has a feasible
+        solution.  It is bounded iff its recession cone {V r >= 0} is zero:
+        V has rank n and no extreme ray, the null vector of n - 1
+        independent rows, lies in the cone with either sign.
+        """
+        n, V, o = self.dim, self.normals, self.offsets
+        rank = rank_exact(V)
+        for subset in combinations(range(len(V)), rank):
+            sol = affine_solutions([V[j] for j in subset],
+                                   [o[j] for j in subset], n)
+            if sol is not None and all(dot(v, sol[0]) >= c
+                                       for v, c in zip(V, o)):
+                break
+        else:
+            raise PolytopeError("polytope is empty")
+        if rank < n:
+            raise PolytopeError("polytope is unbounded")
+        for subset in combinations(V, n - 1):
+            _, null = affine_solutions(subset, [0] * (n - 1), n)
+            if len(null) == 1:
+                pairings = [dot(v, null[0]) for v in V]
+                if min(pairings) >= 0 or max(pairings) <= 0:
                     raise PolytopeError("polytope is unbounded")
-                if res.status != 0:  # pragma: no cover
-                    raise PolytopeError(f"feasibility LP failed: {res.message}")
-        if d < self.dim + 1:
+        if len(V) < n + 1:
             raise PolytopeError("too few facets to bound a polytope")
 
     def _prune_facets(self):

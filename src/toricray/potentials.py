@@ -85,12 +85,10 @@ def ray_jet(rp: RayPoint) -> PotentialJet:
     base = guillemin_jet(rp.polytope, rp.x)
     if rp.s == 0:
         return base
-    gen = rp.generator
-    return PotentialJet(
-        base.value + rp.s * float(gen.value(rp.x)),
-        base.gradient + rp.s * gen.gradient(rp.x),
-        base.hessian + rp.s * gen.hessian(rp.x),
-    )
+    val, grad, hess = rp.generator.jet(rp.x, 2)
+    return PotentialJet(base.value + rp.s * float(val),
+                        base.gradient + rp.s * grad,
+                        base.hessian + rp.s * hess)
 
 
 def legendre_forward(rp: RayPoint) -> np.ndarray:

@@ -65,8 +65,8 @@ def ray_rate(gen: Generator, m, X) -> np.ndarray:
     """(x - m) . grad psi - psi; constant on each affinity component of psi."""
     X = np.asarray(X, dtype=float)
     m = np.asarray(m, dtype=float)
-    grad = gen.gradient(X)
-    return np.sum((X - m) * grad, axis=-1) - gen.value(X)
+    val, grad, _ = gen.jet(X, 1)
+    return np.sum((X - m) * grad, axis=-1) - val
 
 
 def rate_gap(gen: Generator, m, X) -> np.ndarray:

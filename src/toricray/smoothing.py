@@ -48,46 +48,23 @@ class SmoothingError(ValueError):
 # Directional mollification of a PL convex function (closed form)
 # ---------------------------------------------------------------------------
 
-def _upper_envelope(slopes, intercepts):
-    """Breakpoint structure of max_i(intercept_i + slope_i * y).
-
-    Returns (order, cuts): piece indices active left-to-right in y, and the
-    crossing ordinates between consecutive active pieces.
-    """
-    idx = np.argsort(slopes, kind="stable")
-    lines = []
-    for i in idx:
-        s, c = slopes[i], intercepts[i]
-        if lines and lines[-1][0] == s:
-            if lines[-1][1] >= c:
-                continue
-            lines.pop()
-        while len(lines) >= 2:
-            s1, c1, _ = lines[-2]
-            s2, c2, _ = lines[-1]
-            # middle line useless if the new line overtakes l1 before l2 does
-            if (c - c1) * (s2 - s1) >= (c2 - c1) * (s - s1):
-                lines.pop()
-            else:
-                break
-        lines.append((s, c, i))
-    order = [l[2] for l in lines]
-    cuts = []
-    for (s1, c1, _), (s2, c2, _) in zip(lines[:-1], lines[1:]):
-        cuts.append((c1 - c2) / (s2 - s1))
-    return order, cuts
+# rows per inner batch of the outer Gauss-Legendre level; one batch holds
+# _OUTER_CHUNK * panels * 15 inner points
+_OUTER_CHUNK = 64
 
 
 class LineMollifier:
     """Closed-form convolution of a PL convex f along one direction.
 
     value(x) = integral of theta_delta(y) f(x - y w) dy with theta the scaled
-    kernel density of unit mass and radius delta.  Equality with f on
-    single-piece windows, affine gradients, and the rank-one Hessian jumps
-    are exact consequences of the envelope bookkeeping:
+    kernel density of unit mass and radius delta.  Along the shift line piece
+    i reads a_i(x) + s_i y with s_i = -<g_i, w>; it is on top on the interval
+    [lo_i, hi_i] that its crossings with the other pieces cut out of
+    [-delta, delta].  Equality with f on single-piece windows, affine
+    gradients, and the rank-one Hessian jumps are exact consequences:
 
-        value = sum_seg a_i(x) dTheta + s_i delta dE
-        grad  = sum_seg g_i dTheta
+        value = sum_i a_i(x) dTheta_i + s_i delta dE_i
+        grad  = sum_i g_i dTheta_i
         hess  = sum_breaks theta(y_b) (g_L - g_R)(g_L - g_R)^T / <g_L - g_R, w>
     """
 
@@ -98,43 +75,12 @@ class LineMollifier:
         self.kernel = kernel
         self.slopes_w = -(f.G @ self.w)
         self._pair = f.npieces == 2 and self.slopes_w[0] != self.slopes_w[1]
+        # pieces by increasing slope; equal slopes keep their index order
+        self._by_slope = np.argsort(self.slopes_w, kind="stable")
 
     def eval_point(self, x):
-        x = np.asarray(x, dtype=float)
-        f, d, k = self.f, self.delta, self.kernel
-        vals_plus = f.piece_values(x + d * self.w)
-        vals_minus = f.piece_values(x - d * self.w)
-        i_dom = int(np.argmax(vals_plus + vals_minus))
-        if vals_plus[i_dom] >= vals_plus.max() and \
-           vals_minus[i_dom] >= vals_minus.max():
-            return float(f.piece_values(x)[i_dom]), f.G[i_dom].copy(), \
-                np.zeros((f.dim, f.dim))
-        intercepts = f.piece_values(x)
-        order, cuts = _upper_envelope(self.slopes_w, intercepts)
-        ys = [-d] + list(cuts) + [d]
-        value = 0.0
-        grad = np.zeros(f.dim)
-        hess = np.zeros((f.dim, f.dim))
-        for seg, i in enumerate(order):
-            y0 = max(-d, ys[seg])
-            y1 = min(d, ys[seg + 1])
-            if y1 <= y0:
-                continue
-            t0, t1 = y0 / d, y1 / d
-            dT = float(k.cdf(t1) - k.cdf(t0))
-            dE = float(k.first_moment(t1) - k.first_moment(t0))
-            value += intercepts[i] * dT + self.slopes_w[i] * d * dE
-            grad += f.G[i] * dT
-        for seg in range(len(order) - 1):
-            yb = cuts[seg]
-            if -d < yb < d:
-                gl = f.G[order[seg]]
-                gr = f.G[order[seg + 1]]
-                dg = gl - gr
-                denom = float(dg @ self.w)
-                weight = float(k.density(yb / d)[0]) / d
-                hess += weight * np.outer(dg, dg) / denom
-        return value, grad, hess
+        v, g, h = self.eval_many(np.asarray(x, dtype=float)[None])
+        return v[0], g[0], h[0]
 
     def eval_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -156,18 +102,8 @@ class LineMollifier:
             grads[trivial] = f.G[it]
         rest = ~trivial
         if np.any(rest):
-            Xr = X[rest]
-            if self._pair:
-                v, g, h = self._pair_closed_form(Xr)
-            else:
-                v = np.empty(len(Xr))
-                g = np.empty((len(Xr), n))
-                h = np.empty((len(Xr), n, n))
-                for i, x in enumerate(Xr):
-                    v[i], g[i], h[i] = self.eval_point(x)
-            vals[rest] = v
-            grads[rest] = g
-            hesses[rest] = h
+            jet = self._pair_closed_form if self._pair else self._envelope
+            vals[rest], grads[rest], hesses[rest] = jet(X[rest])
         return vals, grads, hesses
 
     def _pair_closed_form(self, X):
@@ -189,69 +125,84 @@ class LineMollifier:
         hesses = (weight / c)[:, None, None] * np.outer(gL - gR, gL - gR)[None]
         return vals, grads, hesses
 
+    def _envelope(self, X):
+        """The closed form for any number of pieces, one array pass."""
+        f, d, k = self.f, self.delta, self.kernel
+        order = self._by_slope
+        p = order.size
+        s, G = self.slopes_w[order], f.G[order]
+        a = f.piece_values(X)[:, order]
+        ds = s[:, None] - s[None, :]                  # s_i - s_j
+        da = a[:, None, :] - a[:, :, None]            # a_j - a_i
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = da / ds                               # where i and j cross
+        lo = np.maximum(-d, np.where(ds > 0, y, -np.inf).max(axis=2))
+        hi = np.minimum(d, np.where(ds < 0, y, np.inf).min(axis=2))
+        # of pieces with one slope only the highest is ever on top, the
+        # first one on a tie
+        same = (ds == 0) & ~np.eye(p, dtype=bool)
+        first = np.tri(p, k=-1, dtype=bool)           # j before i
+        beaten = (same & ((da > 0) | ((da == 0) & first))).any(axis=2)
+        active = (hi > lo) & ~beaten
+
+        T = k.cdf(np.stack((hi, lo)) / d)
+        E = k.first_moment(np.stack((hi, lo)) / d)
+        dT = np.where(active, T[0] - T[1], 0.0)
+        dE = np.where(active, E[0] - E[1], 0.0)
+        vals = np.sum(a * dT + s * d * dE, axis=1)
+        grads = dT @ G
+
+        # one break between each active piece and the next active one
+        idx = np.where(active, np.arange(p), p)
+        nxt = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        brk = active[:, :-1] & (nxt < p)
+        right = np.minimum(nxt, p - 1)
+        yb = np.take_along_axis(y[:, :-1, :], right[..., None], axis=2)[..., 0]
+        dg = G[:-1][None] - G[right]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = k.density(np.where(brk, yb, d) / d) / d / (dg @ self.w)
+        coef = np.where(brk, coef, 0.0)
+        hesses = np.einsum("ku,kui,kuj->kij", coef, dg, dg)
+        return vals, grads, hesses
+
 
 class IteratedMollifier:
-    """Mollification along several directions; inner closed form, outer GL.
+    """Mollification along one or two directions; inner closed form, outer GL.
 
     The innermost direction must be transversal to every kink normal of f:
     then the inner convolution is already C-infinity and differentiating the
-    outer integrals under the integral sign is legitimate.
+    outer integral under the integral sign is legitimate.
     """
 
     def __init__(self, f: PLConvex, dirs, radii, kernel: Kernel, panels: int = 16):
+        if len(dirs) > 2:
+            raise ValueError("iterated mollification takes at most two "
+                             f"directions, got {len(dirs)}")
         self.f = f
         self.dirs = [np.asarray(w, dtype=float) for w in dirs]
         self.radii = [float(r) for r in radii]
         self.kernel = kernel
         self.inner = LineMollifier(f, self.dirs[0], self.radii[0], kernel)
         self.panels = panels
-        self._levels = []
-        for w, r in zip(self.dirs[1:], self.radii[1:]):
+        self._outer = None
+        if len(self.dirs) == 2:
+            w, r = self.dirs[1], self.radii[1]
             edges = np.linspace(-r, r, self.panels + 1)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
             ys = (mid[:, None] + half[:, None] * GL15_NODES[None, :]).ravel()
             wts = (half[:, None] * GL15_WEIGHTS[None, :]).ravel()
             theta = kernel.density(ys / r) / r
-            self._levels.append((w, ys, wts * theta))
-
-    def _box_corners(self, x):
-        corners = [np.asarray(x, dtype=float)]
-        for w, r in zip(self.dirs, self.radii):
-            corners = [c + sgn * r * w for c in corners for sgn in (1.0, -1.0)]
-        return np.array(corners)
+            self._outer = (w, ys, wts * theta)
 
     def eval_point(self, x):
-        x = np.asarray(x, dtype=float)
-        f = self.f
-        corners = self._box_corners(x)
-        piece_vals = f.piece_values(corners)
-        i_dom = int(np.argmax(piece_vals.sum(axis=0)))
-        if np.all(piece_vals[:, i_dom] >= piece_vals.max(axis=1)):
-            return float(f.piece_values(x)[i_dom]), f.G[i_dom].copy(), \
-                np.zeros((f.dim, f.dim))
-        return self._eval_level(x, len(self.dirs) - 1)
-
-    def _eval_level(self, x, level):
-        if level == 0:
-            return self.inner.eval_point(x)
-        w, ys, wts = self._levels[level - 1]
-        pts = x[None, :] - ys[:, None] * w[None, :]
-        if level == 1:
-            vals, grads, hesses = self.inner.eval_many(pts)
-        else:  # pragma: no cover - three+ directions unused at desk scale
-            vals = np.empty(len(pts))
-            grads = np.empty_like(pts)
-            hesses = np.empty((len(pts), self.f.dim, self.f.dim))
-            for i, p in enumerate(pts):
-                vals[i], grads[i], hesses[i] = self._eval_level(p, level - 1)
-        return (float(wts @ vals), wts @ grads,
-                np.einsum("k,kij->ij", wts, hesses))
+        v, g, h = self.eval_many(np.asarray(x, dtype=float)[None])
+        return v[0], g[0], h[0]
 
     def eval_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         npts, n = X.shape
-        f, k = self.f, len(self.dirs)
+        f = self.f
         vals = np.empty(npts)
         grads = np.empty((npts, n))
         hesses = np.zeros((npts, n, n))
@@ -274,8 +225,21 @@ class IteratedMollifier:
             it = i_dom[trivial]
             vals[trivial] = f.piece_values(X[trivial])[np.arange(it.size), it]
             grads[trivial] = f.G[it]
-        for i in np.nonzero(~trivial)[0]:
-            vals[i], grads[i], hesses[i] = self._eval_level(X[i], k - 1)
+        rest = np.nonzero(~trivial)[0]
+        if self._outer is None:
+            vals[rest], grads[rest], hesses[rest] = self.inner.eval_many(X[rest])
+            return vals, grads, hesses
+        w, ys, wts = self._outer
+        for start in range(0, rest.size, _OUTER_CHUNK):
+            idx = rest[start:start + _OUTER_CHUNK]
+            pts = X[idx, None, :] - ys[None, :, None] * w[None, None, :]
+            v, g, h = self.inner.eval_many(pts.reshape(-1, n))
+            # one contraction of the stacked jets with the outer weights
+            jets = np.concatenate((v[:, None], g, h.reshape(-1, n * n)), axis=1)
+            out = wts @ jets.reshape(idx.size, ys.size, -1)
+            vals[idx] = out[:, 0]
+            grads[idx] = out[:, 1:n + 1]
+            hesses[idx] = out[:, n + 1:].reshape(-1, n, n)
         return vals, grads, hesses
 
 
@@ -403,31 +367,15 @@ class NiceSmoothingGenerator(Generator):
         self.provenance = "pl-smooth" if strict_term is None else "pl-smooth-strict"
         self.support = _ThickeningSupport(decomp, self.eps)
 
-    def _eval(self, X):
-        X = np.asarray(X, dtype=float).reshape(-1, self.dim)
-        vals, grads, hesses = self.mollifier.eval_many(X)
+    def jet(self, x, order):
+        x = np.asarray(x, dtype=float)
+        X = x.reshape(-1, self.dim)
+        jet = self.mollifier.eval_many(X)
         if self.strict_term is not None:
-            sv, sg, sh = self.strict_term.eval(X)
-            vals = vals + sv
-            grads = grads + sg
-            hesses = hesses + sh
-        return vals, grads, hesses
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        v, _, _ = self._eval(x)
-        return v[0] if x.ndim == 1 else v.reshape(x.shape[:-1])
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        _, g, _ = self._eval(x)
-        return g[0] if x.ndim == 1 else g.reshape(x.shape)
-
-    def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        _, _, h = self._eval(x)
-        return h[0] if x.ndim == 1 else h.reshape(
-            x.shape[:-1] + (self.dim, self.dim))
+            jet = [a + b for a, b in zip(jet, self.strict_term.eval(X))]
+        return tuple(None if k > order else a[0] if x.ndim == 1
+                     else a.reshape(x.shape[:-1] + a.shape[1:])
+                     for k, a in enumerate(jet))
 
 
 def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
@@ -653,12 +601,15 @@ def verify_nice_family(f: PLConvex, gens: dict, samples=None) -> NiceFamilyRepor
                                       worst_c)
 
     face_pts = _face_interior_points(decomp, eps_max)
+    # one batched Hessian per eps on all face points, shared by d) and e)
+    X_face = np.array([p for _, p, _ in face_pts]).reshape(-1, P.dim)
+    hess = {e: gens[e].hessian(X_face) for e in eps_list}
     worst_d = np.inf
     ok_d = True
-    for face, p, _ in face_pts:
+    for k, (face, _, _) in enumerate(face_pts):
         fr = face.frame
         for e in eps_list:
-            H = gens[e].hessian(p)
+            H = hess[e][k]
             if _rank(H) < face.codim:
                 ok_d = False
             Ht = fr.inverse_np.T @ H @ fr.inverse_np
@@ -674,14 +625,14 @@ def verify_nice_family(f: PLConvex, gens: dict, samples=None) -> NiceFamilyRepor
     ok_e = True
     checked = 0
     worst_e = 0
-    for face, p, margin in face_pts:
+    for k, (face, _, margin) in enumerate(face_pts):
         eps_p = margin / 7.0 if np.isfinite(margin) else np.inf
         usable = [e for e in eps_list if e < eps_p]
         if not usable:
             continue
         checked += 1
         for e in usable:
-            r = _rank(gens[e].hessian(p))
+            r = _rank(hess[e][k])
             worst_e = max(worst_e, r - face.codim)
             if r != face.codim:
                 ok_e = False

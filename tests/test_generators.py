@@ -172,3 +172,71 @@ def test_pl_value_is_convex_sampled():
         lam = rng.uniform()
         mid = f.value(lam * x + (1 - lam) * y)
         assert mid <= lam * f.value(x) + (1 - lam) * f.value(y) + 1e-12
+
+
+def _all_generators():
+    """One generator of each kind, with a point set inside its polytope."""
+    from toricray.generators import ZeroGenerator
+    from toricray.smoothing import build_nice_smoothing
+    from toricray.testconfig import decompose
+    P = cp2()
+    wall = PLConvex([((0, 0), 0), ((1, 0), -1)])
+    corner = PLConvex([((0, 0), 0), ((1, 0), -1), ((0, 1), -1)])
+    pts_2d = np.array([[1.0, 1.0], [0.98, 0.5], [1.03, 1.01], [0.4, 0.4],
+                       [1.2, 0.97], [0.99, 1.6]])
+    pts_1d = np.array([[0.8], [1.0], [1.1], [0.2], [1.9], [1.24]])
+    return [
+        ("bumps", multi_bump("smooth"), pts_1d * 2.0),
+        ("zero", ZeroGenerator(P), pts_2d),
+        ("wall-sum", build_wall_sum(P, [((1, 0), BumpSpec(1.0, 0.2, 1.0)),
+                                        ((1, 1), BumpSpec(2.0, 0.2, 0.5))]),
+         pts_2d),
+        ("pl-wall", build_nice_smoothing(wall, P, decompose(wall, P), 0.1),
+         pts_2d),
+        ("pl-wall-strict", build_nice_smoothing(
+            wall, P, decompose(wall, P), 0.1, variant="strict"), pts_2d),
+        ("pl-corner", build_nice_smoothing(corner, P, decompose(corner, P),
+                                           0.05), pts_2d),
+    ]
+
+
+@pytest.mark.parametrize("kind,gen,pts", _all_generators(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_jet_contract(kind, gen, pts):
+    n = gen.dim
+    for x in (pts[0], pts, pts.reshape(2, 3, n)):
+        lead = x.shape[:-1]
+        jets = [gen.jet(x, order) for order in (0, 1, 2)]
+        for order, jet in enumerate(jets):
+            assert len(jet) == 3
+            assert all(jet[k] is None for k in range(order + 1, 3))
+        val, grad, hess = jets[2]
+        assert np.shape(val) == lead
+        assert np.shape(grad) == lead + (n,)
+        assert np.shape(hess) == lead + (n, n)
+        # lower orders are the same numbers, bit for bit
+        assert np.array_equal(jets[0][0], val)
+        assert np.array_equal(jets[1][0], val)
+        assert np.array_equal(jets[1][1], grad)
+        # the views and eval_generator are the same jet
+        assert np.array_equal(gen.value(x), val)
+        assert np.array_equal(gen.gradient(x), grad)
+        assert np.array_equal(gen.hessian(x), hess)
+        ev = eval_generator(gen, x)
+        assert all(np.array_equal(a, b) for a, b in zip(ev, (val, grad, hess)))
+    # a stack of points is evaluated row by row
+    val, grad, hess = gen.jet(pts, 2)
+    for k, x in enumerate(pts):
+        v1, g1, h1 = gen.jet(x, 2)
+        assert v1 == val[k] and np.array_equal(g1, grad[k]) \
+            and np.array_equal(h1, hess[k])
+
+
+def test_no_generator_overrides_the_views():
+    from toricray import generators, smoothing
+    for mod in (generators, smoothing):
+        for cls in vars(mod).values():
+            if isinstance(cls, type) and issubclass(cls, generators.Generator) \
+                    and cls is not generators.Generator:
+                assert "jet" in vars(cls)
+                assert not {"value", "gradient", "hessian"} & set(vars(cls))

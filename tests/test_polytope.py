@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from toricray._exact import SaturationError, det_exact
-from toricray.polytope import (DelzantError, PolytopeError, ell_values,
-                               face_frame, integral_points, make_polytope,
-                               parse_polytope)
+from toricray.polytope import (DelzantError, Polytope, PolytopeError,
+                               ell_values, face_frame, integral_points,
+                               make_polytope, parse_polytope)
 
 
 def segment(N=2):
@@ -52,6 +55,75 @@ def test_unbounded_and_empty_rejected():
         make_polytope([[1], [1]], [0, -1])
     with pytest.raises(PolytopeError):
         make_polytope([[1], [-1]], [2, -1])
+
+
+def classify(normals, offsets, dim):
+    """accepted, empty or unbounded, as the exact facet-system check says."""
+    try:
+        Polytope(dim, normals, offsets, require_delzant=False)
+    except PolytopeError as exc:
+        msg = str(exc)
+        if msg == "polytope is empty":
+            return "empty"
+        if msg in ("polytope is unbounded", "too few facets to bound a polytope"):
+            return "unbounded"
+    return "accepted"
+
+
+def classify_lp(normals, offsets, dim):
+    """The same classification from HiGHS: feasibility with a zero objective,
+    then boundedness of every coordinate in both directions."""
+    A_ub = -np.array(normals, dtype=float).reshape(-1, dim)
+    b_ub = -np.array([float(Fraction(o)) for o in offsets])
+    free = [(None, None)] * dim
+    if linprog(np.zeros(dim), A_ub=A_ub, b_ub=b_ub, bounds=free,
+               method="highs").status == 2:
+        return "empty"
+    for c in np.vstack([np.eye(dim), -np.eye(dim)]):
+        if linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=free,
+                   method="highs").status != 0:
+            return "unbounded"
+    return "accepted"
+
+
+@pytest.mark.parametrize("normals,offsets,want", [
+    ([[1, 0], [-1, 0]], [0, -1], "unbounded"),                 # strip
+    ([[1, 0], [-1, 0], [0, 1]], [0, -1, 0], "unbounded"),      # half strip
+    ([[1, 0], [0, 1], [1, 1]], [0, 0, 1], "unbounded"),        # wedge
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, -1, 0, -1], "empty"),
+    ([[1, 0], [-1, 0]], [1, 0], "empty"),                      # rank 1, empty
+    ([[1, 0], [-1, 0], [0, 1]], [1, 0, 0], "empty"),           # empty, ray
+    ([[1, 1], [-1, -1]], [0, -2], "unbounded"),                # rank 1 slab
+    ([[1, 0], [0, 1], [-1, -1]], [0, 0, -3], "accepted"),
+])
+def test_exact_boundedness_and_emptiness(normals, offsets, want):
+    assert classify(normals, offsets, 2) == want
+    assert classify_lp(normals, offsets, 2) == want
+
+
+def test_rank_deficient_normals_are_unbounded():
+    with pytest.raises(PolytopeError, match="polytope is unbounded"):
+        make_polytope([[1, 1], [-1, -1], [1, 1]], [0, -2, 1])
+
+
+PRIMITIVE = {1: [(1,), (-1,)],
+             2: [(a, b) for a in range(-2, 3) for b in range(-2, 3)
+                 if np.gcd(a, b) == 1]}
+
+
+@st.composite
+def facet_systems(draw):
+    dim = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 5))
+    normals = [draw(st.sampled_from(PRIMITIVE[dim])) for _ in range(m)]
+    offsets = [Fraction(draw(st.integers(-6, 6)), 2) for _ in range(m)]
+    return normals, offsets, dim
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(facet_systems())
+def test_exact_classification_matches_lp(system):
+    assert classify(*system) == classify_lp(*system)
 
 
 def test_delzant_failure_reports_vertex():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from toricray.generators import BumpSpec, build_bump_generator, build_wall_sum
+from toricray.generators import (BumpSpec, Generator, build_bump_generator,
+                                 build_wall_sum)
 from toricray.polytope import make_polytope
 from toricray.potentials import (BoundaryError, RayPoint,
                                  det_identity_check, guillemin_jet,
@@ -78,19 +79,14 @@ def test_determinant_identity_along_ray():
     assert rep.deltas.max() < 2.0
 
 
-class _BadGenerator:
+class _BadGenerator(Generator):
     dim = 1
     support = ()
 
-    def value(self, x):
-        return np.zeros(np.asarray(x).shape[:-1])
-
-    def gradient(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def hessian(self, x):
+    def jet(self, x, order):
         x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1] + (1, 1), -2.0)
+        return (np.zeros(x.shape[:-1]), np.zeros_like(x),
+                np.full(x.shape[:-1] + (1, 1), -2.0))
 
 
 def test_determinant_identity_flags_non_psd():
