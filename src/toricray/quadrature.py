@@ -8,7 +8,7 @@ sharply peaked integrands are bracketed before refinement starts.
 one-level and a four-child rule value; their difference drives refinement
 and the fine value is the leaf's contribution.  Meshes are reusable: after
 refining against a driver function (the density), any number of secondary
-integrands (battery members) are integrated on the same nodes, which-keeps
+integrands (battery members) are integrated on the same nodes, which keeps
 pairings mutually consistent and deterministic.
 """
 
@@ -156,11 +156,6 @@ _T_W = np.array([0.225,
                  0.1259391805448271, 0.1259391805448271, 0.1259391805448271])
 
 
-def _tri_area(tri):
-    (x0, y0), (x1, y1), (x2, y2) = tri
-    return 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-
-
 def _split4_batch(tris):
     """(B, 3, 2) -> (4B, 3, 2) children in blocks of four per parent."""
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
@@ -181,6 +176,53 @@ def _areas_batch(tris):
     return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def _diameters_batch(tris):
+    """(B, 3, 2) -> (B,) longest edge lengths.
+
+    Each edge length is the square root of its dot product with itself,
+    which gives the same floats as ``np.linalg.norm`` of that edge.
+    """
+    edges = tris - tris[:, [1, 2, 0]]
+    sq = (edges[..., None, :] @ edges[..., :, None])[..., 0, 0]
+    return np.sqrt(sq).max(axis=1)
+
+
+def _zoom_pass(work, predicate, target, budget):
+    """One zoom pre-split at a fixed target, or None if it exceeds budget.
+
+    Splits, level by level, every triangle whose diameter exceeds target
+    and for which the predicate holds.  Each split adds three leaves, so
+    the leaf count only grows and the pass stops at the first level past
+    the budget.  Leaves come back in the order of a depth-first walk that
+    pops the last root and the last child first: descending in (root
+    index, child digits).
+    """
+    front = work
+    keys = np.arange(len(work))[:, None]  # root index, then child digits
+    count = len(work)
+    leaves, leaf_keys = [], []
+    while len(front):
+        split = _diameters_batch(front) > target
+        big = np.flatnonzero(split)
+        if big.size:
+            split[big] = predicate(front[big])
+        n_split = int(np.count_nonzero(split))
+        count += 3 * n_split
+        if count > budget:
+            return None
+        leaves.append(front[~split])
+        leaf_keys.append(keys[~split])
+        front = _split4_batch(front[split])
+        keys = np.hstack([np.repeat(keys[split], 4, axis=0),
+                          np.tile(np.arange(4), n_split)[:, None]])
+    # no leaf path is a prefix of another, so zero padding never decides
+    depth = leaf_keys[-1].shape[1]
+    keys = np.vstack([np.pad(k, ((0, 0), (0, depth - k.shape[1])))
+                      for k in leaf_keys])
+    order = np.lexsort(keys.T[::-1])[::-1]
+    return np.concatenate(leaves)[order]
+
+
 class TriangleMesh:
     """Adaptive triangle mesh over a convex polygon, reusable for pairings.
 
@@ -196,12 +238,9 @@ class TriangleMesh:
         order = np.argsort(np.arctan2(self.polygon[:, 1] - center[1],
                                       self.polygon[:, 0] - center[0]))
         ring = self.polygon[order]
-        tris = []
-        for i in range(len(ring)):
-            tri = np.array([center, ring[i], ring[(i + 1) % len(ring)]])
-            if _tri_area(tri) > 0:
-                tris.append(tri)
-        self._initial = np.array(tris)
+        fan = np.stack([np.broadcast_to(center, ring.shape), ring,
+                        np.roll(ring, -1, axis=0)], axis=1)
+        self._initial = fan[_areas_batch(fan) > 0]
         self.tris = None        # (L, 3, 2)
         self.fine_nodes = None  # (L, 28, 2)
         self.fine_vals = None   # (L, 28)
@@ -236,7 +275,17 @@ class TriangleMesh:
         ``zoom`` is an optional (predicate, target_size) pair: triangles for
         which the predicate holds are pre-split until their diameter drops
         below target_size, which points the mesh at an analytically known
-        concentration set before error-driven refinement starts.
+        concentration set before error-driven refinement starts.  The
+        predicate takes a (B, 3, 2) batch of triangles, all of diameter
+        above the current target, and returns a bool (B,) array; it is
+        called once per split level.  While the pre-split would end with
+        more than max(n + 16, max_leaves // 3) leaves, n the leaves before
+        it, the target is doubled and the pre-split redone.  Pre-split
+        leaves are ordered as a depth-first walk of a stack that pops the
+        last root and the last child first.
+
+        Records ``presplit_leaves`` (leaves entering refinement) and
+        ``rounds`` (error-driven refinement rounds) on the mesh.
         """
         work = self._initial
         for _ in range(presplit_depth):
@@ -244,28 +293,14 @@ class TriangleMesh:
         if zoom is not None:
             predicate, target = zoom
             budget = max(len(work) + 16, max_leaves // 3)
-            # coarsen the zoom target until the pre-split plan leaves the
-            # error-driven stage most of the leaf budget
             while True:
-                out = []
-                stack = list(work)
-                over = False
-                while stack:
-                    tri = stack.pop()
-                    diam = max(np.linalg.norm(tri[0] - tri[1]),
-                               np.linalg.norm(tri[1] - tri[2]),
-                               np.linalg.norm(tri[2] - tri[0]))
-                    if diam > target and predicate(tri):
-                        stack.extend(_split4_batch(tri[None]))
-                        if len(out) + len(stack) > budget:
-                            over = True
-                            break
-                    else:
-                        out.append(tri)
-                if not over:
-                    work = np.array(out)
+                zoomed = _zoom_pass(work, predicate, target, budget)
+                if zoomed is not None:
                     break
                 target *= 2.0
+            work = zoomed
+        self.presplit_leaves = len(work)
+        self.rounds = 0
 
         nodes, vals, weights, fine, errs = self._measure(work, f)
         tris = work
@@ -289,6 +324,7 @@ class TriangleMesh:
             errs = np.concatenate([errs[cold], ce])
             total = float(fine.sum())
             err_total = float(errs.sum())
+            self.rounds += 1
         self.tris = tris
         self.fine_nodes = nodes
         self.fine_vals = vals

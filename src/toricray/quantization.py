@@ -28,7 +28,8 @@ from scipy.spatial import cKDTree
 
 from .generators import Generator
 from .polytope import Polytope
-from .quadrature import TriangleMesh, integrate_on_panels, log_integral_1d
+from .quadrature import (TriangleMesh, _diameters_batch, integrate_on_panels,
+                         log_integral_1d)
 
 __all__ = [
     "base_log_weight", "ray_rate", "rate_gap", "MonomialDensity",
@@ -111,7 +112,7 @@ class MonomialDensity:
 
     def log_gap_density(self, X) -> np.ndarray:
         """Stable form -base - s*gap (bare: -s*gap); max is O(1)."""
-        gap = self.s * rate_gap(self.generator, self.m, X)
+        gap = self.s * (self.psi_m + ray_rate(self.generator, self.m, X))
         if self.weighted:
             return -base_log_weight(self.polytope, self.m, X) - gap
         return -gap
@@ -130,7 +131,7 @@ class MonomialDensity:
             pts = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
             pts = pts[P.contains(pts, tol=1e-12)]
         pts = np.vstack([pts, self.m[None, :]])
-        gaps = rate_gap(self.generator, self.m, pts)
+        gaps = self.psi_m + ray_rate(self.generator, self.m, pts)
         # the concentration set at scale s: points whose density is within
         # exp(-10) of the peak
         tol = max(1e-9, 10.0 / self.s) if self.s > 0 else float(np.max(gaps))
@@ -177,13 +178,9 @@ class MonomialDensity:
                 with np.errstate(over="ignore"):
                     return np.exp(self.log_gap_density(X) - ref)
 
-            def near_cloud(tri):
-                c = tri.mean(axis=0)
-                diam = max(np.linalg.norm(tri[0] - tri[1]),
-                           np.linalg.norm(tri[1] - tri[2]),
-                           np.linalg.norm(tri[2] - tri[0]))
-                d, _ = tree.query(c)
-                return d <= diam
+            def near_cloud(tris):
+                d, _ = tree.query(tris.mean(axis=1))
+                return d <= _diameters_batch(tris)
 
             target = max(1.5 * width, P.diameter() / 2048.0)
             mesh.refine(driver, rel_tol=self.rel_tol,
@@ -195,8 +192,8 @@ class MonomialDensity:
                 raise QuantizationError(
                     f"density quadrature did not converge: relative error "
                     f"estimate {mesh.err_estimate / abs(mesh.value):.2e} at "
-                    f"the {self.max_leaves}-leaf budget (tolerance "
-                    f"{self.rel_tol})")
+                    f"{len(mesh.tris)} leaves of the {self.max_leaves}-leaf "
+                    f"budget (tolerance {self.rel_tol})")
             self._log_gap_mass = ref + math.log(mesh.value)
             self._mesh = mesh
         else:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from toricray.generators import BumpSpec, build_bump_generator
+from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.polytope import make_polytope
+from toricray.scenarios import cp2_wall_sum
 from toricray.quadrature import integrate_1d
 from toricray.quantization import (MonomialDensity, QuantizationError,
                                    base_log_weight, basis_census, gcst_image,
@@ -173,3 +174,42 @@ def test_basis_census():
     simplex = make_polytope([[1, 0], [0, 1], [-1, -1]], [0, 0, -3])
     count, pts = basis_census(simplex)
     assert count == 10 and (1, 1) in pts
+
+
+class _CountingGenerator(Generator):
+    """Delegates to a generator and counts its jet calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.support = inner.support
+        self.jet_calls = 0
+
+    def jet(self, x, order):
+        self.jet_calls += 1
+        return self.inner.jet(x, order)
+
+
+def test_log_gap_density_makes_one_jet_call():
+    P = segment()
+    gen = _CountingGenerator(bump_gen(P))
+    xs = np.linspace(0.05, 1.95, 25)[:, None]
+    for weighted in (True, False):
+        md = MonomialDensity(P, gen, [1], 8.0, weighted=weighted)
+        for _ in range(3):
+            before = gen.jet_calls
+            got = md.log_gap_density(xs)
+            assert gen.jet_calls == before + 1
+        want = -8.0 * rate_gap(gen.inner, [1], xs)
+        if weighted:
+            want = want - base_log_weight(P, [1], xs)
+        assert np.array_equal(got, want)
+
+
+def test_nonconvergence_reports_leaf_count():
+    sc = cp2_wall_sum("cosine")
+    md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 512.0,
+                         weighted=False, max_leaves=200)
+    with pytest.raises(QuantizationError,
+                       match=r"at \d+ leaves of the 200-leaf budget"):
+        md.log_mass()
