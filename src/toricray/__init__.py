@@ -22,6 +22,7 @@ from .quantization import (MonomialDensity, base_log_weight, basis_census,
                            rate_gap)
 from .smoothing import build_nice_smoothing, verify_nice_family
 from .testconfig import (build_Q, central_fiber_report, decompose,
-                         nondiff_locus, thickening_membership)
+                         nondiff_locus, thickening_mask,
+                         thickening_membership)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ import numpy as np
 from .generators import Generator
 from .polytope import FaceFrame, Polytope
 from .potentials import RayPoint, ray_jet
-from .quadrature import GL15_NODES, GL15_WEIGHTS, integrate_1d
+from .quadrature import integrate_1d, panel_nodes
 from .quantization import MonomialDensity, base_log_weight, rate_gap
 
 __all__ = [
@@ -428,7 +428,8 @@ def metric_length(P: Polytope, gen: Generator, s: float, path,
     """Length of a polyline in (x, theta) under dx' G_s dx + dth' G_s^-1 dth.
 
     Panels are split at the generator's support boundaries so segments off
-    the support integrate identically for every s.
+    the support integrate identically for every s.  Each segment takes one
+    batched ray_jet call on all of its GL15 nodes and one fsum.
     """
     total = 0.0
     path = [(np.asarray(x, dtype=float), np.asarray(th, dtype=float))
@@ -444,18 +445,15 @@ def metric_length(P: Polytope, gen: Generator, s: float, path,
                     if 0.0 < t < 1.0:
                         cuts.add(t)
         cuts = sorted(cuts)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            edges = np.linspace(a, b, panels_per_segment + 1)
-            for pa, pb in zip(edges[:-1], edges[1:]):
-                mid = 0.5 * (pa + pb)
-                half = 0.5 * (pb - pa)
-                for node, wt in zip(GL15_NODES, GL15_WEIGHTS):
-                    t = mid + half * node
-                    x = x0 + t * dx
-                    jet = ray_jet(RayPoint(P, gen, s, x))
-                    dth = th1 - th0
-                    speed2 = float(dx @ jet.hessian @ dx)
-                    if np.any(dth):
-                        speed2 += float(dth @ np.linalg.solve(jet.hessian, dth))
-                    total += half * wt * math.sqrt(max(speed2, 0.0))
+        grids = [np.linspace(a, b, panels_per_segment + 1)
+                 for a, b in zip(cuts[:-1], cuts[1:])]
+        t, w = panel_nodes(np.concatenate([g[:-1] for g in grids]),
+                           np.concatenate([g[1:] for g in grids]))
+        G = ray_jet(RayPoint(P, gen, s, x0 + t.reshape(-1, 1) * dx)).hessian
+        speed2 = np.einsum("i,kij,j->k", dx, G, dx)
+        dth = th1 - th0
+        if np.any(dth):
+            rhs = np.broadcast_to(dth[:, None], (len(G), len(dth), 1))
+            speed2 = speed2 + np.linalg.solve(G, rhs)[..., 0] @ dth
+        total += math.fsum(w.ravel() * np.sqrt(np.maximum(speed2, 0.0)))
     return total

@@ -40,13 +40,16 @@ class NewtonError(RuntimeError):
 
 @dataclass
 class PotentialJet:
-    value: float
+    """Value, gradient and Hessian at one point (a float value) or at a
+    batch of k points (shapes (k,), (k, n) and (k, n, n))."""
+    value: float | np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
 
 
 @dataclass
 class RayPoint:
+    """A point x of shape (n,), or a batch of shape (k, n), at ray time s."""
     polytope: Polytope
     generator: Generator
     s: float
@@ -58,8 +61,10 @@ class RayPoint:
             raise ValueError("ray parameter s must be >= 0")
         ell = self.polytope.ell(self.x)
         if np.min(ell) <= 0:
+            where = self.x if self.x.ndim == 1 else \
+                self.x[np.argmin(np.min(ell, axis=-1))]
             raise BoundaryError(
-                f"point {self.x} is not strictly interior (min ell = {np.min(ell)})")
+                f"point {where} is not strictly interior (min ell = {np.min(ell)})")
 
 
 def _interior_ell(P: Polytope, x) -> np.ndarray:
@@ -71,22 +76,26 @@ def _interior_ell(P: Polytope, x) -> np.ndarray:
 
 
 def guillemin_jet(P: Polytope, x) -> PotentialJet:
+    """Jet of g_P at x of shape (n,) or at each row of x of shape (k, n)."""
     x = np.asarray(x, dtype=float)
     ell = _interior_ell(P, x)
     A = P._A
     log_ell = np.log(ell)
-    value = 0.5 * float(np.sum(ell * log_ell))
+    value = 0.5 * np.sum(ell * log_ell, axis=-1)
     grad = 0.5 * (log_ell + 1.0) @ A
-    hess = 0.5 * np.einsum("r,ri,rj->ij", 1.0 / ell, A, A)
-    return PotentialJet(value, grad, hess)
+    hess = 0.5 * np.einsum("...r,ri,rj->...ij", 1.0 / ell, A, A)
+    return PotentialJet(float(value) if x.ndim == 1 else value, grad, hess)
 
 
 def ray_jet(rp: RayPoint) -> PotentialJet:
+    """Jet of g_s = g_P + s psi at rp.x, one generator call for a batch."""
     base = guillemin_jet(rp.polytope, rp.x)
     if rp.s == 0:
         return base
     val, grad, hess = rp.generator.jet(rp.x, 2)
-    return PotentialJet(base.value + rp.s * float(val),
+    if rp.x.ndim == 1:
+        val = float(val)
+    return PotentialJet(base.value + rp.s * val,
                         base.gradient + rp.s * grad,
                         base.hessian + rp.s * hess)
 
@@ -176,13 +185,10 @@ def det_identity_check(P: Polytope, gen: Generator, s: float,
     non-positive or diverging values flag a defective Hessian.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    deltas = np.empty(len(samples))
-    for i, x in enumerate(samples):
-        jet = ray_jet(RayPoint(P, gen, s, x))
-        det = np.linalg.det(jet.hessian)
-        prod_ell = float(np.prod(P.ell(x)))
-        val = det * prod_ell
-        deltas[i] = 1.0 / val if val != 0 else np.inf
+    hess = ray_jet(RayPoint(P, gen, s, samples)).hessian
+    val = np.linalg.det(hess) * np.prod(P.ell(samples), axis=-1)
+    with np.errstate(divide="ignore"):
+        deltas = np.where(val != 0, 1.0 / val, np.inf)
     report = DetIdentityReport(samples=samples, deltas=deltas)
     report.ok_positive = bool(np.all(deltas > 0))
     report.ok_finite = bool(np.all(np.isfinite(deltas)))

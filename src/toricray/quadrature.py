@@ -1,8 +1,18 @@
 """Adaptive quadrature engines.
 
-1-D: adaptive Gauss-Legendre with panel bisection, seeded at structurally
-special points (facets, support endpoints, density minimizers) so that
-sharply peaked integrands are bracketed before refinement starts.
+1-D: adaptive Gauss-Legendre (GL15) panels refined by level-by-level
+bisection, seeded at structurally special points (facets, support
+endpoints, density minimizers) so that sharply peaked integrands are
+bracketed before refinement starts.  Panels live in flat arrays, and each
+level measures all of its new panels with one call of the integrand: a
+panel's error is the difference between its GL15 value and the sum of the
+GL15 values of its two halves, and a split panel's halves become its
+children's coarse values.  Each round splits every panel whose error
+exceeds max(rel_tol * |total| / n_panels, 1e-18 * |total| + abs_floor) and
+which is at least 1e-15 wide; refinement stops once the summed error is at
+most rel_tol * |total| + abs_floor.  Each split adds one panel, so a round
+splits at most the remaining ``max_panels`` budget, largest errors first,
+and the panel count never exceeds the budget.
 
 2-D: adaptive triangle meshes over convex polygons.  Each leaf stores both a
 one-level and a four-child rule value; their difference drives refinement
@@ -14,14 +24,13 @@ pairings mutually consistent and deterministic.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 
 __all__ = [
-    "adaptive_panels", "integrate_1d", "log_integral_1d",
-    "TriangleMesh", "polygon_mesh", "QuadratureError",
+    "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
+    "log_integral_1d", "TriangleMesh", "polygon_mesh", "QuadratureError",
 ]
 
 
@@ -33,72 +42,99 @@ class QuadratureError(RuntimeError):
 GL15_NODES, GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def _gl_panel_values(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid + half * GL15_NODES
-    vals = np.asarray(f(pts), dtype=float)
-    return half * float(vals @ GL15_WEIGHTS)
+def panel_nodes(lo, hi):
+    """GL15 nodes and weights, each (k, 15), of the panels [lo_i, hi_i]."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * GL15_NODES,
+            half[:, None] * GL15_WEIGHTS)
+
+
+def _gl15(f, lo, hi):
+    """(k,) GL15 values of f on the panels [lo_i, hi_i], one call of f."""
+    nodes, _ = panel_nodes(lo, hi)
+    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return 0.5 * (hi - lo) * (vals @ GL15_WEIGHTS)
 
 
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
                     seeds=(), max_panels: int = 20000,
                     abs_floor: float = 1e-300):
-    """Refine [a, b] into panels until the GL15 bisection error is small.
+    """Refine [a, b] into GL15 panels by level-by-level bisection.
 
-    Returns (value, panels) where panels is the sorted list of (lo, hi)
-    intervals at convergence.  ``seeds`` are interior split points inserted
-    before adaptivity starts.
+    ``f`` maps a 1-D array of points to values and is called once per
+    level.  ``seeds`` are interior split points inserted before adaptivity
+    starts.  A panel's error is |GL15 on it - GL15 on its two halves|, its
+    value the sum over the halves.  Each round splits every panel whose
+    error exceeds max(rel_tol * |total| / n_panels, 1e-18 * |total| +
+    abs_floor) and which is at least 1e-15 wide, until the summed error is
+    at most rel_tol * |total| + abs_floor.  A round splits at most
+    max_panels - n_panels panels, largest errors first, so the panel count
+    never exceeds ``max_panels``; when the budget runs out with the error
+    above 100 * rel_tol * |total| + abs_floor, QuadratureError is raised.
+
+    Returns (value, panels) where panels is the list of (lo, hi) intervals
+    at convergence, sorted by lo.
     """
     if not b > a:
         raise QuadratureError(f"empty interval [{a}, {b}]")
-    cuts = sorted({float(a), float(b), *(float(s) for s in seeds
-                                         if a < float(s) < b)})
-    heap = []
-    counter = 0
-    total = 0.0
-
-    def push(lo, hi):
-        nonlocal counter, total
-        coarse = _gl_panel_values(f, lo, hi)
-        mid = 0.5 * (lo + hi)
-        fine = _gl_panel_values(f, lo, mid) + _gl_panel_values(f, mid, hi)
-        err = abs(fine - coarse)
-        total += fine
-        heapq.heappush(heap, (-err, counter, lo, hi, fine))
-        counter += 1
-
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        push(lo, hi)
-
-    while len(heap) < max_panels:
-        err_total = -sum(item[0] for item in heap)
+    cuts = np.array(sorted({float(a), float(b),
+                            *(float(s) for s in seeds if a < float(s) < b)}))
+    lo, hi = cuts[:-1], cuts[1:]
+    mid = 0.5 * (lo + hi)
+    coarse, left, right = np.split(
+        _gl15(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])),
+        3)
+    fine = left + right
+    err = np.abs(fine - coarse)
+    while True:
+        total = math.fsum(fine)
+        err_total = math.fsum(err)
         if err_total <= rel_tol * abs(total) + abs_floor:
             break
-        neg_err, _, lo, hi, fine = heapq.heappop(heap)
-        if -neg_err <= 1e-18 * abs(total) + abs_floor or hi - lo < 1e-15:
-            heapq.heappush(heap, (0.0, counter, lo, hi, fine))
-            counter += 1
+        floor = max(rel_tol * abs(total) / len(lo),
+                    1e-18 * abs(total) + abs_floor)
+        split = np.flatnonzero((err > floor) & (hi - lo >= 1e-15))
+        room = max(max_panels - len(lo), 0)
+        if split.size > room:
+            split = split[np.argsort(-err[split], kind="stable")[:room]]
+        if split.size == 0:
+            if room == 0 and \
+                    err_total > 100.0 * rel_tol * abs(total) + abs_floor:
+                raise QuadratureError(
+                    f"interval refinement exhausted {max_panels} panels with "
+                    f"relative error {err_total / max(abs(total), 1e-300):.2e} "
+                    f"(tolerance {rel_tol})")
             break
-        total -= fine
-        mid = 0.5 * (lo + hi)
-        push(lo, mid)
-        push(mid, hi)
-    else:
-        err_total = -sum(item[0] for item in heap)
-        if err_total > 100.0 * rel_tol * abs(total) + abs_floor:
-            raise QuadratureError(
-                f"interval refinement exhausted {max_panels} panels with "
-                f"relative error {err_total / max(abs(total), 1e-300):.2e} "
-                f"(tolerance {rel_tol})")
-
-    panels = sorted((item[2], item[3]) for item in heap)
-    value = math.fsum(item[4] for item in heap)
-    return value, panels
+        # the halves of a split panel are its children, and their GL15
+        # values the children's coarse values: one call measures the level
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        c_lo = np.concatenate([lo[split], mid])
+        c_hi = np.concatenate([mid, hi[split]])
+        c_mid = 0.5 * (c_lo + c_hi)
+        c_left, c_right = np.split(
+            _gl15(f, np.concatenate([c_lo, c_mid]),
+                  np.concatenate([c_mid, c_hi])), 2)
+        c_fine = c_left + c_right
+        c_err = np.abs(c_fine - np.concatenate([left[split], right[split]]))
+        lo = np.concatenate([lo[keep], c_lo])
+        hi = np.concatenate([hi[keep], c_hi])
+        left = np.concatenate([left[keep], c_left])
+        right = np.concatenate([right[keep], c_right])
+        fine = np.concatenate([fine[keep], c_fine])
+        err = np.concatenate([err[keep], c_err])
+    order = np.argsort(lo, kind="stable")
+    return total, list(zip(lo[order].tolist(), hi[order].tolist()))
 
 
 def integrate_on_panels(f, panels):
-    return math.fsum(_gl_panel_values(f, lo, hi) for lo, hi in panels)
+    """Sum of GL15 on the given (lo, hi) panels, with one call of f."""
+    lo, hi = np.asarray(panels, dtype=float).reshape(-1, 2).T
+    return math.fsum(_gl15(f, lo, hi))
 
 
 def integrate_1d(f, a, b, *, rel_tol=1e-10, seeds=()):

@@ -28,8 +28,8 @@ from scipy.spatial import cKDTree
 
 from .generators import Generator
 from .polytope import Polytope
-from .quadrature import (TriangleMesh, _diameters_batch, integrate_on_panels,
-                         log_integral_1d)
+from .quadrature import (TriangleMesh, _diameters_batch, log_integral_1d,
+                         panel_nodes)
 
 __all__ = [
     "base_log_weight", "ray_rate", "rate_gap", "MonomialDensity",
@@ -101,7 +101,8 @@ class MonomialDensity:
         self.max_leaves = max_leaves
         self.psi_m = float(gen.value(self.m))
         self._norm_ready = False
-        self._panels = None
+        self._nodes = None      # 1-D: GL15 nodes of the final panels
+        self._weights = None    # 1-D: rule weight times normalized density
         self._mesh = None
 
     # -- log densities -------------------------------------------------------
@@ -161,9 +162,16 @@ class MonomialDensity:
             cloud = self._concentration_cloud()
             seeds.update(float(c) for c in cloud[:, 0][::max(1, len(cloud) // 32)])
             log_f = lambda t: self.log_gap_density(np.asarray(t)[..., None])
-            self._log_gap_mass, self._panels, _ = log_integral_1d(
+            self._log_gap_mass, panels, _ = log_integral_1d(
                 log_f, float(lo[0]), float(hi[0]),
                 rel_tol=self.rel_tol, seeds=sorted(seeds))
+            # the normalized density on the final panels' nodes, once, so
+            # that a pairing is one call of tau and one dot product
+            nodes, weights = panel_nodes(*np.array(panels).T)
+            self._nodes = nodes.reshape(-1, 1)
+            with np.errstate(over="ignore"):
+                self._weights = weights.ravel() * np.exp(
+                    self.log_gap_density(self._nodes) - self._log_gap_mass)
         elif P.dim == 2:
             cloud = self._concentration_cloud()
             tree = cKDTree(cloud)
@@ -218,14 +226,7 @@ class MonomialDensity:
         """Integral of the normalized density against tau."""
         self._ensure_norm()
         if self.polytope.dim == 1:
-            ref = self._log_gap_mass
-
-            def f(t):
-                X = np.asarray(t)[..., None]
-                with np.errstate(over="ignore"):
-                    return np.exp(self.log_gap_density(X) - ref) * tau(X)
-
-            return integrate_on_panels(f, self._panels)
+            return float(self._weights @ tau(self._nodes))
         mesh = self._mesh
         return mesh.pair_against_driver(tau) * math.exp(self._ref - self._log_gap_mass)
 

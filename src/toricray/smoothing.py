@@ -32,7 +32,7 @@ from .generators import Generator, PLConvex
 from .kernels import Kernel, get_kernel
 from .polytope import FaceFrame, Polytope
 from .quadrature import GL15_NODES, GL15_WEIGHTS
-from .testconfig import Decomposition, thickening_membership
+from .testconfig import Decomposition, thickening_mask
 
 __all__ = [
     "build_nice_smoothing", "verify_nice_family", "NiceSmoothingGenerator",
@@ -293,11 +293,8 @@ class _ThickeningSupport:
         self.eps = eps
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return thickening_membership(self.decomp, self.eps, x)[0]
-        return np.array([thickening_membership(self.decomp, self.eps, xi)[0]
-                         for xi in x])
+        inside = thickening_mask(self.decomp, self.eps, x)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def __iter__(self):
         return iter(())
@@ -575,6 +572,7 @@ def verify_nice_family(f: PLConvex, gens: dict, samples=None) -> NiceFamilyRepor
     eps_max = max(eps_list)
     if samples is None:
         samples = default_check_samples(decomp, eps_max)
+    samples = np.asarray(samples, dtype=float)
     conditions = {}
 
     worst_a = min(_convexity_probe(g) for g in gens.values())
@@ -592,8 +590,7 @@ def verify_nice_family(f: PLConvex, gens: dict, samples=None) -> NiceFamilyRepor
 
     worst_c = 0.0
     for e in eps_list:
-        outside = np.array([p for p in samples
-                            if not thickening_membership(decomp, e, p)[0]])
+        outside = samples[~thickening_mask(decomp, e, samples)]
         if len(outside):
             dv = np.max(np.abs(gens[e].value(outside) - f.value(outside)))
             worst_c = max(worst_c, float(dv))

@@ -27,7 +27,7 @@ from .polytope import (FaceFrame, Polytope, PolytopeError, face_frame,
 
 __all__ = [
     "Face", "Decomposition", "QPolytope", "nondiff_locus", "decompose",
-    "thickening_membership", "build_Q", "central_fiber_report",
+    "thickening_membership", "thickening_mask", "build_Q", "central_fiber_report",
     "CentralFiberReport",
 ]
 
@@ -49,25 +49,27 @@ class Face:
         v = np.array([[float(c) for c in p] for p in self.vertices])
         return v.mean(axis=0)
 
-    def contains_parallel(self, x_par, tol: float = 1e-12) -> bool:
-        if self._shadow is None:
-            return True
+    def contains_parallel(self, x_par, tol: float = 1e-12):
+        """Whether x_par (n_parallel,), or each row of a (k, n_parallel)
+        batch, lies in the face's activity shadow."""
         x_par = np.atleast_1d(np.asarray(x_par, dtype=float))
-        for coef, rhs in self._shadow:
-            if float(np.dot(coef, x_par)) < rhs - tol:
-                return False
-        return True
+        inside = np.ones(x_par.shape[:-1], dtype=bool)
+        for coef, rhs in self._shadow or ():
+            inside &= x_par @ coef >= rhs - tol
+        return bool(inside) if inside.ndim == 0 else inside
 
-    def in_slab(self, x, eps: float, tol: float = 1e-12) -> bool:
-        """Membership in the open transverse box over the face's shadow."""
+    def in_slab(self, x, eps: float, tol: float = 1e-12):
+        """Membership of x (n,), or of each row of a (k, n) batch, in the
+        open transverse box over the face's shadow."""
+        x = np.asarray(x, dtype=float)
         if self.frame is None:
-            return False
-        xt = self.frame.to_frame(np.asarray(x, dtype=float))
-        trans = xt[self.frame.n_parallel:]
-        c = self.frame.offsets_np
-        if np.any(np.abs(trans - c) >= eps):
-            return False
-        return self.contains_parallel(xt[:self.frame.n_parallel], tol=tol)
+            return False if x.ndim == 1 else np.zeros(x.shape[:-1], dtype=bool)
+        npar = self.frame.n_parallel
+        xt = self.frame.to_frame(x)
+        inside = np.all(np.abs(xt[..., npar:] - self.frame.offsets_np) < eps,
+                        axis=-1)
+        inside &= self.contains_parallel(xt[..., :npar], tol=tol)
+        return bool(inside) if x.ndim == 1 else inside
 
 
 def _face_for_subset(f: PLConvex, P: Polytope, subset):
@@ -252,6 +254,17 @@ def thickening_membership(decomp: Decomposition, eps: float, x):
         if face.in_slab(x, eps):
             return True, face
     return False, None
+
+
+def thickening_mask(decomp: Decomposition, eps: float, X) -> np.ndarray:
+    """Membership in W_eps of each row of X (k, n): a bool (k,) array equal
+    row by row to ``thickening_membership(decomp, eps, x)[0]``, with one
+    batched slab test per face."""
+    X = np.asarray(X, dtype=float)
+    inside = np.zeros(X.shape[:-1], dtype=bool)
+    for face in sorted(decomp.faces, key=lambda F: -F.codim):
+        inside |= face.in_slab(X, eps)
+    return inside & decomp.polytope.contains(X, tol=1e-12)
 
 
 @dataclass

@@ -218,3 +218,58 @@ def test_boundary_guards():
         RayPoint(P, gen, 1.0, np.array([2.5]))
     with pytest.raises(BoundaryError):
         legendre_inverse(P, gen, 1.0, np.array([0.0]), guess=np.array([2.0]))
+
+
+def _batch_cases():
+    rng = np.random.default_rng(12)
+    P1 = segment()
+    X1 = rng.uniform(0.01, 1.99, size=(40, 1))
+    P2 = cp2()
+    X2 = rng.uniform(0.01, 2.9, size=(200, 2))
+    X2 = X2[np.min(P2.ell(X2), axis=1) > 1e-3]
+    wall = build_wall_sum(P2, [((1, 0), BumpSpec(1.0, 0.2, 1.0)),
+                               ((0, 1), BumpSpec(1.0, 0.2, 1.0))])
+    return [("segment", P1, bump_gen(), X1), ("cp2", P2, wall, X2)]
+
+
+def _close(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.all(np.abs(a - b) <= 1e-15 * np.maximum(np.abs(b), 1.0))
+
+
+@pytest.mark.parametrize("case", _batch_cases(), ids=lambda c: c[0])
+def test_batched_jets_match_rows(case):
+    _, P, gen, X = case
+    jet = guillemin_jet(P, X)
+    assert jet.value.shape == (len(X),)
+    assert jet.gradient.shape == X.shape
+    assert jet.hessian.shape == (len(X), P.dim, P.dim)
+    for s in (0.0, 7.0):
+        batch = ray_jet(RayPoint(P, gen, s, X))
+        for k, x in enumerate(X):
+            for got, one in ((jet, guillemin_jet(P, x)),
+                             (batch, ray_jet(RayPoint(P, gen, s, x)))):
+                assert type(one.value) is float
+                assert _close(got.value[k], one.value)
+                assert _close(got.gradient[k], one.gradient)
+                assert _close(got.hessian[k], one.hessian)
+
+
+def test_batch_with_a_boundary_point_raises():
+    P = cp2()
+    X = np.array([[0.5, 0.5], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(BoundaryError):
+        guillemin_jet(P, X)
+    with pytest.raises(BoundaryError, match=r"point \[0\. 1\.\]"):
+        RayPoint(P, build_wall_sum(P, []), 1.0, X)
+
+
+def test_det_identity_batch_matches_pointwise():
+    P = cp2()
+    gen = build_wall_sum(P, [((1, 0), BumpSpec(1.0, 0.2, 1.0))])
+    X = _batch_cases()[1][3]
+    rep = det_identity_check(P, gen, 20.0, X)
+    want = [1.0 / (np.linalg.det(ray_jet(RayPoint(P, gen, 20.0, x)).hessian)
+                   * float(np.prod(P.ell(x)))) for x in X]
+    assert _close(rep.deltas, want) and rep.ok_positive and rep.ok_finite
+    assert det_identity_check(P, gen, 20.0, X[0]).deltas.shape == (1,)

@@ -1,11 +1,28 @@
-"""The batched zoom pre-split of TriangleMesh.refine against the scalar walk."""
+"""The quadrature engines against test-local references.
+
+1-D: the level-by-level panel engine against the heap refinement it
+replaced, closed forms and its panel budget.  2-D: the batched zoom
+pre-split of TriangleMesh.refine against the scalar walk.
+"""
+
+import heapq
+import math
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
+from scipy.special import erf
 from scipy.spatial import cKDTree
 
-from toricray.quadrature import (TriangleMesh, _diameters_batch,
-                                 _split4_batch)
+from toricray import quadrature, scenarios
+from toricray.generators import Generator, build_bump_generator
+from toricray.limits import battery_for
+from toricray.polytope import make_polytope
+from toricray.quadrature import (GL15_NODES, GL15_WEIGHTS, QuadratureError,
+                                 TriangleMesh, _diameters_batch,
+                                 _split4_batch, adaptive_panels,
+                                 integrate_on_panels)
+from toricray.quantization import MonomialDensity
 
 POLYGONS = {
     "simplex": np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]),
@@ -192,3 +209,199 @@ def test_fan_drops_degenerate_triangles():
     assert len(fan) == 5
     d1, d2 = fan[:, 1] - fan[:, 0], fan[:, 2] - fan[:, 0]
     assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
+
+
+# ---------------------------------------------------------------------------
+# 1-D panels
+# ---------------------------------------------------------------------------
+
+def _gl_panel(f, a, b):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * float(np.asarray(f(mid + half * GL15_NODES), dtype=float)
+                        @ GL15_WEIGHTS)
+
+
+def reference_panels(f, a, b, *, rel_tol=1e-10, seeds=(), max_panels=20000,
+                     abs_floor=1e-300):
+    """The heap refinement: split the worst panel, three rule calls each."""
+    cuts = sorted({float(a), float(b), *(float(s) for s in seeds
+                                         if a < float(s) < b)})
+    heap = []
+    counter = 0
+    total = 0.0
+
+    def push(lo, hi):
+        nonlocal counter, total
+        coarse = _gl_panel(f, lo, hi)
+        mid = 0.5 * (lo + hi)
+        fine = _gl_panel(f, lo, mid) + _gl_panel(f, mid, hi)
+        total += fine
+        heapq.heappush(heap, (-abs(fine - coarse), counter, lo, hi, fine))
+        counter += 1
+
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        push(lo, hi)
+    while len(heap) < max_panels:
+        if -sum(item[0] for item in heap) <= rel_tol * abs(total) + abs_floor:
+            break
+        neg_err, _, lo, hi, fine = heapq.heappop(heap)
+        if -neg_err <= 1e-18 * abs(total) + abs_floor or hi - lo < 1e-15:
+            heapq.heappush(heap, (0.0, counter, lo, hi, fine))
+            break
+        total -= fine
+        mid = 0.5 * (lo + hi)
+        push(lo, mid)
+        push(mid, hi)
+    panels = sorted((item[2], item[3]) for item in heap)
+    return math.fsum(item[4] for item in heap), panels
+
+
+def _segment(N):
+    return make_polytope([[1], [-1]], [0, -N])
+
+
+def _density_cases():
+    """(label, polytope, generator, m, s, weighted): the s = 0 Beta masses
+    of criterion 1, the cosine-bump densities of criterion 4 and the
+    smooth-kernel delta densities, at both ends of their s grid."""
+    cases = []
+    for N in (1, 2, 3):
+        P = _segment(N)
+        gen = build_bump_generator(P, [])
+        cases += [(f"beta-N{N}-n{n}", P, gen, [n], 0.0, True)
+                  for n in range(N + 1)]
+    for kernel in ("cosine", "smooth"):
+        sc = scenarios.segment(kernel)
+        cases += [(f"{kernel}-s{s}-{'weighted' if w else 'bare'}",
+                   sc.polytope, sc.generator, [1], float(s), w)
+                  for s in (32, 4096) for w in (False, True)]
+    return cases
+
+
+@pytest.mark.parametrize("case", _density_cases(), ids=lambda c: c[0])
+def test_panels_agree_with_heap_reference(case, monkeypatch):
+    _, P, gen, m, s, weighted = case
+    md = MonomialDensity(P, gen, m, s, weighted=weighted)
+    with monkeypatch.context() as mp:
+        mp.setattr(quadrature, "adaptive_panels", reference_panels)
+        ref = MonomialDensity(P, gen, m, s, weighted=weighted)
+        ref_mass = ref.log_mass()
+    # the masses (hence the normalized densities) agree within rel_tol
+    assert abs(md.log_mass() - ref_mass) <= md.rel_tol
+    xs = np.linspace(0.0, float(P.bbox()[1][0]), 41)[:, None]
+    assert np.allclose(md.normalized(xs), ref.normalized(xs),
+                       rtol=md.rel_tol, atol=0.0)
+    # pairings run the GL15 rule on each engine's final panels
+    for tau in battery_for(P):
+        assert md.pair(tau) == pytest.approx(ref.pair(tau), abs=1e-9)
+    if s == 0.0:
+        N = float(P.bbox()[1][0])
+        n = m[0]
+        beta = N ** (N / 2 + 1) * beta_fn(n / 2 + 1, (N - n) / 2 + 1)
+        assert abs(md.log_mass() - math.log(beta)) <= md.rel_tol
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+def test_gaussian_peak_against_erf(rel_tol):
+    s = 1e4
+    value, panels = adaptive_panels(
+        lambda x: np.exp(-s * (x - 1.0) ** 2), 0.0, 3.0, rel_tol=rel_tol)
+    exact = 0.5 * math.sqrt(math.pi / s) * (erf(2.0 * math.sqrt(s))
+                                            + erf(math.sqrt(s)))
+    assert abs(value / exact - 1.0) <= rel_tol
+    # the panels tile [0, 3] in order
+    lo, hi = np.array(panels).T
+    assert lo[0] == 0.0 and hi[-1] == 3.0 and np.all(lo[1:] == hi[:-1])
+
+
+def test_panel_budget_is_never_exceeded():
+    peak = lambda x: np.exp(-1e4 * (x - 0.3) ** 2) + 1e-3 * np.sin(40.0 * x)
+    natural = len(adaptive_panels(peak, 0.0, 2.0, rel_tol=1e-12)[1])
+    converged = raised = 0
+    for budget in range(2, natural + 4):
+        try:
+            _, panels = adaptive_panels(peak, 0.0, 2.0, rel_tol=1e-12,
+                                        max_panels=budget)
+        except QuadratureError as exc:
+            assert f"exhausted {budget} panels" in str(exc)
+            raised += 1
+            continue
+        assert len(panels) <= budget
+        converged += 1
+    assert converged and raised
+
+
+def test_budget_splits_largest_errors_first():
+    # ten seeded panels, each with a kink; the peak makes [1.0, 1.2] the
+    # worst, and a budget of eleven panels allows one split
+    calls = []
+
+    def driver(x):
+        calls.append(np.array(x))
+        return (np.exp(-1e4 * (x - 1.13) ** 2)
+                + np.abs(np.sin(5.0 * np.pi * x + 0.3)) ** 1.5)
+    with pytest.raises(QuadratureError, match="exhausted 11 panels"):
+        adaptive_panels(driver, 0.0, 2.0, seeds=np.linspace(0.2, 1.8, 9),
+                        max_panels=11)
+    assert len(calls) == 2
+    assert np.all((calls[1] > 1.0) & (calls[1] < 1.2))
+
+
+@pytest.mark.parametrize("seeds", [(), tuple(np.linspace(0.1, 2.9, 9))])
+def test_tiny_budget_on_a_peak_raises(seeds):
+    # nine seeds already give ten panels, more than the budget of four
+    with pytest.raises(QuadratureError, match="exhausted 4 panels"):
+        adaptive_panels(lambda x: np.exp(-1e4 * (x - 1.1) ** 2), 0.0, 3.0,
+                        seeds=seeds, max_panels=4)
+
+
+@pytest.mark.parametrize("seeds", [(), (0.7, 1.3)])
+def test_one_driver_call_per_level(seeds):
+    """Level j measures panels of width w / 2**(j + 1), w the initial
+    width, so the rounds are log2(w / smallest final panel)."""
+    calls = []
+
+    def driver(x):
+        calls.append(np.array(x))
+        return np.exp(-300.0 * (x - 1.05) ** 2) + np.abs(x - 0.4) ** 1.5
+    value, panels = adaptive_panels(driver, 0.0, 2.0, rel_tol=1e-11,
+                                    seeds=seeds)
+    cuts = np.array([0.0, *seeds, 2.0])
+    lo, hi = np.array(panels).T
+    width0 = np.diff(cuts)[np.searchsorted(cuts, lo, side="right") - 1]
+    rounds = int(round(np.log2(width0 / (hi - lo)).max()))
+    assert rounds >= 3
+    assert len(calls) == rounds + 1
+    # every call holds whole GL15 panels; the first call measures each
+    # initial panel and both halves, later calls both halves of each child
+    assert len(calls[0]) == 45 * (len(cuts) - 1)
+    assert all(len(c) % 30 == 0 for c in calls[1:])
+    assert value == pytest.approx(integrate_on_panels(driver, panels),
+                                  rel=1e-9)
+
+
+class _CountingGenerator(Generator):
+    """Delegates to a generator and counts its jet calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.support = inner.support
+        self.jet_calls = 0
+
+    def jet(self, x, order):
+        self.jet_calls += 1
+        return self.inner.jet(x, order)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pair_reevaluates_no_generator(weighted):
+    sc = scenarios.segment("smooth")
+    gen = _CountingGenerator(sc.generator)
+    md = MonomialDensity(sc.polytope, gen, [1], 512.0, weighted=weighted)
+    md.log_mass()
+    before = gen.jet_calls
+    battery = battery_for(sc.polytope)
+    pairs = {tau.name: md.pair(tau) for tau in battery}
+    assert gen.jet_calls == before
+    assert abs(pairs["one"] - 1.0) <= md.rel_tol

@@ -8,7 +8,8 @@ import pytest
 from toricray.generators import PLConvex
 from toricray.polytope import make_polytope
 from toricray.testconfig import (build_Q, central_fiber_report, decompose,
-                                 nondiff_locus, thickening_membership)
+                                 nondiff_locus, thickening_mask,
+                                 thickening_membership)
 
 
 def cp2(N=3):
@@ -187,3 +188,44 @@ def test_face_frames_on_two_wall_config():
             xt = face.frame.to_frame(np.array([float(c) for c in v]))
             trans = xt[face.frame.n_parallel:]
             assert np.max(np.abs(trans - face.frame.offsets_np)) < 1e-12
+
+
+def _edge_grid(eps):
+    """Coordinates on a 0.1 grid plus every slab edge, edge +- one ulp and
+    half-slab offset of the walls x = 1 and the diagonal through (1, 1)."""
+    vals = {float(v) for v in np.linspace(0.0, 3.0, 31)}
+    for c in (0.0, 1.0, 2.0):
+        for o in (eps, -eps, 0.5 * eps, -0.5 * eps):
+            vals.update((c + o, np.nextafter(c + o, 0.0),
+                         np.nextafter(c + o, 3.0)))
+    v = np.array(sorted(vals))
+    return np.stack(np.meshgrid(v, v), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.04, 0.06])
+@pytest.mark.parametrize("pieces", [
+    [((0, 0), 0), ((1, 0), -1), ((0, 1), -1)],
+    [((0, 0), 0), ((1, 0), -1), ((0, 1), -1), ((1, 1), -2)],
+], ids=["corner", "two-wall"])
+def test_thickening_mask_matches_membership(pieces, eps):
+    dec = decompose(PLConvex(pieces), cp2())
+    X = _edge_grid(eps)
+    verts = [[float(c) for c in v] for F in dec.faces for v in F.vertices]
+    X = np.vstack([X, verts, dec.polytope.vertices_np])
+    want = np.array([thickening_membership(dec, eps, x)[0] for x in X])
+    got = thickening_mask(dec, eps, X)
+    assert got.dtype == bool and got.shape == (len(X),)
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < len(X)
+
+
+def test_thickening_slab_is_open():
+    # eps = 1/4 is exact in binary: the slab edge of the wall x1 = 1 lies
+    # exactly at x1 = 1.25 and belongs to no slab
+    dec = decompose(PLConvex([((0, 0), 0), ((1, 0), -1), ((0, 1), -1),
+                              ((1, 1), -2)]), cp2())
+    X = np.array([[1.25, 0.5], [np.nextafter(1.25, 0.0), 0.5],
+                  [0.75, 0.5], [np.nextafter(0.75, 2.0), 0.5]])
+    want = [False, True, False, True]
+    assert [thickening_membership(dec, 0.25, x)[0] for x in X] == want
+    assert thickening_mask(dec, 0.25, X).tolist() == want
