@@ -226,7 +226,7 @@ class MonomialDensity:
         """Integral of the normalized density against tau."""
         self._ensure_norm()
         if self.polytope.dim == 1:
-            return float(self._weights @ tau(self._nodes))
+            return float(np.sum(self._weights * tau(self._nodes)))
         mesh = self._mesh
         return mesh.pair_against_driver(tau) * math.exp(self._ref - self._log_gap_mass)
 

@@ -27,8 +27,8 @@ from .polytope import (FaceFrame, Polytope, PolytopeError, face_frame,
 
 __all__ = [
     "Face", "Decomposition", "QPolytope", "nondiff_locus", "decompose",
-    "thickening_membership", "thickening_mask", "build_Q", "central_fiber_report",
-    "CentralFiberReport",
+    "thickening_membership", "thickening_mask", "build_Q",
+    "central_fiber_report", "CentralFiberReport",
 ]
 
 

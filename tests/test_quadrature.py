@@ -405,3 +405,6 @@ def test_pair_reevaluates_no_generator(weighted):
     pairs = {tau.name: md.pair(tau) for tau in battery}
     assert gen.jet_calls == before
     assert abs(pairs["one"] - 1.0) <= md.rel_tol
+    # a test function may return a scalar, as with the 2-D mesh
+    assert md.pair(lambda X: 2.0) == pytest.approx(2.0 * pairs["one"],
+                                                   rel=1e-15)
