@@ -336,12 +336,12 @@ def test_budget_splits_largest_errors_first():
     # worst, and a budget of eleven panels allows one split
     calls = []
 
-    def driver(x):
+    def integrand(x):
         calls.append(np.array(x))
         return (np.exp(-1e4 * (x - 1.13) ** 2)
                 + np.abs(np.sin(5.0 * np.pi * x + 0.3)) ** 1.5)
     with pytest.raises(QuadratureError, match="exhausted 11 panels"):
-        adaptive_panels(driver, 0.0, 2.0, seeds=np.linspace(0.2, 1.8, 9),
+        adaptive_panels(integrand, 0.0, 2.0, seeds=np.linspace(0.2, 1.8, 9),
                         max_panels=11)
     assert len(calls) == 2
     assert np.all((calls[1] > 1.0) & (calls[1] < 1.2))
@@ -356,15 +356,15 @@ def test_tiny_budget_on_a_peak_raises(seeds):
 
 
 @pytest.mark.parametrize("seeds", [(), (0.7, 1.3)])
-def test_one_driver_call_per_level(seeds):
+def test_one_integrand_call_per_level(seeds):
     """Level j measures panels of width w / 2**(j + 1), w the initial
     width, so the rounds are log2(w / smallest final panel)."""
     calls = []
 
-    def driver(x):
+    def integrand(x):
         calls.append(np.array(x))
         return np.exp(-300.0 * (x - 1.05) ** 2) + np.abs(x - 0.4) ** 1.5
-    value, panels = adaptive_panels(driver, 0.0, 2.0, rel_tol=1e-11,
+    value, panels = adaptive_panels(integrand, 0.0, 2.0, rel_tol=1e-11,
                                     seeds=seeds)
     cuts = np.array([0.0, *seeds, 2.0])
     lo, hi = np.array(panels).T
@@ -376,7 +376,7 @@ def test_one_driver_call_per_level(seeds):
     # initial panel and both halves, later calls both halves of each child
     assert len(calls[0]) == 45 * (len(cuts) - 1)
     assert all(len(c) % 30 == 0 for c in calls[1:])
-    assert value == pytest.approx(integrate_on_panels(driver, panels),
+    assert value == pytest.approx(integrate_on_panels(integrand, panels),
                                   rel=1e-9)
 
 
