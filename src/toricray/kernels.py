@@ -6,12 +6,18 @@ profiles are provided:
 
 * ``cosine``: cos^2(pi t / 2), closed-form antiderivatives, C^1 at the
   support endpoints.  Gives bit-stable regression values.
-* ``smooth``: exp(-1/(1-t^2)) normalized, C-infinity.  Antiderivatives are
-  precomputed on a fine grid by panelwise Gauss-Legendre and interpolated
-  with monotone cubics (PCHIP); the unit-mass normalization is applied to
-  the first antiderivative only, so downstream identities (e.g. that the
-  second antiderivative reaches exactly 1) remain honest checks of the
-  quadrature rather than definitions.
+* ``smooth``: exp(-1/(1-t^2)) normalized, C-infinity.  Each antiderivative
+  is tabulated on the uniform grid of 8193 nodes, h = 2/8192: node values
+  by panelwise Gauss-Legendre, node slopes exact (cdf' = density,
+  first_moment' = t * density, cdf_integral' = cdf), and between the nodes
+  the cubic Hermite interpolant of those values and slopes.  That
+  interpolant is within h^4/384 * max|f^(4)| of the table's function f:
+  3.9e-15 for cdf (max|density^(3)| = 420), 3.4e-15 for first_moment and
+  1.6e-16 for cdf_integral (max|density^(2)| = 17.5).  Beyond that bound
+  only the rounding of the node values remains.  The unit-mass
+  normalization is applied to the first antiderivative only, so downstream
+  identities (e.g. that the second antiderivative reaches exactly 1) remain
+  honest checks of the quadrature rather than definitions.
 """
 
 from __future__ import annotations
@@ -19,24 +25,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .quadrature import GL15_NODES, GL15_WEIGHTS
+from .quadrature import _gl15
 
 __all__ = ["Kernel", "get_kernel", "KERNEL_NAMES"]
 
 KERNEL_NAMES = ("cosine", "smooth")
-
-
-def _panel_integrals(f, grid):
-    """Integral of f over each [grid[i], grid[i+1]] with 15-point GL."""
-    a = grid[:-1]
-    b = grid[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * GL15_NODES[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ GL15_WEIGHTS)
 
 
 class Kernel:
@@ -113,6 +107,30 @@ def _cosine_kernel() -> Kernel:
                   density_d2=lambda t: -0.5 * np.pi ** 2 * np.cos(np.pi * t))
 
 
+def _hermite_table(values, slopes):
+    """Cubic Hermite interpolant on the uniform grid of [-1, 1] with the
+    given node values and slopes, for t already clipped to [-1, 1]."""
+    n = len(values) - 1
+    h = 2.0 / n
+    y0, y1 = values[:-1], values[1:]
+    d0, d1 = h * slopes[:-1], h * slopes[1:]
+    dy = y1 - y0
+    # y0 + u (d0 + u (c2 + u c3)) on each cell, u in [0, 1] its local
+    # coordinate; the standard Hermite basis, expanded in powers of u
+    coef = np.stack([y0, d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy])
+
+    def table(t):
+        x = (t + 1.0) * (n / 2.0)
+        idx = np.minimum(np.floor(x).astype(np.intp), n - 1)
+        u = x - idx
+        out = coef[3][idx]
+        for c in coef[2::-1]:
+            out *= u
+            out += c[idx]
+        return out
+    return table
+
+
 def _smooth_kernel(grid_size: int = 8193) -> Kernel:
     def raw(t):
         t = np.asarray(t, dtype=float)
@@ -123,36 +141,26 @@ def _smooth_kernel(grid_size: int = 8193) -> Kernel:
         return out
 
     grid = np.linspace(-1.0, 1.0, grid_size)
-    mass_panels = _panel_integrals(raw, grid)
-    cum_raw = np.concatenate([[0.0], np.cumsum(mass_panels)])
+    lo, hi = grid[:-1], grid[1:]
+    cum_raw = np.concatenate([[0.0], np.cumsum(_gl15(raw, lo, hi))])
     c0 = cum_raw[-1]
 
     def density(t):
         return raw(t) / c0
 
     cdf_nodes = cum_raw / c0
-    cdf_interp = PchipInterpolator(grid, cdf_nodes)
-
-    moment_panels = _panel_integrals(lambda t: t * raw(t) / c0, grid)
-    moment_nodes = np.concatenate([[0.0], np.cumsum(moment_panels)])
-    moment_interp = PchipInterpolator(grid, moment_nodes)
+    moment_nodes = np.concatenate(
+        [[0.0], np.cumsum(_gl15(lambda t: t * raw(t) / c0, lo, hi))])
 
     # cdf evaluated exactly (panel-accumulated + partial GL), then integrated
     # panelwise, so cdf_integral does not inherit interpolation error twice.
     def exact_cdf(t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid_size - 2)
-        base = cdf_nodes[idx]
-        a = grid[idx]
-        half = 0.5 * (t - a)
-        mid = 0.5 * (t + a)
-        pts = mid[:, None] + half[:, None] * GL15_NODES[None, :]
-        vals = density(pts.ravel()).reshape(pts.shape)
-        return base + half * (vals @ GL15_WEIGHTS)
+        idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0,
+                      grid_size - 2)
+        return cdf_nodes[idx] + _gl15(density, grid[idx], t)
 
-    k2_panels = _panel_integrals(lambda t: exact_cdf(t), grid)
-    k2_nodes = np.concatenate([[0.0], np.cumsum(k2_panels)])
-    k2_interp = PchipInterpolator(grid, k2_nodes)
+    k2_nodes = np.concatenate([[0.0], np.cumsum(_gl15(exact_cdf, lo, hi))])
+    density_nodes = density(grid)
 
     def density_d1(t):
         u = 1.0 - t ** 2
@@ -164,10 +172,11 @@ def _smooth_kernel(grid_size: int = 8193) -> Kernel:
                               - 2.0 * (1.0 + 3.0 * t ** 2) / u ** 3)
 
     return Kernel("smooth",
-                  density=lambda t: raw(t) / c0,
-                  cdf=lambda t: cdf_interp(t),
-                  first_moment=lambda t: moment_interp(t),
-                  cdf_integral=lambda t: k2_interp(t),
+                  density=density,
+                  cdf=_hermite_table(cdf_nodes, density_nodes),
+                  first_moment=_hermite_table(moment_nodes,
+                                              grid * density_nodes),
+                  cdf_integral=_hermite_table(k2_nodes, cdf_nodes),
                   peak=float(np.exp(-1.0) / c0),
                   density_d1=density_d1,
                   density_d2=density_d2)

@@ -2,7 +2,7 @@
 
 1-D: adaptive Gauss-Legendre (GL15) panels refined by level-by-level
 bisection, seeded at structurally special points (facets, support
-endpoints, density minimizers) so that sharply peaked integrands are
+endpoints, the density's maximiser) so that sharply peaked integrands are
 bracketed before refinement starts.  Panels live in flat arrays, and each
 level measures all of its new panels with one call of the integrand: a
 panel's error is the difference between its GL15 value and the sum of the
@@ -142,24 +142,20 @@ def integrate_1d(f, a, b, *, rel_tol=1e-10, seeds=()):
     return value
 
 
-def log_integral_1d(log_f, a, b, *, rel_tol=1e-10, seeds=(), probe: int = 2049):
+def log_integral_1d(log_f, a, b, *, rel_tol=1e-10, seeds=()):
     """log of integral of exp(log_f) over [a, b], max-factored for stability.
 
-    The reference level is the maximum of log_f over a probe grid joined
-    with the seeds, so exp never overflows for peaked integrands.
-    Returns (log_value, panels, ref).
+    The reference level is the largest finite log_f over a, b and the
+    seeds.  The caller seeds a maximiser of log_f, so exp(log_f - ref) never
+    overflows for peaked integrands; QuadratureError is raised when log_f is
+    finite at none of these points.  Returns (log_value, panels, ref).
     """
-    grid = np.linspace(a, b, probe)
-    extra = np.array([s for s in seeds if a <= s <= b], dtype=float)
-    if extra.size:
-        grid = np.concatenate([grid, extra])
-    ref = float(np.max(log_f(grid)))
-    if not np.isfinite(ref):
-        finite = np.asarray(log_f(grid))
-        finite = finite[np.isfinite(finite)]
-        if finite.size == 0:
-            raise QuadratureError("log integrand is nowhere finite")
-        ref = float(finite.max())
+    probe = np.array([a, b, *(s for s in seeds if a <= s <= b)], dtype=float)
+    vals = np.asarray(log_f(probe), dtype=float)
+    vals = vals[np.isfinite(vals)]
+    if vals.size == 0:
+        raise QuadratureError("log integrand is finite at no endpoint or seed")
+    ref = float(vals.max())
 
     def f(x):
         with np.errstate(over="ignore"):
@@ -320,6 +316,10 @@ class TriangleMesh:
         leaves are ordered as a depth-first walk of a stack that pops the
         last root and the last child first.
 
+        Each error-driven round splits at most (max_leaves - L) // 3 of the
+        L leaves, largest errors first, so refinement never takes the mesh
+        past max_leaves.
+
         Records ``presplit_leaves`` (leaves entering refinement) and
         ``rounds`` (error-driven refinement rounds) on the mesh.
         """
@@ -342,8 +342,11 @@ class TriangleMesh:
         tris = work
         total = float(fine.sum())
         err_total = float(errs.sum())
-        while len(tris) < max_leaves and err_total > rel_tol * abs(total) + 1e-300:
-            k = max(16, len(tris) // 8)
+        while err_total > rel_tol * abs(total) + 1e-300:
+            # each split adds three leaves: never split past the budget
+            k = min(max(16, len(tris) // 8), (max_leaves - len(tris)) // 3)
+            if k <= 0:
+                break
             order = np.argsort(errs)
             hot = order[-k:]
             hot = hot[errs[hot] > (rel_tol * abs(total)) / max(len(tris), 1)]

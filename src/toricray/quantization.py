@@ -15,6 +15,22 @@ is what the evaluators use, so facet quadrature never touches grad g_P.
 The rate is bounded below by -psi(m) with equality at x = m, so densities
 are integrated through the nonnegative gap ray_rate + psi(m); all norms are
 handled in log space with max-subtraction.
+
+The log density peaks at x = m exactly, in every dimension, bare and
+weighted.  The gap
+
+    rate_gap(x) = psi(m) - psi(x) - grad psi(x) . (m - x)
+
+is the Bregman divergence of the convex psi, so it is >= 0 and vanishes at
+m; and
+
+    h(x) - h(m) = 1/2 sum_r [ell_r(x) - ell_r(m)
+                             - ell_r(m) log(ell_r(x) / ell_r(m))]
+
+is >= 0 term by term, because y - 1 - log y >= 0 (a facet with
+ell_r(m) = 0 contributes ell_r(x) / 2 >= 0).  So log_gap_density(m) is the
+reference level of every norm, and in 1-D the quadrature is seeded at m and
+at the ends of the generator's support slabs only.
 """
 
 from __future__ import annotations
@@ -24,7 +40,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .generators import Generator
 from .polytope import Polytope
@@ -76,6 +91,27 @@ def rate_gap(gen: Generator, m, X) -> np.ndarray:
     return float(gen.value(m)) + ray_rate(gen, m, X)
 
 
+def _near_points(cloud):
+    """Zoom predicate: a triangle's centroid lies within the triangle's
+    diameter of some point of the cloud.  Squared distances come from
+    |c|^2 - 2 c.p + |p|^2, one matrix product per chunk of about 2^20."""
+    cloud_t = cloud.T.copy()
+    sq = np.sum(cloud * cloud, axis=1)
+    step = max(1, (1 << 20) // len(cloud))
+
+    def near(tris):
+        c = tris.mean(axis=1)
+        reach = _diameters_batch(tris) ** 2
+        out = np.empty(len(c), dtype=bool)
+        for i in range(0, len(c), step):
+            cc = c[i:i + step]
+            d2 = np.min(sq - 2.0 * (cc @ cloud_t), axis=1) + \
+                np.sum(cc * cc, axis=1)
+            out[i:i + step] = d2 <= reach[i:i + step]
+        return out
+    return near
+
+
 def basis_census(P: Polytope):
     pts = P.integral_points()
     return len(pts), pts
@@ -120,24 +156,18 @@ class MonomialDensity:
 
     # -- concentration geometry ----------------------------------------------
 
-    def _concentration_cloud(self, grid: int = 96):
+    def _concentration_cloud(self):
+        """The points of a 96 x 96 grid of P, and m, whose rate gap is
+        within 10 / s of the smallest: the concentration set at scale s."""
         P = self.polytope
         lo, hi = P.bbox()
-        if P.dim == 1:
-            xs = np.linspace(lo[0], hi[0], 4097)[:, None]
-            pts = xs
-        else:
-            g1 = np.linspace(lo[0], hi[0], grid)
-            g2 = np.linspace(lo[1], hi[1], grid)
-            pts = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
-            pts = pts[P.contains(pts, tol=1e-12)]
-        pts = np.vstack([pts, self.m[None, :]])
+        g1 = np.linspace(lo[0], hi[0], 96)
+        g2 = np.linspace(lo[1], hi[1], 96)
+        pts = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
+        pts = np.vstack([pts[P.contains(pts, tol=1e-12)], self.m[None, :]])
         gaps = self.psi_m + ray_rate(self.generator, self.m, pts)
-        # the concentration set at scale s: points whose density is within
-        # exp(-10) of the peak
         tol = max(1e-9, 10.0 / self.s) if self.s > 0 else float(np.max(gaps))
-        cloud = pts[gaps <= np.min(gaps) + tol]
-        return cloud
+        return pts[gaps <= np.min(gaps) + tol]
 
     def _width_hint(self, cloud) -> float:
         hess = self.generator.hessian(cloud)
@@ -155,45 +185,40 @@ class MonomialDensity:
         P = self.polytope
         if P.dim == 1:
             lo, hi = P.bbox()
-            seeds = set()
+            seeds = {float(self.m[0])}
             for nu, a, b in self.generator.support:
                 seeds.update((a, b))
-            seeds.add(float(self.m[0]))
-            cloud = self._concentration_cloud()
-            seeds.update(float(c) for c in cloud[:, 0][::max(1, len(cloud) // 32)])
             log_f = lambda t: self.log_gap_density(np.asarray(t)[..., None])
             self._log_gap_mass, panels, _ = log_integral_1d(
                 log_f, float(lo[0]), float(hi[0]),
                 rel_tol=self.rel_tol, seeds=sorted(seeds))
-            # the normalized density on the final panels' nodes, once, so
+            # the normalized density on the GL15 nodes of both halves of
+            # every final panel, the rule the mass was summed with, once, so
             # that a pairing is one call of tau and one dot product
-            nodes, weights = panel_nodes(*np.array(panels).T)
+            lo, hi = np.array(panels).T
+            mid = 0.5 * (lo + hi)
+            nodes, weights = panel_nodes(np.concatenate([lo, mid]),
+                                         np.concatenate([mid, hi]))
             self._nodes = nodes.reshape(-1, 1)
             with np.errstate(over="ignore"):
                 self._weights = weights.ravel() * np.exp(
                     self.log_gap_density(self._nodes) - self._log_gap_mass)
         elif P.dim == 2:
             cloud = self._concentration_cloud()
-            tree = cKDTree(cloud)
             width = self._width_hint(cloud)
             poly = np.array([[float(c) for c in v] for v in P._sorted_boundary()])
             mesh = TriangleMesh(poly)
-            probe = np.vstack([poly, cloud, self.m[None, :]])
-            ref = float(np.max(self.log_gap_density(probe)))
+            ref = float(self.log_gap_density(self.m[None, :])[0])
             self._ref = ref
 
             def driver(X):
                 with np.errstate(over="ignore"):
                     return np.exp(self.log_gap_density(X) - ref)
 
-            def near_cloud(tris):
-                d, _ = tree.query(tris.mean(axis=1))
-                return d <= _diameters_batch(tris)
-
             target = max(1.5 * width, P.diameter() / 2048.0)
             mesh.refine(driver, rel_tol=self.rel_tol,
                         max_leaves=self.max_leaves,
-                        presplit_depth=1, zoom=(near_cloud, target))
+                        presplit_depth=1, zoom=(_near_points(cloud), target))
             if mesh.value <= 0:
                 raise QuantizationError("density mass underflowed")
             if mesh.err_estimate > 50.0 * self.rel_tol * abs(mesh.value):

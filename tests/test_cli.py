@@ -1,10 +1,15 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import toricray
 from toricray import quantization
 from toricray.cli import main
 
@@ -138,3 +143,19 @@ def test_density_tolerances_are_read_only():
         run(["--tol-override", "100", "verify", "--only", "2"])
     assert exc.value.code == 2
     assert dict(quantization.DEFAULT_REL_TOL) == before == {1: 1e-10, 2: 1e-6}
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only: the package and its CLI never load it
+    code = ("import importlib, pkgutil, sys, toricray\n"
+            "for mod in pkgutil.iter_modules(toricray.__path__):\n"
+            "    importlib.import_module('toricray.' + mod.name)\n"
+            "print('toricray.cli' in sys.modules, *sorted(\n"
+            "    m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(toricray.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["True"]

@@ -21,7 +21,7 @@ from toricray.polytope import make_polytope
 from toricray.quadrature import (GL15_NODES, GL15_WEIGHTS, QuadratureError,
                                  TriangleMesh, _diameters_batch,
                                  _split4_batch, adaptive_panels,
-                                 integrate_on_panels)
+                                 integrate_on_panels, log_integral_1d)
 from toricray.quantization import MonomialDensity
 
 POLYGONS = {
@@ -408,3 +408,80 @@ def test_pair_reevaluates_no_generator(weighted):
     # a test function may return a scalar, as with the 2-D mesh
     assert md.pair(lambda X: 2.0) == pytest.approx(2.0 * pairs["one"],
                                                    rel=1e-15)
+
+
+def test_refine_never_exceeds_max_leaves():
+    polygon = POLYGONS["hexagon"]
+    driver = lambda X: np.exp(-40.0 * np.sum((X - 1.3) ** 2, axis=-1))
+    natural = TriangleMesh(polygon)
+    natural.refine(driver, rel_tol=1e-6, presplit_depth=1)
+    assert natural.rounds >= 4
+    for budget in range(natural.presplit_leaves, len(natural.tris) + 1):
+        mesh = TriangleMesh(polygon)
+        mesh.refine(driver, rel_tol=1e-6, max_leaves=budget, presplit_depth=1)
+        assert len(mesh.tris) <= budget
+    assert mesh.tris.tobytes() == natural.tris.tobytes()
+
+
+def test_near_points_matches_kd_tree():
+    from toricray.quantization import _near_points
+    rng = np.random.default_rng(17)
+    cloud = _cloud()
+    tree = cKDTree(cloud)
+    near = _near_points(cloud)
+    for n in (1, 7, 5000, 40000):
+        centers = rng.uniform(-0.5, 2.5, size=(n, 1, 2))
+        tris = centers + rng.uniform(-0.05, 0.05, size=(n, 3, 2)) * \
+            rng.uniform(0.01, 10.0, size=(n, 1, 1))
+        d, _ = tree.query(tris.mean(axis=1))
+        want = d <= _diameters_batch(tris)
+        assert np.array_equal(near(tris), want)
+        assert 0 < np.count_nonzero(want) < n or n < 10
+
+
+def test_log_integral_needs_a_finite_seed():
+    # finite only inside (0.4, 0.6): neither an endpoint nor a seed sees it
+    log_f = lambda x: np.where(np.abs(x - 0.5) < 0.1, 0.0, -np.inf)
+    with pytest.raises(QuadratureError, match="finite at no endpoint or seed"):
+        log_integral_1d(log_f, 0.0, 1.0, seeds=(0.2, 0.8))
+    value, _, ref = log_integral_1d(
+        lambda x: -((x - 0.5) ** 2), 0.0, 1.0, seeds=(0.5,))
+    assert ref == 0.0
+    assert value == pytest.approx(math.log(math.sqrt(math.pi) * erf(0.5)),
+                                  abs=1e-10)
+
+
+class _PointCountingGenerator(_CountingGenerator):
+    """Counts the points its jet is called on."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.jet_points = 0
+
+    def jet(self, x, order):
+        self.jet_points += len(np.reshape(x, (-1, self.dim)))
+        return super().jet(x, order)
+
+
+@pytest.mark.parametrize("s", [32.0, 4096.0])
+def test_one_norm_takes_few_jet_points(s):
+    # seeds at m and the support ends, the reference level at m: no scan
+    sc = scenarios.segment("smooth")
+    gen = _PointCountingGenerator(sc.generator)
+    md = MonomialDensity(sc.polytope, gen, [1], s, weighted=True)
+    md.log_mass()
+    assert gen.jet_points < 2000
+
+
+@pytest.mark.parametrize("kernel", ["cosine", "smooth"])
+def test_pairing_unit_mass_to_rounding(kernel):
+    # pairings run on the rule the mass was summed with: both halves of
+    # every final panel
+    sc = scenarios.segment(kernel)
+    one = lambda X: np.ones(len(X))
+    for m in (0, 1, 2):
+        for s in (0.0, 32.0, 512.0, 4096.0):
+            for weighted in (False, True):
+                md = MonomialDensity(sc.polytope, sc.generator, [m], s,
+                                     weighted=weighted)
+                assert abs(md.pair(one) - 1.0) <= 1e-13

@@ -213,3 +213,49 @@ def test_nonconvergence_reports_leaf_count():
     with pytest.raises(QuantizationError,
                        match=r"at \d+ leaves of the 200-leaf budget"):
         md.log_mass()
+
+
+def _peak_cases():
+    """(label, polytope, generator, m) over the shipped scenarios, with m
+    interior, on a facet and at a vertex (both ends of a segment)."""
+    from toricray import scenarios
+    from toricray.smoothing import build_nice_smoothing
+    cases = []
+    for name in ("segment", "segment_narrow", "corrected_segment",
+                 "three_bumps"):
+        sc = getattr(scenarios, name)("smooth")
+        cases += [(f"{name}-m{m[0]}", sc.polytope, sc.generator, m)
+                  for m in sc.lattice_points]
+    wall = scenarios.cp2_wall()
+    corner = scenarios.cp2_corner()
+    gens = {"cp2-wall": wall.generator,
+            "cp2-wall-sum": scenarios.cp2_wall_sum("smooth").generator,
+            "cp2-corner": build_nice_smoothing(corner.pl, corner.polytope,
+                                               corner.decomposition, 0.1)}
+    for name, gen in gens.items():
+        cases += [(f"{name}-m{m[0]}{m[1]}", wall.polytope, gen, m)
+                  for m in ([1, 1], [1, 0], [2, 1], [0, 0], [3, 0])]
+    return cases
+
+
+@pytest.mark.parametrize("case", _peak_cases(), ids=lambda c: c[0])
+def test_log_density_peaks_at_m(case):
+    # rate_gap is a Bregman divergence of the convex psi and h(x) - h(m) a
+    # sum of y - 1 - log y >= 0 terms: the log density is largest at m.  Up
+    # to rounding: the mollified generators' gradients carry their outer
+    # quadrature's error, which leaves gaps of -3.2e-12 on cp2-corner
+    _, P, gen, m = case
+    lo, hi = P.bbox()
+    if P.dim == 1:
+        X = np.linspace(lo[0], hi[0], 20001)[:, None]
+    else:
+        g = np.stack(np.meshgrid(np.linspace(lo[0], hi[0], 121),
+                                 np.linspace(lo[1], hi[1], 121)),
+                     axis=-1).reshape(-1, 2)
+        X = g[P.contains(g, tol=1e-12)]
+    for s in (0.0, 32.0, 4096.0):
+        for weighted in (False, True):
+            md = MonomialDensity(P, gen, m, s, weighted=weighted)
+            peak = float(md.log_gap_density(md.m[None, :])[0])
+            assert np.max(md.log_gap_density(X)) <= \
+                peak + 1e-12 * max(1.0, abs(peak)) + 1e-11 * s
