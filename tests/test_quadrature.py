@@ -22,7 +22,7 @@ from toricray.quadrature import (GL15_NODES, GL15_WEIGHTS, QuadratureError,
                                  TriangleMesh, _diameters_batch,
                                  _split4_batch, adaptive_panels,
                                  integrate_on_panels, log_integral_1d)
-from toricray.quantization import MonomialDensity
+from toricray.quantization import MonomialDensity, _near_points
 
 POLYGONS = {
     "simplex": np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]),
@@ -424,7 +424,6 @@ def test_refine_never_exceeds_max_leaves():
 
 
 def test_near_points_matches_kd_tree():
-    from toricray.quantization import _near_points
     rng = np.random.default_rng(17)
     cloud = _cloud()
     tree = cKDTree(cloud)
