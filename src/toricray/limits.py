@@ -24,7 +24,8 @@ import numpy as np
 from .generators import Generator
 from .polytope import FaceFrame, Polytope
 from .potentials import RayPoint, ray_jet
-from .quadrature import integrate_1d, panel_nodes
+from .quadrature import (QuadratureError, integrate_1d, integrate_polytope,
+                         panel_nodes)
 from .quantization import MonomialDensity, base_log_weight, rate_gap
 
 __all__ = [
@@ -95,33 +96,16 @@ def battery_for(P: Polytope) -> TestBattery:
 
 def region_mean(region: Polytope, tau, *, weight=None, rel_tol=1e-10) -> float:
     """Mean of tau over the region, optionally weighted by a density."""
-    if region.dim == 1:
-        lo, hi = region.bbox()
-        if weight is None:
-            num = integrate_1d(lambda t: tau(np.asarray(t)[..., None]),
-                               float(lo[0]), float(hi[0]), rel_tol=rel_tol)
-            den = float(hi[0] - lo[0])
-        else:
-            num = integrate_1d(
-                lambda t: weight(np.asarray(t)[..., None])
-                * tau(np.asarray(t)[..., None]),
-                float(lo[0]), float(hi[0]), rel_tol=rel_tol)
-            den = integrate_1d(lambda t: weight(np.asarray(t)[..., None]),
-                               float(lo[0]), float(hi[0]), rel_tol=rel_tol)
-        return num / den
-    from .quadrature import TriangleMesh
-    poly = np.array([[float(c) for c in v] for v in region._sorted_boundary()])
-    mesh = TriangleMesh(poly)
+    def integral(f):
+        res = integrate_polytope(f, region, rel_tol=rel_tol)
+        if res.err > 100.0 * rel_tol * abs(res.value) + 1e-300:
+            raise QuadratureError(
+                f"region integral missed its tolerance {rel_tol}: relative "
+                f"error {res.err / max(abs(res.value), 1e-300):.2e}")
+        return res.value
     if weight is None:
-        mesh.refine(lambda X: np.ones(len(X)), rel_tol=1e-12, max_leaves=2048,
-                    presplit_depth=3)
-        num = mesh.integrate(tau)
-        den = mesh.value
-    else:
-        mesh.refine(weight, rel_tol=1e-9, max_leaves=20000, presplit_depth=3)
-        num = mesh.pair_against_driver(tau)
-        den = mesh.value
-    return num / den
+        return integral(tau) / float(region.volume_exact())
+    return integral(lambda X: weight(X) * tau(X)) / integral(weight)
 
 
 def chord_mean(P: Polytope, frame: FaceFrame, c_perp, tau, *, weight=None,
@@ -137,21 +121,8 @@ def chord_mean(P: Polytope, frame: FaceFrame, c_perp, tau, *, weight=None,
         return xt @ frame.inverse_np.T
 
     # exact parallel range: each facet constraint is affine in u
-    x0 = point(np.array([0.0]))[0]
-    du = point(np.array([1.0]))[0] - x0
-    u_lo, u_hi = -np.inf, np.inf
-    for v, lam in zip(P.normals, P.offsets):
-        a = float(np.dot(v, du))
-        b = float(np.dot(v, x0)) - float(lam)
-        if abs(a) < 1e-14:
-            if b < 0:
-                raise ValueError("chord misses the polytope")
-            continue
-        bound = -b / a
-        if a > 0:
-            u_lo = max(u_lo, bound)
-        else:
-            u_hi = min(u_hi, bound)
+    x0, x1 = point(np.array([0.0, 1.0]))
+    u_lo, u_hi = (float(u) for u in P.chord(x0, x1 - x0))
     if not u_lo < u_hi:
         raise ValueError("chord misses the polytope")
     if weight is None:
@@ -437,7 +408,7 @@ def metric_length(P: Polytope, gen: Generator, s: float, path,
     for (x0, th0), (x1, th1) in zip(path[:-1], path[1:]):
         cuts = {0.0, 1.0}
         dx = x1 - x0
-        for nu, lo, hi in getattr(gen.support, "slabs", []):
+        for nu, lo, hi in gen.support:
             denom = float(np.dot(nu, dx))
             if abs(denom) > 1e-14:
                 for bound in (lo, hi):

@@ -216,6 +216,18 @@ class Polytope:
     def interior_contains(self, x, margin: float = 0.0) -> np.ndarray:
         return np.min(self.ell(x), axis=-1) > margin
 
+    def chord(self, x0, d):
+        """Ends (lo, hi) of the chords {x0 + u d : lo <= u <= hi} of P from
+        the facet inequalities, for points x0 (..., n) and a direction d
+        (n,); lo >= hi where the line misses P."""
+        a = self._A @ np.asarray(d, dtype=float)
+        ell = self.ell(x0)
+        up, down = a > 1e-14, a < -1e-14
+        lo = np.max(-ell[..., up] / a[up], axis=-1, initial=-np.inf)
+        hi = np.min(-ell[..., down] / a[down], axis=-1, initial=np.inf)
+        misses = np.any(ell[..., ~(up | down)] < 0, axis=-1)
+        return lo, np.where(misses, -np.inf, hi)
+
     @property
     def vertices_np(self) -> np.ndarray:
         return self._verts_np

@@ -1,36 +1,49 @@
 """Adaptive quadrature engines.
 
-1-D: adaptive Gauss-Legendre (GL15) panels refined by level-by-level
-bisection, seeded at structurally special points (facets, support
-endpoints, the density's maximiser) so that sharply peaked integrands are
-bracketed before refinement starts.  Panels live in flat arrays, and each
-level measures all of its new panels with one call of the integrand: a
-panel's error is the difference between its GL15 value and the sum of the
-GL15 values of its two halves, and a split panel's halves become its
-children's coarse values.  Each round splits every panel whose error
-exceeds max(rel_tol * |total| / n_panels, 1e-18 * |total| + abs_floor) and
-which is at least 1e-15 wide; refinement stops once the summed error is at
-most rel_tol * |total| + abs_floor.  Each split adds one panel, so a round
-splits at most the remaining ``max_panels`` budget, largest errors first,
-and the panel count never exceeds the budget.
+Panels: adaptive Gauss-Legendre (GL15) panels refined by level-by-level
+bisection, for many independent integrals ("groups") at once.  Panels live
+in flat arrays, and each level measures the new panels of every group with
+one call of the integrand: a panel's error is the difference between its
+GL15 value and the sum of the GL15 values of its two halves, and a split
+panel's halves become its children's coarse values.  Each round splits, in
+every group whose summed error exceeds rel_tol * |total| + abs_floor, each
+panel whose error exceeds max(rel_tol * |total| / n_panels, 1e-18 * |total|
++ abs_floor) and which is at least 1e-15 wide.  Each split adds one panel,
+so a round splits at most the group's remaining ``max_panels`` budget,
+largest errors first, and no group exceeds its budget.  The engine returns
+the nodes, weights and integrand values of both GL15 halves of every final
+panel, the rule its totals are summed with, so callers reuse them instead
+of evaluating the integrand again.  ``adaptive_panels`` is the one-group
+form.
 
-2-D: adaptive triangle meshes over convex polygons.  Each leaf stores both a
-one-level and a four-child rule value; their difference drives refinement
-and the fine value is the leaf's contribution.  Meshes are reusable: after
-refining against a driver function (the density), any number of secondary
-integrands (battery members) are integrated on the same nodes, which keeps
-pairings mutually consistent and deterministic.
+Polytopes: ``integrate_polytope`` cuts the panels at exact breakpoints: the
+facets of P, the caller's hyperplanes (the ends of a generator's support
+slabs) and the coordinate hyperplanes through a point (the integrand's
+peak).  Between them the integrand is smooth, so nothing is sampled to find
+where it concentrates.  In 2-D the integral is iterated.  The outer
+variable is x1, cut at the x1 of every pairwise intersection inside P of
+the breakpoint lines; the inner integrals run over the chords [x2_lo(x1),
+x2_hi(x1)] of P, each cut where a breakpoint line crosses it, and each
+outer level solves all of its chords in one grouped call.  The error
+estimate is the outer error plus the outer-weighted sum of the chord
+errors.
+
+TriangleMesh, an adaptive degree-5 triangle mesh over a convex polygon, is
+an independent 2-D reference for the panels; each leaf stores a one-level
+and a four-child rule value, whose difference drives refinement.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
-    "log_integral_1d", "TriangleMesh", "polygon_mesh", "QuadratureError",
+    "log_integral_1d", "refine_groups", "integrate_polytope", "Panels",
+    "NodeSet", "TriangleMesh", "polygon_mesh", "QuadratureError",
 ]
 
 
@@ -59,76 +72,153 @@ def _gl15(f, lo, hi):
     return 0.5 * (hi - lo) * (vals @ GL15_WEIGHTS)
 
 
+class Panels(NamedTuple):
+    """Final panels of ``refine_groups``, in no particular order.
+
+    ``nodes``, ``weights``, ``values`` and ``pos`` are (k, 30): GL15 on the
+    left then the right half of each panel, and the index of each node
+    among all the points the integrand was called on, in call order.
+    ``total`` and ``err`` hold one entry per group.
+    """
+    lo: np.ndarray
+    hi: np.ndarray
+    group: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+    pos: np.ndarray
+    total: np.ndarray
+    err: np.ndarray
+
+
+def _cut(lo, hi, cuts):
+    """Panels (a, b, group) of the intervals [lo_g, hi_g], each cut at the
+    entries of its row of ``cuts`` that lie strictly inside it."""
+    inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
+    cuts = np.sort(np.hstack([lo[:, None], np.where(inside, cuts, lo[:, None]),
+                              hi[:, None]]), axis=1)
+    a, b = cuts[:, :-1], cuts[:, 1:]
+    keep = b > a
+    return a[keep], b[keep], np.nonzero(keep)[0]
+
+
+def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
+                  max_panels: int = 20000, abs_floor: float = 1e-300):
+    """Refine the panels [lo_i, hi_i] of ``n_groups`` independent integrals.
+
+    ``f(x, g)`` maps 1-D points and the group of each to values and is
+    called once per level.  Group g is refined until its summed error is at
+    most rel_tol * |total_g| + abs_floor, or it has nothing left to split
+    within its budget of ``max_panels`` panels.  Returns ``Panels``.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    group = np.array(group, dtype=np.intp)
+    outs = []
+
+    def measure(a, b, g):
+        """GL15 values of f on the panels [a_i, b_i], and the position of
+        each panel's first node among all the points f was called on."""
+        nodes, _ = panel_nodes(a, b)
+        first = sum(map(len, outs)) + 15 * np.arange(len(a))
+        vals = np.asarray(f(nodes.ravel(), g.repeat(15)), dtype=float)
+        outs.append(vals)
+        return 0.5 * (b - a) * (vals.reshape(-1, 15) @ GL15_WEIGHTS), first
+
+    # per panel: the GL15 values of its (left, right) halves, its error and
+    # the positions of the halves' first nodes
+    k = len(lo)
+    mid = 0.5 * (lo + hi)
+    sums, first = measure(np.concatenate([lo, lo, mid]),
+                          np.concatenate([hi, mid, hi]),
+                          np.concatenate([group, group, group]))
+    halves = sums[k:].reshape(2, k).T.copy()
+    start = first[k:].reshape(2, k).T.copy()
+    err = np.abs(halves[:, 0] + halves[:, 1] - sums[:k])
+    while True:
+        total = np.bincount(group, halves[:, 0] + halves[:, 1], n_groups)
+        err_total = np.bincount(group, err, n_groups)
+        n_panels = np.bincount(group, minlength=n_groups)
+        scale = np.abs(total)
+        # the error a panel must exceed to be split; inf once converged
+        floor = np.where(err_total > rel_tol * scale + abs_floor,
+                         np.maximum(rel_tol * scale / np.maximum(n_panels, 1),
+                                    1e-18 * scale + abs_floor), np.inf)
+        split = np.nonzero((err > floor[group]) & (hi - lo >= 1e-15))[0]
+        if split.size > max_panels - len(lo):
+            # largest errors first, at most the room left in each group
+            split = split[np.lexsort((-err[split], group[split]))]
+            g = group[split]
+            split = split[np.arange(len(split)) - np.searchsorted(g, g)
+                          < max_panels - n_panels[g]]
+        if split.size == 0:
+            break
+        # the halves of a split panel are its children, and their GL15
+        # values the children's coarse values: one call measures the level
+        n = len(split)
+        s_lo, s_hi = lo[split], hi[split]
+        mid = 0.5 * (s_lo + s_hi)
+        c_lo = np.concatenate([s_lo, mid])
+        c_hi = np.concatenate([mid, s_hi])
+        c_mid = 0.5 * (c_lo + c_hi)
+        c_group = np.concatenate([group[split], group[split]])
+        sums, first = measure(np.concatenate([c_lo, c_mid]),
+                              np.concatenate([c_mid, c_hi]),
+                              np.concatenate([c_group, c_group]))
+        c_halves = sums.reshape(2, 2 * n).T
+        c_start = first.reshape(2, 2 * n).T
+        c_err = np.abs(c_halves[:, 0] + c_halves[:, 1]
+                       - halves[split].T.ravel())
+        # the left child takes its parent's place, the right one is appended
+        hi[split] = mid
+        halves[split] = c_halves[:n]
+        err[split] = c_err[:n]
+        start[split] = c_start[:n]
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([hi, s_hi])
+        group = np.concatenate([group, c_group[n:]])
+        halves = np.concatenate([halves, c_halves[n:]])
+        err = np.concatenate([err, c_err[n:]])
+        start = np.concatenate([start, c_start[n:]])
+    k = len(lo)
+    mid = 0.5 * (lo + hi)
+    nodes, weights = panel_nodes(np.concatenate([lo, mid]),
+                                 np.concatenate([mid, hi]))
+    pos = (start[:, :, None] + np.arange(15)).reshape(k, 30)
+    return Panels(lo, hi, group,
+                  np.concatenate([nodes[:k], nodes[k:]], axis=1),
+                  np.concatenate([weights[:k], weights[k:]], axis=1),
+                  np.concatenate(outs)[pos], pos, total, err_total)
+
+
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
                     seeds=(), max_panels: int = 20000,
                     abs_floor: float = 1e-300):
-    """Refine [a, b] into GL15 panels by level-by-level bisection.
+    """Refine [a, b] into GL15 panels: ``refine_groups`` with one group.
 
     ``f`` maps a 1-D array of points to values and is called once per
     level.  ``seeds`` are interior split points inserted before adaptivity
-    starts.  A panel's error is |GL15 on it - GL15 on its two halves|, its
-    value the sum over the halves.  Each round splits every panel whose
-    error exceeds max(rel_tol * |total| / n_panels, 1e-18 * |total| +
-    abs_floor) and which is at least 1e-15 wide, until the summed error is
-    at most rel_tol * |total| + abs_floor.  A round splits at most
-    max_panels - n_panels panels, largest errors first, so the panel count
-    never exceeds ``max_panels``; when the budget runs out with the error
-    above 100 * rel_tol * |total| + abs_floor, QuadratureError is raised.
+    starts.  When the budget runs out with the error above 100 * rel_tol *
+    |total| + abs_floor, QuadratureError is raised.
 
     Returns (value, panels) where panels is the list of (lo, hi) intervals
     at convergence, sorted by lo.
     """
     if not b > a:
         raise QuadratureError(f"empty interval [{a}, {b}]")
-    cuts = np.array(sorted({float(a), float(b),
-                            *(float(s) for s in seeds if a < float(s) < b)}))
-    lo, hi = cuts[:-1], cuts[1:]
-    mid = 0.5 * (lo + hi)
-    coarse, left, right = np.split(
-        _gl15(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])),
-        3)
-    fine = left + right
-    err = np.abs(fine - coarse)
-    while True:
-        total = math.fsum(fine)
-        err_total = math.fsum(err)
-        if err_total <= rel_tol * abs(total) + abs_floor:
-            break
-        floor = max(rel_tol * abs(total) / len(lo),
-                    1e-18 * abs(total) + abs_floor)
-        split = np.flatnonzero((err > floor) & (hi - lo >= 1e-15))
-        room = max(max_panels - len(lo), 0)
-        if split.size > room:
-            split = split[np.argsort(-err[split], kind="stable")[:room]]
-        if split.size == 0:
-            if room == 0 and \
-                    err_total > 100.0 * rel_tol * abs(total) + abs_floor:
-                raise QuadratureError(
-                    f"interval refinement exhausted {max_panels} panels with "
-                    f"relative error {err_total / max(abs(total), 1e-300):.2e} "
-                    f"(tolerance {rel_tol})")
-            break
-        # the halves of a split panel are its children, and their GL15
-        # values the children's coarse values: one call measures the level
-        keep = np.ones(len(lo), dtype=bool)
-        keep[split] = False
-        mid = 0.5 * (lo[split] + hi[split])
-        c_lo = np.concatenate([lo[split], mid])
-        c_hi = np.concatenate([mid, hi[split]])
-        c_mid = 0.5 * (c_lo + c_hi)
-        c_left, c_right = np.split(
-            _gl15(f, np.concatenate([c_lo, c_mid]),
-                  np.concatenate([c_mid, c_hi])), 2)
-        c_fine = c_left + c_right
-        c_err = np.abs(c_fine - np.concatenate([left[split], right[split]]))
-        lo = np.concatenate([lo[keep], c_lo])
-        hi = np.concatenate([hi[keep], c_hi])
-        left = np.concatenate([left[keep], c_left])
-        right = np.concatenate([right[keep], c_right])
-        fine = np.concatenate([fine[keep], c_fine])
-        err = np.concatenate([err[keep], c_err])
-    order = np.argsort(lo, kind="stable")
-    return total, list(zip(lo[order].tolist(), hi[order].tolist()))
+    res = refine_groups(lambda x, g: f(x), *_cut(
+        np.array([a], dtype=float), np.array([b], dtype=float),
+        np.array(seeds, dtype=float).reshape(1, -1)), 1, rel_tol=rel_tol,
+        max_panels=max_panels, abs_floor=abs_floor)
+    total = float(res.total[0])
+    if len(res.lo) >= max_panels and \
+            res.err[0] > 100.0 * rel_tol * abs(total) + abs_floor:
+        raise QuadratureError(
+            f"interval refinement exhausted {max_panels} panels with "
+            f"relative error {res.err[0] / max(abs(total), 1e-300):.2e} "
+            f"(tolerance {rel_tol})")
+    order = np.argsort(res.lo)
+    return total, list(zip(res.lo[order].tolist(), res.hi[order].tolist()))
 
 
 def integrate_on_panels(f, panels):
@@ -168,7 +258,93 @@ def log_integral_1d(log_f, a, b, *, rel_tol=1e-10, seeds=()):
 
 
 # ---------------------------------------------------------------------------
-# 2-D: adaptive triangle meshes
+# polytopes: (iterated) panels cut at exact breakpoints
+# ---------------------------------------------------------------------------
+
+class NodeSet(NamedTuple):
+    """Final nodes of ``integrate_polytope``: points (N, n), rule weights
+    and integrand values (N,), the integral, its error estimate, the final
+    panel count and the panel budget per integral."""
+    nodes: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+    value: float
+    err: float
+    panels: int
+    budget: int
+
+
+def integrate_polytope(f, P, *, lines=(), point=None, rel_tol: float = 1e-10,
+                       max_panels: int = 20000) -> NodeSet:
+    """Integral of f over the polytope P (dim 1 or 2) on GL15 panels.
+
+    ``f`` maps points (k, n) to values.  The breakpoints are the facets of
+    P, the hyperplanes {nu . x = c} given as (nu, c) pairs in ``lines`` and
+    the coordinate hyperplanes through ``point``; between them f should be
+    smooth.  In 1-D this is one group of ``refine_groups``.  In 2-D the
+    outer panels in x1 are cut at the x1 of the pairwise intersections of
+    breakpoint lines inside P, and every outer level refines all of its
+    chords in x2 in one grouped call.  Each chord and the outer integral
+    have a budget of ``max_panels`` panels; the caller judges the returned
+    error estimate.
+    """
+    n = P.dim
+    if point is not None:
+        lines = [*lines, *zip(np.eye(n), np.asarray(point, dtype=float))]
+    lines = np.array([[*nu, c] for nu, c in [*zip(P.normals, P.offsets),
+                                             *lines]], dtype=float)
+    if n == 1:
+        (lo,), (hi,) = P.bbox()
+        res = refine_groups(lambda x, g: f(x[:, None]),
+                            *_cut(np.array([lo]), np.array([hi]),
+                                  lines[None, :, 1] / lines[:, 0]),
+                            1, rel_tol=rel_tol, max_panels=max_panels)
+        return NodeSet(res.nodes.reshape(-1, 1), res.weights.ravel(),
+                       res.values.ravel(), float(res.total[0]),
+                       float(res.err[0]), len(res.lo), max_panels)
+    if n != 2:
+        raise NotImplementedError("polytope quadrature for dim <= 2")
+    # outer cuts: x1 of the pairwise intersections of the lines inside P
+    i, j = np.triu_indices(len(lines), 1)
+    pairs = np.stack([lines[i], lines[j]], axis=1)
+    pairs = pairs[np.abs(np.linalg.det(pairs[:, :, :2])) > 1e-12]
+    x = np.linalg.solve(pairs[:, :, :2], pairs[:, :, 2:])[..., 0]
+    (x1_lo, _), (x1_hi, _) = P.bbox()
+    crossing = lines[np.abs(lines[:, 1]) > 1e-14]
+    chords, chord_err = [], []
+
+    def outer(x1, _):
+        # the chords {x1_g} x [x2_lo, x2_hi], one group each, cut where the
+        # breakpoint lines cross them
+        lo, hi = P.chord(np.column_stack([x1, 0.0 * x1]), (0.0, 1.0))
+        cuts = (crossing[:, 2] - np.outer(x1, crossing[:, 0])) / crossing[:, 1]
+        res = refine_groups(lambda x2, g: f(np.column_stack([x1[g], x2])),
+                            *_cut(lo, hi, cuts), len(x1), rel_tol=rel_tol,
+                            max_panels=max_panels)
+        chords.append((sum(map(len, chord_err)) + res.group, x1[res.group],
+                       res.nodes, res.weights, res.values))
+        chord_err.append(res.err)
+        return res.total
+
+    out = refine_groups(outer, *_cut(np.array([x1_lo]), np.array([x1_hi]),
+                                     x[None, P.contains(x, tol=1e-9), 0]),
+                        1, rel_tol=rel_tol, max_panels=max_panels)
+    # the chords of the final outer nodes, each weighted by its outer weight
+    outer_w = np.zeros(sum(map(len, chord_err)))
+    outer_w[out.pos.ravel()] = out.weights.ravel()
+    owner, x1, x2, weights, values = (np.concatenate(a) for a in zip(*chords))
+    kept = outer_w[owner] > 0
+    nodes = np.stack([np.broadcast_to(x1[kept][:, None], x2[kept].shape),
+                      x2[kept]], axis=-1).reshape(-1, 2)
+    weights = outer_w[owner[kept]][:, None] * weights[kept]
+    return NodeSet(nodes, weights.ravel(), values[kept].ravel(),
+                   float(out.total[0]),
+                   float(out.err[0] + outer_w @ np.concatenate(chord_err)),
+                   len(out.lo) + int(kept.sum()), max_panels)
+
+
+# ---------------------------------------------------------------------------
+# the 2-D reference: adaptive triangle meshes
 # ---------------------------------------------------------------------------
 
 # Degree-5 seven-point symmetric rule (barycentric points, weights sum to 1).
@@ -208,53 +384,6 @@ def _areas_batch(tris):
     return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _diameters_batch(tris):
-    """(B, 3, 2) -> (B,) longest edge lengths.
-
-    Each edge length is the square root of its dot product with itself,
-    which gives the same floats as ``np.linalg.norm`` of that edge.
-    """
-    edges = tris - tris[:, [1, 2, 0]]
-    sq = (edges[..., None, :] @ edges[..., :, None])[..., 0, 0]
-    return np.sqrt(sq).max(axis=1)
-
-
-def _zoom_pass(work, predicate, target, budget):
-    """One zoom pre-split at a fixed target, or None if it exceeds budget.
-
-    Splits, level by level, every triangle whose diameter exceeds target
-    and for which the predicate holds.  Each split adds three leaves, so
-    the leaf count only grows and the pass stops at the first level past
-    the budget.  Leaves come back in the order of a depth-first walk that
-    pops the last root and the last child first: descending in (root
-    index, child digits).
-    """
-    front = work
-    keys = np.arange(len(work))[:, None]  # root index, then child digits
-    count = len(work)
-    leaves, leaf_keys = [], []
-    while len(front):
-        split = _diameters_batch(front) > target
-        big = np.flatnonzero(split)
-        if big.size:
-            split[big] = predicate(front[big])
-        n_split = int(np.count_nonzero(split))
-        count += 3 * n_split
-        if count > budget:
-            return None
-        leaves.append(front[~split])
-        leaf_keys.append(keys[~split])
-        front = _split4_batch(front[split])
-        keys = np.hstack([np.repeat(keys[split], 4, axis=0),
-                          np.tile(np.arange(4), n_split)[:, None]])
-    # no leaf path is a prefix of another, so zero padding never decides
-    depth = leaf_keys[-1].shape[1]
-    keys = np.vstack([np.pad(k, ((0, 0), (0, depth - k.shape[1])))
-                      for k in leaf_keys])
-    order = np.lexsort(keys.T[::-1])[::-1]
-    return np.concatenate(leaves)[order]
-
-
 class TriangleMesh:
     """Adaptive triangle mesh over a convex polygon, reusable for pairings.
 
@@ -273,12 +402,6 @@ class TriangleMesh:
         fan = np.stack([np.broadcast_to(center, ring.shape), ring,
                         np.roll(ring, -1, axis=0)], axis=1)
         self._initial = fan[_areas_batch(fan) > 0]
-        self.tris = None        # (L, 3, 2)
-        self.fine_nodes = None  # (L, 28, 2)
-        self.fine_vals = None   # (L, 28)
-        self.fine_weights = None  # (L, 28)
-        self.values = None      # (L,)
-        self.errs = None        # (L,)
 
     def _measure(self, tris, f):
         """Coarse/fine rule data for a batch of triangles."""
@@ -300,24 +423,12 @@ class TriangleMesh:
             np.tile(_T_W, 4)[None, :]
         return fine_nodes, fine_vals, fine_weights, fine, np.abs(fine - coarse)
 
-    def refine(self, f, *, rel_tol=1e-6, max_leaves=30000,
-               presplit_depth=0, zoom=None):
+    def refine(self, f, *, rel_tol=1e-6, max_leaves=30000, presplit_depth=0):
         """Adapt the mesh to the driver f (values at (k, 2) arrays).
 
-        ``zoom`` is an optional (predicate, target_size) pair: triangles for
-        which the predicate holds are pre-split until their diameter drops
-        below target_size, which points the mesh at an analytically known
-        concentration set before error-driven refinement starts.  The
-        predicate takes a (B, 3, 2) batch of triangles, all of diameter
-        above the current target, and returns a bool (B,) array; it is
-        called once per split level.  While the pre-split would end with
-        more than max(n + 16, max_leaves // 3) leaves, n the leaves before
-        it, the target is doubled and the pre-split redone.  Pre-split
-        leaves are ordered as a depth-first walk of a stack that pops the
-        last root and the last child first.
-
-        Each error-driven round splits at most (max_leaves - L) // 3 of the
-        L leaves, largest errors first, so refinement never takes the mesh
+        The fan is split ``presplit_depth`` times before refinement.  Each
+        error-driven round splits at most (max_leaves - L) // 3 of the L
+        leaves, largest errors first, so refinement never takes the mesh
         past max_leaves.
 
         Records ``presplit_leaves`` (leaves entering refinement) and
@@ -326,15 +437,6 @@ class TriangleMesh:
         work = self._initial
         for _ in range(presplit_depth):
             work = _split4_batch(work)
-        if zoom is not None:
-            predicate, target = zoom
-            budget = max(len(work) + 16, max_leaves // 3)
-            while True:
-                zoomed = _zoom_pass(work, predicate, target, budget)
-                if zoomed is not None:
-                    break
-                target *= 2.0
-            work = zoomed
         self.presplit_leaves = len(work)
         self.rounds = 0
 
@@ -364,41 +466,26 @@ class TriangleMesh:
             total = float(fine.sum())
             err_total = float(errs.sum())
             self.rounds += 1
-        self.tris = tris
-        self.fine_nodes = nodes
-        self.fine_vals = vals
-        self.fine_weights = weights
-        self.values = fine
-        self.errs = errs
+        self.tris = tris                            # (L, 3, 2)
+        self.fine_nodes = nodes.reshape(-1, 2)      # (28 L, 2)
+        self.fine_vals = vals.ravel()               # (28 L,)
+        self.fine_weights = weights.ravel()         # (28 L,)
         self.value = total
         self.err_estimate = err_total
         return self.value
 
-    @property
-    def leaves(self):
-        return self.tris
-
     # -- reuse ---------------------------------------------------------------
 
-    def nodes(self) -> np.ndarray:
-        return self.fine_nodes.reshape(-1, 2)
-
-    def node_weights(self) -> np.ndarray:
-        return self.fine_weights.ravel()
-
-    def driver_values(self) -> np.ndarray:
-        return self.fine_vals.ravel()
-
     def integrate_values(self, values: np.ndarray) -> float:
-        return float(self.node_weights() @ values)
+        return float(self.fine_weights @ values)
 
     def integrate(self, g) -> float:
-        return self.integrate_values(np.asarray(g(self.nodes()), dtype=float))
+        return self.integrate_values(
+            np.asarray(g(self.fine_nodes), dtype=float))
 
     def pair_against_driver(self, g) -> float:
         """Integral of driver * g on the refined mesh."""
-        vals = np.asarray(g(self.nodes()), dtype=float)
-        return float(self.node_weights() @ (self.driver_values() * vals))
+        return self.integrate(lambda X: self.fine_vals * g(X))
 
 
 def polygon_mesh(vertices) -> TriangleMesh:

@@ -29,8 +29,9 @@ m; and
 
 is >= 0 term by term, because y - 1 - log y >= 0 (a facet with
 ell_r(m) = 0 contributes ell_r(x) / 2 >= 0).  So log_gap_density(m) is the
-reference level of every norm, and in 1-D the quadrature is seeded at m and
-at the ends of the generator's support slabs only.
+reference level of every norm.  The density is smooth between the facets
+and the ends of the generator's support slabs, so the norm's panels are cut
+there and at m, in 1-D and 2-D alike (``quadrature.integrate_polytope``).
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ import numpy as np
 
 from .generators import Generator
 from .polytope import Polytope
-from .quadrature import (TriangleMesh, _diameters_batch, log_integral_1d,
-                         panel_nodes)
+from .quadrature import integrate_polytope
 
 __all__ = [
     "base_log_weight", "ray_rate", "rate_gap", "MonomialDensity",
@@ -91,27 +91,6 @@ def rate_gap(gen: Generator, m, X) -> np.ndarray:
     return float(gen.value(m)) + ray_rate(gen, m, X)
 
 
-def _near_points(cloud):
-    """Zoom predicate: a triangle's centroid lies within the triangle's
-    diameter of some point of the cloud.  Squared distances come from
-    |c|^2 - 2 c.p + |p|^2, one matrix product per chunk of about 2^20."""
-    cloud_t = cloud.T.copy()
-    sq = np.sum(cloud * cloud, axis=1)
-    step = max(1, (1 << 20) // len(cloud))
-
-    def near(tris):
-        c = tris.mean(axis=1)
-        reach = _diameters_batch(tris) ** 2
-        out = np.empty(len(c), dtype=bool)
-        for i in range(0, len(c), step):
-            cc = c[i:i + step]
-            d2 = np.min(sq - 2.0 * (cc @ cloud_t), axis=1) + \
-                np.sum(cc * cc, axis=1)
-            out[i:i + step] = d2 <= reach[i:i + step]
-        return out
-    return near
-
-
 def basis_census(P: Polytope):
     pts = P.integral_points()
     return len(pts), pts
@@ -125,8 +104,7 @@ class MonomialDensity:
     """
 
     def __init__(self, P: Polytope, gen: Generator, m, s: float, *,
-                 weighted: bool = True, rel_tol: float = None,
-                 max_leaves: int = 60000):
+                 weighted: bool = True, rel_tol: float = None):
         self.polytope = P
         self.generator = gen
         self.m = np.asarray(m, dtype=float)
@@ -134,12 +112,10 @@ class MonomialDensity:
         self.weighted = bool(weighted)
         self.rel_tol = rel_tol if rel_tol is not None else \
             DEFAULT_REL_TOL.get(P.dim, 1e-6)
-        self.max_leaves = max_leaves
         self.psi_m = float(gen.value(self.m))
         self._norm_ready = False
-        self._nodes = None      # 1-D: GL15 nodes of the final panels
-        self._weights = None    # 1-D: rule weight times normalized density
-        self._mesh = None
+        self._nodes = None      # GL15 nodes of the final panels, (N, n)
+        self._weights = None    # rule weight times normalized density
 
     # -- log densities -------------------------------------------------------
 
@@ -154,83 +130,34 @@ class MonomialDensity:
             return -base_log_weight(self.polytope, self.m, X) - gap
         return -gap
 
-    # -- concentration geometry ----------------------------------------------
-
-    def _concentration_cloud(self):
-        """The points of a 96 x 96 grid of P, and m, whose rate gap is
-        within 10 / s of the smallest: the concentration set at scale s."""
-        P = self.polytope
-        lo, hi = P.bbox()
-        g1 = np.linspace(lo[0], hi[0], 96)
-        g2 = np.linspace(lo[1], hi[1], 96)
-        pts = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
-        pts = np.vstack([pts[P.contains(pts, tol=1e-12)], self.m[None, :]])
-        gaps = self.psi_m + ray_rate(self.generator, self.m, pts)
-        tol = max(1e-9, 10.0 / self.s) if self.s > 0 else float(np.max(gaps))
-        return pts[gaps <= np.min(gaps) + tol]
-
-    def _width_hint(self, cloud) -> float:
-        hess = self.generator.hessian(cloud)
-        if hess.ndim == 2:
-            hess = hess[None]
-        curly = float(np.max(np.abs(hess))) if hess.size else 0.0
-        width = 1.0 / math.sqrt(1.0 + self.s * max(curly, 0.0))
-        return width
-
     # -- norms and pairings ----------------------------------------------------
 
     def _ensure_norm(self):
         if self._norm_ready:
             return
-        P = self.polytope
-        if P.dim == 1:
-            lo, hi = P.bbox()
-            seeds = {float(self.m[0])}
-            for nu, a, b in self.generator.support:
-                seeds.update((a, b))
-            log_f = lambda t: self.log_gap_density(np.asarray(t)[..., None])
-            self._log_gap_mass, panels, _ = log_integral_1d(
-                log_f, float(lo[0]), float(hi[0]),
-                rel_tol=self.rel_tol, seeds=sorted(seeds))
-            # the normalized density on the GL15 nodes of both halves of
-            # every final panel, the rule the mass was summed with, once, so
-            # that a pairing is one call of tau and one dot product
-            lo, hi = np.array(panels).T
-            mid = 0.5 * (lo + hi)
-            nodes, weights = panel_nodes(np.concatenate([lo, mid]),
-                                         np.concatenate([mid, hi]))
-            self._nodes = nodes.reshape(-1, 1)
+        ref = float(self.log_gap_density(self.m[None, :])[0])
+
+        def driver(X):
             with np.errstate(over="ignore"):
-                self._weights = weights.ravel() * np.exp(
-                    self.log_gap_density(self._nodes) - self._log_gap_mass)
-        elif P.dim == 2:
-            cloud = self._concentration_cloud()
-            width = self._width_hint(cloud)
-            poly = np.array([[float(c) for c in v] for v in P._sorted_boundary()])
-            mesh = TriangleMesh(poly)
-            ref = float(self.log_gap_density(self.m[None, :])[0])
-            self._ref = ref
+                return np.exp(self.log_gap_density(X) - ref)
 
-            def driver(X):
-                with np.errstate(over="ignore"):
-                    return np.exp(self.log_gap_density(X) - ref)
-
-            target = max(1.5 * width, P.diameter() / 2048.0)
-            mesh.refine(driver, rel_tol=self.rel_tol,
-                        max_leaves=self.max_leaves,
-                        presplit_depth=1, zoom=(_near_points(cloud), target))
-            if mesh.value <= 0:
-                raise QuantizationError("density mass underflowed")
-            if mesh.err_estimate > 50.0 * self.rel_tol * abs(mesh.value):
-                raise QuantizationError(
-                    f"density quadrature did not converge: relative error "
-                    f"estimate {mesh.err_estimate / abs(mesh.value):.2e} at "
-                    f"{len(mesh.tris)} leaves of the {self.max_leaves}-leaf "
-                    f"budget (tolerance {self.rel_tol})")
-            self._log_gap_mass = ref + math.log(mesh.value)
-            self._mesh = mesh
-        else:
-            raise NotImplementedError("densities implemented for dim <= 2")
+        lines = [(nu, c) for nu, lo, hi in self.generator.support
+                 for c in (lo, hi)]
+        res = integrate_polytope(driver, self.polytope, lines=lines,
+                                 point=self.m, rel_tol=self.rel_tol)
+        if res.value <= 0:
+            raise QuantizationError("density mass underflowed")
+        if res.err > 50.0 * self.rel_tol * res.value:
+            raise QuantizationError(
+                f"density quadrature did not converge: relative error "
+                f"estimate {res.err / res.value:.2e} at {res.panels} panels, "
+                f"with a budget of {res.budget} panels per integral "
+                f"(tolerance {self.rel_tol})")
+        self._log_gap_mass = ref + math.log(res.value)
+        # the normalized density on the nodes the mass was summed on, so
+        # that a pairing is one call of tau and one dot product
+        self._nodes = res.nodes
+        self._weights = res.weights * res.values / res.value
         self._norm_ready = True
 
     def log_mass(self) -> float:
@@ -250,10 +177,7 @@ class MonomialDensity:
     def pair(self, tau) -> float:
         """Integral of the normalized density against tau."""
         self._ensure_norm()
-        if self.polytope.dim == 1:
-            return float(np.sum(self._weights * tau(self._nodes)))
-        mesh = self._mesh
-        return mesh.pair_against_driver(tau) * math.exp(self._ref - self._log_gap_mass)
+        return float(np.sum(self._weights * tau(self._nodes)))
 
     def pair_absolute(self, tau) -> float:
         """Integral of the gap density (= gCST scalar density) against tau."""

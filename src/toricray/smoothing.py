@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .generators import Generator, PLConvex
+from .generators import Generator, PLConvex, SupportSlabs
 from .kernels import Kernel, get_kernel
 from .polytope import FaceFrame, Polytope
 from .quadrature import GL15_NODES, GL15_WEIGHTS
@@ -283,24 +283,25 @@ def _generic_direction(kinks, dim):
 # the smoothing generator
 # ---------------------------------------------------------------------------
 
-class _ThickeningSupport:
-    """Support region of Hess psi_eps: the closed thickening of W."""
+class _ThickeningSupport(SupportSlabs):
+    """Support region of Hess psi_eps: the closed thickening of W.
 
-    slabs = ()
+    Its slabs are (row, c - eps, c + eps) for each transverse row of each
+    face's frame, once each: W_eps lies in their union, and their ends are
+    the lines where psi_eps may stop being analytic.
+    """
 
     def __init__(self, decomp: Decomposition, eps: float):
+        super().__init__({
+            (row, c): (row, c - eps, c + eps) for F in decomp.faces
+            for row, c in zip(F.frame.matrix[F.frame.n_parallel:],
+                              F.frame.offsets_np)}.values())
         self.decomp = decomp
         self.eps = eps
 
     def contains(self, x):
         inside = thickening_mask(self.decomp, self.eps, x)
         return bool(inside) if inside.ndim == 0 else inside
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self):
-        return 0
 
 
 class _StrictTerm:

@@ -126,6 +126,11 @@ def test_region_and_chord_means():
     unit = cp2(1)
     got = region_mean(unit, lambda X: X[..., 1], weight=lambda X: X[..., 0])
     assert got == pytest.approx(0.25, abs=1e-9)
+    # on CP^2(3), int x1^a x2^b = 3^(a+b+2) a! b! / (a+b+2)!, so the mean
+    # of x1^2 under the weight x1 x2 is (3^6 3! / 6!) / (3^4 / 4!) = 9/5
+    got = region_mean(cp2(), lambda X: X[..., 0] ** 2,
+                      weight=lambda X: X[..., 0] * X[..., 1], rel_tol=1e-12)
+    assert got == pytest.approx(1.8, abs=1e-12)
     P = cp2()
     fr = face_frame(P, [[1, 0]], [1])
     # chord {x1 = 1}: x2 ranges over [0, 2]

@@ -1,28 +1,29 @@
 """The quadrature engines against test-local references.
 
 1-D: the level-by-level panel engine against the heap refinement it
-replaced, closed forms and its panel budget.  2-D: the batched zoom
-pre-split of TriangleMesh.refine against the scalar walk.
+replaced, closed forms and its panel budget.  2-D: the iterated panels of
+``integrate_polytope`` against exact polynomial integrals, an erf product,
+and TriangleMesh, which stays as an independent reference.
 """
 
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 from scipy.special import erf
-from scipy.spatial import cKDTree
 
 from toricray import quadrature, scenarios
 from toricray.generators import Generator, build_bump_generator
 from toricray.limits import battery_for
 from toricray.polytope import make_polytope
 from toricray.quadrature import (GL15_NODES, GL15_WEIGHTS, QuadratureError,
-                                 TriangleMesh, _diameters_batch,
-                                 _split4_batch, adaptive_panels,
-                                 integrate_on_panels, log_integral_1d)
-from toricray.quantization import MonomialDensity, _near_points
+                                 TriangleMesh, adaptive_panels,
+                                 integrate_on_panels, integrate_polytope,
+                                 log_integral_1d)
+from toricray.quantization import MonomialDensity
 
 POLYGONS = {
     "simplex": np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]),
@@ -30,154 +31,6 @@ POLYGONS = {
     "hexagon": np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [2.0, 2.0],
                          [1.0, 2.0], [0.0, 1.0]]),
 }
-
-
-def reference_presplit(work, predicate, target, max_leaves):
-    """The scalar depth-first pre-split: one predicate call per triangle.
-
-    Returns the leaves and the target the walk ended at.
-    """
-    budget = max(len(work) + 16, max_leaves // 3)
-    while True:
-        out = []
-        stack = list(work)
-        over = False
-        while stack:
-            tri = stack.pop()
-            diam = max(np.linalg.norm(tri[0] - tri[1]),
-                       np.linalg.norm(tri[1] - tri[2]),
-                       np.linalg.norm(tri[2] - tri[0]))
-            if diam > target and predicate(tri):
-                stack.extend(_split4_batch(tri[None]))
-                if len(out) + len(stack) > budget:
-                    over = True
-                    break
-            else:
-                out.append(tri)
-        if not over:
-            return np.array(out), target
-        target *= 2.0
-
-
-def _disc(center, radius):
-    center = np.asarray(center, dtype=float)
-
-    def pred(tris):
-        # the triangle may meet the disc
-        d = tris.mean(axis=1) - center
-        return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) < \
-            radius + _diameters_batch(tris)
-    return pred
-
-
-def _cloud():
-    # a wall x = 1 plus scattered points, as the density zoom sees it
-    rng = np.random.default_rng(3)
-    wall = np.stack([np.ones(40), np.linspace(0.0, 2.0, 40)], axis=1)
-    return np.vstack([wall, rng.uniform(0.0, 2.0, size=(15, 2))])
-
-
-def _near_cloud_pair():
-    tree = cKDTree(_cloud())
-
-    def scalar(tri):
-        c = tri.mean(axis=0)
-        diam = max(np.linalg.norm(tri[0] - tri[1]),
-                   np.linalg.norm(tri[1] - tri[2]),
-                   np.linalg.norm(tri[2] - tri[0]))
-        d, _ = tree.query(c)
-        return d <= diam
-
-    def batch(tris):
-        d, _ = tree.query(tris.mean(axis=1))
-        return d <= _diameters_batch(tris)
-    return scalar, batch
-
-
-def _predicates():
-    disc = _disc([0.7, 0.9], 0.3)
-    near_scalar, near_batch = _near_cloud_pair()
-    return {
-        "all": (lambda tri: True, lambda tris: np.ones(len(tris), bool)),
-        "none": (lambda tri: False, lambda tris: np.zeros(len(tris), bool)),
-        "disc": (lambda tri: bool(disc(tri[None])[0]), disc),
-        "near_cloud": (near_scalar, near_batch),
-    }
-
-
-def _roots(polygon, depth):
-    work = TriangleMesh(polygon)._initial
-    for _ in range(depth):
-        work = _split4_batch(work)
-    return work
-
-
-def _zoomed_mesh(polygon, batch, target, max_leaves, depth):
-    """Pre-split only: a constant driver and rel_tol 1 stop refinement."""
-    calls = []
-
-    def recording(tris):
-        calls.append(tris.copy())
-        return batch(tris)
-    mesh = TriangleMesh(polygon)
-    mesh.refine(lambda X: np.ones(len(X)), rel_tol=1.0,
-                max_leaves=max_leaves, presplit_depth=depth,
-                zoom=(recording, target))
-    return mesh, calls
-
-
-def _check_targets(calls, roots, target):
-    """Each pass starts with a call on roots; pass j runs at target * 2**j."""
-    root_set = {tri.tobytes() for tri in roots}
-    passes = -1
-    for tris in calls:
-        if all(tri.tobytes() in root_set for tri in tris):
-            passes += 1
-        assert len(tris) > 0
-        assert np.all(_diameters_batch(tris) > target * 2.0 ** passes)
-    return passes + 1
-
-
-@pytest.mark.parametrize("depth", [0, 1, 2])
-@pytest.mark.parametrize("name", ["all", "none", "disc", "near_cloud"])
-@pytest.mark.parametrize("poly", sorted(POLYGONS))
-def test_batched_presplit_matches_scalar_walk(poly, name, depth):
-    polygon = POLYGONS[poly]
-    scalar, batch = _predicates()[name]
-    target = 0.15
-    roots = _roots(polygon, depth)
-    want, final = reference_presplit(roots, scalar, target, 60000)
-    assert final == target
-    mesh, calls = _zoomed_mesh(polygon, batch, target, 60000, depth)
-    assert mesh.tris.tobytes() == want.tobytes()
-    assert mesh.presplit_leaves == len(want) and mesh.rounds == 0
-    assert _check_targets(calls, roots, target) == 1
-
-
-@pytest.mark.parametrize("name", ["all", "disc", "near_cloud"])
-def test_batched_presplit_matches_under_target_doubling(name):
-    polygon = POLYGONS["square"]
-    scalar, batch = _predicates()[name]
-    target, max_leaves = 0.02, 900
-    roots = _roots(polygon, 1)
-    want, final = reference_presplit(roots, scalar, target, max_leaves)
-    assert final >= 4.0 * target
-    mesh, calls = _zoomed_mesh(polygon, batch, target, max_leaves, 1)
-    assert mesh.tris.tobytes() == want.tobytes()
-    assert len(want) <= max_leaves // 3
-    assert _check_targets(calls, roots, target) >= 3
-
-
-@pytest.mark.parametrize("max_leaves, leaves", [(3072, 1024), (3071, 256)])
-def test_presplit_budget_boundary(max_leaves, leaves):
-    # four fan pieces of diameter 2 split four times to reach 0.15: exactly
-    # 1024 leaves, within a budget of 3072 // 3 but not of 3071 // 3
-    polygon = POLYGONS["square"]
-    scalar, batch = _predicates()["all"]
-    want, _ = reference_presplit(_roots(polygon, 0), scalar, 0.15, max_leaves)
-    assert len(want) == leaves
-    mesh, _ = _zoomed_mesh(polygon, batch, 0.15, max_leaves, 0)
-    assert mesh.tris.tobytes() == want.tobytes()
 
 
 def test_refine_records_presplit_leaves_and_rounds():
@@ -189,15 +42,6 @@ def test_refine_records_presplit_leaves_and_rounds():
     assert mesh.rounds >= 2
     # each round splits at least one leaf in four
     assert len(mesh.tris) >= mesh.presplit_leaves + 3 * mesh.rounds
-
-
-def test_diameters_batch_matches_edge_norms():
-    rng = np.random.default_rng(11)
-    tris = rng.standard_normal((2000, 3, 2)) * \
-        rng.uniform(1e-6, 10.0, size=(2000, 1, 1))
-    want = [max(np.linalg.norm(t[0] - t[1]), np.linalg.norm(t[1] - t[2]),
-                np.linalg.norm(t[2] - t[0])) for t in tris]
-    assert _diameters_batch(tris).tobytes() == np.array(want).tobytes()
 
 
 def test_fan_drops_degenerate_triangles():
@@ -279,21 +123,28 @@ def _density_cases():
 
 
 @pytest.mark.parametrize("case", _density_cases(), ids=lambda c: c[0])
-def test_panels_agree_with_heap_reference(case, monkeypatch):
+def test_panels_agree_with_heap_reference(case):
     _, P, gen, m, s, weighted = case
     md = MonomialDensity(P, gen, m, s, weighted=weighted)
-    with monkeypatch.context() as mp:
-        mp.setattr(quadrature, "adaptive_panels", reference_panels)
-        ref = MonomialDensity(P, gen, m, s, weighted=weighted)
-        ref_mass = ref.log_mass()
+    # the heap refinement of the same driver, seeded at m and the slab ends
+    ref = float(md.log_gap_density(np.array([m], dtype=float))[0])
+    driver = lambda t: np.exp(md.log_gap_density(np.asarray(t)[..., None])
+                              - ref)
+    seeds = [float(m[0])] + [c for _, lo, hi in gen.support for c in (lo, hi)]
+    value, panels = reference_panels(driver, 0.0, float(P.bbox()[1][0]),
+                                     rel_tol=md.rel_tol, seeds=seeds)
+    ref_mass = ref + math.log(value) + s * md.psi_m
     # the masses (hence the normalized densities) agree within rel_tol
     assert abs(md.log_mass() - ref_mass) <= md.rel_tol
-    xs = np.linspace(0.0, float(P.bbox()[1][0]), 41)[:, None]
-    assert np.allclose(md.normalized(xs), ref.normalized(xs),
-                       rtol=md.rel_tol, atol=0.0)
-    # pairings run the GL15 rule on each engine's final panels
+    # pairings run GL15 on both halves of each engine's final panels
+    lo, hi = np.array(panels).T
+    mid = 0.5 * (lo + hi)
+    halves = np.column_stack([np.concatenate([lo, mid]),
+                              np.concatenate([mid, hi])])
     for tau in battery_for(P):
-        assert md.pair(tau) == pytest.approx(ref.pair(tau), abs=1e-9)
+        want = integrate_on_panels(
+            lambda t: driver(t) * tau(np.asarray(t)[..., None]), halves)
+        assert md.pair(tau) == pytest.approx(want / value, abs=1e-9)
     if s == 0.0:
         N = float(P.bbox()[1][0])
         n = m[0]
@@ -396,18 +247,20 @@ class _CountingGenerator(Generator):
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_pair_reevaluates_no_generator(weighted):
-    sc = scenarios.segment("smooth")
-    gen = _CountingGenerator(sc.generator)
-    md = MonomialDensity(sc.polytope, gen, [1], 512.0, weighted=weighted)
-    md.log_mass()
-    before = gen.jet_calls
-    battery = battery_for(sc.polytope)
-    pairs = {tau.name: md.pair(tau) for tau in battery}
-    assert gen.jet_calls == before
-    assert abs(pairs["one"] - 1.0) <= md.rel_tol
-    # a test function may return a scalar, as with the 2-D mesh
-    assert md.pair(lambda X: 2.0) == pytest.approx(2.0 * pairs["one"],
-                                                   rel=1e-15)
+    # in 1-D and 2-D alike, pairings reuse the nodes the norm was summed on
+    for sc, m in ((scenarios.segment("smooth"), [1]),
+                  (scenarios.cp2_wall_sum("cosine"), [1, 1])):
+        gen = _CountingGenerator(sc.generator)
+        md = MonomialDensity(sc.polytope, gen, m, 512.0, weighted=weighted)
+        md.log_mass()
+        before = gen.jet_calls
+        battery = battery_for(sc.polytope)
+        pairs = {tau.name: md.pair(tau) for tau in battery}
+        assert gen.jet_calls == before
+        assert abs(pairs["one"] - 1.0) <= md.rel_tol
+        # a test function may return a scalar
+        assert md.pair(lambda X: 2.0) == pytest.approx(2.0 * pairs["one"],
+                                                       rel=1e-15)
 
 
 def test_refine_never_exceeds_max_leaves():
@@ -421,21 +274,6 @@ def test_refine_never_exceeds_max_leaves():
         mesh.refine(driver, rel_tol=1e-6, max_leaves=budget, presplit_depth=1)
         assert len(mesh.tris) <= budget
     assert mesh.tris.tobytes() == natural.tris.tobytes()
-
-
-def test_near_points_matches_kd_tree():
-    rng = np.random.default_rng(17)
-    cloud = _cloud()
-    tree = cKDTree(cloud)
-    near = _near_points(cloud)
-    for n in (1, 7, 5000, 40000):
-        centers = rng.uniform(-0.5, 2.5, size=(n, 1, 2))
-        tris = centers + rng.uniform(-0.05, 0.05, size=(n, 3, 2)) * \
-            rng.uniform(0.01, 10.0, size=(n, 1, 1))
-        d, _ = tree.query(tris.mean(axis=1))
-        want = d <= _diameters_batch(tris)
-        assert np.array_equal(near(tris), want)
-        assert 0 < np.count_nonzero(want) < n or n < 10
 
 
 def test_log_integral_needs_a_finite_seed():
@@ -484,3 +322,167 @@ def test_pairing_unit_mass_to_rounding(kernel):
                 md = MonomialDensity(sc.polytope, sc.generator, [m], s,
                                      weighted=weighted)
                 assert abs(md.pair(one) - 1.0) <= 1e-13
+
+
+def test_norm_makes_no_jet_call_after_last_level(monkeypatch):
+    # the norm keeps the driver values of the final panels from the engine
+    # instead of evaluating the density on them again
+    seen = []
+    engine = quadrature.refine_groups
+
+    def recording(f, *args, **kwargs):
+        def level(x, g):
+            out = f(x, g)
+            seen.append(gen.jet_calls)
+            return out
+        return engine(level, *args, **kwargs)
+    cases = ((scenarios.segment("smooth"), [1]),
+             (scenarios.cp2_wall_sum("cosine"), [1, 1]))
+    monkeypatch.setattr(quadrature, "refine_groups", recording)
+    for sc, m in cases:
+        for s in (32.0, 4096.0):
+            for weighted in (False, True):
+                gen = _CountingGenerator(sc.generator)
+                md = MonomialDensity(sc.polytope, gen, m, s,
+                                     weighted=weighted)
+                md.log_mass()
+                assert gen.jet_calls == seen[-1]
+
+
+def test_groups_refine_independently():
+    # a grouped call makes the same panels as one call per group
+    fs = [lambda x: np.exp(-1e4 * (x - 0.3) ** 2),
+          lambda x: np.abs(x - 1.1) ** 1.5,
+          lambda x: np.cos(3.0 * x)]
+    bounds = [(0.0, 1.0), (0.5, 2.0), (-1.0, 1.0)]
+    calls = []
+
+    def grouped(x, g):
+        calls.append(len(x))
+        out = np.empty_like(x)
+        for k, f in enumerate(fs):
+            out[g == k] = f(x[g == k])
+        return out
+    lo, hi = np.array(bounds).T
+    res = quadrature.refine_groups(grouped, lo, hi, np.arange(3), 3,
+                                   rel_tol=1e-11)
+    levels = 0
+    for k, (f, (a, b)) in enumerate(zip(fs, bounds)):
+        value, panels = adaptive_panels(f, a, b, rel_tol=1e-11)
+        mine = res.group == k
+        assert sorted(zip(res.lo[mine], res.hi[mine])) == panels
+        assert res.total[k] == pytest.approx(value, rel=1e-14)
+        levels = max(levels, int(round(np.log2((b - a) / np.min(
+            res.hi[mine] - res.lo[mine])))))
+        # the nodes, weights and values are the rule each total sums
+        assert np.sum(res.weights[mine] * res.values[mine]) == \
+            pytest.approx(value, rel=1e-14)
+        assert np.array_equal(res.values[mine], f(res.nodes[mine]))
+    assert len(calls) == levels + 1
+
+
+POLYTOPES = {
+    "simplex": make_polytope([[1, 0], [0, 1], [-1, -1]], [0, 0, -3]),
+    "square": make_polytope([[1, 0], [0, 1], [-1, 0], [0, -1]],
+                            [0, 0, -2, -2]),
+    "hexagon": make_polytope([[0, 1], [0, -1], [1, 1], [-1, 1], [-1, -1],
+                              [1, -1]], [0, -2, 1, -2, -4, -1],
+                             require_delzant=False),
+}
+
+
+def _monomial_integral(vertices, a, b):
+    """Exact integral of x^a y^b over a counterclockwise polygon (Green)."""
+    total = Fraction(0)
+    ring = [tuple(Fraction(c) for c in v) for v in vertices]
+    for (x0, y0), (x1, y1) in zip(ring, ring[1:] + ring[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        for i in range(a + 2):
+            for j in range(b + 1):
+                total += (math.comb(a + 1, i) * x0 ** (a + 1 - i) * dx ** i
+                          * math.comb(b, j) * y0 ** (b - j) * dy ** j
+                          * dy / (i + j + 1))
+    return total / (a + 1)
+
+
+@pytest.mark.parametrize("poly", sorted(POLYTOPES))
+def test_polytope_panels_exact_on_polynomials(poly):
+    P = POLYTOPES[poly]
+    vertices = POLYGONS[poly]
+    assert {tuple(v) for v in P.vertices_np} == {tuple(v) for v in vertices}
+    for deg in range(11):
+        for a in range(deg + 1):
+            b = deg - a
+            res = integrate_polytope(lambda X: X[:, 0] ** a * X[:, 1] ** b,
+                                     P, rel_tol=1e-12)
+            exact = float(_monomial_integral(vertices, a, b))
+            assert abs(res.value - exact) <= 1e-13 * exact
+            assert res.err <= 1e-12 * exact
+
+
+def test_polytope_panels_separable_gaussian_against_erf():
+    s, c = 1e3, np.array([0.7, 1.3])
+    res = integrate_polytope(
+        lambda X: np.exp(-s * np.sum((X - c) ** 2, axis=-1)),
+        POLYTOPES["square"], point=c, rel_tol=1e-10)
+    r = math.sqrt(s)
+    exact = math.prod(0.5 * math.sqrt(math.pi / s)
+                      * (erf(r * (2.0 - ci)) + erf(r * ci)) for ci in c)
+    assert abs(res.value / exact - 1.0) <= 1e-10
+    assert res.err <= 1e-10 * exact
+    assert np.sum(res.weights * res.values) == pytest.approx(res.value,
+                                                             rel=1e-14)
+
+
+def test_wall_sum_density_against_triangle_mesh():
+    # s = 32 against plain meshes, which know nothing of where the mass is.
+    # A mesh's four-child indicator misses the C^3 slab ends of the cosine
+    # kernel: refined on the driver to rel_tol 1e-9 to 1e-11 it settles
+    # 7.9e-8 below the log mass that nested adaptive scipy quadrature gives
+    # to 1e-15, and refined on the driver alone it leaves the bump's flat
+    # edge 6e-6 off, so the bump gets a mesh refined on driver * bump.
+    sc = scenarios.cp2_wall_sum("cosine")
+    md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 32.0,
+                         weighted=False)
+    ref = float(md.log_gap_density(md.m[None, :])[0])
+    driver = lambda X: np.exp(md.log_gap_density(X) - ref)
+    mesh = TriangleMesh(sc.polytope.vertices_np)
+    mesh.refine(driver, rel_tol=1e-9)
+    assert md.log_mass() == pytest.approx(
+        ref + math.log(mesh.value) + md.s * md.psi_m, abs=1e-7)
+    for tau in battery_for(sc.polytope):
+        if tau.name == "bump":
+            paired = TriangleMesh(sc.polytope.vertices_np)
+            paired.refine(lambda X: driver(X) * tau(X), rel_tol=1e-9)
+            want = paired.value / mesh.value
+        else:
+            want = mesh.pair_against_driver(tau) / mesh.value
+        assert md.pair(tau) == pytest.approx(want, abs=1e-7)
+
+
+# recorded from the zoomed triangle mesh (rel_tol 1e-6), as in the
+# benchmark's cp2-wall workload
+WALL_SUM_RECORDED = {
+    512: {"log_mass": 24.47868182632851,
+          "x1": 1.000000000197548, "x2": 1.000000000197548,
+          "x1x1": 1.0004278192354035, "x1x2": 0.9999999962100229,
+          "x2x2": 1.0004278192354035, "cos_x1": 0.7380579320256416,
+          "cos_x2": 0.738057932025642, "bump": 0.3677217941864878},
+    8192: {"log_mass": 478.4105401375036,
+           "x1": 1.0000000000032057, "x2": 1.0000000000027394,
+           "x1x1": 1.000024525437408, "x1x2": 1.0000000000059182,
+           "x2x2": 1.0000245254364715, "cos_x1": 0.7381395219945805,
+           "cos_x2": 0.7381395219948143, "bump": 0.3678704185478011},
+}
+
+
+@pytest.mark.parametrize("s", sorted(WALL_SUM_RECORDED))
+def test_wall_sum_density_recorded_values(s):
+    sc = scenarios.cp2_wall_sum("cosine")
+    md = MonomialDensity(sc.polytope, sc.generator, [1, 1], float(s),
+                         weighted=False)
+    rec = WALL_SUM_RECORDED[s]
+    assert md.log_mass() == pytest.approx(rec["log_mass"], abs=1e-6)
+    for tau in battery_for(sc.polytope):
+        want = 1.0 if tau.name == "one" else rec[tau.name]
+        assert md.pair(tau) == pytest.approx(want, abs=1e-6)

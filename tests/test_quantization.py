@@ -1,11 +1,13 @@
 """Monomial densities, norms, and transform coefficients."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+from toricray import quadrature, quantization
 from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.polytope import make_polytope
 from toricray.scenarios import cp2_wall_sum
@@ -206,12 +208,17 @@ def test_log_gap_density_makes_one_jet_call():
         assert np.array_equal(got, want)
 
 
-def test_nonconvergence_reports_leaf_count():
+def test_nonconvergence_reports_panel_count(monkeypatch):
+    # eight panels per integral cannot resolve the s = 8192 peak (ten do);
+    # MonomialDensity judges the engine's own error estimate
     sc = cp2_wall_sum("cosine")
-    md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 512.0,
-                         weighted=False, max_leaves=200)
+    monkeypatch.setattr(quantization, "integrate_polytope", functools.partial(
+        quadrature.integrate_polytope, max_panels=8))
+    md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 8192.0,
+                         weighted=False)
     with pytest.raises(QuantizationError,
-                       match=r"at \d+ leaves of the 200-leaf budget"):
+                       match=r"at \d+ panels, with a budget of 8 panels "
+                             r"per integral"):
         md.log_mass()
 
 

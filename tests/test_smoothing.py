@@ -7,7 +7,8 @@ from toricray.generators import PLConvex
 from toricray.polytope import make_polytope
 from toricray.smoothing import (SmoothingError, build_nice_smoothing,
                                 default_check_samples, verify_nice_family)
-from toricray.testconfig import decompose, thickening_membership
+from toricray.testconfig import (decompose, thickening_mask,
+                                 thickening_membership)
 
 
 def cp2(N=3):
@@ -420,3 +421,27 @@ def test_eps_guard_for_disjoint_walls():
         build_nice_smoothing(f, P, dec, 0.3)
     gen = build_nice_smoothing(f, P, dec, 0.1)
     assert gen.value(np.array([0.5, 0.5])) == f.value(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("setup", [wall_setup, corner_setup])
+def test_thickening_lies_in_listed_slabs(setup):
+    # the support lists one slab per transverse frame row of each face, and
+    # the thickening W_eps lies in their union
+    P, f, dec = setup()
+    gen = build_nice_smoothing(f, P, dec, 0.1)
+    slabs = list(gen.support)
+    rows = {tuple(F.frame.matrix[F.frame.n_parallel:][k])
+            for F in dec.faces for k in range(F.codim)}
+    assert len(slabs) == len(gen.support) >= len(rows)
+    assert {tuple(int(c) for c in nu) for nu, _, _ in slabs} == rows
+    for nu, lo, hi in slabs:
+        assert hi - lo == pytest.approx(0.2, abs=1e-15)
+    g = np.linspace(-0.1, 3.1, 121)
+    X = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    inside = thickening_mask(dec, 0.1, X)
+    assert 0 < inside.sum() < len(X)
+    covered = np.zeros(len(X), dtype=bool)
+    for nu, lo, hi in slabs:
+        covered |= (X @ nu > lo) & (X @ nu < hi)
+    assert np.all(covered[inside])
+    assert np.array_equal(gen.support.contains(X), inside)
