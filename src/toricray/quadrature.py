@@ -30,7 +30,10 @@ errors.
 
 TriangleMesh, an adaptive degree-5 triangle mesh over a convex polygon, is
 an independent 2-D reference for the panels; each leaf stores a one-level
-and a four-child rule value, whose difference drives refinement.
+and a four-child rule value, whose difference drives refinement.  Its
+optional zoom pre-split splits the triangles a caller's predicate selects
+down to a target diameter before refinement starts; nothing in the package
+calls it.
 """
 
 from __future__ import annotations
@@ -384,6 +387,53 @@ def _areas_batch(tris):
     return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def _diameters_batch(tris):
+    """(B, 3, 2) -> (B,) longest edge lengths.
+
+    Each edge length is the square root of its dot product with itself,
+    which gives the same floats as ``np.linalg.norm`` of that edge.
+    """
+    edges = tris - tris[:, [1, 2, 0]]
+    sq = (edges[..., None, :] @ edges[..., :, None])[..., 0, 0]
+    return np.sqrt(sq).max(axis=1)
+
+
+def _zoom_pass(work, predicate, target, budget):
+    """One zoom pre-split at a fixed target, or None if it exceeds budget.
+
+    Splits, level by level, every triangle whose diameter exceeds target
+    and for which the predicate holds.  Each split adds three leaves, so
+    the leaf count only grows and the pass stops at the first level past
+    the budget.  Leaves come back in the order of a depth-first walk that
+    pops the last root and the last child first: descending in (root
+    index, child digits).
+    """
+    front = work
+    keys = np.arange(len(work))[:, None]  # root index, then child digits
+    count = len(work)
+    leaves, leaf_keys = [], []
+    while len(front):
+        split = _diameters_batch(front) > target
+        big = np.flatnonzero(split)
+        if big.size:
+            split[big] = predicate(front[big])
+        n_split = int(np.count_nonzero(split))
+        count += 3 * n_split
+        if count > budget:
+            return None
+        leaves.append(front[~split])
+        leaf_keys.append(keys[~split])
+        front = _split4_batch(front[split])
+        keys = np.hstack([np.repeat(keys[split], 4, axis=0),
+                          np.tile(np.arange(4), n_split)[:, None]])
+    # no leaf path is a prefix of another, so zero padding never decides
+    depth = leaf_keys[-1].shape[1]
+    keys = np.vstack([np.pad(k, ((0, 0), (0, depth - k.shape[1])))
+                      for k in leaf_keys])
+    order = np.lexsort(keys.T[::-1])[::-1]
+    return np.concatenate(leaves)[order]
+
+
 class TriangleMesh:
     """Adaptive triangle mesh over a convex polygon, reusable for pairings.
 
@@ -423,12 +473,23 @@ class TriangleMesh:
             np.tile(_T_W, 4)[None, :]
         return fine_nodes, fine_vals, fine_weights, fine, np.abs(fine - coarse)
 
-    def refine(self, f, *, rel_tol=1e-6, max_leaves=30000, presplit_depth=0):
+    def refine(self, f, *, rel_tol=1e-6, max_leaves=30000,
+               presplit_depth=0, zoom=None):
         """Adapt the mesh to the driver f (values at (k, 2) arrays).
 
-        The fan is split ``presplit_depth`` times before refinement.  Each
-        error-driven round splits at most (max_leaves - L) // 3 of the L
-        leaves, largest errors first, so refinement never takes the mesh
+        The fan is split ``presplit_depth`` times before refinement.
+        ``zoom`` is an optional (predicate, target_size) pair: triangles for
+        which the predicate holds are then pre-split until their diameter
+        drops below target_size.  The predicate takes a (B, 3, 2) batch of
+        triangles, all of diameter above the current target, and returns a
+        bool (B,) array; it is called once per split level.  While the
+        pre-split would end with more than max(n + 16, max_leaves // 3)
+        leaves, n the leaves before it, the target is doubled and the
+        pre-split redone.  Pre-split leaves are ordered as a depth-first
+        walk of a stack that pops the last root and the last child first.
+
+        Each error-driven round splits at most (max_leaves - L) // 3 of the
+        L leaves, largest errors first, so refinement never takes the mesh
         past max_leaves.
 
         Records ``presplit_leaves`` (leaves entering refinement) and
@@ -437,6 +498,15 @@ class TriangleMesh:
         work = self._initial
         for _ in range(presplit_depth):
             work = _split4_batch(work)
+        if zoom is not None:
+            predicate, target = zoom
+            budget = max(len(work) + 16, max_leaves // 3)
+            while True:
+                zoomed = _zoom_pass(work, predicate, target, budget)
+                if zoomed is not None:
+                    break
+                target *= 2.0
+            work = zoomed
         self.presplit_leaves = len(work)
         self.rounds = 0
 
