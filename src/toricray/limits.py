@@ -98,10 +98,13 @@ def region_mean(region: Polytope, tau, *, weight=None, rel_tol=1e-10) -> float:
     """Mean of tau over the region, optionally weighted by a density."""
     def integral(f):
         res = integrate_polytope(f, region, rel_tol=rel_tol)
-        if res.err > 100.0 * rel_tol * abs(res.value) + 1e-300:
+        # relative to the integral of |f|, which stays positive where the
+        # integral of f cancels to zero
+        scale = float(res.weights @ np.abs(res.values))
+        if res.err > 100.0 * rel_tol * scale + 1e-300:
             raise QuadratureError(
                 f"region integral missed its tolerance {rel_tol}: relative "
-                f"error {res.err / max(abs(res.value), 1e-300):.2e}")
+                f"error {res.err / max(scale, 1e-300):.2e}")
         return res.value
     if weight is None:
         return integral(tau) / float(region.volume_exact())

@@ -5,16 +5,19 @@ bisection, for many independent integrals ("groups") at once.  Panels live
 in flat arrays, and each level measures the new panels of every group with
 one call of the integrand: a panel's error is the difference between its
 GL15 value and the sum of the GL15 values of its two halves, and a split
-panel's halves become its children's coarse values.  Each round splits, in
-every group whose summed error exceeds rel_tol * |total| + abs_floor, each
-panel whose error exceeds max(rel_tol * |total| / n_panels, 1e-18 * |total|
-+ abs_floor) and which is at least 1e-15 wide.  Each split adds one panel,
-so a round splits at most the group's remaining ``max_panels`` budget,
-largest errors first, and no group exceeds its budget.  The engine returns
-the nodes, weights and integrand values of both GL15 halves of every final
-panel, the rule its totals are summed with, so callers reuse them instead
-of evaluating the integrand again.  ``adaptive_panels`` is the one-group
-form.
+panel's halves become its children's coarse values.  A group's scale is the
+GL15 integral of |f| (or of magnitudes the integrand supplies), which is
+|total| for a one-signed integrand and stays positive where the total
+cancels to zero.  Each round splits, in every group whose summed error
+exceeds rel_tol * scale + abs_floor, each panel whose error exceeds
+max(rel_tol * scale / n_panels, 1e-18 * scale + abs_floor) and which is at
+least 1e-15 wide.  Each split adds one panel, so a round splits at most the
+group's remaining budget of ``max_panels`` (``MAX_PANELS`` by default),
+largest errors first, and no group exceeds its budget.  A single group sums
+with math.fsum, several with one bincount.  The engine returns the nodes,
+weights and integrand values of both GL15 halves of every final panel, the
+rule its totals are summed with, so callers reuse them instead of
+evaluating the integrand again.  ``adaptive_panels`` is the one-group form.
 
 Polytopes: ``integrate_polytope`` cuts the panels at exact breakpoints: the
 facets of P, the caller's hyperplanes (the ends of a generator's support
@@ -24,16 +27,15 @@ where it concentrates.  In 2-D the integral is iterated.  The outer
 variable is x1, cut at the x1 of every pairwise intersection inside P of
 the breakpoint lines; the inner integrals run over the chords [x2_lo(x1),
 x2_hi(x1)] of P, each cut where a breakpoint line crosses it, and each
-outer level solves all of its chords in one grouped call.  The error
-estimate is the outer error plus the outer-weighted sum of the chord
-errors.
+outer level solves all of its chords in one grouped call, whose integrals
+of |f| are the outer magnitudes.  The error estimate is the outer error
+plus the outer-weighted sum of the chord errors.  Each integral has a
+budget of ``MAX_PANELS`` panels.
 
 TriangleMesh, an adaptive degree-5 triangle mesh over a convex polygon, is
 an independent 2-D reference for the panels; each leaf stores a one-level
-and a four-child rule value, whose difference drives refinement.  Its
-optional zoom pre-split splits the triangles a caller's predicate selects
-down to a target diameter before refinement starts; nothing in the package
-calls it.
+and a four-child rule value, whose difference drives refinement.  Nothing
+in the package calls it.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
     "log_integral_1d", "refine_groups", "integrate_polytope", "Panels",
     "NodeSet", "TriangleMesh", "polygon_mesh", "QuadratureError",
+    "MAX_PANELS",
 ]
+
+# the panel budget of one integral
+MAX_PANELS = 20000
 
 
 class QuadratureError(RuntimeError):
@@ -106,96 +112,105 @@ def _cut(lo, hi, cuts):
 
 
 def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
-                  max_panels: int = 20000, abs_floor: float = 1e-300):
+                  max_panels: int = MAX_PANELS, abs_floor: float = 1e-300):
     """Refine the panels [lo_i, hi_i] of ``n_groups`` independent integrals.
 
-    ``f(x, g)`` maps 1-D points and the group of each to values and is
-    called once per level.  Group g is refined until its summed error is at
-    most rel_tol * |total_g| + abs_floor, or it has nothing left to split
-    within its budget of ``max_panels`` panels.  Returns ``Panels``.
+    ``f(x, g)`` maps 1-D points and the group of each to values, or to a
+    pair (values, magnitudes), and is called once per level.  Group g is
+    refined until its summed error is at most rel_tol * scale_g + abs_floor,
+    or it has nothing left to split within its budget of ``max_panels``
+    panels.  scale_g is the integral of the magnitudes, |values| unless f
+    gives them, so it stays positive where the integral of f cancels to
+    zero.  Returns ``Panels``.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    group = np.array(group, dtype=np.intp)
     outs = []
 
-    def measure(a, b, g):
-        """GL15 values of f on the panels [a_i, b_i], and the position of
-        each panel's first node among all the points f was called on."""
-        nodes, _ = panel_nodes(a, b)
-        first = sum(map(len, outs)) + 15 * np.arange(len(a))
-        vals = np.asarray(f(nodes.ravel(), g.repeat(15)), dtype=float)
+    def measure(a, b, g, coarse):
+        """Rows of the panels [a_i, b_i] from one call of f on their halves,
+        and on the panels themselves where ``coarse`` is None: lo, hi,
+        group, the GL15 values of both halves, the GL15 value of the
+        magnitudes on them, the error against the coarse value and the
+        position of each half's first node among all the points f was
+        called on."""
+        mid = 0.5 * (a + b)
+        ends = [(a, mid), (mid, b)] + ([(a, b)] if coarse is None else [])
+        a_all, b_all = (np.concatenate(e) for e in zip(*ends))
+        nodes, _ = panel_nodes(a_all, b_all)
+        groups = np.concatenate([g] * len(ends)).astype(np.intp)
+        vals = f(nodes.ravel(), groups.repeat(15))
+        vals, mags = vals if isinstance(vals, tuple) else (vals, None)
+        vals = np.asarray(vals, dtype=float)
+        rule = np.array([vals, np.abs(vals) if mags is None else mags],
+                        dtype=float).reshape(2, -1, 15) @ GL15_WEIGHTS
+        sums, mags = (0.5 * (b_all - a_all) * rule).reshape(2, len(ends), -1)
+        first = sum(map(len, outs)) + 15 * np.arange(2 * len(a))
         outs.append(vals)
-        return 0.5 * (b - a) * (vals.reshape(-1, 15) @ GL15_WEIGHTS), first
+        coarse = sums[2] if coarse is None else coarse
+        return np.array([a, b, g, sums[0], sums[1], mags[0] + mags[1],
+                         np.abs(sums[0] + sums[1] - coarse),
+                         first[:len(a)], first[len(a):]]).T
 
-    # per panel: the GL15 values of its (left, right) halves, its error and
+    # one row per panel: lo, hi, group, left, right, magnitude, error and
     # the positions of the halves' first nodes
-    k = len(lo)
-    mid = 0.5 * (lo + hi)
-    sums, first = measure(np.concatenate([lo, lo, mid]),
-                          np.concatenate([hi, mid, hi]),
-                          np.concatenate([group, group, group]))
-    halves = sums[k:].reshape(2, k).T.copy()
-    start = first[k:].reshape(2, k).T.copy()
-    err = np.abs(halves[:, 0] + halves[:, 1] - sums[:k])
+    rows = measure(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
+                   np.asarray(group, dtype=float), None)
     while True:
-        total = np.bincount(group, halves[:, 0] + halves[:, 1], n_groups)
-        err_total = np.bincount(group, err, n_groups)
-        n_panels = np.bincount(group, minlength=n_groups)
-        scale = np.abs(total)
-        # the error a panel must exceed to be split; inf once converged
-        floor = np.where(err_total > rel_tol * scale + abs_floor,
-                         np.maximum(rel_tol * scale / np.maximum(n_panels, 1),
-                                    1e-18 * scale + abs_floor), np.inf)
-        split = np.nonzero((err > floor[group]) & (hi - lo >= 1e-15))[0]
-        if split.size > max_panels - len(lo):
+        err = rows[:, 6]
+        sums = (rows[:, 3] + rows[:, 4], err, rows[:, 5])
+        # the error a panel must exceed to be split: inf once its group has
+        # converged.  One group sums exactly and tests on scalars.
+        if n_groups == 1:
+            g = np.zeros(len(rows), dtype=np.intp)
+            total, err_total, scale = (math.fsum(v.tolist()) for v in sums)
+            floor = max(rel_tol * scale / len(rows),
+                        1e-18 * scale + abs_floor) \
+                if err_total > rel_tol * scale + abs_floor else np.inf
+            total, err_total = np.array([total]), np.array([err_total])
+            n_panels = np.array([len(rows)])
+        else:
+            g = rows[:, 2].astype(np.intp)
+            total, err_total, scale = (np.bincount(g, v, n_groups)
+                                       for v in sums)
+            n_panels = np.bincount(g, minlength=n_groups)
+            floor = np.where(
+                err_total > rel_tol * scale + abs_floor,
+                np.maximum(rel_tol * scale / np.maximum(n_panels, 1),
+                           1e-18 * scale + abs_floor), np.inf)[g]
+        split = np.nonzero((err > floor)
+                           & (rows[:, 1] - rows[:, 0] >= 1e-15))[0]
+        if split.size > max_panels - len(rows):
             # largest errors first, at most the room left in each group
-            split = split[np.lexsort((-err[split], group[split]))]
-            g = group[split]
-            split = split[np.arange(len(split)) - np.searchsorted(g, g)
-                          < max_panels - n_panels[g]]
+            split = split[np.lexsort((-err[split], g[split]))]
+            gs = g[split]
+            split = split[np.arange(len(split)) - np.searchsorted(gs, gs)
+                          < max_panels - n_panels[gs]]
         if split.size == 0:
             break
         # the halves of a split panel are its children, and their GL15
         # values the children's coarse values: one call measures the level
-        n = len(split)
-        s_lo, s_hi = lo[split], hi[split]
-        mid = 0.5 * (s_lo + s_hi)
-        c_lo = np.concatenate([s_lo, mid])
-        c_hi = np.concatenate([mid, s_hi])
-        c_mid = 0.5 * (c_lo + c_hi)
-        c_group = np.concatenate([group[split], group[split]])
-        sums, first = measure(np.concatenate([c_lo, c_mid]),
-                              np.concatenate([c_mid, c_hi]),
-                              np.concatenate([c_group, c_group]))
-        c_halves = sums.reshape(2, 2 * n).T
-        c_start = first.reshape(2, 2 * n).T
-        c_err = np.abs(c_halves[:, 0] + c_halves[:, 1]
-                       - halves[split].T.ravel())
+        p_lo, p_hi, p_g = rows[split, :3].T
+        mid = 0.5 * (p_lo + p_hi)
+        children = measure(np.concatenate([p_lo, mid]),
+                           np.concatenate([mid, p_hi]),
+                           np.concatenate([p_g, p_g]),
+                           rows[split, 3:5].T.ravel())
         # the left child takes its parent's place, the right one is appended
-        hi[split] = mid
-        halves[split] = c_halves[:n]
-        err[split] = c_err[:n]
-        start[split] = c_start[:n]
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([hi, s_hi])
-        group = np.concatenate([group, c_group[n:]])
-        halves = np.concatenate([halves, c_halves[n:]])
-        err = np.concatenate([err, c_err[n:]])
-        start = np.concatenate([start, c_start[n:]])
-    k = len(lo)
+        rows[split] = children[:len(split)]
+        rows = np.vstack([rows, children[len(split):]])
+    lo, hi = rows[:, 0], rows[:, 1]
     mid = 0.5 * (lo + hi)
     nodes, weights = panel_nodes(np.concatenate([lo, mid]),
                                  np.concatenate([mid, hi]))
-    pos = (start[:, :, None] + np.arange(15)).reshape(k, 30)
-    return Panels(lo, hi, group,
+    k = len(rows)
+    pos = (rows[:, 7:, None].astype(np.intp) + np.arange(15)).reshape(k, 30)
+    return Panels(lo, hi, g,
                   np.concatenate([nodes[:k], nodes[k:]], axis=1),
                   np.concatenate([weights[:k], weights[k:]], axis=1),
                   np.concatenate(outs)[pos], pos, total, err_total)
 
 
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
-                    seeds=(), max_panels: int = 20000,
+                    seeds=(), max_panels: int = MAX_PANELS,
                     abs_floor: float = 1e-300):
     """Refine [a, b] into GL15 panels: ``refine_groups`` with one group.
 
@@ -266,19 +281,18 @@ def log_integral_1d(log_f, a, b, *, rel_tol=1e-10, seeds=()):
 
 class NodeSet(NamedTuple):
     """Final nodes of ``integrate_polytope``: points (N, n), rule weights
-    and integrand values (N,), the integral, its error estimate, the final
-    panel count and the panel budget per integral."""
+    and integrand values (N,), the integral, its error estimate and the
+    final panel count."""
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
     value: float
     err: float
     panels: int
-    budget: int
 
 
-def integrate_polytope(f, P, *, lines=(), point=None, rel_tol: float = 1e-10,
-                       max_panels: int = 20000) -> NodeSet:
+def integrate_polytope(f, P, *, lines=(), point=None,
+                       rel_tol: float = 1e-10) -> NodeSet:
     """Integral of f over the polytope P (dim 1 or 2) on GL15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
@@ -288,10 +302,11 @@ def integrate_polytope(f, P, *, lines=(), point=None, rel_tol: float = 1e-10,
     outer panels in x1 are cut at the x1 of the pairwise intersections of
     breakpoint lines inside P, and every outer level refines all of its
     chords in x2 in one grouped call.  Each chord and the outer integral
-    have a budget of ``max_panels`` panels; the caller judges the returned
+    have a budget of ``MAX_PANELS`` panels; the caller judges the returned
     error estimate.
     """
     n = P.dim
+    max_panels = MAX_PANELS
     if point is not None:
         lines = [*lines, *zip(np.eye(n), np.asarray(point, dtype=float))]
     lines = np.array([[*nu, c] for nu, c in [*zip(P.normals, P.offsets),
@@ -304,7 +319,7 @@ def integrate_polytope(f, P, *, lines=(), point=None, rel_tol: float = 1e-10,
                             1, rel_tol=rel_tol, max_panels=max_panels)
         return NodeSet(res.nodes.reshape(-1, 1), res.weights.ravel(),
                        res.values.ravel(), float(res.total[0]),
-                       float(res.err[0]), len(res.lo), max_panels)
+                       float(res.err[0]), len(res.lo))
     if n != 2:
         raise NotImplementedError("polytope quadrature for dim <= 2")
     # outer cuts: x1 of the pairwise intersections of the lines inside P
@@ -327,7 +342,9 @@ def integrate_polytope(f, P, *, lines=(), point=None, rel_tol: float = 1e-10,
         chords.append((sum(map(len, chord_err)) + res.group, x1[res.group],
                        res.nodes, res.weights, res.values))
         chord_err.append(res.err)
-        return res.total
+        # the chord integrals of |f| scale the outer integral
+        return res.total, np.bincount(
+            res.group, np.abs(res.weights * res.values).sum(axis=1), len(x1))
 
     out = refine_groups(outer, *_cut(np.array([x1_lo]), np.array([x1_hi]),
                                      x[None, P.contains(x, tol=1e-9), 0]),
@@ -343,7 +360,7 @@ def integrate_polytope(f, P, *, lines=(), point=None, rel_tol: float = 1e-10,
     return NodeSet(nodes, weights.ravel(), values[kept].ravel(),
                    float(out.total[0]),
                    float(out.err[0] + outer_w @ np.concatenate(chord_err)),
-                   len(out.lo) + int(kept.sum()), max_panels)
+                   len(out.lo) + int(kept.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -387,53 +404,6 @@ def _areas_batch(tris):
     return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _diameters_batch(tris):
-    """(B, 3, 2) -> (B,) longest edge lengths.
-
-    Each edge length is the square root of its dot product with itself,
-    which gives the same floats as ``np.linalg.norm`` of that edge.
-    """
-    edges = tris - tris[:, [1, 2, 0]]
-    sq = (edges[..., None, :] @ edges[..., :, None])[..., 0, 0]
-    return np.sqrt(sq).max(axis=1)
-
-
-def _zoom_pass(work, predicate, target, budget):
-    """One zoom pre-split at a fixed target, or None if it exceeds budget.
-
-    Splits, level by level, every triangle whose diameter exceeds target
-    and for which the predicate holds.  Each split adds three leaves, so
-    the leaf count only grows and the pass stops at the first level past
-    the budget.  Leaves come back in the order of a depth-first walk that
-    pops the last root and the last child first: descending in (root
-    index, child digits).
-    """
-    front = work
-    keys = np.arange(len(work))[:, None]  # root index, then child digits
-    count = len(work)
-    leaves, leaf_keys = [], []
-    while len(front):
-        split = _diameters_batch(front) > target
-        big = np.flatnonzero(split)
-        if big.size:
-            split[big] = predicate(front[big])
-        n_split = int(np.count_nonzero(split))
-        count += 3 * n_split
-        if count > budget:
-            return None
-        leaves.append(front[~split])
-        leaf_keys.append(keys[~split])
-        front = _split4_batch(front[split])
-        keys = np.hstack([np.repeat(keys[split], 4, axis=0),
-                          np.tile(np.arange(4), n_split)[:, None]])
-    # no leaf path is a prefix of another, so zero padding never decides
-    depth = leaf_keys[-1].shape[1]
-    keys = np.vstack([np.pad(k, ((0, 0), (0, depth - k.shape[1])))
-                      for k in leaf_keys])
-    order = np.lexsort(keys.T[::-1])[::-1]
-    return np.concatenate(leaves)[order]
-
-
 class TriangleMesh:
     """Adaptive triangle mesh over a convex polygon, reusable for pairings.
 
@@ -473,22 +443,11 @@ class TriangleMesh:
             np.tile(_T_W, 4)[None, :]
         return fine_nodes, fine_vals, fine_weights, fine, np.abs(fine - coarse)
 
-    def refine(self, f, *, rel_tol=1e-6, max_leaves=30000,
-               presplit_depth=0, zoom=None):
+    def refine(self, f, *, rel_tol=1e-6, max_leaves=30000, presplit_depth=0):
         """Adapt the mesh to the driver f (values at (k, 2) arrays).
 
-        The fan is split ``presplit_depth`` times before refinement.
-        ``zoom`` is an optional (predicate, target_size) pair: triangles for
-        which the predicate holds are then pre-split until their diameter
-        drops below target_size.  The predicate takes a (B, 3, 2) batch of
-        triangles, all of diameter above the current target, and returns a
-        bool (B,) array; it is called once per split level.  While the
-        pre-split would end with more than max(n + 16, max_leaves // 3)
-        leaves, n the leaves before it, the target is doubled and the
-        pre-split redone.  Pre-split leaves are ordered as a depth-first
-        walk of a stack that pops the last root and the last child first.
-
-        Each error-driven round splits at most (max_leaves - L) // 3 of the
+        The fan is split ``presplit_depth`` times before refinement.  Each
+        error-driven round splits at most (max_leaves - L) // 3 of the
         L leaves, largest errors first, so refinement never takes the mesh
         past max_leaves.
 
@@ -498,15 +457,6 @@ class TriangleMesh:
         work = self._initial
         for _ in range(presplit_depth):
             work = _split4_batch(work)
-        if zoom is not None:
-            predicate, target = zoom
-            budget = max(len(work) + 16, max_leaves // 3)
-            while True:
-                zoomed = _zoom_pass(work, predicate, target, budget)
-                if zoomed is not None:
-                    break
-                target *= 2.0
-            work = zoomed
         self.presplit_leaves = len(work)
         self.rounds = 0
 

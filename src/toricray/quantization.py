@@ -44,7 +44,7 @@ import numpy as np
 
 from .generators import Generator
 from .polytope import Polytope
-from .quadrature import integrate_polytope
+from . import quadrature
 
 __all__ = [
     "base_log_weight", "ray_rate", "rate_gap", "MonomialDensity",
@@ -143,15 +143,16 @@ class MonomialDensity:
 
         lines = [(nu, c) for nu, lo, hi in self.generator.support
                  for c in (lo, hi)]
-        res = integrate_polytope(driver, self.polytope, lines=lines,
-                                 point=self.m, rel_tol=self.rel_tol)
+        res = quadrature.integrate_polytope(driver, self.polytope, lines=lines,
+                                            point=self.m,
+                                            rel_tol=self.rel_tol)
         if res.value <= 0:
             raise QuantizationError("density mass underflowed")
         if res.err > 50.0 * self.rel_tol * res.value:
             raise QuantizationError(
                 f"density quadrature did not converge: relative error "
                 f"estimate {res.err / res.value:.2e} at {res.panels} panels, "
-                f"with a budget of {res.budget} panels per integral "
+                f"with a budget of {quadrature.MAX_PANELS} panels per integral "
                 f"(tolerance {self.rel_tol})")
         self._log_gap_mass = ref + math.log(res.value)
         # the normalized density on the nodes the mass was summed on, so

@@ -286,16 +286,28 @@ def _generic_direction(kinks, dim):
 class _ThickeningSupport(SupportSlabs):
     """Support region of Hess psi_eps: the closed thickening of W.
 
-    Its slabs are (row, c - eps, c + eps) for each transverse row of each
-    face's frame, once each: W_eps lies in their union, and their ends are
-    the lines where psi_eps may stop being analytic.
+    Its slabs are the footprint of the mollifier across each wall.  The
+    footprint is the set of sums of t_i * radius_i * w_i, |t_i| <= 1, over
+    the mollification steps (radius_i, w_i).  Across a wall {row . x = c}
+    its corners sit at the offsets sum_i +-radius_i * (row . w_i), and each
+    absolute value h > 0 among them gives the slab (row, c - h, c + h).
+    Hess psi_eps vanishes off the widest slab of every wall.  The slab ends
+    are the lines where a footprint corner crosses a wall; away from the
+    vertices of W, psi_eps loses smoothness only there, so they are the
+    breakpoints of its quadrature.  ``contains`` is W_eps itself.
     """
 
-    def __init__(self, decomp: Decomposition, eps: float):
-        super().__init__({
-            (row, c): (row, c - eps, c + eps) for F in decomp.faces
-            for row, c in zip(F.frame.matrix[F.frame.n_parallel:],
-                              F.frame.offsets_np)}.values())
+    def __init__(self, decomp: Decomposition, eps: float, steps):
+        radii, dirs = (np.array(a, dtype=float) for a in zip(*steps))
+        signs = np.array(list(product((1.0, -1.0), repeat=len(radii))))
+        slabs = {}
+        for F in decomp.faces_of_codim(1):
+            row, = F.frame.matrix[F.frame.n_parallel:]
+            c, = F.frame.offsets_np
+            corners = np.abs(signs @ (radii * (dirs @ np.array(row, float))))
+            for h in sorted(set(corners[corners > 0].tolist()), reverse=True):
+                slabs[row, c, h] = (row, c - h, c + h)
+        super().__init__(slabs.values())
         self.decomp = decomp
         self.eps = eps
 
@@ -363,7 +375,10 @@ class NiceSmoothingGenerator(Generator):
         self.strict_term = strict_term
         self.dim = P.dim
         self.provenance = "pl-smooth" if strict_term is None else "pl-smooth-strict"
-        self.support = _ThickeningSupport(decomp, self.eps)
+        steps = ([(mollifier.delta, mollifier.w)]
+                 if isinstance(mollifier, LineMollifier)
+                 else list(zip(mollifier.radii, mollifier.dirs)))
+        self.support = _ThickeningSupport(decomp, self.eps, steps)
 
     def jet(self, x, order):
         x = np.asarray(x, dtype=float)

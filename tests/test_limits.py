@@ -131,6 +131,16 @@ def test_region_and_chord_means():
     got = region_mean(cp2(), lambda X: X[..., 0] ** 2,
                       weight=lambda X: X[..., 0] * X[..., 1], rel_tol=1e-12)
     assert got == pytest.approx(1.8, abs=1e-12)
+    # means that cancel to zero: the tolerance is relative to the mean of
+    # |tau|, so they converge like any other
+    seg = make_polytope([[1], [-1]], [0, -2])
+    assert abs(region_mean(seg, lambda X: np.cos(np.pi * X[..., 0] / 2.0),
+                           rel_tol=1e-12)) <= 1e-14
+    square = make_polytope([[1, 0], [0, 1], [-1, 0], [0, -1]], [-1] * 4)
+    for weight in (None, lambda X: 1.0 + X[..., 1] ** 2):
+        for tau in (lambda X: X[..., 0], lambda X: X[..., 0] * X[..., 1]):
+            assert abs(region_mean(square, tau, weight=weight,
+                                   rel_tol=1e-12)) <= 1e-14
     P = cp2()
     fr = face_frame(P, [[1, 0]], [1])
     # chord {x1 = 1}: x2 ranges over [0, 2]

@@ -3,8 +3,9 @@
 1-D: the level-by-level panel engine against the heap refinement it
 replaced, closed forms and its panel budget.  2-D: the iterated panels of
 ``integrate_polytope`` against exact polynomial integrals, an erf product,
-and TriangleMesh, which stays as an independent reference; the batched
-zoom pre-split of TriangleMesh.refine against the scalar walk.
+and TriangleMesh, which stays as an independent reference.  The zoom
+pre-split, which splits a reference mesh's triangles near a set of lines
+before refinement, lives here with its scalar reference walk.
 """
 
 import heapq
@@ -22,8 +23,7 @@ from toricray.generators import Generator, build_bump_generator
 from toricray.limits import battery_for
 from toricray.polytope import make_polytope
 from toricray.quadrature import (GL15_NODES, GL15_WEIGHTS, QuadratureError,
-                                 TriangleMesh, _diameters_batch,
-                                 _split4_batch, adaptive_panels,
+                                 TriangleMesh, _split4_batch, adaptive_panels,
                                  integrate_on_panels, integrate_polytope,
                                  log_integral_1d)
 from toricray.quantization import MonomialDensity
@@ -34,6 +34,80 @@ POLYGONS = {
     "hexagon": np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [2.0, 2.0],
                          [1.0, 2.0], [0.0, 1.0]]),
 }
+
+
+def _diameters_batch(tris):
+    """(B, 3, 2) -> (B,) longest edge lengths.
+
+    Each edge length is the square root of its dot product with itself,
+    which gives the same floats as ``np.linalg.norm`` of that edge.
+    """
+    edges = tris - tris[:, [1, 2, 0]]
+    sq = (edges[..., None, :] @ edges[..., :, None])[..., 0, 0]
+    return np.sqrt(sq).max(axis=1)
+
+
+def _zoom_pass(work, predicate, target, budget):
+    """One zoom pre-split at a fixed target, or None if it exceeds budget.
+
+    Splits, level by level, every triangle whose diameter exceeds target
+    and for which the predicate holds.  Each split adds three leaves, so
+    the leaf count only grows and the pass stops at the first level past
+    the budget.  Leaves come back in the order of a depth-first walk that
+    pops the last root and the last child first: descending in (root
+    index, child digits).
+    """
+    front = work
+    keys = np.arange(len(work))[:, None]  # root index, then child digits
+    count = len(work)
+    leaves, leaf_keys = [], []
+    while len(front):
+        split = _diameters_batch(front) > target
+        big = np.flatnonzero(split)
+        if big.size:
+            split[big] = predicate(front[big])
+        n_split = int(np.count_nonzero(split))
+        count += 3 * n_split
+        if count > budget:
+            return None
+        leaves.append(front[~split])
+        leaf_keys.append(keys[~split])
+        front = _split4_batch(front[split])
+        keys = np.hstack([np.repeat(keys[split], 4, axis=0),
+                          np.tile(np.arange(4), n_split)[:, None]])
+    # no leaf path is a prefix of another, so zero padding never decides
+    depth = leaf_keys[-1].shape[1]
+    keys = np.vstack([np.pad(k, ((0, 0), (0, depth - k.shape[1])))
+                      for k in leaf_keys])
+    order = np.lexsort(keys.T[::-1])[::-1]
+    return np.concatenate(leaves)[order]
+
+
+def zoom_presplit(work, predicate, target, max_leaves):
+    """Triangles of ``work`` for which the predicate holds, split until
+    their diameter drops below target.
+
+    The predicate takes a (B, 3, 2) batch of triangles, all of diameter
+    above the current target, and returns a bool (B,) array; it is called
+    once per split level.  While the pre-split would end with more than
+    max(n + 16, max_leaves // 3) leaves, n the leaves before it, the target
+    is doubled and the pre-split redone.
+    """
+    budget = max(len(work) + 16, max_leaves // 3)
+    while True:
+        zoomed = _zoom_pass(work, predicate, target, budget)
+        if zoomed is not None:
+            return zoomed
+        target *= 2.0
+
+
+def zoomed_mesh(polygon, predicate, target, max_leaves=30000, depth=0):
+    """A TriangleMesh whose fan, split ``depth`` times, is zoom pre-split
+    before refinement (refine with the same ``max_leaves``)."""
+    mesh = TriangleMesh(polygon)
+    mesh._initial = zoom_presplit(_roots(polygon, depth), predicate, target,
+                                  max_leaves)
+    return mesh
 
 
 def reference_presplit(work, predicate, target, max_leaves):
@@ -123,10 +197,9 @@ def _zoomed_mesh(polygon, batch, target, max_leaves, depth):
     def recording(tris):
         calls.append(tris.copy())
         return batch(tris)
-    mesh = TriangleMesh(polygon)
+    mesh = zoomed_mesh(polygon, recording, target, max_leaves, depth)
     mesh.refine(lambda X: np.ones(len(X)), rel_tol=1.0,
-                max_leaves=max_leaves, presplit_depth=depth,
-                zoom=(recording, target))
+                max_leaves=max_leaves)
     return mesh, calls
 
 
@@ -594,30 +667,46 @@ def test_polytope_panels_separable_gaussian_against_erf():
                                                              rel=1e-14)
 
 
+def _near_lines(lines):
+    """Zoom predicate: the triangles within their diameter of one of the
+    lines {nu . x = c}, given as (nu, c) pairs."""
+    L = np.array([[*nu, c] for nu, c in lines], dtype=float)
+    norms = np.linalg.norm(L[:, :2], axis=1)
+
+    def pred(tris):
+        dist = np.abs(tris.mean(axis=1) @ L[:, :2].T - L[:, 2]) / norms
+        return np.any(dist <= _diameters_batch(tris)[:, None], axis=1)
+    return pred
+
+
 def test_wall_sum_density_against_triangle_mesh():
-    # s = 32 against plain meshes, which know nothing of where the mass is.
-    # A mesh's four-child indicator misses the C^3 slab ends of the cosine
-    # kernel: refined on the driver to rel_tol 1e-9 to 1e-11 it settles
-    # 7.9e-8 below the log mass that nested adaptive scipy quadrature gives
-    # to 1e-15, and refined on the driver alone it leaves the bump's flat
-    # edge 6e-6 off, so the bump gets a mesh refined on driver * bump.
+    # s = 32 against meshes zoomed onto the slab ends.  A plain mesh's
+    # four-child indicator misses the C^3 slab ends of the cosine kernel:
+    # refined on the driver to rel_tol 1e-9 to 1e-11 it settles 7.9e-8
+    # below the log mass that nested adaptive scipy quadrature gives to
+    # 1e-15.  Zoomed to triangles of diameter 0.05 along the slab ends it
+    # agrees to 2e-12.  The bump's flat edge is cut by neither engine, so
+    # it gets a mesh refined on driver * bump and a looser bound.
     sc = scenarios.cp2_wall_sum("cosine")
     md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 32.0,
-                         weighted=False)
+                         weighted=False, rel_tol=1e-10)
     ref = float(md.log_gap_density(md.m[None, :])[0])
     driver = lambda X: np.exp(md.log_gap_density(X) - ref)
-    mesh = TriangleMesh(sc.polytope.vertices_np)
+    pred = _near_lines([(nu, c) for nu, lo, hi in sc.generator.support
+                        for c in (lo, hi)])
+    mesh = zoomed_mesh(sc.polytope.vertices_np, pred, 0.05)
     mesh.refine(driver, rel_tol=1e-9)
     assert md.log_mass() == pytest.approx(
-        ref + math.log(mesh.value) + md.s * md.psi_m, abs=1e-7)
+        ref + math.log(mesh.value) + md.s * md.psi_m, abs=1e-10)
     for tau in battery_for(sc.polytope):
         if tau.name == "bump":
-            paired = TriangleMesh(sc.polytope.vertices_np)
+            paired = zoomed_mesh(sc.polytope.vertices_np, pred, 0.05)
             paired.refine(lambda X: driver(X) * tau(X), rel_tol=1e-9)
-            want = paired.value / mesh.value
+            assert md.pair(tau) == pytest.approx(paired.value / mesh.value,
+                                                 abs=1e-8)
         else:
-            want = mesh.pair_against_driver(tau) / mesh.value
-        assert md.pair(tau) == pytest.approx(want, abs=1e-7)
+            assert md.pair(tau) == pytest.approx(
+                mesh.pair_against_driver(tau) / mesh.value, abs=1e-10)
 
 
 # recorded from the zoomed triangle mesh (rel_tol 1e-6), as in the

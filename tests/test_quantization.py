@@ -1,13 +1,12 @@
 """Monomial densities, norms, and transform coefficients."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from toricray import quadrature, quantization
+from toricray import quadrature
 from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.polytope import make_polytope
 from toricray.scenarios import cp2_wall_sum
@@ -212,8 +211,7 @@ def test_nonconvergence_reports_panel_count(monkeypatch):
     # eight panels per integral cannot resolve the s = 8192 peak (ten do);
     # MonomialDensity judges the engine's own error estimate
     sc = cp2_wall_sum("cosine")
-    monkeypatch.setattr(quantization, "integrate_polytope", functools.partial(
-        quadrature.integrate_polytope, max_panels=8))
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 8192.0,
                          weighted=False)
     with pytest.raises(QuantizationError,

@@ -423,25 +423,40 @@ def test_eps_guard_for_disjoint_walls():
     assert gen.value(np.array([0.5, 0.5])) == f.value(np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("kernel", ["smooth", "cosine"])
 @pytest.mark.parametrize("setup", [wall_setup, corner_setup])
-def test_thickening_lies_in_listed_slabs(setup):
-    # the support lists one slab per transverse frame row of each face, and
-    # the thickening W_eps lies in their union
+def test_slabs_are_the_mollifier_footprint(setup, kernel):
+    # the slabs cross the walls only, and across each wall the widest one
+    # is exactly where Hess psi_eps lives: nonzero just inside its ends,
+    # zero just outside.  One wall is mollified across the full eps; the
+    # corner's iterated mollification reaches 3/8, 1/8 and 1/2 of eps.
     P, f, dec = setup()
-    gen = build_nice_smoothing(f, P, dec, 0.1)
-    slabs = list(gen.support)
-    rows = {tuple(F.frame.matrix[F.frame.n_parallel:][k])
-            for F in dec.faces for k in range(F.codim)}
-    assert len(slabs) == len(gen.support) >= len(rows)
-    assert {tuple(int(c) for c in nu) for nu, _, _ in slabs} == rows
-    for nu, lo, hi in slabs:
-        assert hi - lo == pytest.approx(0.2, abs=1e-15)
+    gen = build_nice_smoothing(f, P, dec, 0.1, kernel=kernel)
+    walls = dec.faces_of_codim(1)
+    rows = {tuple(F.frame.matrix[F.frame.n_parallel]) for F in walls}
+    assert {tuple(int(c) for c in nu) for nu, _, _ in gen.support} == rows
+    widths = {}
+    for F in walls:
+        row = F.frame.matrix[F.frame.n_parallel]
+        c = float(F.frame.offsets_np[0])
+        halves = [0.5 * (hi - lo) for nu, lo, hi in gen.support
+                  if tuple(nu) == row]
+        assert all(0.5 * (lo + hi) == pytest.approx(c, abs=1e-15)
+                   for nu, lo, hi in gen.support if tuple(nu) == row)
+        h = max(halves)
+        widths[row] = sorted(round(w / 0.1, 12) for w in halves)
+        nu = np.array(row, dtype=float)
+        mid = np.mean([[float(v) for v in p] for p in F.vertices], axis=0)
+        step = np.outer([-1.0, 1.0], nu / (nu @ nu))
+        hess_in = gen.hessian(mid + 0.9 * h * step)
+        assert np.all(np.abs(hess_in).max(axis=(1, 2)) > 1e-8)
+        assert np.all(gen.hessian(mid + 1.001 * h * step) == 0.0)
+    if len(walls) == 1:
+        assert list(widths.values()) == [[1.0]]
+    else:
+        assert widths == {(1, 0): [0.125, 0.375], (0, 1): [0.125],
+                          (-1, 1): [0.5]}
     g = np.linspace(-0.1, 3.1, 121)
     X = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    inside = thickening_mask(dec, 0.1, X)
-    assert 0 < inside.sum() < len(X)
-    covered = np.zeros(len(X), dtype=bool)
-    for nu, lo, hi in slabs:
-        covered |= (X @ nu > lo) & (X @ nu < hi)
-    assert np.all(covered[inside])
-    assert np.array_equal(gen.support.contains(X), inside)
+    assert np.array_equal(gen.support.contains(X),
+                          thickening_mask(dec, 0.1, X))
