@@ -126,10 +126,10 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
     outs = []
 
     def measure(a, b, g, coarse):
-        """Rows of the panels [a_i, b_i] from one call of f on their halves,
-        and on the panels themselves where ``coarse`` is None: lo, hi,
-        group, the GL15 values of both halves, the GL15 value of the
-        magnitudes on them, the error against the coarse value and the
+        """Columns of the panels [a_i, b_i] from one call of f on their
+        halves, and on the panels themselves where ``coarse`` is None: lo,
+        hi, group, the GL15 values of the two halves, the GL15 value of the
+        magnitudes on both, the error against the coarse value and the
         position of each half's first node among all the points f was
         called on."""
         mid = 0.5 * (a + b)
@@ -140,35 +140,39 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         vals = f(nodes.ravel(), groups.repeat(15))
         vals, mags = vals if isinstance(vals, tuple) else (vals, None)
         vals = np.asarray(vals, dtype=float)
-        rule = np.array([vals, np.abs(vals) if mags is None else mags],
-                        dtype=float).reshape(2, -1, 15) @ GL15_WEIGHTS
-        sums, mags = (0.5 * (b_all - a_all) * rule).reshape(2, len(ends), -1)
+        half = 0.5 * (b_all - a_all)
+        sums = (half * (vals.reshape(-1, 15) @ GL15_WEIGHTS)).reshape(
+            len(ends), -1)
+        # a nonnegative f is its own magnitude
+        if mags is not None or vals.min(initial=0.0) < 0.0:
+            mags = np.abs(vals) if mags is None else np.asarray(mags, float)
+            mags = (half * (mags.reshape(-1, 15) @ GL15_WEIGHTS)).reshape(
+                len(ends), -1)
+        else:
+            mags = sums
         first = sum(map(len, outs)) + 15 * np.arange(2 * len(a))
         outs.append(vals)
         coarse = sums[2] if coarse is None else coarse
         return np.array([a, b, g, sums[0], sums[1], mags[0] + mags[1],
                          np.abs(sums[0] + sums[1] - coarse),
-                         first[:len(a)], first[len(a):]]).T
+                         first[:len(a)], first[len(a):]])
 
-    # one row per panel: lo, hi, group, left, right, magnitude, error and
-    # the positions of the halves' first nodes
-    rows = measure(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
+    cols = measure(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
                    np.asarray(group, dtype=float), None)
     while True:
-        err = rows[:, 6]
-        sums = (rows[:, 3] + rows[:, 4], err, rows[:, 5])
+        lo, hi, g, left, right, mass, err = cols[:7]
+        g = g.astype(np.intp)
+        sums = (left + right, err, mass)
         # the error a panel must exceed to be split: inf once its group has
         # converged.  One group sums exactly and tests on scalars.
         if n_groups == 1:
-            g = np.zeros(len(rows), dtype=np.intp)
             total, err_total, scale = (math.fsum(v.tolist()) for v in sums)
-            floor = max(rel_tol * scale / len(rows),
+            floor = max(rel_tol * scale / len(lo),
                         1e-18 * scale + abs_floor) \
                 if err_total > rel_tol * scale + abs_floor else np.inf
             total, err_total = np.array([total]), np.array([err_total])
-            n_panels = np.array([len(rows)])
+            n_panels = np.array([len(lo)])
         else:
-            g = rows[:, 2].astype(np.intp)
             total, err_total, scale = (np.bincount(g, v, n_groups)
                                        for v in sums)
             n_panels = np.bincount(g, minlength=n_groups)
@@ -176,9 +180,8 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
                 err_total > rel_tol * scale + abs_floor,
                 np.maximum(rel_tol * scale / np.maximum(n_panels, 1),
                            1e-18 * scale + abs_floor), np.inf)[g]
-        split = np.nonzero((err > floor)
-                           & (rows[:, 1] - rows[:, 0] >= 1e-15))[0]
-        if split.size > max_panels - len(rows):
+        split = np.nonzero((err > floor) & (hi - lo >= 1e-15))[0]
+        if split.size > max_panels - len(lo):
             # largest errors first, at most the room left in each group
             split = split[np.lexsort((-err[split], g[split]))]
             gs = g[split]
@@ -188,21 +191,20 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
             break
         # the halves of a split panel are its children, and their GL15
         # values the children's coarse values: one call measures the level
-        p_lo, p_hi, p_g = rows[split, :3].T
-        mid = 0.5 * (p_lo + p_hi)
-        children = measure(np.concatenate([p_lo, mid]),
-                           np.concatenate([mid, p_hi]),
-                           np.concatenate([p_g, p_g]),
-                           rows[split, 3:5].T.ravel())
+        mid = 0.5 * (lo[split] + hi[split])
+        children = measure(np.concatenate([lo[split], mid]),
+                           np.concatenate([mid, hi[split]]),
+                           np.concatenate([g[split], g[split]]),
+                           np.concatenate([left[split], right[split]]))
         # the left child takes its parent's place, the right one is appended
-        rows[split] = children[:len(split)]
-        rows = np.vstack([rows, children[len(split):]])
-    lo, hi = rows[:, 0], rows[:, 1]
+        cols[:, split] = children[:, :len(split)]
+        cols = np.hstack([cols, children[:, len(split):]])
     mid = 0.5 * (lo + hi)
     nodes, weights = panel_nodes(np.concatenate([lo, mid]),
                                  np.concatenate([mid, hi]))
-    k = len(rows)
-    pos = (rows[:, 7:, None].astype(np.intp) + np.arange(15)).reshape(k, 30)
+    k = len(lo)
+    pos = (cols[7:, :, None].astype(np.intp) + np.arange(15))
+    pos = np.concatenate([pos[0], pos[1]], axis=1)
     return Panels(lo, hi, g,
                   np.concatenate([nodes[:k], nodes[k:]], axis=1),
                   np.concatenate([weights[:k], weights[k:]], axis=1),
