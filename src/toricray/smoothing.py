@@ -24,6 +24,7 @@ inherited from f exactly; it is still verified by sampling as a guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -298,18 +299,24 @@ class _ThickeningSupport(SupportSlabs):
     """
 
     def __init__(self, decomp: Decomposition, eps: float, steps):
-        radii, dirs = (np.array(a, dtype=float) for a in zip(*steps))
-        signs = np.array(list(product((1.0, -1.0), repeat=len(radii))))
-        slabs = {}
-        for F in decomp.faces_of_codim(1):
-            row, = F.frame.matrix[F.frame.n_parallel:]
-            c, = F.frame.offsets_np
-            corners = np.abs(signs @ (radii * (dirs @ np.array(row, float))))
-            for h in sorted(set(corners[corners > 0].tolist()), reverse=True):
-                slabs[row, c, h] = (row, c - h, c + h)
-        super().__init__(slabs.values())
         self.decomp = decomp
         self.eps = eps
+        self._steps = steps
+
+    @cached_property
+    def slabs(self):
+        # on first use: tuning loops build generators that never need them
+        slabs = {}
+        for F in self.decomp.faces_of_codim(1):
+            row, = F.frame.matrix[F.frame.n_parallel:]
+            c, = F.frame.offsets_np
+            reach = [r * float(np.dot(w, row)) for r, w in self._steps]
+            corners = {abs(sum(t * x for t, x in zip(signs, reach)))
+                       for signs in product((1, -1), repeat=len(reach))}
+            for h in sorted(corners - {0.0}, reverse=True):
+                slabs[row, c, h] = (np.array(row, dtype=float),
+                                    float(c - h), float(c + h))
+        return list(slabs.values())
 
     def contains(self, x):
         inside = thickening_mask(self.decomp, self.eps, x)

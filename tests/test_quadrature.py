@@ -709,6 +709,33 @@ def test_wall_sum_density_against_triangle_mesh():
                 mesh.pair_against_driver(tau) / mesh.value, abs=1e-10)
 
 
+def test_corner_smoothing_density_against_quad():
+    # on the box [0.95, 1.05] x [0.45, 0.55] across the wall x1 = 1, far
+    # from the corner, the eps = 0.1 cp2-corner smoothing only sees the
+    # kink x1 = 1, so its density is a function of x1: scipy's quad,
+    # given the footprint lines, is a one-dimensional reference for the
+    # panels, which are cut where the support lists its slab ends
+    from scipy.integrate import quad
+    from toricray.smoothing import build_nice_smoothing
+    sc = scenarios.cp2_corner()
+    gen = build_nice_smoothing(sc.pl, sc.polytope, sc.decomposition, 0.1,
+                               kernel="cosine")
+    md = MonomialDensity(sc.polytope, gen, [1, 1], 32.0, weighted=False)
+    ref = float(md.log_gap_density(md.m[None, :])[0])
+    driver = lambda X: np.exp(md.log_gap_density(X) - ref)
+    box = make_polytope([[1, 0], [0, 1], [-1, 0], [0, -1]],
+                        ["19/20", "9/20", "-21/20", "-11/20"],
+                        require_delzant=False)
+    lines = [(nu, c) for nu, lo, hi in gen.support for c in (lo, hi)]
+    ends = sorted(c for nu, c in lines if tuple(nu) == (1.0, 0.0))
+    assert np.allclose(ends, [0.9625, 0.9875, 1.0125, 1.0375], atol=1e-15)
+    res = integrate_polytope(driver, box, lines=lines, rel_tol=1e-10)
+    want, _ = quad(lambda t: float(driver(np.array([[t, 0.5]]))[0]),
+                   0.95, 1.05, points=ends, epsabs=0.0, epsrel=1e-12)
+    assert res.value == pytest.approx(0.1 * want, rel=1e-10)
+    assert res.err <= 1e-10 * res.value
+
+
 # recorded from the zoomed triangle mesh (rel_tol 1e-6), as in the
 # benchmark's cp2-wall workload
 WALL_SUM_RECORDED = {
