@@ -298,26 +298,28 @@ def integrate_polytope(f, P, *, lines=(), point=None,
     """Integral of f over the polytope P (dim 1 or 2) on GL15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
-    P, the hyperplanes {nu . x = c} given as (nu, c) pairs in ``lines`` and
-    the coordinate hyperplanes through ``point``; between them f should be
-    smooth.  In 1-D this is one group of ``refine_groups``.  In 2-D the
-    outer panels in x1 are cut at the x1 of the pairwise intersections of
-    breakpoint lines inside P, and every outer level refines all of its
-    chords in x2 in one grouped call.  Each chord and the outer integral
-    have a budget of ``MAX_PANELS`` panels; the caller judges the returned
-    error estimate.
+    P and the hyperplanes {nu . x = c} given as (nu, c) pairs in ``lines``;
+    between them f should be smooth.  Each panel is also cut at the
+    coordinate of ``point`` (the integrand's peak) in its variable.  In 1-D
+    this is one group of ``refine_groups``.  In 2-D the outer panels in x1
+    are cut at the x1 of the pairwise intersections of breakpoint lines
+    inside P, and every outer level refines all of its chords in x2 in one
+    grouped call.  Each chord and the outer integral have a budget of
+    ``MAX_PANELS`` panels; the caller judges the returned error estimate.
     """
     n = P.dim
     max_panels = MAX_PANELS
-    if point is not None:
-        lines = [*lines, *zip(np.eye(n), np.asarray(point, dtype=float))]
+    # a nan peak cuts nothing
+    peak = np.full(n, np.nan) if point is None else \
+        np.asarray(point, dtype=float)
     lines = np.array([[*nu, c] for nu, c in [*zip(P.normals, P.offsets),
                                              *lines]], dtype=float)
     if n == 1:
         (lo,), (hi,) = P.bbox()
         res = refine_groups(lambda x, g: f(x[:, None]),
                             *_cut(np.array([lo]), np.array([hi]),
-                                  lines[None, :, 1] / lines[:, 0]),
+                                  np.append(lines[:, 1] / lines[:, 0],
+                                            peak)[None]),
                             1, rel_tol=rel_tol, max_panels=max_panels)
         return NodeSet(res.nodes.reshape(-1, 1), res.weights.ravel(),
                        res.values.ravel(), float(res.total[0]),
@@ -338,6 +340,7 @@ def integrate_polytope(f, P, *, lines=(), point=None,
         # breakpoint lines cross them
         lo, hi = P.chord(np.column_stack([x1, 0.0 * x1]), (0.0, 1.0))
         cuts = (crossing[:, 2] - np.outer(x1, crossing[:, 0])) / crossing[:, 1]
+        cuts = np.column_stack([cuts, np.full(len(x1), peak[1])])
         res = refine_groups(lambda x2, g: f(np.column_stack([x1[g], x2])),
                             *_cut(lo, hi, cuts), len(x1), rel_tol=rel_tol,
                             max_panels=max_panels)
@@ -349,7 +352,8 @@ def integrate_polytope(f, P, *, lines=(), point=None,
             res.group, np.abs(res.weights * res.values).sum(axis=1), len(x1))
 
     out = refine_groups(outer, *_cut(np.array([x1_lo]), np.array([x1_hi]),
-                                     x[None, P.contains(x, tol=1e-9), 0]),
+                                     np.append(x[P.contains(x, tol=1e-9), 0],
+                                               peak[0])[None]),
                         1, rel_tol=rel_tol, max_panels=max_panels)
     # the chords of the final outer nodes, each weighted by its outer weight
     outer_w = np.zeros(sum(map(len, chord_err)))
