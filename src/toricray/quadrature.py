@@ -20,15 +20,15 @@ rule its totals are summed with, so callers reuse them instead of
 evaluating the integrand again.  ``adaptive_panels`` is the one-group form.
 
 Polytopes: ``integrate_polytope`` cuts the panels at exact breakpoints: the
-facets of P, the caller's hyperplanes (the ends of a generator's support
-slabs) and the coordinate hyperplanes through a point (the integrand's
-peak).  Between them the integrand is smooth, so nothing is sampled to find
-where it concentrates.  In 2-D the integral is iterated.  The outer
-variable is x1, cut at the x1 of every pairwise intersection inside P of
+facets of P and the caller's hyperplanes (the ends of a generator's support
+slabs).  Between them the integrand is smooth, so nothing is sampled to
+find where it concentrates; a point (the integrand's peak) adds one cut per
+variable.  In 2-D the integral is iterated.  The outer variable is x1, cut
+at the peak's x1 and at the x1 of every pairwise intersection inside P of
 the breakpoint lines; the inner integrals run over the chords [x2_lo(x1),
-x2_hi(x1)] of P, each cut where a breakpoint line crosses it, and each
-outer level solves all of its chords in one grouped call, whose integrals
-of |f| are the outer magnitudes.  The error estimate is the outer error
+x2_hi(x1)] of P, each cut at the peak's x2 and where a breakpoint line
+crosses it, and each outer level solves all of its chords in one grouped
+call, whose integrals of |f| are the outer magnitudes.  The error estimate is the outer error
 plus the outer-weighted sum of the chord errors.  Each integral has a
 budget of ``MAX_PANELS`` panels.
 
