@@ -135,7 +135,7 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         mid = 0.5 * (a + b)
         ends = [(a, mid), (mid, b)] + ([(a, b)] if coarse is None else [])
         a_all, b_all = (np.concatenate(e) for e in zip(*ends))
-        nodes, _ = panel_nodes(a_all, b_all)
+        nodes, weights = panel_nodes(a_all, b_all)
         groups = np.concatenate([g] * len(ends)).astype(np.intp)
         vals = f(nodes.ravel(), groups.repeat(15))
         vals, mags = vals if isinstance(vals, tuple) else (vals, None)
@@ -150,8 +150,8 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
                 len(ends), -1)
         else:
             mags = sums
-        first = sum(map(len, outs)) + 15 * np.arange(2 * len(a))
-        outs.append(vals)
+        first = sum(o.shape[1] for o in outs) + 15 * np.arange(2 * len(a))
+        outs.append(np.array([nodes.ravel(), weights.ravel(), vals]))
         coarse = sums[2] if coarse is None else coarse
         return np.array([a, b, g, sums[0], sums[1], mags[0] + mags[1],
                          np.abs(sums[0] + sums[1] - coarse),
@@ -199,16 +199,10 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         # the left child takes its parent's place, the right one is appended
         cols[:, split] = children[:, :len(split)]
         cols = np.hstack([cols, children[:, len(split):]])
-    mid = 0.5 * (lo + hi)
-    nodes, weights = panel_nodes(np.concatenate([lo, mid]),
-                                 np.concatenate([mid, hi]))
-    k = len(lo)
-    pos = (cols[7:, :, None].astype(np.intp) + np.arange(15))
+    pos = cols[7:, :, None].astype(np.intp) + np.arange(15)
     pos = np.concatenate([pos[0], pos[1]], axis=1)
-    return Panels(lo, hi, g,
-                  np.concatenate([nodes[:k], nodes[k:]], axis=1),
-                  np.concatenate([weights[:k], weights[k:]], axis=1),
-                  np.concatenate(outs)[pos], pos, total, err_total)
+    nodes, weights, values = np.concatenate(outs, axis=1)[:, pos]
+    return Panels(lo, hi, g, nodes, weights, values, pos, total, err_total)
 
 
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
