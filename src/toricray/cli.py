@@ -355,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pl", required=True)
     p.add_argument("--eps", nargs="+", required=True)
     p.add_argument("--kernel", default="smooth", choices=["smooth", "cosine"])
-    p.add_argument("--variant", default="nice", choices=["nice", "strict",
-                                                         "global"])
+    p.add_argument("--variant", default="nice", choices=["nice", "strict"])
     p.add_argument("-o", "--output", default="smoothing.csv")
     p.set_defaults(func=cmd_smooth)
 

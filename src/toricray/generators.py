@@ -69,8 +69,6 @@ class SupportSlabs:
 
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not self.slabs:
-            return np.zeros(x.shape[:-1], dtype=bool)
         out = np.zeros(x.shape[:-1], dtype=bool)
         for nu, lo, hi in self.slabs:
             t = x @ nu
@@ -132,6 +130,10 @@ class Bump1D:
         self.base_k2 = float(self.kernel.cdf_integral(self.t_lo))
         self.top_cdf = float(self.kernel.cdf(self.t_hi))
         self.eff_mass = spec.mass * (self.top_cdf - self.base_cdf)
+        # the value at the right end, where the affine tail starts
+        self.top = float(spec.mass * a * (self.kernel.cdf_integral(self.t_hi)
+                                          - self.base_k2)
+                         - spec.mass * self.base_cdf * (hi - lo))
         self.clipped = (self.t_lo > -1.0) or (self.t_hi < 1.0)
 
     def _t(self, x):
@@ -161,12 +163,10 @@ class Bump1D:
         inner = (self.spec.mass * a * (self.kernel.cdf_integral(t) - self.base_k2)
                  - self.spec.mass * self.base_cdf
                  * (np.clip(x, self.lo, self.hi) - self.lo))
-        top = float(self.spec.mass * a * (self.kernel.cdf_integral(self.t_hi)
-                                          - self.base_k2)
-                    - self.spec.mass * self.base_cdf * (self.hi - self.lo))
         return np.where(x <= self.lo, 0.0,
                         np.where(x >= self.hi,
-                                 top + self.eff_mass * (x - self.hi), inner))
+                                 self.top + self.eff_mass * (x - self.hi),
+                                 inner))
 
     def centroid(self) -> float:
         """Mass centroid of the clipped profile; equals center if unclipped."""
@@ -202,12 +202,12 @@ class BumpGenerator1D(Generator):
         self.support = SupportSlabs([((1.0,), b.lo, b.hi) for b in bumps])
         self._check_masses()
 
-    def _check_masses(self, tol: float = 1e-10):
+    def _check_masses(self):
         from .quadrature import integrate_1d
         for b in self.bumps:
             got = integrate_1d(b.d2, b.lo, b.hi, rel_tol=1e-12)
             target = b.eff_mass
-            if abs(got - target) > tol * max(1.0, abs(target)):
+            if abs(got - target) > 1e-10 * max(1.0, abs(target)):
                 raise GeneratorError(
                     f"bump mass check failed: integral {got} vs {target}")
 
@@ -348,11 +348,6 @@ class PLConvex:
         vals = [dot(g, x) + b for g, b in self.pieces]
         top = max(vals)
         return frozenset(i for i, v in enumerate(vals) if v == top)
-
-    def active_set(self, x, tol: float = 1e-9):
-        vals = self.piece_values(x)
-        top = np.max(vals, axis=-1, keepdims=True)
-        return vals >= top - tol
 
     def max_over(self, P: Polytope) -> Fraction:
         """Maximum of f over P; attained at a vertex by convexity."""

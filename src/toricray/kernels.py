@@ -32,6 +32,9 @@ __all__ = ["Kernel", "get_kernel", "KERNEL_NAMES"]
 
 KERNEL_NAMES = ("cosine", "smooth")
 
+# nodes of the smooth kernel's uniform tables on [-1, 1]
+_GRID_SIZE = 8193
+
 
 class Kernel:
     """Even probability density on [-1, 1] with cumulative tables.
@@ -45,7 +48,7 @@ class Kernel:
     """
 
     def __init__(self, name, density, cdf, first_moment, cdf_integral, peak,
-                 density_d1=None, density_d2=None):
+                 density_d1, density_d2):
         self.name = name
         self._density = density
         self._cdf = cdf
@@ -131,7 +134,7 @@ def _hermite_table(values, slopes):
     return table
 
 
-def _smooth_kernel(grid_size: int = 8193) -> Kernel:
+def _smooth_kernel() -> Kernel:
     def raw(t):
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
@@ -140,7 +143,7 @@ def _smooth_kernel(grid_size: int = 8193) -> Kernel:
         out[inside] = np.exp(-1.0 / (1.0 - ti ** 2))
         return out
 
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = np.linspace(-1.0, 1.0, _GRID_SIZE)
     lo, hi = grid[:-1], grid[1:]
     cum_raw = np.concatenate([[0.0], np.cumsum(_gl15(raw, lo, hi))])
     c0 = cum_raw[-1]
@@ -156,7 +159,7 @@ def _smooth_kernel(grid_size: int = 8193) -> Kernel:
     # panelwise, so cdf_integral does not inherit interpolation error twice.
     def exact_cdf(t):
         idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0,
-                      grid_size - 2)
+                      _GRID_SIZE - 2)
         return cdf_nodes[idx] + _gl15(density, grid[idx], t)
 
     k2_nodes = np.concatenate([[0.0], np.cumsum(_gl15(exact_cdf, lo, hi))])

@@ -22,10 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .generators import Generator
-from .polytope import FaceFrame, Polytope
+from .polytope import FaceFrame, Polytope, make_polytope
 from .potentials import RayPoint, ray_jet
-from .quadrature import (QuadratureError, integrate_1d, integrate_polytope,
-                         panel_nodes)
+from .quadrature import QuadratureError, integrate_polytope, panel_nodes
 from .quantization import MonomialDensity, base_log_weight, rate_gap
 
 __all__ = [
@@ -113,30 +112,28 @@ def region_mean(region: Polytope, tau, *, weight=None, rel_tol=1e-10) -> float:
 
 def chord_mean(P: Polytope, frame: FaceFrame, c_perp, tau, *, weight=None,
                rel_tol=1e-10) -> float:
-    """Mean of tau along the chord {x_perp = c} of P (uniform or weighted)."""
+    """Mean of tau along the chord {x_perp = c} of P (uniform or weighted):
+    ``region_mean`` over the chord as a 1-D polytope in the parallel
+    coordinate u."""
     if frame.n_parallel != 1 or P.dim != 2:
         raise NotImplementedError("chord means implemented for 2-D walls")
     c_perp = np.atleast_1d(np.asarray(c_perp, dtype=float))
 
-    def point(u):
-        u = np.asarray(u, dtype=float)
+    def point(U):
+        u = U[..., 0]
         xt = np.stack([u, np.full_like(u, c_perp[0])], axis=-1)
         return xt @ frame.inverse_np.T
 
     # exact parallel range: each facet constraint is affine in u
-    x0, x1 = point(np.array([0.0, 1.0]))
+    x0, x1 = point(np.array([[0.0], [1.0]]))
     u_lo, u_hi = (float(u) for u in P.chord(x0, x1 - x0))
     if not u_lo < u_hi:
         raise ValueError("chord misses the polytope")
-    if weight is None:
-        num = integrate_1d(lambda u: tau(point(u)), u_lo, u_hi, rel_tol=rel_tol)
-        den = u_hi - u_lo
-    else:
-        num = integrate_1d(lambda u: weight(point(u)) * tau(point(u)),
-                           u_lo, u_hi, rel_tol=rel_tol)
-        den = integrate_1d(lambda u: weight(point(u)), u_lo, u_hi,
-                           rel_tol=rel_tol)
-    return num / den
+    # the polytope keeps the float ends as exact Fractions
+    chord = make_polytope([[1], [-1]], [u_lo, -u_hi], require_delzant=False)
+    return region_mean(chord, lambda U: tau(point(U)),
+                       weight=None if weight is None
+                       else lambda U: weight(point(U)), rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +155,14 @@ class RateFit:
         return bool(np.all(e[1:] <= e[:-1] * (1.0 + noise)))
 
 
-def fit_rate(s_grid, errors, floor: float = 1e-13) -> RateFit:
+def fit_rate(s_grid, errors) -> RateFit:
     """Least-squares fit of errors against s; picks power vs exponential.
 
-    Points at or below the numerical floor are dropped from the fit.
+    Points at or below the numerical floor 1e-13 are dropped from the fit.
     """
     s = np.asarray(s_grid, dtype=float)
     e = np.asarray(errors, dtype=float)
-    keep = e > floor
+    keep = e > 1e-13
     if keep.sum() < 2:
         return RateFit(s, e, "floor", 0.0, 0.0, 0.0,
                        aux={"note": "errors at numerical floor"})
@@ -255,12 +252,12 @@ def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
 
 def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
                        battery: TestBattery, region: Polytope, *,
-                       weighted=False,
-                       gap_scan: int = 10000) -> DiagnosticResult:
+                       weighted=False) -> DiagnosticResult:
     """Flattening onto the affinity component: pairings approach the
     (uniform or base-weighted) mean of tau over the component.
 
-    The scanned gap min rate_gap off the component is reported and compared
+    The gap min rate_gap off the component, scanned on 10,000 grid points
+    of P's bounding box (a 100 x 100 grid in 2-D), is reported and compared
     with an exponential fit of the errors.
     """
     if weighted:
@@ -274,11 +271,10 @@ def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
 
     lo, hi = P.bbox()
     if P.dim == 1:
-        xs = np.linspace(lo[0], hi[0], gap_scan)[:, None]
+        xs = np.linspace(lo[0], hi[0], 10000)[:, None]
     else:
-        side = int(math.sqrt(gap_scan))
-        g1 = np.linspace(lo[0], hi[0], side)
-        g2 = np.linspace(lo[1], hi[1], side)
+        g1 = np.linspace(lo[0], hi[0], 100)
+        g2 = np.linspace(lo[1], hi[1], 100)
         xs = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
         xs = xs[P.contains(xs, tol=1e-12)]
     off = ~region.contains(xs, tol=1e-12)
@@ -364,14 +360,11 @@ def polarization_distance(a: PolarizationFrame, b: PolarizationFrame) -> float:
     return float(np.linalg.norm(a.projector() - b.projector(), "fro"))
 
 
-def distance_to_real(frame_or_G) -> float:
-    if isinstance(frame_or_G, PolarizationFrame):
-        fr = frame_or_G
-        n = fr.basis.shape[0] // 2
-    else:
-        fr = polarization_frame(frame_or_G)
-        n = np.atleast_2d(np.asarray(frame_or_G)).shape[0]
-    return polarization_distance(fr, real_torus_frame(n))
+def distance_to_real(G) -> float:
+    """Distance of the holomorphic plane of the SPD Hessian G to the real
+    toric plane."""
+    n = np.atleast_2d(np.asarray(G)).shape[0]
+    return polarization_distance(polarization_frame(G), real_torus_frame(n))
 
 
 def mixed_limit_frame(G0, transverse_normals, parallel_dirs) -> PolarizationFrame:
@@ -397,13 +390,13 @@ def ray_polarization(P: Polytope, gen: Generator, s: float, x) -> PolarizationFr
 # metric lengths
 # ---------------------------------------------------------------------------
 
-def metric_length(P: Polytope, gen: Generator, s: float, path,
-                  panels_per_segment: int = 48) -> float:
+def metric_length(P: Polytope, gen: Generator, s: float, path) -> float:
     """Length of a polyline in (x, theta) under dx' G_s dx + dth' G_s^-1 dth.
 
-    Panels are split at the generator's support boundaries so segments off
-    the support integrate identically for every s.  Each segment takes one
-    batched ray_jet call on all of its GL15 nodes and one fsum.
+    Each segment is cut at the generator's support boundaries, and each
+    piece into 48 uniform GL15 panels, so pieces off the support integrate
+    identically for every s.  Each segment takes one batched ray_jet call
+    on all of its GL15 nodes and one fsum.
     """
     total = 0.0
     path = [(np.asarray(x, dtype=float), np.asarray(th, dtype=float))
@@ -419,7 +412,7 @@ def metric_length(P: Polytope, gen: Generator, s: float, path,
                     if 0.0 < t < 1.0:
                         cuts.add(t)
         cuts = sorted(cuts)
-        grids = [np.linspace(a, b, panels_per_segment + 1)
+        grids = [np.linspace(a, b, 48 + 1)
                  for a, b in zip(cuts[:-1], cuts[1:])]
         t, w = panel_nodes(np.concatenate([g[:-1] for g in grids]),
                            np.concatenate([g[1:] for g in grids]))

@@ -77,15 +77,13 @@ class Polytope:
         self.normals = tuple(normals)
         self.offsets = tuple(offsets)
         self.corrected = bool(corrected)
+        # uncorrected lattice polytopes carry integer offsets; rational
+        # offsets are allowed for derived objects (sub-polytopes, Q)
         if self.corrected:
             for o in self.offsets:
                 if (o - Fraction(1, 2)).denominator != 1:
                     raise PolytopeError(
                         f"corrected polytope needs offsets in 1/2+Z, got {o}")
-        else:
-            # uncorrected lattice polytopes carry integer offsets; rational
-            # offsets are allowed for derived objects (sub-polytopes, Q).
-            pass
 
         self._check_bounded_nonempty()
         self.vertices = tuple(vertices_of_system(self.normals, self.offsets,
@@ -213,8 +211,8 @@ class Polytope:
     def contains(self, x, tol: float = 0.0) -> np.ndarray:
         return np.min(self.ell(x), axis=-1) >= -tol
 
-    def interior_contains(self, x, margin: float = 0.0) -> np.ndarray:
-        return np.min(self.ell(x), axis=-1) > margin
+    def interior_contains(self, x) -> np.ndarray:
+        return np.min(self.ell(x), axis=-1) > 0.0
 
     def chord(self, x0, d):
         """Ends (lo, hi) of the chords {x0 + u d : lo <= u <= hi} of P from
@@ -248,14 +246,6 @@ class Polytope:
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, facets={len(self.normals)}, "
                 f"vertices={len(self.vertices)}, corrected={self.corrected})")
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "normals": [list(v) for v in self.normals],
-            "offsets": [str(o) for o in self.offsets],
-            "corrected": self.corrected,
-        }
 
 
 def make_polytope(normals, offsets, corrected=False, *,

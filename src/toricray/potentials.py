@@ -112,23 +112,23 @@ def _ray_objective(P, gen, s, x, y):
 
 
 def legendre_inverse(P: Polytope, gen: Generator, s: float, y,
-                     guess=None, tol: float = 1e-10,
-                     max_iter: int = 200) -> np.ndarray:
+                     guess=None) -> np.ndarray:
     """Solve grad g_s(x) = y by damped Newton on the convex dual objective.
 
     Steps are halved until the iterate stays strictly interior and the
     objective g_s(x) - <y, x> decreases; the log barrier of g_P guarantees
-    an interior solution for every y.
+    an interior solution for every y.  Newton stops once the residual is
+    at most 1e-10, and raises NewtonError after 200 steps.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(guess, dtype=float) if guess is not None else P.centroid()
     if np.min(P.ell(x)) <= 0:
         raise BoundaryError("initial guess must be strictly interior")
     fx = _ray_objective(P, gen, s, x, y)
-    for _ in range(max_iter):
+    for _ in range(200):
         jet = ray_jet(RayPoint(P, gen, s, x))
         r = jet.gradient - y
-        if np.linalg.norm(r) <= tol:
+        if np.linalg.norm(r) <= 1e-10:
             return x
         step = -np.linalg.solve(jet.hessian, r)
         t = 1.0
@@ -143,7 +143,7 @@ def legendre_inverse(P: Polytope, gen: Generator, s: float, y,
         else:
             raise NewtonError(f"line search failed at residual {np.linalg.norm(r)}")
     raise NewtonError(
-        f"Newton did not reach tol={tol} in {max_iter} iterations; "
+        "Newton did not reach tol=1e-10 in 200 iterations; "
         f"residual={np.linalg.norm(ray_jet(RayPoint(P, gen, s, x)).gradient - y)}")
 
 
@@ -172,9 +172,6 @@ class DetIdentityReport:
     deltas: np.ndarray = field(default=None)
     ok_positive: bool = True
     ok_finite: bool = True
-
-    def as_rows(self):
-        return list(zip(self.samples.tolist(), self.deltas.tolist()))
 
 
 def det_identity_check(P: Polytope, gen: Generator, s: float,

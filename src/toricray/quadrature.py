@@ -9,8 +9,8 @@ panel's halves become its children's coarse values.  A group's scale is the
 GL15 integral of |f| (or of magnitudes the integrand supplies), which is
 |total| for a one-signed integrand and stays positive where the total
 cancels to zero.  Each round splits, in every group whose summed error
-exceeds rel_tol * scale + abs_floor, each panel whose error exceeds
-max(rel_tol * scale / n_panels, 1e-18 * scale + abs_floor) and which is at
+exceeds rel_tol * scale + 1e-300, each panel whose error exceeds
+max(rel_tol * scale / n_panels, 1e-18 * scale + 1e-300) and which is at
 least 1e-15 wide.  Each split adds one panel, so a round splits at most the
 group's remaining budget of ``max_panels`` (``MAX_PANELS`` by default),
 largest errors first, and no group exceeds its budget.  A single group sums
@@ -112,12 +112,12 @@ def _cut(lo, hi, cuts):
 
 
 def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
-                  max_panels: int = MAX_PANELS, abs_floor: float = 1e-300):
+                  max_panels: int = MAX_PANELS):
     """Refine the panels [lo_i, hi_i] of ``n_groups`` independent integrals.
 
     ``f(x, g)`` maps 1-D points and the group of each to values, or to a
     pair (values, magnitudes), and is called once per level.  Group g is
-    refined until its summed error is at most rel_tol * scale_g + abs_floor,
+    refined until its summed error is at most rel_tol * scale_g + 1e-300,
     or it has nothing left to split within its budget of ``max_panels``
     panels.  scale_g is the integral of the magnitudes, |values| unless f
     gives them, so it stays positive where the integral of f cancels to
@@ -167,9 +167,8 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         # converged.  One group sums exactly and tests on scalars.
         if n_groups == 1:
             total, err_total, scale = (math.fsum(v.tolist()) for v in sums)
-            floor = max(rel_tol * scale / len(lo),
-                        1e-18 * scale + abs_floor) \
-                if err_total > rel_tol * scale + abs_floor else np.inf
+            floor = max(rel_tol * scale / len(lo), 1e-18 * scale + 1e-300) \
+                if err_total > rel_tol * scale + 1e-300 else np.inf
             total, err_total = np.array([total]), np.array([err_total])
             n_panels = np.array([len(lo)])
         else:
@@ -177,9 +176,9 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
                                        for v in sums)
             n_panels = np.bincount(g, minlength=n_groups)
             floor = np.where(
-                err_total > rel_tol * scale + abs_floor,
+                err_total > rel_tol * scale + 1e-300,
                 np.maximum(rel_tol * scale / np.maximum(n_panels, 1),
-                           1e-18 * scale + abs_floor), np.inf)[g]
+                           1e-18 * scale + 1e-300), np.inf)[g]
         split = np.nonzero((err > floor) & (hi - lo >= 1e-15))[0]
         if split.size > max_panels - len(lo):
             # largest errors first, at most the room left in each group
@@ -206,14 +205,15 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
 
 
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
-                    seeds=(), max_panels: int = MAX_PANELS,
-                    abs_floor: float = 1e-300):
+                    seeds=(), max_panels: int = MAX_PANELS):
     """Refine [a, b] into GL15 panels: ``refine_groups`` with one group.
 
     ``f`` maps a 1-D array of points to values and is called once per
     level.  ``seeds`` are interior split points inserted before adaptivity
-    starts.  When the budget runs out with the error above 100 * rel_tol *
-    |total| + abs_floor, QuadratureError is raised.
+    starts.  QuadratureError is raised when the total or its error is not
+    finite, or when the error ends above 100 * rel_tol * (integral of |f|
+    on the final nodes) + 1e-300: the budget ran out, or every panel left
+    to split is narrower than the 1e-15 width floor.
 
     Returns (value, panels) where panels is the list of (lo, hi) intervals
     at convergence, sorted by lo.
@@ -223,14 +223,18 @@ def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
     res = refine_groups(lambda x, g: f(x), *_cut(
         np.array([a], dtype=float), np.array([b], dtype=float),
         np.array(seeds, dtype=float).reshape(1, -1)), 1, rel_tol=rel_tol,
-        max_panels=max_panels, abs_floor=abs_floor)
-    total = float(res.total[0])
-    if len(res.lo) >= max_panels and \
-            res.err[0] > 100.0 * rel_tol * abs(total) + abs_floor:
+        max_panels=max_panels)
+    total, err = float(res.total[0]), float(res.err[0])
+    scale = float(np.sum(res.weights * np.abs(res.values)))
+    if not (math.isfinite(total) and math.isfinite(err)):
         raise QuadratureError(
-            f"interval refinement exhausted {max_panels} panels with "
-            f"relative error {res.err[0] / max(abs(total), 1e-300):.2e} "
-            f"(tolerance {rel_tol})")
+            f"interval integral is not finite: {total} with error {err}")
+    if err > 100.0 * rel_tol * scale + 1e-300:
+        reason = f"exhausted {max_panels} panels" if len(res.lo) >= max_panels \
+            else f"stopped at the 1e-15 panel width floor on {len(res.lo)} panels"
+        raise QuadratureError(
+            f"interval refinement {reason} with relative error "
+            f"{err / max(scale, 1e-300):.2e} (tolerance {rel_tol})")
     order = np.argsort(res.lo)
     return total, list(zip(res.lo[order].tolist(), res.hi[order].tolist()))
 

@@ -49,8 +49,10 @@ class SmoothingError(ValueError):
 # Directional mollification of a PL convex function (closed form)
 # ---------------------------------------------------------------------------
 
-# rows per inner batch of the outer Gauss-Legendre level; one batch holds
-# _OUTER_CHUNK * panels * 15 inner points
+# uniform GL15 panels of the outer Gauss-Legendre level
+_OUTER_PANELS = 16
+# rows per inner batch of the outer level; one batch holds
+# _OUTER_CHUNK * _OUTER_PANELS * 15 inner points
 _OUTER_CHUNK = 64
 
 
@@ -175,7 +177,7 @@ class IteratedMollifier:
     outer integral under the integral sign is legitimate.
     """
 
-    def __init__(self, f: PLConvex, dirs, radii, kernel: Kernel, panels: int = 16):
+    def __init__(self, f: PLConvex, dirs, radii, kernel: Kernel):
         if len(dirs) > 2:
             raise ValueError("iterated mollification takes at most two "
                              f"directions, got {len(dirs)}")
@@ -184,11 +186,10 @@ class IteratedMollifier:
         self.radii = [float(r) for r in radii]
         self.kernel = kernel
         self.inner = LineMollifier(f, self.dirs[0], self.radii[0], kernel)
-        self.panels = panels
         self._outer = None
         if len(self.dirs) == 2:
             w, r = self.dirs[1], self.radii[1]
-            edges = np.linspace(-r, r, self.panels + 1)
+            edges = np.linspace(-r, r, _OUTER_PANELS + 1)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
             ys = (mid[:, None] + half[:, None] * GL15_NODES[None, :]).ravel()
@@ -319,8 +320,7 @@ class _ThickeningSupport(SupportSlabs):
         return list(slabs.values())
 
     def contains(self, x):
-        inside = thickening_mask(self.decomp, self.eps, x)
-        return bool(inside) if inside.ndim == 0 else inside
+        return thickening_mask(self.decomp, self.eps, x)
 
 
 class _StrictTerm:
@@ -400,14 +400,13 @@ class NiceSmoothingGenerator(Generator):
 
 def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
                          eps: float, kernel: str = "smooth",
-                         variant: str = "nice",
-                         check_convexity: bool = True) -> NiceSmoothingGenerator:
+                         variant: str = "nice") -> NiceSmoothingGenerator:
     """Construct the smoothing psi_eps of f adapted to the decomposition.
 
-    variant "nice" is the rank-adapted construction; "strict" (alias
-    "global") adds a strictly convexifying term on the wall slab and is the
-    negative control that keeps conditions a-d but breaks the exact-rank
-    condition e.
+    variant "nice" is the rank-adapted construction; "strict" adds a
+    strictly convexifying term on the wall slab and is the negative control
+    that keeps conditions a-d but breaks the exact-rank condition e.  The
+    result's convexity is checked on ``default_check_samples``.
     """
     eps = float(eps)
     if eps <= 0:
@@ -463,7 +462,7 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         moll = IteratedMollifier(f, dirs, radii, kern)
 
     strict_term = None
-    if variant in ("strict", "global"):
+    if variant == "strict":
         if not single_wall:
             raise NotImplementedError(
                 "strict negative-control variant shipped for single-wall "
@@ -495,17 +494,17 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
 
     gen = NiceSmoothingGenerator(f, P, decomp, eps, kernel, moll,
                                  strict_term=strict_term)
-    if check_convexity:
-        worst = _convexity_probe(gen)
-        if worst < -1e-10:
-            raise SmoothingError(
-                f"convexity violated: min sampled eigenvalue {worst:.3e}")
+    worst = _convexity_probe(gen)
+    if worst < -1e-10:
+        raise SmoothingError(
+            f"convexity violated: min sampled eigenvalue {worst:.3e}")
     return gen
 
 
-def default_check_samples(decomp: Decomposition, eps: float,
-                          per_face: int = 7):
-    """Deterministic sample battery concentrated on slabs plus bulk points."""
+def default_check_samples(decomp: Decomposition, eps: float):
+    """Deterministic sample battery concentrated on slabs plus bulk points:
+    seven points along each face with a vertex pair, each shifted across
+    the face by seven multiples of eps."""
     P = decomp.polytope
     pts = []
     offs = np.array([0.0, 0.45, -0.45, 0.95, -0.95, 1.3, -1.3]) * eps
@@ -517,7 +516,7 @@ def default_check_samples(decomp: Decomposition, eps: float,
         if len(verts) == 1:
             base = [verts[0]]
         else:
-            lams = np.linspace(0.08, 0.92, per_face)
+            lams = np.linspace(0.08, 0.92, 7)
             base = [(1 - t) * verts[0] + t * verts[-1] for t in lams]
         shifts = fr.shift_vectors()
         for b in base:
@@ -547,9 +546,9 @@ def _convexity_probe(gen: NiceSmoothingGenerator) -> float:
 # family verification
 # ---------------------------------------------------------------------------
 
-def _rank(H, rank_tol=1e-8):
+def _rank(H):
     eigs = np.linalg.eigvalsh(np.atleast_2d(H))
-    floor = rank_tol * max(float(np.max(np.abs(eigs))), 1.0)
+    floor = 1e-8 * max(float(np.max(np.abs(eigs))), 1.0)
     return int(np.sum(eigs > floor))
 
 
@@ -620,7 +619,7 @@ def verify_nice_family(f: PLConvex, gens: dict, samples=None) -> NiceFamilyRepor
     conditions["c"] = ConditionReport("equals f off W_eps", worst_c <= 1e-12,
                                       worst_c)
 
-    face_pts = _face_interior_points(decomp, eps_max)
+    face_pts = _face_interior_points(decomp)
     # one batched Hessian per eps on all face points, shared by d) and e)
     X_face = np.array([p for _, p, _ in face_pts]).reshape(-1, P.dim)
     hess = {e: gens[e].hessian(X_face) for e in eps_list}
@@ -665,8 +664,9 @@ def verify_nice_family(f: PLConvex, gens: dict, samples=None) -> NiceFamilyRepor
     return NiceFamilyReport(conditions=conditions)
 
 
-def _face_interior_points(decomp: Decomposition, eps_ref: float, per_face: int = 5):
-    """(face, point, margin) with margin the distance to adjacent deeper faces."""
+def _face_interior_points(decomp: Decomposition):
+    """(face, point, margin) at five points along each face with a vertex
+    pair, margin the distance to adjacent deeper faces."""
     out = []
     for face in decomp.faces:
         if face.frame is None:
@@ -680,7 +680,7 @@ def _face_interior_points(decomp: Decomposition, eps_ref: float, per_face: int =
         if len(verts) == 1:
             cands = [verts[0]]
         else:
-            lams = np.linspace(0.1, 0.9, per_face)
+            lams = np.linspace(0.1, 0.9, 5)
             cands = [(1 - t) * verts[0] + t * verts[-1] for t in lams]
         for p in cands:
             if deeper_pts is None:

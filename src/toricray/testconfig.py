@@ -49,27 +49,26 @@ class Face:
         v = np.array([[float(c) for c in p] for p in self.vertices])
         return v.mean(axis=0)
 
-    def contains_parallel(self, x_par, tol: float = 1e-12):
-        """Whether x_par (n_parallel,), or each row of a (k, n_parallel)
-        batch, lies in the face's activity shadow."""
-        x_par = np.atleast_1d(np.asarray(x_par, dtype=float))
+    def contains_parallel(self, x_par) -> np.ndarray:
+        """Whether each row of a (k, n_parallel) batch lies in the face's
+        activity shadow, up to 1e-12."""
+        x_par = np.asarray(x_par, dtype=float)
         inside = np.ones(x_par.shape[:-1], dtype=bool)
         for coef, rhs in self._shadow or ():
-            inside &= x_par @ coef >= rhs - tol
-        return bool(inside) if inside.ndim == 0 else inside
+            inside &= x_par @ coef >= rhs - 1e-12
+        return inside
 
-    def in_slab(self, x, eps: float, tol: float = 1e-12):
-        """Membership of x (n,), or of each row of a (k, n) batch, in the
-        open transverse box over the face's shadow."""
+    def in_slab(self, x, eps: float) -> np.ndarray:
+        """Membership of each row of a (k, n) batch in the open transverse
+        box over the face's shadow."""
         x = np.asarray(x, dtype=float)
         if self.frame is None:
-            return False if x.ndim == 1 else np.zeros(x.shape[:-1], dtype=bool)
+            return np.zeros(x.shape[:-1], dtype=bool)
         npar = self.frame.n_parallel
         xt = self.frame.to_frame(x)
         inside = np.all(np.abs(xt[..., npar:] - self.frame.offsets_np) < eps,
                         axis=-1)
-        inside &= self.contains_parallel(xt[..., :npar], tol=tol)
-        return bool(inside) if x.ndim == 1 else inside
+        return inside & self.contains_parallel(xt[..., :npar])
 
 
 def _face_for_subset(f: PLConvex, P: Polytope, subset):
@@ -251,7 +250,7 @@ def thickening_membership(decomp: Decomposition, eps: float, x):
     if not np.all(decomp.polytope.contains(x, tol=1e-12)):
         return False, None
     for face in sorted(decomp.faces, key=lambda F: -F.codim):
-        if face.in_slab(x, eps):
+        if face.in_slab(x[None], eps)[0]:
             return True, face
     return False, None
 

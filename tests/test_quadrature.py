@@ -439,6 +439,19 @@ def test_tiny_budget_on_a_peak_raises(seeds):
                         seeds=seeds, max_panels=4)
 
 
+def test_width_floor_within_budget_raises():
+    # an integrable spike refined down to the 1e-15 width floor on 76
+    # panels, far inside the budget, still 1e-5 off
+    spike = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.pi) + 1e-24)
+    with pytest.raises(QuadratureError, match="width floor on 76 panels"):
+        adaptive_panels(spike, 0.0, 1.0, rel_tol=1e-10)
+
+
+def test_nonfinite_integral_raises():
+    with pytest.raises(QuadratureError, match="not finite"):
+        adaptive_panels(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
 @pytest.mark.parametrize("seeds", [(), (0.7, 1.3)])
 def test_one_integrand_call_per_level(seeds):
     """Level j measures panels of width w / 2**(j + 1), w the initial

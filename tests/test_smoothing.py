@@ -286,6 +286,17 @@ def test_envelope_against_scalar_reference():
     from toricray.kernels import get_kernel
     from toricray.smoothing import LineMollifier
     rng = np.random.default_rng(23)
+
+    def check(moll):
+        X = rng.uniform(-1, 1, size=(80, 2))
+        vals, grads_, hesses = moll.eval_many(X)
+        for x, v, g, h in zip(X, vals, grads_, hesses):
+            v_ref, g_ref, h_ref = _scalar_envelope(moll, x)
+            assert abs(v - v_ref) <= 1e-12 * (1.0 + abs(v_ref))
+            assert np.max(np.abs(g - g_ref)) <= 1e-12
+            assert np.max(np.abs(h - h_ref)) <= 1e-12 * (1.0 + np.max(np.abs(h_ref)))
+        return hesses
+
     rank2 = 0
     for trial in range(12):
         p = rng.integers(3, 6)
@@ -297,16 +308,25 @@ def test_envelope_against_scalar_reference():
         if not w.any():
             w[0] = 1.0
         kern = get_kernel(("cosine", "smooth")[trial % 2])
-        moll = LineMollifier(f, w, 1.0, kern)
-        X = rng.uniform(-1, 1, size=(80, 2))
-        vals, grads_, hesses = moll.eval_many(X)
+        hesses = check(LineMollifier(f, w, 1.0, kern))
         rank2 += np.sum(np.abs(np.linalg.det(hesses)) > 1e-8)
-        for x, v, g, h in zip(X, vals, grads_, hesses):
-            v_ref, g_ref, h_ref = _scalar_envelope(moll, x)
-            assert abs(v - v_ref) <= 1e-12 * (1.0 + abs(v_ref))
-            assert np.max(np.abs(g - g_ref)) <= 1e-12
-            assert np.max(np.abs(h - h_ref)) <= 1e-12 * (1.0 + np.max(np.abs(h_ref)))
     assert rank2 > 30  # windows with two or more breaks are well covered
+
+    # two pieces with distinct slopes take the two-piece closed form
+    kinked = 0
+    for trial in range(8):
+        w = rng.integers(-2, 3, size=2).astype(float)
+        if not w.any():
+            w[0] = 1.0
+        grads = rng.integers(-2, 3, size=(2, 2))
+        while (grads[0] - grads[1]) @ w == 0:
+            grads = rng.integers(-2, 3, size=(2, 2))
+        f = PLConvex([(tuple(g), b) for g, b in
+                      zip(grads, rng.integers(-2, 2, size=2))])
+        moll = LineMollifier(f, w, 1.0, get_kernel(("cosine", "smooth")[trial % 2]))
+        assert moll._pair
+        kinked += np.sum(np.any(check(moll), axis=(1, 2)))
+    assert kinked > 300
 
 
 def test_iterated_mollifier_batch_against_double_quadrature():
