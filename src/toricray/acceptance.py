@@ -33,7 +33,7 @@ from .polytope import make_polytope
 from .potentials import RayPoint, ray_jet
 from .quantization import (MonomialDensity, base_log_weight, gcst_image,
                            ray_rate)
-from .quadrature import integrate_1d
+from .quadrature import integrate_polytope
 from .smoothing import build_nice_smoothing, verify_nice_family
 from .testconfig import build_Q
 
@@ -176,11 +176,9 @@ def c06_gcst_limits() -> CheckResult:
     details = {}
 
     def restricted(tau):
-        lo = float(sc.regions["P1"].vertices_np.min())
-        hi = float(sc.regions["P1"].vertices_np.max())
-        return integrate_1d(
-            lambda t: np.exp(-base_log_weight(P, [0], np.asarray(t)[..., None]))
-            * tau(np.asarray(t)[..., None]), lo, hi, rel_tol=1e-12)
+        return integrate_polytope(
+            lambda X: np.exp(-base_log_weight(P, [0], X)) * tau(X),
+            sc.regions["P1"], rel_tol=1e-12).value
 
     md = MonomialDensity(P, gen, [0], 4096.0)
     img = gcst_image(md)
@@ -257,8 +255,7 @@ def c08_higher_dim_localization() -> CheckResult:
     bat = battery_for(P)
     details = {}
 
-    region = sc.regions["P2_minus_W"]
-    limits = {t.name: region_mean(region, t) for t in bat}
+    limits = dict(zip(bat.names(), region_mean(sc.regions["P2_minus_W"], bat)))
     md = MonomialDensity(P, gen, [2, 0], 2048.0, weighted=False)
     err_a = max(abs(md.pair(t) - limits[t.name]) for t in bat)
     ok_a = err_a <= 1e-4

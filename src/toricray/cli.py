@@ -3,7 +3,8 @@
 Subcommands reproduce the library's verification checks and emit figure
 data as CSV (comma separator, dot decimal, header row, LF endings, values
 printed with 17 significant digits so reruns are byte-identical).  Exit
-codes: 0 all checks pass, 1 a check failed, 2 bad input.
+codes: 0 all checks pass, 1 a check failed, 2 bad input or an integral that
+missed its tolerance.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .acceptance import ALL_CRITERIA, run_acceptance
 from .generators import BumpSpec, PLConvex, build_bump_generator, build_wall_sum
 from .limits import battery_for, fit_rate, metric_length
 from .polytope import parse_polytope
+from .quadrature import QuadratureError
 from .quantization import MonomialDensity, gcst_image
 from .smoothing import build_nice_smoothing, verify_nice_family
 from .testconfig import build_Q, central_fiber_report, decompose
@@ -144,14 +146,10 @@ def cmd_ray_density(args) -> int:
     outdir = Path(args.output)
     bat = battery_for(P)
     s_grid = [s for s in sc.s_grid if s <= args.max_s]
-    lo, hi = P.bbox()
-    if P.dim == 1:
-        grid = np.linspace(float(lo[0]), float(hi[0]), 513)[:, None]
-    else:
-        g1 = np.linspace(float(lo[0]), float(hi[0]), 65)
-        g2 = np.linspace(float(lo[1]), float(hi[1]), 65)
-        grid = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
-        grid = grid[P.contains(grid, tol=1e-12)]
+    axes = [np.linspace(float(a), float(b), 513 if P.dim == 1 else 65)
+            for a, b in zip(*P.bbox())]
+    grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
+    grid = grid[P.contains(grid, tol=1e-12)]
     for m in sc.lattice_points:
         pair_rows = []
         tag = "-".join(str(int(c)) for c in m)
@@ -374,7 +372,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+            QuadratureError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

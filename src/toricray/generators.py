@@ -25,6 +25,7 @@ import numpy as np
 from ._exact import dot, frac, vec_frac
 from .kernels import Kernel, get_kernel
 from .polytope import Polytope
+from .quadrature import integrate_polytope
 
 __all__ = [
     "BumpSpec", "Generator", "GeneratorError", "SupportSlabs",
@@ -203,9 +204,10 @@ class BumpGenerator1D(Generator):
         self._check_masses()
 
     def _check_masses(self):
-        from .quadrature import integrate_1d
         for b in self.bumps:
-            got = integrate_1d(b.d2, b.lo, b.hi, rel_tol=1e-12)
+            got = integrate_polytope(
+                lambda X: b.d2(X[:, 0]), self.polytope,
+                lines=[((1.0,), b.lo), ((1.0,), b.hi)], rel_tol=1e-12).value
             target = b.eff_mass
             if abs(got - target) > 1e-10 * max(1.0, abs(target)):
                 raise GeneratorError(

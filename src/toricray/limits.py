@@ -24,7 +24,7 @@ import numpy as np
 from .generators import Generator
 from .polytope import FaceFrame, Polytope, make_polytope
 from .potentials import RayPoint, ray_jet
-from .quadrature import QuadratureError, integrate_polytope, panel_nodes
+from .quadrature import integrate_polytope, panel_nodes
 from .quantization import MonomialDensity, base_log_weight, rate_gap
 
 __all__ = [
@@ -93,28 +93,26 @@ def battery_for(P: Polytope) -> TestBattery:
 # region means (limits of the uniform/weighted diagnostics)
 # ---------------------------------------------------------------------------
 
-def region_mean(region: Polytope, tau, *, weight=None, rel_tol=1e-10) -> float:
-    """Mean of tau over the region, optionally weighted by a density."""
+def region_mean(region: Polytope, battery, *, weight=None,
+                rel_tol=1e-10) -> list:
+    """Means over the region of each member of ``battery`` (callables on
+    points), optionally weighted by a density, which is integrated once.
+    Each integral raises QuadratureError when it misses rel_tol."""
     def integral(f):
-        res = integrate_polytope(f, region, rel_tol=rel_tol)
-        # relative to the integral of |f|, which stays positive where the
-        # integral of f cancels to zero
-        scale = float(res.weights @ np.abs(res.values))
-        if res.err > 100.0 * rel_tol * scale + 1e-300:
-            raise QuadratureError(
-                f"region integral missed its tolerance {rel_tol}: relative "
-                f"error {res.err / max(scale, 1e-300):.2e}")
-        return res.value
+        return integrate_polytope(f, region, rel_tol=rel_tol).value
     if weight is None:
-        return integral(tau) / float(region.volume_exact())
-    return integral(lambda X: weight(X) * tau(X)) / integral(weight)
+        volume = float(region.volume_exact())
+        return [integral(tau) / volume for tau in battery]
+    mass = integral(weight)
+    return [integral(lambda X: weight(X) * tau(X)) / mass
+            for tau in battery]
 
 
-def chord_mean(P: Polytope, frame: FaceFrame, c_perp, tau, *, weight=None,
-               rel_tol=1e-10) -> float:
-    """Mean of tau along the chord {x_perp = c} of P (uniform or weighted):
-    ``region_mean`` over the chord as a 1-D polytope in the parallel
-    coordinate u."""
+def chord_mean(P: Polytope, frame: FaceFrame, c_perp, battery, *,
+               weight=None, rel_tol=1e-10) -> list:
+    """Means of each member of ``battery`` along the chord {x_perp = c} of P
+    (uniform or weighted): ``region_mean`` over the chord as a 1-D polytope
+    in the parallel coordinate u."""
     if frame.n_parallel != 1 or P.dim != 2:
         raise NotImplementedError("chord means implemented for 2-D walls")
     c_perp = np.atleast_1d(np.asarray(c_perp, dtype=float))
@@ -131,7 +129,8 @@ def chord_mean(P: Polytope, frame: FaceFrame, c_perp, tau, *, weight=None,
         raise ValueError("chord misses the polytope")
     # the polytope keeps the float ends as exact Fractions
     chord = make_polytope([[1], [-1]], [u_lo, -u_hi], require_delzant=False)
-    return region_mean(chord, lambda U: tau(point(U)),
+    return region_mean(chord, [lambda U, tau=tau: tau(point(U))
+                               for tau in battery],
                        weight=None if weight is None
                        else lambda U: weight(point(U)), rel_tol=rel_tol)
 
@@ -224,7 +223,8 @@ class DiagnosticResult:
         return "\n".join(lines)
 
 
-def _max_battery_errors(P, gen, m, s_grid, battery, limits, *, weighted):
+def _diagnose(P, gen, m, s_grid, battery, limits, weighted):
+    """Pairing errors against ``limits`` per s, and their rate fit."""
     per_s = []
     for s in s_grid:
         md = MonomialDensity(P, gen, m, s, weighted=weighted)
@@ -232,7 +232,8 @@ def _max_battery_errors(P, gen, m, s_grid, battery, limits, *, weighted):
     table = {t.name: np.array([abs(row[t.name]) for row in per_s])
              for t in battery}
     errors = np.array([max(abs(v) for v in row.values()) for row in per_s])
-    return errors, table
+    return DiagnosticResult(fit=fit_rate(s_grid, errors), table=table,
+                            limits=limits)
 
 
 def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
@@ -244,10 +245,7 @@ def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     """
     m_arr = np.asarray(m, dtype=float)
     limits = {t.name: float(t(m_arr[None, :])[0]) for t in battery}
-    errors, table = _max_battery_errors(P, gen, m, s_grid, battery, limits,
-                                        weighted=weighted)
-    fit = fit_rate(s_grid, errors)
-    return DiagnosticResult(fit=fit, table=table, limits=limits)
+    return _diagnose(P, gen, m, s_grid, battery, limits, weighted)
 
 
 def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
@@ -260,23 +258,15 @@ def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     of P's bounding box (a 100 x 100 grid in 2-D), is reported and compared
     with an exponential fit of the errors.
     """
-    if weighted:
-        w = lambda X: np.exp(-base_log_weight(P, m, X))
-        limits = {t.name: region_mean(region, t, weight=w) for t in battery}
-    else:
-        limits = {t.name: region_mean(region, t) for t in battery}
-    errors, table = _max_battery_errors(P, gen, m, s_grid, battery, limits,
-                                        weighted=weighted)
-    fit = fit_rate(s_grid, errors)
+    w = (lambda X: np.exp(-base_log_weight(P, m, X))) if weighted else None
+    limits = dict(zip(battery.names(), region_mean(region, battery, weight=w)))
+    res = _diagnose(P, gen, m, s_grid, battery, limits, weighted)
+    fit = res.fit
 
-    lo, hi = P.bbox()
-    if P.dim == 1:
-        xs = np.linspace(lo[0], hi[0], 10000)[:, None]
-    else:
-        g1 = np.linspace(lo[0], hi[0], 100)
-        g2 = np.linspace(lo[1], hi[1], 100)
-        xs = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
-        xs = xs[P.contains(xs, tol=1e-12)]
+    axes = [np.linspace(a, b, 10000 if P.dim == 1 else 100)
+            for a, b in zip(*P.bbox())]
+    xs = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
+    xs = xs[P.contains(xs, tol=1e-12)]
     off = ~region.contains(xs, tol=1e-12)
     gaps = rate_gap(gen, m, xs[off])
     gap = float(gaps.min()) if gaps.size else math.inf
@@ -284,8 +274,8 @@ def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     fit.aux["gap_match"] = (fit.model == "exponential"
                             and gap > 0
                             and abs(fit.exponent - gap) <= 0.15 * gap)
-    return DiagnosticResult(fit=fit, table=table, limits=limits,
-                            aux={"gap": gap})
+    res.aux["gap"] = gap
+    return res
 
 
 def face_delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
@@ -300,27 +290,20 @@ def face_delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     """
     if frame.codim != 1:
         raise NotImplementedError("separable diagnostics ship for walls")
-    m_arr = np.asarray(m, dtype=float)
     npar = frame.n_parallel
     c = float(frame.offsets_np[0])
-    weight = None
-    if weighted:
-        weight = lambda X: np.exp(-base_log_weight(P, m_arr, X))
-    limits = {}
-    taus = []
-    for name, tperp, tpar in separable:
+    w = (lambda X: np.exp(-base_log_weight(P, m, X))) if weighted else None
+    limits, taus = {}, []
+    par_means = chord_mean(P, frame, [c], [
+        lambda X, tpar=tpar: tpar(frame.to_frame(X)[..., 0])
+        for _, _, tpar in separable], weight=w)
+    for (name, tperp, tpar), par_mean in zip(separable, par_means):
         def tau(X, tperp=tperp, tpar=tpar):
             xt = frame.to_frame(X)
             return tperp(xt[..., npar]) * tpar(xt[..., 0])
         taus.append(BatteryMember(name, tau))
-        par_mean = chord_mean(P, frame, [c], lambda X, tpar=tpar:
-                              tpar(frame.to_frame(X)[..., 0]), weight=weight)
         limits[name] = float(tperp(np.array([c]))[0]) * par_mean
-    battery = TestBattery(taus)
-    errors, table = _max_battery_errors(P, gen, m, s_grid, battery, limits,
-                                        weighted=weighted)
-    fit = fit_rate(s_grid, errors)
-    return DiagnosticResult(fit=fit, table=table, limits=limits)
+    return _diagnose(P, gen, m, s_grid, TestBattery(taus), limits, weighted)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,10 @@ call, whose integrals of |f| are the outer magnitudes.  The error estimate is th
 plus the outer-weighted sum of the chord errors.  Each integral has a
 budget of ``MAX_PANELS`` panels.
 
+One verdict: ``integrate_polytope``, the one integrator other modules call,
+and ``adaptive_panels`` raise QuadratureError when a result or its error is
+not finite, or ends above ALLOWANCE * rel_tol * (integral of |f|) + 1e-300.
+
 TriangleMesh, an adaptive degree-5 triangle mesh over a convex polygon, is
 an independent 2-D reference for the panels; each leaf stores a one-level
 and a four-child rule value, whose difference drives refinement.  Nothing
@@ -49,11 +53,13 @@ __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
     "log_integral_1d", "refine_groups", "integrate_polytope", "Panels",
     "NodeSet", "TriangleMesh", "polygon_mesh", "QuadratureError",
-    "MAX_PANELS",
+    "MAX_PANELS", "ALLOWANCE",
 ]
 
 # the panel budget of one integral
 MAX_PANELS = 20000
+# the most a returned error may be, in units of rel_tol * integral of |f|
+ALLOWANCE = 50.0
 
 
 class QuadratureError(RuntimeError):
@@ -204,16 +210,27 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
     return Panels(lo, hi, g, nodes, weights, values, pos, total, err_total)
 
 
+def _judge(what, value, err, weights, values, rel_tol, reason):
+    """The module's verdict on an integral summed on weights and values."""
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise QuadratureError(
+            f"{what} is not finite: {value} with error {err}")
+    scale = float(weights @ np.abs(values))
+    if err > ALLOWANCE * rel_tol * scale + 1e-300:
+        raise QuadratureError(
+            f"{what} {reason}: relative error "
+            f"{err / max(scale, 1e-300):.2e} (tolerance {rel_tol})")
+
+
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
                     seeds=(), max_panels: int = MAX_PANELS):
     """Refine [a, b] into GL15 panels: ``refine_groups`` with one group.
 
     ``f`` maps a 1-D array of points to values and is called once per
     level.  ``seeds`` are interior split points inserted before adaptivity
-    starts.  QuadratureError is raised when the total or its error is not
-    finite, or when the error ends above 100 * rel_tol * (integral of |f|
-    on the final nodes) + 1e-300: the budget ran out, or every panel left
-    to split is narrower than the 1e-15 width floor.
+    starts.  Raises QuadratureError by the module's verdict: the budget ran
+    out, or every panel left to split is narrower than the 1e-15 width
+    floor.
 
     Returns (value, panels) where panels is the list of (lo, hi) intervals
     at convergence, sorted by lo.
@@ -224,17 +241,12 @@ def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
         np.array([a], dtype=float), np.array([b], dtype=float),
         np.array(seeds, dtype=float).reshape(1, -1)), 1, rel_tol=rel_tol,
         max_panels=max_panels)
-    total, err = float(res.total[0]), float(res.err[0])
-    scale = float(np.sum(res.weights * np.abs(res.values)))
-    if not (math.isfinite(total) and math.isfinite(err)):
-        raise QuadratureError(
-            f"interval integral is not finite: {total} with error {err}")
-    if err > 100.0 * rel_tol * scale + 1e-300:
-        reason = f"exhausted {max_panels} panels" if len(res.lo) >= max_panels \
-            else f"stopped at the 1e-15 panel width floor on {len(res.lo)} panels"
-        raise QuadratureError(
-            f"interval refinement {reason} with relative error "
-            f"{err / max(scale, 1e-300):.2e} (tolerance {rel_tol})")
+    total = float(res.total[0])
+    _judge("interval integral", total, float(res.err[0]), res.weights.ravel(),
+           res.values.ravel(), rel_tol,
+           f"exhausted {max_panels} panels" if len(res.lo) >= max_panels
+           else "stopped at the 1e-15 panel width floor on "
+           f"{len(res.lo)} panels")
     order = np.argsort(res.lo)
     return total, list(zip(res.lo[order].tolist(), res.hi[order].tolist()))
 
@@ -303,7 +315,8 @@ def integrate_polytope(f, P, *, lines=(), point=None,
     are cut at the x1 of the pairwise intersections of breakpoint lines
     inside P, and every outer level refines all of its chords in x2 in one
     grouped call.  Each chord and the outer integral have a budget of
-    ``MAX_PANELS`` panels; the caller judges the returned error estimate.
+    ``MAX_PANELS`` panels, read at call time.  Raises QuadratureError by
+    the module's verdict, so a returned estimate has met its tolerance.
     """
     n = P.dim
     max_panels = MAX_PANELS
@@ -319,11 +332,21 @@ def integrate_polytope(f, P, *, lines=(), point=None,
                                   np.append(lines[:, 1] / lines[:, 0],
                                             peak)[None]),
                             1, rel_tol=rel_tol, max_panels=max_panels)
-        return NodeSet(res.nodes.reshape(-1, 1), res.weights.ravel(),
-                       res.values.ravel(), float(res.total[0]),
-                       float(res.err[0]), len(res.lo))
-    if n != 2:
+        res = NodeSet(res.nodes.reshape(-1, 1), res.weights.ravel(),
+                      res.values.ravel(), float(res.total[0]),
+                      float(res.err[0]), len(res.lo))
+    elif n == 2:
+        res = _iterated(f, P, lines, peak, rel_tol, max_panels)
+    else:
         raise NotImplementedError("polytope quadrature for dim <= 2")
+    _judge(f"{n}-D polytope integral", res.value, res.err, res.weights,
+           res.values, rel_tol, f"did not converge at {res.panels} panels, "
+           f"with a budget of {max_panels} panels per integral")
+    return res
+
+
+def _iterated(f, P, lines, peak, rel_tol, max_panels) -> NodeSet:
+    """The 2-D case of ``integrate_polytope``: x1 outside, x2 inside."""
     # outer cuts: x1 of the pairwise intersections of the lines inside P
     i, j = np.triu_indices(len(lines), 1)
     pairs = np.stack([lines[i], lines[j]], axis=1)

@@ -148,12 +148,6 @@ class MonomialDensity:
                                             rel_tol=self.rel_tol)
         if res.value <= 0:
             raise QuantizationError("density mass underflowed")
-        if res.err > 50.0 * self.rel_tol * res.value:
-            raise QuantizationError(
-                f"density quadrature did not converge: relative error "
-                f"estimate {res.err / res.value:.2e} at {res.panels} panels, "
-                f"with a budget of {quadrature.MAX_PANELS} panels per integral "
-                f"(tolerance {self.rel_tol})")
         self._log_gap_mass = ref + math.log(res.value)
         # the normalized density on the nodes the mass was summed on, so
         # that a pairing is one call of tau and one dot product

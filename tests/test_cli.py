@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import toricray
-from toricray import quantization
+from toricray import quadrature, quantization
 from toricray.cli import main
 
 
@@ -133,6 +133,16 @@ def test_verify_subset_exit_codes():
 def test_input_errors_exit_two(tmp_path):
     assert run(["profile", "--generator", "builtin:not-a-scenario"]) == 2
     assert run(["decompose", "--polytope", "{bad json", "--pl", "{}"]) == 2
+
+
+def test_quadrature_failure_exits_two(monkeypatch, tmp_path, capsys):
+    # eight panels per integral cannot resolve the wall-sum densities
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
+    assert run(["ray-density", "--scenario", "builtin:cp2-wall-sum",
+                "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "with a budget of 8 panels per integral" in err
 
 
 def test_density_tolerances_are_read_only():

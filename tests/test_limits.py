@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from toricray import limits
 from toricray.generators import BumpSpec, build_bump_generator, build_wall_sum
 from toricray.limits import (battery_for, chord_mean, delta_diagnostic,
                              distance_to_real, face_delta_diagnostic,
@@ -13,7 +14,8 @@ from toricray.limits import (battery_for, chord_mean, delta_diagnostic,
                              ray_polarization, real_torus_frame, region_mean,
                              uniform_diagnostic)
 from toricray.polytope import face_frame, make_polytope
-from toricray.quadrature import integrate_1d
+from toricray.quadrature import (QuadratureError, integrate_1d,
+                                 integrate_polytope)
 from toricray.quantization import MonomialDensity
 
 
@@ -120,37 +122,68 @@ def test_uniform_diagnostic_limits_and_honest_rate():
 
 def test_region_and_chord_means():
     P1 = make_polytope([[1], [-1]], [0, "-1/2"], require_delzant=False)
-    assert region_mean(P1, lambda X: X[..., 0]) == pytest.approx(0.25,
-                                                                 abs=1e-12)
+    assert region_mean(P1, [lambda X: X[..., 0]])[0] == pytest.approx(
+        0.25, abs=1e-12)
     # weighted 2-D mean over the unit simplex: E[x2 | weight x1] = 1/4
     unit = cp2(1)
-    got = region_mean(unit, lambda X: X[..., 1], weight=lambda X: X[..., 0])
+    got, = region_mean(unit, [lambda X: X[..., 1]],
+                       weight=lambda X: X[..., 0])
     assert got == pytest.approx(0.25, abs=1e-9)
     # on CP^2(3), int x1^a x2^b = 3^(a+b+2) a! b! / (a+b+2)!, so the mean
     # of x1^2 under the weight x1 x2 is (3^6 3! / 6!) / (3^4 / 4!) = 9/5
-    got = region_mean(cp2(), lambda X: X[..., 0] ** 2,
-                      weight=lambda X: X[..., 0] * X[..., 1], rel_tol=1e-12)
+    got, = region_mean(cp2(), [lambda X: X[..., 0] ** 2],
+                       weight=lambda X: X[..., 0] * X[..., 1], rel_tol=1e-12)
     assert got == pytest.approx(1.8, abs=1e-12)
     # means that cancel to zero: the tolerance is relative to the mean of
     # |tau|, so they converge like any other
     seg = make_polytope([[1], [-1]], [0, -2])
-    assert abs(region_mean(seg, lambda X: np.cos(np.pi * X[..., 0] / 2.0),
-                           rel_tol=1e-12)) <= 1e-14
+    assert abs(region_mean(seg, [lambda X: np.cos(np.pi * X[..., 0] / 2.0)],
+                           rel_tol=1e-12)[0]) <= 1e-14
     square = make_polytope([[1, 0], [0, 1], [-1, 0], [0, -1]], [-1] * 4)
     for weight in (None, lambda X: 1.0 + X[..., 1] ** 2):
         for tau in (lambda X: X[..., 0], lambda X: X[..., 0] * X[..., 1]):
-            assert abs(region_mean(square, tau, weight=weight,
-                                   rel_tol=1e-12)) <= 1e-14
+            assert abs(region_mean(square, [tau], weight=weight,
+                                   rel_tol=1e-12)[0]) <= 1e-14
     P = cp2()
     fr = face_frame(P, [[1, 0]], [1])
     # chord {x1 = 1}: x2 ranges over [0, 2]
-    assert chord_mean(P, fr, [1.0], lambda X: X[..., 1]) == pytest.approx(
-        1.0, abs=1e-12)
-    assert chord_mean(P, fr, [1.0], lambda X: X[..., 0]) == pytest.approx(
-        1.0, abs=1e-12)
+    assert chord_mean(P, fr, [1.0], [lambda X: X[..., 1]])[0] == \
+        pytest.approx(1.0, abs=1e-12)
+    assert chord_mean(P, fr, [1.0], [lambda X: X[..., 0]])[0] == \
+        pytest.approx(1.0, abs=1e-12)
     w = lambda X: X[..., 1]
-    assert chord_mean(P, fr, [1.0], lambda X: X[..., 1], weight=w) == \
+    assert chord_mean(P, fr, [1.0], [lambda X: X[..., 1]], weight=w)[0] == \
         pytest.approx(4.0 / 3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["bare", "weighted"])
+def test_region_mean_nonfinite_raises(weighted):
+    weight = (lambda X: X[..., 0]) if weighted else None
+    with pytest.raises(QuadratureError, match="not finite"):
+        region_mean(cp2(), [lambda X: np.full(X.shape[:-1], np.nan)],
+                    weight=weight)
+
+
+def test_battery_means_integrate_the_weight_once(monkeypatch):
+    calls = []
+
+    def counting(f, P, **kwargs):
+        calls.append(P.dim)
+        return integrate_polytope(f, P, **kwargs)
+    monkeypatch.setattr(limits, "integrate_polytope", counting)
+    P = cp2()
+    bat = battery_for(P)
+    w = lambda X: 1.0 + X[..., 0]
+    means = region_mean(P, bat, weight=w)
+    assert len(calls) == len(bat.members) + 1
+    assert means[0] == pytest.approx(1.0, abs=1e-12)
+    # each member's mean is the one it has alone
+    for t, got in zip(bat, means):
+        assert got == region_mean(P, [t], weight=w)[0]
+    calls.clear()
+    fr = face_frame(P, [[1, 0]], [1])
+    chord_mean(P, fr, [1.0], bat, weight=w)
+    assert calls == [1] * (len(bat.members) + 1)
 
 
 def test_uniform_diagnostic_two_dimensional():

@@ -10,7 +10,7 @@ from toricray import quadrature
 from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.polytope import make_polytope
 from toricray.scenarios import cp2_wall_sum
-from toricray.quadrature import integrate_1d
+from toricray.quadrature import QuadratureError, integrate_1d
 from toricray.quantization import (MonomialDensity, QuantizationError,
                                    base_log_weight, basis_census, gcst_image,
                                    l1_norm, normalized_density, ray_rate,
@@ -209,14 +209,36 @@ def test_log_gap_density_makes_one_jet_call():
 
 def test_nonconvergence_reports_panel_count(monkeypatch):
     # eight panels per integral cannot resolve the s = 8192 peak (ten do);
-    # MonomialDensity judges the engine's own error estimate
+    # the engine judges its own error estimate
     sc = cp2_wall_sum("cosine")
     monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 8192.0,
                          weighted=False)
-    with pytest.raises(QuantizationError,
+    with pytest.raises(QuadratureError,
                        match=r"at \d+ panels, with a budget of 8 panels "
                              r"per integral"):
+        md.log_mass()
+
+
+class _NanGenerator(_CountingGenerator):
+    """A generator whose value is nan everywhere."""
+
+    def jet(self, x, order):
+        val, grad, hess = self.inner.jet(x, order)
+        return np.full_like(val, np.nan), grad, hess
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nan_generator_raises(dim):
+    # every comparison with nan is false, so no tolerance test can pass it:
+    # the engine's verdict rejects the non-finite mass
+    if dim == 1:
+        P, gen, m = segment(), bump_gen(), [1]
+    else:
+        sc = cp2_wall_sum("cosine")
+        P, gen, m = sc.polytope, sc.generator, [1, 1]
+    md = MonomialDensity(P, _NanGenerator(gen), m, 32.0)
+    with pytest.raises(QuadratureError, match="not finite"):
         md.log_mass()
 
 
