@@ -202,26 +202,6 @@ class DiagnosticResult:
     limits: dict                # name -> limit value
     aux: dict = field(default_factory=dict)
 
-    def rows(self):
-        """(s, error per battery member) table, CSV-ready."""
-        names = sorted(self.table)
-        out = [("s", *names)]
-        for i, s in enumerate(self.fit.s_grid):
-            out.append((float(s), *(float(self.table[n][i]) for n in names)))
-        return out
-
-    def as_text(self) -> str:
-        fit = self.fit
-        lines = [f"fit: {fit.model}, exponent {fit.exponent:.4g}, "
-                 f"residual {fit.residual:.3g}"]
-        for k, v in fit.aux.items():
-            lines.append(f"  {k}: {v}")
-        for row in self.rows():
-            lines.append("  " + "  ".join(
-                f"{v:.6g}" if isinstance(v, float) else f"{v:>10s}"
-                for v in row))
-        return "\n".join(lines)
-
 
 def _diagnose(P, gen, m, s_grid, battery, limits, weighted):
     """Pairing errors against ``limits`` per s, and their rate fit."""

@@ -175,24 +175,29 @@ class Polytope:
         return all(self.ell_exact(x, j) >= 0 for j in range(len(self.normals)))
 
     def volume_exact(self) -> Fraction:
-        if self.dim == 1:
-            xs = [v[0] for v in self.vertices]
-            return max(xs) - min(xs)
-        if self.dim == 2:
-            pts = self._sorted_boundary()
-            area = Fraction(0)
-            for i in range(len(pts)):
-                x0, y0 = pts[i]
-                x1, y1 = pts[(i + 1) % len(pts)]
-                area += x0 * y1 - x1 * y0
-            return abs(area) / 2
-        raise NotImplementedError("exact volume implemented for dim <= 2")
+        """Exact volume from the pulling triangulation: a face (a set of
+        vertices) is the union of the cones from its first vertex over its
+        facets that miss that vertex, and the facets of a face are its
+        maximal proper intersections with the facets of P.  Determinants
+        are taken on the vertices scaled to integers."""
+        den = math.lcm(*(c.denominator for v in self.vertices for c in v))
+        pts = [[int(c * den) for c in v] for v in self.vertices]
+        offsets = [c * den for c in self.offsets]
+        facets = {frozenset(i for i, p in enumerate(pts)
+                            if sum(a * b for a, b in zip(nu, p)) == c)
+                  for nu, c in zip(self.normals, offsets)}
 
-    def _sorted_boundary(self):
-        cx = sum(v[0] for v in self.vertices) / len(self.vertices)
-        cy = sum(v[1] for v in self.vertices) / len(self.vertices)
-        return sorted(self.vertices,
-                      key=lambda v: math.atan2(float(v[1] - cy), float(v[0] - cx)))
+        def simplices(face):
+            apex = min(face)
+            subs = {face & F for F in facets} - {face}
+            return [(apex, *s) for G in subs
+                    if apex not in G and not any(G < H for H in subs)
+                    for s in simplices(G)] if len(face) > 1 else [(apex,)]
+
+        total = sum(abs(det_exact([[a - b for a, b in zip(pts[i], pts[s[0]])]
+                                   for i in s[1:]]))
+                    for s in simplices(frozenset(range(len(pts)))))
+        return Fraction(total, math.factorial(self.dim) * den ** self.dim)
 
     def integral_points(self):
         lo = [min(v[i] for v in self.vertices) for i in range(self.dim)]

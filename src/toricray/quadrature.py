@@ -23,14 +23,17 @@ Polytopes: ``integrate_polytope`` cuts the panels at exact breakpoints: the
 facets of P and the caller's hyperplanes (the ends of a generator's support
 slabs).  Between them the integrand is smooth, so nothing is sampled to
 find where it concentrates; a point (the integrand's peak) adds one cut per
-variable.  In 2-D the integral is iterated.  The outer variable is x1, cut
-at the peak's x1 and at the x1 of every pairwise intersection inside P of
-the breakpoint lines; the inner integrals run over the chords [x2_lo(x1),
-x2_hi(x1)] of P, each cut at the peak's x2 and where a breakpoint line
-crosses it, and each outer level solves all of its chords in one grouped
-call, whose integrals of |f| are the outer magnitudes.  The error estimate is the outer error
-plus the outer-weighted sum of the chord errors.  Each integral has a
-budget of ``MAX_PANELS`` panels.
+variable.  The integral is iterated in x1, ..., xn, in every dimension, by
+one recursive level with a group per fixed prefix (x1, ..., x_{j-1}).  An
+outer level runs over the range of x_j on P, cut at the x_j of every point
+of P where n - j + 1 breakpoint hyperplanes meet, and its integrand is the
+level below, called once per round on all of its new nodes.  The innermost
+level runs over the chords of P in xn, cut where the hyperplanes cross
+them, and calls f.  Final panels stay rows of 30 nodes through the levels,
+rows under nodes off the final panels are dropped, and the nodes (N, n) are
+built once.  A level's error estimate is its own plus the weighted errors
+of the levels below.  Each integral along one variable has a budget of
+``MAX_PANELS`` panels.
 
 One verdict: ``integrate_polytope``, the one integrator other modules call,
 and ``adaptive_panels`` raise QuadratureError when a result or its error is
@@ -45,6 +48,7 @@ in the package calls it.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -108,12 +112,13 @@ class Panels(NamedTuple):
 
 def _cut(lo, hi, cuts):
     """Panels (a, b, group) of the intervals [lo_g, hi_g], each cut at the
-    entries of its row of ``cuts`` that lie strictly inside it."""
+    entries of its row of ``cuts`` that lie strictly inside it.  An empty
+    interval (lo_g >= hi_g) gives no panel."""
     inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
-    cuts = np.sort(np.hstack([lo[:, None], np.where(inside, cuts, lo[:, None]),
-                              hi[:, None]]), axis=1)
+    cuts = np.sort(np.concatenate([lo[:, None], np.where(
+        inside, cuts, lo[:, None]), hi[:, None]], axis=1), axis=1)
     a, b = cuts[:, :-1], cuts[:, 1:]
-    keep = b > a
+    keep = (b > a) & (hi > lo)[:, None]
     return a[keep], b[keep], np.nonzero(keep)[0]
 
 
@@ -150,7 +155,7 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         sums = (half * (vals.reshape(-1, 15) @ GL15_WEIGHTS)).reshape(
             len(ends), -1)
         # a nonnegative f is its own magnitude
-        if mags is not None or vals.min(initial=0.0) < 0.0:
+        if mags is not None or np.minimum.reduce(vals, initial=0.0) < 0.0:
             mags = np.abs(vals) if mags is None else np.asarray(mags, float)
             mags = (half * (mags.reshape(-1, 15) @ GL15_WEIGHTS)).reshape(
                 len(ends), -1)
@@ -203,7 +208,7 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
                            np.concatenate([left[split], right[split]]))
         # the left child takes its parent's place, the right one is appended
         cols[:, split] = children[:, :len(split)]
-        cols = np.hstack([cols, children[:, len(split):]])
+        cols = np.concatenate([cols, children[:, len(split):]], axis=1)
     pos = cols[7:, :, None].astype(np.intp) + np.arange(15)
     pos = np.concatenate([pos[0], pos[1]], axis=1)
     nodes, weights, values = np.concatenate(outs, axis=1)[:, pos]
@@ -294,7 +299,7 @@ def log_integral_1d(log_f, a, b, *, rel_tol=1e-10, seeds=()):
 class NodeSet(NamedTuple):
     """Final nodes of ``integrate_polytope``: points (N, n), rule weights
     and integrand values (N,), the integral, its error estimate and the
-    final panel count."""
+    count of final innermost panels, N / 30."""
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
@@ -305,18 +310,16 @@ class NodeSet(NamedTuple):
 
 def integrate_polytope(f, P, *, lines=(), point=None,
                        rel_tol: float = 1e-10) -> NodeSet:
-    """Integral of f over the polytope P (dim 1 or 2) on GL15 panels.
+    """Integral of f over the polytope P on iterated GL15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
     P and the hyperplanes {nu . x = c} given as (nu, c) pairs in ``lines``;
     between them f should be smooth.  Each panel is also cut at the
-    coordinate of ``point`` (the integrand's peak) in its variable.  In 1-D
-    this is one group of ``refine_groups``.  In 2-D the outer panels in x1
-    are cut at the x1 of the pairwise intersections of breakpoint lines
-    inside P, and every outer level refines all of its chords in x2 in one
-    grouped call.  Each chord and the outer integral have a budget of
-    ``MAX_PANELS`` panels, read at call time.  Raises QuadratureError by
-    the module's verdict, so a returned estimate has met its tolerance.
+    coordinate of ``point`` (the integrand's peak) in its variable.  The
+    integral is iterated in x1, ..., xn by ``_level``, and each integral
+    along one variable has a budget of ``MAX_PANELS`` panels, read at call
+    time.  Raises QuadratureError by the module's verdict, so a returned
+    estimate has met its tolerance.
     """
     n = P.dim
     max_panels = MAX_PANELS
@@ -325,69 +328,80 @@ def integrate_polytope(f, P, *, lines=(), point=None,
         np.asarray(point, dtype=float)
     lines = np.array([[*nu, c] for nu, c in [*zip(P.normals, P.offsets),
                                              *lines]], dtype=float)
-    if n == 1:
-        (lo,), (hi,) = P.bbox()
-        res = refine_groups(lambda x, g: f(x[:, None]),
-                            *_cut(np.array([lo]), np.array([hi]),
-                                  np.append(lines[:, 1] / lines[:, 0],
-                                            peak)[None]),
-                            1, rel_tol=rel_tol, max_panels=max_panels)
-        res = NodeSet(res.nodes.reshape(-1, 1), res.weights.ravel(),
-                      res.values.ravel(), float(res.total[0]),
-                      float(res.err[0]), len(res.lo))
-    elif n == 2:
-        res = _iterated(f, P, lines, peak, rel_tol, max_panels)
-    else:
-        raise NotImplementedError("polytope quadrature for dim <= 2")
+    _, total, err, head, x, weights, values = _level(
+        f, P, lines, peak, np.empty((1, 0)), rel_tol, max_panels)
+    nodes = np.empty((*x.shape, n))
+    nodes[..., :-1] = head[:, None]
+    nodes[..., -1] = x
+    res = NodeSet(nodes.reshape(-1, n), weights.ravel(), values.ravel(),
+                  float(total[0]), float(err[0]), len(x))
     _judge(f"{n}-D polytope integral", res.value, res.err, res.weights,
            res.values, rel_tol, f"did not converge at {res.panels} panels, "
            f"with a budget of {max_panels} panels per integral")
     return res
 
 
-def _iterated(f, P, lines, peak, rel_tol, max_panels) -> NodeSet:
-    """The 2-D case of ``integrate_polytope``: x1 outside, x2 inside."""
-    # outer cuts: x1 of the pairwise intersections of the lines inside P
-    i, j = np.triu_indices(len(lines), 1)
-    pairs = np.stack([lines[i], lines[j]], axis=1)
-    pairs = pairs[np.abs(np.linalg.det(pairs[:, :, :2])) > 1e-12]
-    x = np.linalg.solve(pairs[:, :, :2], pairs[:, :, 2:])[..., 0]
-    (x1_lo, _), (x1_hi, _) = P.bbox()
-    crossing = lines[np.abs(lines[:, 1]) > 1e-14]
-    chords, chord_err = [], []
+def _level(f, P, lines, peak, prefix, rel_tol, max_panels):
+    """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
+    of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row.
+    Returns the prefix row of each final innermost panel (R,), the
+    integrals and their errors (k,), the coordinates the levels below fixed
+    for each panel (R, n - 1 - j), and x_n, the rule weights and the values
+    of its 30 nodes (R, 30)."""
+    (k, j), n = prefix.shape, P.dim
+    inner = []
+    # the range of x_{j+1}: the bounding box's, exact on the first level,
+    # and the chords of P on an innermost level below it
+    if 0 < j == n - 1:
+        lo, hi = P.chord(np.concatenate([prefix, np.zeros((k, 1))], axis=1),
+                         [0.0] * j + [1.0])
+    else:
+        lo, hi = (np.full(k, c[j]) for c in P.bbox())
+    if j == n - 1:
+        # cut where the hyperplanes cross the chords
+        crossing = lines[np.abs(lines[:, j]) > 1e-14]
+        cuts = (crossing[:, -1] - prefix @ crossing[:, :j].T) / crossing[:, j]
 
-    def outer(x1, _):
-        # the chords {x1_g} x [x2_lo, x2_hi], one group each, cut where the
-        # breakpoint lines cross them
-        lo, hi = P.chord(np.column_stack([x1, 0.0 * x1]), (0.0, 1.0))
-        cuts = (crossing[:, 2] - np.outer(x1, crossing[:, 0])) / crossing[:, 1]
-        cuts = np.column_stack([cuts, np.full(len(x1), peak[1])])
-        res = refine_groups(lambda x2, g: f(np.column_stack([x1[g], x2])),
-                            *_cut(lo, hi, cuts), len(x1), rel_tol=rel_tol,
-                            max_panels=max_panels)
-        chords.append((sum(map(len, chord_err)) + res.group, x1[res.group],
-                       res.nodes, res.weights, res.values))
-        chord_err.append(res.err)
-        # the chord integrals of |f| scale the outer integral
-        return res.total, np.bincount(
-            res.group, np.abs(res.weights * res.values).sum(axis=1), len(x1))
+        def driver(x, g):
+            return f(np.concatenate([prefix[g], x[:, None]], axis=1))
+    else:
+        # cut at the points of P where n - j of the hyperplanes meet; the
+        # integrand is the level below
+        sub = lines[np.array(list(combinations(range(len(lines)), n - j)))]
+        sub = sub[np.abs(np.linalg.det(sub[:, :, j:n])) > 1e-12]
+        rhs = sub[:, :, n] - np.moveaxis(sub[:, :, :j] @ prefix.T, -1, 0)
+        y = np.linalg.solve(sub[:, :, j:n], rhs[..., None])[..., 0]
+        cuts = np.where(P.contains(np.concatenate([np.broadcast_to(
+            prefix[:, None], (*y.shape[:2], j)), y], axis=-1), tol=1e-9),
+            y[..., 0], np.nan)
 
-    out = refine_groups(outer, *_cut(np.array([x1_lo]), np.array([x1_hi]),
-                                     np.append(x[P.contains(x, tol=1e-9), 0],
-                                               peak[0])[None]),
-                        1, rel_tol=rel_tol, max_panels=max_panels)
-    # the chords of the final outer nodes, each weighted by its outer weight
-    outer_w = np.zeros(sum(map(len, chord_err)))
-    outer_w[out.pos.ravel()] = out.weights.ravel()
-    owner, x1, x2, weights, values = (np.concatenate(a) for a in zip(*chords))
-    kept = outer_w[owner] > 0
-    nodes = np.stack([np.broadcast_to(x1[kept][:, None], x2[kept].shape),
-                      x2[kept]], axis=-1).reshape(-1, 2)
-    weights = outer_w[owner[kept]][:, None] * weights[kept]
-    return NodeSet(nodes, weights.ravel(), values[kept].ravel(),
-                   float(out.total[0]),
-                   float(out.err[0] + outer_w @ np.concatenate(chord_err)),
-                   len(out.lo) + int(kept.sum()))
+        def driver(x, g):
+            rows = _level(f, P, lines, peak, np.concatenate(
+                [prefix[g], x[:, None]], axis=1), rel_tol, max_panels)
+            inner.append((x, g, *rows))
+            # the integrals of |f| over the slices scale this level
+            own, total, _, _, _, w, v = rows
+            return total, np.bincount(own, np.abs(w * v).sum(axis=1), len(x))
+    res = refine_groups(driver, *_cut(lo, hi, np.concatenate(
+        [cuts, np.full((k, 1), peak[j])], axis=1)), k, rel_tol=rel_tol,
+        max_panels=max_panels)
+    if j == n - 1:
+        return (res.group, res.total, res.err, np.empty((len(res.group), 0)),
+                res.nodes, res.weights, res.values)
+    x, g, own, _, err, head, xs, ws, vs = zip(*inner)
+    # the owner of each panel row among all the nodes of this level, and
+    # the rule weight of each node, 0 off the final panels
+    own = np.concatenate([o + a for o, a in zip(
+        np.cumsum([0, *map(len, x[:-1])]), own)])
+    x, g, err, head, xs, ws, vs = map(np.concatenate, (
+        x, g, err, head, xs, ws, vs))
+    w = np.zeros(len(x))
+    w[res.pos.ravel()] = res.weights.ravel()
+    kept = w[own] > 0
+    own = own[kept]
+    return (g[own], res.total, res.err + np.bincount(g, w * err, k),
+            np.column_stack([x[own], head[kept]]), xs[kept],
+            w[own][:, None] * ws[kept], vs[kept])
 
 
 # ---------------------------------------------------------------------------

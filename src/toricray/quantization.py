@@ -31,7 +31,7 @@ is >= 0 term by term, because y - 1 - log y >= 0 (a facet with
 ell_r(m) = 0 contributes ell_r(x) / 2 >= 0).  So log_gap_density(m) is the
 reference level of every norm.  The density is smooth between the facets
 and the ends of the generator's support slabs, so the norm's panels are cut
-there and at m, in 1-D and 2-D alike (``quadrature.integrate_polytope``).
+there and at m, in every dimension (``quadrature.integrate_polytope``).
 """
 
 from __future__ import annotations

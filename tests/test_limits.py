@@ -70,18 +70,6 @@ def test_wall_sum_slabs_match_two_wall_decomposition():
         assert lo < 1.0 < hi  # slabs straddle the wall offsets
 
 
-def test_diagnostic_report_interface():
-    P = segment()
-    gen = big_bump()
-    bat = battery_for(P)
-    res = delta_diagnostic(P, gen, [1], [64, 256, 1024], bat)
-    rows = res.rows()
-    assert rows[0][0] == "s" and len(rows) == 4
-    assert rows[1][0] == 64.0 and len(rows[1]) == 1 + len(bat.names())
-    text = res.as_text()
-    assert "fit: power" in text and "exponent" in text
-
-
 def test_fit_rate_recovers_synthetic_laws():
     s = np.array([32, 64, 128, 256, 512, 1024], dtype=float)
     power = fit_rate(s, 5.0 / s)

@@ -197,6 +197,21 @@ def test_volume_and_diameter():
     assert segment(2).volume_exact() == 2
     assert simplex(3).volume_exact() == Fraction(9, 2)
     assert simplex(3).diameter() == pytest.approx(3 * np.sqrt(2))
+    # 3-D: the side-3 simplex, the 2 x 3 x 5 box, a prism and the
+    # octahedron, which is not simple
+    cp3 = make_polytope([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                        [0, 0, 0, -3])
+    box = make_polytope([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0],
+                         [0, -1, 0], [0, 0, -1]], [0, 0, 0, -2, -3, -5])
+    prism = make_polytope([[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1],
+                           [0, 0, -1]], [0, 0, -3, 0, -1])
+    octahedron = make_polytope(
+        [[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)],
+        [-1] * 8, require_delzant=False)
+    assert cp3.volume_exact() == Fraction(9, 2)
+    assert box.volume_exact() == 30
+    assert prism.volume_exact() == Fraction(9, 2)
+    assert octahedron.volume_exact() == Fraction(4, 3)
 
 
 def test_delzant_holds_at_every_vertex():

@@ -3,12 +3,15 @@
 1-D: the level-by-level panel engine against the heap refinement it
 replaced, closed forms and its panel budget.  2-D: the iterated panels of
 ``integrate_polytope`` against exact polynomial integrals, an erf product,
-and TriangleMesh, which stays as an independent reference.  The zoom
-pre-split, which splits a reference mesh's triangles near a set of lines
-before refinement, lives here with its scalar reference walk.
+and TriangleMesh, which stays as an independent reference.  3-D: the same
+engine against Dirichlet integrals over simplices, a prism and a kink
+plane.  The zoom pre-split, which splits a reference mesh's triangles near
+a set of lines before refinement, lives here with its scalar reference
+walk.
 """
 
 import heapq
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -22,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from toricray import quadrature, scenarios
 from toricray.generators import Generator, build_bump_generator
-from toricray.limits import battery_for
+from toricray.limits import battery_for, region_mean
 from toricray.polytope import make_polytope
 from toricray.quadrature import (GL15_NODES, GL15_WEIGHTS, QuadratureError,
                                  TriangleMesh, _split4_batch, adaptive_panels,
@@ -691,6 +694,7 @@ def test_polytope_panels_exact_on_polynomials(poly):
     P = POLYTOPES[poly]
     vertices = POLYGONS[poly]
     assert {tuple(v) for v in P.vertices_np} == {tuple(v) for v in vertices}
+    assert P.volume_exact() == _monomial_integral(vertices, 0, 0)
     for deg in range(11):
         for a in range(deg + 1):
             b = deg - a
@@ -713,6 +717,74 @@ def test_polytope_panels_separable_gaussian_against_erf():
     assert res.err <= 1e-10 * exact
     assert np.sum(res.weights * res.values) == pytest.approx(res.value,
                                                              rel=1e-14)
+
+
+def _simplex(n, N=3):
+    """The simplex {x >= 0, x1 + ... + xn <= N}."""
+    return make_polytope([*np.eye(n, dtype=int).tolist(), [-1] * n],
+                         [0] * n + [-N])
+
+
+# {x1, x2 >= 0, x1 + x2 <= 3, 0 <= x3 <= 1}
+PRISM = make_polytope([[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1],
+                       [0, 0, -1]], [0, 0, -3, 0, -1])
+
+
+def test_empty_interval_gives_no_panel():
+    # a chord that misses P has lo >= hi (hi = -inf from Polytope.chord):
+    # it contributes nothing instead of the panel [hi, lo]
+    for hi in (0.0, -np.inf):
+        a, b, g = quadrature._cut(np.array([1.0]), np.array([hi]),
+                                  np.empty((1, 0)))
+        assert len(a) == len(b) == len(g) == 0
+    res = quadrature.refine_groups(
+        lambda x, g: np.ones_like(x),
+        *quadrature._cut(np.array([0.0, 1.0]), np.array([2.0, -np.inf]),
+                         np.empty((2, 0))), 2)
+    assert res.total.tolist() == [2.0, 0.0]
+    assert res.err.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_simplex_monomials_against_dirichlet(n):
+    # integral of x^a over the side-N simplex: N^(n+|a|) prod a_i! / (n+|a|)!
+    P, N = _simplex(n), 3
+    for a in itertools.product(range(4), repeat=n):
+        if sum(a) > 3:
+            continue
+        res = integrate_polytope(lambda X: np.prod(X ** np.array(a), axis=1),
+                                 P, rel_tol=1e-12)
+        exact = Fraction(N ** (n + sum(a)) * math.prod(map(math.factorial, a)),
+                         math.factorial(n + sum(a)))
+        assert abs(res.value - float(exact)) <= 1e-13 * float(exact)
+        assert np.sum(res.weights * res.values) == pytest.approx(res.value,
+                                                                 rel=1e-14)
+
+
+def test_prism_integrals():
+    # the x3 chords above x1 + x2 > 3 miss the prism and must give no
+    # panel, not the panel [-inf, 0]
+    one = integrate_polytope(lambda X: np.ones(len(X)), PRISM)
+    assert one.value == pytest.approx(4.5, rel=1e-13)
+    x1x3 = integrate_polytope(lambda X: X[:, 0] * X[:, 2], PRISM)
+    assert x1x3.value == pytest.approx(2.25, rel=1e-13)
+
+
+def test_kink_plane_cut_in_three_dimensions():
+    # |x1 + x2 + x3 - 2| over the side-3 simplex, cut at its kink plane
+    res = integrate_polytope(lambda X: np.abs(X.sum(axis=1) - 2.0),
+                             _simplex(3), lines=[((1, 1, 1), 2)],
+                             point=(1, 1, 1))
+    assert res.value == pytest.approx(59 / 24, rel=1e-12)
+
+
+def test_region_mean_in_three_dimensions():
+    P = _simplex(3)
+    bat = battery_for(P)
+    means = dict(zip(bat.names(), region_mean(P, bat)))
+    assert means["one"] == pytest.approx(1.0, rel=1e-13)
+    for name in ("x1", "x2", "x3"):
+        assert means[name] == pytest.approx(0.75, rel=1e-13)
 
 
 def _near_lines(lines):

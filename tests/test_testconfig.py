@@ -89,6 +89,20 @@ def test_two_wall_decomposition_counts():
     assert codims == [1, 1, 1, 1, 2]
 
 
+def test_three_wall_corner_in_three_dimensions():
+    # max(0, x1 - 1, x2 - 1, x3 - 1) on the side-3 simplex: four pieces
+    # whose exact volumes sum to the simplex's 9/2
+    f = PLConvex([((0, 0, 0), 0), ((1, 0, 0), -1), ((0, 1, 0), -1),
+                  ((0, 0, 1), -1)])
+    P = make_polytope([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                      [0, 0, 0, -3])
+    dec = decompose(f, P)
+    assert len(dec.subpolytopes) == 4
+    assert P.volume_exact() == F(9, 2)
+    assert dec.volume_defect() == 0
+    assert dec.activity_consistency_exact()
+
+
 def test_every_point_attributed_once():
     f = PLConvex([((0, 0), 0), ((1, 0), -1), ((0, 1), -1), ((1, 1), -2)])
     dec = decompose(f, cp2())
