@@ -9,7 +9,7 @@ asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -104,8 +104,29 @@ def rank_exact(rows: Sequence[Sequence]) -> int:
 
 
 def det_exact(rows: Sequence[Sequence]) -> Fraction:
-    ech = row_reduce(rows, len(rows))
-    return ech.factor if len(ech.pivots) == len(rows) else Fraction(0)
+    """Determinant of a square rational matrix by fraction-free (Bareiss)
+    elimination.  Each row is scaled to integers by the lcm of its
+    denominators, so every step divides integers exactly."""
+    mat, scale = [], 1
+    for row in rows:
+        row = [v if isinstance(v, int) else Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (den // v.denominator) for v in row])
+        scale *= den
+    n, sign, prev = len(mat), 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if mat[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k]
+                             - mat[i][k] * mat[k][j]) // prev
+        prev = mat[k][k]
+    return Fraction(sign * prev, scale)
 
 
 def gcd_vec(values: Iterable[int]) -> int:

@@ -8,16 +8,17 @@ profiles are provided:
   support endpoints.  Gives bit-stable regression values.
 * ``smooth``: exp(-1/(1-t^2)) normalized, C-infinity.  Each antiderivative
   is tabulated on the uniform grid of 8193 nodes, h = 2/8192: node values
-  by panelwise Gauss-Legendre, node slopes exact (cdf' = density,
-  first_moment' = t * density, cdf_integral' = cdf), and between the nodes
-  the cubic Hermite interpolant of those values and slopes.  That
-  interpolant is within h^4/384 * max|f^(4)| of the table's function f:
-  3.9e-15 for cdf (max|density^(3)| = 420), 3.4e-15 for first_moment and
-  1.6e-16 for cdf_integral (max|density^(2)| = 17.5).  Beyond that bound
-  only the rounding of the node values remains.  The unit-mass
-  normalization is applied to the first antiderivative only, so downstream
-  identities (e.g. that the second antiderivative reaches exactly 1) remain
-  honest checks of the quadrature rather than definitions.
+  of cdf and first_moment by panelwise Gauss-Legendre, those of
+  cdf_integral by parts, t * cdf(t) - first_moment(t); node slopes exact
+  (cdf' = density, first_moment' = t * density, cdf_integral' = cdf); and
+  between the nodes the cubic Hermite interpolant of those values and
+  slopes.  That interpolant is within h^4/384 * max|f^(4)| of the table's
+  function f: 3.9e-15 for cdf (max|density^(3)| = 420), 3.4e-15 for
+  first_moment and 1.6e-16 for cdf_integral (max|density^(2)| = 17.5).
+  Beyond that bound only the rounding of the node values remains.  The
+  unit-mass normalization is applied to the first antiderivative only, so
+  that cdf_integral reaches 1 at t = 1 remains an honest check that the
+  first moment vanishes there, rather than a definition.
 """
 
 from __future__ import annotations
@@ -155,14 +156,8 @@ def _smooth_kernel() -> Kernel:
     moment_nodes = np.concatenate(
         [[0.0], np.cumsum(_gl15(lambda t: t * raw(t) / c0, lo, hi))])
 
-    # cdf evaluated exactly (panel-accumulated + partial GL), then integrated
-    # panelwise, so cdf_integral does not inherit interpolation error twice.
-    def exact_cdf(t):
-        idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0,
-                      _GRID_SIZE - 2)
-        return cdf_nodes[idx] + _gl15(density, grid[idx], t)
-
-    k2_nodes = np.concatenate([[0.0], np.cumsum(_gl15(exact_cdf, lo, hi))])
+    # by parts: the integral of cdf from -1 to t is t cdf(t) - first_moment(t)
+    k2_nodes = grid * cdf_nodes - moment_nodes
     density_nodes = density(grid)
 
     def density_d1(t):

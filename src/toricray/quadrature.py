@@ -25,15 +25,16 @@ slabs).  Between them the integrand is smooth, so nothing is sampled to
 find where it concentrates; a point (the integrand's peak) adds one cut per
 variable.  The integral is iterated in x1, ..., xn, in every dimension, by
 one recursive level with a group per fixed prefix (x1, ..., x_{j-1}).  An
-outer level runs over the range of x_j on P, cut at the x_j of every point
-of P where n - j + 1 breakpoint hyperplanes meet, and its integrand is the
-level below, called once per round on all of its new nodes.  The innermost
-level runs over the chords of P in xn, cut where the hyperplanes cross
-them, and calls f.  Final panels stay rows of 30 nodes through the levels,
-rows under nodes off the final panels are dropped, and the nodes (N, n) are
-built once.  A level's error estimate is its own plus the weighted errors
-of the levels below.  Each integral along one variable has a budget of
-``MAX_PANELS`` panels.
+outer level runs over the range of x_j on the slice of P at its prefix
+(the extent of the slice's vertices), cut at the x_j of every point of
+that slice where n - j + 1 breakpoint hyperplanes meet, and its integrand
+is the level below, called once per round on all of its new nodes.  The
+innermost level runs over the chords of P in xn, cut where the hyperplanes
+cross them, and calls f.  Final panels stay rows of 30 nodes through the
+levels, rows under nodes off the final panels are dropped, and the nodes
+(N, n) are built once.  A level's error estimate is its own plus the
+weighted errors of the levels below.  Each integral along one variable has
+a budget of ``MAX_PANELS`` panels.
 
 One verdict: ``integrate_polytope``, the one integrator other modules call,
 and ``adaptive_panels`` raise QuadratureError when a result or its error is
@@ -70,8 +71,21 @@ class QuadratureError(RuntimeError):
     pass
 
 
-# the 15-point Gauss-Legendre rule on [-1, 1], shared by the package
-GL15_NODES, GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# the 15-point Gauss-Legendre rule on [-1, 1], shared by the package: the
+# reprs of numpy.polynomial.legendre.leggauss(15), so that importing the
+# package does not load numpy.polynomial
+GL15_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854])
+GL15_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
 
 
 def panel_nodes(lo, hi):
@@ -350,14 +364,15 @@ def _level(f, P, lines, peak, prefix, rel_tol, max_panels):
     of its 30 nodes (R, 30)."""
     (k, j), n = prefix.shape, P.dim
     inner = []
-    # the range of x_{j+1}: the bounding box's, exact on the first level,
-    # and the chords of P on an innermost level below it
-    if 0 < j == n - 1:
-        lo, hi = P.chord(np.concatenate([prefix, np.zeros((k, 1))], axis=1),
-                         [0.0] * j + [1.0])
-    else:
-        lo, hi = (np.full(k, c[j]) for c in P.bbox())
+    # the range of x_{j+1}: the bounding box's on the first level, where it
+    # is exact, the chords of P on an innermost level below it, and the
+    # extent of the slice's vertices, which are among the cuts, on a level
+    # in between
+    lo, hi = (np.full(k, c[j]) for c in P.bbox())
     if j == n - 1:
+        if j > 0:
+            lo, hi = P.chord(np.concatenate([prefix, np.zeros((k, 1))],
+                                            axis=1), [0.0] * j + [1.0])
         # cut where the hyperplanes cross the chords
         crossing = lines[np.abs(lines[:, j]) > 1e-14]
         cuts = (crossing[:, -1] - prefix @ crossing[:, :j].T) / crossing[:, j]
@@ -374,6 +389,9 @@ def _level(f, P, lines, peak, prefix, rel_tol, max_panels):
         cuts = np.where(P.contains(np.concatenate([np.broadcast_to(
             prefix[:, None], (*y.shape[:2], j)), y], axis=-1), tol=1e-9),
             y[..., 0], np.nan)
+        if j > 0:
+            lo = np.where(np.isnan(cuts), np.inf, cuts).min(axis=1)
+            hi = np.where(np.isnan(cuts), -np.inf, cuts).max(axis=1)
 
         def driver(x, g):
             rows = _level(f, P, lines, peak, np.concatenate(

@@ -52,8 +52,10 @@ class SmoothingError(ValueError):
 # uniform GL15 panels of the outer Gauss-Legendre level
 _OUTER_PANELS = 16
 # rows per inner batch of the outer level; one batch holds
-# _OUTER_CHUNK * _OUTER_PANELS * 15 inner points
-_OUTER_CHUNK = 64
+# _OUTER_CHUNK * _OUTER_PANELS * 15 = 3840 inner points, so the envelope's
+# (N, p, p) temporaries stay a few hundred KB, below the sizes the allocator
+# maps and unmaps afresh on every batch
+_OUTER_CHUNK = 16
 
 
 class LineMollifier:
@@ -165,7 +167,7 @@ class LineMollifier:
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = k.density(np.where(brk, yb, d) / d) / d / (dg @ self.w)
         coef = np.where(brk, coef, 0.0)
-        hesses = np.einsum("ku,kui,kuj->kij", coef, dg, dg)
+        hesses = np.matmul((coef[..., None] * dg).transpose(0, 2, 1), dg)
         return vals, grads, hesses
 
 
@@ -365,7 +367,7 @@ class _StrictTerm:
             hess_t[:, npar, a] = hess_t[:, a, npar]
         hess_t[:, npar, npar] = self.eta * b2 * q2 / self.delta ** 2
         U = fr.matrix_np
-        return val, grad_t @ U, np.einsum("ai,kab,bj->kij", U, hess_t, U)
+        return val, grad_t @ U, U.T @ hess_t @ U
 
 
 class NiceSmoothingGenerator(Generator):

@@ -156,12 +156,14 @@ def test_density_tolerances_are_read_only():
 
 
 def test_runtime_imports_no_scipy():
-    # scipy is a test dependency only: the package and its CLI never load it
+    # scipy is a test dependency only: the package and its CLI never load
+    # it, nor numpy.polynomial, whose import would cost every start-up
     code = ("import importlib, pkgutil, sys, toricray\n"
             "for mod in pkgutil.iter_modules(toricray.__path__):\n"
             "    importlib.import_module('toricray.' + mod.name)\n"
             "print('toricray.cli' in sys.modules, *sorted(\n"
-            "    m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "    m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "    or m.startswith('numpy.polynomial')))")
     src = str(Path(toricray.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

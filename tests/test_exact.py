@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricray._exact import (affine_solutions, det_exact, invert_unimodular,
-                             rank_exact, solve_exact, unimodular_completion)
+                             rank_exact, row_reduce, solve_exact,
+                             unimodular_completion)
 from toricray.generators import PLConvex
 from toricray.polytope import make_polytope
 from toricray.testconfig import decompose
@@ -127,6 +128,18 @@ def test_det_is_multiplicative(AB):
 @given(square_matrices())
 def test_det_matches_leibniz_expansion(A):
     assert det_exact(A) == leibniz(A)
+
+
+@exact
+@given(square_matrices(), st.booleans())
+def test_bareiss_det_matches_row_reduction(A, integer):
+    # integer inputs stay ints; singular matrices (common here) give 0
+    if integer:
+        A = [[int(v * 6) for v in row] for row in A]
+    ech = row_reduce(A, len(A))
+    expected = ech.factor if len(ech.pivots) == len(A) else 0
+    d = det_exact(A)
+    assert isinstance(d, Fraction) and d == expected
 
 
 @exact

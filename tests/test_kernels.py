@@ -5,9 +5,12 @@ must lie within h^4/384 * max|f^(4)| of the function it tabulates, plus the
 rounding of its node values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from toricray import kernels
 from toricray.kernels import get_kernel
 from toricray.quadrature import GL15_NODES, GL15_WEIGHTS
 
@@ -65,3 +68,15 @@ def test_smooth_tables_take_scalars_and_clamp():
         assert table(3.0) == table(1.0) and table(-3.0) == table(-1.0) == 0.0
     assert kernel.cdf(1.0) == pytest.approx(1.0, abs=1e-15)
     assert kernel.cdf_integral(1.0) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_smooth_table_build_stays_small():
+    # the nodes of cdf_integral come by parts from the other two tables, not
+    # from a nested quadrature pass over the grid (which peaked at 91 MB)
+    tracemalloc.start()
+    try:
+        kernels._smooth_kernel()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

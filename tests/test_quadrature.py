@@ -297,6 +297,12 @@ def test_fan_drops_degenerate_triangles():
 # 1-D panels
 # ---------------------------------------------------------------------------
 
+def test_gl15_literals_are_leggauss_bitwise():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert GL15_NODES.tobytes() == nodes.tobytes()
+    assert GL15_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def _gl_panel(f, a, b):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * float(np.asarray(f(mid + half * GL15_NODES), dtype=float)
@@ -776,6 +782,22 @@ def test_kink_plane_cut_in_three_dimensions():
                              _simplex(3), lines=[((1, 1, 1), 2)],
                              point=(1, 1, 1))
     assert res.value == pytest.approx(59 / 24, rel=1e-12)
+
+
+def test_middle_level_runs_over_the_slice(monkeypatch):
+    # the x2 range of each x1 slice is the extent of the slice's vertices,
+    # not the bounding box's, so no innermost x3 chord misses the simplex
+    rows = []
+    cut = quadrature._cut
+
+    def counting_cut(lo, hi, cuts):
+        rows.append(np.count_nonzero(~(hi > lo)))
+        return cut(lo, hi, cuts)
+
+    monkeypatch.setattr(quadrature, "_cut", counting_cut)
+    res = integrate_polytope(lambda X: np.ones(len(X)), _simplex(3))
+    assert res.value == pytest.approx(4.5, rel=1e-13)
+    assert len(rows) > 2 and sum(rows) == 0
 
 
 def test_region_mean_in_three_dimensions():

@@ -361,6 +361,23 @@ def test_iterated_mollifier_batch_against_double_quadrature():
         assert v1 == v and np.array_equal(g1, g) and np.array_equal(h1, h)
 
 
+@pytest.mark.parametrize("kernel", ["cosine", "smooth"])
+def test_iterated_mollifier_batches_match_rows_bitwise(kernel):
+    from toricray import smoothing
+    P, f, dec = corner_setup()
+    moll = build_nice_smoothing(f, P, dec, 0.1, kernel=kernel).mollifier
+    assert isinstance(moll, smoothing.IteratedMollifier)
+    rng = np.random.default_rng(23)
+    X = 1.0 + rng.uniform(-0.01, 0.01, size=(64, 2))
+    vals, grads, hesses = moll.eval_many(X)
+    # every point is inside the footprint: at least three inner batches
+    assert np.all(np.any(hesses, axis=(1, 2)))
+    assert len(X) >= 3 * smoothing._OUTER_CHUNK
+    for x, v, g, h in zip(X, vals, grads, hesses):
+        v1, g1, h1 = moll.eval_point(x)
+        assert v1 == v and np.array_equal(g1, g) and np.array_equal(h1, h)
+
+
 def test_iterated_mollifier_takes_at_most_two_directions():
     from toricray.kernels import get_kernel
     from toricray.smoothing import IteratedMollifier
