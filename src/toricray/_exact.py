@@ -2,8 +2,10 @@
 
 Everything in here operates on plain Python ints and ``fractions.Fraction``
 so that polytope geometry (vertices, activity ties, lattice frames) is
-bit-exact.  Sizes are tiny (n <= ~12 facet systems), so clarity wins over
-asymptotics.
+bit-exact.  One elimination, the fraction-free Gauss-Jordan ``row_reduce``
+on integer rows, serves solves, ranks, null bases, determinants and
+unimodular inverses.  Sizes are tiny (n <= ~12 facet systems), so clarity
+wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -31,23 +33,37 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
 
 
 class Echelon(NamedTuple):
-    """Reduced row-echelon form of a rational matrix."""
-    rows: list          # the nonzero reduced rows, one per pivot
+    """Fraction-free reduced row-echelon form of a rational matrix.
+
+    The reduced form is ``rows / det``: each integer row holds ``det`` in
+    its own pivot column and 0 in every other pivot column.
+    """
+    rows: list          # the nonzero integer rows, one per pivot
     pivots: tuple       # pivot column of each row, increasing
-    factor: Fraction    # product of the pivots, signed by the row swaps
+    det: int            # the common pivot, a minor of the scaled matrix
+    scale: int          # product of the row scales
+    sign: int           # (-1) ** (number of row swaps)
 
 
 def row_reduce(rows: Sequence[Sequence], ncols: int | None = None) -> Echelon:
-    """Gauss-Jordan elimination over the rationals.
+    """Fraction-free (Bareiss) Gauss-Jordan elimination.
 
-    For a square matrix of full rank, ``factor`` is its determinant.
-    ``ncols`` is needed only when ``rows`` is empty.
+    Each row is scaled to integers by the lcm of its denominators.  A pivot
+    p replaces every other row by (p * row - c * pivot_row) // prev, where c
+    is the row's entry in the pivot column and prev the previous pivot;
+    Sylvester's identity makes every division exact.  For a square matrix
+    of full rank, sign * det / scale is its determinant.  ``ncols`` is
+    needed only when ``rows`` is empty.
     """
-    mat = [[Fraction(v) for v in row] for row in rows]
+    mat, scale = [], 1
+    for row in rows:
+        row = [v if isinstance(v, int) else Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (den // v.denominator) for v in row])
+        scale *= den
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
-    pivots = []
-    factor = Fraction(1)
+    pivots, sign, prev = [], 1, 1
     for col in range(ncols):
         r = len(pivots)
         piv = next((k for k in range(r, len(mat)) if mat[k][col] != 0), None)
@@ -55,18 +71,18 @@ def row_reduce(rows: Sequence[Sequence], ncols: int | None = None) -> Echelon:
             continue
         if piv != r:
             mat[r], mat[piv] = mat[piv], mat[r]
-            factor = -factor
-        inv = mat[r][col]
-        factor *= inv
-        mat[r] = [v / inv for v in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][col] != 0:
-                c = mat[k][col]
-                mat[k] = [v - c * w for v, w in zip(mat[k], mat[r])]
+            sign = -sign
+        top = mat[r]
+        p = top[col]
+        for k, row in enumerate(mat):
+            if k != r:
+                c = row[col]
+                mat[k] = [(p * v - c * w) // prev for v, w in zip(row, top)]
+        prev = p
         pivots.append(col)
         if len(pivots) == len(mat):
             break
-    return Echelon(mat[:len(pivots)], tuple(pivots), factor)
+    return Echelon(mat[:len(pivots)], tuple(pivots), prev, scale, sign)
 
 
 def affine_solutions(rows: Sequence[Sequence], rhs: Sequence, n: int):
@@ -80,7 +96,7 @@ def affine_solutions(rows: Sequence[Sequence], rhs: Sequence, n: int):
         return None
     x0 = [Fraction(0)] * n
     for row, pc in zip(ech.rows, ech.pivots):
-        x0[pc] = row[n]
+        x0[pc] = Fraction(row[n], ech.det)
     null = []
     for fc in range(n):
         if fc in ech.pivots:
@@ -88,7 +104,7 @@ def affine_solutions(rows: Sequence[Sequence], rhs: Sequence, n: int):
         u = [Fraction(0)] * n
         u[fc] = Fraction(1)
         for row, pc in zip(ech.rows, ech.pivots):
-            u[pc] = -row[fc]
+            u[pc] = Fraction(-row[fc], ech.det)
         null.append(tuple(u))
     return tuple(x0), null
 
@@ -104,29 +120,11 @@ def rank_exact(rows: Sequence[Sequence]) -> int:
 
 
 def det_exact(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix by fraction-free (Bareiss)
-    elimination.  Each row is scaled to integers by the lcm of its
-    denominators, so every step divides integers exactly."""
-    mat, scale = [], 1
-    for row in rows:
-        row = [v if isinstance(v, int) else Fraction(v) for v in row]
-        den = lcm(*(v.denominator for v in row))
-        mat.append([v.numerator * (den // v.denominator) for v in row])
-        scale *= den
-    n, sign, prev = len(mat), 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if mat[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k]
-                             - mat[i][k] * mat[k][j]) // prev
-        prev = mat[k][k]
-    return Fraction(sign * prev, scale)
+    """Determinant of a square rational matrix, read off its row reduction."""
+    ech = row_reduce(rows, len(rows))
+    if len(ech.pivots) < len(rows):
+        return Fraction(0)
+    return Fraction(ech.sign * ech.det, ech.scale)
 
 
 def gcd_vec(values: Iterable[int]) -> int:
@@ -164,10 +162,9 @@ def invert_unimodular(mat: Sequence[Sequence[int]]) -> list[list[int]]:
                       for i, row in enumerate(mat)], 2 * n)
     if ech.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    inv = [row[n:] for row in ech.rows]
-    if any(v.denominator != 1 for row in inv for v in row):
+    if ech.scale != 1 or abs(ech.det) != 1:
         raise ValueError("matrix is not unimodular")
-    return [[int(v) for v in row] for row in inv]
+    return [[v * ech.det for v in row[n:]] for row in ech.rows]
 
 
 class SaturationError(ValueError):

@@ -45,9 +45,9 @@ class CheckResult:
     cid: int
     title: str
     passed: bool
-    runtime: float = 0.0
     details: dict = field(default_factory=dict)
     note: str = ""
+    runtime: float = 0.0        # set by run_acceptance
 
     def as_line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -63,7 +63,6 @@ class CheckResult:
 
 def c01_beta_norm_oracle() -> CheckResult:
     """s = 0 density masses against the Beta-integral closed form."""
-    t0 = time.time()
     worst = 0.0
     for N in (1, 2, 3):
         P = make_polytope([[1], [-1]], [0, -N])
@@ -76,12 +75,11 @@ def c01_beta_norm_oracle() -> CheckResult:
             rel = abs(math.expm1(md.log_mass() - target))
             worst = max(worst, rel)
     return CheckResult(1, "Beta-norm oracle for s=0 masses", worst <= 1e-8,
-                       time.time() - t0, {"worst_rel": worst})
+                       {"worst_rel": worst})
 
 
 def c02_affine_tail() -> CheckResult:
     """Single even bump: psi(x) = A(x - m) exactly beyond the support."""
-    t0 = time.time()
     P = make_polytope([[1], [-1]], [0, -2])
     worst = {}
     ok = True
@@ -92,13 +90,11 @@ def c02_affine_tail() -> CheckResult:
         worst[kernel] = err
         ok = ok and err <= tol
     return CheckResult(2, "affine tail identity psi = A(x-m) off support", ok,
-                       time.time() - t0,
                        {"cosine": worst["cosine"], "smooth": worst["smooth"]})
 
 
 def c03_gap_plateau_values() -> CheckResult:
     """Three bumps: rate function constant on each gap with the stacked value."""
-    t0 = time.time()
     sc = scenarios.three_bumps("cosine")
     gen = sc.generator
     comps = gen.components()
@@ -112,12 +108,11 @@ def c03_gap_plateau_values() -> CheckResult:
             got = ray_rate(gen, [float(n)], xs)
             worst = max(worst, float(np.max(np.abs(got - expected))))
     return CheckResult(3, "stacked rate values on all gap components",
-                       worst <= 1e-10, time.time() - t0, {"worst": worst})
+                       worst <= 1e-10, {"worst": worst})
 
 
 def c04_delta_convergence() -> CheckResult:
     """Concentration at an interior-support lattice point, both variants."""
-    t0 = time.time()
     sc = scenarios.segment("cosine")
     bat = battery_for(sc.polytope)
     s_grid = [32, 64, 128, 256, 512, 1024, 2048, 4096]
@@ -135,12 +130,11 @@ def c04_delta_convergence() -> CheckResult:
         details[f"{label}_final"] = float(fit.errors[-1])
         ok = ok and good
     return CheckResult(4, "delta convergence at interior support point", ok,
-                       time.time() - t0, details)
+                       details)
 
 
 def c05_uniform_convergence() -> CheckResult:
     """Flattening on the gap components with gap-exponential target rate."""
-    t0 = time.time()
     sc = scenarios.segment("cosine")
     bat = battery_for(sc.polytope)
     s_grid = [32, 64, 128, 256, 512, 1024, 2048, 4096]
@@ -161,15 +155,13 @@ def c05_uniform_convergence() -> CheckResult:
                 details[f"n{n[0]}_gap"] = fit.aux.get("gap", float("nan"))
             ok = ok and good
     return CheckResult(
-        5, "uniform convergence with gap-exponential rate", ok,
-        time.time() - t0, details,
+        5, "uniform convergence with gap-exponential rate", ok, details,
         note="" if ok else "component-edge boundary layer decays as a power "
         "of s; exponential target unattainable (see notes)")
 
 
 def c06_gcst_limits() -> CheckResult:
     """Transform limits: restriction on a gap component, Laplace at center."""
-    t0 = time.time()
     sc = scenarios.corrected_segment("cosine")
     P, gen = sc.polytope, sc.generator
     bat = battery_for(P)
@@ -202,12 +194,11 @@ def c06_gcst_limits() -> CheckResult:
         note = ("support-edge boundary layer decays as s^(-1/3); "
                 "1e-6 target unattainable (see notes)")
     return CheckResult(6, "coherent-state-transform limits", ok_a and ok_b,
-                       time.time() - t0, details, note=note)
+                       details, note=note)
 
 
 def c07_polarization() -> CheckResult:
     """Stasis off the support, 1/s approach to the real plane, mixed limit."""
-    t0 = time.time()
     details = {}
     sc = scenarios.segment("cosine")
     P, gen = sc.polytope, sc.generator
@@ -243,13 +234,11 @@ def c07_polarization() -> CheckResult:
     details["stasis_2d"] = stasis2
 
     return CheckResult(7, "polarization stasis, rate, and mixed limit",
-                       ok_stasis and ok_rate and ok_mixed,
-                       time.time() - t0, details)
+                       ok_stasis and ok_rate and ok_mixed, details)
 
 
 def c08_higher_dim_localization() -> CheckResult:
     """CP^2 wall scenario: component flattening and on-wall localization."""
-    t0 = time.time()
     sc = scenarios.cp2_wall(eps=Fraction(1, 10), kernel="smooth")
     P, gen = sc.polytope, sc.generator
     bat = battery_for(P)
@@ -279,12 +268,11 @@ def c08_higher_dim_localization() -> CheckResult:
         note = ("slab boundary layer of the smooth mollifier decays like "
                 "1/log(s); 1e-4 target unattainable (see notes)")
     return CheckResult(8, "higher-dimensional localization", ok_a and ok_b,
-                       time.time() - t0, details, note=note)
+                       details, note=note)
 
 
 def c09_nice_family() -> CheckResult:
     """Shipped smoothing family passes a-e; strict control fails e only."""
-    t0 = time.time()
     sc = scenarios.cp2_wall()
     f, P, dec = sc.pl, sc.polytope, sc.decomposition
     fam = {e: build_nice_smoothing(f, P, dec, e, kernel=sc.kernel)
@@ -301,12 +289,11 @@ def c09_nice_family() -> CheckResult:
                "control_e": "fails" if not rep_neg.conditions["e"].passed
                else "PASSES (bad)"}
     return CheckResult(9, "nice-family conditions and strict negative control",
-                       ok, time.time() - t0, details)
+                       ok, details)
 
 
 def c10_decomposition_q() -> CheckResult:
     """Two-wall decomposition count/volumes and test-configuration vertices."""
-    t0 = time.time()
     sc = scenarios.cp2_two_walls()
     dec = sc.decomposition
     ok = len(dec.subpolytopes) == 4
@@ -325,13 +312,11 @@ def c10_decomposition_q() -> CheckResult:
                       (Fraction(0), Fraction(1)), (Fraction(2), Fraction(1))}
     ok = ok and set(prism.vertices) == expected_prism
     return CheckResult(10, "decomposition and test-configuration polytope", ok,
-                       time.time() - t0,
                        {"pieces": len(dec.subpolytopes), "vol_defect": defect})
 
 
 def c11_metric_degeneration() -> CheckResult:
     """sqrt(s) stretching across the bump, stasis off it, shrinking circles."""
-    t0 = time.time()
     sc = scenarios.segment("cosine")
     P, gen = sc.polytope, sc.generator
     s_grid = np.array([100.0, 316.0, 1000.0, 3162.0, 10000.0])
@@ -352,7 +337,6 @@ def c11_metric_degeneration() -> CheckResult:
     fit_c = fit_rate(s_grid, circ)
     ok = ok and fit_c.model == "power" and abs(fit_c.exponent - 0.5) <= 0.05
     return CheckResult(11, "metric stretching and collapse rates", ok,
-                       time.time() - t0,
                        {"growth_exponent": growth, "off_spread": spread,
                         "circle_exponent": fit_c.exponent})
 
@@ -377,8 +361,11 @@ KNOWN_UNATTAINABLE = (5, 6, 8)
 
 
 def run_acceptance(ids=None):
-    ids = sorted(ALL_CRITERIA) if ids is None else sorted(ids)
+    """Run the selected criteria in order, timing each one."""
     results = []
-    for cid in ids:
-        results.append(ALL_CRITERIA[cid]())
+    for cid in sorted(ALL_CRITERIA) if ids is None else sorted(ids):
+        t0 = time.perf_counter()
+        result = ALL_CRITERIA[cid]()
+        result.runtime = time.perf_counter() - t0
+        results.append(result)
     return results

@@ -200,7 +200,6 @@ class DiagnosticResult:
     fit: RateFit
     table: dict                 # name -> per-s errors
     limits: dict                # name -> limit value
-    aux: dict = field(default_factory=dict)
 
 
 def _diagnose(P, gen, m, s_grid, battery, limits, weighted):
@@ -254,7 +253,6 @@ def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     fit.aux["gap_match"] = (fit.model == "exponential"
                             and gap > 0
                             and abs(fit.exponent - gap) <= 0.15 * gap)
-    res.aux["gap"] = gap
     return res
 
 

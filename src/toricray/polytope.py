@@ -29,19 +29,24 @@ __all__ = [
 
 
 def vertices_of_system(normals, offsets, dim: int) -> list:
-    """Sorted exact vertices of {x : <v_j, x> >= o_j}, assumed bounded.
+    """Exact vertices of {x : <v_j, x> >= o_j}, assumed bounded, sorted,
+    each paired with the frozenset of constraints tight there.
 
     Every dim-subset of the constraints with a unique common solution is a
-    candidate; the feasible ones are the vertices.  The list may be empty.
+    candidate; the feasible ones, all of whose slacks are >= 0, are the
+    vertices, and their zero slacks are the tight set.  The list may be
+    empty.
     """
-    verts = set()
+    verts = {}
     for subset in combinations(range(len(normals)), dim):
         x = solve_exact([normals[j] for j in subset],
                         [offsets[j] for j in subset])
-        if x is not None and all(dot(v, x) >= o
-                                 for v, o in zip(normals, offsets)):
-            verts.add(x)
-    return sorted(verts)
+        if x is None or x in verts:
+            continue
+        slacks = [dot(v, x) - o for v, o in zip(normals, offsets)]
+        if min(slacks, default=0) >= 0:
+            verts[x] = frozenset(j for j, c in enumerate(slacks) if c == 0)
+    return sorted(verts.items())
 
 
 class PolytopeError(ValueError):
@@ -86,8 +91,10 @@ class Polytope:
                         f"corrected polytope needs offsets in 1/2+Z, got {o}")
 
         self._check_bounded_nonempty()
-        self.vertices = tuple(vertices_of_system(self.normals, self.offsets,
-                                                 self.dim))
+        verts = vertices_of_system(self.normals, self.offsets, self.dim)
+        self.vertices = tuple(v for v, _ in verts)
+        # incidence[i]: the facets tight at vertices[i]
+        self.incidence = tuple(tight for _, tight in verts)
         if len(self.vertices) < self.dim + 1:
             raise PolytopeError("polytope is not full-dimensional")
         if rank_exact([[v[i] - self.vertices[0][i] for i in range(self.dim)]
@@ -139,28 +146,28 @@ class Polytope:
 
     def _prune_facets(self):
         """Drop facets that do not support an (n-1)-dimensional face."""
-        keep_n, keep_o = [], []
+        keep = []
         for j in range(len(self.normals)):
-            active = [v for v in self.vertices if self.ell_exact(v, j) == 0]
-            if not active:
-                continue
-            dim_aff = rank_exact([[a[i] - active[0][i] for i in range(self.dim)]
-                                  for a in active[1:]]) if len(active) > 1 else 0
-            if dim_aff == self.dim - 1:
-                keep_n.append(self.normals[j])
-                keep_o.append(self.offsets[j])
-        if keep_n:
-            self.normals = tuple(keep_n)
-            self.offsets = tuple(keep_o)
+            active = [v for v, tight in zip(self.vertices, self.incidence)
+                      if j in tight]
+            if active and rank_exact(
+                    [[a[i] - active[0][i] for i in range(self.dim)]
+                     for a in active[1:]]) == self.dim - 1:
+                keep.append(j)
+        if keep:
+            self.normals = tuple(self.normals[j] for j in keep)
+            self.offsets = tuple(self.offsets[j] for j in keep)
+            renumber = {j: k for k, j in enumerate(keep)}
+            self.incidence = tuple(
+                frozenset(renumber[j] for j in tight if j in renumber)
+                for tight in self.incidence)
 
     def _delzant_check(self):
-        for v in self.vertices:
-            active = [j for j in range(len(self.normals))
-                      if self.ell_exact(v, j) == 0]
-            if len(active) != self.dim:
-                return False, (f"vertex {tuple(map(str, v))} lies on {len(active)} "
+        for v, tight in zip(self.vertices, self.incidence):
+            if len(tight) != self.dim:
+                return False, (f"vertex {tuple(map(str, v))} lies on {len(tight)} "
                                f"facets; expected {self.dim}")
-            d = det_exact([self.normals[j] for j in active])
+            d = det_exact([self.normals[j] for j in sorted(tight)])
             if abs(d) != 1:
                 return False, (f"normals at vertex {tuple(map(str, v))} have "
                                f"determinant {d}; not Delzant")
@@ -182,10 +189,8 @@ class Polytope:
         are taken on the vertices scaled to integers."""
         den = math.lcm(*(c.denominator for v in self.vertices for c in v))
         pts = [[int(c * den) for c in v] for v in self.vertices]
-        offsets = [c * den for c in self.offsets]
-        facets = {frozenset(i for i, p in enumerate(pts)
-                            if sum(a * b for a, b in zip(nu, p)) == c)
-                  for nu, c in zip(self.normals, offsets)}
+        facets = {frozenset(i for i, tight in enumerate(self.incidence)
+                            if j in tight) for j in range(len(self.normals))}
 
         def simplices(face):
             apex = min(face)

@@ -29,6 +29,7 @@ from itertools import product
 
 import numpy as np
 
+from ._exact import rank_exact
 from .generators import Generator, PLConvex, SupportSlabs
 from .kernels import Kernel, get_kernel
 from .polytope import FaceFrame, Polytope
@@ -455,7 +456,8 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
                            key=lambda e: -min(abs(float(nu @ np.array(e)))
                                               for nu in kinks)):
             cand = np.array(cand)
-            if np.linalg.matrix_rank(np.vstack(dirs + [cand])) > len(dirs):
+            rows = np.vstack(dirs + [cand]).astype(int).tolist()
+            if rank_exact(rows) > len(dirs):
                 dirs.append(cand)
             if len(dirs) == ndirs:
                 break
@@ -559,7 +561,6 @@ class ConditionReport:
     name: str
     passed: bool
     worst: float
-    detail: str = ""
 
 
 @dataclass
@@ -576,7 +577,7 @@ class NiceFamilyReport:
             c = self.conditions[key]
             lines.append(f"  {key}) {c.name}: "
                          f"{'pass' if c.passed else 'FAIL'} "
-                         f"(worst {c.worst:.3e}) {c.detail}")
+                         f"(worst {c.worst:.3e})")
         return "\n".join(lines)
 
 

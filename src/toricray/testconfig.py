@@ -86,27 +86,22 @@ def _face_for_subset(f: PLConvex, P: Polytope, subset):
         return None
     x0, null = sol
 
+    # the pieces outside the subset stay below: <g0 - gk, x> >= bk - b0
+    others = [(tuple(g0i - gki for g0i, gki in zip(g0, gk)), bk - b0)
+              for k, (gk, bk) in enumerate(f.pieces) if k not in subset]
+
     # constraints restricted to the affine subspace x0 + span(null)
     con_normals, con_offsets = [], []
-    for v, lam in zip(P.normals, P.offsets):
-        coef = tuple(dot(v, n) for n in null)
-        con_normals.append(coef)
+    for v, lam in [*zip(P.normals, P.offsets), *others]:
+        con_normals.append(tuple(dot(v, n) for n in null))
         con_offsets.append(lam - dot(v, x0))
-    for k in range(f.npieces):
-        if k in subset:
-            continue
-        gk, bk = f.pieces[k]
-        d = tuple(g0i - gki for g0i, gki in zip(g0, gk))
-        coef = tuple(dot(d, n) for n in null)
-        con_normals.append(coef)
-        con_offsets.append((bk - b0) - dot(d, x0))
 
     dim_face = P.dim - j
     uverts = vertices_of_system(con_normals, con_offsets, dim_face)
     if not uverts:
         return None
     verts = []
-    for u in uverts:
+    for u, _ in uverts:
         x = tuple(x0[i] + sum(u[k] * null[k][i] for k in range(len(null)))
                   for i in range(P.dim))
         verts.append(x)
@@ -144,18 +139,11 @@ def _face_for_subset(f: PLConvex, P: Polytope, subset):
         Winv = frame.inverse  # exact integer columns
         npar = frame.n_parallel
         c = frame.offsets
-        all_rows = []
-        for k in range(f.npieces):
-            if k in subset:
-                continue
-            gk, bk = f.pieces[k]
-            d = tuple(frac(g0i) - frac(gki) for g0i, gki in zip(g0, gk))
-            all_rows.append((d, bk - b0))
-        for w, lam in all_rows:
-            coef_full = [sum(frac(w[i]) * Winv[i][col] for i in range(P.dim))
+        for w, lam in others:
+            coef_full = [sum(w[i] * Winv[i][col] for i in range(P.dim))
                          for col in range(P.dim)]
             coef_par = coef_full[:npar]
-            rhs = frac(lam) - sum(coef_full[npar + t] * c[t] for t in range(j))
+            rhs = lam - sum(coef_full[npar + t] * c[t] for t in range(j))
             if all(cc == 0 for cc in coef_par):
                 continue
             shadow.append((np.array([float(cc) for cc in coef_par]), float(rhs)))

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricray import _exact
 from toricray._exact import (affine_solutions, det_exact, invert_unimodular,
                              rank_exact, row_reduce, solve_exact,
                              unimodular_completion)
@@ -125,21 +127,81 @@ def test_det_is_multiplicative(AB):
 
 
 @exact
-@given(square_matrices())
-def test_det_matches_leibniz_expansion(A):
-    assert det_exact(A) == leibniz(A)
-
-
-@exact
 @given(square_matrices(), st.booleans())
-def test_bareiss_det_matches_row_reduction(A, integer):
+def test_det_matches_leibniz_expansion(A, integer):
     # integer inputs stay ints; singular matrices (common here) give 0
     if integer:
         A = [[int(v * 6) for v in row] for row in A]
-    ech = row_reduce(A, len(A))
-    expected = ech.factor if len(ech.pivots) == len(A) else 0
     d = det_exact(A)
-    assert isinstance(d, Fraction) and d == expected
+    assert isinstance(d, Fraction) and d == leibniz(A)
+
+
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan over Fractions: (reduced nonzero rows, pivots)."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(mat)) if mat[k][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [v / mat[r][col] for v in mat[r]]
+        for k in range(len(mat)):
+            if k != r:
+                c = mat[k][col]
+                mat[k] = [v - c * w for v, w in zip(mat[k], mat[r])]
+        pivots.append(col)
+    return mat[:len(pivots)], tuple(pivots)
+
+
+@st.composite
+def any_shape(draw):
+    """Wide, tall, square, rank-deficient, and empty matrices with their
+    column count."""
+    if draw(st.integers(0, 9)) == 0:
+        return [], draw(st.integers(0, 4))
+    A = draw(matrices(draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+    return A, len(A[0])
+
+
+@exact
+@given(any_shape())
+def test_row_reduce_matches_fraction_gauss_jordan(shape):
+    A, ncols = shape
+    ech = row_reduce(A, ncols)
+    ref_rows, ref_pivots = fraction_rref(A, ncols)
+    assert ech.pivots == ref_pivots
+    assert all(type(v) is int for row in ech.rows for v in row)
+    assert ech.det != 0
+    for row, pc in zip(ech.rows, ech.pivots):
+        assert [row[p] for p in ech.pivots] == [
+            ech.det if p == pc else 0 for p in ech.pivots]
+    reduced = [[Fraction(v, ech.det) for v in row] for row in ech.rows]
+    assert reduced == ref_rows
+
+
+def test_every_exact_query_runs_the_one_row_reduction(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return row_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(_exact, "row_reduce", counted)
+    A = [[2, 1], [1, 1]]
+    for query in (lambda: rank_exact(A), lambda: solve_exact(A, [1, 0]),
+                  lambda: null_basis(A, 2), lambda: det_exact(A),
+                  lambda: invert_unimodular(A)):
+        calls.clear()
+        query()
+        assert calls == [1]
+
+
+def test_no_float_rank_in_the_package():
+    src = Path(_exact.__file__).parent
+    assert not [p.name for p in src.glob("*.py")
+                if "matrix_rank" in p.read_text()]
 
 
 @exact

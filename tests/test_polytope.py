@@ -221,3 +221,31 @@ def test_delzant_holds_at_every_vertex():
                       if P.ell_exact(v, j) == 0]
             assert len(active) == P.dim
             assert abs(det_exact([P.normals[j] for j in active])) == 1
+
+
+def test_incidence_is_the_tight_facets_and_survives_pruning():
+    # CP^2(3), the 2 x 3 x 5 box and the octahedron (four facets at each
+    # vertex, found by several subsets), each with one redundant facet
+    # inserted that touches a single vertex and one that touches none
+    cases = [
+        ([[1, 0], [0, 1], [-1, -1]], [0, 0, -3], [1, 1], 0, True),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0],
+          [0, 0, -1]], [0, 0, 0, -2, -3, -5], [1, 1, 1], 0, True),
+        ([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)],
+         [-1] * 8, [1, 0, 0], -1, False),
+    ]
+    for normals, offsets, extra, extra_offset, delzant in cases:
+        P = make_polytope(normals, offsets, require_delzant=False)
+        far = [-c for c in extra]
+        Q = make_polytope(normals[:1] + [extra] + normals[1:] + [far],
+                          offsets[:1] + [extra_offset] + offsets[1:] + [-99],
+                          require_delzant=False, prune=True)
+        for R in (P, Q):
+            assert len(R.incidence) == len(R.vertices)
+            for v, tight in zip(R.vertices, R.incidence):
+                assert tight == {j for j in range(len(R.normals))
+                                 if R.ell_exact(v, j) == 0}
+        assert Q.normals == P.normals and Q.offsets == P.offsets
+        assert Q.vertices == P.vertices and Q.incidence == P.incidence
+        assert Q.volume_exact() == P.volume_exact()
+        assert Q.delzant_ok == P.delzant_ok == delzant
