@@ -155,6 +155,36 @@ def fraction_rref(rows, ncols):
     return mat[:len(pivots)], tuple(pivots)
 
 
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Fractions: the signed
+    product of the pivots, 0 when a column has none."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(mat)):
+        piv = next((k for k in range(col, len(mat)) if mat[k][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for k in range(col + 1, len(mat)):
+            c = mat[k][col] / mat[col][col]
+            mat[k] = [v - c * w for v, w in zip(mat[k], mat[col])]
+    return det
+
+
+@exact
+@given(square_matrices(), st.booleans())
+def test_bareiss_det_matches_row_reduction(A, integer):
+    # the fraction-free determinant against plain Fraction elimination;
+    # integer inputs stay ints, singular matrices (common here) give 0
+    if integer:
+        A = [[int(v * 6) for v in row] for row in A]
+    d = det_exact(A)
+    assert isinstance(d, Fraction) and d == fraction_det(A)
+
+
 @st.composite
 def any_shape(draw):
     """Wide, tall, square, rank-deficient, and empty matrices with their
