@@ -29,13 +29,13 @@ __all__ = [
 
 
 def vertices_of_system(normals, offsets, dim: int) -> list:
-    """Exact vertices of {x : <v_j, x> >= o_j}, assumed bounded, sorted,
-    each paired with the frozenset of constraints tight there.
+    """Exact vertices of {x : <v_j, x> >= o_j}, sorted, each paired with
+    the frozenset of constraints tight there.
 
     Every dim-subset of the constraints with a unique common solution is a
     candidate; the feasible ones, all of whose slacks are >= 0, are the
     vertices, and their zero slacks are the tight set.  The list may be
-    empty.
+    empty; when the v_j span R^dim it is empty iff the system is.
     """
     verts = {}
     for subset in combinations(range(len(normals)), dim):
@@ -90,8 +90,7 @@ class Polytope:
                     raise PolytopeError(
                         f"corrected polytope needs offsets in 1/2+Z, got {o}")
 
-        self._check_bounded_nonempty()
-        verts = vertices_of_system(self.normals, self.offsets, self.dim)
+        verts = self._check_bounded_nonempty()
         self.vertices = tuple(v for v, _ in verts)
         # incidence[i]: the facets tight at vertices[i]
         self.incidence = tuple(tight for _, tight in verts)
@@ -115,26 +114,31 @@ class Polytope:
     # -- construction internals ------------------------------------------------
 
     def _check_bounded_nonempty(self):
-        """Exact emptiness and boundedness of the facet system.
+        """Exact emptiness and boundedness of the facet system; returns its
+        ``vertices_of_system``.
 
         A nonempty system has a minimal face: the solutions of rank(V)
         tight rows, so it is empty iff no such subsystem has a feasible
-        solution.  It is bounded iff its recession cone {V r >= 0} is zero:
-        V has rank n and no extreme ray, the null vector of n - 1
-        independent rows, lies in the cone with either sign.
+        solution.  For rank(V) = n the minimal faces are the vertices, so
+        the system is empty iff it has none.  It is bounded iff its
+        recession cone {V r >= 0} is zero: V has rank n and no extreme ray,
+        the null vector of n - 1 independent rows, lies in the cone with
+        either sign.
         """
         n, V, o = self.dim, self.normals, self.offsets
         rank = rank_exact(V)
-        for subset in combinations(range(len(V)), rank):
-            sol = affine_solutions([V[j] for j in subset],
-                                   [o[j] for j in subset], n)
-            if sol is not None and all(dot(v, sol[0]) >= c
-                                       for v, c in zip(V, o)):
-                break
+        if rank == n:
+            verts = vertices_of_system(V, o, n)
+            if not verts:
+                raise PolytopeError("polytope is empty")
         else:
+            for subset in combinations(range(len(V)), rank):
+                sol = affine_solutions([V[j] for j in subset],
+                                       [o[j] for j in subset], n)
+                if sol is not None and all(dot(v, sol[0]) >= c
+                                           for v, c in zip(V, o)):
+                    raise PolytopeError("polytope is unbounded")
             raise PolytopeError("polytope is empty")
-        if rank < n:
-            raise PolytopeError("polytope is unbounded")
         for subset in combinations(V, n - 1):
             _, null = affine_solutions(subset, [0] * (n - 1), n)
             if len(null) == 1:
@@ -143,6 +147,7 @@ class Polytope:
                     raise PolytopeError("polytope is unbounded")
         if len(V) < n + 1:
             raise PolytopeError("too few facets to bound a polytope")
+        return verts
 
     def _prune_facets(self):
         """Drop facets that do not support an (n-1)-dimensional face."""

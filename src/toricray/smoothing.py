@@ -400,6 +400,12 @@ class NiceSmoothingGenerator(Generator):
                      else a.reshape(x.shape[:-1] + a.shape[1:])
                      for k, a in enumerate(jet))
 
+    @cached_property
+    def convexity(self) -> float:
+        """Smallest sampled Hessian eigenvalue (``default_check_samples``)."""
+        H = self.hessian(default_check_samples(self.decomp, self.eps))
+        return float(np.linalg.eigvalsh(H).min())
+
 
 def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
                          eps: float, kernel: str = "smooth",
@@ -409,7 +415,8 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
     variant "nice" is the rank-adapted construction; "strict" adds a
     strictly convexifying term on the wall slab and is the negative control
     that keeps conditions a-d but breaks the exact-rank condition e.  The
-    result's convexity is checked on ``default_check_samples``.
+    result's ``convexity`` must be >= -1e-10; the strict term's eta is
+    halved against one mollifier Hessian on the same check samples.
     """
     eps = float(eps)
     if eps <= 0:
@@ -483,11 +490,11 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         c_jump = max(abs(float((f.G[i] - f.G[j]) @ fr.shift_vectors()[:, 0]))
                      for i in range(f.npieces) for j in range(i + 1, f.npieces))
         eta = 0.02 * c_jump * kern.peak / delta / span ** 2
+        samples = default_check_samples(decomp, eps)
+        H0 = moll.eval_many(samples)[2]  # eta changes the strict term only
         for _ in range(40):
             term = _StrictTerm(fr, delta, kern, eta, u0)
-            gen = NiceSmoothingGenerator(f, P, decomp, eps, kernel, moll,
-                                         strict_term=term)
-            if _convexity_probe(gen) >= -1e-10:
+            if np.linalg.eigvalsh(H0 + term.eval(samples)[2]).min() >= -1e-10:
                 strict_term = term
                 break
             eta *= 0.5
@@ -498,10 +505,9 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
 
     gen = NiceSmoothingGenerator(f, P, decomp, eps, kernel, moll,
                                  strict_term=strict_term)
-    worst = _convexity_probe(gen)
-    if worst < -1e-10:
+    if gen.convexity < -1e-10:
         raise SmoothingError(
-            f"convexity violated: min sampled eigenvalue {worst:.3e}")
+            f"convexity violated: min sampled eigenvalue {gen.convexity:.3e}")
     return gen
 
 
@@ -539,13 +545,6 @@ def default_check_samples(decomp: Decomposition, eps: float):
     return pts[P.contains(pts, tol=-1e-9)]
 
 
-def _convexity_probe(gen: NiceSmoothingGenerator) -> float:
-    samples = default_check_samples(gen.decomp, gen.eps)
-    H = gen.hessian(samples)
-    eigs = np.linalg.eigvalsh(H)
-    return float(eigs.min())
-
-
 # ---------------------------------------------------------------------------
 # family verification
 # ---------------------------------------------------------------------------
@@ -581,33 +580,37 @@ class NiceFamilyReport:
         return "\n".join(lines)
 
 
-def verify_nice_family(f: PLConvex, gens: dict, samples=None) -> NiceFamilyReport:
+def verify_nice_family(f: PLConvex, gens: dict) -> NiceFamilyReport:
     """Check conditions (a)-(e) for a family {eps: generator}.
 
-    a) sampled convexity; b) Lipschitz variation in eps; c) equality with f
-    off W_eps; d) Hessian rank >= codim with positive-definite transverse
-    block on each face; e) rank exactly codim at face points for the family
-    members below each point's own eps threshold.
+    a) sampled convexity, each generator's cached ``convexity``; b)
+    Lipschitz variation in eps; c) equality with f off W_eps; d) Hessian
+    rank >= codim with positive-definite transverse block on each face; e)
+    rank exactly codim at face points for the family members below each
+    point's own eps threshold.  One ``jet(., 2)`` call per generator, on
+    the eps_max check samples stacked with the face points, serves b)-e).
     """
     if len(gens) < 2:
         raise SmoothingError("need at least two eps values")
     eps_list = sorted(gens)
     decomp = gens[eps_list[0]].decomp
     P = decomp.polytope
-    eps_max = max(eps_list)
-    if samples is None:
-        samples = default_check_samples(decomp, eps_max)
-    samples = np.asarray(samples, dtype=float)
+    samples = default_check_samples(decomp, max(eps_list))
+    face_pts = _face_interior_points(decomp)
+    X = np.vstack([samples] + [p[None] for _, p, _ in face_pts])
+    ns = len(samples)
+    # values on the samples (rows :ns), Hessians at the face points
+    jets = {e: gens[e].jet(X, 2) for e in eps_list}
     conditions = {}
 
-    worst_a = min(_convexity_probe(g) for g in gens.values())
+    worst_a = min(g.convexity for g in gens.values())
     conditions["a"] = ConditionReport("smooth and convex", worst_a >= -1e-10,
                                       worst_a)
 
     lip = max(abs(float(c)) for g, _ in f.pieces for c in g) + 1.0
     worst_b = 0.0
     for e1, e2 in zip(eps_list[:-1], eps_list[1:]):
-        dv = np.max(np.abs(gens[e1].value(samples) - gens[e2].value(samples)))
+        dv = np.max(np.abs(jets[e1][0][:ns] - jets[e2][0][:ns]))
         bound = 2.0 * P.dim * lip * (e1 + e2) + 1e-12
         worst_b = max(worst_b, float(dv / bound))
     conditions["b"] = ConditionReport("smooth in eps (Lipschitz proxy)",
@@ -615,23 +618,20 @@ def verify_nice_family(f: PLConvex, gens: dict, samples=None) -> NiceFamilyRepor
 
     worst_c = 0.0
     for e in eps_list:
-        outside = samples[~thickening_mask(decomp, e, samples)]
-        if len(outside):
-            dv = np.max(np.abs(gens[e].value(outside) - f.value(outside)))
+        outside = ~thickening_mask(decomp, e, samples)
+        if np.any(outside):
+            dv = np.max(np.abs(jets[e][0][:ns][outside]
+                               - f.value(samples[outside])))
             worst_c = max(worst_c, float(dv))
     conditions["c"] = ConditionReport("equals f off W_eps", worst_c <= 1e-12,
                                       worst_c)
 
-    face_pts = _face_interior_points(decomp)
-    # one batched Hessian per eps on all face points, shared by d) and e)
-    X_face = np.array([p for _, p, _ in face_pts]).reshape(-1, P.dim)
-    hess = {e: gens[e].hessian(X_face) for e in eps_list}
     worst_d = np.inf
     ok_d = True
     for k, (face, _, _) in enumerate(face_pts):
         fr = face.frame
         for e in eps_list:
-            H = hess[e][k]
+            H = jets[e][2][ns + k]
             if _rank(H) < face.codim:
                 ok_d = False
             Ht = fr.inverse_np.T @ H @ fr.inverse_np
@@ -654,7 +654,7 @@ def verify_nice_family(f: PLConvex, gens: dict, samples=None) -> NiceFamilyRepor
             continue
         checked += 1
         for e in usable:
-            r = _rank(hess[e][k])
+            r = _rank(jets[e][2][ns + k])
             worst_e = max(worst_e, r - face.codim)
             if r != face.codim:
                 ok_e = False

@@ -497,3 +497,71 @@ def test_slabs_are_the_mollifier_footprint(setup, kernel):
     X = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     assert np.array_equal(gen.support.contains(X),
                           thickening_mask(dec, 0.1, X))
+
+
+def test_convexity_is_the_sampled_minimum_eigenvalue():
+    P, f, dec = wall_setup()
+    Pc, fc, decc = corner_setup()
+    cases = [(dec, build_nice_smoothing(f, P, dec, 0.1)),
+             (dec, build_nice_smoothing(f, P, dec, 0.1, variant="strict")),
+             (decc, build_nice_smoothing(fc, Pc, decc, 0.04))]
+    for d, gen in cases:
+        H = gen.hessian(default_check_samples(d, gen.eps))
+        assert gen.convexity == np.linalg.eigvalsh(H).min()
+
+
+def reference_strict_eta(f, P, dec, eps, moll):
+    """The strict tuning loop with a whole generator per eta."""
+    from itertools import combinations
+    from toricray.smoothing import NiceSmoothingGenerator, _StrictTerm
+    F, = dec.faces
+    fr, kern = F.frame, moll.kernel
+    par = np.array([[float(c) for c in v] for v in F.vertices]) @ \
+        fr.matrix_np.T[:, :fr.n_parallel]
+    u0 = 0.5 * (par.min(axis=0) + par.max(axis=0))
+    span = max(1.0, float(np.max(par.max(axis=0) - par.min(axis=0))))
+    c_jump = max(abs(float((f.G[i] - f.G[j]) @ fr.shift_vectors()[:, 0]))
+                 for i, j in combinations(range(f.npieces), 2))
+    eta = 0.02 * c_jump * kern.peak / moll.delta / span ** 2
+    samples = default_check_samples(dec, eps)
+    for halvings in range(40):
+        term = _StrictTerm(fr, moll.delta, kern, eta, u0)
+        gen = NiceSmoothingGenerator(f, P, dec, eps, "smooth", moll,
+                                     strict_term=term)
+        if np.linalg.eigvalsh(gen.hessian(samples)).min() >= -1e-10:
+            return eta, halvings
+        eta *= 0.5
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+def test_strict_tuning_picks_the_reference_eta(eps):
+    P, f, dec = wall_setup()
+    gen = build_nice_smoothing(f, P, dec, eps, variant="strict")
+    eta, halvings = reference_strict_eta(f, P, dec, eps, gen.mollifier)
+    assert halvings > 0
+    assert gen.strict_term.eta == eta
+
+
+def test_each_smoothing_is_evaluated_once_per_point_set(monkeypatch):
+    from collections import Counter
+    from toricray.smoothing import IteratedMollifier, LineMollifier
+    calls = Counter()
+    for cls in (LineMollifier, IteratedMollifier):
+        def counted(self, X, _orig=cls.eval_many, _name=cls.__name__):
+            calls[_name] += 1
+            return _orig(self, X)
+        monkeypatch.setattr(cls, "eval_many", counted)
+
+    P, f, dec = corner_setup()
+    fam = {e: build_nice_smoothing(f, P, dec, e) for e in (0.02, 0.04, 0.06)}
+    assert calls["IteratedMollifier"] == len(fam)     # one convexity each
+    calls.clear()
+    assert verify_nice_family(f, fam).passed
+    assert calls["IteratedMollifier"] == len(fam)
+
+    # the strict build halves eta 12 to 16 times at these eps
+    P, f, dec = wall_setup()
+    for eps in (0.05, 0.1, 0.2):
+        calls.clear()
+        build_nice_smoothing(f, P, dec, eps, variant="strict")
+        assert calls["LineMollifier"] <= 2
