@@ -32,6 +32,14 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
+def integer_row(row: Iterable) -> tuple[list[int], int]:
+    """(ints, den): a rational row times ``den``, the lcm of its
+    denominators, so that ``ints`` are integers."""
+    row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+    den = lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row], den
+
+
 class Echelon(NamedTuple):
     """Fraction-free reduced row-echelon form of a rational matrix.
 
@@ -48,7 +56,7 @@ class Echelon(NamedTuple):
 def row_reduce(rows: Sequence[Sequence], ncols: int | None = None) -> Echelon:
     """Fraction-free (Bareiss) Gauss-Jordan elimination.
 
-    Each row is scaled to integers by the lcm of its denominators.  A pivot
+    Each row is scaled to integers by ``integer_row``.  A pivot
     p replaces every other row by (p * row - c * pivot_row) // prev, where c
     is the row's entry in the pivot column and prev the previous pivot;
     Sylvester's identity makes every division exact.  For a square matrix
@@ -57,9 +65,8 @@ def row_reduce(rows: Sequence[Sequence], ncols: int | None = None) -> Echelon:
     """
     mat, scale = [], 1
     for row in rows:
-        row = [v if isinstance(v, int) else Fraction(v) for v in row]
-        den = lcm(*(v.denominator for v in row))
-        mat.append([v.numerator * (den // v.denominator) for v in row])
+        row, den = integer_row(row)
+        mat.append(row)
         scale *= den
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
@@ -143,16 +150,11 @@ def primitivize(vec: Sequence) -> tuple[tuple[int, ...], Fraction]:
 
     Returns (primitive, scale) with scale > 0 and primitive = scale * vec.
     """
-    fracs = [frac(v) for v in vec]
-    if all(v == 0 for v in fracs):
-        raise ValueError("cannot primitivize the zero vector")
-    denom_lcm = 1
-    for v in fracs:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in fracs]
+    ints, den = integer_row(vec)
     g = gcd_vec(ints)
-    scale = Fraction(denom_lcm, g)
-    return tuple(i // g for i in ints), scale
+    if g == 0:
+        raise ValueError("cannot primitivize the zero vector")
+    return tuple(i // g for i in ints), Fraction(den, g)
 
 
 def invert_unimodular(mat: Sequence[Sequence[int]]) -> list[list[int]]:

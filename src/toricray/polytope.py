@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._exact import (SaturationError, affine_solutions, det_exact, dot, frac,
-                     is_primitive, invert_unimodular, rank_exact, solve_exact,
+from ._exact import (SaturationError, det_exact, dot, frac, integer_row,
+                     is_primitive, invert_unimodular, rank_exact, row_reduce,
                      unimodular_completion, vec_frac)
 
 __all__ = [
@@ -32,20 +32,30 @@ def vertices_of_system(normals, offsets, dim: int) -> list:
     """Exact vertices of {x : <v_j, x> >= o_j}, sorted, each paired with
     the frozenset of constraints tight there.
 
-    Every dim-subset of the constraints with a unique common solution is a
-    candidate; the feasible ones, all of whose slacks are >= 0, are the
-    vertices, and their zero slacks are the tight set.  The list may be
-    empty; when the v_j span R^dim it is empty iff the system is.
+    The rational rows (v_j, o_j) are scaled to integers (a_j, b_j).  A
+    dim-subset whose echelon has pivots 0..dim-1 gives the candidate
+    num / det, num its last column, with integer slacks
+    sign(det) (<a_j, num> - b_j det).  The feasible candidates (all slacks
+    >= 0) are the vertices, their zero slacks the tight set, and only they
+    become ``Fraction``s; a subset inside a tight set already found is
+    skipped.  The list may be empty; when the v_j span R^dim it is empty
+    iff the system is.
     """
+    rows = [integer_row([*v, o])[0] for v, o in zip(normals, offsets)]
     verts = {}
-    for subset in combinations(range(len(normals)), dim):
-        x = solve_exact([normals[j] for j in subset],
-                        [offsets[j] for j in subset])
-        if x is None or x in verts:
+    for subset in combinations(range(len(rows)), dim):
+        if any(tight.issuperset(subset) for tight in verts.values()):
             continue
-        slacks = [dot(v, x) - o for v, o in zip(normals, offsets)]
+        ech = row_reduce([rows[j] for j in subset], dim + 1)
+        if ech.pivots != tuple(range(dim)):
+            continue
+        num, det = [r[dim] for r in ech.rows], ech.det
+        sign = 1 if det > 0 else -1
+        slacks = [sign * (sum(a * x for a, x in zip(r, num)) - r[dim] * det)
+                  for r in rows]
         if min(slacks, default=0) >= 0:
-            verts[x] = frozenset(j for j, c in enumerate(slacks) if c == 0)
+            verts[tuple(Fraction(c, det) for c in num)] = frozenset(
+                j for j, c in enumerate(slacks) if c == 0)
     return sorted(verts.items())
 
 
@@ -94,8 +104,6 @@ class Polytope:
         self.vertices = tuple(v for v, _ in verts)
         # incidence[i]: the facets tight at vertices[i]
         self.incidence = tuple(tight for _, tight in verts)
-        if len(self.vertices) < self.dim + 1:
-            raise PolytopeError("polytope is not full-dimensional")
         if rank_exact([[v[i] - self.vertices[0][i] for i in range(self.dim)]
                        for v in self.vertices[1:]]) != self.dim:
             raise PolytopeError("polytope is not full-dimensional")
@@ -117,36 +125,26 @@ class Polytope:
         """Exact emptiness and boundedness of the facet system; returns its
         ``vertices_of_system``.
 
-        A nonempty system has a minimal face: the solutions of rank(V)
-        tight rows, so it is empty iff no such subsystem has a feasible
-        solution.  For rank(V) = n the minimal faces are the vertices, so
-        the system is empty iff it has none.  It is bounded iff its
-        recession cone {V r >= 0} is zero: V has rank n and no extreme ray,
-        the null vector of n - 1 independent rows, lies in the cone with
-        either sign.
+        The free columns k of V's echelon are pinned to 0 by rows +-e_k
+        with offset 0.  A move along the null space of V takes every
+        solution to one of the pinned system, whose normals span R^n, so
+        the system is empty iff the pinned one has no vertex.  A nonempty
+        system with free columns contains a line.  Otherwise the recession
+        cone {V r >= 0} is pointed and <sum_j v_j, r> > 0 on its nonzero
+        points, so the system is unbounded iff the cut cone
+        {V r >= 0, <sum_j v_j, r> <= 1} has a vertex other than 0.
         """
         n, V, o = self.dim, self.normals, self.offsets
-        rank = rank_exact(V)
-        if rank == n:
-            verts = vertices_of_system(V, o, n)
-            if not verts:
-                raise PolytopeError("polytope is empty")
-        else:
-            for subset in combinations(range(len(V)), rank):
-                sol = affine_solutions([V[j] for j in subset],
-                                       [o[j] for j in subset], n)
-                if sol is not None and all(dot(v, sol[0]) >= c
-                                           for v, c in zip(V, o)):
-                    raise PolytopeError("polytope is unbounded")
+        pivots = row_reduce(V, n).pivots
+        pins = [tuple(s * (i == k) for i in range(n))
+                for k in range(n) if k not in pivots for s in (1, -1)]
+        verts = vertices_of_system([*V, *pins], [*o, *[0] * len(pins)], n)
+        if not verts:
             raise PolytopeError("polytope is empty")
-        for subset in combinations(V, n - 1):
-            _, null = affine_solutions(subset, [0] * (n - 1), n)
-            if len(null) == 1:
-                pairings = [dot(v, null[0]) for v in V]
-                if min(pairings) >= 0 or max(pairings) <= 0:
-                    raise PolytopeError("polytope is unbounded")
-        if len(V) < n + 1:
-            raise PolytopeError("too few facets to bound a polytope")
+        cut = tuple(-sum(col) for col in zip(*V))
+        if pins or len(vertices_of_system(
+                [*V, cut], [*[0] * len(V), -1], n)) > 1:
+            raise PolytopeError("polytope is unbounded")
         return verts
 
     def _prune_facets(self):

@@ -106,12 +106,9 @@ def _face_for_subset(f: PLConvex, P: Polytope, subset):
                   for i in range(P.dim))
         verts.append(x)
     verts = sorted(set(verts))
-    if dim_face > 0:
-        if len(verts) < dim_face + 1:
-            return None
-        if rank_exact([[v[i] - verts[0][i] for i in range(P.dim)]
-                       for v in verts[1:]]) != dim_face:
-            return None
+    if rank_exact([[v[i] - verts[0][i] for i in range(P.dim)]
+                   for v in verts[1:]]) != dim_face:
+        return None
 
     # maximality of the active set at the barycenter
     bary = tuple(sum(v[i] for v in verts) / len(verts) for i in range(P.dim))

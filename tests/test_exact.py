@@ -4,13 +4,14 @@ from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricray import _exact
 from toricray._exact import (affine_solutions, det_exact, invert_unimodular,
-                             rank_exact, row_reduce, solve_exact,
-                             unimodular_completion)
+                             is_primitive, primitivize, rank_exact, row_reduce,
+                             solve_exact, unimodular_completion)
 from toricray.generators import PLConvex
 from toricray.polytope import make_polytope
 from toricray.testconfig import decompose
@@ -209,6 +210,19 @@ def test_row_reduce_matches_fraction_gauss_jordan(shape):
             ech.det if p == pc else 0 for p in ech.pivots]
     reduced = [[Fraction(v, ech.det) for v in row] for row in ech.rows]
     assert reduced == ref_rows
+
+
+@exact
+@given(st.lists(entries, min_size=1, max_size=5))
+def test_primitivize_scales_to_a_primitive_integer_row(vec):
+    if not any(vec):
+        with pytest.raises(ValueError):
+            primitivize(vec)
+        return
+    prim, scale = primitivize(vec)
+    assert scale > 0 and is_primitive(prim)
+    assert all(type(c) is int for c in prim)
+    assert list(prim) == [scale * v for v in vec]
 
 
 def test_every_exact_query_runs_the_one_row_reduction(monkeypatch):

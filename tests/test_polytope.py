@@ -1,6 +1,8 @@
 """Facet-exact polytope geometry."""
 
+import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from toricray._exact import SaturationError, det_exact
+from toricray import polytope
+from toricray._exact import SaturationError, det_exact, dot, solve_exact
 from toricray.polytope import (DelzantError, Polytope, PolytopeError,
                                ell_values, face_frame, integral_points,
-                               make_polytope, parse_polytope)
+                               make_polytope, parse_polytope,
+                               vertices_of_system)
 
 
 def segment(N=2):
@@ -65,7 +69,7 @@ def classify(normals, offsets, dim):
         msg = str(exc)
         if msg == "polytope is empty":
             return "empty"
-        if msg in ("polytope is unbounded", "too few facets to bound a polytope"):
+        if msg == "polytope is unbounded":
             return "unbounded"
     return "accepted"
 
@@ -95,10 +99,22 @@ def classify_lp(normals, offsets, dim):
     ([[1, 0], [-1, 0], [0, 1]], [1, 0, 0], "empty"),           # empty, ray
     ([[1, 1], [-1, -1]], [0, -2], "unbounded"),                # rank 1 slab
     ([[1, 0], [0, 1], [-1, -1]], [0, 0, -3], "accepted"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [0, 0, 0, -3],
+     "accepted"),                                              # CP^3(3)
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], "unbounded"),  # m = n
+    ([[1, 0, 0], [0, 1, 0], [-1, -1, 0]], [0, 0, -3],
+     "unbounded"),                                             # prism, rank 2
+    ([[1, 0, 0], [0, 1, 0], [-1, -1, 0]], [0, 0, 1], "empty"),  # rank 2
+    ([[1, 1, 1], [-1, -1, -1]], [0, -2], "unbounded"),         # rank 1 slab
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, 0], [0, 0, -1]],
+     [0, 0, 0, -3, 1], "empty"),                               # rank 3
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, 0]], [0, 0, 0, -3],
+     "unbounded"),                                             # one ray left
 ])
 def test_exact_boundedness_and_emptiness(normals, offsets, want):
-    assert classify(normals, offsets, 2) == want
-    assert classify_lp(normals, offsets, 2) == want
+    dim = len(normals[0])
+    assert classify(normals, offsets, dim) == want
+    assert classify_lp(normals, offsets, dim) == want
 
 
 def test_rank_deficient_normals_are_unbounded():
@@ -106,24 +122,95 @@ def test_rank_deficient_normals_are_unbounded():
         make_polytope([[1, 1], [-1, -1], [1, 1]], [0, -2, 1])
 
 
-PRIMITIVE = {1: [(1,), (-1,)],
-             2: [(a, b) for a in range(-2, 3) for b in range(-2, 3)
-                 if np.gcd(a, b) == 1]}
+PRIMITIVE = {dim: [v for v in product(range(-2, 3), repeat=dim)
+                   if math.gcd(*v) == 1] for dim in (1, 2, 3)}
 
 
 @st.composite
 def facet_systems(draw):
-    dim = draw(st.integers(1, 2))
+    """Random facets at half-integer distances from an integer point p,
+    which violates some of them.  Half the systems also get a simplex's
+    normals, which make them bounded: few random ones in dimension 3 are."""
+    dim = draw(st.integers(1, 3))
     m = draw(st.integers(1, 5))
     normals = [draw(st.sampled_from(PRIMITIVE[dim])) for _ in range(m)]
-    offsets = [Fraction(draw(st.integers(-6, 6)), 2) for _ in range(m)]
+    if draw(st.booleans()):
+        normals += [(-1,) * dim, *(tuple(int(i == k) for i in range(dim))
+                                   for k in range(dim))]
+    p = [draw(st.integers(-2, 2)) for _ in range(dim)]
+    offsets = [Fraction(2 * dot(v, p) - draw(st.integers(-4, 6)), 2)
+               for v in normals]
     return normals, offsets, dim
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(facet_systems())
 def test_exact_classification_matches_lp(system):
     assert classify(*system) == classify_lp(*system)
+
+
+def fraction_vertices(normals, offsets, dim):
+    """Reference enumeration on Fractions: solve every dim-subset with
+    ``solve_exact`` and keep the solutions whose ``dot`` slacks are >= 0."""
+    verts = {}
+    for subset in combinations(range(len(normals)), dim):
+        x = solve_exact([normals[j] for j in subset],
+                        [offsets[j] for j in subset])
+        if x is None or x in verts:
+            continue
+        slacks = [dot(v, x) - o for v, o in zip(normals, offsets)]
+        if min(slacks, default=0) >= 0:
+            verts[x] = frozenset(j for j, c in enumerate(slacks) if c == 0)
+    return sorted(verts.items())
+
+
+rationals = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def rational_systems(draw):
+    """Systems like the restricted ones of a kink face: rational normals,
+    zero rows, and offsets that often make several rows tight at one
+    point p."""
+    dim = draw(st.integers(0, 3))
+    p = [draw(rationals) for _ in range(dim)]
+    normals, offsets = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        v = tuple(draw(rationals) for _ in range(dim))
+        if draw(st.integers(0, 4)) == 0:
+            v = (Fraction(0),) * dim
+        normals.append(v)
+        offsets.append(dot(v, p) - draw(rationals))
+    return normals, offsets, dim
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rational_systems())
+def test_integer_enumeration_matches_fraction_reference(system):
+    verts = vertices_of_system(*system)
+    assert verts == fraction_vertices(*system)
+    assert all(type(c) is Fraction for x, _ in verts for c in x)
+
+
+def test_only_vertices_become_fractions(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    def no_dot(*args):
+        raise AssertionError("slacks are integer dot products")
+
+    monkeypatch.setattr(polytope, "Fraction", counted)
+    monkeypatch.setattr(polytope, "dot", no_dot)
+    # the square [0, 2]^2 cut by x + y <= 3: eight nonsingular pairs give
+    # five vertices and three infeasible candidates, (2, 2), (3, 0), (0, 3)
+    verts = vertices_of_system([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)],
+                               [0, 0, -2, -2, -3], 2)
+    assert [x for x, _ in verts] == [(0, 0), (0, 2), (1, 2), (2, 0), (2, 1)]
+    assert len(made) == 2 * len(verts)
 
 
 def test_delzant_failure_reports_vertex():
