@@ -3,9 +3,9 @@
 Everything in here operates on plain Python ints and ``fractions.Fraction``
 so that polytope geometry (vertices, activity ties, lattice frames) is
 bit-exact.  One elimination, the fraction-free Gauss-Jordan ``row_reduce``
-on integer rows, serves solves, ranks, null bases, determinants and
-unimodular inverses.  Sizes are tiny (n <= ~12 facet systems), so clarity
-wins over asymptotics.
+on integer rows, serves solves, ranks, determinants, unimodular inverses
+and the vertex enumeration of ``polytope.vertices_of_system``.  Sizes are
+tiny (n <= ~12 facet systems), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -30,6 +30,20 @@ def vec_frac(values: Iterable) -> tuple[Fraction, ...]:
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def integer_vector(values: Iterable) -> tuple[int, ...]:
+    """The entries as ints; ValueError unless each is an integer (1.0 is)."""
+    out = []
+    for v in values:
+        try:
+            q = frac(v)
+        except (ValueError, ArithmeticError):
+            q = None
+        if q is None or q.denominator != 1:
+            raise ValueError(f"entry {v!r} is not an integer")
+        out.append(q.numerator)
+    return tuple(out)
 
 
 def integer_row(row: Iterable) -> tuple[list[int], int]:
@@ -92,34 +106,12 @@ def row_reduce(rows: Sequence[Sequence], ncols: int | None = None) -> Echelon:
     return Echelon(mat[:len(pivots)], tuple(pivots), prev, scale, sign)
 
 
-def affine_solutions(rows: Sequence[Sequence], rhs: Sequence, n: int):
-    """(x0, null) with {x in Q^n : rows @ x = rhs} = x0 + span(null).
-
-    Returns None when the system is inconsistent.  ``null`` is the basis with
-    one vector per free column, read off the reduced form.
-    """
-    ech = row_reduce([list(r) + [b] for r, b in zip(rows, rhs)], n + 1)
-    if n in ech.pivots:
-        return None
-    x0 = [Fraction(0)] * n
-    for row, pc in zip(ech.rows, ech.pivots):
-        x0[pc] = Fraction(row[n], ech.det)
-    null = []
-    for fc in range(n):
-        if fc in ech.pivots:
-            continue
-        u = [Fraction(0)] * n
-        u[fc] = Fraction(1)
-        for row, pc in zip(ech.rows, ech.pivots):
-            u[pc] = Fraction(-row[fc], ech.det)
-        null.append(tuple(u))
-    return tuple(x0), null
-
-
 def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
     """The solution of a square rational system; None when it is singular."""
-    sol = affine_solutions(rows, rhs, len(rows))
-    return sol[0] if sol is not None and not sol[1] else None
+    n = len(rows)
+    ech = row_reduce([[*r, b] for r, b in zip(rows, rhs)], n + 1)
+    return (tuple(Fraction(r[n], ech.det) for r in ech.rows)
+            if ech.pivots == tuple(range(n)) else None)
 
 
 def rank_exact(rows: Sequence[Sequence]) -> int:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios
+from ._exact import integer_vector
 from .acceptance import ALL_CRITERIA, run_acceptance
 from .generators import BumpSpec, PLConvex, build_bump_generator, build_wall_sum
 from .limits import battery_for, fit_rate, metric_length
@@ -71,7 +72,7 @@ def _build_generator(spec, P):
         for w in spec["walls"]:
             bump = BumpSpec(float(Fraction(str(w["c"]))), float(w["alpha"]),
                             float(w["A"]), w.get("kernel", "cosine"))
-            walls.append((tuple(int(c) for c in w["normal"]), bump))
+            walls.append((integer_vector(w["normal"]), bump))
         return build_wall_sum(P, walls)
     if kind == "pl-smooth":
         f = _build_pl(spec)
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            QuadratureError) as exc:
+            QuadratureError, NotImplementedError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

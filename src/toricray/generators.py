@@ -229,25 +229,12 @@ class BumpGenerator1D(Generator):
 
     # components -------------------------------------------------------------
 
-    def _gaps_with_slopes(self):
-        lo, hi = self.domain
-        cuts = [lo] + [v for b in self.bumps for v in (b.lo, b.hi)] + [hi]
-        acc = 0.0
-        out = []
-        for k, (a, b) in enumerate(zip(cuts[::2], cuts[1::2])):
-            if b - a > 1e-14:
-                out.append(((a, b), acc))
-            if k < len(self.bumps):
-                acc += self.bumps[k].eff_mass
-        return out
-
     def components(self):
         """Closed gap intervals of P on which psi is exactly affine."""
-        return [iv for iv, _ in self._gaps_with_slopes()]
-
-    def component_slopes(self):
-        """Slope of psi on each gap: accumulated effective masses."""
-        return [s for _, s in self._gaps_with_slopes()]
+        lo, hi = self.domain
+        cuts = [lo] + [v for b in self.bumps for v in (b.lo, b.hi)] + [hi]
+        return [(a, b) for a, b in zip(cuts[::2], cuts[1::2])
+                if b - a > 1e-14]
 
     # Generator interface ------------------------------------------------------
 
@@ -345,11 +332,6 @@ class PLConvex:
 
     def value_exact(self, x) -> Fraction:
         return max(dot(g, x) + b for g, b in self.pieces)
-
-    def active_set_exact(self, x):
-        vals = [dot(g, x) + b for g, b in self.pieces]
-        top = max(vals)
-        return frozenset(i for i, v in enumerate(vals) if v == top)
 
     def max_over(self, P: Polytope) -> Fraction:
         """Maximum of f over P; attained at a vertex by convexity."""

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from ._exact import (SaturationError, det_exact, dot, frac, integer_row,
-                     is_primitive, invert_unimodular, rank_exact, row_reduce,
-                     unimodular_completion, vec_frac)
+                     integer_vector, is_primitive, invert_unimodular,
+                     rank_exact, row_reduce, unimodular_completion, vec_frac)
 
 __all__ = [
     "Polytope", "FaceFrame", "PolytopeError", "DelzantError",
@@ -28,25 +28,30 @@ __all__ = [
 ]
 
 
-def vertices_of_system(normals, offsets, dim: int) -> list:
-    """Exact vertices of {x : <v_j, x> >= o_j}, sorted, each paired with
-    the frozenset of constraints tight there.
+def vertices_of_system(normals, offsets, dim: int, equalities=()) -> list:
+    """Exact vertices of {x : <v_j, x> >= o_j, <u_i, x> = c_i}, sorted, each
+    paired with the frozenset of inequalities j tight there.
 
-    The rational rows (v_j, o_j) are scaled to integers (a_j, b_j).  A
-    dim-subset whose echelon has pivots 0..dim-1 gives the candidate
-    num / det, num its last column, with integer slacks
-    sign(det) (<a_j, num> - b_j det).  The feasible candidates (all slacks
-    >= 0) are the vertices, their zero slacks the tight set, and only they
-    become ``Fraction``s; a subset inside a tight set already found is
-    skipped.  The list may be empty; when the v_j span R^dim it is empty
-    iff the system is.
+    The rational rows are scaled to integers.  The equality rows (u_i, c_i)
+    are row-reduced once, and the result is empty when they are
+    inconsistent; otherwise their r reduced rows are stacked with each
+    (dim - r)-subset of the inequality rows (a_j, b_j).  A stack whose
+    echelon has pivots 0..dim-1 gives the candidate num / det, num its last
+    column, with integer slacks sign(det) (<a_j, num> - b_j det).  The
+    feasible candidates (all slacks >= 0) are the vertices, their zero
+    slacks the tight set, and only they become ``Fraction``s; a subset
+    inside a tight set already found is skipped.  The list may be empty;
+    when the v_j and u_i span R^dim it is empty iff the system is.
     """
+    eqs = row_reduce([[*u, c] for u, c in equalities], dim + 1)
+    if dim in eqs.pivots:
+        return []
     rows = [integer_row([*v, o])[0] for v, o in zip(normals, offsets)]
     verts = {}
-    for subset in combinations(range(len(rows)), dim):
+    for subset in combinations(range(len(rows)), dim - len(eqs.pivots)):
         if any(tight.issuperset(subset) for tight in verts.values()):
             continue
-        ech = row_reduce([rows[j] for j in subset], dim + 1)
+        ech = row_reduce([*eqs.rows, *(rows[j] for j in subset)], dim + 1)
         if ech.pivots != tuple(range(dim)):
             continue
         num, det = [r[dim] for r in ech.rows], ech.det
@@ -67,13 +72,20 @@ class DelzantError(PolytopeError):
     pass
 
 
+def _integer_normal(v) -> tuple[int, ...]:
+    try:
+        return integer_vector(v)
+    except ValueError as exc:
+        raise PolytopeError(f"normal {list(v)}: {exc}") from None
+
+
 class Polytope:
     """Bounded full-dimensional lattice polytope given by facet inequalities."""
 
     def __init__(self, dim, normals, offsets, corrected=False, *,
                  require_delzant=True, prune=False):
         self.dim = int(dim)
-        normals = [tuple(int(c) for c in v) for v in normals]
+        normals = [_integer_normal(v) for v in normals]
         offsets = [frac(o) for o in offsets]
         if len(normals) != len(offsets):
             raise PolytopeError("normals and offsets length mismatch")
@@ -125,10 +137,10 @@ class Polytope:
         """Exact emptiness and boundedness of the facet system; returns its
         ``vertices_of_system``.
 
-        The free columns k of V's echelon are pinned to 0 by rows +-e_k
-        with offset 0.  A move along the null space of V takes every
-        solution to one of the pinned system, whose normals span R^n, so
-        the system is empty iff the pinned one has no vertex.  A nonempty
+        The free columns k of V's echelon are pinned to 0 by the equalities
+        <e_k, x> = 0.  A move along the null space of V takes every
+        solution to one of the pinned system, whose rows span R^n, so the
+        system is empty iff the pinned one has no vertex.  A nonempty
         system with free columns contains a line.  Otherwise the recession
         cone {V r >= 0} is pointed and <sum_j v_j, r> > 0 on its nonzero
         points, so the system is unbounded iff the cut cone
@@ -136,9 +148,9 @@ class Polytope:
         """
         n, V, o = self.dim, self.normals, self.offsets
         pivots = row_reduce(V, n).pivots
-        pins = [tuple(s * (i == k) for i in range(n))
-                for k in range(n) if k not in pivots for s in (1, -1)]
-        verts = vertices_of_system([*V, *pins], [*o, *[0] * len(pins)], n)
+        pins = [(tuple(int(i == k) for i in range(n)), 0)
+                for k in range(n) if k not in pivots]
+        verts = vertices_of_system(V, o, n, pins)
         if not verts:
             raise PolytopeError("polytope is empty")
         cut = tuple(-sum(col) for col in zip(*V))
@@ -353,7 +365,7 @@ def face_frame(P: Polytope, normals: Sequence[Sequence[int]],
     wall system is not lattice-adapted).
     """
     n = P.dim
-    normals = [tuple(int(c) for c in v) for v in normals]
+    normals = [_integer_normal(v) for v in normals]
     offsets = vec_frac(offsets)
     if len(normals) != len(offsets):
         raise PolytopeError("normals and offsets length mismatch")

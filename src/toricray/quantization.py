@@ -193,9 +193,6 @@ class GcstImage:
     coefficient: float
     density: MonomialDensity
 
-    def log_scalar_density(self, X) -> np.ndarray:
-        return self.density.log_gap_density(X)
-
     def pair(self, tau) -> float:
         """Unnormalized pairing of the transformed scalar density with tau."""
         return self.density.pair_absolute(tau)

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._exact import (SaturationError, affine_solutions, dot, frac,
-                     primitivize, rank_exact, row_reduce)
+from ._exact import (SaturationError, dot, frac, primitivize, rank_exact,
+                     row_reduce)
 from .generators import PLConvex
 from .polytope import (FaceFrame, Polytope, PolytopeError, face_frame,
                        make_polytope, vertices_of_system)
@@ -81,42 +81,26 @@ def _face_for_subset(f: PLConvex, P: Polytope, subset):
     j = len(indep)
     if j == 0:
         return None
-    sol = affine_solutions(diffs, rhs, P.dim)
-    if sol is None:
-        return None
-    x0, null = sol
 
     # the pieces outside the subset stay below: <g0 - gk, x> >= bk - b0
     others = [(tuple(g0i - gki for g0i, gki in zip(g0, gk)), bk - b0)
               for k, (gk, bk) in enumerate(f.pieces) if k not in subset]
-
-    # constraints restricted to the affine subspace x0 + span(null)
-    con_normals, con_offsets = [], []
-    for v, lam in [*zip(P.normals, P.offsets), *others]:
-        con_normals.append(tuple(dot(v, n) for n in null))
-        con_offsets.append(lam - dot(v, x0))
-
-    dim_face = P.dim - j
-    uverts = vertices_of_system(con_normals, con_offsets, dim_face)
-    if not uverts:
+    m = len(P.normals)
+    found = vertices_of_system([*P.normals, *(w for w, _ in others)],
+                               [*P.offsets, *(lam for _, lam in others)],
+                               P.dim, list(zip(diffs, rhs)))
+    verts = [x for x, _ in found]
+    if not verts or rank_exact([[v[i] - verts[0][i] for i in range(P.dim)]
+                                for v in verts[1:]]) != P.dim - j:
         return None
-    verts = []
-    for u, _ in uverts:
-        x = tuple(x0[i] + sum(u[k] * null[k][i] for k in range(len(null)))
-                  for i in range(P.dim))
-        verts.append(x)
-    verts = sorted(set(verts))
-    if rank_exact([[v[i] - verts[0][i] for i in range(P.dim)]
-                   for v in verts[1:]]) != dim_face:
+    # maximality: no other piece is tight at every vertex, so none is
+    # active at the barycenter
+    if any(k >= m for k in frozenset.intersection(*(t for _, t in found))):
         return None
 
-    # maximality of the active set at the barycenter
-    bary = tuple(sum(v[i] for v in verts) / len(verts) for i in range(P.dim))
-    if f.active_set_exact(bary) != frozenset(subset):
-        return None
-
-    prim_normals = [primitivize(diffs[k])[0] for k in indep]
-    offsets = [dot(nu, x0) for nu in prim_normals]
+    prims = [primitivize(diffs[k]) for k in indep]
+    prim_normals = [nu for nu, _ in prims]
+    offsets = [scale * rhs[k] for k, (_, scale) in zip(indep, prims)]
     frame = None
     err = None
     try:
@@ -290,9 +274,6 @@ def build_Q(f: PLConvex, P: Polytope, K) -> QPolytope:
 class CentralFiberReport:
     pieces: list      # (piece index, region Polytope, lifted vertices, label)
     q: QPolytope
-
-    def piece_count(self) -> int:
-        return len(self.pieces)
 
     def as_text(self) -> str:
         lines = [f"central fiber: {len(self.pieces)} ceiling piece(s), "

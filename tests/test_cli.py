@@ -130,9 +130,40 @@ def test_verify_subset_exit_codes():
     assert run(["verify", "--only", "99"]) == 2
 
 
-def test_input_errors_exit_two(tmp_path):
+def test_input_errors_exit_two(tmp_path, capsys):
     assert run(["profile", "--generator", "builtin:not-a-scenario"]) == 2
     assert run(["decompose", "--polytope", "{bad json", "--pl", "{}"]) == 2
+    # the strict negative control ships for single walls only
+    poly = json.dumps({"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1]],
+                       "offsets": ["0", "0", "-3"]})
+    corner = json.dumps({"pieces": [{"g": ["0", "0"], "b": "0"},
+                                    {"g": ["1", "0"], "b": "-1"},
+                                    {"g": ["0", "1"], "b": "-1"}]})
+    capsys.readouterr()
+    assert run(["smooth", "--polytope", poly, "--pl", corner,
+                "--eps", "1/10", "--variant", "strict",
+                "-o", str(tmp_path / "strict.csv")]) == 2
+    assert "input error: strict negative-control" in capsys.readouterr().err
+
+
+def test_non_integer_normals_exit_two(tmp_path, capsys):
+    # 1.7 would truncate to CP^2(3) and 1.5 to the wall normal (1,)
+    poly = json.dumps({"dim": 2, "normals": [[1.7, 0], [0, 1], [-1, -1]],
+                       "offsets": [0, 0, -3]})
+    pl = json.dumps({"pieces": [{"g": ["0", "0"], "b": "0"},
+                                {"g": ["1", "0"], "b": "-1"}]})
+    assert run(["decompose", "--polytope", poly, "--pl", pl,
+                "-o", str(tmp_path / "dec.json")]) == 2
+    walls = json.dumps({
+        "polytope": {"dim": 1, "normals": [[1], [-1]], "offsets": [0, -2]},
+        "generator": {"kind": "wall-sum", "walls": [
+            {"normal": [1.5], "c": "1", "alpha": 0.25, "A": 1.0}]}})
+    assert run(["profile", "--generator", walls,
+                "-o", str(tmp_path / "p.csv")]) == 2
+    assert "entry 1.5 is not an integer" in capsys.readouterr().err
+    walls = walls.replace("[1.5]", "[1.0]")
+    assert run(["profile", "--generator", walls,
+                "-o", str(tmp_path / "p.csv")]) == 0
 
 
 def test_quadrature_failure_exits_two(monkeypatch, tmp_path, capsys):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricray import _exact
-from toricray._exact import (affine_solutions, det_exact, invert_unimodular,
-                             is_primitive, primitivize, rank_exact, row_reduce,
-                             solve_exact, unimodular_completion)
+from toricray._exact import (det_exact, invert_unimodular, is_primitive,
+                             primitivize, rank_exact, row_reduce, solve_exact,
+                             unimodular_completion)
 from toricray.generators import PLConvex
 from toricray.polytope import make_polytope
 from toricray.testconfig import decompose
@@ -29,10 +29,6 @@ def matmul(a, b):
 
 def matvec(a, x):
     return [sum((ai * xi for ai, xi in zip(row, x)), Fraction(0)) for row in a]
-
-
-def null_basis(a, n):
-    return affine_solutions(a, [0] * len(a), n)[1]
 
 
 def identity(n):
@@ -106,17 +102,6 @@ def test_det_rank_and_solve_agree(A, data):
     assert (det_exact(A) != 0) == (rank_exact(A) == n) == (x is not None)
     if x is not None:
         assert matvec(A, x) == b
-
-
-@exact
-@given(matrices())
-def test_null_basis_spans_the_kernel(A):
-    n = len(A[0])
-    basis = null_basis(A, n)
-    assert len(basis) == n - rank_exact(A)
-    for u in basis:
-        assert all(v == 0 for v in matvec(A, u))
-    assert rank_exact(basis) == len(basis)
 
 
 @exact
@@ -235,7 +220,7 @@ def test_every_exact_query_runs_the_one_row_reduction(monkeypatch):
     monkeypatch.setattr(_exact, "row_reduce", counted)
     A = [[2, 1], [1, 1]]
     for query in (lambda: rank_exact(A), lambda: solve_exact(A, [1, 0]),
-                  lambda: null_basis(A, 2), lambda: det_exact(A),
+                  lambda: det_exact(A),
                   lambda: invert_unimodular(A)):
         calls.clear()
         query()

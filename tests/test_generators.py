@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from toricray._exact import dot
 from toricray.generators import (BumpSpec, GeneratorError, PLConvex,
                                  build_bump_generator, build_wall_sum,
                                  eval_generator)
@@ -75,7 +76,7 @@ def multi_bump(kernel="cosine"):
 def test_multi_bump_staircase():
     gen = multi_bump()
     comps = gen.components()
-    slopes = gen.component_slopes()
+    slopes = [gen.dpsi(np.array([0.5 * (a + b)]))[0] for a, b in comps]
     assert len(comps) == 4
     assert slopes == pytest.approx([0.0, 1.0, 1.5, 3.5])
     for (a, b), slope in zip(comps, slopes):
@@ -159,7 +160,8 @@ def test_pl_convex_basics():
     f = PLConvex([((0, 0), 0), ((1, 0), -1), ((0, 1), -1)])
     assert f.value(np.array([0.5, 0.5])) == 0.0
     assert f.value(np.array([2.0, 0.5])) == 1.0
-    assert f.active_set_exact((1, 1)) == frozenset({0, 1, 2})
+    # all three pieces tie at (1, 1)
+    assert {dot(g, (1, 1)) + b for g, b in f.pieces} == {f.value_exact((1, 1))}
     assert f.max_over(cp2()) == 2
     assert np.allclose(f.gradient(np.array([2.0, 0.3])), [1.0, 0.0])
 

@@ -54,6 +54,25 @@ def test_non_primitive_normal_rejected():
         make_polytope([[2], [-1]], [0, -2])
 
 
+def test_non_integer_normals_rejected():
+    spec = {"dim": 2, "normals": [[1.7, 0], [0, 1], [-1, -1]],
+            "offsets": [0, 0, -3]}
+    with pytest.raises(PolytopeError, match="entry 1.7 is not an integer"):
+        parse_polytope(spec)
+    for bad in ("3/2", Fraction(1, 2), float("inf"), float("nan"), "x"):
+        with pytest.raises(PolytopeError, match="is not an integer"):
+            make_polytope([[bad], [-1]], [0, -2])
+    with pytest.raises(PolytopeError, match="is not an integer"):
+        face_frame(simplex(), [(0.5, 1)], [1])
+    # integral floats, Fractions and strings are integers
+    spec["normals"][0] = [1.0, Fraction(0)]
+    spec["normals"][1] = ["0", 1]
+    P = parse_polytope(spec)
+    assert P.normals == simplex().normals
+    assert all(type(c) is int for v in P.normals for c in v)
+    assert face_frame(P, [(1.0, 0)], [1]).normals == ((1, 0),)
+
+
 def test_unbounded_and_empty_rejected():
     with pytest.raises(PolytopeError):
         make_polytope([[1], [1]], [0, -1])
@@ -149,18 +168,24 @@ def test_exact_classification_matches_lp(system):
     assert classify(*system) == classify_lp(*system)
 
 
-def fraction_vertices(normals, offsets, dim):
-    """Reference enumeration on Fractions: solve every dim-subset with
-    ``solve_exact`` and keep the solutions whose ``dot`` slacks are >= 0."""
+def fraction_vertices(normals, offsets, dim, equalities=()):
+    """Reference enumeration on Fractions: each equality becomes a pair of
+    opposite rows; solve every dim-subset with ``solve_exact`` and keep the
+    solutions whose ``dot`` slacks are >= 0, with the inequalities tight
+    there."""
+    rows = [*zip(normals, offsets),
+            *((tuple(s * a for a in u), s * c)
+              for u, c in equalities for s in (1, -1))]
     verts = {}
-    for subset in combinations(range(len(normals)), dim):
-        x = solve_exact([normals[j] for j in subset],
-                        [offsets[j] for j in subset])
+    for subset in combinations(range(len(rows)), dim):
+        x = solve_exact([rows[j][0] for j in subset],
+                        [rows[j][1] for j in subset])
         if x is None or x in verts:
             continue
-        slacks = [dot(v, x) - o for v, o in zip(normals, offsets)]
+        slacks = [dot(v, x) - o for v, o in rows]
         if min(slacks, default=0) >= 0:
-            verts[x] = frozenset(j for j, c in enumerate(slacks) if c == 0)
+            verts[x] = frozenset(j for j, c in enumerate(slacks)
+                                 if c == 0 and j < len(normals))
     return sorted(verts.items())
 
 
@@ -170,9 +195,11 @@ rationals = st.one_of(st.just(Fraction(0)),
 
 @st.composite
 def rational_systems(draw):
-    """Systems like the restricted ones of a kink face: rational normals,
-    zero rows, and offsets that often make several rows tight at one
-    point p."""
+    """Systems like those of a kink face: rational normals, zero rows, and
+    offsets that often make several rows tight at one point p; equality
+    rows through p, multiples of earlier ones (dependent), and multiples
+    with a shifted right-hand side or zero rows with c != 0 (inconsistent
+    unless the shift is 0)."""
     dim = draw(st.integers(0, 3))
     p = [draw(rationals) for _ in range(dim)]
     normals, offsets = [], []
@@ -182,7 +209,22 @@ def rational_systems(draw):
             v = (Fraction(0),) * dim
         normals.append(v)
         offsets.append(dot(v, p) - draw(rationals))
-    return normals, offsets, dim
+    equalities = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 5))
+        if kind >= 3 and equalities:
+            u, c = draw(st.sampled_from(equalities))
+            k = draw(st.sampled_from([Fraction(-2), Fraction(1, 3), 1]))
+            u, c = tuple(k * a for a in u), k * c
+            if kind == 5:
+                c += draw(rationals)
+        elif kind == 2:
+            u, c = (Fraction(0),) * dim, draw(rationals)
+        else:
+            u = tuple(draw(rationals) for _ in range(dim))
+            c = dot(u, p)
+        equalities.append((u, c))
+    return normals, offsets, dim, equalities
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

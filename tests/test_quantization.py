@@ -162,7 +162,7 @@ def test_gcst_scalar_density_monotone_in_s():
     prev = None
     for s in (0.0, 2.0, 8.0, 32.0):
         md = MonomialDensity(P, gen, [1], s)
-        vals = gcst_image(md).log_scalar_density(xs)
+        vals = gcst_image(md).density.log_gap_density(xs)
         if prev is not None:
             assert np.all(vals <= prev + 1e-12)
         prev = vals

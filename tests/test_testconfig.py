@@ -1,12 +1,17 @@
 """PL decomposition, faces, thickenings, and the Q polytope."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricray._exact import SaturationError, dot, primitivize, rank_exact
 from toricray.generators import PLConvex
-from toricray.polytope import make_polytope
+from toricray.polytope import (PolytopeError, face_frame, make_polytope,
+                               vertices_of_system)
 from toricray.testconfig import (build_Q, central_fiber_report, decompose,
                                  nondiff_locus, thickening_mask,
                                  thickening_membership)
@@ -180,7 +185,7 @@ def test_central_fiber_counts():
     f = PLConvex([((0,), 0), ((1,), -1)])
     dec = decompose(f, seg)
     rep = central_fiber_report(dec, build_Q(f, seg, 1))
-    assert rep.piece_count() == 2
+    assert len(rep.pieces) == 2
     # the two ceiling pieces meet over the wall x = 1 at height K - f = 1
     lifted = {v for _, _, lift, _ in rep.pieces for v in lift}
     assert (F(1), F(1)) in lifted
@@ -188,7 +193,7 @@ def test_central_fiber_counts():
     f2 = PLConvex([((0, 0), 0), ((1, 0), -1), ((0, 1), -1), ((1, 1), -2)])
     dec2 = decompose(f2, cp2())
     rep2 = central_fiber_report(dec2, build_Q(f2, cp2(), 2))
-    assert rep2.piece_count() == 4
+    assert len(rep2.pieces) == 4
     assert "4 ceiling piece" in rep2.as_text()
 
 
@@ -243,3 +248,137 @@ def test_thickening_slab_is_open():
     want = [False, True, False, True]
     assert [thickening_membership(dec, 0.25, x)[0] for x in X] == want
     assert thickening_mask(dec, 0.25, X).tolist() == want
+
+
+def affine_hull(rows, rhs, n):
+    """(x0, null) with {rows @ x = rhs} = x0 + span(null), by Gauss-Jordan
+    over Fractions; None when the system is inconsistent."""
+    mat = [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(n + 1):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(mat)) if mat[k][col] != 0), None)
+        if piv is None:
+            continue
+        if col == n:
+            return None
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [v / mat[r][col] for v in mat[r]]
+        for k in range(len(mat)):
+            if k != r:
+                c = mat[k][col]
+                mat[k] = [v - c * w for v, w in zip(mat[k], mat[r])]
+        pivots.append(col)
+    x0 = [F(0)] * n
+    for row, pc in zip(mat, pivots):
+        x0[pc] = row[n]
+    null = []
+    for fc in (c for c in range(n) if c not in pivots):
+        u = [F(int(i == fc)) for i in range(n)]
+        for row, pc in zip(mat, pivots):
+            u[pc] = -row[fc]
+        null.append(u)
+    return x0, null
+
+
+def reference_face(f, P, subset):
+    """A kink face by restriction: the rows of P and of the other pieces
+    restricted to the affine hull x0 + span(null) of the subset's ties,
+    their vertices mapped back, and the active set at the barycenter."""
+    n = P.dim
+    (g0, b0), rest = f.pieces[subset[0]], [f.pieces[i] for i in subset[1:]]
+    diffs = [[a - c for a, c in zip(g, g0)] for g, _ in rest]
+    rhs = [b0 - b for _, b in rest]
+    hull = affine_hull(diffs, rhs, n)
+    if hull is None or len(hull[1]) == n:
+        return None
+    x0, null = hull
+    others = [([c - a for c, a in zip(g0, g)], b - b0)
+              for k, (g, b) in enumerate(f.pieces) if k not in subset]
+    rows = [*zip(P.normals, P.offsets), *others]
+    restricted = vertices_of_system(
+        [[dot(v, u) for u in null] for v, _ in rows],
+        [lam - dot(v, x0) for v, lam in rows], len(null))
+    verts = sorted({tuple(x0[i] + sum(c * u[i] for c, u in zip(w, null))
+                          for i in range(n)) for w, _ in restricted})
+    if not verts or rank_exact([[a - b for a, b in zip(v, verts[0])]
+                                for v in verts[1:]]) != len(null):
+        return None
+    bary = [sum(v[i] for v in verts) / len(verts) for i in range(n)]
+    vals = [dot(g, bary) + b for g, b in f.pieces]
+    if {i for i, v in enumerate(vals) if v == max(vals)} != set(subset):
+        return None
+    indep = []
+    for k in range(len(diffs)):
+        if rank_exact([diffs[i] for i in [*indep, k]]) > len(indep):
+            indep.append(k)
+    normals = [primitivize(diffs[k])[0] for k in indep]
+    offsets = [dot(nu, x0) for nu in normals]
+    try:
+        frame, err = face_frame(P, normals, offsets), None
+    except (SaturationError, PolytopeError) as exc:
+        frame, err = None, str(exc)
+    shadow = []
+    if frame is not None:
+        npar = frame.n_parallel
+        for w, lam in others:
+            coef = [dot(w, col) for col in zip(*frame.inverse)]
+            if any(coef[:npar]):
+                shadow.append((coef[:npar], lam - dot(coef[npar:],
+                                                      frame.offsets)))
+    return (frozenset(subset), n - len(null), tuple(normals), tuple(offsets),
+            tuple(verts), frame and frame.matrix, err, shadow)
+
+
+def hirzebruch():
+    return make_polytope([[1, 0], [0, 1], [-1, -1], [0, -1]], [0, 0, -3, -2])
+
+
+def hexagon():
+    return make_polytope([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1], [-1, -1]],
+                         [0, 0, 1, -3, -3, -5])
+
+
+def cp3(N=3):
+    return make_polytope([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                         [0, 0, 0, -N])
+
+
+BASES = {"cp2": cp2(), "f1": hirzebruch(), "hexagon": hexagon(), "cp3": cp3()}
+slopes = st.sampled_from(sorted({F(a, d) for d in (1, 2, 3)
+                                 for a in range(-2 * d, 2 * d + 1)}))
+
+
+@st.composite
+def pl_on_base(draw):
+    """1-4 pieces whose half-integer offsets put them near a tie at a
+    lattice point p of P, so that most kink faces meet P."""
+    P = BASES[draw(st.sampled_from(sorted(BASES)))]
+    p = draw(st.sampled_from(P.integral_points()))
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.tuples(*[slopes] * P.dim))
+        b = F(round(-2 * dot(g, p)) + draw(st.integers(-2, 2)), 2)
+        pieces.append((g, b))
+    return PLConvex(pieces), P
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pl_on_base())
+def test_faces_match_the_restriction_reference(case):
+    f, P = case
+    want = [face for size in range(2, f.npieces + 1)
+            for subset in combinations(range(f.npieces), size)
+            if (face := reference_face(f, P, subset)) is not None]
+    want.sort(key=lambda face: (face[1], sorted(face[0])))
+    got = nondiff_locus(f, P)
+    assert len(got) == len(want)
+    for face, (active, codim, normals, offsets, verts, matrix, err,
+               shadow) in zip(got, want):
+        assert (face.active, face.codim, face.normals, face.offsets,
+                face.vertices) == (active, codim, normals, offsets, verts)
+        assert all(type(c) is F for c in (*face.offsets, *sum(verts, ())))
+        assert (face.frame and face.frame.matrix, face.frame_error) == (
+            matrix, err)
+        assert [(list(c), r) for c, r in face._shadow or ()] == [
+            ([float(x) for x in c], float(r)) for c, r in shadow]
