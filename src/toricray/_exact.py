@@ -70,15 +70,21 @@ class Echelon(NamedTuple):
 def row_reduce(rows: Sequence[Sequence], ncols: int | None = None) -> Echelon:
     """Fraction-free (Bareiss) Gauss-Jordan elimination.
 
-    Each row is scaled to integers by ``integer_row``.  A pivot
-    p replaces every other row by (p * row - c * pivot_row) // prev, where c
-    is the row's entry in the pivot column and prev the previous pivot;
-    Sylvester's identity makes every division exact.  For a square matrix
+    Each row is scaled to integers by ``integer_row``, unless its entries
+    are plain ints already.  A pivot p replaces every other row by
+    (p * row - c * pivot_row) // prev, where c is the row's entry in the
+    pivot column and prev the previous pivot; Sylvester's identity makes
+    every division exact.  For a square matrix
     of full rank, sign * det / scale is its determinant.  ``ncols`` is
     needed only when ``rows`` is empty.
     """
     mat, scale = [], 1
     for row in rows:
+        # rows of plain ints, as the vertex enumeration stacks them, are
+        # already scaled
+        if all(type(v) is int for v in row):
+            mat.append(list(row))
+            continue
         row, den = integer_row(row)
         mat.append(row)
         scale *= den

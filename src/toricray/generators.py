@@ -131,11 +131,12 @@ class Bump1D:
         self.base_k2 = float(self.kernel.cdf_integral(self.t_lo))
         self.top_cdf = float(self.kernel.cdf(self.t_hi))
         self.eff_mass = spec.mass * (self.top_cdf - self.base_cdf)
-        # the value at the right end, where the affine tail starts
-        self.top = float(spec.mass * a * (self.kernel.cdf_integral(self.t_hi)
-                                          - self.base_k2)
-                         - spec.mass * self.base_cdf * (hi - lo))
         self.clipped = (self.t_lo > -1.0) or (self.t_hi < 1.0)
+        # d0 = _k2 * K2(t) - _slope * x + _shift on the support; the shift
+        # is rounded as the negated left-end value, so d0 is 0 there
+        self._k2 = spec.mass * a
+        self._slope = spec.mass * self.base_cdf
+        self._shift = self._slope * lo - self._k2 * self.base_k2
 
     def _t(self, x):
         return (np.asarray(x, dtype=float) - self.spec.center) / self.spec.halfwidth
@@ -150,24 +151,23 @@ class Bump1D:
                            ) * self.kernel.density(t[inside])
         return out
 
-    def d1(self, x):
+    def d01(self, x):
+        """(d0, d1) from one coordinate clipped to the support: both vanish
+        at its left end, d1 is ``eff_mass`` at its right end, and beyond
+        it d0 goes on affinely with that slope."""
         x = np.asarray(x, dtype=float)
-        t = np.clip(self._t(x), self.t_lo, self.t_hi)
-        out = self.spec.mass * (self.kernel.cdf(t) - self.base_cdf)
-        return np.where(x <= self.lo, 0.0,
-                        np.where(x >= self.hi, self.eff_mass, out))
+        xc = np.minimum(np.maximum(x, self.lo), self.hi)
+        t = (xc - self.spec.center) / self.spec.halfwidth
+        d1 = self.spec.mass * self.kernel.cdf(t) - self._slope
+        d0 = (self._k2 * self.kernel.cdf_integral(t) - self._slope * xc
+              + self._shift + self.eff_mass * np.maximum(x - self.hi, 0.0))
+        return d0, d1
+
+    def d1(self, x):
+        return self.d01(x)[1]
 
     def d0(self, x):
-        x = np.asarray(x, dtype=float)
-        t = np.clip(self._t(x), self.t_lo, self.t_hi)
-        a = self.spec.halfwidth
-        inner = (self.spec.mass * a * (self.kernel.cdf_integral(t) - self.base_k2)
-                 - self.spec.mass * self.base_cdf
-                 * (np.clip(x, self.lo, self.hi) - self.lo))
-        return np.where(x <= self.lo, 0.0,
-                        np.where(x >= self.hi,
-                                 self.top + self.eff_mass * (x - self.hi),
-                                 inner))
+        return self.d01(x)[0]
 
     def centroid(self) -> float:
         """Mass centroid of the clipped profile; equals center if unclipped."""
@@ -240,8 +240,11 @@ class BumpGenerator1D(Generator):
 
     def jet(self, x, order):
         t = np.asarray(x, dtype=float)[..., 0]
-        return (self.psi(t),
-                self.dpsi(t)[..., None] if order >= 1 else None,
+        val = grad = np.zeros_like(t)
+        for b in self.bumps:
+            d0, d1 = b.d01(t)
+            val, grad = val + d0, grad + d1
+        return (val, grad[..., None] if order >= 1 else None,
                 self.d2psi(t)[..., None, None] if order >= 2 else None)
 
 
@@ -292,9 +295,10 @@ class WallSumGenerator(Generator):
             if order >= 2 else None
         for nu, b in zip(self.normals, self.bumps):
             t = x @ nu
-            val = val + b.d0(t)
+            d0, d1 = b.d01(t)
+            val = val + d0
             if order >= 1:
-                grad = grad + b.d1(t)[..., None] * nu
+                grad = grad + d1[..., None] * nu
             if order >= 2:
                 hess = hess + b.d2(t)[..., None, None] * np.outer(nu, nu)
         return val, grad, hess

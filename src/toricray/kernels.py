@@ -78,15 +78,15 @@ class Kernel:
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
-        return self._cdf(np.clip(t, -1.0, 1.0))
+        return self._cdf(np.minimum(np.maximum(t, -1.0), 1.0))
 
     def first_moment(self, t):
         t = np.asarray(t, dtype=float)
-        return self._first_moment(np.clip(t, -1.0, 1.0))
+        return self._first_moment(np.minimum(np.maximum(t, -1.0), 1.0))
 
     def cdf_integral(self, t):
         t = np.asarray(t, dtype=float)
-        return self._cdf_integral(np.clip(t, -1.0, 1.0))
+        return self._cdf_integral(np.minimum(np.maximum(t, -1.0), 1.0))
 
     def __repr__(self):
         return f"Kernel({self.name!r})"

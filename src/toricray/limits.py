@@ -79,7 +79,7 @@ def battery_for(P: Polytope) -> TestBattery:
     width = diam / 3.0
 
     def bump(X, c=center, w=width):
-        r2 = np.sum(((X - c) / w) ** 2, axis=-1)
+        r2 = (((X - c) / w) ** 2).sum(axis=-1)
         out = np.zeros(X.shape[:-1])
         inside = r2 < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))

@@ -129,6 +129,8 @@ class Polytope:
 
         self._A = np.array(self.normals, dtype=float)
         self._b = np.array([float(o) for o in self.offsets])
+        # each facet {nu . x = c} as the float row (nu, c)
+        self.facets_np = np.column_stack([self._A, self._b])
         self._verts_np = np.array([[float(c) for c in v] for v in self.vertices])
 
     # -- construction internals ------------------------------------------------

@@ -1,23 +1,26 @@
 """Adaptive quadrature engines.
 
-Panels: adaptive Gauss-Legendre (GL15) panels refined by level-by-level
-bisection, for many independent integrals ("groups") at once.  Panels live
-in flat arrays, and each level measures the new panels of every group with
-one call of the integrand: a panel's error is the difference between its
-GL15 value and the sum of the GL15 values of its two halves, and a split
-panel's halves become its children's coarse values.  A group's scale is the
-GL15 integral of |f| (or of magnitudes the integrand supplies), which is
-|total| for a one-signed integrand and stays positive where the total
-cancels to zero.  Each round splits, in every group whose summed error
-exceeds rel_tol * scale + 1e-300, each panel whose error exceeds
-max(rel_tol * scale / n_panels, 1e-18 * scale + 1e-300) and which is at
-least 1e-15 wide.  Each split adds one panel, so a round splits at most the
-group's remaining budget of ``max_panels`` (``MAX_PANELS`` by default),
-largest errors first, and no group exceeds its budget.  A single group sums
-with math.fsum, several with one bincount.  The engine returns the nodes,
-weights and integrand values of both GL15 halves of every final panel, the
-rule its totals are summed with, so callers reuse them instead of
-evaluating the integrand again.  ``adaptive_panels`` is the one-group form.
+Panels: adaptive 7/15 Gauss-Kronrod (GK15) panels refined by level-by-level
+bisection, for many independent integrals ("groups") at once.  A panel
+holds the 15 Kronrod nodes; its value is the K15 sum and its error
+|K15 - G7|, the 7-point Gauss rule on every other node of the same values,
+so a split costs 30 evaluations and reuses none.  Panels live in flat
+arrays, and each level measures the new panels of every group with one call
+of the integrand.  A group's scale is the K15 integral of |f| (or of
+magnitudes the integrand supplies), which is |total| for a one-signed
+integrand and stays positive where the total cancels to zero.  Each round
+splits, in every group whose summed error exceeds rel_tol * scale + 1e-300,
+each panel whose error exceeds max(rel_tol * scale / n_panels,
+1e-18 * scale + 1e-300) and which is at least 1e-15 wide.  Each split adds
+one panel, so a round splits at most the group's remaining budget of
+``max_panels`` (``MAX_PANELS`` by default), largest errors first, and no
+group exceeds its budget.  A single group sums with math.fsum, several with
+one bincount.  The engine returns the nodes, K15 weights and integrand
+values of every final panel, the rule its totals are summed with, so
+callers reuse them instead of evaluating the integrand again.
+``adaptive_panels`` is the one-group form.  The 15-point Gauss-Legendre
+rule (GL15) stays where a fixed rule is wanted: ``panel_nodes``,
+``integrate_on_panels`` and the callers that build fixed grids on them.
 
 Polytopes: ``integrate_polytope`` cuts the panels at exact breakpoints: the
 facets of P and the caller's hyperplanes (the ends of a generator's support
@@ -30,15 +33,20 @@ outer level runs over the range of x_j on the slice of P at its prefix
 that slice where n - j + 1 breakpoint hyperplanes meet, and its integrand
 is the level below, called once per round on all of its new nodes.  The
 innermost level runs over the chords of P in xn, cut where the hyperplanes
-cross them, and calls f.  Final panels stay rows of 30 nodes through the
+cross them, and calls f.  Final panels stay rows of 15 nodes through the
 levels, rows under nodes off the final panels are dropped, and the nodes
 (N, n) are built once.  A level's error estimate is its own plus the
 weighted errors of the levels below.  Each integral along one variable has
-a budget of ``MAX_PANELS`` panels.
+a budget of ``MAX_PANELS`` panels.  The returned ``NodeSet`` keeps, for
+every level, the final panel above each node and the node's share of that
+panel's K15 - G7 difference, so any function given on the nodes (a
+density times a test function) gets the same embedded estimate, summed
+over every level, from ``NodeSet.integral``.
 
 One verdict: ``integrate_polytope``, the one integrator other modules call,
-and ``adaptive_panels`` raise QuadratureError when a result or its error is
-not finite, or ends above ALLOWANCE * rel_tol * (integral of |f|) + 1e-300.
+``NodeSet.integral`` and ``adaptive_panels`` raise QuadratureError when a
+result or its error is not finite, or ends above
+ALLOWANCE * rel_tol * (integral of |f|) + 1e-300.
 
 TriangleMesh, an adaptive degree-5 triangle mesh over a convex polygon, is
 an independent 2-D reference for the panels; each leaf stores a one-level
@@ -88,6 +96,36 @@ GL15_WEIGHTS = np.array([
     0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
 
 
+# the 7/15 Gauss-Kronrod pair on [-1, 1] of QUADPACK's qk15 (Kronrod 1965;
+# Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner 1983), as the reprs
+# of its 33-digit constants: K15's nodes and weights, and G7's weights on
+# the same nodes, 0 on the seven Kronrod nodes that G7 lacks
+GK15_NODES = np.array([
+    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+    -0.7415311855993945, -0.5860872354676911, -0.4058451513773972,
+    -0.20778495500789848, 0.0, 0.20778495500789848, 0.4058451513773972,
+    0.5860872354676911, 0.7415311855993945, 0.8648644233597691,
+    0.9491079123427585, 0.9914553711208126])
+GK15_WEIGHTS = np.array([
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+    0.20443294007529889, 0.20948214108472782, 0.20443294007529889,
+    0.19035057806478542, 0.1690047266392679, 0.14065325971552592,
+    0.10479001032225019, 0.06309209262997856, 0.022935322010529224])
+G7_WEIGHTS = np.array([
+    0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0,
+    0.3818300505051189, 0.0, 0.4179591836734694, 0.0, 0.3818300505051189,
+    0.0, 0.27970539148927664, 0.0, 0.1294849661688697, 0.0])
+# the nodes on [0, 1], and K15, K15 - G7 and K15 again on [0, 1] side by
+# side, so that one product gives a panel's value, its error and the value
+# of its magnitudes where the integrand is nonnegative
+_GK15_UNIT = 0.5 * (1.0 + GK15_NODES)
+_GK15_SUMS = 0.5 * np.column_stack([GK15_WEIGHTS, GK15_WEIGHTS - G7_WEIGHTS,
+                                    GK15_WEIGHTS])
+# each node's share of K15 - G7 per unit of its K15 weight
+_GK15_RATIO = 1.0 - G7_WEIGHTS / GK15_WEIGHTS
+
+
 def panel_nodes(lo, hi):
     """GL15 nodes and weights, each (k, 15), of the panels [lo_i, hi_i]."""
     lo = np.asarray(lo, dtype=float)
@@ -96,6 +134,12 @@ def panel_nodes(lo, hi):
     half = 0.5 * (hi - lo)
     return (mid[:, None] + half[:, None] * GL15_NODES,
             half[:, None] * GL15_WEIGHTS)
+
+
+def _gk15_nodes(lo, hi):
+    """GK15 nodes (k, 15) of the panels [lo_i, hi_i], and their widths."""
+    width = hi - lo
+    return lo[:, None] + width[:, None] * _GK15_UNIT, width
 
 
 def _gl15(f, lo, hi):
@@ -108,10 +152,10 @@ def _gl15(f, lo, hi):
 class Panels(NamedTuple):
     """Final panels of ``refine_groups``, in no particular order.
 
-    ``nodes``, ``weights``, ``values`` and ``pos`` are (k, 30): GL15 on the
-    left then the right half of each panel, and the index of each node
-    among all the points the integrand was called on, in call order.
-    ``total`` and ``err`` hold one entry per group.
+    ``nodes``, ``weights``, ``values`` and ``pos`` are (k, 15): the GK15
+    nodes of each panel, their K15 weights, the integrand's values and the
+    index of each node among all the points the integrand was called on, in
+    call order.  ``total`` and ``err`` hold one entry per group.
     """
     lo: np.ndarray
     hi: np.ndarray
@@ -128,9 +172,10 @@ def _cut(lo, hi, cuts):
     """Panels (a, b, group) of the intervals [lo_g, hi_g], each cut at the
     entries of its row of ``cuts`` that lie strictly inside it.  An empty
     interval (lo_g >= hi_g) gives no panel."""
-    inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
-    cuts = np.sort(np.concatenate([lo[:, None], np.where(
-        inside, cuts, lo[:, None]), hi[:, None]], axis=1), axis=1)
+    # a cut outside the interval (or nan) makes an empty panel at an end
+    lo_, hi_ = lo[:, None], hi[:, None]
+    cuts = np.sort(np.concatenate([lo_, np.minimum(np.maximum(
+        cuts, lo_), hi_), hi_], axis=1), axis=1)
     a, b = cuts[:, :-1], cuts[:, 1:]
     keep = (b > a) & (hi > lo)[:, None]
     return a[keep], b[keep], np.nonzero(keep)[0]
@@ -148,58 +193,48 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
     gives them, so it stays positive where the integral of f cancels to
     zero.  Returns ``Panels``.
     """
-    outs = []
+    outs, called = [], 0
 
-    def measure(a, b, g, coarse):
-        """Columns of the panels [a_i, b_i] from one call of f on their
-        halves, and on the panels themselves where ``coarse`` is None: lo,
-        hi, group, the GL15 values of the two halves, the GL15 value of the
-        magnitudes on both, the error against the coarse value and the
-        position of each half's first node among all the points f was
+    def measure(ends):
+        """Columns of the panels whose lo, hi and group are the rows of
+        ``ends``, from one call of f on their GK15 nodes: lo, hi, group, the
+        K15 value, |K15 - G7|, the K15 value of the magnitudes and the
+        position of each panel's first node among all the points f was
         called on."""
-        mid = 0.5 * (a + b)
-        ends = [(a, mid), (mid, b)] + ([(a, b)] if coarse is None else [])
-        a_all, b_all = (np.concatenate(e) for e in zip(*ends))
-        nodes, weights = panel_nodes(a_all, b_all)
-        groups = np.concatenate([g] * len(ends)).astype(np.intp)
-        vals = f(nodes.ravel(), groups.repeat(15))
+        nonlocal called
+        nodes, width = _gk15_nodes(ends[0], ends[1])
+        vals = f(nodes.ravel(), ends[2].astype(np.intp).repeat(15))
         vals, mags = vals if isinstance(vals, tuple) else (vals, None)
-        vals = np.asarray(vals, dtype=float)
-        half = 0.5 * (b_all - a_all)
-        sums = (half * (vals.reshape(-1, 15) @ GL15_WEIGHTS)).reshape(
-            len(ends), -1)
+        vals = np.asarray(vals, dtype=float).reshape(-1, 15)
+        sums = (vals @ _GK15_SUMS) * width[:, None]
+        np.abs(sums[:, 1], out=sums[:, 1])
         # a nonnegative f is its own magnitude
-        if mags is not None or np.minimum.reduce(vals, initial=0.0) < 0.0:
-            mags = np.abs(vals) if mags is None else np.asarray(mags, float)
-            mags = (half * (mags.reshape(-1, 15) @ GL15_WEIGHTS)).reshape(
-                len(ends), -1)
-        else:
-            mags = sums
-        first = sum(o.shape[1] for o in outs) + 15 * np.arange(2 * len(a))
-        outs.append(np.array([nodes.ravel(), weights.ravel(), vals]))
-        coarse = sums[2] if coarse is None else coarse
-        return np.array([a, b, g, sums[0], sums[1], mags[0] + mags[1],
-                         np.abs(sums[0] + sums[1] - coarse),
-                         first[:len(a)], first[len(a):]])
+        if mags is not None or np.minimum.reduce(vals, axis=None,
+                                                 initial=0.0) < 0.0:
+            mags = np.abs(vals) if mags is None else \
+                np.asarray(mags, float).reshape(-1, 15)
+            sums[:, 2] = width * (mags @ _GK15_SUMS[:, 0])
+        first = np.arange(called, called + vals.size, 15)
+        called += vals.size
+        outs.append(vals.ravel())
+        return np.concatenate([ends, sums.T, first[None]])
 
-    cols = measure(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
-                   np.asarray(group, dtype=float), None)
+    cols = measure(np.array([lo, hi, group], dtype=float))
     while True:
-        lo, hi, g, left, right, mass, err = cols[:7]
-        g = g.astype(np.intp)
-        sums = (left + right, err, mass)
+        lo, hi, g, value, err, mass = cols[:6]
         # the error a panel must exceed to be split: inf once its group has
-        # converged.  One group sums exactly and tests on scalars.
+        # converged.  One group sums exactly, tests on scalars and stops as
+        # soon as it has converged.
         if n_groups == 1:
-            total, err_total, scale = (math.fsum(v.tolist()) for v in sums)
-            floor = max(rel_tol * scale / len(lo), 1e-18 * scale + 1e-300) \
-                if err_total > rel_tol * scale + 1e-300 else np.inf
-            total, err_total = np.array([total]), np.array([err_total])
-            n_panels = np.array([len(lo)])
+            err_total, scale = (math.fsum(v.tolist()) for v in (err, mass))
+            if not err_total > rel_tol * scale + 1e-300:
+                break
+            floor = max(rel_tol * scale / len(lo), 1e-18 * scale + 1e-300)
         else:
-            total, err_total, scale = (np.bincount(g, v, n_groups)
-                                       for v in sums)
+            g = g.astype(np.intp)
             n_panels = np.bincount(g, minlength=n_groups)
+            err_total, scale = (np.bincount(g, v, n_groups)
+                                for v in (err, mass))
             floor = np.where(
                 err_total > rel_tol * scale + 1e-300,
                 np.maximum(rel_tol * scale / np.maximum(n_panels, 1),
@@ -207,26 +242,33 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         split = np.nonzero((err > floor) & (hi - lo >= 1e-15))[0]
         if split.size > max_panels - len(lo):
             # largest errors first, at most the room left in each group
+            g = g.astype(np.intp)
+            room = max_panels - np.bincount(g, minlength=n_groups)
             split = split[np.lexsort((-err[split], g[split]))]
             gs = g[split]
             split = split[np.arange(len(split)) - np.searchsorted(gs, gs)
-                          < max_panels - n_panels[gs]]
+                          < room[gs]]
         if split.size == 0:
             break
-        # the halves of a split panel are its children, and their GL15
-        # values the children's coarse values: one call measures the level
-        mid = 0.5 * (lo[split] + hi[split])
-        children = measure(np.concatenate([lo[split], mid]),
-                           np.concatenate([mid, hi[split]]),
-                           np.concatenate([g[split], g[split]]),
-                           np.concatenate([left[split], right[split]]))
+        # a split panel's halves are its children: one call measures them
+        k = len(split)
+        ends = cols[:3, np.concatenate([split, split])]
+        ends[1, :k] = ends[0, k:] = 0.5 * (ends[0, :k] + ends[1, k:])
+        children = measure(ends)
         # the left child takes its parent's place, the right one is appended
-        cols[:, split] = children[:, :len(split)]
-        cols = np.concatenate([cols, children[:, len(split):]], axis=1)
-    pos = cols[7:, :, None].astype(np.intp) + np.arange(15)
-    pos = np.concatenate([pos[0], pos[1]], axis=1)
-    nodes, weights, values = np.concatenate(outs, axis=1)[:, pos]
-    return Panels(lo, hi, g, nodes, weights, values, pos, total, err_total)
+        cols[:, split] = children[:, :k]
+        cols = np.concatenate([cols, children[:, k:]], axis=1)
+    g = g.astype(np.intp)
+    if n_groups == 1:
+        total = np.array([math.fsum(value.tolist())])
+        err_total = np.array([err_total])
+    else:
+        total = np.bincount(g, value, n_groups)
+    pos = cols[6, :, None].astype(np.intp) + np.arange(15)
+    # the final panels' nodes again, the very points f was called on
+    nodes, width = _gk15_nodes(lo, hi)
+    return Panels(lo, hi, g, nodes, width[:, None] * _GK15_SUMS[:, 0],
+                  np.concatenate(outs)[pos], pos, total, err_total)
 
 
 def _judge(what, value, err, weights, values, rel_tol, reason):
@@ -243,7 +285,7 @@ def _judge(what, value, err, weights, values, rel_tol, reason):
 
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
                     seeds=(), max_panels: int = MAX_PANELS):
-    """Refine [a, b] into GL15 panels: ``refine_groups`` with one group.
+    """Refine [a, b] into GK15 panels: ``refine_groups`` with one group.
 
     ``f`` maps a 1-D array of points to values and is called once per
     level.  ``seeds`` are interior split points inserted before adaptivity
@@ -313,18 +355,37 @@ def log_integral_1d(log_f, a, b, *, rel_tol=1e-10, seeds=()):
 class NodeSet(NamedTuple):
     """Final nodes of ``integrate_polytope``: points (N, n), rule weights
     and integrand values (N,), the integral, its error estimate and the
-    count of final innermost panels, N / 30."""
+    count of final innermost panels, N / 15.  ``owners`` and ``diffs``
+    (N, n) hold, for each level of the iterated rule (x1 first), the final
+    panel of that level each node lies under and the node's weight in that
+    panel's K15 - G7 difference, so that ``integral`` gives any function
+    on the nodes the estimate the integrand got."""
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
     value: float
     err: float
     panels: int
+    owners: np.ndarray
+    diffs: np.ndarray
+
+    def integral(self, values, rel_tol: float):
+        """The rule's integral of ``values`` (N,) given on the nodes, and its
+        embedded error estimate: at every level, the sum over the level's
+        final panels of |K15 - G7| of the integral below them.  Raises
+        QuadratureError by the module's verdict."""
+        values = np.asarray(values, dtype=float)
+        value = float(self.weights @ values)
+        err = math.fsum(np.abs(np.bincount(own, d * values)).sum()
+                        for own, d in zip(self.owners.T, self.diffs.T))
+        _judge("integral on the nodes", value, err, self.weights, values,
+               rel_tol, "missed its tolerance")
+        return value, err
 
 
 def integrate_polytope(f, P, *, lines=(), point=None,
                        rel_tol: float = 1e-10) -> NodeSet:
-    """Integral of f over the polytope P on iterated GL15 panels.
+    """Integral of f over the polytope P on iterated GK15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
     P and the hyperplanes {nu . x = c} given as (nu, c) pairs in ``lines``;
@@ -340,15 +401,19 @@ def integrate_polytope(f, P, *, lines=(), point=None,
     # a nan peak cuts nothing
     peak = np.full(n, np.nan) if point is None else \
         np.asarray(point, dtype=float)
-    lines = np.array([[*nu, c] for nu, c in [*zip(P.normals, P.offsets),
-                                             *lines]], dtype=float)
-    _, total, err, head, x, weights, values = _level(
+    lines = np.concatenate([P.facets_np, np.array(
+        [[*nu, c] for nu, c in lines], dtype=float).reshape(-1, n + 1)])
+    _, total, err, head, ids, x, weights, values = _level(
         f, P, lines, peak, np.empty((1, 0)), rel_tol, max_panels)
     nodes = np.empty((*x.shape, n))
     nodes[..., :-1] = head[:, None]
     nodes[..., -1] = x
-    res = NodeSet(nodes.reshape(-1, n), weights.ravel(), values.ravel(),
-                  float(total[0]), float(err[0]), len(x))
+    # each node's index among the final nodes of every level, 15 a panel
+    ids = np.column_stack([ids.repeat(15, axis=0), np.arange(x.size)])
+    weights = weights.ravel()
+    res = NodeSet(nodes.reshape(-1, n), weights, values.ravel(),
+                  float(total[0]), float(err[0]), len(x), ids // 15,
+                  weights[:, None] * _GK15_RATIO[ids % 15])
     _judge(f"{n}-D polytope integral", res.value, res.err, res.weights,
            res.values, rel_tol, f"did not converge at {res.panels} panels, "
            f"with a budget of {max_panels} panels per integral")
@@ -360,8 +425,9 @@ def _level(f, P, lines, peak, prefix, rel_tol, max_panels):
     of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row.
     Returns the prefix row of each final innermost panel (R,), the
     integrals and their errors (k,), the coordinates the levels below fixed
-    for each panel (R, n - 1 - j), and x_n, the rule weights and the values
-    of its 30 nodes (R, 30)."""
+    for each panel and the index of each of those nodes among the final
+    nodes of its level, 15 a panel (R, n - 1 - j) each, and x_n, the rule
+    weights and the values of its 15 nodes (R, 15)."""
     (k, j), n = prefix.shape, P.dim
     inner = []
     # the range of x_{j+1}: the bounding box's on the first level, where it
@@ -378,6 +444,8 @@ def _level(f, P, lines, peak, prefix, rel_tol, max_panels):
         cuts = (crossing[:, -1] - prefix @ crossing[:, :j].T) / crossing[:, j]
 
         def driver(x, g):
+            if j == 0:  # no prefix to prepend
+                return f(x[:, None])
             return f(np.concatenate([prefix[g], x[:, None]], axis=1))
     else:
         # cut at the points of P where n - j of the hyperplanes meet; the
@@ -398,27 +466,38 @@ def _level(f, P, lines, peak, prefix, rel_tol, max_panels):
                 [prefix[g], x[:, None]], axis=1), rel_tol, max_panels)
             inner.append((x, g, *rows))
             # the integrals of |f| over the slices scale this level
-            own, total, _, _, _, w, v = rows
+            own, total, _, _, _, _, w, v = rows
             return total, np.bincount(own, np.abs(w * v).sum(axis=1), len(x))
     res = refine_groups(driver, *_cut(lo, hi, np.concatenate(
         [cuts, np.full((k, 1), peak[j])], axis=1)), k, rel_tol=rel_tol,
         max_panels=max_panels)
     if j == n - 1:
-        return (res.group, res.total, res.err, np.empty((len(res.group), 0)),
+        none = np.empty((len(res.group), 0))
+        return (res.group, res.total, res.err, none, none.astype(np.intp),
                 res.nodes, res.weights, res.values)
-    x, g, own, _, err, head, xs, ws, vs = zip(*inner)
-    # the owner of each panel row among all the nodes of this level, and
-    # the rule weight of each node, 0 off the final panels
+    x, g, own, _, err, head, ids, xs, ws, vs = zip(*inner)
+    # the owner of each panel row among all the nodes of this level
     own = np.concatenate([o + a for o, a in zip(
         np.cumsum([0, *map(len, x[:-1])]), own)])
+    # the node indices of the levels below, kept apart between the calls
+    # by offsets that are whole panels
+    ids = np.concatenate([i + a for i, a in zip(np.cumsum([
+        np.zeros(n - 2 - j, np.intp),
+        *((i.max(axis=0, initial=-1) // 15 + 1) * 15 for i in ids[:-1])],
+        axis=0), ids)])
     x, g, err, head, xs, ws, vs = map(np.concatenate, (
         x, g, err, head, xs, ws, vs))
+    # the rule weight of each node, 0 off the final panels, and its index
+    # among the final nodes
     w = np.zeros(len(x))
     w[res.pos.ravel()] = res.weights.ravel()
+    index = np.zeros(len(x), np.intp)
+    index[res.pos.ravel()] = np.arange(res.pos.size)
     kept = w[own] > 0
     own = own[kept]
     return (g[own], res.total, res.err + np.bincount(g, w * err, k),
-            np.column_stack([x[own], head[kept]]), xs[kept],
+            np.column_stack([x[own], head[kept]]),
+            np.column_stack([index[own], ids[kept]]), xs[kept],
             w[own][:, None] * ws[kept], vs[kept])
 
 

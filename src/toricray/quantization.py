@@ -64,17 +64,26 @@ DEFAULT_REL_TOL = MappingProxyType({1: 1e-10, 2: 1e-6})
 
 def base_log_weight(P: Polytope, m, X) -> np.ndarray:
     """h(x) with exp(-h) the s = 0 fiber density of the section at m."""
-    X = np.asarray(X, dtype=float)
+    return _base_log_weight(P, _facet_terms(P, m), X)
+
+
+def _facet_terms(P: Polytope, m):
+    """The terms of h that depend on m alone: the facets where ell(m) is
+    positive, ell(m) on them, and the sum of ell(m)."""
     m = np.asarray(m, dtype=float)
-    ell_x = P.ell(X)
     ell_m = P.ell(m)
     if np.min(ell_m) < -1e-12:
         raise QuantizationError(f"lattice point {m} lies outside P")
     pos = ell_m > 0
+    return pos, ell_m[pos], float(ell_m.sum())
+
+
+def _base_log_weight(P: Polytope, terms, X) -> np.ndarray:
+    pos, ell_m, total = terms
+    ell_x = P.ell(np.asarray(X, dtype=float))
     with np.errstate(divide="ignore"):
         log_ell = np.log(np.maximum(ell_x[..., pos], 0.0))
-    return (-0.5 * np.sum(ell_m[pos] * log_ell, axis=-1)
-            + 0.5 * np.sum(ell_x - ell_m, axis=-1))
+    return -0.5 * (log_ell @ ell_m) + 0.5 * (ell_x.sum(axis=-1) - total)
 
 
 def ray_rate(gen: Generator, m, X) -> np.ndarray:
@@ -82,7 +91,7 @@ def ray_rate(gen: Generator, m, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     m = np.asarray(m, dtype=float)
     val, grad, _ = gen.jet(X, 1)
-    return np.sum((X - m) * grad, axis=-1) - val
+    return ((X - m) * grad).sum(axis=-1) - val
 
 
 def rate_gap(gen: Generator, m, X) -> np.ndarray:
@@ -113,9 +122,10 @@ class MonomialDensity:
         self.rel_tol = rel_tol if rel_tol is not None else \
             DEFAULT_REL_TOL.get(P.dim, 1e-6)
         self.psi_m = float(gen.value(self.m))
+        self._facets = _facet_terms(P, self.m) if self.weighted else None
         self._norm_ready = False
-        self._nodes = None      # GL15 nodes of the final panels, (N, n)
-        self._weights = None    # rule weight times normalized density
+        self._rule = None       # the NodeSet the mass was summed on
+        self._rho = None        # the normalized density on its nodes
 
     # -- log densities -------------------------------------------------------
 
@@ -127,7 +137,7 @@ class MonomialDensity:
         """Stable form -base - s*gap (bare: -s*gap); max is O(1)."""
         gap = self.s * (self.psi_m + ray_rate(self.generator, self.m, X))
         if self.weighted:
-            return -base_log_weight(self.polytope, self.m, X) - gap
+            return -_base_log_weight(self.polytope, self._facets, X) - gap
         return -gap
 
     # -- norms and pairings ----------------------------------------------------
@@ -135,25 +145,30 @@ class MonomialDensity:
     def _ensure_norm(self):
         if self._norm_ready:
             return
-        ref = float(self.log_gap_density(self.m[None, :])[0])
-
-        def driver(X):
-            with np.errstate(over="ignore"):
-                return np.exp(self.log_gap_density(X) - ref)
-
-        lines = [(nu, c) for nu, lo, hi in self.generator.support
-                 for c in (lo, hi)]
-        res = quadrature.integrate_polytope(driver, self.polytope, lines=lines,
-                                            point=self.m,
-                                            rel_tol=self.rel_tol)
+        self._ref = float(self.log_gap_density(self.m[None, :])[0])
+        res = self._integrate(self._driver)
         if res.value <= 0:
             raise QuantizationError("density mass underflowed")
-        self._log_gap_mass = ref + math.log(res.value)
-        # the normalized density on the nodes the mass was summed on, so
-        # that a pairing is one call of tau and one dot product
-        self._nodes = res.nodes
-        self._weights = res.weights * res.values / res.value
+        self._log_gap_mass = self._ref + math.log(res.value)
+        # the rule and the normalized density on its nodes, so that a
+        # pairing is one call of tau and one sum
+        self._rule = res
+        self._rho = res.values / res.value
         self._norm_ready = True
+
+    def _driver(self, X):
+        """The density over its value at m, its peak."""
+        return np.exp(self.log_gap_density(X) - self._ref)
+
+    def _integrate(self, f):
+        """f integrated over P on the density's cuts: the facets, the ends
+        of the generator's support slabs and m."""
+        lines = [(nu, c) for nu, lo, hi in self.generator.support
+                 for c in (lo, hi)]
+        with np.errstate(over="ignore"):
+            return quadrature.integrate_polytope(
+                f, self.polytope, lines=lines, point=self.m,
+                rel_tol=self.rel_tol)
 
     def log_mass(self) -> float:
         """log of integral of the unnormalized density over P."""
@@ -171,8 +186,24 @@ class MonomialDensity:
 
     def pair(self, tau) -> float:
         """Integral of the normalized density against tau."""
+        return self.pair_with_error(tau)[0]
+
+    def pair_with_error(self, tau):
+        """(pairing, error estimate) of the normalized density against tau.
+
+        The pairing is summed on the density's own nodes, and its estimate
+        is the rule's K15 - G7 difference at every level.  When that misses
+        the module's verdict (tau varies where the density's panels are
+        coarse), density times tau is integrated afresh on the same cuts.
+        """
         self._ensure_norm()
-        return float(np.sum(self._weights * tau(self._nodes)))
+        rho_tau = self._rho * tau(self._rule.nodes)
+        try:
+            return self._rule.integral(rho_tau, self.rel_tol)
+        except quadrature.QuadratureError:
+            res = self._integrate(lambda X: self._driver(X) * tau(X))
+            mass = self._rule.value
+            return res.value / mass, res.err / mass
 
     def pair_absolute(self, tau) -> float:
         """Integral of the gap density (= gCST scalar density) against tau."""

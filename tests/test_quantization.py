@@ -8,6 +8,7 @@ from scipy.special import beta as beta_fn
 
 from toricray import quadrature
 from toricray.generators import BumpSpec, Generator, build_bump_generator
+from toricray.limits import battery_for
 from toricray.polytope import make_polytope
 from toricray.scenarios import cp2_wall_sum
 from toricray.quadrature import QuadratureError, integrate_1d
@@ -207,8 +208,30 @@ def test_log_gap_density_makes_one_jet_call():
         assert np.array_equal(got, want)
 
 
+def test_pairings_carry_estimates_within_the_verdict(monkeypatch):
+    # no cut of the s = 0 Beta density on [0, 2] follows the ends of the
+    # battery's bump, so on the density's own nodes the bump's estimate
+    # misses the verdict and density times bump is integrated afresh on
+    # the same cuts; every other member is summed on the nodes
+    P = segment(2)
+    md = MonomialDensity(P, build_bump_generator(P, []), [0], 0.0)
+    battery = battery_for(P)
+    magnitudes = [md.pair(lambda X: np.abs(tau(X))) for tau in battery]
+    fresh = []
+    engine = quadrature.integrate_polytope
+    monkeypatch.setattr(quadrature, "integrate_polytope",
+                        lambda *a, **k: fresh.append(tau.name)
+                        or engine(*a, **k))
+    for tau, magnitude in zip(battery, magnitudes):
+        value, err = md.pair_with_error(tau)
+        assert 0.0 < err <= quadrature.ALLOWANCE * md.rel_tol * magnitude
+        assert md.pair(tau) == value
+    assert fresh == ["bump"] * 2
+
+
 def test_nonconvergence_reports_panel_count(monkeypatch):
-    # eight panels per integral cannot resolve the s = 8192 peak (ten do);
+    # eight panels per integral cannot resolve the s = 8192 peak (thirteen
+    # do);
     # the engine judges its own error estimate
     sc = cp2_wall_sum("cosine")
     monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
