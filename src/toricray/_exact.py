@@ -11,7 +11,7 @@ tiny (n <= ~12 facet systems), so clarity wins over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -20,6 +20,8 @@ def frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"{value} is not a finite number")
         return Fraction(value)
     return Fraction(str(value))
 

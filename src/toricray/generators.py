@@ -2,20 +2,21 @@
 
 A generator is a convex function psi on the moment polytope with one
 evaluator, ``jet``, for its value, gradient and Hessian, plus a description
-of where the Hessian is supported.  Three families are built here:
+of where the Hessian is supported.  Two families are built here:
 
-* 1-D generators whose second derivative is a sum of bump kernels with
-  pairwise disjoint supports.  Off the supports psi is exactly affine with
-  slope equal to the accumulated bump masses; the value and slope are
-  anchored to vanish at the left endpoint of the first support.
 * wall-sum generators psi(x) = sum_i psi_i(<nu_i, x>) in any dimension,
-  whose Hessians are sums of rank-one slabs.
+  whose Hessians are sums of rank-one slabs.  A 1-D bump generator is the
+  wall sum of bump kernels with pairwise disjoint supports across the
+  normal (1,).  Off the supports psi is exactly affine with slope equal to
+  the accumulated bump masses; the value and slope are anchored to vanish
+  at the left endpoint of the first support.  The empty wall sum is zero.
 * rational piecewise-linear convex functions f = max_i(<g_i, x> + b_i)
   (as data for test configurations; their smoothings live in smoothing.py).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,7 +30,7 @@ from .quadrature import integrate_polytope
 
 __all__ = [
     "BumpSpec", "Generator", "GeneratorError", "SupportSlabs",
-    "Bump1D", "BumpGenerator1D", "WallSumGenerator", "ZeroGenerator",
+    "Bump1D", "BumpGenerator1D", "WallSumGenerator",
     "PLConvex", "build_bump_generator", "build_wall_sum", "eval_generator",
 ]
 
@@ -52,6 +53,8 @@ class BumpSpec:
     kernel: str = "cosine"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.center, self.halfwidth, self.mass))):
+            raise GeneratorError("bump center, halfwidth and mass must be finite")
         if self.halfwidth <= 0:
             raise GeneratorError("bump halfwidth must be positive")
         if self.mass <= 0:
@@ -79,9 +82,6 @@ class SupportSlabs:
     def __iter__(self):
         return iter(self.slabs)
 
-    def __len__(self):
-        return len(self.slabs)
-
 
 class Generator:
     """Base interface: the jet of psi over points of shape (..., n).
@@ -92,7 +92,6 @@ class Generator:
 
     dim: int
     support: SupportSlabs
-    provenance: str
 
     def jet(self, x, order: int):
         raise NotImplementedError
@@ -178,13 +177,62 @@ class Bump1D:
         return num / (self.top_cdf - self.base_cdf)
 
 
-class BumpGenerator1D(Generator):
-    """1-D generator from ordered disjoint bumps; exact affine gaps."""
+class WallSumGenerator(Generator):
+    """psi(x) = sum_i psi_i(<nu_i, x>) with 1-D bumps across lattice walls."""
+
+    def __init__(self, P: Polytope, walls):
+        # walls: list of (normal int-vector, BumpSpec); the bump center is the
+        # wall offset in the <nu, x> coordinate.
+        groups = []
+        verts = P.vertices_np
+        for nu, spec in walls:
+            nu_arr = np.asarray(nu, dtype=float)
+            if nu_arr.shape != (P.dim,):
+                raise GeneratorError(f"wall normal {nu} has wrong dimension")
+            tvals = verts @ nu_arr
+            bump = Bump1D(spec, (float(tvals.min()), float(tvals.max())))
+            groups.append((nu_arr, [bump]))
+        self._set_walls(P, groups)
+
+    def _set_walls(self, P, groups):
+        """groups: (normal, bumps across it); the bumps of one group share
+        the coordinate <nu, x>, and their derivatives meet nu once, summed."""
+        self.polytope = P
+        self.dim = P.dim
+        self.bumps = [b for _, bumps in groups for b in bumps]
+        self._walls = [(nu, np.outer(nu, nu), bumps) for nu, bumps in groups
+                       if bumps]
+        self.support = SupportSlabs(
+            [(nu, b.lo, b.hi) for nu, bumps in groups for b in bumps])
+
+    def jet(self, x, order):
+        x = np.asarray(x, dtype=float)
+        val = np.zeros(x.shape[:-1])
+        grad = np.zeros(x.shape) if order >= 1 else None
+        hess = np.zeros(x.shape[:-1] + (self.dim, self.dim)) \
+            if order >= 2 else None
+        for nu, outer, bumps in self._walls:
+            t = np.dot(x, nu)
+            d1 = 0.0
+            for b in bumps:
+                d0, d1_b = b.d01(t)
+                val, d1 = val + d0, d1 + d1_b
+            if order >= 1:
+                grad = grad + d1[..., None] * nu
+            if order >= 2:
+                d2 = sum(b.d2(t) for b in bumps)
+                hess = hess + d2[..., None, None] * outer
+        return val, grad, hess
+
+
+class BumpGenerator1D(WallSumGenerator):
+    """1-D generator from ordered disjoint bumps; exact affine gaps.
+
+    It is the wall sum of its bumps, each across the normal (1,)."""
 
     def __init__(self, P: Polytope, specs: Sequence[BumpSpec]):
         if P.dim != 1:
             raise GeneratorError("bump generators need a 1-D polytope")
-        self.polytope = P
         lo, hi = (float(P.vertices_np.min()), float(P.vertices_np.max()))
         self.domain = (lo, hi)
         bumps = [Bump1D(s, self.domain) for s in specs]
@@ -197,10 +245,7 @@ class BumpGenerator1D(Generator):
         for b in bumps:
             if b.lo < lo - 1e-12 or b.hi > hi + 1e-12:
                 raise GeneratorError("bump support escapes the polytope")
-        self.bumps = bumps
-        self.dim = 1
-        self.provenance = "bumps"
-        self.support = SupportSlabs([((1.0,), b.lo, b.hi) for b in bumps])
+        self._set_walls(P, [(np.ones(1), bumps)])
         self._check_masses()
 
     def _check_masses(self):
@@ -235,73 +280,6 @@ class BumpGenerator1D(Generator):
         cuts = [lo] + [v for b in self.bumps for v in (b.lo, b.hi)] + [hi]
         return [(a, b) for a, b in zip(cuts[::2], cuts[1::2])
                 if b - a > 1e-14]
-
-    # Generator interface ------------------------------------------------------
-
-    def jet(self, x, order):
-        t = np.asarray(x, dtype=float)[..., 0]
-        val = grad = np.zeros_like(t)
-        for b in self.bumps:
-            d0, d1 = b.d01(t)
-            val, grad = val + d0, grad + d1
-        return (val, grad[..., None] if order >= 1 else None,
-                self.d2psi(t)[..., None, None] if order >= 2 else None)
-
-
-class ZeroGenerator(Generator):
-    def __init__(self, P: Polytope):
-        self.polytope = P
-        self.dim = P.dim
-        self.provenance = "empty"
-        self.support = SupportSlabs([])
-
-    def jet(self, x, order):
-        x = np.asarray(x, dtype=float)
-        return (np.zeros(x.shape[:-1]),
-                np.zeros_like(x) if order >= 1 else None,
-                np.zeros(x.shape[:-1] + (self.dim, self.dim))
-                if order >= 2 else None)
-
-
-class WallSumGenerator(Generator):
-    """psi(x) = sum_i psi_i(<nu_i, x>) with 1-D bumps across lattice walls."""
-
-    def __init__(self, P: Polytope, walls):
-        # walls: list of (normal int-vector, BumpSpec); the bump center is the
-        # wall offset in the <nu, x> coordinate.
-        self.polytope = P
-        self.dim = P.dim
-        self.provenance = "wall-sum"
-        self.normals = []
-        self.bumps = []
-        slabs = []
-        verts = P.vertices_np
-        for nu, spec in walls:
-            nu_arr = np.asarray(nu, dtype=float)
-            if nu_arr.shape != (P.dim,):
-                raise GeneratorError(f"wall normal {nu} has wrong dimension")
-            tvals = verts @ nu_arr
-            bump = Bump1D(spec, (float(tvals.min()), float(tvals.max())))
-            self.normals.append(nu_arr)
-            self.bumps.append(bump)
-            slabs.append((nu_arr, bump.lo, bump.hi))
-        self.support = SupportSlabs(slabs)
-
-    def jet(self, x, order):
-        x = np.asarray(x, dtype=float)
-        val = np.zeros(x.shape[:-1])
-        grad = np.zeros_like(x) if order >= 1 else None
-        hess = np.zeros(x.shape[:-1] + (self.dim, self.dim)) \
-            if order >= 2 else None
-        for nu, b in zip(self.normals, self.bumps):
-            t = x @ nu
-            d0, d1 = b.d01(t)
-            val = val + d0
-            if order >= 1:
-                grad = grad + d1[..., None] * nu
-            if order >= 2:
-                hess = hess + b.d2(t)[..., None, None] * np.outer(nu, nu)
-        return val, grad, hess
 
 
 class PLConvex:
@@ -345,9 +323,10 @@ class PLConvex:
         return f"PLConvex(pieces={self.npieces}, dim={self.dim})"
 
 
-def build_bump_generator(P: Polytope, bumps: Sequence[BumpSpec]) -> Generator:
+def build_bump_generator(P: Polytope,
+                         bumps: Sequence[BumpSpec]) -> WallSumGenerator:
     if not bumps:
-        return ZeroGenerator(P)
+        return WallSumGenerator(P, [])
     return BumpGenerator1D(P, bumps)
 
 

@@ -149,8 +149,8 @@ class RateFit:
     residual: float             # rms relative residual in log space
     aux: dict = field(default_factory=dict)
 
-    def is_decreasing(self, noise: float = 0.05, burn_in: int = 0) -> bool:
-        e = self.errors[burn_in:]
+    def is_decreasing(self, noise: float = 0.05) -> bool:
+        e = self.errors
         return bool(np.all(e[1:] <= e[:-1] * (1.0 + noise)))
 
 

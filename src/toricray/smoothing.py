@@ -33,7 +33,7 @@ from ._exact import rank_exact
 from .generators import Generator, PLConvex, SupportSlabs
 from .kernels import Kernel, get_kernel
 from .polytope import FaceFrame, Polytope
-from .quadrature import GL15_NODES, GL15_WEIGHTS
+from .quadrature import panel_nodes
 from .testconfig import Decomposition, thickening_mask
 
 __all__ = [
@@ -59,6 +59,32 @@ _OUTER_PANELS = 16
 _OUTER_CHUNK = 16
 
 
+def _footprint_corners(steps):
+    """Corners sum_i +-radius_i * w_i of the footprint of the mollification
+    steps (radius_i, w_i)."""
+    corners = [np.zeros(len(steps[0][1]))]
+    for r, w in steps:
+        corners = [c + sgn * r * w for c in corners for sgn in (1.0, -1.0)]
+    return corners
+
+
+def _single_piece(f: PLConvex, X, corners, vals, grads):
+    """Fill vals and grads on the rows of X where one piece of f is on top
+    at every footprint corner X + c, so that the mollification equals that
+    piece there; returns the mask of the other rows."""
+    corner_vals = [f.piece_values(X + c) for c in corners]
+    i_dom = np.argmax(sum(corner_vals[1:], corner_vals[0]), axis=1)
+    rows = np.arange(len(X))
+    trivial = True
+    for pv in corner_vals:
+        trivial = trivial & (pv[rows, i_dom] >= pv.max(axis=1))
+    if np.any(trivial):
+        it = i_dom[trivial]
+        vals[trivial] = f.piece_values(X[trivial])[np.arange(it.size), it]
+        grads[trivial] = f.G[it]
+    return ~trivial
+
+
 class LineMollifier:
     """Closed-form convolution of a PL convex f along one direction.
 
@@ -79,6 +105,8 @@ class LineMollifier:
         self.w = np.asarray(w, dtype=float)
         self.delta = float(delta)
         self.kernel = kernel
+        self.steps = [(self.delta, self.w)]
+        self._corners = _footprint_corners(self.steps)
         self.slopes_w = -(f.G @ self.w)
         self._pair = f.npieces == 2 and self.slopes_w[0] != self.slopes_w[1]
         # pieces by increasing slope; equal slopes keep their index order
@@ -91,22 +119,10 @@ class LineMollifier:
     def eval_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         npts, n = X.shape
-        f, d = self.f, self.delta
         vals = np.empty(npts)
         grads = np.empty((npts, n))
         hesses = np.zeros((npts, n, n))
-
-        A_plus = f.piece_values(X + d * self.w)
-        A_minus = f.piece_values(X - d * self.w)
-        i_dom = np.argmax(A_plus + A_minus, axis=1)
-        rows = np.arange(npts)
-        trivial = (A_plus[rows, i_dom] >= A_plus.max(axis=1)) & \
-                  (A_minus[rows, i_dom] >= A_minus.max(axis=1))
-        if np.any(trivial):
-            it = i_dom[trivial]
-            vals[trivial] = f.piece_values(X[trivial])[np.arange(it.size), it]
-            grads[trivial] = f.G[it]
-        rest = ~trivial
+        rest = _single_piece(self.f, X, self._corners, vals, grads)
         if np.any(rest):
             jet = self._pair_closed_form if self._pair else self._envelope
             vals[rest], grads[rest], hesses[rest] = jet(X[rest])
@@ -173,32 +189,26 @@ class LineMollifier:
 
 
 class IteratedMollifier:
-    """Mollification along one or two directions; inner closed form, outer GL.
+    """Mollification along two directions; inner closed form, outer GL.
 
-    The innermost direction must be transversal to every kink normal of f:
+    The inner direction must be transversal to every kink normal of f:
     then the inner convolution is already C-infinity and differentiating the
     outer integral under the integral sign is legitimate.
     """
 
     def __init__(self, f: PLConvex, dirs, radii, kernel: Kernel):
-        if len(dirs) > 2:
-            raise ValueError("iterated mollification takes at most two "
+        if len(dirs) != 2:
+            raise ValueError("iterated mollification takes exactly two "
                              f"directions, got {len(dirs)}")
         self.f = f
-        self.dirs = [np.asarray(w, dtype=float) for w in dirs]
-        self.radii = [float(r) for r in radii]
-        self.kernel = kernel
-        self.inner = LineMollifier(f, self.dirs[0], self.radii[0], kernel)
-        self._outer = None
-        if len(self.dirs) == 2:
-            w, r = self.dirs[1], self.radii[1]
-            edges = np.linspace(-r, r, _OUTER_PANELS + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            ys = (mid[:, None] + half[:, None] * GL15_NODES[None, :]).ravel()
-            wts = (half[:, None] * GL15_WEIGHTS[None, :]).ravel()
-            theta = kernel.density(ys / r) / r
-            self._outer = (w, ys, wts * theta)
+        self.steps = [(float(r), np.asarray(w, dtype=float))
+                      for w, r in zip(dirs, radii)]
+        self._corners = _footprint_corners(self.steps)
+        (r1, w1), (r2, w2) = self.steps
+        self.inner = LineMollifier(f, w1, r1, kernel)
+        edges = np.linspace(-r2, r2, _OUTER_PANELS + 1)
+        ys, wts = (a.ravel() for a in panel_nodes(edges[:-1], edges[1:]))
+        self._outer = (w2, ys, wts * (kernel.density(ys / r2) / r2))
 
     def eval_point(self, x):
         v, g, h = self.eval_many(np.asarray(x, dtype=float)[None])
@@ -207,33 +217,11 @@ class IteratedMollifier:
     def eval_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         npts, n = X.shape
-        f = self.f
         vals = np.empty(npts)
         grads = np.empty((npts, n))
         hesses = np.zeros((npts, n, n))
-        # vectorized single-piece short circuit over the convolution box
-        offsets = [np.zeros(n)]
-        for w, r in zip(self.dirs, self.radii):
-            offsets = [o + sgn * r * w for o in offsets for sgn in (1.0, -1.0)]
-        piece_sum = np.zeros((npts, f.npieces))
-        corner_vals = []
-        for o in offsets:
-            pv = f.piece_values(X + o)
-            corner_vals.append(pv)
-            piece_sum += pv
-        i_dom = np.argmax(piece_sum, axis=1)
-        rows = np.arange(npts)
-        trivial = np.ones(npts, dtype=bool)
-        for pv in corner_vals:
-            trivial &= pv[rows, i_dom] >= pv.max(axis=1)
-        if np.any(trivial):
-            it = i_dom[trivial]
-            vals[trivial] = f.piece_values(X[trivial])[np.arange(it.size), it]
-            grads[trivial] = f.G[it]
-        rest = np.nonzero(~trivial)[0]
-        if self._outer is None:
-            vals[rest], grads[rest], hesses[rest] = self.inner.eval_many(X[rest])
-            return vals, grads, hesses
+        rest = np.nonzero(
+            _single_piece(self.f, X, self._corners, vals, grads))[0]
         w, ys, wts = self._outer
         for start in range(0, rest.size, _OUTER_CHUNK):
             idx = rest[start:start + _OUTER_CHUNK]
@@ -384,11 +372,7 @@ class NiceSmoothingGenerator(Generator):
         self.mollifier = mollifier
         self.strict_term = strict_term
         self.dim = P.dim
-        self.provenance = "pl-smooth" if strict_term is None else "pl-smooth-strict"
-        steps = ([(mollifier.delta, mollifier.w)]
-                 if isinstance(mollifier, LineMollifier)
-                 else list(zip(mollifier.radii, mollifier.dirs)))
-        self.support = _ThickeningSupport(decomp, self.eps, steps)
+        self.support = _ThickeningSupport(decomp, self.eps, mollifier.steps)
 
     def jet(self, x, order):
         x = np.asarray(x, dtype=float)
@@ -470,7 +454,9 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
                 break
         lams = [max([1.0] + [abs(float(nu @ w)) for nu in kinks]) for w in dirs]
         radii = [eps / (2.0 * ndirs * lam) for lam in lams]
-        moll = IteratedMollifier(f, dirs, radii, kern)
+        # one direction (a 1-D f with several kinks) is a line mollification
+        moll = (LineMollifier(f, dirs[0], radii[0], kern) if ndirs == 1
+                else IteratedMollifier(f, dirs, radii, kern))
 
     strict_term = None
     if variant == "strict":

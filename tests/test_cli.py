@@ -144,6 +144,24 @@ def test_input_errors_exit_two(tmp_path, capsys):
                 "--eps", "1/10", "--variant", "strict",
                 "-o", str(tmp_path / "strict.csv")]) == 2
     assert "input error: strict negative-control" in capsys.readouterr().err
+    # non-finite bump sizes and polytope offsets are input errors
+    segment = json.dumps({"dim": 1, "normals": [[1], [-1]],
+                          "offsets": ["0", "-2"]})
+    bumps = '{"kind": "bumps", "bumps": [{"m": 1, "alpha": Infinity, "A": 1}]}'
+    walls = ('{"kind": "wall-sum", "walls": '
+             '[{"normal": [1], "c": "1", "alpha": 1e400, "A": 1}]}')
+    for gen in (bumps, walls):
+        assert run(["profile", "--generator", gen, "--polytope", segment,
+                    "-o", str(tmp_path / "p.csv")]) == 2
+        assert "input error: bump center, halfwidth and mass must be finite" \
+            in capsys.readouterr().err
+    infinite = '{"dim": 1, "normals": [[1], [-1]], "offsets": [0, -Infinity]}'
+    assert run(["decompose", "--polytope", infinite, "--pl",
+                json.dumps({"pieces": [{"g": ["0"], "b": "0"},
+                                       {"g": ["1"], "b": "-1"}]}),
+                "-o", str(tmp_path / "dec.json")]) == 2
+    assert "input error: -inf is not a finite number" \
+        in capsys.readouterr().err
 
 
 def test_non_integer_normals_exit_two(tmp_path, capsys):

@@ -197,6 +197,13 @@ def test_row_reduce_matches_fraction_gauss_jordan(shape):
     assert reduced == ref_rows
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_frac_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError, match="not a finite number"):
+        _exact.frac(value)
+    assert _exact.frac(0.5) == Fraction(1, 2)
+
+
 @exact
 @given(st.lists(entries, min_size=1, max_size=5))
 def test_primitivize_scales_to_a_primitive_integer_row(vec):

@@ -122,6 +122,13 @@ def test_bump_errors():
         BumpSpec(1.0, -0.1, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_bump_spec_rejects_non_finite_sizes(bad):
+    for args in ((bad, 0.25, 1.0), (1.0, bad, 1.0), (1.0, 0.25, bad)):
+        with pytest.raises(GeneratorError, match="finite"):
+            BumpSpec(*args)
+
+
 def test_eval_generator_guard():
     gen = single_bump()
     psi, grad, hess = eval_generator(gen, np.array([1.0]))
@@ -178,18 +185,19 @@ def test_pl_value_is_convex_sampled():
 
 def _all_generators():
     """One generator of each kind, with a point set inside its polytope."""
-    from toricray.generators import ZeroGenerator
     from toricray.smoothing import build_nice_smoothing
     from toricray.testconfig import decompose
     P = cp2()
     wall = PLConvex([((0, 0), 0), ((1, 0), -1)])
     corner = PLConvex([((0, 0), 0), ((1, 0), -1), ((0, 1), -1)])
+    seg = segment(3)
+    kinks = PLConvex([((0,), 0), ((1,), -1), ((2,), -3)])  # kinks at 1, 2
     pts_2d = np.array([[1.0, 1.0], [0.98, 0.5], [1.03, 1.01], [0.4, 0.4],
                        [1.2, 0.97], [0.99, 1.6]])
     pts_1d = np.array([[0.8], [1.0], [1.1], [0.2], [1.9], [1.24]])
     return [
         ("bumps", multi_bump("smooth"), pts_1d * 2.0),
-        ("zero", ZeroGenerator(P), pts_2d),
+        ("zero", build_bump_generator(P, []), pts_2d),
         ("wall-sum", build_wall_sum(P, [((1, 0), BumpSpec(1.0, 0.2, 1.0)),
                                         ((1, 1), BumpSpec(2.0, 0.2, 0.5))]),
          pts_2d),
@@ -199,6 +207,9 @@ def _all_generators():
             wall, P, decompose(wall, P), 0.1, variant="strict"), pts_2d),
         ("pl-corner", build_nice_smoothing(corner, P, decompose(corner, P),
                                            0.05), pts_2d),
+        ("pl-two-kinks", build_nice_smoothing(kinks, seg, decompose(kinks, seg),
+                                              0.1),
+         np.array([[1.0], [1.02], [2.0], [1.97], [0.4], [2.6]])),
     ]
 
 
@@ -240,5 +251,5 @@ def test_no_generator_overrides_the_views():
         for cls in vars(mod).values():
             if isinstance(cls, type) and issubclass(cls, generators.Generator) \
                     and cls is not generators.Generator:
-                assert "jet" in vars(cls)
+                assert cls.jet is not generators.Generator.jet
                 assert not {"value", "gradient", "hessian"} & set(vars(cls))

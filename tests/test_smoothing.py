@@ -384,6 +384,22 @@ def test_iterated_mollifier_takes_at_most_two_directions():
     f = PLConvex([((0, 0, 0), 0), ((1, 0, 0), -1)])
     with pytest.raises(ValueError):
         IteratedMollifier(f, np.eye(3), [0.1] * 3, get_kernel("cosine"))
+    # one direction is a line mollification
+    with pytest.raises(ValueError):
+        IteratedMollifier(f, np.eye(3)[:1], [0.1], get_kernel("cosine"))
+
+
+def test_one_direction_family_is_line_mollified():
+    from toricray.smoothing import LineMollifier
+    P = make_polytope([[1], [-1]], [0, -3])
+    f = PLConvex([((0,), 0), ((1,), -1), ((2,), -3)])   # kinks at 1 and 2
+    dec = decompose(f, P)
+    assert len(dec.faces) == 2
+    fam = {e: build_nice_smoothing(f, P, dec, e) for e in (0.05, 0.1, 0.2)}
+    for gen in fam.values():
+        assert isinstance(gen.mollifier, LineMollifier)
+    rep = verify_nice_family(f, fam)
+    assert rep.passed, rep.as_text()
 
 
 def test_family_passes_and_nests():
