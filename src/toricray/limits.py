@@ -96,16 +96,13 @@ def battery_for(P: Polytope) -> TestBattery:
 def region_mean(region: Polytope, battery, *, weight=None,
                 rel_tol=1e-10) -> list:
     """Means over the region of each member of ``battery`` (callables on
-    points), optionally weighted by a density, which is integrated once.
-    Each integral raises QuadratureError when it misses rel_tol."""
-    def integral(f):
-        return integrate_polytope(f, region, rel_tol=rel_tol).value
-    if weight is None:
-        volume = float(region.volume_exact())
-        return [integral(tau) / volume for tau in battery]
-    mass = integral(weight)
-    return [integral(lambda X: weight(X) * tau(X)) / mass
-            for tau in battery]
+    points), optionally weighted by a density.  The weight (1 when there is
+    none) is integrated once, and each member is paired on its nodes
+    (``NodeSet.pair``), which raises QuadratureError when it misses
+    rel_tol."""
+    rule = integrate_polytope(weight or (lambda X: np.ones(len(X))), region,
+                              rel_tol=rel_tol)
+    return [rule.pair(tau)[0] / rule.value for tau in battery]
 
 
 def chord_mean(P: Polytope, frame: FaceFrame, c_perp, battery, *,

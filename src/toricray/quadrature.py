@@ -39,12 +39,13 @@ levels, rows under nodes off the final panels are dropped, and the nodes
 weighted errors of the levels below.  Each integral along one variable has
 a budget of ``MAX_PANELS`` panels.  The returned ``NodeSet`` keeps, for
 every level, the final panel above each node and the node's share of that
-panel's K15 - G7 difference, so any function given on the nodes (a
-density times a test function) gets the same embedded estimate, summed
-over every level, from ``NodeSet.integral``.
+panel's K15 - G7 difference.  ``NodeSet.pair(tau)`` sums f * tau on the
+nodes with that estimate over every level, and where it misses the verdict
+integrates f * tau afresh on the same cuts and rel_tol: the one place that
+integrates again after a missed estimate.
 
 One verdict: ``integrate_polytope``, the one integrator other modules call,
-``NodeSet.integral`` and ``adaptive_panels`` raise QuadratureError when a
+``NodeSet.pair`` and ``adaptive_panels`` raise QuadratureError when a
 result or its error is not finite, or ends above
 ALLOWANCE * rel_tol * (integral of |f|) + 1e-300.
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -358,8 +359,9 @@ class NodeSet(NamedTuple):
     count of final innermost panels, N / 15.  ``owners`` and ``diffs``
     (N, n) hold, for each level of the iterated rule (x1 first), the final
     panel of that level each node lies under and the node's weight in that
-    panel's K15 - G7 difference, so that ``integral`` gives any function
-    on the nodes the estimate the integrand got."""
+    panel's K15 - G7 difference, so that ``pair`` gives f times any test
+    function the estimate f got.  ``rel_tol`` is the call's tolerance and
+    ``again(tau)`` integrates f * tau afresh on the call's cuts."""
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
@@ -368,18 +370,26 @@ class NodeSet(NamedTuple):
     panels: int
     owners: np.ndarray
     diffs: np.ndarray
+    rel_tol: float
+    again: Callable
 
-    def integral(self, values, rel_tol: float):
-        """The rule's integral of ``values`` (N,) given on the nodes, and its
-        embedded error estimate: at every level, the sum over the level's
-        final panels of |K15 - G7| of the integral below them.  Raises
-        QuadratureError by the module's verdict."""
-        values = np.asarray(values, dtype=float)
+    def pair(self, tau):
+        """The integral of f * tau, tau mapping points (k, n) to values,
+        and its error estimate.  It is summed on the nodes, with the
+        estimate of every level: the sum over the level's final panels of
+        |K15 - G7| of the integral below them.  When that misses the
+        module's verdict, f * tau is integrated afresh on the same cuts,
+        which raises QuadratureError by the verdict."""
+        values = self.values * tau(self.nodes)
         value = float(self.weights @ values)
         err = math.fsum(np.abs(np.bincount(own, d * values)).sum()
                         for own, d in zip(self.owners.T, self.diffs.T))
-        _judge("integral on the nodes", value, err, self.weights, values,
-               rel_tol, "missed its tolerance")
+        try:
+            _judge("pairing on the nodes", value, err, self.weights, values,
+                   self.rel_tol, "missed its tolerance")
+        except QuadratureError:
+            res = self.again(tau)
+            return res.value, res.err
         return value, err
 
 
@@ -401,10 +411,10 @@ def integrate_polytope(f, P, *, lines=(), point=None,
     # a nan peak cuts nothing
     peak = np.full(n, np.nan) if point is None else \
         np.asarray(point, dtype=float)
-    lines = np.concatenate([P.facets_np, np.array(
+    cuts = np.concatenate([P.facets_np, np.array(
         [[*nu, c] for nu, c in lines], dtype=float).reshape(-1, n + 1)])
     _, total, err, head, ids, x, weights, values = _level(
-        f, P, lines, peak, np.empty((1, 0)), rel_tol, max_panels)
+        f, P, cuts, peak, np.empty((1, 0)), rel_tol, max_panels)
     nodes = np.empty((*x.shape, n))
     nodes[..., :-1] = head[:, None]
     nodes[..., -1] = x
@@ -413,7 +423,10 @@ def integrate_polytope(f, P, *, lines=(), point=None,
     weights = weights.ravel()
     res = NodeSet(nodes.reshape(-1, n), weights, values.ravel(),
                   float(total[0]), float(err[0]), len(x), ids // 15,
-                  weights[:, None] * _GK15_RATIO[ids % 15])
+                  weights[:, None] * _GK15_RATIO[ids % 15], rel_tol,
+                  lambda tau: integrate_polytope(
+                      lambda X: f(X) * tau(X), P, lines=lines, point=point,
+                      rel_tol=rel_tol))
     _judge(f"{n}-D polytope integral", res.value, res.err, res.weights,
            res.values, rel_tol, f"did not converge at {res.panels} panels, "
            f"with a budget of {max_panels} panels per integral")

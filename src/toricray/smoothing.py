@@ -282,18 +282,19 @@ class _ThickeningSupport(SupportSlabs):
     Its slabs are the footprint of the mollifier across each wall.  The
     footprint is the set of sums of t_i * radius_i * w_i, |t_i| <= 1, over
     the mollification steps (radius_i, w_i).  Across a wall {row . x = c}
-    its corners sit at the offsets sum_i +-radius_i * (row . w_i), and each
-    absolute value h > 0 among them gives the slab (row, c - h, c + h).
+    its corners (the mollifier's ``_footprint_corners``) sit at the offsets
+    row . corner, and each absolute value h > 0 among them gives the slab
+    (row, c - h, c + h).
     Hess psi_eps vanishes off the widest slab of every wall.  The slab ends
     are the lines where a footprint corner crosses a wall; away from the
     vertices of W, psi_eps loses smoothness only there, so they are the
     breakpoints of its quadrature.  ``contains`` is W_eps itself.
     """
 
-    def __init__(self, decomp: Decomposition, eps: float, steps):
+    def __init__(self, decomp: Decomposition, eps: float, corners):
         self.decomp = decomp
         self.eps = eps
-        self._steps = steps
+        self._corners = corners
 
     @cached_property
     def slabs(self):
@@ -302,9 +303,8 @@ class _ThickeningSupport(SupportSlabs):
         for F in self.decomp.faces_of_codim(1):
             row, = F.frame.matrix[F.frame.n_parallel:]
             c, = F.frame.offsets_np
-            reach = [r * float(np.dot(w, row)) for r, w in self._steps]
-            corners = {abs(sum(t * x for t, x in zip(signs, reach)))
-                       for signs in product((1, -1), repeat=len(reach))}
+            corners = {abs(float(np.dot(row, corner)))
+                       for corner in self._corners}
             for h in sorted(corners - {0.0}, reverse=True):
                 slabs[row, c, h] = (np.array(row, dtype=float),
                                     float(c - h), float(c + h))
@@ -372,7 +372,8 @@ class NiceSmoothingGenerator(Generator):
         self.mollifier = mollifier
         self.strict_term = strict_term
         self.dim = P.dim
-        self.support = _ThickeningSupport(decomp, self.eps, mollifier.steps)
+        self.support = _ThickeningSupport(decomp, self.eps,
+                                          mollifier._corners)
 
     def jet(self, x, order):
         x = np.asarray(x, dtype=float)
@@ -419,7 +420,7 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
 
     # distinct faces without common closure points must not approach each
     # other closer than the mollification footprint
-    hulls = [np.array([[float(c) for c in v] for v in F.vertices]) for F in faces]
+    hulls = [F.vertices_np for F in faces]
     for i in range(len(faces)):
         for j in range(i + 1, len(faces)):
             if set(faces[i].vertices) & set(faces[j].vertices):
@@ -468,8 +469,7 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         fr = F.frame
         if fr.n_parallel < 1:
             raise SmoothingError("strict variant needs a parallel direction")
-        par = np.array([[float(c) for c in v] for v in F.vertices]) @ \
-            fr.matrix_np.T[:, :fr.n_parallel]
+        par = F.vertices_np @ fr.matrix_np.T[:, :fr.n_parallel]
         u0 = 0.5 * (par.min(axis=0) + par.max(axis=0))
         span = max(1.0, float(np.max(par.max(axis=0) - par.min(axis=0))))
         delta = moll.delta
@@ -508,7 +508,7 @@ def default_check_samples(decomp: Decomposition, eps: float):
         if F.frame is None:
             continue
         fr = F.frame
-        verts = np.array([[float(c) for c in v] for v in F.vertices])
+        verts = F.vertices_np
         if len(verts) == 1:
             base = [verts[0]]
         else:
@@ -660,11 +660,11 @@ def _face_interior_points(decomp: Decomposition):
     for face in decomp.faces:
         if face.frame is None:
             continue
-        verts = np.array([[float(c) for c in v] for v in face.vertices])
+        verts = face.vertices_np
         deeper_pts = []
         for other in decomp.faces:
             if other.codim > face.codim and set(other.vertices) & set(face.vertices):
-                deeper_pts.extend([[float(c) for c in v] for v in other.vertices])
+                deeper_pts.extend(other.vertices_np)
         deeper_pts = np.array(deeper_pts) if deeper_pts else None
         if len(verts) == 1:
             cands = [verts[0]]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -45,9 +46,13 @@ class Face:
     frame_error: Optional[str] = None
     _shadow: Optional[tuple] = field(default=None, repr=False)
 
+    @cached_property
+    def vertices_np(self) -> np.ndarray:
+        """The vertices as floats (k, n), converted once."""
+        return np.array([[float(c) for c in p] for p in self.vertices])
+
     def barycenter(self) -> np.ndarray:
-        v = np.array([[float(c) for c in p] for p in self.vertices])
-        return v.mean(axis=0)
+        return self.vertices_np.mean(axis=0)
 
     def contains_parallel(self, x_par) -> np.ndarray:
         """Whether each row of a (k, n_parallel) batch lies in the face's

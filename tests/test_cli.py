@@ -162,6 +162,18 @@ def test_input_errors_exit_two(tmp_path, capsys):
                 "-o", str(tmp_path / "dec.json")]) == 2
     assert "input error: -inf is not a finite number" \
         in capsys.readouterr().err
+    # a lattice point outside P is an input error, bare or weighted, and
+    # nothing is written
+    outside = json.dumps({
+        "polytope": json.loads(segment), "lattice_points": [[3]],
+        "generator": {"kind": "bumps",
+                      "bumps": [{"m": 1, "alpha": 0.5, "A": 1}]}})
+    for bare in (["--bare"], []):
+        assert run(["ray-density", *bare, "--scenario", outside,
+                    "-o", str(tmp_path / "rd")]) == 2
+        assert "input error: lattice point [3.] lies outside P" \
+            in capsys.readouterr().err
+    assert not (tmp_path / "rd").exists()
 
 
 def test_non_integer_normals_exit_two(tmp_path, capsys):

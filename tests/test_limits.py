@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from toricray import limits
+from toricray import limits, quadrature
 from toricray.generators import BumpSpec, build_bump_generator, build_wall_sum
 from toricray.limits import (battery_for, chord_mean, delta_diagnostic,
                              distance_to_real, face_delta_diagnostic,
@@ -152,18 +152,29 @@ def test_region_mean_nonfinite_raises(weighted):
                     weight=weight)
 
 
-def test_battery_means_integrate_the_weight_once(monkeypatch):
+def _count_integrals(monkeypatch):
+    """The dimension of every polytope integral from here on, whether
+    limits or NodeSet.pair asks for it."""
     calls = []
 
     def counting(f, P, **kwargs):
         calls.append(P.dim)
         return integrate_polytope(f, P, **kwargs)
     monkeypatch.setattr(limits, "integrate_polytope", counting)
+    monkeypatch.setattr(quadrature, "integrate_polytope", counting)
+    return calls
+
+
+def test_battery_means_integrate_the_weight_once(monkeypatch):
+    # the weight is integrated once and every member paired on its nodes;
+    # the bump, which the weight's panels do not resolve, is integrated
+    # again, and no other member is
+    calls = _count_integrals(monkeypatch)
     P = cp2()
     bat = battery_for(P)
     w = lambda X: 1.0 + X[..., 0]
     means = region_mean(P, bat, weight=w)
-    assert len(calls) == len(bat.members) + 1
+    assert calls == [2, 2]
     assert means[0] == pytest.approx(1.0, abs=1e-12)
     # each member's mean is the one it has alone
     for t, got in zip(bat, means):
@@ -171,7 +182,23 @@ def test_battery_means_integrate_the_weight_once(monkeypatch):
     calls.clear()
     fr = face_frame(P, [[1, 0]], [1])
     chord_mean(P, fr, [1.0], bat, weight=w)
-    assert calls == [1] * (len(bat.members) + 1)
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["bare", "weighted"])
+def test_resolved_members_share_the_weights_rule(monkeypatch, weighted):
+    # members the weight's rule resolves make one integral in all, and the
+    # battery's bump adds exactly one more
+    calls = _count_integrals(monkeypatch)
+    P = cp2()
+    bat = battery_for(P)
+    w = (lambda X: 1.0 + X[..., 0]) if weighted else None
+    resolved = [t for t in bat if t.name != "bump"]
+    region_mean(P, resolved, weight=w)
+    assert calls == [2]
+    calls.clear()
+    region_mean(P, bat, weight=w)
+    assert calls == [2, 2]
 
 
 def test_uniform_diagnostic_two_dimensional():

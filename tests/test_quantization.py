@@ -156,6 +156,16 @@ def test_gcst_rejects_non_lattice():
         gcst_image(MonomialDensity(P, gen, [0.5], 1.0))
 
 
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "bare"])
+def test_lattice_point_outside_P_is_rejected(weighted):
+    # the base weight's facet terms are not needed by the bare variant, but
+    # m must lie in P in both
+    P = segment()
+    for m in ([3], [-1]):
+        with pytest.raises(QuantizationError, match="lies outside P"):
+            MonomialDensity(P, bump_gen(P), m, 8.0, weighted=weighted)
+
+
 def test_gcst_scalar_density_monotone_in_s():
     P = segment()
     gen = bump_gen(P)
