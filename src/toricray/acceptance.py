@@ -31,8 +31,8 @@ from .limits import (battery_for, delta_diagnostic, distance_to_real,
                      ray_polarization, region_mean, uniform_diagnostic)
 from .polytope import make_polytope
 from .potentials import RayPoint, ray_jet
-from .quantization import (MonomialDensity, base_log_weight, gcst_image,
-                           ray_rate)
+from .quantization import (MonomialDensity, base_log_weight, density_family,
+                           gcst_image, ray_rate)
 from .quadrature import integrate_polytope
 from .smoothing import build_nice_smoothing, verify_nice_family
 from .testconfig import build_Q
@@ -67,8 +67,8 @@ def c01_beta_norm_oracle() -> CheckResult:
     for N in (1, 2, 3):
         P = make_polytope([[1], [-1]], [0, -N])
         gen = build_bump_generator(P, [])
-        for n in range(N + 1):
-            md = MonomialDensity(P, gen, [n], 0.0)
+        for n, md in enumerate(density_family(
+                P, gen, [([n], 0.0) for n in range(N + 1)])):
             a, b = n / 2 + 1, (N - n) / 2 + 1
             target = math.log(N ** (N / 2 + 1) * math.gamma(a)
                               * math.gamma(b) / math.gamma(a + b))

@@ -25,7 +25,7 @@ from .generators import BumpSpec, PLConvex, build_bump_generator, build_wall_sum
 from .limits import battery_for, fit_rate, metric_length
 from .polytope import parse_polytope
 from .quadrature import QuadratureError
-from .quantization import MonomialDensity, gcst_image
+from .quantization import density_family, gcst_image, pair_densities
 from .smoothing import build_nice_smoothing, verify_nice_family
 from .testconfig import build_Q, central_fiber_report, decompose
 
@@ -152,11 +152,12 @@ def cmd_ray_density(args) -> int:
     grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
     grid = grid[P.contains(grid, tol=1e-12)]
     for m in sc.lattice_points:
-        pair_rows = []
         tag = "-".join(str(int(c)) for c in m)
-        for s in s_grid:
-            md = MonomialDensity(P, sc.generator, list(m), float(s),
-                                 weighted=not args.bare)
+        family = density_family(P, sc.generator,
+                                [(list(m), float(s)) for s in s_grid],
+                                weighted=not args.bare)
+        pairs, _ = pair_densities(family, list(bat))
+        for s, md in zip(s_grid, family):
             logd = md.log_density(grid)
             dens = md.normalized(grid)
             rows = [tuple(x) + (ld, d)
@@ -164,9 +165,8 @@ def cmd_ray_density(args) -> int:
             _write_csv(outdir / f"density_m{tag}_s{_fmt(s)}.csv",
                        [f"x{i + 1}" for i in range(P.dim)]
                        + ["log_density", "density_normalized"], rows)
-            pair_rows.append((s,) + tuple(md.pair(t) for t in bat))
-        _write_csv(outdir / f"pairings_m{tag}.csv",
-                   ["s"] + bat.names(), pair_rows)
+        _write_csv(outdir / f"pairings_m{tag}.csv", ["s"] + bat.names(),
+                   [(s, *row) for s, row in zip(s_grid, pairs)])
     print(f"wrote densities for {len(sc.lattice_points)} lattice points "
           f"under {outdir}")
     return 0
@@ -182,8 +182,8 @@ def cmd_gcst(args) -> int:
     rows = []
     s_grid = [s for s in sc.s_grid if s <= args.max_s]
     for m in sc.lattice_points:
-        for s in s_grid:
-            md = MonomialDensity(P, sc.generator, list(m), float(s))
+        for s, md in zip(s_grid, density_family(
+                P, sc.generator, [(list(m), float(s)) for s in s_grid])):
             img = gcst_image(md)
             rows.append(tuple(m) + (s, img.coefficient)
                         + tuple(img.pair(t) for t in bat))

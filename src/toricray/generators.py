@@ -150,14 +150,15 @@ class Bump1D:
                            ) * self.kernel.density(t[inside])
         return out
 
-    def d01(self, x):
+    def d01(self, x, order: int = 1):
         """(d0, d1) from one coordinate clipped to the support: both vanish
         at its left end, d1 is ``eff_mass`` at its right end, and beyond
-        it d0 goes on affinely with that slope."""
+        it d0 goes on affinely with that slope.  At order 0, d1 is None."""
         x = np.asarray(x, dtype=float)
         xc = np.minimum(np.maximum(x, self.lo), self.hi)
         t = (xc - self.spec.center) / self.spec.halfwidth
-        d1 = self.spec.mass * self.kernel.cdf(t) - self._slope
+        d1 = self.spec.mass * self.kernel.cdf(t) - self._slope \
+            if order >= 1 else None
         d0 = (self._k2 * self.kernel.cdf_integral(t) - self._slope * xc
               + self._shift + self.eff_mass * np.maximum(x - self.hi, 0.0))
         return d0, d1
@@ -166,7 +167,7 @@ class Bump1D:
         return self.d01(x)[1]
 
     def d0(self, x):
-        return self.d01(x)[0]
+        return self.d01(x, 0)[0]
 
     def centroid(self) -> float:
         """Mass centroid of the clipped profile; equals center if unclipped."""
@@ -215,8 +216,10 @@ class WallSumGenerator(Generator):
             t = np.dot(x, nu)
             d1 = 0.0
             for b in bumps:
-                d0, d1_b = b.d01(t)
-                val, d1 = val + d0, d1 + d1_b
+                d0, d1_b = b.d01(t, order)
+                val = val + d0
+                if order >= 1:
+                    d1 = d1 + d1_b
             if order >= 1:
                 grad = grad + d1[..., None] * nu
             if order >= 2:

@@ -24,8 +24,9 @@ import numpy as np
 from .generators import Generator
 from .polytope import FaceFrame, Polytope, make_polytope
 from .potentials import RayPoint, ray_jet
-from .quadrature import integrate_polytope, panel_nodes
-from .quantization import MonomialDensity, base_log_weight, rate_gap
+from .quadrature import integrate_polytope, pair_all, panel_nodes
+from .quantization import (MonomialDensity, base_log_weight, density_family,
+                           pair_densities, rate_gap)
 
 __all__ = [
     "BatteryMember", "TestBattery", "battery_for", "RateFit", "fit_rate",
@@ -97,12 +98,13 @@ def region_mean(region: Polytope, battery, *, weight=None,
                 rel_tol=1e-10) -> list:
     """Means over the region of each member of ``battery`` (callables on
     points), optionally weighted by a density.  The weight (1 when there is
-    none) is integrated once, and each member is paired on its nodes
-    (``NodeSet.pair``), which raises QuadratureError when it misses
+    none) is integrated once, and every member is paired on its nodes by
+    one ``pair_all``, which raises QuadratureError when one misses
     rel_tol."""
     rule = integrate_polytope(weight or (lambda X: np.ones(len(X))), region,
                               rel_tol=rel_tol)
-    return [rule.pair(tau)[0] / rule.value for tau in battery]
+    return [value / rule.value
+            for value, _ in pair_all([(rule, tau) for tau in battery])]
 
 
 def chord_mean(P: Polytope, frame: FaceFrame, c_perp, battery, *,
@@ -197,19 +199,22 @@ class DiagnosticResult:
     fit: RateFit
     table: dict                 # name -> per-s errors
     limits: dict                # name -> limit value
+    pairing_err: np.ndarray     # per s, the largest error estimate of a
+                                # normalized pairing
 
 
 def _diagnose(P, gen, m, s_grid, battery, limits, weighted):
-    """Pairing errors against ``limits`` per s, and their rate fit."""
-    per_s = []
-    for s in s_grid:
-        md = MonomialDensity(P, gen, m, s, weighted=weighted)
-        per_s.append({t.name: md.pair(t) - limits[t.name] for t in battery})
-    table = {t.name: np.array([abs(row[t.name]) for row in per_s])
-             for t in battery}
-    errors = np.array([max(abs(v) for v in row.values()) for row in per_s])
-    return DiagnosticResult(fit=fit_rate(s_grid, errors), table=table,
-                            limits=limits)
+    """Pairing errors against ``limits`` per s, and their rate fit.  The
+    densities of the s-grid are one family: their norms make one pass, and
+    their missed pairings one more."""
+    taus = list(battery)
+    values, errs = pair_densities(density_family(
+        P, gen, [(m, s) for s in s_grid], weighted=weighted), taus)
+    dev = np.abs(values - [limits[t.name] for t in taus])
+    table = {t.name: dev[:, j] for j, t in enumerate(taus)}
+    return DiagnosticResult(fit=fit_rate(s_grid, dev.max(axis=1)),
+                            table=table, limits=limits,
+                            pairing_err=errs.max(axis=1))
 
 
 def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,

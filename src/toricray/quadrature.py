@@ -26,8 +26,13 @@ Polytopes: ``integrate_polytope`` cuts the panels at exact breakpoints: the
 facets of P and the caller's hyperplanes (the ends of a generator's support
 slabs).  Between them the integrand is smooth, so nothing is sampled to
 find where it concentrates; a point (the integrand's peak) adds one cut per
-variable.  The integral is iterated in x1, ..., xn, in every dimension, by
-one recursive level with a group per fixed prefix (x1, ..., x_{j-1}).  An
+variable.  It integrates a family of k integrands f(X, i) that share P and
+the hyperplanes, each cut at its own peak, as independent groups of one
+refinement: every level calls f once on the new nodes of all the members,
+and each member keeps its own panels, scale, floor, budget and verdict.
+One integrand is the family of one.  The integral is iterated in x1, ...,
+xn, in every dimension, by one recursive level with a group per fixed
+prefix (x1, ..., x_{j-1}), each prefix row carrying its member.  An
 outer level runs over the range of x_j on the slice of P at its prefix
 (the extent of the slice's vertices), cut at the x_j of every point of
 that slice where n - j + 1 breakpoint hyperplanes meet, and its integrand
@@ -35,17 +40,20 @@ is the level below, called once per round on all of its new nodes.  The
 innermost level runs over the chords of P in xn, cut where the hyperplanes
 cross them, and calls f.  Final panels stay rows of 15 nodes through the
 levels, rows under nodes off the final panels are dropped, and the nodes
-(N, n) are built once.  A level's error estimate is its own plus the
-weighted errors of the levels below.  Each integral along one variable has
-a budget of ``MAX_PANELS`` panels.  The returned ``NodeSet`` keeps, for
+(N, n) are built once, then split into one ``NodeSet`` per member by one
+stable sort (none for a family of one).  A level's error estimate is its
+own plus the weighted errors of the levels below.  Each integral along one
+variable has a budget of ``MAX_PANELS`` panels.  A ``NodeSet`` keeps, for
 every level, the final panel above each node and the node's share of that
-panel's K15 - G7 difference.  ``NodeSet.pair(tau)`` sums f * tau on the
-nodes with that estimate over every level, and where it misses the verdict
-integrates f * tau afresh on the same cuts and rel_tol: the one place that
-integrates again after a missed estimate.
+panel's K15 - G7 difference.  ``pair_all`` sums f_i * tau on the nodes of
+each (rule, tau) it is given, with that estimate over every level, and
+integrates the pairings that miss the verdict afresh, as one family of
+f_i * tau per family of rules, on the same cuts and rel_tol: the one place
+that integrates again after a missed estimate.  ``NodeSet.pair(tau)`` is
+its one pairing.
 
 One verdict: ``integrate_polytope``, the one integrator other modules call,
-``NodeSet.pair`` and ``adaptive_panels`` raise QuadratureError when a
+``pair_all`` and ``adaptive_panels`` raise QuadratureError when a
 result or its error is not finite, or ends above
 ALLOWANCE * rel_tol * (integral of |f|) + 1e-300.
 
@@ -59,14 +67,14 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
-    "log_integral_1d", "refine_groups", "integrate_polytope", "Panels",
-    "NodeSet", "TriangleMesh", "polygon_mesh", "QuadratureError",
+    "log_integral_1d", "refine_groups", "integrate_polytope", "pair_all",
+    "Panels", "NodeSet", "TriangleMesh", "polygon_mesh", "QuadratureError",
     "MAX_PANELS", "ALLOWANCE",
 ]
 
@@ -272,16 +280,23 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
                   np.concatenate(outs)[pos], pos, total, err_total)
 
 
-def _judge(what, value, err, weights, values, rel_tol, reason):
-    """The module's verdict on an integral summed on weights and values."""
+def _verdict(value, err, weights, values, rel_tol, reason="missed"):
+    """The module's verdict on an integral summed on weights and values:
+    None when it passes, else what is wrong with it."""
     if not (math.isfinite(value) and math.isfinite(err)):
-        raise QuadratureError(
-            f"{what} is not finite: {value} with error {err}")
+        return f"is not finite: {value} with error {err}"
     scale = float(weights @ np.abs(values))
     if err > ALLOWANCE * rel_tol * scale + 1e-300:
-        raise QuadratureError(
-            f"{what} {reason}: relative error "
-            f"{err / max(scale, 1e-300):.2e} (tolerance {rel_tol})")
+        return (f"{reason}: relative error {err / max(scale, 1e-300):.2e} "
+                f"(tolerance {rel_tol})")
+    return None
+
+
+def _judge(what, value, err, weights, values, rel_tol, reason):
+    """Raise QuadratureError when the verdict fails the integral."""
+    miss = _verdict(value, err, weights, values, rel_tol, reason)
+    if miss is not None:
+        raise QuadratureError(f"{what} {miss}")
 
 
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
@@ -354,14 +369,15 @@ def log_integral_1d(log_f, a, b, *, rel_tol=1e-10, seeds=()):
 # ---------------------------------------------------------------------------
 
 class NodeSet(NamedTuple):
-    """Final nodes of ``integrate_polytope``: points (N, n), rule weights
-    and integrand values (N,), the integral, its error estimate and the
-    count of final innermost panels, N / 15.  ``owners`` and ``diffs``
-    (N, n) hold, for each level of the iterated rule (x1 first), the final
-    panel of that level each node lies under and the node's weight in that
-    panel's K15 - G7 difference, so that ``pair`` gives f times any test
-    function the estimate f got.  ``rel_tol`` is the call's tolerance and
-    ``again(tau)`` integrates f * tau afresh on the call's cuts."""
+    """Final nodes of one member of ``integrate_polytope``: points (N, n),
+    rule weights and integrand values (N,), the integral, its error
+    estimate and the count of final innermost panels, N / 15.  ``owners``
+    and ``diffs`` (N, n) hold, for each level of the iterated rule (x1
+    first), the final panel of that level each node lies under and the
+    node's weight in that panel's K15 - G7 difference, so that ``pair``
+    gives f times any test function the estimate f got.  ``rel_tol`` is
+    the call's tolerance, ``family`` the call's integrand f(X, i), P,
+    lines and peaks, and ``member`` the index i of this member."""
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
@@ -371,30 +387,63 @@ class NodeSet(NamedTuple):
     owners: np.ndarray
     diffs: np.ndarray
     rel_tol: float
-    again: Callable
+    family: tuple
+    member: int
 
     def pair(self, tau):
         """The integral of f * tau, tau mapping points (k, n) to values,
-        and its error estimate.  It is summed on the nodes, with the
-        estimate of every level: the sum over the level's final panels of
-        |K15 - G7| of the integral below them.  When that misses the
-        module's verdict, f * tau is integrated afresh on the same cuts,
-        which raises QuadratureError by the verdict."""
-        values = self.values * tau(self.nodes)
-        value = float(self.weights @ values)
+        and its error estimate: ``pair_all`` of this one pairing."""
+        return pair_all([(self, tau)])[0]
+
+
+def pair_all(pairings):
+    """(integral, error estimate) of f * tau for each (NodeSet, tau) in
+    ``pairings``, f the integrand of the NodeSet's member.  Each is summed
+    on the rule's nodes, with the estimate of every level: the sum over the
+    level's final panels of |K15 - G7| of the integral below them.  The
+    pairings that miss the module's verdict are integrated afresh on the
+    cuts and rel_tol of their rules, as one family per ``integrate_polytope``
+    call their rules came from, which raises QuadratureError by the
+    verdict."""
+    pairings = list(pairings)
+    out, missed = [], {}
+    for r, (rule, tau) in enumerate(pairings):
+        values = rule.values * tau(rule.nodes)
+        value = float(rule.weights @ values)
         err = math.fsum(np.abs(np.bincount(own, d * values)).sum()
-                        for own, d in zip(self.owners.T, self.diffs.T))
-        try:
-            _judge("pairing on the nodes", value, err, self.weights, values,
-                   self.rel_tol, "missed its tolerance")
-        except QuadratureError:
-            res = self.again(tau)
-            return res.value, res.err
-        return value, err
+                        for own, d in zip(rule.owners.T, rule.diffs.T))
+        out.append((value, err))
+        if _verdict(value, err, rule.weights, values, rule.rel_tol):
+            missed.setdefault(id(rule.family), []).append(r)
+    for rs in missed.values():
+        rule = pairings[rs[0]][0]
+        f, P, lines, points = rule.family
+        members = np.array([pairings[r][0].member for r in rs])
+        again = integrate_polytope(
+            _times(f, members, [pairings[r][1] for r in rs]), P,
+            lines=lines, points=points[members], rel_tol=rule.rel_tol)
+        for r, res in zip(rs, again):
+            out[r] = (res.value, res.err)
+    return out
 
 
-def integrate_polytope(f, P, *, lines=(), point=None,
-                       rel_tol: float = 1e-10) -> NodeSet:
+def _times(f, members, taus):
+    """The family integrand f(X, members[i]) * taus[i](X), each tau called
+    once on its rows."""
+    def g(X, i):
+        if len(taus) == 1:
+            return f(X, members[i]) * taus[0](X)
+        order = np.argsort(i, kind="stable")
+        ends = np.searchsorted(i[order], np.arange(len(taus) + 1))
+        tau = np.empty(len(X))
+        for fn, a, b in zip(taus, ends[:-1], ends[1:]):
+            tau[order[a:b]] = fn(X[order[a:b]])
+        return f(X, members[i]) * tau
+    return g
+
+
+def integrate_polytope(f, P, *, lines=(), point=None, points=None,
+                       rel_tol: float = 1e-10):
     """Integral of f over the polytope P on iterated GK15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
@@ -404,43 +453,67 @@ def integrate_polytope(f, P, *, lines=(), point=None,
     integral is iterated in x1, ..., xn by ``_level``, and each integral
     along one variable has a budget of ``MAX_PANELS`` panels, read at call
     time.  Raises QuadratureError by the module's verdict, so a returned
-    estimate has met its tolerance.
+    estimate has met its tolerance.  Returns a ``NodeSet``.
+
+    Given ``points`` (k, n) instead of ``point``, it integrates a family of
+    k integrands over P, one per row of ``points``, its peak.  ``f(X, i)``
+    then maps points and the member i of each to values, and the members
+    refine as independent groups of one pass, each with its own panels,
+    budget and verdict.  Returns one ``NodeSet`` per member.  The one
+    integrand is the family of one.
     """
-    n = P.dim
-    max_panels = MAX_PANELS
-    # a nan peak cuts nothing
-    peak = np.full(n, np.nan) if point is None else \
-        np.asarray(point, dtype=float)
+    one = points is None
+    if one:
+        # the family of one; a nan peak cuts nothing
+        lone, points = f, [np.full(P.dim, np.nan) if point is None else point]
+        f = lambda X, i: lone(X)
+    points = np.asarray(points, dtype=float)
+    (k, n), max_panels = points.shape, MAX_PANELS
     cuts = np.concatenate([P.facets_np, np.array(
         [[*nu, c] for nu, c in lines], dtype=float).reshape(-1, n + 1)])
-    _, total, err, head, ids, x, weights, values = _level(
-        f, P, cuts, peak, np.empty((1, 0)), rel_tol, max_panels)
+    own, total, err, head, ids, x, weights, values = _level(
+        f, P, cuts, points, np.arange(k), np.empty((k, 0)), rel_tol,
+        max_panels)
+    if k > 1:
+        # the final panels of each member together, in the order they had
+        order = np.argsort(own, kind="stable")
+        head, ids, x, weights, values = (a[order] for a in (
+            head, ids, x, weights, values))
+        ends = np.searchsorted(own[order], np.arange(k + 1))
+    else:
+        ends = (0, len(x))
     nodes = np.empty((*x.shape, n))
     nodes[..., :-1] = head[:, None]
     nodes[..., -1] = x
     # each node's index among the final nodes of every level, 15 a panel
     ids = np.column_stack([ids.repeat(15, axis=0), np.arange(x.size)])
-    weights = weights.ravel()
-    res = NodeSet(nodes.reshape(-1, n), weights, values.ravel(),
-                  float(total[0]), float(err[0]), len(x), ids // 15,
-                  weights[:, None] * _GK15_RATIO[ids % 15], rel_tol,
-                  lambda tau: integrate_polytope(
-                      lambda X: f(X) * tau(X), P, lines=lines, point=point,
-                      rel_tol=rel_tol))
-    _judge(f"{n}-D polytope integral", res.value, res.err, res.weights,
-           res.values, rel_tol, f"did not converge at {res.panels} panels, "
-           f"with a budget of {max_panels} panels per integral")
-    return res
+    nodes, weights, values = (a.reshape(-1, *a.shape[2:]) for a in (
+        nodes, weights, values))
+    owners, diffs = ids // 15, weights[:, None] * _GK15_RATIO[ids % 15]
+    family = (f, P, lines, points)
+    out = []
+    for i, a, b in zip(range(k), ends[:-1], ends[1:]):
+        rows = slice(15 * a, 15 * b)
+        res = NodeSet(nodes[rows], weights[rows], values[rows],
+                      float(total[i]), float(err[i]), int(b - a),
+                      owners[rows], diffs[rows], rel_tol, family, i)
+        _judge(f"{n}-D polytope integral", res.value, res.err, res.weights,
+               res.values, rel_tol, f"did not converge at {res.panels} "
+               f"panels, with a budget of {max_panels} panels per integral")
+        out.append(res)
+    return out[0] if one else out
 
 
-def _level(f, P, lines, peak, prefix, rel_tol, max_panels):
+def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels):
     """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
     of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row.
-    Returns the prefix row of each final innermost panel (R,), the
-    integrals and their errors (k,), the coordinates the levels below fixed
-    for each panel and the index of each of those nodes among the final
-    nodes of its level, 15 a panel (R, n - 1 - j) each, and x_n, the rule
-    weights and the values of its 15 nodes (R, 15)."""
+    ``member`` (k,) is the family member of each row, whose row of
+    ``peaks`` cuts its panels.  Returns the prefix row of each final
+    innermost panel (R,), the integrals and their errors (k,), the
+    coordinates the levels below fixed for each panel and the index of each
+    of those nodes among the final nodes of its level, 15 a panel
+    (R, n - 1 - j) each, and x_n, the rule weights and the values of its 15
+    nodes (R, 15)."""
     (k, j), n = prefix.shape, P.dim
     inner = []
     # the range of x_{j+1}: the bounding box's on the first level, where it
@@ -458,8 +531,9 @@ def _level(f, P, lines, peak, prefix, rel_tol, max_panels):
 
         def driver(x, g):
             if j == 0:  # no prefix to prepend
-                return f(x[:, None])
-            return f(np.concatenate([prefix[g], x[:, None]], axis=1))
+                return f(x[:, None], member[g])
+            return f(np.concatenate([prefix[g], x[:, None]], axis=1),
+                     member[g])
     else:
         # cut at the points of P where n - j of the hyperplanes meet; the
         # integrand is the level below
@@ -475,14 +549,14 @@ def _level(f, P, lines, peak, prefix, rel_tol, max_panels):
             hi = np.where(np.isnan(cuts), -np.inf, cuts).max(axis=1)
 
         def driver(x, g):
-            rows = _level(f, P, lines, peak, np.concatenate(
+            rows = _level(f, P, lines, peaks, member[g], np.concatenate(
                 [prefix[g], x[:, None]], axis=1), rel_tol, max_panels)
             inner.append((x, g, *rows))
             # the integrals of |f| over the slices scale this level
             own, total, _, _, _, _, w, v = rows
             return total, np.bincount(own, np.abs(w * v).sum(axis=1), len(x))
     res = refine_groups(driver, *_cut(lo, hi, np.concatenate(
-        [cuts, np.full((k, 1), peak[j])], axis=1)), k, rel_tol=rel_tol,
+        [cuts, peaks[member, j, None]], axis=1)), k, rel_tol=rel_tol,
         max_panels=max_panels)
     if j == n - 1:
         none = np.empty((len(res.group), 0))

@@ -32,12 +32,14 @@ ell_r(m) = 0 contributes ell_r(x) / 2 >= 0).  So log_gap_density(m) is the
 reference level of every norm.  The density is smooth between the facets
 and the ends of the generator's support slabs, so the norm's panels are cut
 there and at m, in every dimension (``quadrature.integrate_polytope``).
+The densities of one P and generator at several (m, s), such as the s-grid
+of a diagnostic, share the facet and slab cuts and one generator jet per
+node, so ``density_family`` norms them as the members of one integral.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -49,8 +51,8 @@ from . import quadrature
 
 __all__ = [
     "base_log_weight", "ray_rate", "rate_gap", "MonomialDensity",
-    "GcstImage", "gcst_image", "l1_norm", "normalized_density",
-    "basis_census", "QuantizationError",
+    "density_family", "pair_densities", "GcstImage", "gcst_image", "l1_norm",
+    "normalized_density", "basis_census", "QuantizationError",
 ]
 
 
@@ -70,21 +72,34 @@ def base_log_weight(P: Polytope, m, X) -> np.ndarray:
 
 def _facet_terms(P: Polytope, m):
     """The terms of h that depend on m alone: the facets where ell(m) is
-    positive, ell(m) on them, and the sum of ell(m)."""
+    positive, ell(m) on them and 0 on the others, and the sum of ell(m)."""
     m = np.asarray(m, dtype=float)
     ell_m = P.ell(m)
     if np.min(ell_m) < -1e-12:
         raise QuantizationError(f"lattice point {m} lies outside P")
     pos = ell_m > 0
-    return pos, ell_m[pos], float(ell_m.sum())
+    return pos, np.where(pos, ell_m, 0.0), float(ell_m.sum())
 
 
 def _base_log_weight(P: Polytope, terms, X) -> np.ndarray:
+    """h at the points X, from the facet terms of one m or of one m per
+    point (each term with a leading axis over the points)."""
     pos, ell_m, total = terms
     ell_x = P.ell(np.asarray(X, dtype=float))
     with np.errstate(divide="ignore"):
-        log_ell = np.log(np.maximum(ell_x[..., pos], 0.0))
-    return -0.5 * (log_ell @ ell_m) + 0.5 * (ell_x.sum(axis=-1) - total)
+        log_ell = np.where(pos, np.log(np.maximum(ell_x, 0.0)), 0.0)
+    return -0.5 * (log_ell * ell_m).sum(axis=-1) \
+        + 0.5 * (ell_x.sum(axis=-1) - total)
+
+
+def _log_gap(P, gen, weighted, X, m, s, psi_m, facets) -> np.ndarray:
+    """-base - s * gap at the points X (bare: -s * gap) from one jet of
+    gen, for one member (m, s, psi(m), facet terms) or one per point."""
+    val, grad, _ = gen.jet(X, 1)
+    gap = s * (psi_m + (((X - m) * grad).sum(axis=-1) - val))
+    if weighted:
+        return -_base_log_weight(P, facets, X) - gap
+    return -gap
 
 
 def ray_rate(gen: Generator, m, X) -> np.ndarray:
@@ -111,6 +126,8 @@ class MonomialDensity:
 
     weighted=True gives exp(-base - s*rate) (the section density); False
     gives the bare exp(-s*rate) used for the distributional-limit checks.
+    A density made alone is a family of one; ``density_family`` makes
+    densities whose norms are integrated together.
     """
 
     def __init__(self, P: Polytope, gen: Generator, m, s: float, *,
@@ -125,6 +142,7 @@ class MonomialDensity:
         self.psi_m = float(gen.value(self.m))
         # checks that m lies in P, in both variants
         self._facets = _facet_terms(P, self.m)
+        self._family = None     # the densities normed with this one
         self._norm_ready = False
         self._rule = None       # the NodeSet the mass was summed on
 
@@ -136,34 +154,50 @@ class MonomialDensity:
 
     def log_gap_density(self, X) -> np.ndarray:
         """Stable form -base - s*gap (bare: -s*gap); max is O(1)."""
-        gap = self.s * (self.psi_m + ray_rate(self.generator, self.m, X))
-        if self.weighted:
-            return -_base_log_weight(self.polytope, self._facets, X) - gap
-        return -gap
+        return _log_gap(self.polytope, self.generator, self.weighted,
+                        np.asarray(X, dtype=float), self.m, self.s,
+                        self.psi_m, self._facets)
 
     # -- norms and pairings ----------------------------------------------------
 
     def _ensure_norm(self):
+        """Integrate the mass of this density and of every density of its
+        family not yet normed, as the members of one ``integrate_polytope``
+        call: one pass of panels cut at the facets, the ends of the
+        generator's support slabs and each member's m."""
         if self._norm_ready:
             return
-        self._ref = float(self.log_gap_density(self.m[None, :])[0])
-        # cut at the facets, the ends of the generator's support slabs and
-        # m; the rule keeps its integrand for NodeSet.pair, weakly, so that
-        # no reference cycle keeps a dropped density alive
-        driver = weakref.WeakMethod(self._driver)
-        self._rule = quadrature.integrate_polytope(
-            lambda X: driver()(X), self.polytope, lines=[
-                (nu, c) for nu, lo, hi in self.generator.support
-                for c in (lo, hi)], point=self.m, rel_tol=self.rel_tol)
-        if self._rule.value <= 0:
-            raise QuantizationError("density mass underflowed")
-        self._log_gap_mass = self._ref + math.log(self._rule.value)
-        self._norm_ready = True
+        todo = [d for d in self._family or (self,) if not d._norm_ready]
+        P, gen, weighted = self.polytope, self.generator, self.weighted
+        m = np.array([d.m for d in todo])
+        s = np.array([d.s for d in todo])
+        psi_m = np.array([d.psi_m for d in todo])
+        facets = tuple(np.array(t) for t in zip(*(d._facets for d in todo)))
+        # each member's log density at its m, its peak, is its reference
+        ref = _log_gap(P, gen, weighted, m, m, s, psi_m, facets)
+        many = len(todo) > 1
 
-    def _driver(self, X):
-        """The density over its value at m, its peak."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_gap_density(X) - self._ref)
+        def driver(X, i):
+            """Each member's density over its value at m; the closure holds
+            the members' arrays, not the densities.  A family of one reads
+            its arrays without a gather."""
+            if not many:
+                i = 0
+            with np.errstate(over="ignore"):
+                return np.exp(_log_gap(P, gen, weighted, X, m[i], s[i],
+                                       psi_m[i], tuple(t[i] for t in facets))
+                              - ref[i])
+
+        rules = quadrature.integrate_polytope(
+            driver, P, lines=[(nu, c) for nu, lo, hi in gen.support
+                              for c in (lo, hi)], points=m,
+            rel_tol=self.rel_tol)
+        if min(rule.value for rule in rules) <= 0:
+            raise QuantizationError("density mass underflowed")
+        for d, r, rule in zip(todo, ref.tolist(), rules):
+            d._ref, d._rule = r, rule
+            d._log_gap_mass = r + math.log(rule.value)
+            d._norm_ready, d._family = True, None
 
     def log_mass(self) -> float:
         """log of integral of the unnormalized density over P."""
@@ -194,6 +228,34 @@ class MonomialDensity:
         """Integral of the gap density (= gCST scalar density) against tau."""
         self._ensure_norm()
         return self.pair(tau) * math.exp(self._log_gap_mass)
+
+
+def density_family(P: Polytope, gen: Generator, members, *,
+                   weighted: bool = True, rel_tol: float = None) -> list:
+    """The densities of the members (m, s) on P under one generator, whose
+    norms are integrated together the first time one of them is needed.
+    Each member keeps its own panels, reference level and rule, so each
+    behaves as the density made alone."""
+    family = [MonomialDensity(P, gen, m, s, weighted=weighted,
+                              rel_tol=rel_tol) for m, s in members]
+    for d in family:
+        d._family = family
+    return family
+
+
+def pair_densities(densities, taus):
+    """(values, errors), each (len(densities), len(taus)): the pairing of
+    each normalized density with each tau and its error estimate.  The
+    densities are normed first, a family in one pass, and every pairing
+    goes to one ``pair_all``, so the pairings that miss on their nodes are
+    integrated afresh as one family."""
+    for d in densities:
+        d._ensure_norm()
+    res = np.array(quadrature.pair_all(
+        [(d._rule, tau) for d in densities for tau in taus]), dtype=float)
+    res = res.reshape(len(densities), len(taus), 2)
+    mass = np.array([d._rule.value for d in densities])[:, None]
+    return res[..., 0] / mass, res[..., 1] / mass
 
 
 @dataclass

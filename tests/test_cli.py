@@ -85,6 +85,70 @@ def test_gcst_csv(tmp_path):
     assert coeff[(2, 16)] == pytest.approx(np.exp(-16.0 * 4.0 * 1.0), rel=1e-10)
 
 
+_GRID_SCENARIO = json.dumps({
+    "polytope": {"dim": 1, "normals": [[1], [-1]], "offsets": ["0", "-2"]},
+    "generator": {"kind": "bumps", "bumps": [
+        {"m": 1.0, "alpha": 0.25, "A": 1.0, "kernel": "smooth"}]},
+    "s_grid": [8, 64, 512],
+    "lattice_points": [[0], [1], [2]],
+})
+
+
+def _lone_densities(weighted=True):
+    """(m, s, MonomialDensity made alone) over the grid scenario."""
+    from toricray.cli import _load_scenario
+    sc = _load_scenario(_GRID_SCENARIO)
+    return sc, [(m, s, quantization.MonomialDensity(
+        sc.polytope, sc.generator, list(m), float(s), weighted=weighted))
+        for m in sc.lattice_points for s in sc.s_grid]
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["weighted", "bare"])
+def test_ray_density_grid_is_the_lone_densities(tmp_path, bare):
+    # each lattice point's s-grid is built as one family; its CSVs are
+    # those of densities made one at a time, to 1e-12
+    from toricray.limits import battery_for
+    argv = ["ray-density", "--scenario", _GRID_SCENARIO, "-o", str(tmp_path)]
+    assert run(argv + ["--bare"] * bare) == 0
+    sc, lone = _lone_densities(weighted=not bare)
+    bat = battery_for(sc.polytope)
+    for m, s, md in lone:
+        tag = f"m{m[0]}"
+        rows = np.genfromtxt(tmp_path / f"density_{tag}_s{s}.csv",
+                             delimiter=",", names=True)
+        X = rows["x1"][:, None]
+        logd = md.log_density(X)
+        finite = np.isfinite(logd)
+        assert np.array_equal(finite, np.isfinite(rows["log_density"]))
+        np.testing.assert_allclose(rows["log_density"][finite], logd[finite],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rows["density_normalized"],
+                                   md.normalized(X), rtol=1e-12, atol=1e-300)
+        pairs = np.genfromtxt(tmp_path / f"pairings_{tag}.csv",
+                              delimiter=",", names=True)
+        row = pairs[list(pairs["s"]).index(s)]
+        for t in bat:
+            assert row[t.name] == pytest.approx(md.pair(t), rel=1e-12)
+
+
+def test_gcst_grid_is_the_lone_densities(tmp_path):
+    from toricray.limits import battery_for
+    assert run(["gcst", "--scenario", _GRID_SCENARIO,
+                "-o", str(tmp_path)]) == 0
+    sc, lone = _lone_densities()
+    bat = battery_for(sc.polytope)
+    rows = np.genfromtxt(tmp_path / "gcst.csv", delimiter=",", names=True)
+    assert len(rows) == len(lone)
+    for row, (m, s, md) in zip(rows, lone):
+        img = quantization.gcst_image(md)
+        assert (row["m1"], row["s"]) == (m[0], s)
+        assert row["coefficient"] == pytest.approx(img.coefficient,
+                                                   rel=1e-12)
+        for t in bat:
+            assert row[f"pair_{t.name}"] == pytest.approx(img.pair(t),
+                                                          rel=1e-12)
+
+
 def test_decompose_and_q(tmp_path):
     out = tmp_path / "dec.json"
     poly = json.dumps({"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1]],

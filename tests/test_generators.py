@@ -245,6 +245,26 @@ def test_jet_contract(kind, gen, pts):
             and np.array_equal(h1, hess[k])
 
 
+def test_order_zero_jet_computes_the_value_alone(monkeypatch):
+    # an order-0 wall-sum jet looks up no cdf for the slope, one per bump
+    # at order 1, and both give the same values
+    from toricray.kernels import Kernel
+    gen = build_wall_sum(make_polytope([[1, 0], [0, 1], [-1, -1]],
+                                       [0, 0, -3]),
+                         [((1, 0), BumpSpec(1.0, 0.2, 1.0)),
+                          ((1, 1), BumpSpec(2.0, 0.2, 0.5, "smooth"))])
+    x = np.array([[1.0, 1.0], [0.9, 1.05], [0.4, 0.4]])
+    lookups = []
+    cdf = Kernel.cdf
+    monkeypatch.setattr(Kernel, "cdf", lambda self, t: lookups.append(1)
+                        or cdf(self, t))
+    val0 = gen.jet(x, 0)[0]
+    assert lookups == []
+    val1 = gen.jet(x, 1)[0]
+    assert len(lookups) == 2
+    assert np.array_equal(val0, val1)
+
+
 def test_no_generator_overrides_the_views():
     from toricray import generators, smoothing
     for mod in (generators, smoothing):

@@ -201,6 +201,45 @@ def test_resolved_members_share_the_weights_rule(monkeypatch, weighted):
     assert calls == [2, 2]
 
 
+def test_diagnostic_makes_one_density_pass(monkeypatch):
+    # an 8-point diagnostic norms its densities in one integral of eight
+    # members and integrates its missed pairings again in at most one more
+    sc_P, gen = segment(), big_bump()
+    bat = battery_for(sc_P)
+    P1 = make_polytope([[1], [-1]], [0, "-1/2"], require_delzant=False)
+    grid = [32, 64, 128, 256, 512, 1024, 2048, 4096]
+    calls = []
+    engine = quadrature.integrate_polytope
+    ensure = MonomialDensity._ensure_norm
+
+    def counting(f, P, **kwargs):
+        calls.append(len(kwargs.get("points", [None])))
+        return engine(f, P, **kwargs)
+
+    def norming(self):
+        if not self._norm_ready:
+            calls.append("norm")
+        ensure(self)
+    monkeypatch.setattr(quadrature, "integrate_polytope", counting)
+    monkeypatch.setattr(limits, "integrate_polytope", counting)
+    monkeypatch.setattr(MonomialDensity, "_ensure_norm", norming)
+    res = uniform_diagnostic(sc_P, gen, [0], grid, bat, P1)
+    # the region's mean first (the weight and its misses), then one pass
+    # of the densities and at most one of their misses
+    first = calls.index("norm")
+    assert calls.count("norm") == 1 and calls[first + 1] == len(grid)
+    assert len(calls) - first - 2 <= 1
+    assert 1 <= first <= 2 and calls[:first] == [1] * first
+    # the largest error bar of each s's pairings, normalized like them
+    assert res.pairing_err.shape == (len(grid),)
+    assert np.all(res.pairing_err > 0)
+    monkeypatch.undo()
+    for s, err in zip(grid, res.pairing_err):
+        md = MonomialDensity(sc_P, gen, [0], s, weighted=False)
+        assert err == pytest.approx(max(md.pair_with_error(t)[1]
+                                        for t in bat), rel=1e-13)
+
+
 def test_uniform_diagnostic_two_dimensional():
     from fractions import Fraction
     from toricray.scenarios import cp2_wall

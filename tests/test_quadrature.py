@@ -525,9 +525,10 @@ def test_only_quadrature_judges_and_names_the_1d_wrappers():
 
 
 def test_only_quadrature_and_the_cli_catch_quadrature_errors():
-    # a missed estimate is integrated again in one place, NodeSet.pair;
-    # elsewhere a QuadratureError propagates, up to cli.main's exit code.
-    # A bare except, or one of its bases, would catch it too.
+    # a missed estimate is integrated again in one place, pair_all, which
+    # reads the verdict and catches nothing; everywhere else a
+    # QuadratureError propagates, up to cli.main's exit code.  A bare
+    # except, or one of its bases, would catch it too.
     broad = re.compile(r"\b(QuadratureError|RuntimeError|Exception"
                        r"|BaseException)\b")
     src = Path(quadrature.__file__).resolve().parent
@@ -543,7 +544,7 @@ def test_only_quadrature_and_the_cli_catch_quadrature_errors():
                 while not isinstance(node, (ast.FunctionDef, ast.Module)):
                     node = node.parent
                 catchers.add((path.name, getattr(node, "name", None)))
-    assert catchers == {("quadrature.py", "pair"), ("cli.py", "main")}
+    assert catchers == {("cli.py", "main")}
 
 
 @pytest.mark.parametrize("seeds", [(), (0.7, 1.3)])
@@ -838,7 +839,7 @@ def test_integrand_on_its_nodes_gets_its_estimate(n):
 def test_missed_pairing_is_integrated_afresh_on_the_same_cuts(monkeypatch):
     # a narrow peak the panels of f never see misses the verdict on f's
     # nodes; the pairing is then the engine's integral of f times it on
-    # the same cuts and rel_tol, and the only one made
+    # the same cuts and rel_tol, as a family of one, and the only one made
     P = _simplex(2)
     cuts = dict(lines=[((1, 1), 2.0)], point=(0.8, 0.8), rel_tol=1e-6)
     f = lambda X: np.exp(-3.0 * np.sum((X - 0.8) ** 2, axis=1))
@@ -847,12 +848,47 @@ def test_missed_pairing_is_integrated_afresh_on_the_same_cuts(monkeypatch):
     fresh = integrate_polytope(lambda X: f(X) * tau(X), P, **cuts)
     calls = []
     monkeypatch.setattr(quadrature, "integrate_polytope",
-                        lambda g, Q, **k: calls.append((Q, k)) or fresh)
+                        lambda g, Q, **k: calls.append((Q, k)) or [fresh])
     assert res.pair(tau) == (fresh.value, fresh.err)
-    assert calls == [(P, cuts)]
+    assert len(calls) == 1
+    Q, k = calls[0]
+    assert (Q, k["lines"], k["rel_tol"]) == (P, cuts["lines"], 1e-6)
+    assert np.array_equal(k["points"], [cuts["point"]])
     # and the engine itself gives fresh's own pairing
     monkeypatch.undo()
     assert res.pair(tau) == (fresh.value, fresh.err)
+
+
+def test_missed_pairings_are_integrated_afresh_as_one_family(monkeypatch):
+    # the misses of several members and test functions make one call of
+    # the engine, each the integral it has alone
+    P = _simplex(2)
+    peaks = np.array([[0.8, 0.8], [0.5, 1.2], [1.5, 0.3]])
+    f = lambda X, i: np.exp(-3.0 * np.sum((X - peaks[i]) ** 2, axis=1))
+    rules = integrate_polytope(f, P, lines=[((1, 1), 2.0)], points=peaks,
+                               rel_tol=1e-6)
+    narrow = [lambda X, c=c: np.exp(-400.0 * np.sum((X - c) ** 2, axis=1))
+              for c in ([2.0, 0.5], [0.3, 2.2])]
+    one = lambda X: np.ones(len(X))
+    pairings = [(rule, tau) for rule in rules for tau in (one, *narrow)]
+    calls = []
+    engine = quadrature.integrate_polytope
+    monkeypatch.setattr(quadrature, "integrate_polytope",
+                        lambda *a, **k: calls.append(len(k["points"]))
+                        or engine(*a, **k))
+    got = quadrature.pair_all(pairings)
+    assert calls == [6]
+    monkeypatch.undo()
+    for (rule, tau), (value, err) in zip(pairings, got):
+        alone = integrate_polytope(
+            lambda X: f(X, rule.member) * tau(X), P, lines=[((1, 1), 2.0)],
+            point=peaks[rule.member], rel_tol=1e-6)
+        if tau is one:
+            assert (value, err) == rule.pair(tau)
+            assert value == pytest.approx(rule.value, rel=1e-13)
+        else:
+            assert value == pytest.approx(alone.value, rel=1e-13)
+            assert err == pytest.approx(alone.err, rel=1e-6, abs=1e-300)
 
 
 def test_prism_integrals():

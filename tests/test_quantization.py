@@ -10,12 +10,13 @@ from toricray import quadrature
 from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.limits import battery_for
 from toricray.polytope import make_polytope
-from toricray.scenarios import cp2_wall_sum
+from toricray.scenarios import cp2_wall, cp2_wall_sum, segment as seg_scenario
 from toricray.quadrature import QuadratureError, integrate_1d
 from toricray.quantization import (MonomialDensity, QuantizationError,
-                                   base_log_weight, basis_census, gcst_image,
-                                   l1_norm, normalized_density, ray_rate,
-                                   rate_gap)
+                                   base_log_weight, basis_census,
+                                   density_family, gcst_image, l1_norm,
+                                   normalized_density, pair_densities,
+                                   ray_rate, rate_gap)
 
 
 def segment(N=2):
@@ -319,3 +320,55 @@ def test_log_density_peaks_at_m(case):
             peak = float(md.log_gap_density(md.m[None, :])[0])
             assert np.max(md.log_gap_density(X)) <= \
                 peak + 1e-12 * max(1.0, abs(peak)) + 1e-11 * s
+
+
+def _family_cases():
+    grid = [32, 64, 128, 256, 512, 1024, 2048, 4096]
+    for kernel in ("cosine", "smooth"):
+        sc = seg_scenario(kernel)
+        for m in (0, 1, 2):
+            for weighted in (False, True):
+                tag = "weighted" if weighted else "bare"
+                yield f"segment-{kernel}-m{m}-{tag}", sc, [m], weighted, grid
+    from fractions import Fraction
+    wall = cp2_wall(eps=Fraction(1, 10), kernel="smooth")
+    wall_sum = cp2_wall_sum("cosine")
+    for weighted in (False, True):
+        tag = "weighted" if weighted else "bare"
+        yield (f"cp2-wall-20-{tag}", wall, [2, 0], weighted,
+               [64, 256, 1024, 2048])
+        yield (f"cp2-wall-sum-11-{tag}", wall_sum, [1, 1], weighted,
+               [32, 512, 8192])
+
+
+@pytest.mark.parametrize("case", list(_family_cases()), ids=lambda c: c[0])
+def test_family_equals_lone_densities(case, monkeypatch):
+    # the densities of one s-grid, normed in one pass and paired in one
+    # batch, get the masses and pairings each has alone: only the order of
+    # summation differs.  The norms make one integral in all.
+    _, sc, m, weighted, grid = case
+    P, gen = sc.polytope, sc.generator
+    bat = list(battery_for(P))
+    calls = []
+    engine = quadrature.integrate_polytope
+    monkeypatch.setattr(quadrature, "integrate_polytope",
+                        lambda *a, **k: calls.append(len(k["points"]))
+                        or engine(*a, **k))
+    family = density_family(P, gen, [(m, s) for s in grid],
+                            weighted=weighted)
+    family[-1].log_mass()
+    assert calls == [len(grid)]
+    values, errs = pair_densities(family, bat)
+    assert len(calls) <= 2
+    monkeypatch.undo()
+    for d, s, row, erow in zip(family, grid, values, errs):
+        lone = MonomialDensity(P, gen, m, s, weighted=weighted)
+        # the masses to 1e-13 relative
+        assert abs(d.log_mass() - lone.log_mass()) <= 1e-13
+        assert d.rel_tol == lone.rel_tol
+        assert d._ref == pytest.approx(lone._ref, abs=1e-13)
+        for tau, value, err in zip(bat, row, erow):
+            want, want_err = lone.pair_with_error(tau)
+            assert value == pytest.approx(want, rel=1e-13)
+            assert err == pytest.approx(want_err, rel=1e-13)
+            assert d.pair(tau) == pytest.approx(want, rel=1e-13)
