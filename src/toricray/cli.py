@@ -23,7 +23,7 @@ from ._exact import integer_vector
 from .acceptance import ALL_CRITERIA, run_acceptance
 from .generators import BumpSpec, PLConvex, build_bump_generator, build_wall_sum
 from .limits import battery_for, fit_rate, metric_length
-from .polytope import parse_polytope
+from .polytope import MEMBERSHIP_TOL, parse_polytope
 from .quadrature import QuadratureError
 from .quantization import density_family, gcst_image, pair_densities
 from .smoothing import build_nice_smoothing, verify_nice_family
@@ -105,8 +105,8 @@ def _load_scenario(arg):
         generator=_build_generator(data["generator"], P)
         if "generator" in data else None,
         s_grid=s_grid,
-        lattice_points=tuple(tuple(m) for m in data.get(
-            "lattice_points", [list(p) for p in P.integral_points()])))
+        lattice_points=tuple(integer_vector(m) for m in data.get(
+            "lattice_points", P.integral_points())))
     return sc
 
 
@@ -150,7 +150,7 @@ def cmd_ray_density(args) -> int:
     axes = [np.linspace(float(a), float(b), 513 if P.dim == 1 else 65)
             for a, b in zip(*P.bbox())]
     grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
-    grid = grid[P.contains(grid, tol=1e-12)]
+    grid = grid[P.contains(grid, tol=MEMBERSHIP_TOL)]
     for m in sc.lattice_points:
         tag = "-".join(str(int(c)) for c in m)
         family = density_family(P, sc.generator,
@@ -182,11 +182,13 @@ def cmd_gcst(args) -> int:
     rows = []
     s_grid = [s for s in sc.s_grid if s <= args.max_s]
     for m in sc.lattice_points:
-        for s, md in zip(s_grid, density_family(
-                P, sc.generator, [(list(m), float(s)) for s in s_grid])):
-            img = gcst_image(md)
+        family = density_family(P, sc.generator,
+                                [(list(m), float(s)) for s in s_grid])
+        images = [gcst_image(md) for md in family]
+        pairs, _ = pair_densities(family, list(bat))
+        for s, img, row in zip(s_grid, images, pairs):
             rows.append(tuple(m) + (s, img.coefficient)
-                        + tuple(img.pair(t) for t in bat))
+                        + tuple(row * img.gap_mass))
     path = _write_csv(
         Path(args.output) / "gcst.csv",
         [f"m{i + 1}" for i in range(P.dim)] + ["s", "coefficient"]

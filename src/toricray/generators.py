@@ -25,7 +25,7 @@ import numpy as np
 
 from ._exact import dot, frac, vec_frac
 from .kernels import Kernel, get_kernel
-from .polytope import Polytope
+from .polytope import MEMBERSHIP_TOL, Polytope
 from .quadrature import integrate_polytope
 
 __all__ = [
@@ -341,6 +341,6 @@ def eval_generator(gen: Generator, x):
     """(psi, grad psi, Hess psi) at a point of the generator's polytope."""
     x = np.asarray(x, dtype=float)
     P = getattr(gen, "polytope", None)
-    if P is not None and not np.all(P.contains(x, tol=1e-12)):
+    if P is not None and not np.all(P.contains(x, tol=MEMBERSHIP_TOL)):
         raise GeneratorError(f"point {x} is outside the polytope")
     return gen.jet(x, 2)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .generators import Generator
-from .polytope import FaceFrame, Polytope, make_polytope
+from .polytope import MEMBERSHIP_TOL, FaceFrame, Polytope, make_polytope
 from .potentials import RayPoint, ray_jet
 from .quadrature import integrate_polytope, pair_all, panel_nodes
 from .quantization import (MonomialDensity, base_log_weight, density_family,
@@ -188,7 +188,7 @@ def pair(density: MonomialDensity, tau, region: Polytope = None) -> float:
         return density.pair(tau)
 
     def masked(X):
-        inside = region.contains(X, tol=1e-12)
+        inside = region.contains(X, tol=MEMBERSHIP_TOL)
         return np.where(inside, tau(X), 0.0)
 
     return density.pair(masked)
@@ -247,8 +247,8 @@ def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     axes = [np.linspace(a, b, 10000 if P.dim == 1 else 100)
             for a, b in zip(*P.bbox())]
     xs = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
-    xs = xs[P.contains(xs, tol=1e-12)]
-    off = ~region.contains(xs, tol=1e-12)
+    xs = xs[P.contains(xs, tol=MEMBERSHIP_TOL)]
+    off = ~region.contains(xs, tol=MEMBERSHIP_TOL)
     gaps = rate_gap(gen, m, xs[off])
     gap = float(gaps.min()) if gaps.size else math.inf
     fit.aux["gap"] = gap

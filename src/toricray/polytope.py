@@ -24,7 +24,7 @@ from ._exact import (SaturationError, det_exact, dot, frac, integer_row,
 __all__ = [
     "Polytope", "FaceFrame", "PolytopeError", "DelzantError",
     "parse_polytope", "make_polytope", "ell_values", "integral_points",
-    "face_frame", "vertices_of_system",
+    "face_frame", "vertices_of_system", "MEMBERSHIP_TOL",
 ]
 
 
@@ -77,6 +77,12 @@ def _integer_normal(v) -> tuple[int, ...]:
         return integer_vector(v)
     except ValueError as exc:
         raise PolytopeError(f"normal {list(v)}: {exc}") from None
+
+
+# the slack ``contains(x, tol=MEMBERSHIP_TOL)`` gives a float point on the
+# boundary of P (a grid end, a facet value evaluated at m): a few thousand
+# ulps at unit scale, far below every quadrature tolerance
+MEMBERSHIP_TOL = 1e-12
 
 
 class Polytope:

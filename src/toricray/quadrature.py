@@ -82,6 +82,10 @@ __all__ = [
 MAX_PANELS = 20000
 # the most a returned error may be, in units of rel_tol * integral of |f|
 ALLOWANCE = 50.0
+# the slack by which a cut point, solved in floats where hyperplanes of the
+# cuts meet, may leave P and still cut its slice: a solve's rounding grows
+# with the conditioning of its hyperplanes, past ``MEMBERSHIP_TOL``
+_CUT_SLACK = 1e-9
 
 
 class QuadratureError(RuntimeError):
@@ -542,7 +546,7 @@ def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels):
         rhs = sub[:, :, n] - np.moveaxis(sub[:, :, :j] @ prefix.T, -1, 0)
         y = np.linalg.solve(sub[:, :, j:n], rhs[..., None])[..., 0]
         cuts = np.where(P.contains(np.concatenate([np.broadcast_to(
-            prefix[:, None], (*y.shape[:2], j)), y], axis=-1), tol=1e-9),
+            prefix[:, None], (*y.shape[:2], j)), y], axis=-1), tol=_CUT_SLACK),
             y[..., 0], np.nan)
         if j > 0:
             lo = np.where(np.isnan(cuts), np.inf, cuts).min(axis=1)

@@ -46,7 +46,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .generators import Generator
-from .polytope import Polytope
+from .polytope import MEMBERSHIP_TOL, Polytope
 from . import quadrature
 
 __all__ = [
@@ -75,7 +75,7 @@ def _facet_terms(P: Polytope, m):
     positive, ell(m) on them and 0 on the others, and the sum of ell(m)."""
     m = np.asarray(m, dtype=float)
     ell_m = P.ell(m)
-    if np.min(ell_m) < -1e-12:
+    if np.min(ell_m) < -MEMBERSHIP_TOL:
         raise QuantizationError(f"lattice point {m} lies outside P")
     pos = ell_m > 0
     return pos, np.where(pos, ell_m, 0.0), float(ell_m.sum())
@@ -264,12 +264,14 @@ class GcstImage:
 
     The transform multiplies the section by exp(-s psi(m)); the resulting
     scalar density exp(-base - s*(psi(m) + rate)) is exactly the stable gap
-    density of the underlying MonomialDensity.
+    density of the underlying MonomialDensity, whose integral over P is
+    ``gap_mass``.
     """
     m: np.ndarray
     s: float
     coefficient: float
     density: MonomialDensity
+    gap_mass: float
 
     def pair(self, tau) -> float:
         """Unnormalized pairing of the transformed scalar density with tau."""
@@ -281,7 +283,9 @@ def gcst_image(density: MonomialDensity) -> GcstImage:
     if not np.allclose(m, np.round(m)):
         raise QuantizationError(f"{m} is not a lattice point")
     coeff = math.exp(-density.s * density.psi_m)
-    return GcstImage(m=m, s=density.s, coefficient=coeff, density=density)
+    density._ensure_norm()
+    return GcstImage(m=m, s=density.s, coefficient=coeff, density=density,
+                     gap_mass=math.exp(density._log_gap_mass))
 
 
 def l1_norm(density: MonomialDensity) -> float:

@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from ._exact import rank_exact
+from ._exact import primitivize, rank_exact
 from .generators import Generator, PLConvex, SupportSlabs
 from .kernels import Kernel, get_kernel
 from .polytope import FaceFrame, Polytope
@@ -68,10 +68,13 @@ def _footprint_corners(steps):
     return corners
 
 
-def _single_piece(f: PLConvex, X, corners, vals, grads):
-    """Fill vals and grads on the rows of X where one piece of f is on top
-    at every footprint corner X + c, so that the mollification equals that
-    piece there; returns the mask of the other rows."""
+def _single_piece(f: PLConvex, X, corners):
+    """(X, vals, grads, hesses, rest): the jet arrays of the points X, filled
+    where one piece of f is on top at every footprint corner X + c, so that
+    the mollification is that piece, and the mask of the other rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    npts, n = X.shape
+    vals, grads = np.empty(npts), np.empty((npts, n))
     corner_vals = [f.piece_values(X + c) for c in corners]
     i_dom = np.argmax(sum(corner_vals[1:], corner_vals[0]), axis=1)
     rows = np.arange(len(X))
@@ -82,7 +85,7 @@ def _single_piece(f: PLConvex, X, corners, vals, grads):
         it = i_dom[trivial]
         vals[trivial] = f.piece_values(X[trivial])[np.arange(it.size), it]
         grads[trivial] = f.G[it]
-    return ~trivial
+    return X, vals, grads, np.zeros((npts, n, n)), ~trivial
 
 
 class LineMollifier:
@@ -90,14 +93,17 @@ class LineMollifier:
 
     value(x) = integral of theta_delta(y) f(x - y w) dy with theta the scaled
     kernel density of unit mass and radius delta.  Along the shift line piece
-    i reads a_i(x) + s_i y with s_i = -<g_i, w>; it is on top on the interval
-    [lo_i, hi_i] that its crossings with the other pieces cut out of
-    [-delta, delta].  Equality with f on single-piece windows, affine
-    gradients, and the rank-one Hessian jumps are exact consequences:
+    i reads a_i(x) + s_i y with s_i = -<g_i, w>; the pieces on top of
+    [-delta, delta] follow one another by increasing slope.  The jet is the
+    top piece's at y = delta plus the sum over the breaks t = y_b / delta
+    from a piece L to the next piece R on top, with dA = a_L - a_R,
+    dS = s_L - s_R, dG = g_L - g_R and Theta, E, theta the kernel's cdf,
+    first moment and density; equality with f on single-piece windows,
+    affine gradients and the rank-one Hessian jumps follow exactly:
 
-        value = sum_i a_i(x) dTheta_i + s_i delta dE_i
-        grad  = sum_i g_i dTheta_i
-        hess  = sum_breaks theta(y_b) (g_L - g_R)(g_L - g_R)^T / <g_L - g_R, w>
+        value = a_top + sum_breaks dA Theta(t) + delta dS E(t)
+        grad  = g_top + sum_breaks dG Theta(t)
+        hess  = sum_breaks theta(t) / delta dG dG^T / <dG, w>
     """
 
     def __init__(self, f: PLConvex, w, delta: float, kernel: Kernel):
@@ -105,8 +111,7 @@ class LineMollifier:
         self.w = np.asarray(w, dtype=float)
         self.delta = float(delta)
         self.kernel = kernel
-        self.steps = [(self.delta, self.w)]
-        self._corners = _footprint_corners(self.steps)
+        self._corners = _footprint_corners([(self.delta, self.w)])
         self.slopes_w = -(f.G @ self.w)
         self._pair = f.npieces == 2 and self.slopes_w[0] != self.slopes_w[1]
         # pieces by increasing slope; equal slopes keep their index order
@@ -117,43 +122,46 @@ class LineMollifier:
         return v[0], g[0], h[0]
 
     def eval_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        npts, n = X.shape
-        vals = np.empty(npts)
-        grads = np.empty((npts, n))
-        hesses = np.zeros((npts, n, n))
-        rest = _single_piece(self.f, X, self._corners, vals, grads)
+        X, vals, grads, hesses, rest = _single_piece(self.f, X, self._corners)
         if np.any(rest):
-            jet = self._pair_closed_form if self._pair else self._envelope
-            vals[rest], grads[rest], hesses[rest] = jet(X[rest])
+            vals[rest], grads[rest], hesses[rest] = self._jet(X[rest])
         return vals, grads, hesses
 
-    def _pair_closed_form(self, X):
-        f, d, k = self.f, self.delta, self.kernel
-        sw = self.slopes_w
-        # L is active at small y (smallest slope, i.e. largest <g, w>)
-        iL, iR = (0, 1) if sw[0] < sw[1] else (1, 0)
-        gL, gR = f.G[iL], f.G[iR]
-        c = float((gL - gR) @ self.w)
-        a = f.piece_values(X)
-        aL, aR = a[:, iL], a[:, iR]
-        yb = (aL - aR) / c
-        tb = np.clip(yb / d, -1.0, 1.0)
-        T = k.cdf(tb)
-        E = k.first_moment(tb)
-        vals = aR + (aL - aR) * T - d * c * E
-        grads = gR[None, :] + (gL - gR)[None, :] * T[:, None]
-        weight = k.density(tb) / d
-        hesses = (weight / c)[:, None, None] * np.outer(gL - gR, gL - gR)[None]
-        return vals, grads, hesses
+    def _jet(self, X):
+        """The top piece's jet plus the terms of each row's breaks."""
+        G, a = self.f.G, self.f.piece_values(X)
+        if self._pair:  # one crossing, clipped to the window
+            (L, R), rows = self._by_slope, None
+            dG = (G[L] - G[R])[None]
+            dA, c = a[:, L] - a[:, R], dG @ self.w
+            dS, t = -c, np.clip(dA / c / self.delta, -1.0, 1.0)
+            a_top, g_top = a[:, R], G[R]
+        else:
+            rows, L, R, t, top = self._breaks(a)
+            dA, dS, dG = (a[rows, L] - a[rows, R],
+                          self.slopes_w[L] - self.slopes_w[R], G[L] - G[R])
+            a_top, g_top = a[np.arange(len(X)), top], G[top]
+        vT, vE, grads, hesses = (
+            z if rows is None else _row_sums(rows, z, len(X))
+            for z in self._break_jet(dA, dS, dG, t))
+        # the Theta and E terms are added in turn, in the formula's order
+        return a_top + vT + vE, g_top + grads, hesses
 
-    def _envelope(self, X):
-        """The closed form for any number of pieces, one array pass."""
-        f, d, k = self.f, self.delta, self.kernel
-        order = self._by_slope
+    def _break_jet(self, dA, dS, dG, t):
+        """The value's Theta and E terms, the gradient and the Hessian that
+        the breaks at t add to the top piece's jet, one row per break."""
+        k, d = self.kernel, self.delta
+        T = k.cdf(t)
+        coef = k.density(t) / d / (dG @ self.w)
+        return (dA * T, d * dS * k.first_moment(t), dG * T[:, None],
+                coef[:, None, None] * (dG[:, :, None] * dG[:, None, :]))
+
+    def _breaks(self, a):
+        """(rows, L, R, t, top) of the envelope of the piece values a on
+        [-delta, delta]: each break's row, pieces and t, each row's top."""
+        d, order = self.delta, self._by_slope
         p = order.size
-        s, G = self.slopes_w[order], f.G[order]
-        a = f.piece_values(X)[:, order]
+        s, a = self.slopes_w[order], a[:, order]
         ds = s[:, None] - s[None, :]                  # s_i - s_j
         da = a[:, None, :] - a[:, :, None]            # a_j - a_i
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -166,26 +174,21 @@ class LineMollifier:
         first = np.tri(p, k=-1, dtype=bool)           # j before i
         beaten = (same & ((da > 0) | ((da == 0) & first))).any(axis=2)
         active = (hi > lo) & ~beaten
-
-        T = k.cdf(np.stack((hi, lo)) / d)
-        E = k.first_moment(np.stack((hi, lo)) / d)
-        dT = np.where(active, T[0] - T[1], 0.0)
-        dE = np.where(active, E[0] - E[1], 0.0)
-        vals = np.sum(a * dT + s * d * dE, axis=1)
-        grads = dT @ G
-
         # one break between each active piece and the next active one
         idx = np.where(active, np.arange(p), p)
-        nxt = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        brk = active[:, :-1] & (nxt < p)
-        right = np.minimum(nxt, p - 1)
-        yb = np.take_along_axis(y[:, :-1, :], right[..., None], axis=2)[..., 0]
-        dg = G[:-1][None] - G[right]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = k.density(np.where(brk, yb, d) / d) / d / (dg @ self.w)
-        coef = np.where(brk, coef, 0.0)
-        hesses = np.matmul((coef[..., None] * dg).transpose(0, 2, 1), dg)
-        return vals, grads, hesses
+        nxt = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1]
+        rows, left = np.nonzero(active[:, :-1] & (nxt[:, 1:] < p))
+        right = nxt[rows, left + 1]
+        top = p - 1 - np.argmax(active[:, ::-1], axis=1)
+        return (rows, order[left], order[right], y[rows, left, right] / d,
+                order[top])
+
+
+def _row_sums(rows, terms, nrows):
+    """The sum of each row's terms, one bincount per column."""
+    cols = terms.reshape(len(terms), -1).T
+    return np.stack([np.bincount(rows, c, nrows) for c in cols],
+                    axis=-1).reshape((nrows,) + terms.shape[1:])
 
 
 class IteratedMollifier:
@@ -215,13 +218,8 @@ class IteratedMollifier:
         return v[0], g[0], h[0]
 
     def eval_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        npts, n = X.shape
-        vals = np.empty(npts)
-        grads = np.empty((npts, n))
-        hesses = np.zeros((npts, n, n))
-        rest = np.nonzero(
-            _single_piece(self.f, X, self._corners, vals, grads))[0]
+        X, vals, grads, hesses, rest = _single_piece(self.f, X, self._corners)
+        rest, n = np.nonzero(rest)[0], X.shape[1]
         w, ys, wts = self._outer
         for start in range(0, rest.size, _OUTER_CHUNK):
             idx = rest[start:start + _OUTER_CHUNK]
@@ -237,7 +235,6 @@ class IteratedMollifier:
 
 
 def _kink_normals(f: PLConvex):
-    from ._exact import primitivize
     seen = set()
     out = []
     for i in range(f.npieces):
@@ -324,8 +321,6 @@ class _StrictTerm:
 
     def __init__(self, frame: FaceFrame, delta: float, kernel: Kernel,
                  eta: float, u0: np.ndarray):
-        if frame.n_parallel < 1:
-            raise SmoothingError("strict variant needs a parallel direction")
         self.frame = frame
         self.delta = delta
         self.kernel = kernel
@@ -497,6 +492,9 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
     return gen
 
 
+_CHECK_INSET = 1e-9  # how far inside P every check sample lies
+
+
 def default_check_samples(decomp: Decomposition, eps: float):
     """Deterministic sample battery concentrated on slabs plus bulk points:
     seven points along each face with a vertex pair, each shifted across
@@ -528,7 +526,7 @@ def default_check_samples(decomp: Decomposition, eps: float):
         grid = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
     pts.extend(grid)
     pts = np.array(pts)
-    return pts[P.contains(pts, tol=-1e-9)]
+    return pts[P.contains(pts, tol=-_CHECK_INSET)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,18 @@ import numpy as np
 from ._exact import (SaturationError, dot, frac, primitivize, rank_exact,
                      row_reduce)
 from .generators import PLConvex
-from .polytope import (FaceFrame, Polytope, PolytopeError, face_frame,
-                       make_polytope, vertices_of_system)
+from .polytope import (MEMBERSHIP_TOL, FaceFrame, Polytope, PolytopeError,
+                       face_frame, make_polytope, vertices_of_system)
 
 __all__ = [
     "Face", "Decomposition", "QPolytope", "nondiff_locus", "decompose",
     "thickening_membership", "thickening_mask", "build_Q",
-    "central_fiber_report", "CentralFiberReport",
+    "central_fiber_report", "CentralFiberReport", "DecompositionError",
 ]
+
+
+class DecompositionError(ValueError):
+    pass
 
 
 @dataclass
@@ -183,6 +187,9 @@ class Decomposition:
 
 def decompose(f: PLConvex, P: Polytope) -> Decomposition:
     """Sub-polytope decomposition of P by the activity regions of f."""
+    if f.dim != P.dim:
+        raise DecompositionError(f"the PL pieces are {f.dim}-dimensional "
+                                 f"but the polytope is {P.dim}-dimensional")
     subs = []
     seen_pieces = set()
     for i, (g, b) in enumerate(f.pieces):
@@ -221,7 +228,7 @@ def thickening_membership(decomp: Decomposition, eps: float, x):
     slabs contain x the face of maximal codimension (minimal dimension) wins.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(decomp.polytope.contains(x, tol=1e-12)):
+    if not np.all(decomp.polytope.contains(x, tol=MEMBERSHIP_TOL)):
         return False, None
     for face in sorted(decomp.faces, key=lambda F: -F.codim):
         if face.in_slab(x[None], eps)[0]:
@@ -237,7 +244,7 @@ def thickening_mask(decomp: Decomposition, eps: float, X) -> np.ndarray:
     inside = np.zeros(X.shape[:-1], dtype=bool)
     for face in sorted(decomp.faces, key=lambda F: -F.codim):
         inside |= face.in_slab(X, eps)
-    return inside & decomp.polytope.contains(X, tol=1e-12)
+    return inside & decomp.polytope.contains(X, tol=MEMBERSHIP_TOL)
 
 
 @dataclass

@@ -149,6 +149,25 @@ def test_gcst_grid_is_the_lone_densities(tmp_path):
                                                           rel=1e-12)
 
 
+def test_gcst_pairs_each_s_grid_as_one_family(tmp_path, monkeypatch):
+    # each lattice point's densities are normed in one call of the engine,
+    # and the pairings that miss on their nodes are integrated afresh as one
+    # family per lattice point, not one call per missed pairing
+    import sys
+    from toricray import quadrature
+    engine = quadrature.integrate_polytope
+    callers = []
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_polytope", counting)
+    assert run(["--max-s", "2048", "gcst", "--scenario",
+                "builtin:three-bumps", "-o", str(tmp_path)]) == 0
+    assert sorted(callers) == ["_ensure_norm"] * 6 + ["pair_all"] * 2
+
+
 def test_decompose_and_q(tmp_path):
     out = tmp_path / "dec.json"
     poly = json.dumps({"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1]],
@@ -238,6 +257,26 @@ def test_input_errors_exit_two(tmp_path, capsys):
         assert "input error: lattice point [3.] lies outside P" \
             in capsys.readouterr().err
     assert not (tmp_path / "rd").exists()
+    # so is a lattice point off the lattice: m = 0.5 would write m = 0's
+    # files
+    half = json.dumps({**json.loads(outside), "lattice_points": [[0.5], [0]]})
+    assert run(["ray-density", "--scenario", half,
+                "-o", str(tmp_path / "rd")]) == 2
+    assert "input error: entry 0.5 is not an integer" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "rd").exists()
+    # PL pieces of another dimension than the polytope
+    line = json.dumps({"pieces": [{"g": ["0"], "b": "0"},
+                                  {"g": ["1"], "b": "-1"}]})
+    flat = json.dumps({"polytope": json.loads(poly), "generator": {
+        "kind": "pl-smooth", "epsilon": "1/10", **json.loads(line)}})
+    for argv in (["decompose", "--polytope", poly, "--pl", line],
+                 ["smooth", "--polytope", poly, "--pl", line, "--eps", "1/10"],
+                 ["ray-density", "--scenario", flat]):
+        assert run(argv + ["-o", str(tmp_path / "out")]) == 2
+        assert ("input error: the PL pieces are 1-dimensional but the "
+                "polytope is 2-dimensional") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_integer_normals_exit_two(tmp_path, capsys):

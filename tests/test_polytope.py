@@ -1,8 +1,10 @@
 """Facet-exact polytope geometry."""
 
+import ast
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,3 +380,30 @@ def test_incidence_is_the_tight_facets_and_survives_pruning():
         assert Q.vertices == P.vertices and Q.incidence == P.incidence
         assert Q.volume_exact() == P.volume_exact()
         assert Q.delzant_ok == P.delzant_ok == delzant
+
+
+def test_membership_tolerance_is_named_once():
+    # contains(x, tol=...) is called with the one named slack, never with a
+    # number written at the call
+    def number(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(
+                node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and isinstance(
+            node.value, (int, float)) and not isinstance(node.value, bool)
+
+    src = Path(polytope.__file__).resolve().parent
+    calls, literal = 0, []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "contains"):
+                continue
+            calls += 1
+            tols = node.args[1:] + [k.value for k in node.keywords
+                                    if k.arg == "tol"]
+            if any(number(t) for t in tols):
+                literal.append(f"{path.name}:{node.lineno}")
+    assert calls >= 8 and literal == []
+    assert polytope.MEMBERSHIP_TOL == 1e-12

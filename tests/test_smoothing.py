@@ -251,9 +251,10 @@ def test_envelope_batch_matches_rows_bitwise():
             assert v1 == v and np.array_equal(g1, g) and np.array_equal(h1, h)
 
 
-def _scalar_envelope(moll, x):
-    """Reference: the per-point convex-hull envelope, one segment at a time."""
-    f, d, k, w = moll.f, moll.delta, moll.kernel, moll.w
+def _hull(moll, x):
+    """The pieces on top along the shift line through x, by increasing
+    slope, and the ordinates where each hands over to the next."""
+    f, w = moll.f, moll.w
     s, c = -(f.G @ w), f.piece_values(x)
     lines = []
     for i in np.argsort(s, kind="stable"):
@@ -268,6 +269,14 @@ def _scalar_envelope(moll, x):
             lines.pop()
         lines.append(i)
     cuts = [(c[l] - c[r]) / (s[r] - s[l]) for l, r in zip(lines, lines[1:])]
+    return lines, cuts
+
+
+def _scalar_envelope(moll, x):
+    """Reference: the per-point convex-hull envelope, one segment at a time."""
+    f, d, k, w = moll.f, moll.delta, moll.kernel, moll.w
+    s, c = -(f.G @ w), f.piece_values(x)
+    lines, cuts = _hull(moll, x)
     ys = np.clip([-d, *cuts, d], -d, d)
     val, grad, hess = 0.0, np.zeros(f.dim), np.zeros((f.dim, f.dim))
     for i, y0, y1 in zip(lines, ys[:-1], ys[1:]):
@@ -327,6 +336,29 @@ def test_envelope_against_scalar_reference():
         assert moll._pair
         kinked += np.sum(np.any(check(moll), axis=(1, 2)))
     assert kinked > 300
+
+
+def test_kernel_is_evaluated_once_per_break(monkeypatch):
+    # the jet is the top piece plus one term per break of the envelope in
+    # the window, so each kernel table sees one point per break, not one
+    # per end of every piece
+    from toricray.kernels import get_kernel
+    from toricray.smoothing import LineMollifier
+    kern = get_kernel("cosine")
+    seen = {}
+    for name in ("cdf", "first_moment", "density"):
+        table = getattr(kern, name)
+        monkeypatch.setattr(kern, name, lambda t, name=name, table=table: (
+            seen.__setitem__(name, seen.get(name, 0) + np.size(t))
+            or table(t)))
+    moll = LineMollifier(PLConvex(CORNER_PIECES), np.array([2.0, 1.0]),
+                         0.08, kern)
+    X = np.random.default_rng(5).uniform(0.85, 1.15, size=(1000, 2))
+    moll.eval_many(X)
+    breaks = sum(sum(abs(y) < moll.delta for y in _hull(moll, x)[1])
+                 for x in X)
+    assert breaks == 1022
+    assert seen == {"cdf": breaks, "first_moment": breaks, "density": breaks}
 
 
 def test_iterated_mollifier_batch_against_double_quadrature():
