@@ -61,18 +61,36 @@ def _load_json_arg(arg):
         return json.load(fh)
 
 
+def _typed(value, kind, what):
+    """``value``, or ValueError "<what>, not <value>" unless it is a kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what}, not {value!r}")
+    return value
+
+
+def _bump(spec, center) -> BumpSpec:
+    """The BumpSpec of a bump or wall object centred at ``center``."""
+    size = [center, spec["alpha"], spec["A"]]
+    if any(type(v) not in (int, float, str) for v in size):
+        raise ValueError(f"a bump's center, alpha and A must be numbers, "
+                         f"not {size}")
+    return BumpSpec(*map(float, size), spec.get("kernel", "cosine"))
+
+
 def _build_generator(spec, P):
-    kind = spec.get("kind")
+    kind = _typed(spec, dict, "a generator must be an object").get("kind")
     if kind == "bumps":
-        bumps = [BumpSpec(float(b["m"]), float(b["alpha"]), float(b["A"]),
-                          b.get("kernel", "cosine")) for b in spec["bumps"]]
+        bumps = [_bump(_typed(b, dict, "a bump must be an object"), b["m"])
+                 for b in _typed(spec["bumps"], list,
+                                 "bumps must be an array")]
         return build_bump_generator(P, bumps)
     if kind == "wall-sum":
         walls = []
-        for w in spec["walls"]:
-            bump = BumpSpec(float(Fraction(str(w["c"]))), float(w["alpha"]),
-                            float(w["A"]), w.get("kernel", "cosine"))
-            walls.append((integer_vector(w["normal"]), bump))
+        for w in _typed(spec["walls"], list, "walls must be an array"):
+            normal = _typed(_typed(w, dict, "a wall must be an object")[
+                "normal"], list, "a wall's normal must be an array")
+            walls.append((integer_vector(normal),
+                          _bump(w, float(Fraction(str(w["c"]))))))
         return build_wall_sum(P, walls)
     if kind == "pl-smooth":
         f = _build_pl(spec)
@@ -85,45 +103,56 @@ def _build_generator(spec, P):
 
 
 def _build_pl(spec) -> PLConvex:
-    pieces = [(tuple(Fraction(str(c)) for c in p["g"]), Fraction(str(p["b"])))
-              for p in spec["pieces"]]
+    pieces = []
+    for p in _typed(_typed(spec, dict, "a PL spec must be an object")[
+            "pieces"], list, "pieces must be an array"):
+        g = _typed(_typed(p, dict, "a piece must be an object")["g"], list,
+                   "a piece's g must be an array")
+        pieces.append((tuple(Fraction(str(c)) for c in g),
+                       Fraction(str(p["b"]))))
     return PLConvex(pieces)
 
 
-def _load_scenario(arg):
+def _load_scenario(arg, polytope=None):
+    """The scenario of inline JSON, a path or builtin:<name>, which must
+    carry a generator.  Given ``polytope`` (a spec, inline JSON or a path),
+    an object without a polytope is a bare generator spec on it."""
     data = _load_json_arg(arg)
     if isinstance(data, str) and data.startswith("builtin:"):
-        return scenarios.get_scenario(data)
-    P = parse_polytope(data["polytope"]) if isinstance(data["polytope"], dict) \
-        else parse_polytope(_load_json_arg(data["polytope"]))
-    s_grid = tuple(data.get("s_grid", (32, 128, 512, 2048)))
-    if any(s <= 0 for s in s_grid) or list(s_grid) != sorted(set(s_grid)):
-        raise ValueError("scenario s_grid must be positive and increasing")
-    sc = scenarios.Scenario(
-        name=data.get("name", "custom"),
-        polytope=P,
-        generator=_build_generator(data["generator"], P)
-        if "generator" in data else None,
-        s_grid=s_grid,
-        lattice_points=tuple(integer_vector(m) for m in data.get(
-            "lattice_points", P.integral_points())))
+        sc = scenarios.get_scenario(data)
+    else:
+        if "polytope" not in _typed(data, dict,
+                                    "a scenario must be an object"):
+            if polytope is None:
+                raise ValueError("need --polytope with a bare generator spec")
+            data = {"polytope": polytope, "generator": data}
+        spec = data["polytope"]
+        P = parse_polytope(_load_json_arg(spec) if isinstance(spec, str)
+                           else spec)
+        s_grid = data.get("s_grid", [32, 128, 512, 2048])
+        if not (isinstance(s_grid, list) and all(
+                type(s) in (int, float) and s > 0 for s in s_grid)
+                and s_grid == sorted(set(s_grid))):
+            raise ValueError("s_grid must be increasing positive numbers")
+        sc = scenarios.Scenario(
+            name=data.get("name", "custom"),
+            polytope=P,
+            generator=_build_generator(data["generator"], P)
+            if "generator" in data else None,
+            s_grid=tuple(s_grid),
+            lattice_points=tuple(integer_vector(_typed(
+                m, (list, tuple), "a lattice point must be an array"))
+                for m in _typed(data.get("lattice_points",
+                                         P.integral_points()),
+                                list, "lattice_points must be an array")))
+    if sc.generator is None:
+        raise ValueError("scenario carries no generator")
     return sc
 
 
 def cmd_profile(args) -> int:
-    data = _load_json_arg(args.generator)
-    if isinstance(data, str) and data.startswith("builtin:"):
-        sc = scenarios.get_scenario(data)
-        gen, P = sc.generator, sc.polytope
-    elif isinstance(data, dict) and "polytope" in data:
-        P = parse_polytope(data["polytope"])
-        gen = _build_generator(data["generator"], P)
-    else:
-        if not args.polytope:
-            print("need --polytope with a bare generator spec", file=sys.stderr)
-            return 2
-        P = parse_polytope(_load_json_arg(args.polytope))
-        gen = _build_generator(data, P)
+    sc = _load_scenario(args.generator, polytope=args.polytope)
+    gen, P = sc.generator, sc.polytope
     if P.dim != 1:
         print("profile emits 1-D data; use a segment scenario", file=sys.stderr)
         return 2
@@ -140,9 +169,6 @@ def cmd_profile(args) -> int:
 
 def cmd_ray_density(args) -> int:
     sc = _load_scenario(args.scenario)
-    if sc.generator is None:
-        print("scenario carries no generator", file=sys.stderr)
-        return 2
     P = sc.polytope
     outdir = Path(args.output)
     bat = battery_for(P)
@@ -174,9 +200,6 @@ def cmd_ray_density(args) -> int:
 
 def cmd_gcst(args) -> int:
     sc = _load_scenario(args.scenario)
-    if sc.generator is None:
-        print("scenario carries no generator", file=sys.stderr)
-        return 2
     P = sc.polytope
     bat = battery_for(P)
     rows = []
@@ -265,7 +288,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_metric(args) -> int:
     sc = _load_scenario(args.scenario)
-    if sc.generator is None or sc.polytope.dim != 1:
+    if sc.polytope.dim != 1:
         print("metric subcommand ships 1-D paths; use a segment scenario",
               file=sys.stderr)
         return 2

@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .generators import Generator
-from .polytope import MEMBERSHIP_TOL, FaceFrame, Polytope, make_polytope
+from .polytope import (CROSSING_TOL, MEMBERSHIP_TOL, FaceFrame, Polytope,
+                       make_polytope)
 from .potentials import RayPoint, ray_jet
 from .quadrature import integrate_polytope, pair_all, panel_nodes
 from .quantization import (MonomialDensity, base_log_weight, density_family,
@@ -369,7 +370,7 @@ def metric_length(P: Polytope, gen: Generator, s: float, path) -> float:
         dx = x1 - x0
         for nu, lo, hi in gen.support:
             denom = float(np.dot(nu, dx))
-            if abs(denom) > 1e-14:
+            if abs(denom) > CROSSING_TOL:
                 for bound in (lo, hi):
                     t = (bound - float(np.dot(nu, x0))) / denom
                     if 0.0 < t < 1.0:

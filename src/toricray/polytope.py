@@ -24,7 +24,7 @@ from ._exact import (SaturationError, det_exact, dot, frac, integer_row,
 __all__ = [
     "Polytope", "FaceFrame", "PolytopeError", "DelzantError",
     "parse_polytope", "make_polytope", "ell_values", "integral_points",
-    "face_frame", "vertices_of_system", "MEMBERSHIP_TOL",
+    "face_frame", "vertices_of_system", "MEMBERSHIP_TOL", "CROSSING_TOL",
 ]
 
 
@@ -83,6 +83,9 @@ def _integer_normal(v) -> tuple[int, ...]:
 # boundary of P (a grid end, a facet value evaluated at m): a few thousand
 # ulps at unit scale, far below every quadrature tolerance
 MEMBERSHIP_TOL = 1e-12
+# the least |component| along a line of a hyperplane's normal for the line
+# to cross it; below it they are parallel, not divided by rounding noise
+CROSSING_TOL = 1e-14
 
 
 class Polytope:
@@ -253,7 +256,7 @@ class Polytope:
         (n,); lo >= hi where the line misses P."""
         a = self._A @ np.asarray(d, dtype=float)
         ell = self.ell(x0)
-        up, down = a > 1e-14, a < -1e-14
+        up, down = a > CROSSING_TOL, a < -CROSSING_TOL
         lo = np.max(-ell[..., up] / a[up], axis=-1, initial=-np.inf)
         hi = np.min(-ell[..., down] / a[down], axis=-1, initial=np.inf)
         misses = np.any(ell[..., ~(up | down)] < 0, axis=-1)
@@ -300,11 +303,14 @@ def parse_polytope(spec) -> Polytope:
     if not isinstance(spec, dict):
         raise PolytopeError("polytope spec must be a dict or JSON object")
     try:
-        dim = int(spec["dim"])
+        (dim,) = integer_vector([spec["dim"]])
         normals = spec["normals"]
         offsets = spec["offsets"]
     except KeyError as exc:
         raise PolytopeError(f"polytope spec missing field {exc}") from exc
+    if not (isinstance(offsets, list) and isinstance(normals, list)
+            and all(isinstance(v, list) for v in normals)):
+        raise PolytopeError("normals must be arrays in an array, offsets one")
     corrected = bool(spec.get("corrected", False))
     if any(len(v) != dim for v in normals):
         raise PolytopeError("normal dimension does not match dim")

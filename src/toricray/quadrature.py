@@ -14,10 +14,11 @@ each panel whose error exceeds max(rel_tol * scale / n_panels,
 1e-18 * scale + 1e-300) and which is at least 1e-15 wide.  Each split adds
 one panel, so a round splits at most the group's remaining budget of
 ``max_panels`` (``MAX_PANELS`` by default), largest errors first, and no
-group exceeds its budget.  A single group sums with math.fsum, several with
-one bincount.  The engine returns the nodes, K15 weights and integrand
-values of every final panel, the rule its totals are summed with, so
-callers reuse them instead of evaluating the integrand again.
+group exceeds its budget.  Every group sums with one bincount in panel
+order, so it gets the same panels and bits alone as among others.  The
+engine returns the nodes, K15 weights and integrand values of every final
+panel, the rule its totals are summed with, so callers reuse them instead
+of evaluating the integrand again.
 ``adaptive_panels`` is the one-group form.  The 15-point Gauss-Legendre
 rule (GL15) stays where a fixed rule is wanted: ``panel_nodes``,
 ``integrate_on_panels`` and the callers that build fixed grids on them.
@@ -70,6 +71,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
+
+from .polytope import CROSSING_TOL
 
 __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
@@ -235,32 +238,26 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
     cols = measure(np.array([lo, hi, group], dtype=float))
     while True:
         lo, hi, g, value, err, mass = cols[:6]
+        g = g.astype(np.intp)
+        n_panels = np.bincount(g, minlength=n_groups)
+        err_total, scale = (np.bincount(g, v, n_groups) for v in (err, mass))
+        tol = rel_tol * scale
+        live = err_total > tol + 1e-300
+        if not live.any():
+            break
         # the error a panel must exceed to be split: inf once its group has
-        # converged.  One group sums exactly, tests on scalars and stops as
-        # soon as it has converged.
-        if n_groups == 1:
-            err_total, scale = (math.fsum(v.tolist()) for v in (err, mass))
-            if not err_total > rel_tol * scale + 1e-300:
-                break
-            floor = max(rel_tol * scale / len(lo), 1e-18 * scale + 1e-300)
-        else:
-            g = g.astype(np.intp)
-            n_panels = np.bincount(g, minlength=n_groups)
-            err_total, scale = (np.bincount(g, v, n_groups)
-                                for v in (err, mass))
-            floor = np.where(
-                err_total > rel_tol * scale + 1e-300,
-                np.maximum(rel_tol * scale / np.maximum(n_panels, 1),
-                           1e-18 * scale + 1e-300), np.inf)[g]
+        # converged
+        floor = np.where(live, np.maximum(tol / np.maximum(n_panels, 1),
+                                          1e-18 * scale + 1e-300), np.inf)[g]
         split = np.nonzero((err > floor) & (hi - lo >= 1e-15))[0]
         if split.size > max_panels - len(lo):
-            # largest errors first, at most the room left in each group
-            g = g.astype(np.intp)
-            room = max_panels - np.bincount(g, minlength=n_groups)
+            # largest errors first, at most the room left in each group,
+            # then back in panel order
             split = split[np.lexsort((-err[split], g[split]))]
             gs = g[split]
-            split = split[np.arange(len(split)) - np.searchsorted(gs, gs)
-                          < room[gs]]
+            split = np.sort(split[np.arange(len(split))
+                                  - np.searchsorted(gs, gs)
+                                  < max_panels - n_panels[gs]])
         if split.size == 0:
             break
         # a split panel's halves are its children: one call measures them
@@ -271,12 +268,7 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         # the left child takes its parent's place, the right one is appended
         cols[:, split] = children[:, :k]
         cols = np.concatenate([cols, children[:, k:]], axis=1)
-    g = g.astype(np.intp)
-    if n_groups == 1:
-        total = np.array([math.fsum(value.tolist())])
-        err_total = np.array([err_total])
-    else:
-        total = np.bincount(g, value, n_groups)
+    total = np.bincount(g, value, n_groups)
     pos = cols[6, :, None].astype(np.intp) + np.arange(15)
     # the final panels' nodes again, the very points f was called on
     nodes, width = _gk15_nodes(lo, hi)
@@ -414,7 +406,9 @@ def pair_all(pairings):
     for r, (rule, tau) in enumerate(pairings):
         values = rule.values * tau(rule.nodes)
         value = float(rule.weights @ values)
-        err = math.fsum(np.abs(np.bincount(own, d * values)).sum()
+        # each level's bins summed in order, so that the empty bins of the
+        # other members of a family add exact zeros
+        err = math.fsum(np.cumsum(np.abs(np.bincount(own, d * values, 1)))[-1]
                         for own, d in zip(rule.owners.T, rule.diffs.T))
         out.append((value, err))
         if _verdict(value, err, rule.weights, values, rule.rel_tol):
@@ -530,7 +524,7 @@ def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels):
             lo, hi = P.chord(np.concatenate([prefix, np.zeros((k, 1))],
                                             axis=1), [0.0] * j + [1.0])
         # cut where the hyperplanes cross the chords
-        crossing = lines[np.abs(lines[:, j]) > 1e-14]
+        crossing = lines[np.abs(lines[:, j]) > CROSSING_TOL]
         cuts = (crossing[:, -1] - prefix @ crossing[:, :j].T) / crossing[:, j]
 
         def driver(x, g):

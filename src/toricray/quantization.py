@@ -60,8 +60,8 @@ class QuantizationError(ValueError):
     pass
 
 
-# default density-quadrature tolerance per dimension, read-only; a caller
-# that needs another one passes MonomialDensity(rel_tol=...)
+# the density-quadrature tolerance per dimension, read-only: the one
+# source of a density's ``rel_tol``
 DEFAULT_REL_TOL = MappingProxyType({1: 1e-10, 2: 1e-6})
 
 
@@ -131,14 +131,13 @@ class MonomialDensity:
     """
 
     def __init__(self, P: Polytope, gen: Generator, m, s: float, *,
-                 weighted: bool = True, rel_tol: float = None):
+                 weighted: bool = True):
         self.polytope = P
         self.generator = gen
         self.m = np.asarray(m, dtype=float)
         self.s = float(s)
         self.weighted = bool(weighted)
-        self.rel_tol = rel_tol if rel_tol is not None else \
-            DEFAULT_REL_TOL.get(P.dim, 1e-6)
+        self.rel_tol = DEFAULT_REL_TOL.get(P.dim, 1e-6)
         self.psi_m = float(gen.value(self.m))
         # checks that m lies in P, in both variants
         self._facets = _facet_terms(P, self.m)
@@ -231,13 +230,13 @@ class MonomialDensity:
 
 
 def density_family(P: Polytope, gen: Generator, members, *,
-                   weighted: bool = True, rel_tol: float = None) -> list:
+                   weighted: bool = True) -> list:
     """The densities of the members (m, s) on P under one generator, whose
     norms are integrated together the first time one of them is needed.
     Each member keeps its own panels, reference level and rule, so each
     behaves as the density made alone."""
-    family = [MonomialDensity(P, gen, m, s, weighted=weighted,
-                              rel_tol=rel_tol) for m, s in members]
+    family = [MonomialDensity(P, gen, m, s, weighted=weighted)
+              for m, s in members]
     for d in family:
         d._family = family
     return family

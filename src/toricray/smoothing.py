@@ -475,7 +475,8 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         H0 = moll.eval_many(samples)[2]  # eta changes the strict term only
         for _ in range(40):
             term = _StrictTerm(fr, delta, kern, eta, u0)
-            if np.linalg.eigvalsh(H0 + term.eval(samples)[2]).min() >= -1e-10:
+            if np.linalg.eigvalsh(H0 + term.eval(samples)[2]).min() \
+                    >= _CONVEXITY_ALLOWANCE:
                 strict_term = term
                 break
             eta *= 0.5
@@ -486,13 +487,16 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
 
     gen = NiceSmoothingGenerator(f, P, decomp, eps, kernel, moll,
                                  strict_term=strict_term)
-    if gen.convexity < -1e-10:
+    if gen.convexity < _CONVEXITY_ALLOWANCE:
         raise SmoothingError(
             f"convexity violated: min sampled eigenvalue {gen.convexity:.3e}")
     return gen
 
 
 _CHECK_INSET = 1e-9  # how far inside P every check sample lies
+# the least sampled Hessian eigenvalue of a convex smoothing: a mollified
+# Hessian carries its outer quadrature's error, a few 1e-12 on the corner
+_CONVEXITY_ALLOWANCE = -1e-10
 
 
 def default_check_samples(decomp: Decomposition, eps: float):
@@ -588,8 +592,8 @@ def verify_nice_family(f: PLConvex, gens: dict) -> NiceFamilyReport:
     conditions = {}
 
     worst_a = min(g.convexity for g in gens.values())
-    conditions["a"] = ConditionReport("smooth and convex", worst_a >= -1e-10,
-                                      worst_a)
+    conditions["a"] = ConditionReport(
+        "smooth and convex", worst_a >= _CONVEXITY_ALLOWANCE, worst_a)
 
     lip = max(abs(float(c)) for g, _ in f.pieces for c in g) + 1.0
     worst_b = 0.0

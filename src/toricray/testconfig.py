@@ -60,11 +60,11 @@ class Face:
 
     def contains_parallel(self, x_par) -> np.ndarray:
         """Whether each row of a (k, n_parallel) batch lies in the face's
-        activity shadow, up to 1e-12."""
+        activity shadow, up to ``MEMBERSHIP_TOL``."""
         x_par = np.asarray(x_par, dtype=float)
         inside = np.ones(x_par.shape[:-1], dtype=bool)
         for coef, rhs in self._shadow or ():
-            inside &= x_par @ coef >= rhs - 1e-12
+            inside &= x_par @ coef >= rhs - MEMBERSHIP_TOL
         return inside
 
     def in_slab(self, x, eps: float) -> np.ndarray:

@@ -106,7 +106,7 @@ def _lone_densities(weighted=True):
 @pytest.mark.parametrize("bare", [False, True], ids=["weighted", "bare"])
 def test_ray_density_grid_is_the_lone_densities(tmp_path, bare):
     # each lattice point's s-grid is built as one family; its CSVs are
-    # those of densities made one at a time, to 1e-12
+    # those of densities made one at a time, bit for bit
     from toricray.limits import battery_for
     argv = ["ray-density", "--scenario", _GRID_SCENARIO, "-o", str(tmp_path)]
     assert run(argv + ["--bare"] * bare) == 0
@@ -120,15 +120,13 @@ def test_ray_density_grid_is_the_lone_densities(tmp_path, bare):
         logd = md.log_density(X)
         finite = np.isfinite(logd)
         assert np.array_equal(finite, np.isfinite(rows["log_density"]))
-        np.testing.assert_allclose(rows["log_density"][finite], logd[finite],
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(rows["density_normalized"],
-                                   md.normalized(X), rtol=1e-12, atol=1e-300)
+        assert np.array_equal(rows["log_density"][finite], logd[finite])
+        assert np.array_equal(rows["density_normalized"], md.normalized(X))
         pairs = np.genfromtxt(tmp_path / f"pairings_{tag}.csv",
                               delimiter=",", names=True)
         row = pairs[list(pairs["s"]).index(s)]
         for t in bat:
-            assert row[t.name] == pytest.approx(md.pair(t), rel=1e-12)
+            assert row[t.name] == md.pair(t)
 
 
 def test_gcst_grid_is_the_lone_densities(tmp_path):
@@ -142,11 +140,9 @@ def test_gcst_grid_is_the_lone_densities(tmp_path):
     for row, (m, s, md) in zip(rows, lone):
         img = quantization.gcst_image(md)
         assert (row["m1"], row["s"]) == (m[0], s)
-        assert row["coefficient"] == pytest.approx(img.coefficient,
-                                                   rel=1e-12)
+        assert row["coefficient"] == img.coefficient
         for t in bat:
-            assert row[f"pair_{t.name}"] == pytest.approx(img.pair(t),
-                                                          rel=1e-12)
+            assert row[f"pair_{t.name}"] == img.pair(t)
 
 
 def test_gcst_pairs_each_s_grid_as_one_family(tmp_path, monkeypatch):
@@ -276,6 +272,39 @@ def test_input_errors_exit_two(tmp_path, capsys):
         assert run(argv + ["-o", str(tmp_path / "out")]) == 2
         assert ("input error: the PL pieces are 1-dimensional but the "
                 "polytope is 2-dimensional") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # wrongly typed fields, wherever a spec is read
+    null_alpha = {"kind": "bumps", "bumps": [{"m": 1, "alpha": None, "A": 1}]}
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    base = {**json.loads(outside), "lattice_points": [[1]]}
+    for argv, msg in [
+            (["ray-density", "--scenario", json.dumps(
+                {**base, "s_grid": ["a"]})],
+             "s_grid must be increasing positive numbers"),
+            (["ray-density", "--scenario", json.dumps(
+                {**base, "generator": null_alpha})],
+             "a bump's center, alpha and A must be numbers, not [1, None, 1]"),
+            (["profile", "--generator", json.dumps(null_alpha),
+              "--polytope", segment],
+             "a bump's center, alpha and A must be numbers, not [1, None, 1]"),
+            (["ray-density", "--scenario", json.dumps(
+                {**base, "lattice_points": 3})],
+             "lattice_points must be an array, not 3"),
+            (["ray-density", "--scenario", json.dumps(
+                {**base, "generator": {"kind": "bumps", "bumps": 7}})],
+             "bumps must be an array, not 7"),
+            (["ray-density", "--scenario", str(listed)],
+             "a scenario must be an object, not [1, 2]"),
+            (["profile", "--generator", str(listed)],
+             "a scenario must be an object, not [1, 2]"),
+            (["decompose", "--polytope",
+              '{"dim": 1, "normals": 5, "offsets": [0]}', "--pl", line],
+             "normals must be arrays in an array, offsets one"),
+            (["decompose", "--polytope", segment, "--pl", '{"pieces": 3}'],
+             "pieces must be an array, not 3")]:
+        assert run(argv + ["-o", str(tmp_path / "out")]) == 2
+        assert f"input error: {msg}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

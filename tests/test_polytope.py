@@ -407,3 +407,32 @@ def test_membership_tolerance_is_named_once():
                 literal.append(f"{path.name}:{node.lineno}")
     assert calls >= 8 and literal == []
     assert polytope.MEMBERSHIP_TOL == 1e-12
+
+
+def test_crossing_and_convexity_tolerances_are_named_once():
+    # the float 1e-14 is written in src only where a module constant is
+    # defined, and 1e-10 in smoothing only as its convexity allowance
+    def defined(tree, name=None):
+        """ids of the nodes under the module-level constant definitions,
+        or under the one of ``name``."""
+        return {id(n) for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)
+                and t.id.lstrip("_").isupper() and name in (None, t.id)
+                for n in ast.walk(node.value)}
+
+    src = Path(polytope.__file__).resolve().parent
+    stray, seen = [], 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        rules = [(1e-14, defined(tree))]
+        if path.name == "smoothing.py":
+            rules.append((1e-10, defined(tree, "_CONVEXITY_ALLOWANCE")))
+        for node in ast.walk(tree):
+            for value, allowed in rules:
+                if isinstance(node, ast.Constant) and type(node.value) is \
+                        float and node.value == value:
+                    seen += 1
+                    if id(node) not in allowed:
+                        stray.append(f"{path.name}:{node.lineno}")
+    assert seen >= 3 and stray == []
+    assert polytope.CROSSING_TOL == 1e-14

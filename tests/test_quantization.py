@@ -344,8 +344,8 @@ def _family_cases():
 @pytest.mark.parametrize("case", list(_family_cases()), ids=lambda c: c[0])
 def test_family_equals_lone_densities(case, monkeypatch):
     # the densities of one s-grid, normed in one pass and paired in one
-    # batch, get the masses and pairings each has alone: only the order of
-    # summation differs.  The norms make one integral in all.
+    # batch, get the masses, pairings and estimates each has alone, bit for
+    # bit.  The norms make one integral in all.
     _, sc, m, weighted, grid = case
     P, gen = sc.polytope, sc.generator
     bat = list(battery_for(P))
@@ -363,12 +363,10 @@ def test_family_equals_lone_densities(case, monkeypatch):
     monkeypatch.undo()
     for d, s, row, erow in zip(family, grid, values, errs):
         lone = MonomialDensity(P, gen, m, s, weighted=weighted)
-        # the masses to 1e-13 relative
-        assert abs(d.log_mass() - lone.log_mass()) <= 1e-13
+        assert d.log_mass() == lone.log_mass()
         assert d.rel_tol == lone.rel_tol
-        assert d._ref == pytest.approx(lone._ref, abs=1e-13)
+        assert d._ref == lone._ref
         for tau, value, err in zip(bat, row, erow):
             want, want_err = lone.pair_with_error(tau)
-            assert value == pytest.approx(want, rel=1e-13)
-            assert err == pytest.approx(want_err, rel=1e-13)
-            assert d.pair(tau) == pytest.approx(want, rel=1e-13)
+            assert (value, err) == (want, want_err)
+            assert d.pair(tau) == want
