@@ -14,7 +14,7 @@ from .limits import (battery_for, delta_diagnostic, distance_to_real,
                      polarization_frame, uniform_diagnostic)
 from .polytope import (FaceFrame, Polytope, ell_values, face_frame,
                        integral_points, make_polytope, parse_polytope)
-from .potentials import (RayPoint, det_identity_check, guillemin_jet,
+from .potentials import (det_identity_check, guillemin_jet,
                          holo_log_coordinate, legendre_forward,
                          legendre_inverse, ray_jet)
 from .quantization import (MonomialDensity, base_log_weight, basis_census,

@@ -30,7 +30,7 @@ from .limits import (battery_for, delta_diagnostic, distance_to_real,
                      mixed_limit_frame, polarization_distance,
                      ray_polarization, region_mean, uniform_diagnostic)
 from .polytope import make_polytope
-from .potentials import RayPoint, ray_jet
+from .potentials import ray_jet
 from .quantization import (MonomialDensity, base_log_weight, density_family,
                            gcst_image, ray_rate)
 from .quadrature import integrate_polytope
@@ -210,7 +210,7 @@ def c07_polarization() -> CheckResult:
     details["stasis"] = stasis
 
     s_grid = np.array([32, 64, 128, 256, 512, 1024, 2048, 4096], dtype=float)
-    dists = [distance_to_real(ray_jet(RayPoint(P, gen, s, np.array([1.0]))).hessian)
+    dists = [distance_to_real(ray_jet(P, gen, s, np.array([1.0])).hessian)
              for s in s_grid]
     fit = fit_rate(s_grid, dists)
     ok_rate = fit.model == "power" and 0.9 <= fit.exponent <= 1.1
@@ -218,7 +218,7 @@ def c07_polarization() -> CheckResult:
 
     ws = scenarios.cp2_wall_sum("cosine")
     x = np.array([1.0, 0.8])
-    G0 = ray_jet(RayPoint(ws.polytope, ws.generator, 0.0, x)).hessian
+    G0 = ray_jet(ws.polytope, ws.generator, 0.0, x).hessian
     ref = mixed_limit_frame(G0, [[1.0, 0.0]], [[0.0, 1.0]])
     fs = ray_polarization(ws.polytope, ws.generator, 1e8, x)
     mixed = polarization_distance(fs, ref)

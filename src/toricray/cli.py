@@ -55,10 +55,20 @@ def _load_json_arg(arg):
     """Accept inline JSON, a file path, or builtin:<scenario-name>."""
     if arg.startswith("builtin:"):
         return arg
-    if arg.strip().startswith("{"):
+    if arg.lstrip()[:1] in ("{", "["):
         return json.loads(arg)
     with open(arg) as fh:
         return json.load(fh)
+
+
+def _capped(s_grid, max_s):
+    """The s values of ``s_grid`` at most ``max_s``, of which there must be
+    one."""
+    kept = [s for s in s_grid if s <= max_s]
+    if not kept:
+        raise ValueError(f"no s of the grid {list(s_grid)} is at most "
+                         f"--max-s {max_s:g}")
+    return kept
 
 
 def _typed(value, kind, what):
@@ -172,7 +182,7 @@ def cmd_ray_density(args) -> int:
     P = sc.polytope
     outdir = Path(args.output)
     bat = battery_for(P)
-    s_grid = [s for s in sc.s_grid if s <= args.max_s]
+    s_grid = _capped(sc.s_grid, args.max_s)
     axes = [np.linspace(float(a), float(b), 513 if P.dim == 1 else 65)
             for a, b in zip(*P.bbox())]
     grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
@@ -203,7 +213,7 @@ def cmd_gcst(args) -> int:
     P = sc.polytope
     bat = battery_for(P)
     rows = []
-    s_grid = [s for s in sc.s_grid if s <= args.max_s]
+    s_grid = _capped(sc.s_grid, args.max_s)
     for m in sc.lattice_points:
         family = density_family(P, sc.generator,
                                 [(list(m), float(s)) for s in s_grid])
@@ -293,8 +303,7 @@ def cmd_metric(args) -> int:
               file=sys.stderr)
         return 2
     P, gen = sc.polytope, sc.generator
-    s_grid = [s for s in (100.0, 316.0, 1000.0, 3162.0, 10000.0)
-              if s <= args.max_s]
+    s_grid = _capped((100.0, 316.0, 1000.0, 3162.0, 10000.0), args.max_s)
     slabs = list(gen.support)
     lo, hi = (float(P.bbox()[0][0]), float(P.bbox()[1][0]))
     if slabs:

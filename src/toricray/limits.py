@@ -24,7 +24,7 @@ import numpy as np
 from .generators import Generator
 from .polytope import (CROSSING_TOL, MEMBERSHIP_TOL, FaceFrame, Polytope,
                        make_polytope)
-from .potentials import RayPoint, ray_jet
+from .potentials import ray_jet
 from .quadrature import integrate_polytope, pair_all, panel_nodes
 from .quantization import (MonomialDensity, base_log_weight, density_family,
                            pair_densities, rate_gap)
@@ -36,6 +36,10 @@ __all__ = [
     "distance_to_real", "mixed_limit_frame", "metric_length",
     "region_mean", "chord_mean", "DiagnosticResult",
 ]
+
+# errors at or below this floor are rounding, not a rate, and fit_rate
+# drops them
+RATE_FIT_FLOOR = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +161,11 @@ class RateFit:
 def fit_rate(s_grid, errors) -> RateFit:
     """Least-squares fit of errors against s; picks power vs exponential.
 
-    Points at or below the numerical floor 1e-13 are dropped from the fit.
+    Points at or below RATE_FIT_FLOOR are dropped from the fit.
     """
     s = np.asarray(s_grid, dtype=float)
     e = np.asarray(errors, dtype=float)
-    keep = e > 1e-13
+    keep = e > RATE_FIT_FLOOR
     if keep.sum() < 2:
         return RateFit(s, e, "floor", 0.0, 0.0, 0.0,
                        aux={"note": "errors at numerical floor"})
@@ -347,7 +351,7 @@ def mixed_limit_frame(G0, transverse_normals, parallel_dirs) -> PolarizationFram
 
 
 def ray_polarization(P: Polytope, gen: Generator, s: float, x) -> PolarizationFrame:
-    return polarization_frame(ray_jet(RayPoint(P, gen, s, x)).hessian)
+    return polarization_frame(ray_jet(P, gen, s, x).hessian)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +384,7 @@ def metric_length(P: Polytope, gen: Generator, s: float, path) -> float:
                  for a, b in zip(cuts[:-1], cuts[1:])]
         t, w = panel_nodes(np.concatenate([g[:-1] for g in grids]),
                            np.concatenate([g[1:] for g in grids]))
-        G = ray_jet(RayPoint(P, gen, s, x0 + t.reshape(-1, 1) * dx)).hessian
+        G = ray_jet(P, gen, s, x0 + t.reshape(-1, 1) * dx).hessian
         speed2 = np.einsum("i,kij,j->k", dx, G, dx)
         dth = th1 - th0
         if np.any(dth):

@@ -7,13 +7,19 @@ closed-form from the facet description (no differencing, no symbolic engine):
     grad g_P = sum_r v_r (log ell_r + 1) / 2
     Hess g_P = sum_r v_r v_r^T / (2 ell_r)
 
+Every routine takes the polytope, the generator, the ray time s >= 0 and a
+point x of shape (n,) or a batch of shape (k, n), and every potential
+evaluation needs min ell >= INTERIOR_TOL; a BoundaryError names the point
+of a batch nearest a facet.  The Legendre inverse is a damped Newton whose line search
+keeps the iterate inside P and lowers the residual |grad g_s(x) - y|.
+
 The determinant identity det(Hess g) * prod_r ell_r = 1/delta(x), with delta
 smooth and positive up to the boundary, is exposed as a report-style check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +27,7 @@ from .generators import Generator
 from .polytope import Polytope
 
 __all__ = [
-    "BoundaryError", "NewtonError", "PotentialJet", "RayPoint",
+    "BoundaryError", "NewtonError", "PotentialJet",
     "guillemin_jet", "ray_jet",
     "legendre_forward", "legendre_inverse", "holo_log_coordinate",
     "kahler_dual_value", "det_identity_check", "DetIdentityReport",
@@ -47,31 +53,13 @@ class PotentialJet:
     hessian: np.ndarray
 
 
-@dataclass
-class RayPoint:
-    """A point x of shape (n,), or a batch of shape (k, n), at ray time s."""
-    polytope: Polytope
-    generator: Generator
-    s: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.s < 0:
-            raise ValueError("ray parameter s must be >= 0")
-        ell = self.polytope.ell(self.x)
-        if np.min(ell) <= 0:
-            where = self.x if self.x.ndim == 1 else \
-                self.x[np.argmin(np.min(ell, axis=-1))]
-            raise BoundaryError(
-                f"point {where} is not strictly interior (min ell = {np.min(ell)})")
-
-
-def _interior_ell(P: Polytope, x) -> np.ndarray:
+def _interior_ell(P: Polytope, x: np.ndarray) -> np.ndarray:
     ell = P.ell(x)
     if np.min(ell) < INTERIOR_TOL:
+        where = x if x.ndim == 1 else x[np.argmin(np.min(ell, axis=-1))]
         raise BoundaryError(
-            f"potential evaluation needs min ell >= {INTERIOR_TOL}, got {np.min(ell)}")
+            f"point {where} is not strictly interior: potential evaluation "
+            f"needs min ell >= {INTERIOR_TOL}, got {np.min(ell)}")
     return ell
 
 
@@ -87,91 +75,89 @@ def guillemin_jet(P: Polytope, x) -> PotentialJet:
     return PotentialJet(float(value) if x.ndim == 1 else value, grad, hess)
 
 
-def ray_jet(rp: RayPoint) -> PotentialJet:
-    """Jet of g_s = g_P + s psi at rp.x, one generator call for a batch."""
-    base = guillemin_jet(rp.polytope, rp.x)
-    if rp.s == 0:
+def ray_jet(P: Polytope, gen: Generator, s: float, x) -> PotentialJet:
+    """Jet of g_s = g_P + s psi at x, one generator call for a batch."""
+    if s < 0:
+        raise ValueError("ray parameter s must be >= 0")
+    x = np.asarray(x, dtype=float)
+    base = guillemin_jet(P, x)
+    if s == 0:
         return base
-    val, grad, hess = rp.generator.jet(rp.x, 2)
-    if rp.x.ndim == 1:
+    val, grad, hess = gen.jet(x, 2)
+    if x.ndim == 1:
         val = float(val)
-    return PotentialJet(base.value + rp.s * val,
-                        base.gradient + rp.s * grad,
-                        base.hessian + rp.s * hess)
+    return PotentialJet(base.value + s * val,
+                        base.gradient + s * grad,
+                        base.hessian + s * hess)
 
 
-def legendre_forward(rp: RayPoint) -> np.ndarray:
+def legendre_forward(P: Polytope, gen: Generator, s: float, x) -> np.ndarray:
     """Moment-to-holomorphic map y = grad g_s(x)."""
-    return ray_jet(rp).gradient
-
-
-def _ray_objective(P, gen, s, x, y):
-    ell = _interior_ell(P, x)
-    g = 0.5 * float(np.sum(ell * np.log(ell))) + s * float(gen.value(x))
-    return g - float(np.dot(y, x))
+    return ray_jet(P, gen, s, x).gradient
 
 
 def legendre_inverse(P: Polytope, gen: Generator, s: float, y,
                      guess=None) -> np.ndarray:
-    """Solve grad g_s(x) = y by damped Newton on the convex dual objective.
+    """Solve grad g_s(x) = y by damped Newton.
 
-    Steps are halved until the iterate stays strictly interior and the
-    objective g_s(x) - <y, x> decreases; the log barrier of g_P guarantees
-    an interior solution for every y.  Newton stops once the residual is
-    at most 1e-10, and raises NewtonError after 200 steps.
+    Steps are halved until the iterate stays INTERIOR_TOL inside P and the
+    residual |grad g_s(x) - y| decreases; the Newton direction descends it
+    because Hess g_s is positive definite, and the log barrier of g_P
+    guarantees an interior solution for every y.  Newton stops once the
+    residual is at most 1e-10 and raises NewtonError, with the residual
+    reached, when no step lowers it (the solution lies closer to a facet
+    than floats resolve grad g_P) or after 200 steps.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(guess, dtype=float) if guess is not None else P.centroid()
-    if np.min(P.ell(x)) <= 0:
-        raise BoundaryError("initial guess must be strictly interior")
-    fx = _ray_objective(P, gen, s, x, y)
+    jet = ray_jet(P, gen, s, x)
+    r = np.linalg.norm(jet.gradient - y)
     for _ in range(200):
-        jet = ray_jet(RayPoint(P, gen, s, x))
-        r = jet.gradient - y
-        if np.linalg.norm(r) <= 1e-10:
+        if r <= 1e-10:
             return x
-        step = -np.linalg.solve(jet.hessian, r)
+        step = -np.linalg.solve(jet.hessian, jet.gradient - y)
         t = 1.0
         for _ in range(80):
             cand = x + t * step
-            if np.min(P.ell(cand)) > 0:
-                f_cand = _ray_objective(P, gen, s, cand, y)
-                if f_cand <= fx + 1e-4 * t * float(np.dot(r, step)):
-                    x, fx = cand, f_cand
-                    break
+            try:
+                cand_jet = ray_jet(P, gen, s, cand)
+                cand_r = np.linalg.norm(cand_jet.gradient - y)
+            except BoundaryError:
+                cand_r = np.inf
+            if cand_r < r:
+                x, jet, r = cand, cand_jet, cand_r
+                break
             t *= 0.5
         else:
-            raise NewtonError(f"line search failed at residual {np.linalg.norm(r)}")
+            raise NewtonError(f"line search failed at residual {r}")
     raise NewtonError(
-        "Newton did not reach tol=1e-10 in 200 iterations; "
-        f"residual={np.linalg.norm(ray_jet(RayPoint(P, gen, s, x)).gradient - y)}")
+        f"Newton did not reach tol=1e-10 in 200 iterations; residual={r}")
 
 
-def holo_log_coordinate(rp: RayPoint, theta) -> np.ndarray:
+def holo_log_coordinate(P: Polytope, gen: Generator, s: float, x,
+                        theta) -> np.ndarray:
     """Log of the holomorphic coordinate: y + i theta, componentwise.
 
     Exponentiation is left to the caller; at large s the real part grows
     linearly in s on the generator's support and would overflow exp.
     """
     theta = np.asarray(theta, dtype=float)
-    y = legendre_forward(rp)
-    return y + 1j * theta
+    return legendre_forward(P, gen, s, x) + 1j * theta
 
 
 def kahler_dual_value(P: Polytope, gen: Generator, s: float, y,
                       guess=None) -> float:
     """Legendre dual h(y) = <x(y), y> - g_s(x(y))."""
     x = legendre_inverse(P, gen, s, y, guess=guess)
-    jet = ray_jet(RayPoint(P, gen, s, x))
-    return float(np.dot(x, y)) - jet.value
+    return float(np.dot(x, y)) - ray_jet(P, gen, s, x).value
 
 
 @dataclass
 class DetIdentityReport:
     samples: np.ndarray
-    deltas: np.ndarray = field(default=None)
-    ok_positive: bool = True
-    ok_finite: bool = True
+    deltas: np.ndarray
+    ok_positive: bool
+    ok_finite: bool
 
 
 def det_identity_check(P: Polytope, gen: Generator, s: float,
@@ -182,11 +168,9 @@ def det_identity_check(P: Polytope, gen: Generator, s: float,
     non-positive or diverging values flag a defective Hessian.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    hess = ray_jet(RayPoint(P, gen, s, samples)).hessian
+    hess = ray_jet(P, gen, s, samples).hessian
     val = np.linalg.det(hess) * np.prod(P.ell(samples), axis=-1)
     with np.errstate(divide="ignore"):
         deltas = np.where(val != 0, 1.0 / val, np.inf)
-    report = DetIdentityReport(samples=samples, deltas=deltas)
-    report.ok_positive = bool(np.all(deltas > 0))
-    report.ok_finite = bool(np.all(np.isfinite(deltas)))
-    return report
+    return DetIdentityReport(samples, deltas, bool(np.all(deltas > 0)),
+                             bool(np.all(np.isfinite(deltas))))

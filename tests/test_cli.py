@@ -298,6 +298,8 @@ def test_input_errors_exit_two(tmp_path, capsys):
              "a scenario must be an object, not [1, 2]"),
             (["profile", "--generator", str(listed)],
              "a scenario must be an object, not [1, 2]"),
+            (["ray-density", "--scenario", " [1, 2]"],
+             "a scenario must be an object, not [1, 2]"),
             (["decompose", "--polytope",
               '{"dim": 1, "normals": 5, "offsets": [0]}', "--pl", line],
              "normals must be arrays in an array, offsets one"),
@@ -306,6 +308,16 @@ def test_input_errors_exit_two(tmp_path, capsys):
         assert run(argv + ["-o", str(tmp_path / "out")]) == 2
         assert f"input error: {msg}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # a --max-s below the whole s grid leaves nothing to compute or fit
+    for cmd, grid in [("ray-density", "[32, 64, 128, 256, 512, 1024, 2048, "
+                                      "4096]"),
+                      ("gcst", "[32, 64, 128, 256, 512, 1024, 2048, 4096]"),
+                      ("metric", "[100.0, 316.0, 1000.0, 3162.0, 10000.0]")]:
+        assert run(["--max-s", "1", cmd, "--scenario", "builtin:segment-bump",
+                    "-o", str(tmp_path / "capped")]) == 2
+        assert (f"input error: no s of the grid {grid} is at most --max-s 1"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "capped").exists()
 
 
 def test_non_integer_normals_exit_two(tmp_path, capsys):

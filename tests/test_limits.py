@@ -308,11 +308,11 @@ def test_stasis_is_exact_zero():
 
 
 def test_distance_to_real_rate():
-    from toricray.potentials import RayPoint, ray_jet
+    from toricray.potentials import ray_jet
     P = segment()
     gen = big_bump()
     s = np.array([32, 128, 512, 2048], dtype=float)
-    d = [distance_to_real(ray_jet(RayPoint(P, gen, sv, np.array([1.0]))).hessian)
+    d = [distance_to_real(ray_jet(P, gen, sv, np.array([1.0])).hessian)
          for sv in s]
     fit = fit_rate(s, d)
     assert fit.model == "power" and 0.9 <= fit.exponent <= 1.1
@@ -322,9 +322,9 @@ def test_mixed_limit_frame_block_structure():
     P = cp2()
     gen = build_wall_sum(P, [((1, 0), BumpSpec(1.0, 0.2, 1.0)),
                              ((0, 1), BumpSpec(1.0, 0.2, 1.0))])
-    from toricray.potentials import RayPoint, ray_jet
+    from toricray.potentials import ray_jet
     x = np.array([1.0, 0.5])
-    G0 = ray_jet(RayPoint(P, gen, 0.0, x)).hessian
+    G0 = ray_jet(P, gen, 0.0, x).hessian
     ref = mixed_limit_frame(G0, [[1, 0]], [[0, 1]])
     ds = [polarization_distance(ray_polarization(P, gen, s, x), ref)
           for s in (1e2, 1e4, 1e6)]
@@ -347,8 +347,8 @@ def test_metric_oracles():
     got = metric_length(P, gen, s, [((0.5,), (0.0,)), ((1.5,), (0.0,))])
     assert got == pytest.approx(oracle, rel=2e-2)
     # theta circle at the center: 2 pi / sqrt(G_s(m))
-    from toricray.potentials import RayPoint, ray_jet
-    Gs = ray_jet(RayPoint(P, gen, s, np.array([1.0]))).hessian[0, 0]
+    from toricray.potentials import ray_jet
+    Gs = ray_jet(P, gen, s, np.array([1.0])).hessian[0, 0]
     circ = metric_length(P, gen, s, [((1.0,), (0.0,)),
                                      ((1.0,), (2 * math.pi,))])
     assert circ == pytest.approx(2 * math.pi / math.sqrt(Gs), rel=1e-10)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from toricray import scenarios
 from toricray.generators import (BumpSpec, Generator, build_bump_generator,
                                  build_wall_sum)
 from toricray.polytope import make_polytope
-from toricray.potentials import (BoundaryError, RayPoint,
+from toricray.potentials import (BoundaryError, NewtonError,
                                  det_identity_check, guillemin_jet,
                                  holo_log_coordinate, kahler_dual_value,
                                  legendre_forward, legendre_inverse, ray_jet)
@@ -100,9 +101,9 @@ def test_hessian_stasis_off_support():
     P = segment()
     gen = bump_gen()
     x = np.array([0.3])
-    base = ray_jet(RayPoint(P, gen, 0.0, x))
+    base = ray_jet(P, gen, 0.0, x)
     for s in (1.0, 10.0, 100.0):
-        jet = ray_jet(RayPoint(P, gen, s, x))
+        jet = ray_jet(P, gen, s, x)
         assert np.all(jet.hessian == base.hessian)
         shift = jet.gradient - base.gradient
         assert np.all(shift == s * gen.gradient(x))
@@ -112,8 +113,8 @@ def test_ray_jet_adds_at_center():
     P = segment()
     gen = bump_gen()
     x = np.array([1.0])
-    j0 = ray_jet(RayPoint(P, gen, 0.0, x))
-    j10 = ray_jet(RayPoint(P, gen, 10.0, x))
+    j0 = ray_jet(P, gen, 0.0, x)
+    j10 = ray_jet(P, gen, 10.0, x)
     assert j10.hessian[0, 0] == pytest.approx(j0.hessian[0, 0] + 10 * 4.0)
 
 
@@ -126,7 +127,7 @@ def test_positive_definite_along_ray():
             x = rng.uniform(0.05, 0.9, size=2)
             if np.min(P.ell(x)) < 1e-3:
                 continue
-            jet = ray_jet(RayPoint(P, gen, s, x))
+            jet = ray_jet(P, gen, s, x)
             np.linalg.cholesky(jet.hessian)
 
 
@@ -137,7 +138,7 @@ def test_legendre_roundtrip_and_duality():
     s = 4.0
     for _ in range(100):
         x = np.array([rng.uniform(0.05, 1.95)])
-        y = legendre_forward(RayPoint(P, gen, s, x))
+        y = legendre_forward(P, gen, s, x)
         back = legendre_inverse(P, gen, s, y)
         assert np.max(np.abs(back - x)) < 1e-9
     # dual potential gradient recovers the point
@@ -160,7 +161,7 @@ def test_forward_map_monotone_and_divergent():
     P = segment()
     gen = bump_gen()
     xs = np.linspace(1e-6, 2 - 1e-6, 200)
-    ys = [legendre_forward(RayPoint(P, gen, 2.0, np.array([x])))[0]
+    ys = [legendre_forward(P, gen, 2.0, np.array([x]))[0]
           for x in xs]
     assert np.all(np.diff(ys) > 0)
     assert ys[0] < -5 and ys[-1] > 5
@@ -177,9 +178,9 @@ def test_holo_log_coordinate_component_shift():
         for x in pts:
             if not a < x < b:
                 continue
-            w_s = holo_log_coordinate(RayPoint(P, gen, s, np.array([x])),
+            w_s = holo_log_coordinate(P, gen, s, np.array([x]),
                                       np.array([0.25]))
-            w_0 = holo_log_coordinate(RayPoint(P, gen, 0.0, np.array([x])),
+            w_0 = holo_log_coordinate(P, gen, 0.0, np.array([x]),
                                       np.array([0.25]))
             shifts.append((w_s - w_0)[0])
         if len(shifts) == 2:
@@ -194,20 +195,61 @@ def test_stasis_persists_toward_boundary():
     P = segment()
     gen = bump_gen()
     for x in (np.array([1e-3]), np.array([2.0 - 1e-3])):
-        base = ray_jet(RayPoint(P, gen, 0.0, x))
+        base = ray_jet(P, gen, 0.0, x)
         for s in (1.0, 100.0):
-            jet = ray_jet(RayPoint(P, gen, s, x))
+            jet = ray_jet(P, gen, s, x)
             assert np.all(jet.hessian == base.hessian)
 
 
 def test_holo_coordinate_angle_periodicity():
     P = segment()
     gen = bump_gen()
-    rp = RayPoint(P, gen, 2.0, np.array([0.8]))
-    w0 = holo_log_coordinate(rp, np.array([0.3]))
-    w1 = holo_log_coordinate(rp, np.array([0.3 + 2 * np.pi]))
+    x = np.array([0.8])
+    w0 = holo_log_coordinate(P, gen, 2.0, x, np.array([0.3]))
+    w1 = holo_log_coordinate(P, gen, 2.0, x, np.array([0.3 + 2 * np.pi]))
     assert np.allclose(w1 - w0, 2j * np.pi)
     assert np.allclose(np.exp(w1), np.exp(w0))
+
+
+@pytest.mark.parametrize("s", [0.0, 100.0])
+def test_legendre_round_trips_near_the_facets(s):
+    # solutions as close to a facet as 4e-9
+    seg, wall = scenarios.segment("cosine"), scenarios.cp2_wall_sum("cosine")
+    cases = [(seg, [y]) for y in (-10.0, -5.0, 5.0)] + [
+        (wall, [-10.0, -10.0]), (wall, [-5.0, -5.0])]
+    for sc, y in cases:
+        P, gen = sc.polytope, sc.generator
+        x = legendre_inverse(P, gen, s, np.array(y))
+        y_back = legendre_forward(P, gen, s, x)
+        assert np.max(np.abs(y_back - y)) <= 1e-10
+        assert np.max(np.abs(legendre_inverse(P, gen, s, y_back) - x)) < 1e-9
+
+
+def test_legendre_inverse_shifts_by_the_slope_on_gap_components():
+    # the complex structure is unchanged off the support: on a gap
+    # component grad g_s = grad g_P + s * slope, so y + s * slope has the
+    # same preimage at every s
+    P = segment()
+    gen = bump_gen()
+    for (a, b), ys in zip(gen.components(), [(-10.0, -1.0), (0.5, 5.0)]):
+        slope = gen.dpsi(np.array([0.5 * (a + b)]))
+        for y in ys:
+            x0 = legendre_inverse(P, gen, 0.0, np.array([y]))
+            assert a < x0[0] < b
+            for s in (1.0, 100.0):
+                xs = legendre_inverse(P, gen, s, y + s * slope)
+                assert np.max(np.abs(xs - x0)) < 1e-9
+
+
+def test_unresolved_solutions_raise_newton_error():
+    # y = 10 solves at 2 - 4.1e-9, where floats resolve grad g_P only to
+    # about 1e-8; y = +-20 and +-40 solve closer to a facet than
+    # INTERIOR_TOL
+    P = segment()
+    gen = bump_gen()
+    for y in (10.0, 20.0, -20.0, 40.0, -40.0):
+        with pytest.raises(NewtonError, match="residual"):
+            legendre_inverse(P, gen, 0.0, np.array([y]))
 
 
 def test_boundary_guards():
@@ -216,7 +258,9 @@ def test_boundary_guards():
     with pytest.raises(BoundaryError):
         guillemin_jet(P, np.array([0.0]))
     with pytest.raises(BoundaryError):
-        RayPoint(P, gen, 1.0, np.array([2.5]))
+        ray_jet(P, gen, 1.0, np.array([2.5]))
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        ray_jet(P, gen, -1.0, np.array([1.0]))
     with pytest.raises(BoundaryError):
         legendre_inverse(P, gen, 1.0, np.array([0.0]), guess=np.array([2.0]))
 
@@ -246,10 +290,10 @@ def test_batched_jets_match_rows(case):
     assert jet.gradient.shape == X.shape
     assert jet.hessian.shape == (len(X), P.dim, P.dim)
     for s in (0.0, 7.0):
-        batch = ray_jet(RayPoint(P, gen, s, X))
+        batch = ray_jet(P, gen, s, X)
         for k, x in enumerate(X):
             for got, one in ((jet, guillemin_jet(P, x)),
-                             (batch, ray_jet(RayPoint(P, gen, s, x)))):
+                             (batch, ray_jet(P, gen, s, x))):
                 assert type(one.value) is float
                 assert _close(got.value[k], one.value)
                 assert _close(got.gradient[k], one.gradient)
@@ -259,10 +303,10 @@ def test_batched_jets_match_rows(case):
 def test_batch_with_a_boundary_point_raises():
     P = cp2()
     X = np.array([[0.5, 0.5], [1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(BoundaryError):
+    with pytest.raises(BoundaryError, match=r"point \[0\. 1\.\]"):
         guillemin_jet(P, X)
     with pytest.raises(BoundaryError, match=r"point \[0\. 1\.\]"):
-        RayPoint(P, build_wall_sum(P, []), 1.0, X)
+        ray_jet(P, build_wall_sum(P, []), 1.0, X)
 
 
 def test_det_identity_batch_matches_pointwise():
@@ -270,7 +314,7 @@ def test_det_identity_batch_matches_pointwise():
     gen = build_wall_sum(P, [((1, 0), BumpSpec(1.0, 0.2, 1.0))])
     X = _batch_cases()[1][3]
     rep = det_identity_check(P, gen, 20.0, X)
-    want = [1.0 / (np.linalg.det(ray_jet(RayPoint(P, gen, 20.0, x)).hessian)
+    want = [1.0 / (np.linalg.det(ray_jet(P, gen, 20.0, x).hessian)
                    * float(np.prod(P.ell(x)))) for x in X]
     assert _close(rep.deltas, want) and rep.ok_positive and rep.ok_finite
     assert det_identity_check(P, gen, 20.0, X[0]).deltas.shape == (1,)
