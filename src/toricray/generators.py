@@ -37,6 +37,8 @@ __all__ = [
 # the shortest gap ``components`` reports: shorter ones lie between bump
 # ends that meet up to rounding
 _MIN_GAP = 1e-14
+# how far one bump's support may reach into the next one's by rounding
+_OVERLAP_SLACK = 1e-15
 
 
 class GeneratorError(ValueError):
@@ -245,7 +247,7 @@ class BumpGenerator1D(WallSumGenerator):
         bumps = [Bump1D(s, self.domain) for s in specs]
         bumps.sort(key=lambda b: b.lo)
         for prev, nxt in zip(bumps, bumps[1:]):
-            if nxt.lo < prev.hi - 1e-15:
+            if nxt.lo < prev.hi - _OVERLAP_SLACK:
                 raise GeneratorError(
                     f"bump supports [{prev.lo}, {prev.hi}] and "
                     f"[{nxt.lo}, {nxt.hi}] overlap")

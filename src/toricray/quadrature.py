@@ -83,6 +83,12 @@ __all__ = [
 
 # the panel budget of one integral
 MAX_PANELS = 20000
+# added to error bounds and scales, so that a zero integral meets its bound
+_UNDERFLOW = 1e-300
+# the least error, relative to its group's scale, of a panel that is split
+_SPLIT_FLOOR = 1e-18
+# the narrowest panel that is split: its halves' nodes would collide
+_MIN_WIDTH = 1e-15
 # the most a returned error may be, in units of rel_tol * integral of |f|
 ALLOWANCE = 50.0
 # the slack by which a cut point, solved in floats where hyperplanes of the
@@ -242,14 +248,15 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         n_panels = np.bincount(g, minlength=n_groups)
         err_total, scale = (np.bincount(g, v, n_groups) for v in (err, mass))
         tol = rel_tol * scale
-        live = err_total > tol + 1e-300
+        live = err_total > tol + _UNDERFLOW
         if not live.any():
             break
         # the error a panel must exceed to be split: inf once its group has
         # converged
         floor = np.where(live, np.maximum(tol / np.maximum(n_panels, 1),
-                                          1e-18 * scale + 1e-300), np.inf)[g]
-        split = np.nonzero((err > floor) & (hi - lo >= 1e-15))[0]
+                                          _SPLIT_FLOOR * scale + _UNDERFLOW),
+                         np.inf)[g]
+        split = np.nonzero((err > floor) & (hi - lo >= _MIN_WIDTH))[0]
         if split.size > max_panels - len(lo):
             # largest errors first, at most the room left in each group,
             # then back in panel order
@@ -282,8 +289,8 @@ def _verdict(value, err, weights, values, rel_tol, reason="missed"):
     if not (math.isfinite(value) and math.isfinite(err)):
         return f"is not finite: {value} with error {err}"
     scale = float(weights @ np.abs(values))
-    if err > ALLOWANCE * rel_tol * scale + 1e-300:
-        return (f"{reason}: relative error {err / max(scale, 1e-300):.2e} "
+    if err > ALLOWANCE * rel_tol * scale + _UNDERFLOW:
+        return (f"{reason}: relative error {err / max(scale, _UNDERFLOW):.2e} "
                 f"(tolerance {rel_tol})")
     return None
 
@@ -318,7 +325,7 @@ def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
     _judge("interval integral", total, float(res.err[0]), res.weights.ravel(),
            res.values.ravel(), rel_tol,
            f"exhausted {max_panels} panels" if len(res.lo) >= max_panels
-           else "stopped at the 1e-15 panel width floor on "
+           else f"stopped at the {_MIN_WIDTH:g} panel width floor on "
            f"{len(res.lo)} panels")
     order = np.argsort(res.lo)
     return total, list(zip(res.lo[order].tolist(), res.hi[order].tolist()))
@@ -687,7 +694,7 @@ class TriangleMesh:
         tris = work
         total = float(fine.sum())
         err_total = float(errs.sum())
-        while err_total > rel_tol * abs(total) + 1e-300:
+        while err_total > rel_tol * abs(total) + _UNDERFLOW:
             # each split adds three leaves: never split past the budget
             k = min(max(16, len(tris) // 8), (max_leaves - len(tris)) // 3)
             if k <= 0:

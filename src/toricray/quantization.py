@@ -27,14 +27,15 @@ m; and
     h(x) - h(m) = 1/2 sum_r [ell_r(x) - ell_r(m)
                              - ell_r(m) log(ell_r(x) / ell_r(m))]
 
-is >= 0 term by term, because y - 1 - log y >= 0 (a facet with
-ell_r(m) = 0 contributes ell_r(x) / 2 >= 0).  So log_gap_density(m) is the
-reference level of every norm.  The density is smooth between the facets
-and the ends of the generator's support slabs, so the norm's panels are cut
-there and at m, in every dimension (``quadrature.integrate_polytope``).
-The densities of one P and generator at several (m, s), such as the s-grid
-of a diagnostic, share the facet and slab cuts and one generator jet per
-node, so ``density_family`` norms them as the members of one integral.
+is >= 0 term by term, because y - 1 - log y >= 0 (a facet with ell_r(m) = 0
+contributes ell_r(x) / 2 >= 0).  So log_gap_density(m) = -h(m) (0 when
+bare) is the reference level of every norm.  The density is smooth between
+the facets and the ends of the generator's support slabs, so the norm's
+panels are cut there and at m, in every dimension
+(``quadrature.integrate_polytope``).  The densities of one P and generator
+at several (m, s), such as the s-grid of a diagnostic, share the facet and
+slab cuts and one generator jet per node, so ``density_family`` norms them
+as the members of one integral.
 """
 
 from __future__ import annotations
@@ -172,8 +173,10 @@ class MonomialDensity:
         s = np.array([d.s for d in todo])
         psi_m = np.array([d.psi_m for d in todo])
         facets = tuple(np.array(t) for t in zip(*(d._facets for d in todo)))
-        # each member's log density at its m, its peak, is its reference
-        ref = _log_gap(P, gen, weighted, m, m, s, psi_m, facets)
+        # each member's log density at its m, its peak, is its reference:
+        # the gap vanishes there, so it is -h(m), or 0 when bare
+        ref = -_base_log_weight(P, facets, m) if weighted \
+            else np.zeros(len(todo))
         many = len(todo) > 1
 
         def driver(X, i):

@@ -23,6 +23,7 @@ inherited from f exactly; it is still verified by sampling as a guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -68,26 +69,6 @@ def _footprint_corners(steps):
     return corners
 
 
-def _single_piece(f: PLConvex, X, corners):
-    """(X, vals, grads, hesses, rest): the jet arrays of the points X, filled
-    where one piece of f is on top at every footprint corner X + c, so that
-    the mollification is that piece, and the mask of the other rows."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    npts, n = X.shape
-    vals, grads = np.empty(npts), np.empty((npts, n))
-    corner_vals = [f.piece_values(X + c) for c in corners]
-    i_dom = np.argmax(sum(corner_vals[1:], corner_vals[0]), axis=1)
-    rows = np.arange(len(X))
-    trivial = True
-    for pv in corner_vals:
-        trivial = trivial & (pv[rows, i_dom] >= pv.max(axis=1))
-    if np.any(trivial):
-        it = i_dom[trivial]
-        vals[trivial] = f.piece_values(X[trivial])[np.arange(it.size), it]
-        grads[trivial] = f.G[it]
-    return X, vals, grads, np.zeros((npts, n, n)), ~trivial
-
-
 class LineMollifier:
     """Closed-form convolution of a PL convex f along one direction.
 
@@ -98,12 +79,16 @@ class LineMollifier:
     top piece's at y = delta plus the sum over the breaks t = y_b / delta
     from a piece L to the next piece R on top, with dA = a_L - a_R,
     dS = s_L - s_R, dG = g_L - g_R and Theta, E, theta the kernel's cdf,
-    first moment and density; equality with f on single-piece windows,
-    affine gradients and the rank-one Hessian jumps follow exactly:
+    first moment and density:
 
         value = a_top + sum_breaks dA Theta(t) + delta dS E(t)
         grad  = g_top + sum_breaks dG Theta(t)
         hess  = sum_breaks theta(t) / delta dG dG^T / <dG, w>
+
+    One pass serves every row: a one-piece window has no break, so its jet
+    is f's value and gradient bit for bit and a zero Hessian.  Two pieces
+    cross once, at t = (a_R - a_L) / (s_L - s_R) / delta: a break where
+    |t| < 1, else L on top for t >= 1 and R for t <= -1.
     """
 
     def __init__(self, f: PLConvex, w, delta: float, kernel: Kernel):
@@ -122,30 +107,16 @@ class LineMollifier:
         return v[0], g[0], h[0]
 
     def eval_many(self, X):
-        X, vals, grads, hesses, rest = _single_piece(self.f, X, self._corners)
-        if np.any(rest):
-            vals[rest], grads[rest], hesses[rest] = self._jet(X[rest])
-        return vals, grads, hesses
-
-    def _jet(self, X):
         """The top piece's jet plus the terms of each row's breaks."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         G, a = self.f.G, self.f.piece_values(X)
-        if self._pair:  # one crossing, clipped to the window
-            (L, R), rows = self._by_slope, None
-            dG = (G[L] - G[R])[None]
-            dA, c = a[:, L] - a[:, R], dG @ self.w
-            dS, t = -c, np.clip(dA / c / self.delta, -1.0, 1.0)
-            a_top, g_top = a[:, R], G[R]
-        else:
-            rows, L, R, t, top = self._breaks(a)
-            dA, dS, dG = (a[rows, L] - a[rows, R],
-                          self.slopes_w[L] - self.slopes_w[R], G[L] - G[R])
-            a_top, g_top = a[np.arange(len(X)), top], G[top]
-        vT, vE, grads, hesses = (
-            z if rows is None else _row_sums(rows, z, len(X))
-            for z in self._break_jet(dA, dS, dG, t))
+        rows, L, R, t, top = self._breaks(a)
+        dA, dS, dG = (a[rows, L] - a[rows, R],
+                      self.slopes_w[L] - self.slopes_w[R], G[L] - G[R])
+        vT, vE, grads, hesses = (_row_sums(rows, z, len(X))
+                                 for z in self._break_jet(dA, dS, dG, t))
         # the Theta and E terms are added in turn, in the formula's order
-        return a_top + vT + vE, g_top + grads, hesses
+        return (a[np.arange(len(X)), top] + vT + vE, G[top] + grads, hesses)
 
     def _break_jet(self, dA, dS, dG, t):
         """The value's Theta and E terms, the gradient and the Hessian that
@@ -160,6 +131,14 @@ class LineMollifier:
         """(rows, L, R, t, top) of the envelope of the piece values a on
         [-delta, delta]: each break's row, pieces and t, each row's top."""
         d, order = self.delta, self._by_slope
+        if self._pair:
+            # one crossing, at t: the general table below would cost two
+            # pieces about a third more time
+            L, R = order
+            t = (a[:, R] - a[:, L]) / (self.slopes_w[L] - self.slopes_w[R]) / d
+            rows = np.nonzero(np.abs(t) < 1.0)[0]
+            return (rows, np.full(rows.size, L), np.full(rows.size, R),
+                    t[rows], np.where(t >= 1.0, L, R))
         p = order.size
         s, a = self.slopes_w[order], a[:, order]
         ds = s[:, None] - s[None, :]                  # s_i - s_j
@@ -186,7 +165,7 @@ class LineMollifier:
 
 def _row_sums(rows, terms, nrows):
     """The sum of each row's terms, one bincount per column."""
-    cols = terms.reshape(len(terms), -1).T
+    cols = terms.reshape(len(terms), math.prod(terms.shape[1:])).T
     return np.stack([np.bincount(rows, c, nrows) for c in cols],
                     axis=-1).reshape((nrows,) + terms.shape[1:])
 
@@ -218,8 +197,19 @@ class IteratedMollifier:
         return v[0], g[0], h[0]
 
     def eval_many(self, X):
-        X, vals, grads, hesses, rest = _single_piece(self.f, X, self._corners)
-        rest, n = np.nonzero(rest)[0], X.shape[1]
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        f, (npts, n) = self.f, X.shape
+        jet = np.zeros((npts, 1 + n + n * n))  # value, gradient, Hessian
+        # where one piece of f is on top at every footprint corner X + c,
+        # the mollification is that piece: no inner evaluation
+        corner_vals = [f.piece_values(X + c) for c in self._corners]
+        i_dom = np.argmax(sum(corner_vals[1:], corner_vals[0]), axis=1)
+        one = np.logical_and.reduce([pv[np.arange(npts), i_dom]
+                                     >= pv.max(axis=1) for pv in corner_vals])
+        it = i_dom[one]
+        jet[one, 0] = f.piece_values(X[one])[np.arange(it.size), it]
+        jet[one, 1:n + 1] = f.G[it]
+        rest = np.nonzero(~one)[0]
         w, ys, wts = self._outer
         for start in range(0, rest.size, _OUTER_CHUNK):
             idx = rest[start:start + _OUTER_CHUNK]
@@ -227,11 +217,8 @@ class IteratedMollifier:
             v, g, h = self.inner.eval_many(pts.reshape(-1, n))
             # one contraction of the stacked jets with the outer weights
             jets = np.concatenate((v[:, None], g, h.reshape(-1, n * n)), axis=1)
-            out = wts @ jets.reshape(idx.size, ys.size, -1)
-            vals[idx] = out[:, 0]
-            grads[idx] = out[:, 1:n + 1]
-            hesses[idx] = out[:, n + 1:].reshape(-1, n, n)
-        return vals, grads, hesses
+            jet[idx] = wts @ jets.reshape(idx.size, ys.size, -1)
+        return jet[:, 0], jet[:, 1:n + 1], jet[:, n + 1:].reshape(-1, n, n)
 
 
 def _kink_normals(f: PLConvex):

@@ -1,0 +1,26 @@
+"""Suite-wide guards."""
+
+import pytest
+
+from toricray import kernels
+
+
+@pytest.fixture(autouse=True)
+def kernels_keep_their_attributes():
+    """Fail a test that leaves new instance attributes on the kernels
+    ``get_kernel`` caches, and remove them, so that no later test runs on
+    a patched kernel.  ``monkeypatch.setattr`` on a kernel instance leaves
+    its restored bound methods behind as instance attributes, which a later
+    patch of the ``Kernel`` class then misses; patch a fresh kernel
+    instead."""
+    cached = [kernels.get_kernel(name) for name in kernels.KERNEL_NAMES]
+    before = [set(vars(k)) for k in cached]
+    yield
+    leaks = []
+    for kern, keys in zip(cached, before):
+        for key in sorted(set(vars(kern)) - keys):
+            delattr(kern, key)
+            leaks.append(f"{kern.name}.{key}")
+    if leaks:
+        pytest.fail(f"test left instance attributes on cached kernels: "
+                    f"{', '.join(leaks)}")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from toricray import limits, polytope
+from toricray import generators, limits, polytope, quadrature
 from toricray._exact import SaturationError, det_exact, dot, solve_exact
 from toricray.polytope import (DelzantError, Polytope, PolytopeError,
                                ell_values, face_frame, integral_points,
@@ -410,9 +410,9 @@ def test_membership_tolerance_is_named_once():
 
 
 def test_crossing_and_convexity_tolerances_are_named_once():
-    # the float 1e-14 is written in src only where a module constant is
-    # defined, 1e-10 in smoothing only as its convexity allowance, and
-    # 1e-13 only as the rate-fit floor of limits
+    # the floats 1e-14, 1e-15, 1e-18 and 1e-300 are written in src only
+    # where a module constant is defined, 1e-10 in smoothing only as its
+    # convexity allowance, and 1e-13 only as the rate-fit floor of limits
     def defined(tree, name=None):
         """ids of the nodes under the module-level constant definitions,
         or under the one of ``name``."""
@@ -425,9 +425,10 @@ def test_crossing_and_convexity_tolerances_are_named_once():
     stray, seen = [], 0
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
-        rules = [(1e-14, defined(tree)),
-                 (1e-13, defined(tree, "RATE_FIT_FLOOR")
-                  if path.name == "limits.py" else set())]
+        constants = defined(tree)
+        rules = [(value, constants) for value in (1e-14, 1e-15, 1e-18, 1e-300)]
+        rules.append((1e-13, defined(tree, "RATE_FIT_FLOOR")
+                      if path.name == "limits.py" else set()))
         if path.name == "smoothing.py":
             rules.append((1e-10, defined(tree, "_CONVEXITY_ALLOWANCE")))
         for node in ast.walk(tree):
@@ -437,6 +438,9 @@ def test_crossing_and_convexity_tolerances_are_named_once():
                     seen += 1
                     if id(node) not in allowed:
                         stray.append(f"{path.name}:{node.lineno}")
-    assert seen >= 4 and stray == []
+    assert seen >= 9 and stray == []
     assert polytope.CROSSING_TOL == 1e-14
+    assert (quadrature._UNDERFLOW, quadrature._SPLIT_FLOOR,
+            quadrature._MIN_WIDTH, generators._OVERLAP_SLACK) == \
+        (1e-300, 1e-18, 1e-15, 1e-15)
     assert limits.RATE_FIT_FLOOR == 1e-13

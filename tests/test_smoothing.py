@@ -42,14 +42,39 @@ def test_single_wall_depends_on_transverse_only():
         assert np.max(np.abs(gen.value(line) - ref)) < 1e-14
 
 
-def test_equals_f_outside_slab_exactly():
+@pytest.mark.parametrize("kernel", ["smooth", "cosine"])
+def test_equals_f_outside_slab_exactly(kernel):
+    from toricray.kernels import get_kernel
+    from toricray.smoothing import LineMollifier
     P, f, dec = wall_setup()
-    gen = build_nice_smoothing(f, P, dec, 0.1)
+    gen = build_nice_smoothing(f, P, dec, 0.1, kernel=kernel)
     rng = np.random.default_rng(10)
     pts = rng.uniform(0, 3, size=(500, 2))
     pts = pts[P.contains(pts, tol=-1e-9)]
     outside = np.abs(pts[:, 0] - 1.0) >= 0.1
     assert np.all(gen.value(pts[outside]) == f.value(pts[outside]))
+
+    # two pieces with non-integer data: where the window holds one piece
+    # the jet is that piece's, bit for bit, although the kernel's tables
+    # miss 0 and 1 at their ends by a few 1e-17
+    f = PLConvex([(("1/3", "1/2"), "1/10"), ((2, "-1/2"), "-17/10")])
+    w, delta = np.array([1.0, 0.0]), 0.05
+    moll = LineMollifier(f, w, delta, get_kernel(kernel))
+    assert moll._pair
+    x1 = rng.uniform(0.5, 2.0, size=400)
+    X = np.stack([x1, 5.0 / 3.0 * x1 - 1.8 + rng.uniform(-0.3, 0.3, 400)],
+                 axis=1)
+    # the pieces cross on the shift line at y = -3/5 (a_0 - a_1)
+    a = f.piece_values(X)
+    one = 0.6 * np.abs(a[:, 0] - a[:, 1]) > delta * (1.0 + 1e-9)
+    assert 50 < one.sum() < len(X) - 50
+    for rows in (np.arange(len(X)), np.nonzero(one)[0]):
+        vals, grads, hesses = moll.eval_many(X[rows])
+        lone = one[rows]
+        assert np.all(vals[lone] == f.value(X[rows][lone]))
+        assert np.all(grads[lone] == f.gradient(X[rows][lone]))
+        assert np.all(hesses[lone] == 0.0)
+        assert np.all(np.any(hesses[~lone], axis=(1, 2)))
 
 
 def test_wall_rank_and_transverse_positivity():
@@ -341,10 +366,11 @@ def test_envelope_against_scalar_reference():
 def test_kernel_is_evaluated_once_per_break(monkeypatch):
     # the jet is the top piece plus one term per break of the envelope in
     # the window, so each kernel table sees one point per break, not one
-    # per end of every piece
-    from toricray.kernels import get_kernel
+    # per end of every piece.  The kernel is a fresh one, not the instance
+    # get_kernel caches, which the patches would outlive
+    from toricray.kernels import _cosine_kernel
     from toricray.smoothing import LineMollifier
-    kern = get_kernel("cosine")
+    kern = _cosine_kernel()
     seen = {}
     for name in ("cdf", "first_moment", "density"):
         table = getattr(kern, name)
