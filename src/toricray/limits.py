@@ -25,7 +25,7 @@ from .generators import Generator
 from .polytope import (CROSSING_TOL, MEMBERSHIP_TOL, FaceFrame, Polytope,
                        make_polytope)
 from .potentials import ray_jet
-from .quadrature import integrate_polytope, pair_all, panel_nodes
+from .quadrature import REL_TOL, integrate_polytope, pair_all, panel_nodes
 from .quantization import (MonomialDensity, base_log_weight, density_family,
                            pair_densities, rate_gap)
 
@@ -100,7 +100,7 @@ def battery_for(P: Polytope) -> TestBattery:
 # ---------------------------------------------------------------------------
 
 def region_mean(region: Polytope, battery, *, weight=None,
-                rel_tol=1e-10) -> list:
+                rel_tol=REL_TOL) -> list:
     """Means over the region of each member of ``battery`` (callables on
     points), optionally weighted by a density.  The weight (1 when there is
     none) is integrated once, and every member is paired on its nodes by
@@ -113,7 +113,7 @@ def region_mean(region: Polytope, battery, *, weight=None,
 
 
 def chord_mean(P: Polytope, frame: FaceFrame, c_perp, battery, *,
-               weight=None, rel_tol=1e-10) -> list:
+               weight=None, rel_tol=REL_TOL) -> list:
     """Means of each member of ``battery`` along the chord {x_perp = c} of P
     (uniform or weighted): ``region_mean`` over the chord as a 1-D polytope
     in the parallel coordinate u."""

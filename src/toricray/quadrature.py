@@ -43,7 +43,16 @@ cross them, and calls f.  Final panels stay rows of 15 nodes through the
 levels, rows under nodes off the final panels are dropped, and the nodes
 (N, n) are built once, then split into one ``NodeSet`` per member by one
 stable sort (none for a family of one).  A level's error estimate is its
-own plus the weighted errors of the levels below.  Each integral along one
+own plus the weighted errors of the levels below.  An inner integral stops
+once its error is within the larger of rel_tol times its own scale and a
+floor its outer group hands it: that group's tolerance (rel_tol times its
+current integral of |f|, or the floor it was handed, whichever is larger)
+over the length of its range (Fritsch, Kahaner and Lyness 1981).  So the
+slices the outer integral cannot see stop early, and the weighted errors
+of an inner level sum to at most the outer tolerance.  The floor is a
+member's own, so a family member keeps its lone integral's bits.  On the
+first round of the outermost level no integral of |f| is known yet, and
+its slices keep their own relative tolerance.  Each integral along one
 variable has a budget of ``MAX_PANELS`` panels.  A ``NodeSet`` keeps, for
 every level, the final panel above each node and the node's share of that
 panel's K15 - G7 difference.  ``pair_all`` sums f_i * tau on the nodes of
@@ -78,11 +87,13 @@ __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
     "log_integral_1d", "refine_groups", "integrate_polytope", "pair_all",
     "Panels", "NodeSet", "TriangleMesh", "polygon_mesh", "QuadratureError",
-    "MAX_PANELS", "ALLOWANCE",
+    "MAX_PANELS", "ALLOWANCE", "REL_TOL",
 ]
 
 # the panel budget of one integral
 MAX_PANELS = 20000
+# the default relative tolerance of an integral
+REL_TOL = 1e-10
 # added to error bounds and scales, so that a zero integral meets its bound
 _UNDERFLOW = 1e-300
 # the least error, relative to its group's scale, of a panel that is split
@@ -95,6 +106,8 @@ ALLOWANCE = 50.0
 # cuts meet, may leave P and still cut its slice: a solve's rounding grows
 # with the conditioning of its hyperplanes, past ``MEMBERSHIP_TOL``
 _CUT_SLACK = 1e-9
+# the least |determinant| of n - j hyperplanes whose meeting point is a cut
+_DET_FLOOR = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -203,8 +216,8 @@ def _cut(lo, hi, cuts):
     return a[keep], b[keep], np.nonzero(keep)[0]
 
 
-def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
-                  max_panels: int = MAX_PANELS):
+def refine_groups(f, lo, hi, group, n_groups: int, *,
+                  rel_tol: float = REL_TOL, max_panels: int = MAX_PANELS):
     """Refine the panels [lo_i, hi_i] of ``n_groups`` independent integrals.
 
     ``f(x, g)`` maps 1-D points and the group of each to values, or to a
@@ -215,17 +228,32 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
     gives them, so it stays positive where the integral of f cancels to
     zero.  Returns ``Panels``.
     """
-    outs, called = [], 0
+    return _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, None)
 
-    def measure(ends):
+
+def _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, floor):
+    """``refine_groups``, where ``floor`` (n_groups,), unless None, is an
+    absolute tolerance each group may stop at: group g's tolerance T_g is
+    then the larger of rel_tol * scale_g and floor_g.  f is called as
+    f(x, g, hand), ``hand`` (n_groups,) the floor each group hands to the
+    integrals f computes for its nodes: T_g over the length of g's
+    interval, floor_g over it before g has a scale."""
+    outs, called = [], 0
+    if floor is not None:
+        # an empty group computes no integral
+        length = np.bincount(group, hi - lo, n_groups)
+        length[length == 0.0] = np.inf
+
+    def measure(ends, tol):
         """Columns of the panels whose lo, hi and group are the rows of
         ``ends``, from one call of f on their GK15 nodes: lo, hi, group, the
         K15 value, |K15 - G7|, the K15 value of the magnitudes and the
         position of each panel's first node among all the points f was
-        called on."""
+        called on.  ``tol`` is each group's tolerance."""
         nonlocal called
         nodes, width = _gk15_nodes(ends[0], ends[1])
-        vals = f(nodes.ravel(), ends[2].astype(np.intp).repeat(15))
+        x, g = nodes.ravel(), ends[2].astype(np.intp).repeat(15)
+        vals = f(x, g) if floor is None else f(x, g, tol / length)
         vals, mags = vals if isinstance(vals, tuple) else (vals, None)
         vals = np.asarray(vals, dtype=float).reshape(-1, 15)
         sums = (vals @ _GK15_SUMS) * width[:, None]
@@ -241,22 +269,24 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         outs.append(vals.ravel())
         return np.concatenate([ends, sums.T, first[None]])
 
-    cols = measure(np.array([lo, hi, group], dtype=float))
+    cols = measure(np.array([lo, hi, group], dtype=float), floor)
     while True:
         lo, hi, g, value, err, mass = cols[:6]
         g = g.astype(np.intp)
         n_panels = np.bincount(g, minlength=n_groups)
         err_total, scale = (np.bincount(g, v, n_groups) for v in (err, mass))
         tol = rel_tol * scale
+        if floor is not None:
+            tol = np.maximum(tol, floor)
         live = err_total > tol + _UNDERFLOW
         if not live.any():
             break
         # the error a panel must exceed to be split: inf once its group has
         # converged
-        floor = np.where(live, np.maximum(tol / np.maximum(n_panels, 1),
+        least = np.where(live, np.maximum(tol / np.maximum(n_panels, 1),
                                           _SPLIT_FLOOR * scale + _UNDERFLOW),
                          np.inf)[g]
-        split = np.nonzero((err > floor) & (hi - lo >= _MIN_WIDTH))[0]
+        split = np.nonzero((err > least) & (hi - lo >= _MIN_WIDTH))[0]
         if split.size > max_panels - len(lo):
             # largest errors first, at most the room left in each group,
             # then back in panel order
@@ -271,7 +301,7 @@ def refine_groups(f, lo, hi, group, n_groups: int, *, rel_tol: float = 1e-10,
         k = len(split)
         ends = cols[:3, np.concatenate([split, split])]
         ends[1, :k] = ends[0, k:] = 0.5 * (ends[0, :k] + ends[1, k:])
-        children = measure(ends)
+        children = measure(ends, tol)
         # the left child takes its parent's place, the right one is appended
         cols[:, split] = children[:, :k]
         cols = np.concatenate([cols, children[:, k:]], axis=1)
@@ -302,7 +332,7 @@ def _judge(what, value, err, weights, values, rel_tol, reason):
         raise QuadratureError(f"{what} {miss}")
 
 
-def adaptive_panels(f, a: float, b: float, *, rel_tol: float = 1e-10,
+def adaptive_panels(f, a: float, b: float, *, rel_tol: float = REL_TOL,
                     seeds=(), max_panels: int = MAX_PANELS):
     """Refine [a, b] into GK15 panels: ``refine_groups`` with one group.
 
@@ -337,12 +367,12 @@ def integrate_on_panels(f, panels):
     return math.fsum(_gl15(f, lo, hi))
 
 
-def integrate_1d(f, a, b, *, rel_tol=1e-10, seeds=()):
+def integrate_1d(f, a, b, *, rel_tol=REL_TOL, seeds=()):
     value, _ = adaptive_panels(f, a, b, rel_tol=rel_tol, seeds=seeds)
     return value
 
 
-def log_integral_1d(log_f, a, b, *, rel_tol=1e-10, seeds=()):
+def log_integral_1d(log_f, a, b, *, rel_tol=REL_TOL, seeds=()):
     """log of integral of exp(log_f) over [a, b], max-factored for stability.
 
     The reference level is the largest finite log_f over a, b and the
@@ -448,7 +478,7 @@ def _times(f, members, taus):
 
 
 def integrate_polytope(f, P, *, lines=(), point=None, points=None,
-                       rel_tol: float = 1e-10):
+                       rel_tol: float = REL_TOL):
     """Integral of f over the polytope P on iterated GK15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
@@ -476,9 +506,11 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
     (k, n), max_panels = points.shape, MAX_PANELS
     cuts = np.concatenate([P.facets_np, np.array(
         [[*nu, c] for nu, c in lines], dtype=float).reshape(-1, n + 1)])
+    # the outermost level is handed a zero floor, from which it hands its
+    # own down; a rule of one level has nothing to hand down
     own, total, err, head, ids, x, weights, values = _level(
         f, P, cuts, points, np.arange(k), np.empty((k, 0)), rel_tol,
-        max_panels)
+        max_panels, None if n == 1 else np.zeros(k))
     if k > 1:
         # the final panels of each member together, in the order they had
         order = np.argsort(own, kind="stable")
@@ -509,16 +541,17 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
     return out[0] if one else out
 
 
-def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels):
+def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels, floor):
     """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
     of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row.
     ``member`` (k,) is the family member of each row, whose row of
-    ``peaks`` cuts its panels.  Returns the prefix row of each final
-    innermost panel (R,), the integrals and their errors (k,), the
-    coordinates the levels below fixed for each panel and the index of each
-    of those nodes among the final nodes of its level, 15 a panel
-    (R, n - 1 - j) each, and x_n, the rule weights and the values of its 15
-    nodes (R, 15)."""
+    ``peaks`` cuts its panels, and ``floor`` (k,) the absolute tolerance
+    the level above hands each row (see ``_refine``), or None on a rule of
+    one level.  Returns the prefix row of each final innermost panel (R,),
+    the integrals and their errors (k,), the coordinates the levels below
+    fixed for each panel and the index of each of those nodes among the
+    final nodes of its level, 15 a panel (R, n - 1 - j) each, and x_n, the
+    rule weights and the values of its 15 nodes (R, 15)."""
     (k, j), n = prefix.shape, P.dim
     inner = []
     # the range of x_{j+1}: the bounding box's on the first level, where it
@@ -534,7 +567,7 @@ def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels):
         crossing = lines[np.abs(lines[:, j]) > CROSSING_TOL]
         cuts = (crossing[:, -1] - prefix @ crossing[:, :j].T) / crossing[:, j]
 
-        def driver(x, g):
+        def driver(x, g, hand=None):
             if j == 0:  # no prefix to prepend
                 return f(x[:, None], member[g])
             return f(np.concatenate([prefix[g], x[:, None]], axis=1),
@@ -543,7 +576,7 @@ def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels):
         # cut at the points of P where n - j of the hyperplanes meet; the
         # integrand is the level below
         sub = lines[np.array(list(combinations(range(len(lines)), n - j)))]
-        sub = sub[np.abs(np.linalg.det(sub[:, :, j:n])) > 1e-12]
+        sub = sub[np.abs(np.linalg.det(sub[:, :, j:n])) > _DET_FLOOR]
         rhs = sub[:, :, n] - np.moveaxis(sub[:, :, :j] @ prefix.T, -1, 0)
         y = np.linalg.solve(sub[:, :, j:n], rhs[..., None])[..., 0]
         cuts = np.where(P.contains(np.concatenate([np.broadcast_to(
@@ -553,16 +586,17 @@ def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels):
             lo = np.where(np.isnan(cuts), np.inf, cuts).min(axis=1)
             hi = np.where(np.isnan(cuts), -np.inf, cuts).max(axis=1)
 
-        def driver(x, g):
+        def driver(x, g, hand):
             rows = _level(f, P, lines, peaks, member[g], np.concatenate(
-                [prefix[g], x[:, None]], axis=1), rel_tol, max_panels)
+                [prefix[g], x[:, None]], axis=1), rel_tol, max_panels,
+                hand[g])
             inner.append((x, g, *rows))
             # the integrals of |f| over the slices scale this level
             own, total, _, _, _, _, w, v = rows
             return total, np.bincount(own, np.abs(w * v).sum(axis=1), len(x))
-    res = refine_groups(driver, *_cut(lo, hi, np.concatenate(
-        [cuts, peaks[member, j, None]], axis=1)), k, rel_tol=rel_tol,
-        max_panels=max_panels)
+    res = _refine(driver, *_cut(lo, hi, np.concatenate(
+        [cuts, peaks[member, j, None]], axis=1)), k, rel_tol, max_panels,
+        floor)
     if j == n - 1:
         none = np.empty((len(res.group), 0))
         return (res.group, res.total, res.err, none, none.astype(np.intp),

@@ -63,7 +63,7 @@ class QuantizationError(ValueError):
 
 # the density-quadrature tolerance per dimension, read-only: the one
 # source of a density's ``rel_tol``
-DEFAULT_REL_TOL = MappingProxyType({1: 1e-10, 2: 1e-6})
+DEFAULT_REL_TOL = MappingProxyType({1: quadrature.REL_TOL, 2: 1e-6})
 
 
 def base_log_weight(P: Polytope, m, X) -> np.ndarray:

@@ -106,26 +106,36 @@ class LineMollifier:
         v, g, h = self.eval_many(np.asarray(x, dtype=float)[None])
         return v[0], g[0], h[0]
 
-    def eval_many(self, X):
-        """The top piece's jet plus the terms of each row's breaks."""
+    def eval_many(self, X, order=2):
+        """The top piece's jet plus the terms of each row's breaks: value,
+        gradient and Hessian, None above ``order``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         G, a = self.f.G, self.f.piece_values(X)
         rows, L, R, t, top = self._breaks(a)
         dA, dS, dG = (a[rows, L] - a[rows, R],
                       self.slopes_w[L] - self.slopes_w[R], G[L] - G[R])
-        vT, vE, grads, hesses = (_row_sums(rows, z, len(X))
-                                 for z in self._break_jet(dA, dS, dG, t))
+        vT, vE, *derivs = (_row_sums(rows, z, len(X)) for z in
+                           self._break_jet(dA, dS, dG, t, order))
+        grads, hesses = (derivs + [None, None])[:2]
         # the Theta and E terms are added in turn, in the formula's order
-        return (a[np.arange(len(X)), top] + vT + vE, G[top] + grads, hesses)
+        return (a[np.arange(len(X)), top] + vT + vE,
+                None if grads is None else G[top] + grads, hesses)
 
-    def _break_jet(self, dA, dS, dG, t):
-        """The value's Theta and E terms, the gradient and the Hessian that
-        the breaks at t add to the top piece's jet, one row per break."""
+    def _break_jet(self, dA, dS, dG, t, order):
+        """The value's Theta and E terms, then the gradient and the Hessian
+        up to ``order``, that the breaks at t add to the top piece's jet,
+        one row per break.  Each is summed apart, so a lower order gets the
+        same bits."""
         k, d = self.kernel, self.delta
         T = k.cdf(t)
-        coef = k.density(t) / d / (dG @ self.w)
-        return (dA * T, d * dS * k.first_moment(t), dG * T[:, None],
-                coef[:, None, None] * (dG[:, :, None] * dG[:, None, :]))
+        terms = [dA * T, d * dS * k.first_moment(t)]
+        if order >= 1:
+            terms.append(dG * T[:, None])
+        if order >= 2:
+            coef = k.density(t) / d / (dG @ self.w)
+            terms.append(coef[:, None, None]
+                         * (dG[:, :, None] * dG[:, None, :]))
+        return terms
 
     def _breaks(self, a):
         """(rows, L, R, t, top) of the envelope of the piece values a on
@@ -196,7 +206,10 @@ class IteratedMollifier:
         v, g, h = self.eval_many(np.asarray(x, dtype=float)[None])
         return v[0], g[0], h[0]
 
-    def eval_many(self, X):
+    def eval_many(self, X, order=2):
+        """The full jet at every order: trimming the outer contraction to
+        ``order`` would change its shapes, and so the bits of the orders
+        kept."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         f, (npts, n) = self.f, X.shape
         jet = np.zeros((npts, 1 + n + n * n))  # value, gradient, Hessian
@@ -360,9 +373,10 @@ class NiceSmoothingGenerator(Generator):
     def jet(self, x, order):
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, self.dim)
-        jet = self.mollifier.eval_many(X)
+        jet = self.mollifier.eval_many(X, order)
         if self.strict_term is not None:
-            jet = [a + b for a, b in zip(jet, self.strict_term.eval(X))]
+            jet = [a if a is None else a + b
+                   for a, b in zip(jet, self.strict_term.eval(X))]
         return tuple(None if k > order else a[0] if x.ndim == 1
                      else a.reshape(x.shape[:-1] + a.shape[1:])
                      for k, a in enumerate(jet))

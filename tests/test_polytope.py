@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from toricray import generators, limits, polytope, quadrature
+from toricray import generators, limits, polytope, quadrature, quantization
 from toricray._exact import SaturationError, det_exact, dot, solve_exact
 from toricray.polytope import (DelzantError, Polytope, PolytopeError,
                                ell_values, face_frame, integral_points,
@@ -412,7 +412,9 @@ def test_membership_tolerance_is_named_once():
 def test_crossing_and_convexity_tolerances_are_named_once():
     # the floats 1e-14, 1e-15, 1e-18 and 1e-300 are written in src only
     # where a module constant is defined, 1e-10 in smoothing only as its
-    # convexity allowance, and 1e-13 only as the rate-fit floor of limits
+    # convexity allowance and in quadrature, limits and quantization only
+    # as the default tolerance, 1e-12 in quadrature only as its determinant
+    # floor, and 1e-13 only as the rate-fit floor of limits
     def defined(tree, name=None):
         """ids of the nodes under the module-level constant definitions,
         or under the one of ``name``."""
@@ -431,6 +433,10 @@ def test_crossing_and_convexity_tolerances_are_named_once():
                       if path.name == "limits.py" else set()))
         if path.name == "smoothing.py":
             rules.append((1e-10, defined(tree, "_CONVEXITY_ALLOWANCE")))
+        if path.name in ("quadrature.py", "limits.py", "quantization.py"):
+            rules.append((1e-10, defined(tree, "REL_TOL")))
+        if path.name == "quadrature.py":
+            rules.append((1e-12, defined(tree, "_DET_FLOOR")))
         for node in ast.walk(tree):
             for value, allowed in rules:
                 if isinstance(node, ast.Constant) and type(node.value) is \
@@ -438,9 +444,11 @@ def test_crossing_and_convexity_tolerances_are_named_once():
                     seen += 1
                     if id(node) not in allowed:
                         stray.append(f"{path.name}:{node.lineno}")
-    assert seen >= 9 and stray == []
+    assert seen >= 11 and stray == []
     assert polytope.CROSSING_TOL == 1e-14
     assert (quadrature._UNDERFLOW, quadrature._SPLIT_FLOOR,
             quadrature._MIN_WIDTH, generators._OVERLAP_SLACK) == \
         (1e-300, 1e-18, 1e-15, 1e-15)
     assert limits.RATE_FIT_FLOOR == 1e-13
+    assert (quadrature.REL_TOL, quadrature._DET_FLOOR) == (1e-10, 1e-12)
+    assert quantization.DEFAULT_REL_TOL[1] is quadrature.REL_TOL

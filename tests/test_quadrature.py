@@ -26,7 +26,7 @@ from scipy.special import erf
 from scipy.spatial import cKDTree
 
 from toricray import quadrature, scenarios
-from toricray.generators import Generator, build_bump_generator
+from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.limits import battery_for, region_mean
 from toricray.polytope import make_polytope
 from toricray.quadrature import (GL15_NODES, GL15_WEIGHTS, QuadratureError,
@@ -669,17 +669,17 @@ def test_norm_makes_no_jet_call_after_last_level(monkeypatch):
     # the norm keeps the driver values of the final panels from the engine
     # instead of evaluating the density on them again
     seen = []
-    engine = quadrature.refine_groups
+    engine = quadrature._refine
 
     def recording(f, *args, **kwargs):
-        def level(x, g):
-            out = f(x, g)
+        def level(x, g, *hand):
+            out = f(x, g, *hand)
             seen.append(gen.jet_calls)
             return out
         return engine(level, *args, **kwargs)
     cases = ((scenarios.segment("smooth"), [1]),
              (scenarios.cp2_wall_sum("cosine"), [1, 1]))
-    monkeypatch.setattr(quadrature, "refine_groups", recording)
+    monkeypatch.setattr(quadrature, "_refine", recording)
     for sc, m in cases:
         for s in (32.0, 4096.0):
             for weighted in (False, True):
@@ -1056,3 +1056,35 @@ def test_wall_sum_density_recorded_values(s):
     for tau in battery_for(sc.polytope):
         want = 1.0 if tau.name == "one" else rec[tau.name]
         assert md.pair(tau) == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("s", [2048.0, 8192.0])
+def test_wall_sum_mass_is_the_square_of_the_segment_mass(s):
+    # cp2_wall_sum is separable (walls x1 = 1 and x2 = 1), so its bare mass
+    # at (1,1) is the square of the mass of the same bump on [0, 3], up to
+    # the triangle's cut corner x1 + x2 > 3.  At these s the corner weighs
+    # below 1e-14 of the mass; at s = 512 it weighs 1e-5, far above the
+    # estimates.  The difference is within the estimates of the two rules
+    sc = scenarios.cp2_wall_sum("cosine")
+    seg = make_polytope([[1], [-1]], [0, -3])
+    gen = build_bump_generator(seg, [BumpSpec(1.0, 0.2, 1.0, "cosine")])
+    rules = []
+    for P, g, m in ((sc.polytope, sc.generator, [1, 1]), (seg, gen, [1])):
+        md = MonomialDensity(P, g, m, s, weighted=False)
+        md.log_mass()
+        rules.append(md._rule)
+    two, one = rules
+    assert one.rel_tol == 1e-10
+    assert abs(two.value - one.value ** 2) <= \
+        two.err + 2.0 * one.value * one.err
+
+
+def test_wall_sum_density_takes_few_nodes():
+    # the x2 slices the x1 integral cannot see stop at the tolerance it
+    # hands them, not at their own relative one: 36,975 final nodes
+    # without that floor, 26,295 with it
+    sc = scenarios.cp2_wall_sum("cosine")
+    md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 8192.0,
+                         weighted=False)
+    md.log_mass()
+    assert len(md._rule.weights) <= 28000

@@ -339,6 +339,10 @@ def _family_cases():
                [64, 256, 1024, 2048])
         yield (f"cp2-wall-sum-11-{tag}", wall_sum, [1, 1], weighted,
                [32, 512, 8192])
+        # s five orders of magnitude apart: each member's inner integrals
+        # get the floor its own outer integral hands them
+        yield (f"cp2-wall-sum-20-{tag}", wall_sum, [2, 0], weighted,
+               [4, 4096, 262144])
 
 
 @pytest.mark.parametrize("case", list(_family_cases()), ids=lambda c: c[0])

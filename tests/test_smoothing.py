@@ -621,9 +621,10 @@ def test_each_smoothing_is_evaluated_once_per_point_set(monkeypatch):
     from toricray.smoothing import IteratedMollifier, LineMollifier
     calls = Counter()
     for cls in (LineMollifier, IteratedMollifier):
-        def counted(self, X, _orig=cls.eval_many, _name=cls.__name__):
+        def counted(self, X, *args, _orig=cls.eval_many,
+                    _name=cls.__name__):
             calls[_name] += 1
-            return _orig(self, X)
+            return _orig(self, X, *args)
         monkeypatch.setattr(cls, "eval_many", counted)
 
     P, f, dec = corner_setup()
