@@ -228,21 +228,21 @@ def refine_groups(f, lo, hi, group, n_groups: int, *,
     gives them, so it stays positive where the integral of f cancels to
     zero.  Returns ``Panels``.
     """
-    return _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, None)
+    return _refine(lambda x, g, _: f(x, g), lo, hi, group, n_groups,
+                   rel_tol, max_panels, np.zeros(n_groups))
 
 
 def _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, floor):
-    """``refine_groups``, where ``floor`` (n_groups,), unless None, is an
-    absolute tolerance each group may stop at: group g's tolerance T_g is
-    then the larger of rel_tol * scale_g and floor_g.  f is called as
-    f(x, g, hand), ``hand`` (n_groups,) the floor each group hands to the
-    integrals f computes for its nodes: T_g over the length of g's
-    interval, floor_g over it before g has a scale."""
+    """``refine_groups``, where ``floor`` (n_groups,) is an absolute
+    tolerance each group may stop at: group g's tolerance T_g is the larger
+    of rel_tol * scale_g and floor_g, so a zero floor leaves rel_tol *
+    scale_g.  f is called as f(x, g, hand), ``hand`` (n_groups,) the floor
+    each group hands to the integrals f computes for its nodes: T_g over
+    the length of g's interval, floor_g over it before g has a scale."""
     outs, called = [], 0
-    if floor is not None:
-        # an empty group computes no integral
-        length = np.bincount(group, hi - lo, n_groups)
-        length[length == 0.0] = np.inf
+    # an empty group computes no integral
+    length = np.bincount(group, hi - lo, n_groups)
+    length[length == 0.0] = np.inf
 
     def measure(ends, tol):
         """Columns of the panels whose lo, hi and group are the rows of
@@ -253,7 +253,7 @@ def _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, floor):
         nonlocal called
         nodes, width = _gk15_nodes(ends[0], ends[1])
         x, g = nodes.ravel(), ends[2].astype(np.intp).repeat(15)
-        vals = f(x, g) if floor is None else f(x, g, tol / length)
+        vals = f(x, g, tol / length)
         vals, mags = vals if isinstance(vals, tuple) else (vals, None)
         vals = np.asarray(vals, dtype=float).reshape(-1, 15)
         sums = (vals @ _GK15_SUMS) * width[:, None]
@@ -275,9 +275,7 @@ def _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, floor):
         g = g.astype(np.intp)
         n_panels = np.bincount(g, minlength=n_groups)
         err_total, scale = (np.bincount(g, v, n_groups) for v in (err, mass))
-        tol = rel_tol * scale
-        if floor is not None:
-            tol = np.maximum(tol, floor)
+        tol = np.maximum(rel_tol * scale, floor)
         live = err_total > tol + _UNDERFLOW
         if not live.any():
             break
@@ -507,10 +505,10 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
     cuts = np.concatenate([P.facets_np, np.array(
         [[*nu, c] for nu, c in lines], dtype=float).reshape(-1, n + 1)])
     # the outermost level is handed a zero floor, from which it hands its
-    # own down; a rule of one level has nothing to hand down
+    # own down
     own, total, err, head, ids, x, weights, values = _level(
         f, P, cuts, points, np.arange(k), np.empty((k, 0)), rel_tol,
-        max_panels, None if n == 1 else np.zeros(k))
+        max_panels, np.zeros(k))
     if k > 1:
         # the final panels of each member together, in the order they had
         order = np.argsort(own, kind="stable")
@@ -546,8 +544,7 @@ def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels, floor):
     of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row.
     ``member`` (k,) is the family member of each row, whose row of
     ``peaks`` cuts its panels, and ``floor`` (k,) the absolute tolerance
-    the level above hands each row (see ``_refine``), or None on a rule of
-    one level.  Returns the prefix row of each final innermost panel (R,),
+    the level above hands each row (see ``_refine``).  Returns the prefix row of each final innermost panel (R,),
     the integrals and their errors (k,), the coordinates the levels below
     fixed for each panel and the index of each of those nodes among the
     final nodes of its level, 15 a panel (R, n - 1 - j) each, and x_n, the
@@ -567,7 +564,7 @@ def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels, floor):
         crossing = lines[np.abs(lines[:, j]) > CROSSING_TOL]
         cuts = (crossing[:, -1] - prefix @ crossing[:, :j].T) / crossing[:, j]
 
-        def driver(x, g, hand=None):
+        def driver(x, g, hand):
             if j == 0:  # no prefix to prepend
                 return f(x[:, None], member[g])
             return f(np.concatenate([prefix[g], x[:, None]], axis=1),
