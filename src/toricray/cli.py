@@ -192,7 +192,7 @@ def cmd_ray_density(args) -> int:
         family = density_family(P, sc.generator,
                                 [(list(m), float(s)) for s in s_grid],
                                 weighted=not args.bare)
-        pairs, _ = pair_densities(family, list(bat))
+        pairs, _ = pair_densities(family, bat)
         for s, md in zip(s_grid, family):
             logd = md.log_density(grid)
             dens = md.normalized(grid)
@@ -201,7 +201,8 @@ def cmd_ray_density(args) -> int:
             _write_csv(outdir / f"density_m{tag}_s{_fmt(s)}.csv",
                        [f"x{i + 1}" for i in range(P.dim)]
                        + ["log_density", "density_normalized"], rows)
-        _write_csv(outdir / f"pairings_m{tag}.csv", ["s"] + bat.names(),
+        _write_csv(outdir / f"pairings_m{tag}.csv",
+                   ["s"] + [t.name for t in bat],
                    [(s, *row) for s, row in zip(s_grid, pairs)])
     print(f"wrote densities for {len(sc.lattice_points)} lattice points "
           f"under {outdir}")
@@ -218,14 +219,14 @@ def cmd_gcst(args) -> int:
         family = density_family(P, sc.generator,
                                 [(list(m), float(s)) for s in s_grid])
         images = [gcst_image(md) for md in family]
-        pairs, _ = pair_densities(family, list(bat))
+        pairs, _ = pair_densities(family, bat)
         for s, img, row in zip(s_grid, images, pairs):
             rows.append(tuple(m) + (s, img.coefficient)
                         + tuple(row * img.gap_mass))
     path = _write_csv(
         Path(args.output) / "gcst.csv",
         [f"m{i + 1}" for i in range(P.dim)] + ["s", "coefficient"]
-        + [f"pair_{n}" for n in bat.names()], rows)
+        + [f"pair_{t.name}" for t in bat], rows)
     print(f"wrote {path}")
     return 0
 

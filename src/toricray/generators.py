@@ -29,7 +29,7 @@ from .polytope import MEMBERSHIP_TOL, Polytope
 from .quadrature import integrate_polytope
 
 __all__ = [
-    "BumpSpec", "Generator", "GeneratorError", "SupportSlabs",
+    "BumpSpec", "Generator", "GeneratorError",
     "Bump1D", "BumpGenerator1D", "WallSumGenerator",
     "PLConvex", "build_bump_generator", "build_wall_sum", "eval_generator",
 ]
@@ -39,6 +39,10 @@ __all__ = [
 _MIN_GAP = 1e-14
 # how far one bump's support may reach into the next one's by rounding
 _OVERLAP_SLACK = 1e-15
+# the bump-mass check: each bump's d2 is integrated to _MASS_REL_TOL and
+# must meet its effective mass within _MASS_BAND * max(1, mass)
+_MASS_REL_TOL = 1e-12
+_MASS_BAND = 1e-10
 
 
 class GeneratorError(ValueError):
@@ -69,35 +73,17 @@ class BumpSpec:
             raise GeneratorError(f"unknown kernel {self.kernel!r}")
 
 
-class SupportSlabs:
-    """Union of slabs {lo_i <= <nu_i, x> <= hi_i} carrying Hess psi."""
-
-    def __init__(self, slabs):
-        # slabs: list of (normal ndarray (n,), lo, hi)
-        self.slabs = [(np.asarray(nu, dtype=float), float(lo), float(hi))
-                      for nu, lo, hi in slabs]
-
-    def contains(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1], dtype=bool)
-        for nu, lo, hi in self.slabs:
-            t = x @ nu
-            out |= (t > lo) & (t < hi)
-        return out
-
-    def __iter__(self):
-        return iter(self.slabs)
-
-
 class Generator:
     """Base interface: the jet of psi over points of shape (..., n).
 
     ``jet(x, order)`` returns (value, gradient, hessian) with shapes (...),
     (..., n) and (..., n, n), and None for the entries above ``order``.
+    ``support`` is a tuple of slabs (nu, lo, hi), each {lo <= <nu, x> <= hi},
+    whose union carries Hess psi.
     """
 
     dim: int
-    support: SupportSlabs
+    support: tuple
 
     def jet(self, x, order: int):
         raise NotImplementedError
@@ -209,8 +195,8 @@ class WallSumGenerator(Generator):
         self.bumps = [b for _, bumps in groups for b in bumps]
         self._walls = [(nu, np.outer(nu, nu), bumps) for nu, bumps in groups
                        if bumps]
-        self.support = SupportSlabs(
-            [(nu, b.lo, b.hi) for nu, bumps in groups for b in bumps])
+        self.support = tuple((nu, float(b.lo), float(b.hi))
+                             for nu, bumps in groups for b in bumps)
 
     def jet(self, x, order):
         x = np.asarray(x, dtype=float)
@@ -258,9 +244,10 @@ class BumpGenerator1D(WallSumGenerator):
         for b in self.bumps:
             got = integrate_polytope(
                 lambda X: b.d2(X[:, 0]), self.polytope,
-                lines=[((1.0,), b.lo), ((1.0,), b.hi)], rel_tol=1e-12).value
+                lines=[((1.0,), b.lo), ((1.0,), b.hi)],
+                rel_tol=_MASS_REL_TOL).value
             target = b.eff_mass
-            if abs(got - target) > 1e-10 * max(1.0, abs(target)):
+            if abs(got - target) > _MASS_BAND * max(1.0, abs(target)):
                 raise GeneratorError(
                     f"bump mass check failed: integral {got} vs {target}")
 

@@ -30,7 +30,7 @@ from .quantization import (MonomialDensity, base_log_weight, density_family,
                            pair_densities, rate_gap)
 
 __all__ = [
-    "BatteryMember", "TestBattery", "battery_for", "RateFit", "fit_rate",
+    "BatteryMember", "battery_for", "RateFit", "fit_rate",
     "pair", "delta_diagnostic", "uniform_diagnostic", "face_delta_diagnostic",
     "PolarizationFrame", "polarization_frame", "polarization_distance",
     "distance_to_real", "mixed_limit_frame", "metric_length",
@@ -55,18 +55,7 @@ class BatteryMember:
         return self.fn(np.asarray(X, dtype=float))
 
 
-@dataclass
-class TestBattery:
-    members: list
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def names(self):
-        return [m.name for m in self.members]
-
-
-def battery_for(P: Polytope) -> TestBattery:
+def battery_for(P: Polytope) -> list:
     """Constants, coordinates, quadratics, a cosine wave and a smooth bump."""
     diam = P.diameter()
     center = P.centroid()
@@ -92,7 +81,7 @@ def battery_for(P: Polytope) -> TestBattery:
         return out
 
     members.append(BatteryMember("bump", bump))
-    return TestBattery(members)
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +102,7 @@ def region_mean(region: Polytope, battery, *, weight=None,
 
 
 def chord_mean(P: Polytope, frame: FaceFrame, c_perp, battery, *,
-               weight=None, rel_tol=REL_TOL) -> list:
+               weight=None) -> list:
     """Means of each member of ``battery`` along the chord {x_perp = c} of P
     (uniform or weighted): ``region_mean`` over the chord as a 1-D polytope
     in the parallel coordinate u."""
@@ -136,7 +125,7 @@ def chord_mean(P: Polytope, frame: FaceFrame, c_perp, battery, *,
     return region_mean(chord, [lambda U, tau=tau: tau(point(U))
                                for tau in battery],
                        weight=None if weight is None
-                       else lambda U: weight(point(U)), rel_tol=rel_tol)
+                       else lambda U: weight(point(U)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +142,9 @@ class RateFit:
     residual: float             # rms relative residual in log space
     aux: dict = field(default_factory=dict)
 
-    def is_decreasing(self, noise: float = 0.05) -> bool:
+    def is_decreasing(self) -> bool:
         e = self.errors
-        return bool(np.all(e[1:] <= e[:-1] * (1.0 + noise)))
+        return bool(np.all(e[1:] <= e[:-1] * 1.05))
 
 
 def fit_rate(s_grid, errors) -> RateFit:
@@ -187,16 +176,9 @@ def fit_rate(s_grid, errors) -> RateFit:
 # pairings and diagnostics
 # ---------------------------------------------------------------------------
 
-def pair(density: MonomialDensity, tau, region: Polytope = None) -> float:
-    """Pairing of the normalized density with tau, optionally over a region."""
-    if region is None or region is density.polytope:
-        return density.pair(tau)
-
-    def masked(X):
-        inside = region.contains(X, tol=MEMBERSHIP_TOL)
-        return np.where(inside, tau(X), 0.0)
-
-    return density.pair(masked)
+def pair(density: MonomialDensity, tau) -> float:
+    """Pairing of the normalized density with tau."""
+    return density.pair(tau)
 
 
 @dataclass
@@ -212,18 +194,16 @@ def _diagnose(P, gen, m, s_grid, battery, limits, weighted):
     """Pairing errors against ``limits`` per s, and their rate fit.  The
     densities of the s-grid are one family: their norms make one pass, and
     their missed pairings one more."""
-    taus = list(battery)
     values, errs = pair_densities(density_family(
-        P, gen, [(m, s) for s in s_grid], weighted=weighted), taus)
-    dev = np.abs(values - [limits[t.name] for t in taus])
-    table = {t.name: dev[:, j] for j, t in enumerate(taus)}
+        P, gen, [(m, s) for s in s_grid], weighted=weighted), battery)
+    dev = np.abs(values - [limits[t.name] for t in battery])
+    table = {t.name: dev[:, j] for j, t in enumerate(battery)}
     return DiagnosticResult(fit=fit_rate(s_grid, dev.max(axis=1)),
                             table=table, limits=limits,
                             pairing_err=errs.max(axis=1))
 
 
-def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
-                     battery: TestBattery, *,
+def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid, battery, *,
                      weighted=False) -> DiagnosticResult:
     """Concentration at m: pairings approach point evaluation at m.
 
@@ -234,8 +214,8 @@ def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     return _diagnose(P, gen, m, s_grid, battery, limits, weighted)
 
 
-def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
-                       battery: TestBattery, region: Polytope, *,
+def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid, battery,
+                       region: Polytope, *,
                        weighted=False) -> DiagnosticResult:
     """Flattening onto the affinity component: pairings approach the
     (uniform or base-weighted) mean of tau over the component.
@@ -245,7 +225,8 @@ def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid,
     with an exponential fit of the errors.
     """
     w = (lambda X: np.exp(-base_log_weight(P, m, X))) if weighted else None
-    limits = dict(zip(battery.names(), region_mean(region, battery, weight=w)))
+    limits = dict(zip([t.name for t in battery],
+                      region_mean(region, battery, weight=w)))
     res = _diagnose(P, gen, m, s_grid, battery, limits, weighted)
     fit = res.fit
 
@@ -288,7 +269,7 @@ def face_delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
             return tperp(xt[..., npar]) * tpar(xt[..., 0])
         taus.append(BatteryMember(name, tau))
         limits[name] = float(tperp(np.array([c]))[0]) * par_mean
-    return _diagnose(P, gen, m, s_grid, TestBattery(taus), limits, weighted)
+    return _diagnose(P, gen, m, s_grid, taus, limits, weighted)
 
 
 # ---------------------------------------------------------------------------

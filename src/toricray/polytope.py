@@ -311,7 +311,10 @@ def parse_polytope(spec) -> Polytope:
     if not (isinstance(offsets, list) and isinstance(normals, list)
             and all(isinstance(v, list) for v in normals)):
         raise PolytopeError("normals must be arrays in an array, offsets one")
-    corrected = bool(spec.get("corrected", False))
+    corrected = spec.get("corrected", False)
+    if not isinstance(corrected, bool):
+        raise PolytopeError(
+            f"corrected must be true or false, not {corrected!r}")
     if any(len(v) != dim for v in normals):
         raise PolytopeError("normal dimension does not match dim")
     return Polytope(dim, normals, offsets, corrected)

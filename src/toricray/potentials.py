@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 INTERIOR_TOL = 1e-14
+# the residual |grad g_s(x) - y| at which Newton stops
+NEWTON_TOL = 1e-10
 
 
 class BoundaryError(ValueError):
@@ -104,7 +106,7 @@ def legendre_inverse(P: Polytope, gen: Generator, s: float, y,
     residual |grad g_s(x) - y| decreases; the Newton direction descends it
     because Hess g_s is positive definite, and the log barrier of g_P
     guarantees an interior solution for every y.  Newton stops once the
-    residual is at most 1e-10 and raises NewtonError, with the residual
+    residual is at most NEWTON_TOL and raises NewtonError, with the residual
     reached, when no step lowers it (the solution lies closer to a facet
     than floats resolve grad g_P) or after 200 steps.
     """
@@ -113,7 +115,7 @@ def legendre_inverse(P: Polytope, gen: Generator, s: float, y,
     jet = ray_jet(P, gen, s, x)
     r = np.linalg.norm(jet.gradient - y)
     for _ in range(200):
-        if r <= 1e-10:
+        if r <= NEWTON_TOL:
             return x
         step = -np.linalg.solve(jet.hessian, jet.gradient - y)
         t = 1.0
@@ -131,7 +133,8 @@ def legendre_inverse(P: Polytope, gen: Generator, s: float, y,
         else:
             raise NewtonError(f"line search failed at residual {r}")
     raise NewtonError(
-        f"Newton did not reach tol=1e-10 in 200 iterations; residual={r}")
+        f"Newton did not reach tol={NEWTON_TOL} in 200 iterations; "
+        f"residual={r}")
 
 
 def holo_log_coordinate(P: Polytope, gen: Generator, s: float, x,
@@ -145,10 +148,9 @@ def holo_log_coordinate(P: Polytope, gen: Generator, s: float, x,
     return legendre_forward(P, gen, s, x) + 1j * theta
 
 
-def kahler_dual_value(P: Polytope, gen: Generator, s: float, y,
-                      guess=None) -> float:
+def kahler_dual_value(P: Polytope, gen: Generator, s: float, y) -> float:
     """Legendre dual h(y) = <x(y), y> - g_s(x(y))."""
-    x = legendre_inverse(P, gen, s, y, guess=guess)
+    x = legendre_inverse(P, gen, s, y)
     return float(np.dot(x, y)) - ray_jet(P, gen, s, x).value
 
 

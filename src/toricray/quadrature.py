@@ -59,8 +59,8 @@ panel's K15 - G7 difference.  ``pair_all`` sums f_i * tau on the nodes of
 each (rule, tau) it is given, with that estimate over every level, and
 integrates the pairings that miss the verdict afresh, as one family of
 f_i * tau per family of rules, on the same cuts and rel_tol: the one place
-that integrates again after a missed estimate.  ``NodeSet.pair(tau)`` is
-its one pairing.
+that integrates again after a missed estimate, and the one pairing of a
+rule.
 
 One verdict: ``integrate_polytope``, the one integrator other modules call,
 ``pair_all`` and ``adaptive_panels`` raise QuadratureError when a
@@ -405,7 +405,7 @@ class NodeSet(NamedTuple):
     estimate and the count of final innermost panels, N / 15.  ``owners``
     and ``diffs`` (N, n) hold, for each level of the iterated rule (x1
     first), the final panel of that level each node lies under and the
-    node's weight in that panel's K15 - G7 difference, so that ``pair``
+    node's weight in that panel's K15 - G7 difference, so that ``pair_all``
     gives f times any test function the estimate f got.  ``rel_tol`` is
     the call's tolerance, ``family`` the call's integrand f(X, i), P,
     lines and peaks, and ``member`` the index i of this member."""
@@ -420,11 +420,6 @@ class NodeSet(NamedTuple):
     rel_tol: float
     family: tuple
     member: int
-
-    def pair(self, tau):
-        """The integral of f * tau, tau mapping points (k, n) to values,
-        and its error estimate: ``pair_all`` of this one pairing."""
-        return pair_all([(self, tau)])[0]
 
 
 def pair_all(pairings):

@@ -216,15 +216,11 @@ class MonomialDensity:
             return np.exp(self.log_gap_density(X) - self._log_gap_mass)
 
     def pair(self, tau) -> float:
-        """Integral of the normalized density against tau."""
-        return self.pair_with_error(tau)[0]
-
-    def pair_with_error(self, tau):
-        """(pairing, error estimate) of the normalized density against tau:
-        ``NodeSet.pair`` on the density's rule, over its mass."""
+        """Integral of the normalized density against tau: ``pair_all`` on
+        its rule, over its mass (``pair_densities`` adds error bars)."""
         self._ensure_norm()
-        value, err = self._rule.pair(tau)
-        return value / self._rule.value, err / self._rule.value
+        (value, _), = quadrature.pair_all([(self._rule, tau)])
+        return value / self._rule.value
 
     def pair_absolute(self, tau) -> float:
         """Integral of the gap density (= gCST scalar density) against tau."""
@@ -282,7 +278,7 @@ class GcstImage:
 
 def gcst_image(density: MonomialDensity) -> GcstImage:
     m = density.m
-    if not np.allclose(m, np.round(m)):
+    if not np.array_equal(m, np.round(m)):
         raise QuantizationError(f"{m} is not a lattice point")
     coeff = math.exp(-density.s * density.psi_m)
     density._ensure_norm()

@@ -33,7 +33,9 @@ class Scenario:
     s_grid: tuple = (32, 64, 128, 256, 512, 1024, 2048, 4096)
     lattice_points: tuple = ()
     regions: dict = field(default_factory=dict)
-    notes: str = ""
+    # the eps values and mollifier kernel of a PL scenario's nice family
+    family_eps: tuple = ()
+    kernel: str = "smooth"
 
 
 def subsegment(lo, hi) -> Polytope:
@@ -77,7 +79,8 @@ def corrected_segment(kernel: str = "cosine") -> Scenario:
 
 
 def three_bumps(kernel: str = "cosine") -> Scenario:
-    """[0, 5] with three disjoint bumps; four affine gap components."""
+    """[0, 5] with three disjoint bumps; four affine gap components,
+    [0, .75], [1.25, 2.25], [2.75, 3.75] and [4.25, 5]."""
     P = make_polytope([[1], [-1]], [0, -5])
     specs = [BumpSpec(1.0, 0.25, 1.0, kernel),
              BumpSpec(2.5, 0.25, 0.5, kernel),
@@ -85,33 +88,30 @@ def three_bumps(kernel: str = "cosine") -> Scenario:
     gen = build_bump_generator(P, specs)
     return Scenario(
         name="three-bumps", polytope=P, generator=gen,
-        lattice_points=tuple((k,) for k in range(6)),
-        notes="gap components [0,.75],[1.25,2.25],[2.75,3.75],[4.25,5]")
+        lattice_points=tuple((k,) for k in range(6)))
 
 
 def cp2(N: int = 3) -> Polytope:
     return make_polytope([[1, 0], [0, 1], [-1, -1]], [0, 0, -N])
 
 
-def cp2_wall(eps=Fraction(1, 10), kernel: str = "smooth",
-             family=(Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))) -> Scenario:
-    """CP^2 (N=3) with the single wall x1 = 1 and its nice smoothings."""
+def cp2_wall() -> Scenario:
+    """CP^2 (N=3) with the single wall x1 = 1 and its smooth-kernel nice
+    smoothing at eps = 1/10; its family is eps = 1/20, 1/10 and 1/5."""
+    eps = Fraction(1, 10)
     P = cp2(3)
     f = PLConvex([((0, 0), 0), ((1, 0), -1)])
     dec = decompose(f, P)
-    gen = build_nice_smoothing(f, P, dec, float(eps), kernel=kernel)
+    gen = build_nice_smoothing(f, P, dec, float(eps), kernel="smooth")
     # P2 - W_eps = {x1 >= 1 + eps} inside the simplex
     shrunk = make_polytope([[1, 0], [0, 1], [-1, -1]],
-                           [1 + Fraction(eps), 0, -3], require_delzant=False)
-    sc = Scenario(
+                           [1 + eps, 0, -3], require_delzant=False)
+    return Scenario(
         name="cp2-wall", polytope=P, generator=gen, pl=f, decomposition=dec,
         lattice_points=((2, 0), (1, 1)),
         regions={"P2_minus_W": shrunk},
-        s_grid=(32, 64, 128, 256, 512, 1024, 2048))
-    sc.eps = float(eps)
-    sc.family_eps = tuple(float(e) for e in family)
-    sc.kernel = kernel
-    return sc
+        s_grid=(32, 64, 128, 256, 512, 1024, 2048),
+        family_eps=(0.05, 0.1, 0.2), kernel="smooth")
 
 
 def cp2_corner() -> Scenario:

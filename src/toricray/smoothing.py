@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from ._exact import primitivize, rank_exact
-from .generators import Generator, PLConvex, SupportSlabs
+from .generators import Generator, PLConvex
 from .kernels import Kernel, get_kernel
 from .polytope import FaceFrame, Polytope
 from .quadrature import panel_nodes
@@ -273,44 +273,6 @@ def _generic_direction(kinks, dim):
 # the smoothing generator
 # ---------------------------------------------------------------------------
 
-class _ThickeningSupport(SupportSlabs):
-    """Support region of Hess psi_eps: the closed thickening of W.
-
-    Its slabs are the footprint of the mollifier across each wall.  The
-    footprint is the set of sums of t_i * radius_i * w_i, |t_i| <= 1, over
-    the mollification steps (radius_i, w_i).  Across a wall {row . x = c}
-    its corners (the mollifier's ``_footprint_corners``) sit at the offsets
-    row . corner, and each absolute value h > 0 among them gives the slab
-    (row, c - h, c + h).
-    Hess psi_eps vanishes off the widest slab of every wall.  The slab ends
-    are the lines where a footprint corner crosses a wall; away from the
-    vertices of W, psi_eps loses smoothness only there, so they are the
-    breakpoints of its quadrature.  ``contains`` is W_eps itself.
-    """
-
-    def __init__(self, decomp: Decomposition, eps: float, corners):
-        self.decomp = decomp
-        self.eps = eps
-        self._corners = corners
-
-    @cached_property
-    def slabs(self):
-        # on first use: tuning loops build generators that never need them
-        slabs = {}
-        for F in self.decomp.faces_of_codim(1):
-            row, = F.frame.matrix[F.frame.n_parallel:]
-            c, = F.frame.offsets_np
-            corners = {abs(float(np.dot(row, corner)))
-                       for corner in self._corners}
-            for h in sorted(corners - {0.0}, reverse=True):
-                slabs[row, c, h] = (np.array(row, dtype=float),
-                                    float(c - h), float(c + h))
-        return list(slabs.values())
-
-    def contains(self, x):
-        return thickening_mask(self.decomp, self.eps, x)
-
-
 class _StrictTerm:
     """Ghomi-style strictly convexifying wall term (negative control).
 
@@ -367,8 +329,6 @@ class NiceSmoothingGenerator(Generator):
         self.mollifier = mollifier
         self.strict_term = strict_term
         self.dim = P.dim
-        self.support = _ThickeningSupport(decomp, self.eps,
-                                          mollifier._corners)
 
     def jet(self, x, order):
         x = np.asarray(x, dtype=float)
@@ -380,6 +340,28 @@ class NiceSmoothingGenerator(Generator):
         return tuple(None if k > order else a[0] if x.ndim == 1
                      else a.reshape(x.shape[:-1] + a.shape[1:])
                      for k, a in enumerate(jet))
+
+    @cached_property
+    def support(self) -> tuple:
+        """Slabs of Hess psi_eps: the mollifier's footprint across each
+        wall, the set of sums of t_i * radius_i * w_i, |t_i| <= 1, over the
+        mollification steps (radius_i, w_i).  Across a wall {row . x = c}
+        its corners (``_footprint_corners``) sit at the offsets row . corner,
+        and each absolute value h > 0 among them gives the slab (row, c - h,
+        c + h).  Hess psi_eps vanishes off the widest slab of every wall.
+        Away from the vertices of W, psi_eps loses smoothness only at the
+        slab ends, so they are the breakpoints of its quadrature.  Built on
+        first use: tuning loops build generators that never need it."""
+        slabs = {}
+        for F in self.decomp.faces_of_codim(1):
+            row, = F.frame.matrix[F.frame.n_parallel:]
+            c, = F.frame.offsets_np
+            corners = {abs(float(np.dot(row, corner)))
+                       for corner in self.mollifier._corners}
+            for h in sorted(corners - {0.0}, reverse=True):
+                slabs[row, c, h] = (np.array(row, dtype=float),
+                                    float(c - h), float(c + h))
+        return tuple(slabs.values())
 
     @cached_property
     def convexity(self) -> float:
@@ -498,6 +480,12 @@ _CHECK_INSET = 1e-9  # how far inside P every check sample lies
 # the least sampled Hessian eigenvalue of a convex smoothing: a mollified
 # Hessian carries its outer quadrature's error, a few 1e-12 on the corner
 _CONVEXITY_ALLOWANCE = -1e-10
+# added to condition b's Lipschitz bound 2 n L (eps1 + eps2)
+_LIPSCHITZ_SLACK = 1e-12
+# the most |psi_eps - f| may be off W_eps (condition c)
+_OFF_WALL_BOUND = 1e-12
+# face points closer than this to a deeper face are not checked
+_MIN_FACE_MARGIN = 1e-12
 
 
 def default_check_samples(decomp: Decomposition, eps: float):
@@ -600,7 +588,7 @@ def verify_nice_family(f: PLConvex, gens: dict) -> NiceFamilyReport:
     worst_b = 0.0
     for e1, e2 in zip(eps_list[:-1], eps_list[1:]):
         dv = np.max(np.abs(jets[e1][0][:ns] - jets[e2][0][:ns]))
-        bound = 2.0 * P.dim * lip * (e1 + e2) + 1e-12
+        bound = 2.0 * P.dim * lip * (e1 + e2) + _LIPSCHITZ_SLACK
         worst_b = max(worst_b, float(dv / bound))
     conditions["b"] = ConditionReport("smooth in eps (Lipschitz proxy)",
                                       worst_b <= 1.0, worst_b)
@@ -612,8 +600,8 @@ def verify_nice_family(f: PLConvex, gens: dict) -> NiceFamilyReport:
             dv = np.max(np.abs(jets[e][0][:ns][outside]
                                - f.value(samples[outside])))
             worst_c = max(worst_c, float(dv))
-    conditions["c"] = ConditionReport("equals f off W_eps", worst_c <= 1e-12,
-                                      worst_c)
+    conditions["c"] = ConditionReport("equals f off W_eps",
+                                      worst_c <= _OFF_WALL_BOUND, worst_c)
 
     worst_d = np.inf
     ok_d = True
@@ -679,7 +667,7 @@ def _face_interior_points(decomp: Decomposition):
                 margin = np.inf
             else:
                 margin = float(np.min(np.abs(deeper_pts - p[None, :]).max(axis=1)))
-                if margin < 1e-12:
+                if margin < _MIN_FACE_MARGIN:
                     continue
             out.append((face, p, margin))
     return out

@@ -1,7 +1,9 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -304,7 +306,10 @@ def test_input_errors_exit_two(tmp_path, capsys):
               '{"dim": 1, "normals": 5, "offsets": [0]}', "--pl", line],
              "normals must be arrays in an array, offsets one"),
             (["decompose", "--polytope", segment, "--pl", '{"pieces": 3}'],
-             "pieces must be an array, not 3")]:
+             "pieces must be an array, not 3"),
+            (["decompose", "--polytope", json.dumps(
+                {**json.loads(segment), "corrected": "no"}), "--pl", line],
+             "corrected must be true or false, not 'no'")]:
         assert run(argv + ["-o", str(tmp_path / "out")]) == 2
         assert f"input error: {msg}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -376,3 +381,18 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["True"]
+
+
+def test_every_exported_name_resolves_once():
+    # each module's __all__ lists only names the module binds, each once,
+    # so a deleted class cannot stay exported
+    checked = 0
+    for info in pkgutil.iter_modules(toricray.__path__):
+        mod = importlib.import_module(f"toricray.{info.name}")
+        names = getattr(mod, "__all__", None)
+        if names is None:
+            continue
+        checked += 1
+        assert [n for n in names if not hasattr(mod, n)] == [], info.name
+        assert len(set(names)) == len(names), info.name
+    assert checked == 12

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from toricray import generators, limits, polytope, quadrature, quantization
+from toricray import (acceptance, generators, limits, polytope, potentials,
+                      quadrature, quantization, smoothing)
 from toricray._exact import SaturationError, det_exact, dot, solve_exact
 from toricray.polytope import (DelzantError, Polytope, PolytopeError,
                                ell_values, face_frame, integral_points,
@@ -37,6 +38,16 @@ def test_parse_corrected_segment():
     P = parse_polytope({"dim": 1, "normals": [[1], [-1]],
                         "offsets": ["-1/2", "-5/2"], "corrected": True})
     assert set(P.vertices) == {(Fraction(-1, 2),), (Fraction(5, 2),)}
+
+
+@pytest.mark.parametrize("flag, offsets", [
+    ("no", ["-1/2", "-5/2"]), ("false", ["0", "-2"]), (1, ["0", "-2"]),
+    (None, ["0", "-2"])])
+def test_corrected_flag_must_be_a_json_boolean(flag, offsets):
+    # "no" would build a corrected polytope and "false" fail on its offsets
+    with pytest.raises(PolytopeError, match="corrected must be true or false"):
+        parse_polytope({"dim": 1, "normals": [[1], [-1]], "offsets": offsets,
+                        "corrected": flag})
 
 
 def test_corrected_flag_requires_half_integers():
@@ -410,11 +421,11 @@ def test_membership_tolerance_is_named_once():
 
 
 def test_crossing_and_convexity_tolerances_are_named_once():
-    # the floats 1e-14, 1e-15, 1e-18 and 1e-300 are written in src only
-    # where a module constant is defined, 1e-10 in smoothing only as its
-    # convexity allowance and in quadrature, limits and quantization only
-    # as the default tolerance, 1e-12 in quadrature only as its determinant
-    # floor, and 1e-13 only as the rate-fit floor of limits
+    # no float below 1e-8 is written in src but where a module constant is
+    # defined; 1e-10 in smoothing only as its convexity allowance and in
+    # quadrature, limits and quantization only as the default tolerance,
+    # 1e-12 in quadrature only as its determinant floor, and 1e-13 only as
+    # the rate-fit floor of limits
     def defined(tree, name=None):
         """ids of the nodes under the module-level constant definitions,
         or under the one of ``name``."""
@@ -428,23 +439,22 @@ def test_crossing_and_convexity_tolerances_are_named_once():
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         constants = defined(tree)
-        rules = [(value, constants) for value in (1e-14, 1e-15, 1e-18, 1e-300)]
-        rules.append((1e-13, defined(tree, "RATE_FIT_FLOOR")
-                      if path.name == "limits.py" else set()))
+        # the nodes each value may be written at, where not any constant
+        allowed = {1e-13: defined(tree, "RATE_FIT_FLOOR")
+                   if path.name == "limits.py" else set()}
         if path.name == "smoothing.py":
-            rules.append((1e-10, defined(tree, "_CONVEXITY_ALLOWANCE")))
+            allowed[1e-10] = defined(tree, "_CONVEXITY_ALLOWANCE")
         if path.name in ("quadrature.py", "limits.py", "quantization.py"):
-            rules.append((1e-10, defined(tree, "REL_TOL")))
+            allowed[1e-10] = defined(tree, "REL_TOL")
         if path.name == "quadrature.py":
-            rules.append((1e-12, defined(tree, "_DET_FLOOR")))
+            allowed[1e-12] = defined(tree, "_DET_FLOOR")
         for node in ast.walk(tree):
-            for value, allowed in rules:
-                if isinstance(node, ast.Constant) and type(node.value) is \
-                        float and node.value == value:
-                    seen += 1
-                    if id(node) not in allowed:
-                        stray.append(f"{path.name}:{node.lineno}")
-    assert seen >= 11 and stray == []
+            if isinstance(node, ast.Constant) and type(node.value) is \
+                    float and 0 < abs(node.value) < 1e-8:
+                seen += 1
+                if id(node) not in allowed.get(node.value, constants):
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert seen >= 25 and stray == []
     assert polytope.CROSSING_TOL == 1e-14
     assert (quadrature._UNDERFLOW, quadrature._SPLIT_FLOOR,
             quadrature._MIN_WIDTH, generators._OVERLAP_SLACK) == \
@@ -452,3 +462,10 @@ def test_crossing_and_convexity_tolerances_are_named_once():
     assert limits.RATE_FIT_FLOOR == 1e-13
     assert (quadrature.REL_TOL, quadrature._DET_FLOOR) == (1e-10, 1e-12)
     assert quantization.DEFAULT_REL_TOL[1] is quadrature.REL_TOL
+    assert (acceptance.C02_COSINE_BAND, acceptance.C03_PLATEAU_BAND,
+            acceptance.C06_LIMIT_REL_TOL, acceptance.C10_VOLUME_DEFECT,
+            acceptance.C11_OFF_SPREAD) == (1e-10, 1e-10, 1e-12, 1e-9, 1e-10)
+    assert (generators._MASS_REL_TOL, generators._MASS_BAND,
+            potentials.NEWTON_TOL) == (1e-12, 1e-10, 1e-10)
+    assert (smoothing._LIPSCHITZ_SLACK, smoothing._OFF_WALL_BOUND,
+            smoothing._MIN_FACE_MARGIN) == (1e-12, 1e-12, 1e-12)

@@ -834,7 +834,7 @@ def test_integrand_on_its_nodes_gets_its_estimate(n):
     res = integrate_polytope(
         lambda X: np.exp(-30.0 * np.sum((X - c) ** 2, axis=1)), _simplex(n),
         rel_tol=1e-6)
-    value, err = res.pair(lambda X: np.ones(len(X)))
+    value, err = quadrature.pair_all([(res, lambda X: np.ones(len(X)))])[0]
     assert value == pytest.approx(res.value, rel=1e-13)
     assert err == pytest.approx(res.err, rel=1e-8)
     assert res.owners.shape == res.diffs.shape == (len(res.values), n)
@@ -856,14 +856,14 @@ def test_missed_pairing_is_integrated_afresh_on_the_same_cuts(monkeypatch):
     calls = []
     monkeypatch.setattr(quadrature, "integrate_polytope",
                         lambda g, Q, **k: calls.append((Q, k)) or [fresh])
-    assert res.pair(tau) == (fresh.value, fresh.err)
+    assert quadrature.pair_all([(res, tau)])[0] == (fresh.value, fresh.err)
     assert len(calls) == 1
     Q, k = calls[0]
     assert (Q, k["lines"], k["rel_tol"]) == (P, cuts["lines"], 1e-6)
     assert np.array_equal(k["points"], [cuts["point"]])
     # and the engine itself gives fresh's own pairing
     monkeypatch.undo()
-    assert res.pair(tau) == (fresh.value, fresh.err)
+    assert quadrature.pair_all([(res, tau)])[0] == (fresh.value, fresh.err)
 
 
 def test_missed_pairings_are_integrated_afresh_as_one_family(monkeypatch):
@@ -891,7 +891,7 @@ def test_missed_pairings_are_integrated_afresh_as_one_family(monkeypatch):
             lambda X: f(X, rule.member) * tau(X), P, lines=[((1, 1), 2.0)],
             point=peaks[rule.member], rel_tol=1e-6)
         if tau is one:
-            assert (value, err) == rule.pair(tau)
+            assert (value, err) == quadrature.pair_all([(rule, tau)])[0]
             assert value == pytest.approx(rule.value, rel=1e-13)
         else:
             assert (value, err) == (alone.value, alone.err)
@@ -915,7 +915,8 @@ def test_family_members_are_their_lone_integrals_in_three_dimensions():
                                    point=peaks[rule.member], **cuts)
         assert (rule.value, rule.err) == (alone.value, alone.err)
         for tau in taus:
-            assert rule.pair(tau) == alone.pair(tau) == \
+            assert quadrature.pair_all([(rule, tau)])[0] == \
+                quadrature.pair_all([(alone, tau)])[0] == \
                 together[len(taus) * rule.member + taus.index(tau)]
 
 
@@ -955,7 +956,7 @@ def test_middle_level_runs_over_the_slice(monkeypatch):
 def test_region_mean_in_three_dimensions():
     P = _simplex(3)
     bat = battery_for(P)
-    means = dict(zip(bat.names(), region_mean(P, bat)))
+    means = dict(zip([t.name for t in bat], region_mean(P, bat)))
     assert means["one"] == pytest.approx(1.0, rel=1e-13)
     for name in ("x1", "x2", "x3"):
         assert means[name] == pytest.approx(0.75, rel=1e-13)

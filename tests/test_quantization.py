@@ -157,6 +157,15 @@ def test_gcst_rejects_non_lattice():
         gcst_image(MonomialDensity(P, gen, [0.5], 1.0))
 
 
+def test_gcst_lattice_test_is_exact():
+    # a point a millionth off the lattice is not a lattice point
+    P = segment()
+    gen = bump_gen(P)
+    with pytest.raises(QuantizationError, match="not a lattice point"):
+        gcst_image(MonomialDensity(P, gen, [1.000001], 32.0))
+    assert gcst_image(MonomialDensity(P, gen, [1.0], 32.0)).m[0] == 1.0
+
+
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "bare"])
 def test_lattice_point_outside_P_is_rejected(weighted):
     # the base weight's facet terms are not needed by the bare variant, but
@@ -234,7 +243,8 @@ def test_pairings_carry_estimates_within_the_verdict(monkeypatch):
                         lambda *a, **k: fresh.append(tau.name)
                         or engine(*a, **k))
     for tau, magnitude in zip(battery, magnitudes):
-        value, err = md.pair_with_error(tau)
+        values, errs = pair_densities([md], [tau])
+        value, err = values[0, 0], errs[0, 0]
         assert 0.0 < err <= quadrature.ALLOWANCE * md.rel_tol * magnitude
         assert md.pair(tau) == value
     assert fresh == ["bump"] * 2
@@ -330,8 +340,7 @@ def _family_cases():
             for weighted in (False, True):
                 tag = "weighted" if weighted else "bare"
                 yield f"segment-{kernel}-m{m}-{tag}", sc, [m], weighted, grid
-    from fractions import Fraction
-    wall = cp2_wall(eps=Fraction(1, 10), kernel="smooth")
+    wall = cp2_wall()
     wall_sum = cp2_wall_sum("cosine")
     for weighted in (False, True):
         tag = "weighted" if weighted else "bare"
@@ -371,6 +380,6 @@ def test_family_equals_lone_densities(case, monkeypatch):
         assert d.rel_tol == lone.rel_tol
         assert d._ref == lone._ref
         for tau, value, err in zip(bat, row, erow):
-            want, want_err = lone.pair_with_error(tau)
-            assert (value, err) == (want, want_err)
-            assert d.pair(tau) == want
+            want, want_err = pair_densities([lone], [tau])
+            assert (value, err) == (want[0, 0], want_err[0, 0])
+            assert d.pair(tau) == want[0, 0]

@@ -7,8 +7,7 @@ from toricray.generators import PLConvex
 from toricray.polytope import make_polytope
 from toricray.smoothing import (SmoothingError, build_nice_smoothing,
                                 default_check_samples, verify_nice_family)
-from toricray.testconfig import (decompose, thickening_mask,
-                                 thickening_membership)
+from toricray.testconfig import decompose, thickening_membership
 
 
 def cp2(N=3):
@@ -567,10 +566,6 @@ def test_slabs_are_the_mollifier_footprint(setup, kernel):
     else:
         assert widths == {(1, 0): [0.125, 0.375], (0, 1): [0.125],
                           (-1, 1): [0.5]}
-    g = np.linspace(-0.1, 3.1, 121)
-    X = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    assert np.array_equal(gen.support.contains(X),
-                          thickening_mask(dec, 0.1, X))
 
 
 def test_convexity_is_the_sampled_minimum_eigenvalue():

@@ -130,4 +130,4 @@ def test_delta_diagnostic_quality_gates():
     res = delta_diagnostic(sc.polytope, sc.generator, [1], [64, 256, 1024], bat)
     # spec'd quality gates for the shipped scenario
     assert res.fit.residual < 0.1
-    assert res.fit.is_decreasing(noise=0.05)
+    assert res.fit.is_decreasing()
