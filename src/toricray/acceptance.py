@@ -290,11 +290,9 @@ def c09_nice_family() -> CheckResult:
     """Shipped smoothing family passes a-e; strict control fails e only."""
     sc = scenarios.cp2_wall()
     f, P, dec = sc.pl, sc.polytope, sc.decomposition
-    fam = {e: build_nice_smoothing(f, P, dec, e, kernel=sc.kernel)
-           for e in sc.family_eps}
+    fam = {e: build_nice_smoothing(f, P, dec, e) for e in sc.family_eps}
     rep = verify_nice_family(f, fam)
-    neg = {e: build_nice_smoothing(f, P, dec, e, kernel=sc.kernel,
-                                   variant="strict")
+    neg = {e: build_nice_smoothing(f, P, dec, e, variant="strict")
            for e in sc.family_eps}
     rep_neg = verify_nice_family(f, neg)
     ok = (rep.passed

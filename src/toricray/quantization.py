@@ -216,11 +216,9 @@ class MonomialDensity:
             return np.exp(self.log_gap_density(X) - self._log_gap_mass)
 
     def pair(self, tau) -> float:
-        """Integral of the normalized density against tau: ``pair_all`` on
-        its rule, over its mass (``pair_densities`` adds error bars)."""
-        self._ensure_norm()
-        (value, _), = quadrature.pair_all([(self._rule, tau)])
-        return value / self._rule.value
+        """Integral of the normalized density against tau (its lone
+        ``pair_densities`` value)."""
+        return float(pair_densities([self], [tau])[0][0, 0])
 
     def pair_absolute(self, tau) -> float:
         """Integral of the gap density (= gCST scalar density) against tau."""

@@ -33,9 +33,8 @@ class Scenario:
     s_grid: tuple = (32, 64, 128, 256, 512, 1024, 2048, 4096)
     lattice_points: tuple = ()
     regions: dict = field(default_factory=dict)
-    # the eps values and mollifier kernel of a PL scenario's nice family
+    # the eps values of a PL scenario's nice family
     family_eps: tuple = ()
-    kernel: str = "smooth"
 
 
 def subsegment(lo, hi) -> Polytope:
@@ -111,7 +110,7 @@ def cp2_wall() -> Scenario:
         lattice_points=((2, 0), (1, 1)),
         regions={"P2_minus_W": shrunk},
         s_grid=(32, 64, 128, 256, 512, 1024, 2048),
-        family_eps=(0.05, 0.1, 0.2), kernel="smooth")
+        family_eps=(0.05, 0.1, 0.2))
 
 
 def cp2_corner() -> Scenario:
