@@ -8,7 +8,8 @@ profiles are provided:
   support endpoints.  Gives bit-stable regression values.
 * ``smooth``: exp(-1/(1-t^2)) normalized, C-infinity.  Each antiderivative
   is tabulated on the uniform grid of 8193 nodes, h = 2/8192: node values
-  of cdf and first_moment by panelwise Gauss-Legendre, those of
+  of cdf and first_moment by panelwise K15 (``quadrature.panel_nodes``),
+  with the profile evaluated once per node for both, those of
   cdf_integral by parts, t * cdf(t) - first_moment(t); node slopes exact
   (cdf' = density, first_moment' = t * density, cdf_integral' = cdf); and
   between the nodes the cubic Hermite interpolant of those values and
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import _gl15
+from .quadrature import panel_nodes
 
 __all__ = ["Kernel", "get_kernel", "KERNEL_NAMES"]
 
@@ -145,16 +146,19 @@ def _smooth_kernel() -> Kernel:
         return out
 
     grid = np.linspace(-1.0, 1.0, _GRID_SIZE)
-    lo, hi = grid[:-1], grid[1:]
-    cum_raw = np.concatenate([[0.0], np.cumsum(_gl15(raw, lo, hi))])
+    u, w = panel_nodes(grid[:-1], grid[1:])
+    # every node lies inside (-1, 1); the panels' integrals of the profile
+    # and of t times it, from one evaluation
+    w *= np.exp(-1.0 / (1.0 - u ** 2))
+    cum_raw = np.concatenate([[0.0], np.cumsum(w.sum(axis=1))])
     c0 = cum_raw[-1]
 
     def density(t):
         return raw(t) / c0
 
     cdf_nodes = cum_raw / c0
-    moment_nodes = np.concatenate(
-        [[0.0], np.cumsum(_gl15(lambda t: t * raw(t) / c0, lo, hi))])
+    moment_nodes = np.concatenate([[0.0], np.cumsum((u * w).sum(axis=1)
+                                                    / c0)])
 
     # by parts: the integral of cdf from -1 to t is t cdf(t) - first_moment(t)
     k2_nodes = grid * cdf_nodes - moment_nodes

@@ -343,9 +343,9 @@ def metric_length(P: Polytope, gen: Generator, s: float, path) -> float:
     """Length of a polyline in (x, theta) under dx' G_s dx + dth' G_s^-1 dth.
 
     Each segment is cut at the generator's support boundaries, and each
-    piece into 48 uniform GL15 panels, so pieces off the support integrate
-    identically for every s.  Each segment takes one batched ray_jet call
-    on all of its GL15 nodes and one fsum.
+    piece into 48 uniform K15 panels (``panel_nodes``), so pieces off the
+    support integrate identically for every s.  Each segment takes one
+    batched ray_jet call on all of its nodes and one fsum.
     """
     total = 0.0
     path = [(np.asarray(x, dtype=float), np.asarray(th, dtype=float))

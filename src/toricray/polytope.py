@@ -311,6 +311,10 @@ def parse_polytope(spec) -> Polytope:
     if not (isinstance(offsets, list) and isinstance(normals, list)
             and all(isinstance(v, list) for v in normals)):
         raise PolytopeError("normals must be arrays in an array, offsets one")
+    if dim < 1:
+        raise PolytopeError(f"dim must be at least 1, not {dim}")
+    if not normals:
+        raise PolytopeError("normals must not be empty")
     corrected = spec.get("corrected", False)
     if not isinstance(corrected, bool):
         raise PolytopeError(

@@ -13,15 +13,16 @@ splits, in every group whose summed error exceeds rel_tol * scale + 1e-300,
 each panel whose error exceeds max(rel_tol * scale / n_panels,
 1e-18 * scale + 1e-300) and which is at least 1e-15 wide.  Each split adds
 one panel, so a round splits at most the group's remaining budget of
-``max_panels`` (``MAX_PANELS`` by default), largest errors first, and no
+``MAX_PANELS`` panels, read at call time, largest errors first, and no
 group exceeds its budget.  Every group sums with one bincount in panel
 order, so it gets the same panels and bits alone as among others.  The
 engine returns the nodes, K15 weights and integrand values of every final
 panel, the rule its totals are summed with, so callers reuse them instead
 of evaluating the integrand again.
-``adaptive_panels`` is the one-group form.  The 15-point Gauss-Legendre
-rule (GL15) stays where a fixed rule is wanted: ``panel_nodes``,
-``integrate_on_panels`` and the callers that build fixed grids on them.
+``adaptive_panels`` is the one-group form.  K15 is the package's one
+15-node rule: ``panel_nodes`` builds the nodes and weights of any panels,
+for the engine and for the fixed grids of ``integrate_on_panels``, the
+mollifier's outer level, the metric lengths and the kernel tables.
 
 Polytopes: ``integrate_polytope`` cuts the panels at exact breakpoints: the
 facets of P and the caller's hyperplanes (the ends of a generator's support
@@ -114,23 +115,6 @@ class QuadratureError(RuntimeError):
     pass
 
 
-# the 15-point Gauss-Legendre rule on [-1, 1], shared by the package: the
-# reprs of numpy.polynomial.legendre.leggauss(15), so that importing the
-# package does not load numpy.polynomial
-GL15_NODES = np.array([
-    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
-    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
-    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
-    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
-    0.9372733924007058, 0.9879925180204854])
-GL15_WEIGHTS = np.array([
-    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
-    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
-    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
-    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
-    0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
-
-
 # the 7/15 Gauss-Kronrod pair on [-1, 1] of QUADPACK's qk15 (Kronrod 1965;
 # Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner 1983), as the reprs
 # of its 33-digit constants: K15's nodes and weights, and G7's weights on
@@ -162,26 +146,11 @@ _GK15_RATIO = 1.0 - G7_WEIGHTS / GK15_WEIGHTS
 
 
 def panel_nodes(lo, hi):
-    """GL15 nodes and weights, each (k, 15), of the panels [lo_i, hi_i]."""
+    """K15 nodes and weights, each (k, 15), of the panels [lo_i, hi_i]."""
     lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return (mid[:, None] + half[:, None] * GL15_NODES,
-            half[:, None] * GL15_WEIGHTS)
-
-
-def _gk15_nodes(lo, hi):
-    """GK15 nodes (k, 15) of the panels [lo_i, hi_i], and their widths."""
-    width = hi - lo
-    return lo[:, None] + width[:, None] * _GK15_UNIT, width
-
-
-def _gl15(f, lo, hi):
-    """(k,) GL15 values of f on the panels [lo_i, hi_i], one call of f."""
-    nodes, _ = panel_nodes(lo, hi)
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return 0.5 * (hi - lo) * (vals @ GL15_WEIGHTS)
+    width = np.asarray(hi, dtype=float) - lo
+    return (lo[:, None] + width[:, None] * _GK15_UNIT,
+            width[:, None] * _GK15_SUMS[:, 0])
 
 
 class Panels(NamedTuple):
@@ -217,29 +186,29 @@ def _cut(lo, hi, cuts):
 
 
 def refine_groups(f, lo, hi, group, n_groups: int, *,
-                  rel_tol: float = REL_TOL, max_panels: int = MAX_PANELS):
+                  rel_tol: float = REL_TOL):
     """Refine the panels [lo_i, hi_i] of ``n_groups`` independent integrals.
 
     ``f(x, g)`` maps 1-D points and the group of each to values, or to a
     pair (values, magnitudes), and is called once per level.  Group g is
     refined until its summed error is at most rel_tol * scale_g + 1e-300,
-    or it has nothing left to split within its budget of ``max_panels``
+    or it has nothing left to split within its budget of ``MAX_PANELS``
     panels.  scale_g is the integral of the magnitudes, |values| unless f
     gives them, so it stays positive where the integral of f cancels to
     zero.  Returns ``Panels``.
     """
     return _refine(lambda x, g, _: f(x, g), lo, hi, group, n_groups,
-                   rel_tol, max_panels, np.zeros(n_groups))
+                   rel_tol, np.zeros(n_groups))
 
 
-def _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, floor):
+def _refine(f, lo, hi, group, n_groups, rel_tol, floor):
     """``refine_groups``, where ``floor`` (n_groups,) is an absolute
     tolerance each group may stop at: group g's tolerance T_g is the larger
     of rel_tol * scale_g and floor_g, so a zero floor leaves rel_tol *
     scale_g.  f is called as f(x, g, hand), ``hand`` (n_groups,) the floor
     each group hands to the integrals f computes for its nodes: T_g over
     the length of g's interval, floor_g over it before g has a scale."""
-    outs, called = [], 0
+    outs, called, budget = [], 0, MAX_PANELS
     # an empty group computes no integral
     length = np.bincount(group, hi - lo, n_groups)
     length[length == 0.0] = np.inf
@@ -251,7 +220,8 @@ def _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, floor):
         position of each panel's first node among all the points f was
         called on.  ``tol`` is each group's tolerance."""
         nonlocal called
-        nodes, width = _gk15_nodes(ends[0], ends[1])
+        nodes, _ = panel_nodes(ends[0], ends[1])
+        width = ends[1] - ends[0]
         x, g = nodes.ravel(), ends[2].astype(np.intp).repeat(15)
         vals = f(x, g, tol / length)
         vals, mags = vals if isinstance(vals, tuple) else (vals, None)
@@ -285,14 +255,14 @@ def _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, floor):
                                           _SPLIT_FLOOR * scale + _UNDERFLOW),
                          np.inf)[g]
         split = np.nonzero((err > least) & (hi - lo >= _MIN_WIDTH))[0]
-        if split.size > max_panels - len(lo):
+        if split.size > budget - len(lo):
             # largest errors first, at most the room left in each group,
             # then back in panel order
             split = split[np.lexsort((-err[split], g[split]))]
             gs = g[split]
             split = np.sort(split[np.arange(len(split))
                                   - np.searchsorted(gs, gs)
-                                  < max_panels - n_panels[gs]])
+                                  < budget - n_panels[gs]])
         if split.size == 0:
             break
         # a split panel's halves are its children: one call measures them
@@ -306,9 +276,9 @@ def _refine(f, lo, hi, group, n_groups, rel_tol, max_panels, floor):
     total = np.bincount(g, value, n_groups)
     pos = cols[6, :, None].astype(np.intp) + np.arange(15)
     # the final panels' nodes again, the very points f was called on
-    nodes, width = _gk15_nodes(lo, hi)
-    return Panels(lo, hi, g, nodes, width[:, None] * _GK15_SUMS[:, 0],
-                  np.concatenate(outs)[pos], pos, total, err_total)
+    nodes, weights = panel_nodes(lo, hi)
+    return Panels(lo, hi, g, nodes, weights, np.concatenate(outs)[pos], pos,
+                  total, err_total)
 
 
 def _verdict(value, err, weights, values, rel_tol, reason="missed"):
@@ -331,7 +301,7 @@ def _judge(what, value, err, weights, values, rel_tol, reason):
 
 
 def adaptive_panels(f, a: float, b: float, *, rel_tol: float = REL_TOL,
-                    seeds=(), max_panels: int = MAX_PANELS):
+                    seeds=()):
     """Refine [a, b] into GK15 panels: ``refine_groups`` with one group.
 
     ``f`` maps a 1-D array of points to values and is called once per
@@ -347,12 +317,11 @@ def adaptive_panels(f, a: float, b: float, *, rel_tol: float = REL_TOL,
         raise QuadratureError(f"empty interval [{a}, {b}]")
     res = refine_groups(lambda x, g: f(x), *_cut(
         np.array([a], dtype=float), np.array([b], dtype=float),
-        np.array(seeds, dtype=float).reshape(1, -1)), 1, rel_tol=rel_tol,
-        max_panels=max_panels)
+        np.array(seeds, dtype=float).reshape(1, -1)), 1, rel_tol=rel_tol)
     total = float(res.total[0])
     _judge("interval integral", total, float(res.err[0]), res.weights.ravel(),
            res.values.ravel(), rel_tol,
-           f"exhausted {max_panels} panels" if len(res.lo) >= max_panels
+           f"exhausted {MAX_PANELS} panels" if len(res.lo) >= MAX_PANELS
            else f"stopped at the {_MIN_WIDTH:g} panel width floor on "
            f"{len(res.lo)} panels")
     order = np.argsort(res.lo)
@@ -360,9 +329,11 @@ def adaptive_panels(f, a: float, b: float, *, rel_tol: float = REL_TOL,
 
 
 def integrate_on_panels(f, panels):
-    """Sum of GL15 on the given (lo, hi) panels, with one call of f."""
-    lo, hi = np.asarray(panels, dtype=float).reshape(-1, 2).T
-    return math.fsum(_gl15(f, lo, hi))
+    """Sum of K15 on the given (lo, hi) panels, with one call of f."""
+    nodes, weights = panel_nodes(*np.asarray(panels, dtype=float)
+                                 .reshape(-1, 2).T)
+    return math.fsum(weights.ravel()
+                     * np.asarray(f(nodes.ravel()), dtype=float))
 
 
 def integrate_1d(f, a, b, *, rel_tol=REL_TOL, seeds=()):
@@ -496,14 +467,14 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
         lone, points = f, [np.full(P.dim, np.nan) if point is None else point]
         f = lambda X, i: lone(X)
     points = np.asarray(points, dtype=float)
-    (k, n), max_panels = points.shape, MAX_PANELS
+    k, n = points.shape
     cuts = np.concatenate([P.facets_np, np.array(
         [[*nu, c] for nu, c in lines], dtype=float).reshape(-1, n + 1)])
     # the outermost level is handed a zero floor, from which it hands its
     # own down
     own, total, err, head, ids, x, weights, values = _level(
         f, P, cuts, points, np.arange(k), np.empty((k, 0)), rel_tol,
-        max_panels, np.zeros(k))
+        np.zeros(k))
     if k > 1:
         # the final panels of each member together, in the order they had
         order = np.argsort(own, kind="stable")
@@ -529,12 +500,12 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
                       owners[rows], diffs[rows], rel_tol, family, i)
         _judge(f"{n}-D polytope integral", res.value, res.err, res.weights,
                res.values, rel_tol, f"did not converge at {res.panels} "
-               f"panels, with a budget of {max_panels} panels per integral")
+               f"panels, with a budget of {MAX_PANELS} panels per integral")
         out.append(res)
     return out[0] if one else out
 
 
-def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels, floor):
+def _level(f, P, lines, peaks, member, prefix, rel_tol, floor):
     """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
     of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row.
     ``member`` (k,) is the family member of each row, whose row of
@@ -580,15 +551,13 @@ def _level(f, P, lines, peaks, member, prefix, rel_tol, max_panels, floor):
 
         def driver(x, g, hand):
             rows = _level(f, P, lines, peaks, member[g], np.concatenate(
-                [prefix[g], x[:, None]], axis=1), rel_tol, max_panels,
-                hand[g])
+                [prefix[g], x[:, None]], axis=1), rel_tol, hand[g])
             inner.append((x, g, *rows))
             # the integrals of |f| over the slices scale this level
             own, total, _, _, _, _, w, v = rows
             return total, np.bincount(own, np.abs(w * v).sum(axis=1), len(x))
     res = _refine(driver, *_cut(lo, hi, np.concatenate(
-        [cuts, peaks[member, j, None]], axis=1)), k, rel_tol, max_panels,
-        floor)
+        [cuts, peaks[member, j, None]], axis=1)), k, rel_tol, floor)
     if j == n - 1:
         none = np.empty((len(res.group), 0))
         return (res.group, res.total, res.err, none, none.astype(np.intp),

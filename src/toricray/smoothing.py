@@ -51,7 +51,7 @@ class SmoothingError(ValueError):
 # Directional mollification of a PL convex function (closed form)
 # ---------------------------------------------------------------------------
 
-# uniform GL15 panels of the outer Gauss-Legendre level
+# uniform K15 panels (``panel_nodes``) of the outer level
 _OUTER_PANELS = 16
 # rows per inner batch of the outer level; one batch holds
 # _OUTER_CHUNK * _OUTER_PANELS * 15 = 3840 inner points, so the envelope's
@@ -181,7 +181,7 @@ def _row_sums(rows, terms, nrows):
 
 
 class IteratedMollifier:
-    """Mollification along two directions; inner closed form, outer GL.
+    """Mollification along two directions; inner closed form, outer K15.
 
     The inner direction must be transversal to every kink normal of f:
     then the inner convolution is already C-infinity and differentiating the
@@ -319,13 +319,11 @@ class _StrictTerm:
 class NiceSmoothingGenerator(Generator):
     """Smooth convex psi_eps equal to f off W_eps."""
 
-    def __init__(self, f: PLConvex, P: Polytope, decomp: Decomposition,
-                 eps: float, kernel_name: str, mollifier, strict_term=None):
-        self.pl = f
+    def __init__(self, P: Polytope, decomp: Decomposition, eps: float,
+                 mollifier, strict_term=None):
         self.polytope = P
         self.decomp = decomp
         self.eps = float(eps)
-        self.kernel_name = kernel_name
         self.mollifier = mollifier
         self.strict_term = strict_term
         self.dim = P.dim
@@ -468,8 +466,7 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
     elif variant != "nice":
         raise SmoothingError(f"unknown smoothing variant {variant!r}")
 
-    gen = NiceSmoothingGenerator(f, P, decomp, eps, kernel, moll,
-                                 strict_term=strict_term)
+    gen = NiceSmoothingGenerator(P, decomp, eps, moll, strict_term=strict_term)
     if gen.convexity < _CONVEXITY_ALLOWANCE:
         raise SmoothingError(
             f"convexity violated: min sampled eigenvalue {gen.convexity:.3e}")

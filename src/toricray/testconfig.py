@@ -242,7 +242,7 @@ def thickening_mask(decomp: Decomposition, eps: float, X) -> np.ndarray:
     batched slab test per face."""
     X = np.asarray(X, dtype=float)
     inside = np.zeros(X.shape[:-1], dtype=bool)
-    for face in sorted(decomp.faces, key=lambda F: -F.codim):
+    for face in decomp.faces:
         inside |= face.in_slab(X, eps)
     return inside & decomp.polytope.contains(X, tol=MEMBERSHIP_TOL)
 

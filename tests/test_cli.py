@@ -309,7 +309,16 @@ def test_input_errors_exit_two(tmp_path, capsys):
              "pieces must be an array, not 3"),
             (["decompose", "--polytope", json.dumps(
                 {**json.loads(segment), "corrected": "no"}), "--pl", line],
-             "corrected must be true or false, not 'no'")]:
+             "corrected must be true or false, not 'no'")] + [
+            # a polytope of no dimension or of no facets
+            ([cmd, "--scenario", json.dumps({
+                **base, "generator": {"kind": "wall-sum", "walls": []},
+                "polytope": {"dim": dim, "normals": [], "offsets": []}})],
+             msg)
+            for cmd in ("ray-density", "gcst") for dim, msg in (
+                (0, "dim must be at least 1, not 0"),
+                (-1, "dim must be at least 1, not -1"),
+                (1, "normals must not be empty"))]:
         assert run(argv + ["-o", str(tmp_path / "out")]) == 2
         assert f"input error: {msg}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -12,11 +12,12 @@ import pytest
 
 from toricray import kernels
 from toricray.kernels import get_kernel
-from toricray.quadrature import GL15_NODES, GL15_WEIGHTS
 
 H = 2.0 / 8192
 # rounding of node values summed over up to 8192 panels, set from the dtype
 NODE_ROUNDING = 64 * np.finfo(float).eps
+# the 15-point Gauss-Legendre rule on [-1, 1], apart from the package's K15
+GL15_NODES, GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 def _reference(kernel, t, weight):

@@ -50,6 +50,15 @@ def test_corrected_flag_must_be_a_json_boolean(flag, offsets):
                         "corrected": flag})
 
 
+@pytest.mark.parametrize("dim, normals, msg", [
+    (0, [], "dim must be at least 1, not 0"),
+    (-1, [], "dim must be at least 1, not -1"),
+    (1, [], "normals must not be empty")])
+def test_parse_rejects_no_dimension_and_no_normals(dim, normals, msg):
+    with pytest.raises(PolytopeError, match=msg):
+        parse_polytope({"dim": dim, "normals": normals, "offsets": []})
+
+
 def test_corrected_flag_requires_half_integers():
     with pytest.raises(PolytopeError):
         make_polytope([[1], [-1]], [0, -2], corrected=True)

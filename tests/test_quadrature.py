@@ -29,10 +29,10 @@ from toricray import quadrature, scenarios
 from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.limits import battery_for, region_mean
 from toricray.polytope import make_polytope
-from toricray.quadrature import (GL15_NODES, GL15_WEIGHTS, QuadratureError,
-                                 TriangleMesh, _split4_batch, adaptive_panels,
+from toricray.quadrature import (QuadratureError, TriangleMesh,
+                                 _split4_batch, adaptive_panels,
                                  integrate_on_panels, integrate_polytope,
-                                 log_integral_1d)
+                                 log_integral_1d, panel_nodes)
 from toricray.quantization import MonomialDensity
 
 POLYGONS = {
@@ -299,12 +299,6 @@ def test_fan_drops_degenerate_triangles():
 # 1-D panels
 # ---------------------------------------------------------------------------
 
-def test_gl15_literals_are_leggauss_bitwise():
-    nodes, weights = np.polynomial.legendre.leggauss(15)
-    assert GL15_NODES.tobytes() == nodes.tobytes()
-    assert GL15_WEIGHTS.tobytes() == weights.tobytes()
-
-
 def test_gauss_kronrod_degrees():
     # K15 integrates the monomials exactly to degree 23, G7 to degree 13,
     # and neither beyond
@@ -321,6 +315,10 @@ def test_gauss_kronrod_degrees():
     assert np.allclose(quadrature.G7_WEIGHTS[1::2], weights, rtol=0,
                        atol=1e-15)
     assert not quadrature.G7_WEIGHTS[::2].any()
+
+
+# the 15-point Gauss-Legendre rule on [-1, 1] of the heap reference
+GL15_NODES, GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 def _gl_panel(f, a, b):
@@ -430,14 +428,14 @@ def test_gaussian_peak_against_erf(rel_tol):
     assert lo[0] == 0.0 and hi[-1] == 3.0 and np.all(lo[1:] == hi[:-1])
 
 
-def test_panel_budget_is_never_exceeded():
+def test_panel_budget_is_never_exceeded(monkeypatch):
     peak = lambda x: np.exp(-1e4 * (x - 0.3) ** 2) + 1e-3 * np.sin(40.0 * x)
     natural = len(adaptive_panels(peak, 0.0, 2.0, rel_tol=1e-12)[1])
     converged = raised = 0
     for budget in range(2, natural + 4):
+        monkeypatch.setattr(quadrature, "MAX_PANELS", budget)
         try:
-            _, panels = adaptive_panels(peak, 0.0, 2.0, rel_tol=1e-12,
-                                        max_panels=budget)
+            _, panels = adaptive_panels(peak, 0.0, 2.0, rel_tol=1e-12)
         except QuadratureError as exc:
             assert f"exhausted {budget} panels" in str(exc)
             raised += 1
@@ -447,7 +445,7 @@ def test_panel_budget_is_never_exceeded():
     assert converged and raised
 
 
-def test_budget_splits_largest_errors_first():
+def test_budget_splits_largest_errors_first(monkeypatch):
     # ten seeded panels, each with a kink; the peak makes [1.0, 1.2] the
     # worst, and a budget of eleven panels allows one split
     calls = []
@@ -456,19 +454,20 @@ def test_budget_splits_largest_errors_first():
         calls.append(np.array(x))
         return (np.exp(-1e4 * (x - 1.13) ** 2)
                 + np.abs(np.sin(5.0 * np.pi * x + 0.3)) ** 1.5)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 11)
     with pytest.raises(QuadratureError, match="exhausted 11 panels"):
-        adaptive_panels(integrand, 0.0, 2.0, seeds=np.linspace(0.2, 1.8, 9),
-                        max_panels=11)
+        adaptive_panels(integrand, 0.0, 2.0, seeds=np.linspace(0.2, 1.8, 9))
     assert len(calls) == 2
     assert np.all((calls[1] > 1.0) & (calls[1] < 1.2))
 
 
 @pytest.mark.parametrize("seeds", [(), tuple(np.linspace(0.1, 2.9, 9))])
-def test_tiny_budget_on_a_peak_raises(seeds):
+def test_tiny_budget_on_a_peak_raises(seeds, monkeypatch):
     # nine seeds already give ten panels, more than the budget of four
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 4)
     with pytest.raises(QuadratureError, match="exhausted 4 panels"):
         adaptive_panels(lambda x: np.exp(-1e4 * (x - 1.1) ** 2), 0.0, 3.0,
-                        seeds=seeds, max_panels=4)
+                        seeds=seeds)
 
 
 SPIKE = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.pi) + 1e-24)
@@ -522,6 +521,31 @@ def test_only_quadrature_judges_and_names_the_1d_wrappers():
             assert not wrappers.search(text), path.name
         assert not allowance.search(text), path.name
     assert quadrature.ALLOWANCE == 50.0
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore belongs to its module: no module of
+    # the package imports one from another, or reads one off a sibling
+    # module it imports
+    src = Path(quadrature.__file__).resolve().parent
+    imports, private = 0, []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imports += 1
+                private += [f"{path.name}:{node.lineno} {a.name}"
+                            for a in node.names if a.name.startswith("_")]
+                if node.module is None:
+                    siblings |= {a.asname or a.name for a in node.names}
+        private += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings
+                    and node.attr.startswith("_")]
+    assert imports >= 30 and private == []
 
 
 def test_only_quadrature_and_the_cli_catch_quadrature_errors():
@@ -690,7 +714,7 @@ def test_norm_makes_no_jet_call_after_last_level(monkeypatch):
                 assert gen.jet_calls == seen[-1]
 
 
-def test_groups_refine_independently():
+def test_groups_refine_independently(monkeypatch):
     # a grouped call makes the same panels and totals as one call per group
     fs = [lambda x: np.exp(-1e4 * (x - 0.3) ** 2),
           lambda x: np.abs(x - 1.1) ** 1.5,
@@ -722,11 +746,28 @@ def test_groups_refine_independently():
     assert len(calls) == levels + 1
     # a budget each group fits but the three together exceed changes no
     # panel, order or bit: the room is counted per group
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 20)
     tight = quadrature.refine_groups(grouped, lo, hi, np.arange(3), 3,
-                                     rel_tol=1e-11, max_panels=20)
+                                     rel_tol=1e-11)
     assert max(np.bincount(res.group)) <= 20 < len(res.lo)
     for got, want in zip(tight, res):
         assert np.array_equal(got, want)
+
+
+def test_panel_nodes_are_the_engines_final_panels():
+    # the one node builder gives, bit for bit, the nodes and weights the
+    # engine's final panels hold, each panel alone and all at once
+    res = quadrature.refine_groups(
+        lambda x, g: np.exp(-1e3 * (x - 0.3) ** 2) + np.abs(x - 1.1) ** 1.5,
+        np.array([0.0]), np.array([2.0]), np.array([0]), 1, rel_tol=1e-12)
+    assert len(res.lo) > 10
+    nodes, weights = panel_nodes(res.lo, res.hi)
+    assert nodes.tobytes() == res.nodes.tobytes()
+    assert weights.tobytes() == res.weights.tobytes()
+    for i in range(len(res.lo)):
+        nodes, weights = panel_nodes([res.lo[i]], [res.hi[i]])
+        assert nodes.tobytes() == res.nodes[i:i + 1].tobytes()
+        assert weights.tobytes() == res.weights[i:i + 1].tobytes()
 
 
 POLYTOPES = {

@@ -595,8 +595,7 @@ def reference_strict_eta(f, P, dec, eps, moll):
     samples = default_check_samples(dec, eps)
     for halvings in range(40):
         term = _StrictTerm(fr, moll.delta, kern, eta, u0)
-        gen = NiceSmoothingGenerator(f, P, dec, eps, "smooth", moll,
-                                     strict_term=term)
+        gen = NiceSmoothingGenerator(P, dec, eps, moll, strict_term=term)
         if np.linalg.eigvalsh(gen.hessian(samples)).min() >= -1e-10:
             return eta, halvings
         eta *= 0.5
