@@ -25,14 +25,14 @@ import numpy as np
 
 from . import scenarios
 from .generators import BumpSpec, PLConvex, build_bump_generator
-from .limits import (battery_for, delta_diagnostic, distance_to_real,
-                     face_delta_diagnostic, fit_rate, metric_length,
-                     mixed_limit_frame, polarization_distance,
-                     ray_polarization, region_mean, uniform_diagnostic)
+from .limits import (DiagnosticCase, battery_for, delta_case, diagnose,
+                     distance_to_real, face_delta_case, fit_rate,
+                     metric_length, mixed_limit_frame, polarization_distance,
+                     ray_polarization, region_mean, uniform_case)
 from .polytope import make_polytope
 from .potentials import ray_jet
-from .quantization import (MonomialDensity, base_log_weight, density_family,
-                           gcst_image, ray_rate)
+from .quantization import (base_log_weight, density_family, gcst_image,
+                           pair_densities, ray_rate)
 from .quadrature import integrate_polytope, pair_all
 from .smoothing import build_nice_smoothing, verify_nice_family
 from .testconfig import build_Q
@@ -128,11 +128,12 @@ def c04_delta_convergence() -> CheckResult:
     sc = scenarios.segment("cosine")
     bat = battery_for(sc.polytope)
     s_grid = [32, 64, 128, 256, 512, 1024, 2048, 4096]
+    labels = ("bare", "weighted")
     details = {}
     ok = True
-    for label, weighted in (("bare", False), ("weighted", True)):
-        res = delta_diagnostic(sc.polytope, sc.generator, [1], s_grid, bat,
-                               weighted=weighted)
+    for label, res in zip(labels, diagnose(sc.polytope, sc.generator, [
+            delta_case([1], s_grid, bat, weighted=label == "weighted")
+            for label in labels])):
         fit = res.fit
         good = (fit.is_decreasing()
                 and fit.model == "power"
@@ -150,22 +151,23 @@ def c05_uniform_convergence() -> CheckResult:
     sc = scenarios.segment("cosine")
     bat = battery_for(sc.polytope)
     s_grid = [32, 64, 128, 256, 512, 1024, 2048, 4096]
+    keys = [(n, region_key, label) for n, region_key in ((0, "P1"), (2, "P2"))
+            for label in ("bare", "weighted")]
     details = {}
     ok = True
-    for n, region_key in (((0,), "P1"), ((2,), "P2")):
-        region = sc.regions[region_key]
-        for label, weighted in (("bare", False), ("weighted", True)):
-            res = uniform_diagnostic(sc.polytope, sc.generator, list(n),
-                                     s_grid, bat, region, weighted=weighted)
-            fit = res.fit
-            good = (fit.model == "exponential"
-                    and fit.aux.get("gap_match", False)
-                    and fit.errors[-1] <= 1e-8)
-            details[f"n{n[0]}_{label}_model"] = fit.model
-            details[f"n{n[0]}_{label}_final"] = float(fit.errors[-1])
-            if label == "bare":
-                details[f"n{n[0]}_gap"] = fit.aux.get("gap", float("nan"))
-            ok = ok and good
+    for (n, _, label), res in zip(keys, diagnose(sc.polytope, sc.generator, [
+            uniform_case(sc.polytope, [n], s_grid, bat, sc.regions[key],
+                         weighted=label == "weighted")
+            for n, key, label in keys])):
+        fit = res.fit
+        good = (fit.model == "exponential"
+                and fit.aux.get("gap_match", False)
+                and fit.errors[-1] <= 1e-8)
+        details[f"n{n}_{label}_model"] = fit.model
+        details[f"n{n}_{label}_final"] = float(fit.errors[-1])
+        if label == "bare":
+            details[f"n{n}_gap"] = fit.aux.get("gap", float("nan"))
+        ok = ok and good
     return CheckResult(
         5, "uniform convergence with gap-exponential rate", ok, details,
         note="" if ok else "component-edge boundary layer decays as a power "
@@ -185,10 +187,12 @@ def c06_gcst_limits() -> CheckResult:
         rel_tol=C06_LIMIT_REL_TOL)
     limits = pair_all([(restricted, t) for t in bat])
 
-    md = MonomialDensity(P, gen, [0], 4096.0)
-    img = gcst_image(md)
-    err_a = max(abs(img.pair(t) - limit)
-                for t, (limit, _) in zip(bat, limits))
+    # the densities at m = 0 and 1 are one family, paired in one batch
+    family = density_family(P, gen, [([0], 4096.0), ([1], 4096.0)])
+    img, img1 = (gcst_image(md) for md in family)
+    pairs = pair_densities(family, bat)[0].tolist()
+    err_a = max(abs(v * img.gap_mass - limit)
+                for v, (limit, _) in zip(pairs[0], limits))
     ok_a = err_a <= 1e-6
     details["component_err"] = err_a
 
@@ -196,10 +200,9 @@ def c06_gcst_limits() -> CheckResult:
     h0_n = float(base_log_weight(P, n, n[None, :])[0])
     psi2 = float(gen.hessian(n[None, :])[0, 0, 0])
     ref = math.exp(-h0_n) * math.sqrt(2 * math.pi / psi2)
-    md1 = MonomialDensity(P, gen, [1], 4096.0)
-    img1 = gcst_image(md1)
-    err_b = max(abs(math.sqrt(4096.0) * img1.pair(t)
-                    - ref * float(t(n[None, :])[0])) / ref for t in bat)
+    err_b = max(abs(math.sqrt(4096.0) * (v * img1.gap_mass)
+                    - ref * float(t(n[None, :])[0])) / ref
+                for v, t in zip(pairs[1], bat))
     ok_b = err_b <= 0.02
     details["laplace_rel_err"] = err_b
 
@@ -258,13 +261,11 @@ def c08_higher_dim_localization() -> CheckResult:
     bat = battery_for(P)
     details = {}
 
-    limits = dict(zip([t.name for t in bat],
-                      region_mean(sc.regions["P2_minus_W"], bat)))
-    md = MonomialDensity(P, gen, [2, 0], 2048.0, weighted=False)
-    err_a = max(abs(md.pair(t) - limits[t.name]) for t in bat)
-    ok_a = err_a <= 1e-4
-    details["uniform_err"] = err_a
-
+    # the uniform limit on P2 minus the wall at one s, and the localization
+    # on the wall, as one family and one batch of pairings
+    uniform = DiagnosticCase([2, 0], [2048.0], bat, dict(zip(
+        [t.name for t in bat], region_mean(sc.regions["P2_minus_W"], bat))),
+        weighted=False)
     frame = sc.decomposition.faces[0].frame
     sep = [
         ("perp", lambda t: t, lambda u: np.ones_like(u)),
@@ -272,8 +273,13 @@ def c08_higher_dim_localization() -> CheckResult:
         ("prod", lambda t: t * t, lambda u: np.cos(u)),
     ]
     # window past the e^(-s psi_eps(m)) transient, which dies near s ~ 700
-    res = face_delta_diagnostic(P, gen, [1, 1], [1024, 2048, 4096, 8192],
-                                frame, sep, weighted=False)
+    face = face_delta_case(P, [1, 1], [1024, 2048, 4096, 8192], frame, sep,
+                           weighted=False)
+    res_a, res = diagnose(P, gen, [uniform, face])
+    err_a = float(res_a.fit.errors[0])
+    ok_a = err_a <= 1e-4
+    details["uniform_err"] = err_a
+
     ok_b = res.fit.model == "power" and 0.8 <= res.fit.exponent <= 1.2
     details["transverse_exponent"] = res.fit.exponent
     details["face_final_err"] = float(res.fit.errors[-1])

@@ -187,13 +187,15 @@ def cmd_ray_density(args) -> int:
             for a, b in zip(*P.bbox())]
     grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
     grid = grid[P.contains(grid, tol=MEMBERSHIP_TOL)]
-    for m in sc.lattice_points:
+    # every lattice point's s-grid is one family, paired in one batch
+    family = density_family(P, sc.generator,
+                            [(list(m), float(s), not args.bare)
+                             for m in sc.lattice_points for s in s_grid])
+    pairs, _ = pair_densities(family, bat)
+    k = len(s_grid)
+    for j, m in enumerate(sc.lattice_points):
         tag = "-".join(str(int(c)) for c in m)
-        family = density_family(P, sc.generator,
-                                [(list(m), float(s)) for s in s_grid],
-                                weighted=not args.bare)
-        pairs, _ = pair_densities(family, bat)
-        for s, md in zip(s_grid, family):
+        for s, md in zip(s_grid, family[j * k:(j + 1) * k]):
             logd = md.log_density(grid)
             dens = md.normalized(grid)
             rows = [tuple(x) + (ld, d)
@@ -203,7 +205,8 @@ def cmd_ray_density(args) -> int:
                        + ["log_density", "density_normalized"], rows)
         _write_csv(outdir / f"pairings_m{tag}.csv",
                    ["s"] + [t.name for t in bat],
-                   [(s, *row) for s, row in zip(s_grid, pairs)])
+                   [(s, *row) for s, row in zip(s_grid,
+                                                pairs[j * k:(j + 1) * k])])
     print(f"wrote densities for {len(sc.lattice_points)} lattice points "
           f"under {outdir}")
     return 0
@@ -213,16 +216,15 @@ def cmd_gcst(args) -> int:
     sc = _load_scenario(args.scenario)
     P = sc.polytope
     bat = battery_for(P)
-    rows = []
     s_grid = _capped(sc.s_grid, args.max_s)
-    for m in sc.lattice_points:
-        family = density_family(P, sc.generator,
-                                [(list(m), float(s)) for s in s_grid])
-        images = [gcst_image(md) for md in family]
-        pairs, _ = pair_densities(family, bat)
-        for s, img, row in zip(s_grid, images, pairs):
-            rows.append(tuple(m) + (s, img.coefficient)
-                        + tuple(row * img.gap_mass))
+    # every lattice point's s-grid is one family, paired in one batch
+    keys = [(m, s) for m in sc.lattice_points for s in s_grid]
+    family = density_family(P, sc.generator,
+                            [(list(m), float(s)) for m, s in keys])
+    images = [gcst_image(md) for md in family]
+    pairs, _ = pair_densities(family, bat)
+    rows = [tuple(m) + (s, img.coefficient) + tuple(row * img.gap_mass)
+            for (m, s), img, row in zip(keys, images, pairs)]
     path = _write_csv(
         Path(args.output) / "gcst.csv",
         [f"m{i + 1}" for i in range(P.dim)] + ["s", "coefficient"]

@@ -27,11 +27,13 @@ from .polytope import (CROSSING_TOL, MEMBERSHIP_TOL, FaceFrame, Polytope,
 from .potentials import ray_jet
 from .quadrature import REL_TOL, integrate_polytope, pair_all, panel_nodes
 from .quantization import (MonomialDensity, base_log_weight, density_family,
-                           pair_densities, rate_gap)
+                           pair_each, rate_gap)
 
 __all__ = [
     "BatteryMember", "battery_for", "RateFit", "fit_rate",
-    "pair", "delta_diagnostic", "uniform_diagnostic", "face_delta_diagnostic",
+    "pair", "DiagnosticCase", "diagnose", "delta_case", "uniform_case",
+    "face_delta_case", "delta_diagnostic", "uniform_diagnostic",
+    "face_delta_diagnostic",
     "PolarizationFrame", "polarization_frame", "polarization_distance",
     "distance_to_real", "mixed_limit_frame", "metric_length",
     "region_mean", "chord_mean", "DiagnosticResult",
@@ -190,70 +192,83 @@ class DiagnosticResult:
                                 # normalized pairing
 
 
-def _diagnose(P, gen, m, s_grid, battery, limits, weighted):
-    """Pairing errors against ``limits`` per s, and their rate fit.  The
-    densities of the s-grid are one family: their norms make one pass, and
-    their missed pairings one more."""
-    values, errs = pair_densities(density_family(
-        P, gen, [(m, s) for s in s_grid], weighted=weighted), battery)
-    dev = np.abs(values - [limits[t.name] for t in battery])
-    table = {t.name: dev[:, j] for j, t in enumerate(battery)}
-    return DiagnosticResult(fit=fit_rate(s_grid, dev.max(axis=1)),
-                            table=table, limits=limits,
-                            pairing_err=errs.max(axis=1))
+@dataclass
+class DiagnosticCase:
+    """One diagnostic of ``diagnose``: the densities at m over ``s_grid``,
+    bare or weighted, paired with ``battery`` against ``limits``.  A
+    uniform case scans the rate gap off its ``region``."""
+    m: list
+    s_grid: list
+    battery: list
+    limits: dict
+    weighted: bool
+    region: Polytope | None = None
 
 
-def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid, battery, *,
-                     weighted=False) -> DiagnosticResult:
-    """Concentration at m: pairings approach point evaluation at m.
+def diagnose(P: Polytope, gen: Generator, cases) -> list:
+    """One ``DiagnosticResult`` per case on (P, gen): pairing errors against
+    the case's limits per s, and their rate fit.  The densities of every
+    case are one family, so their norms make one pass; every pairing goes
+    to one ``pair_each``, so the missed ones make one more.  The gap-scan
+    grid of the uniform cases is built once."""
+    cases = list(cases)
+    family = iter(density_family(P, gen, [(c.m, s, c.weighted)
+                                          for c in cases for s in c.s_grid]))
+    values, errs = pair_each([(d, t) for c in cases
+                              for d in [next(family) for _ in c.s_grid]
+                              for t in c.battery])
+    ends = np.cumsum([len(c.s_grid) * len(c.battery) for c in cases])[:-1]
+    if any(c.region is not None for c in cases):
+        # the gap scan's points: those of P on 10,000 grid points of its
+        # bounding box (a 100 x 100 grid in 2-D)
+        axes = [np.linspace(a, b, 10000 if P.dim == 1 else 100)
+                for a, b in zip(*P.bbox())]
+        xs = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
+        xs = xs[P.contains(xs, tol=MEMBERSHIP_TOL)]
+    out = []
+    for c, v, e in zip(cases, np.split(values, ends), np.split(errs, ends)):
+        v, e = (x.reshape(len(c.s_grid), len(c.battery)) for x in (v, e))
+        dev = np.abs(v - [c.limits[t.name] for t in c.battery])
+        fit = fit_rate(c.s_grid, dev.max(axis=1))
+        if c.region is not None:
+            gaps = rate_gap(gen, c.m, xs[~c.region.contains(
+                xs, tol=MEMBERSHIP_TOL)])
+            gap = float(gaps.min()) if gaps.size else math.inf
+            fit.aux["gap"] = gap
+            fit.aux["gap_match"] = (fit.model == "exponential"
+                                    and gap > 0
+                                    and abs(fit.exponent - gap) <= 0.15 * gap)
+        out.append(DiagnosticResult(
+            fit=fit, table={t.name: dev[:, j]
+                            for j, t in enumerate(c.battery)},
+            limits=c.limits, pairing_err=e.max(axis=1)))
+    return out
 
-    Laplace order predicts a power law with exponent near one.
-    """
+
+def delta_case(m, s_grid, battery, *, weighted=False) -> DiagnosticCase:
+    """The case of ``delta_diagnostic``: its limit is point evaluation at
+    m."""
     m_arr = np.asarray(m, dtype=float)
     limits = {t.name: float(t(m_arr[None, :])[0]) for t in battery}
-    return _diagnose(P, gen, m, s_grid, battery, limits, weighted)
+    return DiagnosticCase(m, s_grid, battery, limits, weighted)
 
 
-def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid, battery,
-                       region: Polytope, *,
-                       weighted=False) -> DiagnosticResult:
-    """Flattening onto the affinity component: pairings approach the
-    (uniform or base-weighted) mean of tau over the component.
-
-    The gap min rate_gap off the component, scanned on 10,000 grid points
-    of P's bounding box (a 100 x 100 grid in 2-D), is reported and compared
-    with an exponential fit of the errors.
-    """
+def uniform_case(P: Polytope, m, s_grid, battery, region: Polytope, *,
+                 weighted=False) -> DiagnosticCase:
+    """The case of ``uniform_diagnostic``: its limit is the (uniform or
+    base-weighted) mean of tau over ``region``, off which the rate gap is
+    scanned."""
     w = (lambda X: np.exp(-base_log_weight(P, m, X))) if weighted else None
     limits = dict(zip([t.name for t in battery],
                       region_mean(region, battery, weight=w)))
-    res = _diagnose(P, gen, m, s_grid, battery, limits, weighted)
-    fit = res.fit
-
-    axes = [np.linspace(a, b, 10000 if P.dim == 1 else 100)
-            for a, b in zip(*P.bbox())]
-    xs = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
-    xs = xs[P.contains(xs, tol=MEMBERSHIP_TOL)]
-    off = ~region.contains(xs, tol=MEMBERSHIP_TOL)
-    gaps = rate_gap(gen, m, xs[off])
-    gap = float(gaps.min()) if gaps.size else math.inf
-    fit.aux["gap"] = gap
-    fit.aux["gap_match"] = (fit.model == "exponential"
-                            and gap > 0
-                            and abs(fit.exponent - gap) <= 0.15 * gap)
-    return res
+    return DiagnosticCase(m, s_grid, battery, limits, weighted, region)
 
 
-def face_delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
-                          frame: FaceFrame, separable, *,
-                          weighted=False) -> DiagnosticResult:
-    """Localization on a wall chord: transverse delta times parallel profile.
-
-    ``separable`` lists (name, tau_perp(t), tau_par(u)) factors in the frame
-    coordinates; the limit of the pairing is tau_perp at the wall offset
-    times the mean of tau_par along the chord (uniform for the bare
-    variant, base-weighted otherwise).
-    """
+def face_delta_case(P: Polytope, m, s_grid, frame: FaceFrame, separable, *,
+                    weighted=False) -> DiagnosticCase:
+    """The case of ``face_delta_diagnostic``: separable test functions
+    whose limit is tau_perp at the wall offset times the chord mean of
+    tau_par."""
     if frame.codim != 1:
         raise NotImplementedError("separable diagnostics ship for walls")
     npar = frame.n_parallel
@@ -269,7 +284,45 @@ def face_delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
             return tperp(xt[..., npar]) * tpar(xt[..., 0])
         taus.append(BatteryMember(name, tau))
         limits[name] = float(tperp(np.array([c]))[0]) * par_mean
-    return _diagnose(P, gen, m, s_grid, taus, limits, weighted)
+    return DiagnosticCase(m, s_grid, taus, limits, weighted)
+
+
+def delta_diagnostic(P: Polytope, gen: Generator, m, s_grid, battery, *,
+                     weighted=False) -> DiagnosticResult:
+    """Concentration at m: pairings approach point evaluation at m.
+
+    Laplace order predicts a power law with exponent near one.
+    """
+    return diagnose(P, gen, [delta_case(m, s_grid, battery,
+                                        weighted=weighted)])[0]
+
+
+def uniform_diagnostic(P: Polytope, gen: Generator, m, s_grid, battery,
+                       region: Polytope, *,
+                       weighted=False) -> DiagnosticResult:
+    """Flattening onto the affinity component: pairings approach the
+    (uniform or base-weighted) mean of tau over the component.
+
+    The gap min rate_gap off the component, scanned on 10,000 grid points
+    of P's bounding box (a 100 x 100 grid in 2-D), is reported as
+    ``fit.aux["gap"]`` and compared with an exponential fit of the errors.
+    """
+    return diagnose(P, gen, [uniform_case(P, m, s_grid, battery, region,
+                                          weighted=weighted)])[0]
+
+
+def face_delta_diagnostic(P: Polytope, gen: Generator, m, s_grid,
+                          frame: FaceFrame, separable, *,
+                          weighted=False) -> DiagnosticResult:
+    """Localization on a wall chord: transverse delta times parallel profile.
+
+    ``separable`` lists (name, tau_perp(t), tau_par(u)) factors in the frame
+    coordinates; the limit of the pairing is tau_perp at the wall offset
+    times the mean of tau_par along the chord (uniform for the bare
+    variant, base-weighted otherwise).
+    """
+    return diagnose(P, gen, [face_delta_case(P, m, s_grid, frame, separable,
+                                             weighted=weighted)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -400,8 +400,8 @@ def pair_all(pairings):
     level's final panels of |K15 - G7| of the integral below them.  The
     pairings that miss the module's verdict are integrated afresh on the
     cuts and rel_tol of their rules, as one family per ``integrate_polytope``
-    call their rules came from, which raises QuadratureError by the
-    verdict."""
+    call their rules came from, whose levels call each distinct tau once;
+    it raises QuadratureError by the verdict."""
     pairings = list(pairings)
     out, missed = [], {}
     for r, (rule, tau) in enumerate(pairings):
@@ -427,15 +427,21 @@ def pair_all(pairings):
 
 
 def _times(f, members, taus):
-    """The family integrand f(X, members[i]) * taus[i](X), each tau called
-    once on its rows."""
+    """The family integrand f(X, members[i]) * taus[i](X), each distinct
+    tau (by identity) called once on the rows of every member paired with
+    it."""
+    fns = list({id(tau): tau for tau in taus}.values())
+    index = {id(fn): k for k, fn in enumerate(fns)}
+    which = np.array([index[id(tau)] for tau in taus])
+
     def g(X, i):
-        if len(taus) == 1:
-            return f(X, members[i]) * taus[0](X)
-        order = np.argsort(i, kind="stable")
-        ends = np.searchsorted(i[order], np.arange(len(taus) + 1))
+        if len(fns) == 1:
+            return f(X, members[i]) * fns[0](X)
+        j = which[i]
+        order = np.argsort(j, kind="stable")
+        ends = np.searchsorted(j[order], np.arange(len(fns) + 1))
         tau = np.empty(len(X))
-        for fn, a, b in zip(taus, ends[:-1], ends[1:]):
+        for fn, a, b in zip(fns, ends[:-1], ends[1:]):
             tau[order[a:b]] = fn(X[order[a:b]])
         return f(X, members[i]) * tau
     return g

@@ -33,9 +33,12 @@ bare) is the reference level of every norm.  The density is smooth between
 the facets and the ends of the generator's support slabs, so the norm's
 panels are cut there and at m, in every dimension
 (``quadrature.integrate_polytope``).  The densities of one P and generator
-at several (m, s), such as the s-grid of a diagnostic, share the facet and
-slab cuts and one generator jet per node, so ``density_family`` norms them
-as the members of one integral.
+at several (m, s), bare or weighted as each member says, such as every
+diagnostic of a criterion, share the facet and slab cuts and one generator
+jet per node, so ``density_family`` norms them as the members of one
+integral: one family per (P, generator), in which only the weighted members'
+rows gather facet terms.  ``pair_each`` pairs them with their test functions
+through one ``pair_all``.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ from . import quadrature
 
 __all__ = [
     "base_log_weight", "ray_rate", "rate_gap", "MonomialDensity",
-    "density_family", "pair_densities", "GcstImage", "gcst_image", "l1_norm",
-    "normalized_density", "basis_census", "QuantizationError",
+    "density_family", "pair_each", "pair_densities", "GcstImage",
+    "gcst_image", "l1_norm", "normalized_density", "basis_census",
+    "QuantizationError",
 ]
 
 
@@ -93,14 +97,20 @@ def _base_log_weight(P: Polytope, terms, X) -> np.ndarray:
         + 0.5 * (ell_x.sum(axis=-1) - total)
 
 
-def _log_gap(P, gen, weighted, X, m, s, psi_m, facets) -> np.ndarray:
-    """-base - s * gap at the points X (bare: -s * gap) from one jet of
-    gen, for one member (m, s, psi(m), facet terms) or one per point."""
+def _log_gap(P, gen, X, m, s, psi_m, weighted, facets) -> np.ndarray:
+    """-base - s * gap at the points X where ``weighted`` holds and -s * gap
+    at the others, from one jet of gen, for one member (m, s, psi(m),
+    weighted) or one per point; ``facets`` are the facet terms of the
+    weighted member or of each weighted point."""
     val, grad, _ = gen.jet(X, 1)
     gap = s * (psi_m + (((X - m) * grad).sum(axis=-1) - val))
-    if weighted:
+    if np.all(weighted):
         return -_base_log_weight(P, facets, X) - gap
-    return -gap
+    log = -gap
+    if np.any(weighted):
+        log[weighted] = -_base_log_weight(P, facets, X[weighted]) \
+            - gap[weighted]
+    return log
 
 
 def ray_rate(gen: Generator, m, X) -> np.ndarray:
@@ -154,9 +164,9 @@ class MonomialDensity:
 
     def log_gap_density(self, X) -> np.ndarray:
         """Stable form -base - s*gap (bare: -s*gap); max is O(1)."""
-        return _log_gap(self.polytope, self.generator, self.weighted,
+        return _log_gap(self.polytope, self.generator,
                         np.asarray(X, dtype=float), self.m, self.s,
-                        self.psi_m, self._facets)
+                        self.psi_m, self.weighted, self._facets)
 
     # -- norms and pairings ----------------------------------------------------
 
@@ -168,27 +178,39 @@ class MonomialDensity:
         if self._norm_ready:
             return
         todo = [d for d in self._family or (self,) if not d._norm_ready]
-        P, gen, weighted = self.polytope, self.generator, self.weighted
+        P, gen = self.polytope, self.generator
         m = np.array([d.m for d in todo])
         s = np.array([d.s for d in todo])
         psi_m = np.array([d.psi_m for d in todo])
-        facets = tuple(np.array(t) for t in zip(*(d._facets for d in todo)))
+        weighted = np.array([d.weighted for d in todo])
+        every = bool(weighted.all())
+        # the facet terms of the weighted members, and each member's index
+        # among them
+        facets = tuple(np.array(t) for t in zip(
+            *(d._facets for d in todo if d.weighted)))
+        slot = np.cumsum(weighted) - 1
         # each member's log density at its m, its peak, is its reference:
         # the gap vanishes there, so it is -h(m), or 0 when bare
-        ref = -_base_log_weight(P, facets, m) if weighted \
-            else np.zeros(len(todo))
+        ref = np.zeros(len(todo))
+        if facets:
+            ref[weighted] = -_base_log_weight(P, facets, m[weighted])
         many = len(todo) > 1
 
         def driver(X, i):
             """Each member's density over its value at m; the closure holds
             the members' arrays, not the densities.  A family of one reads
-            its arrays without a gather."""
+            its arrays without a gather, and only the rows of weighted
+            members gather facet terms."""
             if not many:
                 i = 0
+            if every:
+                w, terms = True, tuple(t[i] for t in facets)
+            else:
+                w = weighted[i]
+                terms = tuple(t[slot[i[w]]] for t in facets)
             with np.errstate(over="ignore"):
-                return np.exp(_log_gap(P, gen, weighted, X, m[i], s[i],
-                                       psi_m[i], tuple(t[i] for t in facets))
-                              - ref[i])
+                return np.exp(_log_gap(P, gen, X, m[i], s[i], psi_m[i], w,
+                                       terms) - ref[i])
 
         rules = quadrature.integrate_polytope(
             driver, P, lines=[(nu, c) for nu, lo, hi in gen.support
@@ -226,32 +248,43 @@ class MonomialDensity:
         return self.pair(tau) * math.exp(self._log_gap_mass)
 
 
-def density_family(P: Polytope, gen: Generator, members, *,
-                   weighted: bool = True) -> list:
-    """The densities of the members (m, s) on P under one generator, whose
-    norms are integrated together the first time one of them is needed.
-    Each member keeps its own panels, reference level and rule, so each
-    behaves as the density made alone."""
-    family = [MonomialDensity(P, gen, m, s, weighted=weighted)
-              for m, s in members]
+def density_family(P: Polytope, gen: Generator, members) -> list:
+    """The densities of the members (m, s, weighted) on P under one
+    generator, weighted True when a member is (m, s), whose norms are
+    integrated together the first time one of them is needed; bare and
+    weighted densities may share a family.  Each member keeps its own
+    panels, reference level and rule, so each behaves as the density made
+    alone."""
+    family = [MonomialDensity(P, gen, m, s,
+                              weighted=flag[0] if flag else True)
+              for m, s, *flag in members]
     for d in family:
         d._family = family
     return family
 
 
-def pair_densities(densities, taus):
-    """(values, errors), each (len(densities), len(taus)): the pairing of
-    each normalized density with each tau and its error estimate.  The
-    densities are normed first, a family in one pass, and every pairing
-    goes to one ``pair_all``, so the pairings that miss on their nodes are
-    integrated afresh as one family."""
-    for d in densities:
+def pair_each(pairings):
+    """(values, errors), each (len(pairings),): the pairing of the
+    normalized density with tau, and its error estimate, for each
+    (density, tau) in ``pairings``.  The densities are normed first, a
+    family in one pass, and every pairing goes to one ``pair_all``, so the
+    pairings that miss on their nodes are integrated afresh as one
+    family."""
+    pairings = list(pairings)
+    for d in dict.fromkeys(d for d, _ in pairings):
         d._ensure_norm()
     res = np.array(quadrature.pair_all(
-        [(d._rule, tau) for d in densities for tau in taus]), dtype=float)
-    res = res.reshape(len(densities), len(taus), 2)
-    mass = np.array([d._rule.value for d in densities])[:, None]
-    return res[..., 0] / mass, res[..., 1] / mass
+        [(d._rule, tau) for d, tau in pairings]), dtype=float).reshape(-1, 2)
+    mass = np.array([d._rule.value for d, _ in pairings])
+    return res[:, 0] / mass, res[:, 1] / mass
+
+
+def pair_densities(densities, taus):
+    """(values, errors), each (len(densities), len(taus)): ``pair_each``
+    over every density and every tau."""
+    values, errs = pair_each((d, tau) for d in densities for tau in taus)
+    shape = (len(densities), len(taus))
+    return values.reshape(shape), errs.reshape(shape)
 
 
 @dataclass

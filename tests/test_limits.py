@@ -7,16 +7,18 @@ import pytest
 
 from toricray import limits, quadrature
 from toricray.generators import BumpSpec, build_bump_generator, build_wall_sum
-from toricray.limits import (battery_for, chord_mean, delta_diagnostic,
-                             distance_to_real, face_delta_diagnostic,
+from toricray.limits import (battery_for, chord_mean, delta_case,
+                             delta_diagnostic, diagnose, distance_to_real,
+                             face_delta_case, face_delta_diagnostic,
                              fit_rate, metric_length, mixed_limit_frame, pair,
                              polarization_distance, polarization_frame,
                              ray_polarization, real_torus_frame, region_mean,
-                             uniform_diagnostic)
+                             uniform_case, uniform_diagnostic)
 from toricray.polytope import face_frame, make_polytope
 from toricray.quadrature import (QuadratureError, integrate_1d,
                                  integrate_polytope)
 from toricray.quantization import MonomialDensity, pair_densities
+from toricray.scenarios import cp2_wall, segment as seg_scenario
 
 
 def segment(N=2):
@@ -235,8 +237,82 @@ def test_diagnostic_makes_one_density_pass(monkeypatch):
         assert err == max(pair_densities([md], [t])[1][0, 0] for t in bat)
 
 
+def _assert_same_diagnostic(got, want):
+    """Bit for bit: the fit's errors, the table, the pairing errors and the
+    gap scan's aux entries."""
+    assert np.array_equal(got.fit.errors, want.fit.errors)
+    assert list(got.table) == list(want.table)
+    for name, errors in want.table.items():
+        assert np.array_equal(got.table[name], errors)
+    assert np.array_equal(got.pairing_err, want.pairing_err)
+    for key in ("gap", "gap_match"):
+        assert got.fit.aux.get(key) == want.fit.aux.get(key)
+
+
+def test_batched_uniform_cases_equal_lone_diagnostics():
+    # criterion 5's four cases, bare and weighted at m = 0 and 2, as one
+    # family give what each uniform diagnostic gives alone
+    sc = seg_scenario("cosine")
+    P, gen = sc.polytope, sc.generator
+    bat = battery_for(P)
+    grid = [32, 64, 128, 256, 512, 1024, 2048, 4096]
+    keys = [(n, key, weighted) for n, key in ((0, "P1"), (2, "P2"))
+            for weighted in (False, True)]
+    batched = diagnose(P, gen, [
+        uniform_case(P, [n], grid, bat, sc.regions[key], weighted=weighted)
+        for n, key, weighted in keys])
+    for (n, key, weighted), got in zip(keys, batched):
+        _assert_same_diagnostic(got, uniform_diagnostic(
+            P, gen, [n], grid, bat, sc.regions[key], weighted=weighted))
+        assert "gap" in got.fit.aux
+
+
+def test_batched_delta_and_face_delta_equal_lone_diagnostics():
+    # a weighted delta case at (2, 0) and a bare face-delta case on the
+    # wall at (1, 1) of cp2_wall, mixed in one family
+    sc = cp2_wall()
+    P, gen = sc.polytope, sc.generator
+    bat = battery_for(P)
+    frame = sc.decomposition.faces[0].frame
+    sep = [("perp", lambda t: t, lambda u: np.ones_like(u)),
+           ("prod", lambda t: t * t, lambda u: np.cos(u))]
+    got = diagnose(P, gen, [
+        delta_case([2, 0], [64, 256], bat, weighted=True),
+        face_delta_case(P, [1, 1], [1024, 4096], frame, sep)])
+    _assert_same_diagnostic(got[0], delta_diagnostic(
+        P, gen, [2, 0], [64, 256], bat, weighted=True))
+    _assert_same_diagnostic(got[1], face_delta_diagnostic(
+        P, gen, [1, 1], [1024, 4096], frame, sep))
+
+
+@pytest.mark.parametrize("cid,members", [(4, 16), (5, 32), (6, 2), (8, 5)])
+def test_criterion_makes_one_density_pass(monkeypatch, cid, members):
+    # a criterion norms all of its densities in one integral and integrates
+    # their missed pairings again in at most one more; every integral before
+    # that pass is a region or chord mean (or one of its misses)
+    from toricray import acceptance
+    calls = []
+    engine = quadrature.integrate_polytope
+    ensure = MonomialDensity._ensure_norm
+
+    def counting(f, P, **kwargs):
+        calls.append(len(kwargs.get("points", [None])))
+        return engine(f, P, **kwargs)
+
+    def norming(self):
+        if not self._norm_ready:
+            calls.append("norm")
+        ensure(self)
+    for module in (quadrature, limits, acceptance):
+        monkeypatch.setattr(module, "integrate_polytope", counting)
+    monkeypatch.setattr(MonomialDensity, "_ensure_norm", norming)
+    acceptance.ALL_CRITERIA[cid]()
+    first = calls.index("norm")
+    assert calls.count("norm") == 1 and calls[first + 1] == members
+    assert len(calls) - first - 2 <= 1
+
+
 def test_uniform_diagnostic_two_dimensional():
-    from toricray.scenarios import cp2_wall
     sc = cp2_wall()
     bat = battery_for(sc.polytope)
     region = sc.regions["P2_minus_W"]

@@ -333,33 +333,43 @@ def test_log_density_peaks_at_m(case):
 
 
 def _family_cases():
+    """(label, scenario, members (m, s, weighted)) of one family each."""
     grid = [32, 64, 128, 256, 512, 1024, 2048, 4096]
     for kernel in ("cosine", "smooth"):
         sc = seg_scenario(kernel)
         for m in (0, 1, 2):
             for weighted in (False, True):
                 tag = "weighted" if weighted else "bare"
-                yield f"segment-{kernel}-m{m}-{tag}", sc, [m], weighted, grid
+                yield (f"segment-{kernel}-m{m}-{tag}", sc,
+                       [([m], s, weighted) for s in grid])
+        # bare and weighted members at every lattice point in one family
+        yield (f"segment-{kernel}-mixed", sc,
+               [([m], s, weighted) for m in (0, 1, 2)
+                for weighted in (False, True) for s in grid])
     wall = cp2_wall()
     wall_sum = cp2_wall_sum("cosine")
     for weighted in (False, True):
         tag = "weighted" if weighted else "bare"
-        yield (f"cp2-wall-20-{tag}", wall, [2, 0], weighted,
-               [64, 256, 1024, 2048])
-        yield (f"cp2-wall-sum-11-{tag}", wall_sum, [1, 1], weighted,
-               [32, 512, 8192])
+        yield (f"cp2-wall-20-{tag}", wall,
+               [([2, 0], s, weighted) for s in [64, 256, 1024, 2048]])
+        yield (f"cp2-wall-sum-11-{tag}", wall_sum,
+               [([1, 1], s, weighted) for s in [32, 512, 8192]])
         # s five orders of magnitude apart: each member's inner integrals
         # get the floor its own outer integral hands them
-        yield (f"cp2-wall-sum-20-{tag}", wall_sum, [2, 0], weighted,
-               [4, 4096, 262144])
+        yield (f"cp2-wall-sum-20-{tag}", wall_sum,
+               [([2, 0], s, weighted) for s in [4, 4096, 262144]])
+    yield ("cp2-wall-sum-mixed", wall_sum,
+           [(m, s, weighted) for m in ([1, 1], [2, 0])
+            for weighted in (False, True) for s in (4, 4096)])
 
 
 @pytest.mark.parametrize("case", list(_family_cases()), ids=lambda c: c[0])
 def test_family_equals_lone_densities(case, monkeypatch):
-    # the densities of one s-grid, normed in one pass and paired in one
+    # the densities of one family, normed in one pass and paired in one
     # batch, get the masses, pairings and estimates each has alone, bit for
-    # bit.  The norms make one integral in all.
-    _, sc, m, weighted, grid = case
+    # bit, whether the members are all bare, all weighted or mixed.  The
+    # norms make one integral in all.
+    _, sc, members = case
     P, gen = sc.polytope, sc.generator
     bat = list(battery_for(P))
     calls = []
@@ -367,15 +377,15 @@ def test_family_equals_lone_densities(case, monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_polytope",
                         lambda *a, **k: calls.append(len(k["points"]))
                         or engine(*a, **k))
-    family = density_family(P, gen, [(m, s) for s in grid],
-                            weighted=weighted)
+    family = density_family(P, gen, members)
     family[-1].log_mass()
-    assert calls == [len(grid)]
+    assert calls == [len(members)]
     values, errs = pair_densities(family, bat)
     assert len(calls) <= 2
     monkeypatch.undo()
-    for d, s, row, erow in zip(family, grid, values, errs):
+    for d, (m, s, weighted), row, erow in zip(family, members, values, errs):
         lone = MonomialDensity(P, gen, m, s, weighted=weighted)
+        assert d.weighted == weighted
         assert d.log_mass() == lone.log_mass()
         assert d.rel_tol == lone.rel_tol
         assert d._ref == lone._ref
@@ -383,3 +393,37 @@ def test_family_equals_lone_densities(case, monkeypatch):
             want, want_err = pair_densities([lone], [tau])
             assert (value, err) == (want[0, 0], want_err[0, 0])
             assert d.pair(tau) == want[0, 0]
+
+
+def test_shared_tau_is_called_once_per_level(monkeypatch):
+    # the battery's bump misses on the nodes of each of the eight densities
+    # at m = 0: their fresh family calls the one bump once per level of its
+    # refinement, on the rows of every pairing, and each pairing gets the
+    # value it has from a pair_all of its own
+    sc = seg_scenario("cosine")
+    family = density_family(sc.polytope, sc.generator, [
+        ([0], s, False) for s in (32, 64, 128, 256, 512, 1024, 2048, 4096)])
+    family[0].log_mass()
+    rules = [d._rule for d in family]
+    bump = next(t for t in battery_for(sc.polytope) if t.name == "bump")
+    calls, levels = [], []
+    engine = quadrature.integrate_polytope
+
+    def counting(f, P, **kwargs):
+        def driver(X, i):
+            levels.append(len(calls))
+            return f(X, i)
+        return engine(driver, P, **kwargs)
+
+    def tau(X):
+        calls.append(len(X))
+        return bump(X)
+
+    monkeypatch.setattr(quadrature, "integrate_polytope", counting)
+    got = quadrature.pair_all([(rule, tau) for rule in rules])
+    monkeypatch.undo()
+    # one call per pairing on its own nodes, then one per level of the
+    # fresh family, made before the level's integrand
+    assert levels and levels == list(range(len(rules), len(calls)))
+    for rule, value in zip(rules, got):
+        assert value == quadrature.pair_all([(rule, bump)])[0]
