@@ -80,7 +80,7 @@ def c01_beta_norm_oracle() -> CheckResult:
         P = make_polytope([[1], [-1]], [0, -N])
         gen = build_bump_generator(P, [])
         for n, md in enumerate(density_family(
-                P, gen, [([n], 0.0) for n in range(N + 1)])):
+                P, gen, [([n], 0.0, True) for n in range(N + 1)])):
             a, b = n / 2 + 1, (N - n) / 2 + 1
             target = math.log(N ** (N / 2 + 1) * math.gamma(a)
                               * math.gamma(b) / math.gamma(a + b))
@@ -188,7 +188,8 @@ def c06_gcst_limits() -> CheckResult:
     limits = pair_all([(restricted, t) for t in bat])
 
     # the densities at m = 0 and 1 are one family, paired in one batch
-    family = density_family(P, gen, [([0], 4096.0), ([1], 4096.0)])
+    family = density_family(P, gen, [([0], 4096.0, True),
+                                     ([1], 4096.0, True)])
     img, img1 = (gcst_image(md) for md in family)
     pairs = pair_densities(family, bat)[0].tolist()
     err_a = max(abs(v * img.gap_mass - limit)

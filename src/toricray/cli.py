@@ -187,15 +187,13 @@ def cmd_ray_density(args) -> int:
             for a, b in zip(*P.bbox())]
     grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
     grid = grid[P.contains(grid, tol=MEMBERSHIP_TOL)]
-    # every lattice point's s-grid is one family, paired in one batch
-    family = density_family(P, sc.generator,
-                            [(list(m), float(s), not args.bare)
-                             for m in sc.lattice_points for s in s_grid])
-    pairs, _ = pair_densities(family, bat)
-    k = len(s_grid)
-    for j, m in enumerate(sc.lattice_points):
+    for m in sc.lattice_points:
         tag = "-".join(str(int(c)) for c in m)
-        for s, md in zip(s_grid, family[j * k:(j + 1) * k]):
+        family = density_family(P, sc.generator,
+                                [(list(m), float(s), not args.bare)
+                                 for s in s_grid])
+        pairs, _ = pair_densities(family, bat)
+        for s, md in zip(s_grid, family):
             logd = md.log_density(grid)
             dens = md.normalized(grid)
             rows = [tuple(x) + (ld, d)
@@ -205,8 +203,7 @@ def cmd_ray_density(args) -> int:
                        + ["log_density", "density_normalized"], rows)
         _write_csv(outdir / f"pairings_m{tag}.csv",
                    ["s"] + [t.name for t in bat],
-                   [(s, *row) for s, row in zip(s_grid,
-                                                pairs[j * k:(j + 1) * k])])
+                   [(s, *row) for s, row in zip(s_grid, pairs)])
     print(f"wrote densities for {len(sc.lattice_points)} lattice points "
           f"under {outdir}")
     return 0
@@ -216,15 +213,16 @@ def cmd_gcst(args) -> int:
     sc = _load_scenario(args.scenario)
     P = sc.polytope
     bat = battery_for(P)
+    rows = []
     s_grid = _capped(sc.s_grid, args.max_s)
-    # every lattice point's s-grid is one family, paired in one batch
-    keys = [(m, s) for m in sc.lattice_points for s in s_grid]
-    family = density_family(P, sc.generator,
-                            [(list(m), float(s)) for m, s in keys])
-    images = [gcst_image(md) for md in family]
-    pairs, _ = pair_densities(family, bat)
-    rows = [tuple(m) + (s, img.coefficient) + tuple(row * img.gap_mass)
-            for (m, s), img, row in zip(keys, images, pairs)]
+    for m in sc.lattice_points:
+        family = density_family(P, sc.generator,
+                                [(list(m), float(s), True) for s in s_grid])
+        images = [gcst_image(md) for md in family]
+        pairs, _ = pair_densities(family, bat)
+        for s, img, row in zip(s_grid, images, pairs):
+            rows.append(tuple(m) + (s, img.coefficient)
+                        + tuple(row * img.gap_mass))
     path = _write_csv(
         Path(args.output) / "gcst.csv",
         [f"m{i + 1}" for i in range(P.dim)] + ["s", "coefficient"]

@@ -98,18 +98,15 @@ def _base_log_weight(P: Polytope, terms, X) -> np.ndarray:
 
 
 def _log_gap(P, gen, X, m, s, psi_m, weighted, facets) -> np.ndarray:
-    """-base - s * gap at the points X where ``weighted`` holds and -s * gap
+    """-s * gap - base at the points X where ``weighted`` holds and -s * gap
     at the others, from one jet of gen, for one member (m, s, psi(m),
     weighted) or one per point; ``facets`` are the facet terms of the
-    weighted member or of each weighted point."""
+    member or of each weighted point."""
     val, grad, _ = gen.jet(X, 1)
-    gap = s * (psi_m + (((X - m) * grad).sum(axis=-1) - val))
-    if np.all(weighted):
-        return -_base_log_weight(P, facets, X) - gap
-    log = -gap
-    if np.any(weighted):
-        log[weighted] = -_base_log_weight(P, facets, X[weighted]) \
-            - gap[weighted]
+    log = -(s * (psi_m + (((X - m) * grad).sum(axis=-1) - val)))
+    w = np.broadcast_to(weighted, log.shape)
+    if w.any():
+        log[w] -= _base_log_weight(P, facets, X.compress(w, axis=0))
     return log
 
 
@@ -183,31 +180,24 @@ class MonomialDensity:
         s = np.array([d.s for d in todo])
         psi_m = np.array([d.psi_m for d in todo])
         weighted = np.array([d.weighted for d in todo])
-        every = bool(weighted.all())
-        # the facet terms of the weighted members, and each member's index
-        # among them
-        facets = tuple(np.array(t) for t in zip(
-            *(d._facets for d in todo if d.weighted)))
-        slot = np.cumsum(weighted) - 1
+        facets = tuple(np.array(t) for t in zip(*(d._facets for d in todo)))
         # each member's log density at its m, its peak, is its reference:
         # the gap vanishes there, so it is -h(m), or 0 when bare
         ref = np.zeros(len(todo))
-        if facets:
-            ref[weighted] = -_base_log_weight(P, facets, m[weighted])
+        ref[weighted] = -_base_log_weight(
+            P, tuple(t[weighted] for t in facets), m[weighted])
         many = len(todo) > 1
 
         def driver(X, i):
             """Each member's density over its value at m; the closure holds
             the members' arrays, not the densities.  A family of one reads
-            its arrays without a gather, and only the rows of weighted
-            members gather facet terms."""
+            its arrays without a per-point gather."""
             if not many:
                 i = 0
-            if every:
-                w, terms = True, tuple(t[i] for t in facets)
-            else:
-                w = weighted[i]
-                terms = tuple(t[slot[i[w]]] for t in facets)
+            w = weighted[i]
+            # the facet terms of the weighted rows only
+            rows = np.extract(w, i)
+            terms = tuple(t.take(rows, axis=0) for t in facets)
             with np.errstate(over="ignore"):
                 return np.exp(_log_gap(P, gen, X, m[i], s[i], psi_m[i], w,
                                        terms) - ref[i])
@@ -250,14 +240,12 @@ class MonomialDensity:
 
 def density_family(P: Polytope, gen: Generator, members) -> list:
     """The densities of the members (m, s, weighted) on P under one
-    generator, weighted True when a member is (m, s), whose norms are
-    integrated together the first time one of them is needed; bare and
-    weighted densities may share a family.  Each member keeps its own
-    panels, reference level and rule, so each behaves as the density made
-    alone."""
-    family = [MonomialDensity(P, gen, m, s,
-                              weighted=flag[0] if flag else True)
-              for m, s, *flag in members]
+    generator, whose norms are integrated together the first time one of
+    them is needed; bare and weighted densities may share a family.  Each
+    member keeps its own panels, reference level and rule, so each behaves
+    as the density made alone."""
+    family = [MonomialDensity(P, gen, m, s, weighted=weighted)
+              for m, s, weighted in members]
     for d in family:
         d._family = family
     return family

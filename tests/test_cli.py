@@ -148,10 +148,9 @@ def test_gcst_grid_is_the_lone_densities(tmp_path):
 
 
 def test_gcst_pairs_each_s_grid_as_one_family(tmp_path, monkeypatch):
-    # the densities of every lattice point's s-grid are normed in one call
-    # of the engine, and the pairings that miss on their nodes are
-    # integrated afresh as one more family, not one call per missed pairing
-    # or per lattice point
+    # each lattice point's densities are normed in one call of the engine,
+    # and the pairings that miss on their nodes are integrated afresh as one
+    # family per lattice point, not one call per missed pairing
     import sys
     from toricray import quadrature
     engine = quadrature.integrate_polytope
@@ -164,71 +163,7 @@ def test_gcst_pairs_each_s_grid_as_one_family(tmp_path, monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_polytope", counting)
     assert run(["--max-s", "2048", "gcst", "--scenario",
                 "builtin:three-bumps", "-o", str(tmp_path)]) == 0
-    assert callers == ["_ensure_norm", "pair_all"]
-
-
-def _per_point_outputs(scenario, outdir, bare):
-    """The files of ``ray-density`` and ``gcst`` written with one density
-    family per lattice point, each paired in a batch of its own."""
-    from toricray.cli import _capped, _fmt, _load_scenario, _write_csv
-    from toricray.limits import battery_for
-    from toricray.polytope import MEMBERSHIP_TOL
-    sc = _load_scenario(scenario)
-    P = sc.polytope
-    bat = battery_for(P)
-    s_grid = _capped(sc.s_grid, 256)
-    axes = [np.linspace(float(a), float(b), 513 if P.dim == 1 else 65)
-            for a, b in zip(*P.bbox())]
-    grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
-    grid = grid[P.contains(grid, tol=MEMBERSHIP_TOL)]
-    rows = []
-    for m in sc.lattice_points:
-        tag = "-".join(str(int(c)) for c in m)
-        family = quantization.density_family(
-            P, sc.generator, [(list(m), float(s), not bare) for s in s_grid])
-        pairs, _ = quantization.pair_densities(family, bat)
-        for s, md in zip(s_grid, family):
-            _write_csv(outdir / f"density_m{tag}_s{_fmt(s)}.csv",
-                       [f"x{i + 1}" for i in range(P.dim)]
-                       + ["log_density", "density_normalized"],
-                       [tuple(x) + (ld, d) for x, ld, d in zip(
-                           grid, md.log_density(grid), md.normalized(grid))])
-        _write_csv(outdir / f"pairings_m{tag}.csv",
-                   ["s"] + [t.name for t in bat],
-                   [(s, *row) for s, row in zip(s_grid, pairs)])
-        if not bare:
-            images = [quantization.gcst_image(md) for md in family]
-            rows += [tuple(m) + (s, img.coefficient)
-                     + tuple(row * img.gap_mass)
-                     for s, img, row in zip(s_grid, images, pairs)]
-    if not bare:
-        _write_csv(outdir / "gcst.csv",
-                   [f"m{i + 1}" for i in range(P.dim)]
-                   + ["s", "coefficient"] + [f"pair_{t.name}" for t in bat],
-                   rows)
-
-
-@pytest.mark.parametrize("scenario", ["builtin:segment-bump",
-                                      "builtin:corrected-segment"])
-@pytest.mark.parametrize("bare", [False, True], ids=["weighted", "bare"])
-def test_one_family_outputs_equal_per_point_families(tmp_path, scenario,
-                                                     bare):
-    # ray-density and gcst norm every lattice point and s as one family and
-    # pair them in one batch; every file they write is the one written with
-    # a family per lattice point, byte for byte
-    got, want = tmp_path / "got", tmp_path / "want"
-    argv = ["--max-s", "256", "ray-density", "--scenario", scenario,
-            "-o", str(got)]
-    assert run(argv + ["--bare"] * bare) == 0
-    if not bare:
-        assert run(["--max-s", "256", "gcst", "--scenario", scenario,
-                    "-o", str(got)]) == 0
-    _per_point_outputs(scenario, want, bare)
-    names = sorted(p.name for p in want.iterdir())
-    assert sorted(p.name for p in got.iterdir()) == names
-    assert len(names) == 3 * 4 + 3 + (not bare)
-    for name in names:
-        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+    assert sorted(callers) == ["_ensure_norm"] * 6 + ["pair_all"] * 2
 
 
 def test_decompose_and_q(tmp_path):
