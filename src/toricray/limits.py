@@ -119,7 +119,7 @@ def chord_mean(P: Polytope, frame: FaceFrame, c_perp, battery, *,
 
     # exact parallel range: each facet constraint is affine in u
     x0, x1 = point(np.array([[0.0], [1.0]]))
-    u_lo, u_hi = (float(u) for u in P.chord(x0, x1 - x0))
+    u_lo, u_hi = (float(u) for u in P.chord(x0, x1 - x0)[:2])
     if not u_lo < u_hi:
         raise ValueError("chord misses the polytope")
     # the polytope keeps the float ends as exact Fractions

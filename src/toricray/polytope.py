@@ -253,14 +253,18 @@ class Polytope:
     def chord(self, x0, d):
         """Ends (lo, hi) of the chords {x0 + u d : lo <= u <= hi} of P from
         the facet inequalities, for points x0 (..., n) and a direction d
-        (n,); lo >= hi where the line misses P."""
+        (n,), and the facets (at_lo, at_hi) the ends lie on: the index of
+        the inequality that gives each end, the first where several do;
+        lo >= hi where the line misses P."""
         a = self._A @ np.asarray(d, dtype=float)
         ell = self.ell(x0)
         up, down = a > CROSSING_TOL, a < -CROSSING_TOL
-        lo = np.max(-ell[..., up] / a[up], axis=-1, initial=-np.inf)
-        hi = np.min(-ell[..., down] / a[down], axis=-1, initial=np.inf)
+        lo, hi = (-ell[..., side] / a[side] for side in (up, down))
+        at_lo = np.flatnonzero(up)[lo.argmax(axis=-1)]
+        at_hi = np.flatnonzero(down)[hi.argmin(axis=-1)]
         misses = np.any(ell[..., ~(up | down)] < 0, axis=-1)
-        return lo, np.where(misses, -np.inf, hi)
+        return (lo.max(axis=-1), np.where(misses, -np.inf, hi.min(axis=-1)),
+                at_lo, at_hi)
 
     @property
     def vertices_np(self) -> np.ndarray:

@@ -59,9 +59,23 @@ every level, the final panel above each node and the node's share of that
 panel's K15 - G7 difference.  ``pair_all`` sums f_i * tau on the nodes of
 each (rule, tau) it is given, with that estimate over every level, and
 integrates the pairings that miss the verdict afresh, as one family of
-f_i * tau per family of rules, on the same cuts and rel_tol: the one place
-that integrates again after a missed estimate, and the one pairing of a
-rule.
+f_i * tau per family of rules, on the same cuts, end maps and rel_tol: the
+one place that integrates again after a missed estimate, and the one
+pairing of a rule.
+
+End maps: a member may behave like ell_r^e times a smooth function near
+facet r, with e = k/q an exact rational (``exponents``), where bisection
+converges only algebraically.  Where q > 1 the innermost level measures
+each chord piece that ends on facet r in u, with x = a + (b - a) t^q and
+t = (u - a) / (b - a), a the chord's end and b the nearest cut: then
+(x - a)^(k/q) dx/du is a polynomial in t (Davis and Rabinowitz 1984).
+The map is monotone and fixes the piece's ends, so the cuts, the panels,
+``owners``, ``diffs`` and the verdict are those in x; only the innermost
+driver maps its nodes and multiplies by dx/du, and a ``NodeSet`` keeps the
+x nodes and the weights times dx/du.  A chord with no cut inside and both
+ends mapped is cut at its midpoint.  Each end's facet is the one
+``Polytope.chord`` names.  The outer levels' ends, at the projections of
+vertices, are not mapped.
 
 One verdict: ``integrate_polytope``, the one integrator other modules call,
 ``pair_all`` and ``adaptive_panels`` raise QuadratureError when a
@@ -77,6 +91,7 @@ in the package calls it.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import combinations
 from typing import NamedTuple
 
@@ -373,13 +388,15 @@ def log_integral_1d(log_f, a, b, *, rel_tol=REL_TOL, seeds=()):
 class NodeSet(NamedTuple):
     """Final nodes of one member of ``integrate_polytope``: points (N, n),
     rule weights and integrand values (N,), the integral, its error
-    estimate and the count of final innermost panels, N / 15.  ``owners``
-    and ``diffs`` (N, n) hold, for each level of the iterated rule (x1
-    first), the final panel of that level each node lies under and the
-    node's weight in that panel's K15 - G7 difference, so that ``pair_all``
-    gives f times any test function the estimate f got.  ``rel_tol`` is
-    the call's tolerance, ``family`` the call's integrand f(X, i), P,
-    lines and peaks, and ``member`` the index i of this member."""
+    estimate and the count of final innermost panels, N / 15.  The nodes
+    and weights are those of x, also where an end map measured the
+    innermost level in u.  ``owners`` and ``diffs`` (N, n) hold, for each
+    level of the iterated rule (x1 first), the final panel of that level
+    each node lies under and the node's weight in that panel's K15 - G7
+    difference, so that ``pair_all`` gives f times any test function the
+    estimate f got.  ``rel_tol`` is the call's tolerance, ``family`` the
+    call's integrand f(X, i), P, lines, peaks and exponents, and
+    ``member`` the index i of this member."""
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
@@ -399,7 +416,8 @@ def pair_all(pairings):
     on the rule's nodes, with the estimate of every level: the sum over the
     level's final panels of |K15 - G7| of the integral below them.  The
     pairings that miss the module's verdict are integrated afresh on the
-    cuts and rel_tol of their rules, as one family per ``integrate_polytope``
+    cuts, end maps and rel_tol of their rules, as one family per
+    ``integrate_polytope``
     call their rules came from, whose levels call each distinct tau once;
     it raises QuadratureError by the verdict."""
     pairings = list(pairings)
@@ -416,11 +434,13 @@ def pair_all(pairings):
             missed.setdefault(id(rule.family), []).append(r)
     for rs in missed.values():
         rule = pairings[rs[0]][0]
-        f, P, lines, points = rule.family
+        f, P, lines, points, exponents = rule.family
         members = np.array([pairings[r][0].member for r in rs])
         again = integrate_polytope(
             _times(f, members, [pairings[r][1] for r in rs]), P,
-            lines=lines, points=points[members], rel_tol=rule.rel_tol)
+            lines=lines, points=points[members],
+            exponents=None if exponents is None else exponents[members],
+            rel_tol=rule.rel_tol)
         for r, res in zip(rs, again):
             out[r] = (res.value, res.err)
     return out
@@ -448,7 +468,7 @@ def _times(f, members, taus):
 
 
 def integrate_polytope(f, P, *, lines=(), point=None, points=None,
-                       rel_tol: float = REL_TOL):
+                       exponents=None, rel_tol: float = REL_TOL):
     """Integral of f over the polytope P on iterated GK15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
@@ -466,6 +486,13 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
     refine as independent groups of one pass, each with its own panels,
     budget and verdict.  Returns one ``NodeSet`` per member.  The one
     integrand is the family of one.
+
+    ``exponents`` (k, facets), exact rationals (ints or ``Fraction``s)
+    above -1, say that member i behaves like ell_r^e_ir times a smooth
+    function near facet r; the one integrand is member 0.  Where e_ir has
+    a denominator q > 1, the innermost level maps each chord piece that
+    ends on facet r (see ``_level``).  Raises ValueError, naming the member
+    and the facet, for an entry that is not an exact rational above -1.
     """
     one = points is None
     if one:
@@ -474,12 +501,13 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
         f = lambda X, i: lone(X)
     points = np.asarray(points, dtype=float)
     k, n = points.shape
+    exponents, powers = _end_powers(exponents, k, len(P.normals))
     cuts = np.concatenate([P.facets_np, np.array(
         [[*nu, c] for nu, c in lines], dtype=float).reshape(-1, n + 1)])
     # the outermost level is handed a zero floor, from which it hands its
     # own down
     own, total, err, head, ids, x, weights, values = _level(
-        f, P, cuts, points, np.arange(k), np.empty((k, 0)), rel_tol,
+        f, P, cuts, points, powers, np.arange(k), np.empty((k, 0)), rel_tol,
         np.zeros(k))
     if k > 1:
         # the final panels of each member together, in the order they had
@@ -497,7 +525,7 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
     nodes, weights, values = (a.reshape(-1, *a.shape[2:]) for a in (
         nodes, weights, values))
     owners, diffs = ids // 15, weights[:, None] * _GK15_RATIO[ids % 15]
-    family = (f, P, lines, points)
+    family = (f, P, lines, points, exponents)
     out = []
     for i, a, b in zip(range(k), ends[:-1], ends[1:]):
         rows = slice(15 * a, 15 * b)
@@ -511,36 +539,135 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
     return out[0] if one else out
 
 
-def _level(f, P, lines, peaks, member, prefix, rel_tol, floor):
+def _end_powers(exponents, k, n_facets):
+    """``exponents`` as a (k, n_facets) object array of exact rationals,
+    and their denominators q, None when every q is 1 (or no exponents are
+    given); raises ValueError for a wrong shape, or an entry that is not an
+    exact rational above -1."""
+    if exponents is None:
+        return None, None
+    try:
+        e = np.array(exponents, dtype=object)
+    except ValueError:
+        e = None
+    if e is None or e.shape != (k, n_facets):
+        raise ValueError(f"exponents must be a ({k} members, {n_facets} "
+                         f"facets) array, not {np.shape(e)}")
+    q = []
+    for at, v in enumerate(e.flat):
+        if isinstance(v, bool) or not isinstance(v, numbers.Rational):
+            what = "is not an exact rational"
+        elif v.numerator <= -v.denominator:
+            what = "is not integrable: it is at most -1"
+        else:
+            q.append(v.denominator)
+            continue
+        i, r = divmod(at, n_facets)
+        raise ValueError(f"exponent {v} of member {i} at facet {r} {what}")
+    return e, (np.reshape(q, e.shape) if max(q, default=1) > 1 else None)
+
+
+def _end_pieces(lo, hi, cuts, q_lo, q_hi):
+    """The end pieces of the chords [lo_g, hi_g], None when no end is
+    mapped: each chord's last cut strictly inside (lo_g where there is
+    none, hi_g where its upper end is not mapped), which decides a node's
+    side, and for each end (2g the lower, 2g + 1 the upper) the end a, the
+    signed length b - a of its piece to the nearest cut b inside (the other
+    end where there is none) and its power q, 1 where it is not mapped;
+    and a cut at the midpoint of each chord with no cut inside and both
+    ends mapped, nan on the others."""
+    if not ((q_lo > 1) | (q_hi > 1)).any():
+        return None, None
+    inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
+    first = np.minimum(np.where(inside, cuts, np.inf).min(axis=1), hi)
+    last = np.maximum(np.where(inside, cuts, -np.inf).max(axis=1), lo)
+    mid = np.where((q_lo > 1) & (q_hi > 1) & ~inside.any(axis=1),
+                   0.5 * (lo + hi), np.nan)
+    halved = ~np.isnan(mid)
+    first[halved] = last[halved] = mid[halved]
+    # an end that is not mapped has no piece, which the other end's piece
+    # may overlap
+    last = np.where(q_hi > 1, last, hi)
+    ends, spans, powers = (np.column_stack(c).ravel() for c in (
+        (lo, hi), (first - lo, last - hi), (q_lo, q_hi)))
+    return (last, ends, spans, powers.astype(float)), mid[:, None]
+
+
+def _end_map(u, g, pieces):
+    """x and dx/du at the points u of the groups g: on the end piece
+    between a chord end a and its nearest cut b, of power q > 1,
+    x = a + (b - a) t^q with t = (u - a) / (b - a), so that
+    (x - a)^(k/q) dx/du is a polynomial in t; x = u and dx/du = 1 off the
+    mapped pieces.  Only exactly rounded operations, so that a point gets
+    the same bits in any family."""
+    last, ends, spans, powers = pieces
+    side = 2 * g + (u > last.take(g))
+    a, span, q = ends.take(side), spans.take(side), powers.take(side)
+    t = (u - a) / span
+    # between the end pieces t >= 1, and nothing is mapped
+    q = np.where(t < 1.0, q, 1.0)
+    # t^(q - 1), one factor of t per power still owed
+    power = np.ones(len(t))
+    for e in range(1, int(q.max(initial=1.0))):
+        power = np.where(q > e, power * t, power)
+    return np.where(q > 1.0, a + span * (power * t), u), q * power
+
+
+def _level(f, P, lines, peaks, powers, member, prefix, rel_tol, floor):
     """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
     of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row.
     ``member`` (k,) is the family member of each row, whose row of
-    ``peaks`` cuts its panels, and ``floor`` (k,) the absolute tolerance
-    the level above hands each row (see ``_refine``).  Returns the prefix row of each final innermost panel (R,),
-    the integrals and their errors (k,), the coordinates the levels below
-    fixed for each panel and the index of each of those nodes among the
-    final nodes of its level, 15 a panel (R, n - 1 - j) each, and x_n, the
-    rule weights and the values of its 15 nodes (R, 15)."""
+    ``peaks`` cuts its panels and whose row of ``powers`` (members, facets;
+    None when there is none) maps the ends of its innermost chords, and
+    ``floor`` (k,) the absolute tolerance the level above hands each row
+    (see ``_refine``).  Returns the prefix row of each final innermost
+    panel (R,), the integrals and their errors (k,), the coordinates the
+    levels below fixed for each panel and the index of each of those nodes
+    among the final nodes of its level, 15 a panel (R, n - 1 - j) each,
+    and x_n, the rule weights and the values of its 15 nodes (R, 15).
+
+    On the innermost level a chord piece that ends on a facet r where the
+    member's power q is above 1 is measured in u, with x = a + (b - a) t^q
+    the map of ``_end_map``: it fixes the piece's ends, so the cuts and the
+    panels in u are those in x.  A chord with no cut inside and both ends
+    mapped is cut at its midpoint.  The level returns the nodes in x, the
+    weights times dx/du and the values of f."""
     (k, j), n = prefix.shape, P.dim
-    inner = []
+    inner, mapped = [], []
     # the range of x_{j+1}: the bounding box's on the first level, where it
     # is exact, the chords of P on an innermost level below it, and the
     # extent of the slice's vertices, which are among the cuts, on a level
-    # in between
+    # in between; a segment maps its ends on the facets its chord names
     lo, hi = (np.full(k, c[j]) for c in P.bbox())
     if j == n - 1:
-        if j > 0:
-            lo, hi = P.chord(np.concatenate([prefix, np.zeros((k, 1))],
-                                            axis=1), [0.0] * j + [1.0])
-        # cut where the hyperplanes cross the chords
+        if j > 0 or powers is not None:
+            # a segment's chord is its bounding box, bit for bit: it is
+            # asked only for the facets of the ends it maps
+            lo, hi, at_lo, at_hi = P.chord(np.concatenate(
+                [prefix, np.zeros((k, 1))], axis=1), [0.0] * j + [1.0])
+        # cut where the hyperplanes cross the chords, and at the peaks
         crossing = lines[np.abs(lines[:, j]) > CROSSING_TOL]
-        cuts = (crossing[:, -1] - prefix @ crossing[:, :j].T) / crossing[:, j]
+        cuts = np.concatenate([(crossing[:, -1] - prefix
+                                @ crossing[:, :j].T) / crossing[:, j],
+                               peaks[member, j, None]], axis=1)
+        pieces = None
+        if powers is not None:
+            pieces, more = _end_pieces(lo, hi, cuts, powers[member, at_lo],
+                                       powers[member, at_hi])
+        if pieces is not None:
+            cuts = np.concatenate([cuts, more], axis=1)
 
         def driver(x, g, hand):
-            if j == 0:  # no prefix to prepend
-                return f(x[:, None], member[g])
-            return f(np.concatenate([prefix[g], x[:, None]], axis=1),
-                     member[g])
+            if pieces is not None:
+                x, jac = _end_map(x, g, pieces)
+            X = x[:, None] if j == 0 else np.concatenate(
+                [prefix[g], x[:, None]], axis=1)
+            vals = f(X, member[g])
+            if pieces is None:
+                return vals
+            vals = np.asarray(vals, dtype=float)
+            mapped.append((x, jac, vals))
+            return vals * jac
     else:
         # cut at the points of P where n - j of the hyperplanes meet; the
         # integrand is the level below
@@ -554,20 +681,27 @@ def _level(f, P, lines, peaks, member, prefix, rel_tol, floor):
         if j > 0:
             lo = np.where(np.isnan(cuts), np.inf, cuts).min(axis=1)
             hi = np.where(np.isnan(cuts), -np.inf, cuts).max(axis=1)
+        cuts = np.concatenate([cuts, peaks[member, j, None]], axis=1)
 
         def driver(x, g, hand):
-            rows = _level(f, P, lines, peaks, member[g], np.concatenate(
-                [prefix[g], x[:, None]], axis=1), rel_tol, hand[g])
+            rows = _level(f, P, lines, peaks, powers, member[g],
+                          np.concatenate([prefix[g], x[:, None]], axis=1),
+                          rel_tol, hand[g])
             inner.append((x, g, *rows))
             # the integrals of |f| over the slices scale this level
             own, total, _, _, _, _, w, v = rows
             return total, np.bincount(own, np.abs(w * v).sum(axis=1), len(x))
-    res = _refine(driver, *_cut(lo, hi, np.concatenate(
-        [cuts, peaks[member, j, None]], axis=1)), k, rel_tol, floor)
+    res = _refine(driver, *_cut(lo, hi, cuts), k, rel_tol, floor)
     if j == n - 1:
         none = np.empty((len(res.group), 0))
+        nodes, weights, values = res.nodes, res.weights, res.values
+        if mapped:
+            # the x, dx/du and f the driver had at each final node
+            nodes, jac, values = (np.concatenate(a)[res.pos]
+                                  for a in zip(*mapped))
+            weights = weights * jac
         return (res.group, res.total, res.err, none, none.astype(np.intp),
-                res.nodes, res.weights, res.values)
+                nodes, weights, values)
     x, g, own, _, err, head, ids, xs, ws, vs = zip(*inner)
     # the owner of each panel row among all the nodes of this level
     own = np.concatenate([o + a for o, a in zip(

@@ -39,12 +39,25 @@ jet per node, so ``density_family`` norms them as the members of one
 integral: one family per (P, generator), in which only the weighted members'
 rows gather facet terms.  ``pair_each`` pairs them with their test functions
 through one ``pair_all``.
+
+The weight of a lattice point m behaves like ell_r(x)^(ell_r(m)/2) near
+facet r, and ell_r(m)/2 is an exact rational, from the offsets of P and the
+integer m.  Where it is not an integer (ell_r(m) odd, or in 1/2 + Z on a
+half-form corrected P) the weight has an algebraic singularity on facet r,
+so a weighted member hands these exponents to ``integrate_polytope``, whose
+innermost level maps each chord end on such a facet by x = a + L t^q, q the
+exponent's denominator (Guillemin 1994 for the weight; Davis and Rabinowitz
+1984 for the map).  Bare members, and weighted ones whose exponents are
+integers, keep the unmapped rule bit for bit.  ``ray_rate`` of a stack of
+points (k, n) gives each point's rate from one jet.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -97,6 +110,18 @@ def _base_log_weight(P: Polytope, terms, X) -> np.ndarray:
         + 0.5 * (ell_x.sum(axis=-1) - total)
 
 
+def _exponents(P: Polytope, m) -> list:
+    """ell_r(m) / 2 at each facet r, exact from the offsets of P, the power
+    of ell_r in the weight exp(-h); 0 where m is not a lattice point, whose
+    float ell_r(m) gives no exact power."""
+    if not all(c.is_integer() for c in m):
+        return [0] * len(P.normals)
+    m = [int(c) for c in m]
+    return [Fraction(sum(map(operator.mul, m, v)) * o.denominator
+                     - o.numerator, 2 * o.denominator)
+            for v, o in zip(P.normals, P.offsets)]
+
+
 def _log_gap(P, gen, X, m, s, psi_m, weighted, facets) -> np.ndarray:
     """-s * gap - base at the points X where ``weighted`` holds and -s * gap
     at the others, from one jet of gen, for one member (m, s, psi(m),
@@ -111,11 +136,13 @@ def _log_gap(P, gen, X, m, s, psi_m, weighted, facets) -> np.ndarray:
 
 
 def ray_rate(gen: Generator, m, X) -> np.ndarray:
-    """(x - m) . grad psi - psi; constant on each affinity component of psi."""
+    """(x - m) . grad psi - psi; constant on each affinity component of psi.
+    For one point m (n,) it is (N,) at the points X (N, n); for a stack of
+    points m (k, n) it is (k, N), one row per m, from one jet of gen."""
     X = np.asarray(X, dtype=float)
     m = np.asarray(m, dtype=float)
     val, grad, _ = gen.jet(X, 1)
-    return ((X - m) * grad).sum(axis=-1) - val
+    return ((X - m[..., None, :]) * grad).sum(axis=-1) - val
 
 
 def rate_gap(gen: Generator, m, X) -> np.ndarray:
@@ -181,6 +208,8 @@ class MonomialDensity:
         psi_m = np.array([d.psi_m for d in todo])
         weighted = np.array([d.weighted for d in todo])
         facets = tuple(np.array(t) for t in zip(*(d._facets for d in todo)))
+        exponents = [_exponents(P, d.m) if d.weighted else [0] * len(
+            P.normals) for d in todo]
         # each member's log density at its m, its peak, is its reference:
         # the gap vanishes there, so it is -h(m), or 0 when bare
         ref = np.zeros(len(todo))
@@ -205,7 +234,7 @@ class MonomialDensity:
         rules = quadrature.integrate_polytope(
             driver, P, lines=[(nu, c) for nu, lo, hi in gen.support
                               for c in (lo, hi)], points=m,
-            rel_tol=self.rel_tol)
+            exponents=exponents, rel_tol=self.rel_tol)
         if min(rule.value for rule in rules) <= 0:
             raise QuantizationError("density mass underflowed")
         for d, r, rule in zip(todo, ref.tolist(), rules):

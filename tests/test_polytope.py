@@ -291,6 +291,24 @@ def test_ell_values_examples():
                        [1.0, 1.0, 1.0])
 
 
+def test_chord_ends_and_their_facets():
+    # x2 chords of the simplex at x1 = 1 and 2.5 run from facet 1 (x2 = 0)
+    # to facet 2 (x1 + x2 = 3); the x1 chord at x2 = 1 from facet 0; a
+    # segment's chord is its bounding box
+    P = simplex()
+    lo, hi, at_lo, at_hi = P.chord(np.array([[1.0, 0.0], [2.5, 0.0]]),
+                                   [0.0, 1.0])
+    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [2.0, 0.5]
+    assert at_lo.tolist() == [1, 1] and at_hi.tolist() == [2, 2]
+    lo, hi, at_lo, at_hi = P.chord(np.array([0.0, 1.0]), [1.0, 0.0])
+    assert (float(lo), float(hi), int(at_lo), int(at_hi)) == (0.0, 2.0, 0, 2)
+    Q = make_polytope([[1], [-1]], [Fraction(-1, 2), Fraction(-5, 2)],
+                      corrected=True)
+    lo, hi, at_lo, at_hi = Q.chord(np.zeros((1, 1)), [1.0])
+    assert (lo[0], hi[0]) == tuple(Q.bbox()[i][0] for i in (0, 1))
+    assert (at_lo[0], at_hi[0]) == (0, 1)
+
+
 def test_ell_values_affine_property():
     rng = np.random.default_rng(0)
     P = simplex()

@@ -33,7 +33,7 @@ from toricray.quadrature import (QuadratureError, TriangleMesh,
                                  _split4_batch, adaptive_panels,
                                  integrate_on_panels, integrate_polytope,
                                  log_integral_1d, panel_nodes)
-from toricray.quantization import MonomialDensity
+from toricray.quantization import MonomialDensity, density_family
 
 POLYGONS = {
     "simplex": np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]),
@@ -907,6 +907,53 @@ def test_missed_pairing_is_integrated_afresh_on_the_same_cuts(monkeypatch):
     assert quadrature.pair_all([(res, tau)])[0] == (fresh.value, fresh.err)
 
 
+def test_missed_pairing_of_a_mapped_rule_keeps_its_end_maps(monkeypatch):
+    # sqrt(x (3 - x)) on [0, 3] has both ends mapped by t^2; a narrow peak
+    # near x = 0 misses on its nodes, and the fresh integral of f times it
+    # maps the same ends: it is integrate_polytope of f * tau with the same
+    # exponents, bit for bit, and not the unmapped one
+    P = make_polytope([[1], [-1]], [0, -3])
+    half = [[Fraction(1, 2), Fraction(1, 2)]]
+    f = lambda X: np.sqrt(X[:, 0] * (3.0 - X[:, 0]))
+    tau = lambda X: np.exp(-400.0 * (X[:, 0] - 0.2) ** 2)
+    res = integrate_polytope(f, P, exponents=half)
+    fresh = integrate_polytope(lambda X: f(X) * tau(X), P, exponents=half)
+    plain = integrate_polytope(lambda X: f(X) * tau(X), P)
+    assert res.value == pytest.approx(9 * math.pi / 8, rel=1e-13)
+    calls = []
+    engine = quadrature.integrate_polytope
+    monkeypatch.setattr(quadrature, "integrate_polytope",
+                        lambda *a, **k: calls.append(k["exponents"])
+                        or engine(*a, **k))
+    assert quadrature.pair_all([(res, tau)])[0] == (fresh.value, fresh.err)
+    assert len(calls) == 1 and calls[0].tolist() == half
+    assert (plain.value, plain.err) != (fresh.value, fresh.err)
+
+
+@pytest.mark.parametrize("exponents, message", [
+    ([[Fraction(1, 2)]], r"\(1 members, 2 facets\)"),
+    ([[0, 0], [0, 0]], r"\(1 members, 2 facets\)"),
+    ([[0.5, 0]], "exponent 0.5 of member 0 at facet 0 is not an exact"),
+    ([[0, True]], "exponent True of member 0 at facet 1 is not an exact"),
+    ([[0, Fraction(-1)]], "exponent -1 of member 0 at facet 1 is not "
+                          "integrable"),
+    ([[0, Fraction(-3, 2)]], "of member 0 at facet 1 is not integrable"),
+])
+def test_exponents_are_exact_integrable_rationals(exponents, message):
+    P = make_polytope([[1], [-1]], [0, -3])
+    with pytest.raises(ValueError, match=message):
+        integrate_polytope(lambda X: np.ones(len(X)), P, exponents=exponents)
+
+
+def test_negative_exponent_is_integrated_exactly():
+    # x^(-1/2) on [0, 1] is 2; mapped by t^2 it is the constant 2
+    P = make_polytope([[1], [-1]], [0, -1])
+    res = integrate_polytope(lambda X: X[:, 0] ** -0.5, P,
+                             exponents=[[Fraction(-1, 2), 0]])
+    assert res.value == pytest.approx(2.0, rel=1e-14)
+    assert res.panels == 1
+
+
 def test_missed_pairings_are_integrated_afresh_as_one_family(monkeypatch):
     # the misses of several members and test functions make one call of
     # the engine, each the integral it has alone, bit for bit
@@ -1130,3 +1177,24 @@ def test_wall_sum_density_takes_few_nodes():
                          weighted=False)
     md.log_mass()
     assert len(md._rule.weights) <= 28000
+
+
+def test_weighted_wall_sum_density_takes_few_nodes():
+    # at (1,1) the weight is sqrt(x1 x2 (3 - x1 - x2)) times a smooth
+    # function: the innermost x2 chords map their ends by t^2, and the
+    # outer x1 level's ends at the vertex projections are what is left
+    # (44,385 final nodes with no map, 11,220 with it)
+    sc = scenarios.cp2_wall_sum("cosine")
+    md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 32.0)
+    md.log_mass()
+    assert len(md._rule.weights) <= 12000
+
+
+def test_beta_family_takes_few_nodes():
+    # criterion 1's family on [0, 3] at s = 0: each half-integer power of
+    # a facet is mapped by t^2 (750 final nodes with no map, 120 with it)
+    P = make_polytope([[1], [-1]], [0, -3])
+    family = density_family(P, build_bump_generator(P, []),
+                            [([n], 0.0, True) for n in range(4)])
+    family[0].log_mass()
+    assert sum(len(d._rule.weights) for d in family) <= 150

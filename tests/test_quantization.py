@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
+from scipy.special import gamma as gamma_fn
 
 from toricray import quadrature
 from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.limits import battery_for
 from toricray.polytope import make_polytope
-from toricray.scenarios import cp2_wall, cp2_wall_sum, segment as seg_scenario
+from toricray.scenarios import (corrected_segment, cp2, cp2_wall, cp2_wall_sum,
+                                segment as seg_scenario)
 from toricray.quadrature import QuadratureError, integrate_1d
 from toricray.quantization import (MonomialDensity, QuantizationError,
                                    base_log_weight, basis_census,
@@ -87,6 +89,49 @@ def test_l1_norm_beta_oracle():
             assert md.log_mass() == pytest.approx(math.log(target), abs=1e-8)
             assert l1_norm(md) == pytest.approx(
                 math.log(2 * math.pi * target), abs=1e-8)
+
+
+def test_corrected_segment_masses_against_beta():
+    # on [-1/2, 5/2] the facet values sum to 3, so the s = 0 weighted mass
+    # at m is 3^(a+b+1) B(a+1, b+1) with a = (m + 1/2)/2 and b = (5/2 -
+    # m)/2 in 1/4 + Z/2: both ends are mapped by t^4
+    sc = corrected_segment("cosine")
+    family = density_family(sc.polytope, sc.generator,
+                            [([m], 0.0, True) for m in (0, 1, 2)])
+    for m, md in zip((0, 1, 2), family):
+        a, b = (m + 0.5) / 2, (2.5 - m) / 2
+        target = 3.0 ** (a + b + 1) * beta_fn(a + 1, b + 1)
+        assert abs(math.expm1(md.log_mass() - math.log(target))) <= 1e-12
+
+
+def test_cp2_masses_against_dirichlet():
+    # on CP^2(3) the facet values x1, x2 and 3 - x1 - x2 sum to 3, so the
+    # s = 0 weighted mass at m is the Dirichlet integral
+    # 3^(a+b+c+2) G(a+1) G(b+1) G(c+1) / G(a+b+c+3), with a, b, c the
+    # half facet values at m, at all 10 lattice points
+    sc = cp2_wall_sum("cosine")
+    points = cp2(3).integral_points()
+    assert len(points) == 10
+    family = density_family(sc.polytope, sc.generator,
+                            [(m, 0.0, True) for m in points])
+    for (m1, m2), md in zip(points, family):
+        a, b, c = m1 / 2, m2 / 2, (3 - m1 - m2) / 2
+        target = 3.0 ** (a + b + c + 2) * gamma_fn(a + 1) * gamma_fn(b + 1) \
+            * gamma_fn(c + 1) / gamma_fn(a + b + c + 3)
+        assert abs(math.expm1(md.log_mass() - math.log(target))) <= 1e-6
+
+
+def test_ray_rate_of_stacked_points_is_each_points_rate():
+    # one jet for k lattice points gives each point's row bit for bit
+    for gen, ms, xs in (
+            (bump_gen(), [[0.0], [1.0], [2.0]],
+             np.linspace(0.0, 2.0, 50)[:, None]),
+            (cp2_wall_sum("cosine").generator, [[1, 1], [2, 0], [0, 3]],
+             np.random.default_rng(2).uniform(0.0, 1.5, size=(40, 2)))):
+        got = ray_rate(gen, ms, xs)
+        assert got.shape == (len(ms), len(xs))
+        for m, row in zip(ms, got):
+            assert np.array_equal(row, ray_rate(gen, m, xs))
 
 
 def test_normalized_density_integrates_to_one():
@@ -361,6 +406,14 @@ def _family_cases():
     yield ("cp2-wall-sum-mixed", wall_sum,
            [(m, s, weighted) for m in ([1, 1], [2, 0])
             for weighted in (False, True) for s in (4, 4096)])
+    # the half-form corrected segment: every weighted end mapped by t^4,
+    # next to bare members whose ends are not mapped
+    corrected = corrected_segment("cosine")
+    yield ("corrected-segment-weighted", corrected,
+           [([m], s, True) for m in (0, 1, 2) for s in [0.0, *grid]])
+    yield ("corrected-segment-mixed", corrected,
+           [([m], s, weighted) for m in (0, 1, 2)
+            for weighted in (False, True) for s in (0.0, 32, 4096)])
 
 
 @pytest.mark.parametrize("case", list(_family_cases()), ids=lambda c: c[0])
