@@ -23,7 +23,6 @@ inherited from f exactly; it is still verified by sampling as a guard.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -55,8 +54,9 @@ class SmoothingError(ValueError):
 _OUTER_PANELS = 16
 # rows per inner batch of the outer level; one batch holds
 # _OUTER_CHUNK * _OUTER_PANELS * 15 = 3840 inner points, so the envelope's
-# (N, p, p) temporaries stay a few hundred KB, below the sizes the allocator
-# maps and unmaps afresh on every batch
+# per-piece columns and the jets' bins stay a few hundred KB; 32 rows were
+# at most a few percent faster on the corner family and took about 1.4 MB
+# more peak memory
 _OUTER_CHUNK = 16
 
 
@@ -110,74 +110,103 @@ class LineMollifier:
         """The top piece's jet plus the terms of each row's breaks: value,
         gradient and Hessian, None above ``order``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        G, a = self.f.G, self.f.piece_values(X)
+        (npts, n), G, s = X.shape, self.f.G, self.slopes_w
+        a = self.f.piece_values(X)
+        p = a.shape[1]
         rows, L, R, t, top = self._breaks(a)
-        dA, dS, dG = (a[rows, L] - a[rows, R],
-                      self.slopes_w[L] - self.slopes_w[R], G[L] - G[R])
-        vT, vE, *derivs = (_row_sums(rows, z, len(X)) for z in
-                           self._break_jet(dA, dS, dG, t, order))
-        grads, hesses = (derivs + [None, None])[:2]
+        # gathers from the flat piece values, p a row
+        dA, dS, dG = (a.take(rows * p + L) - a.take(rows * p + R),
+                      s.take(L) - s.take(R),
+                      G.take(L, axis=0) - G.take(R, axis=0))
+        sums = _row_sums(rows, self._break_jet(dA, dS, dG, t, order), npts)
         # the Theta and E terms are added in turn, in the formula's order
-        return (a[np.arange(len(X)), top] + vT + vE,
-                None if grads is None else G[top] + grads, hesses)
+        value = a.take(np.arange(0, npts * p, p) + top) + sums[0] + sums[1]
+        # the Hessians copied out, so that no view keeps the sums alive: one
+        # raised the peak memory of criterion 8 by about 1 MB
+        return (value,
+                G.take(top, axis=0) + sums[2:n + 2].T if order >= 1 else None,
+                np.ascontiguousarray(sums[n + 2:].T).reshape(npts, n, n)
+                if order >= 2 else None)
 
     def _break_jet(self, dA, dS, dG, t, order):
         """The value's Theta and E terms, then the gradient and the Hessian
-        up to ``order``, that the breaks at t add to the top piece's jet,
-        one row per break.  Each is summed apart, so a lower order gets the
-        same bits."""
-        k, d = self.kernel, self.delta
+        up to ``order``, that the breaks at t add to the top piece's jet:
+        one row per term and entry, one column per break.  Each row is
+        summed apart, so a lower order gets the same bits."""
+        k, d, (nb, n) = self.kernel, self.delta, dG.shape
+        jet = np.empty((2 + n * (order >= 1) + n * n * (order >= 2), nb))
         T = k.cdf(t)
-        terms = [dA * T, d * dS * k.first_moment(t)]
+        np.multiply(dA, T, out=jet[0])
+        np.multiply(d * dS, k.first_moment(t), out=jet[1])
         if order >= 1:
-            terms.append(dG * T[:, None])
+            np.multiply(dG.T, T, out=jet[2:n + 2])
         if order >= 2:
             coef = k.density(t) / d / (dG @ self.w)
-            terms.append(coef[:, None, None]
-                         * (dG[:, :, None] * dG[:, None, :]))
-        return terms
+            hess = jet[n + 2:]
+            # dG dG^T first, then times coef
+            np.multiply(dG.T[:, None], dG.T[None], out=hess.reshape(n, n, nb))
+            hess *= coef
+        return jet
 
     def _breaks(self, a):
         """(rows, L, R, t, top) of the envelope of the piece values a on
-        [-delta, delta]: each break's row, pieces and t, each row's top."""
+        [-delta, delta]: each break's row, pieces and t, each row's top,
+        the breaks by row, then by slope.
+
+        With the pieces by increasing slope, piece i is on top of the
+        window where lo_i < y < hi_i: lo_i the largest crossing with a
+        piece of lower slope (or -delta), hi_i the least with one of higher
+        slope (or delta).  Each unordered pair i < j of distinct slopes
+        crosses once, at y = (a_j - a_i) / (s_i - s_j), which bounds hi_i
+        and lo_j.  Of pieces with one slope only the highest is ever on
+        top, the first one on a tie.  A break lies between each active
+        piece and the next active one."""
         d, order = self.delta, self._by_slope
         if self._pair:
-            # one crossing, at t: the general table below would cost two
-            # pieces about a third more time
+            # one crossing, at t: the pairwise loop below would cost two
+            # pieces more than twice the time
             L, R = order
             t = (a[:, R] - a[:, L]) / (self.slopes_w[L] - self.slopes_w[R]) / d
             rows = np.nonzero(np.abs(t) < 1.0)[0]
             return (rows, np.full(rows.size, L), np.full(rows.size, R),
                     t[rows], np.where(t >= 1.0, L, R))
-        p = order.size
-        s, a = self.slopes_w[order], a[:, order]
-        ds = s[:, None] - s[None, :]                  # s_i - s_j
-        da = a[:, None, :] - a[:, :, None]            # a_j - a_i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = da / ds                               # where i and j cross
-        lo = np.maximum(-d, np.where(ds > 0, y, -np.inf).max(axis=2))
-        hi = np.minimum(d, np.where(ds < 0, y, np.inf).min(axis=2))
-        # of pieces with one slope only the highest is ever on top, the
-        # first one on a tie
-        same = (ds == 0) & ~np.eye(p, dtype=bool)
-        first = np.tri(p, k=-1, dtype=bool)           # j before i
-        beaten = (same & ((da > 0) | ((da == 0) & first))).any(axis=2)
+        p, n = order.size, len(a)
+        s, cols = self.slopes_w[order], a.T[order]    # one column a piece
+        lo, hi = np.full((p, n), -d), np.full((p, n), d)
+        beaten = np.zeros((p, n), dtype=bool)
+        for i in range(p):
+            for j in range(i + 1, p):
+                if s[i] == s[j]:
+                    beaten[i] |= cols[i] < cols[j]
+                    beaten[j] |= cols[j] <= cols[i]
+                else:
+                    y = (cols[j] - cols[i]) / (s[i] - s[j])
+                    np.minimum(hi[i], y, out=hi[i])
+                    np.maximum(lo[j], y, out=lo[j])
         active = (hi > lo) & ~beaten
-        # one break between each active piece and the next active one
-        idx = np.where(active, np.arange(p), p)
-        nxt = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1]
-        rows, left = np.nonzero(active[:, :-1] & (nxt[:, 1:] < p))
-        right = nxt[rows, left + 1]
-        top = p - 1 - np.argmax(active[:, ::-1], axis=1)
-        return (rows, order[left], order[right], y[rows, left, right] / d,
-                order[top])
+        # the next active piece from each one on, p where there is none: a
+        # loop over the pieces, faster here than an accumulate over them
+        nxt = np.full((p + 1, n), p)
+        for i in range(p - 1, -1, -1):
+            nxt[i] = np.where(active[i], i, nxt[i + 1])
+        # one break between each active piece and the next active one, by
+        # row, then by slope: a row's terms are summed in this order
+        rows, left = np.nonzero((active[:-1] & (nxt[1:-1] < p)).T)
+        L, R = order[left], order[nxt[left + 1, rows]]
+        # the last active piece, the last piece where none is
+        top = p - 1 - np.argmax(active[::-1], axis=0)
+        return (rows, L, R, (a[rows, R] - a[rows, L])
+                / (self.slopes_w[L] - self.slopes_w[R]) / d, order[top])
 
 
 def _row_sums(rows, terms, nrows):
-    """The sum of each row's terms, one bincount per column."""
-    cols = terms.reshape(len(terms), math.prod(terms.shape[1:])).T
-    return np.stack([np.bincount(rows, c, nrows) for c in cols],
-                    axis=-1).reshape((nrows,) + terms.shape[1:])
+    """Each row's sum of the terms of its breaks, ``terms`` one row per
+    entry and one column per break, ``rows`` the row of each break: one
+    bincount over the bins entry * nrows + row, each bin adding its terms
+    in their order."""
+    bins = (np.arange(0, len(terms) * nrows, nrows)[:, None] + rows).ravel()
+    return np.bincount(bins, terms.ravel(), len(terms) * nrows).reshape(
+        len(terms), nrows)
 
 
 class IteratedMollifier:
@@ -377,7 +406,8 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
     strictly convexifying term on the wall slab and is the negative control
     that keeps conditions a-d but breaks the exact-rank condition e.  The
     result's ``convexity`` must be >= -1e-10; the strict term's eta is
-    halved against one mollifier Hessian on the same check samples.
+    halved against one mollifier Hessian and one strict-term Hessian on
+    the same check samples.
     """
     eps = float(eps)
     if eps <= 0:
@@ -454,13 +484,15 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         eta = 0.02 * c_jump * kern.peak / delta / span ** 2
         samples = default_check_samples(decomp, eps)
         H0 = moll.eval_many(samples)[2]  # eta changes the strict term only
-        for _ in range(40):
-            term = _StrictTerm(fr, delta, kern, eta, u0)
-            if np.linalg.eigvalsh(H0 + term.eval(samples)[2]).min() \
+        # the term is linear in eta, so halving eta k times scales its
+        # Hessian by 0.5**k, bit for bit above the subnormal range: one
+        # term Hessian serves every k
+        H1 = _StrictTerm(fr, delta, kern, eta, u0).eval(samples)[2]
+        for k in range(40):
+            if np.linalg.eigvalsh(H0 + H1 * 0.5 ** k).min() \
                     >= _CONVEXITY_ALLOWANCE:
-                strict_term = term
+                strict_term = _StrictTerm(fr, delta, kern, eta * 0.5 ** k, u0)
                 break
-            eta *= 0.5
         if strict_term is None:
             raise SmoothingError("could not tune a convex strict variant")
     elif variant != "nice":

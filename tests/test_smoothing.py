@@ -386,6 +386,69 @@ def test_kernel_is_evaluated_once_per_break(monkeypatch):
     assert seen == {"cdf": breaks, "first_moment": breaks, "density": breaks}
 
 
+def _table_breaks(moll, a):
+    """Reference envelope: the (N, p, p) table of every ordered pair's
+    crossing, each piece's window [lo, hi] a max and a min over a row."""
+    d, order = moll.delta, moll._by_slope
+    p = order.size
+    s, a = moll.slopes_w[order], a[:, order]
+    ds = s[:, None] - s[None, :]                  # s_i - s_j
+    da = a[:, None, :] - a[:, :, None]            # a_j - a_i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = da / ds                               # where i and j cross
+    lo = np.maximum(-d, np.where(ds > 0, y, -np.inf).max(axis=2))
+    hi = np.minimum(d, np.where(ds < 0, y, np.inf).min(axis=2))
+    same = (ds == 0) & ~np.eye(p, dtype=bool)
+    first = np.tri(p, k=-1, dtype=bool)           # j before i
+    beaten = (same & ((da > 0) | ((da == 0) & first))).any(axis=2)
+    active = (hi > lo) & ~beaten
+    idx = np.where(active, np.arange(p), p)
+    nxt = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1]
+    rows, left = np.nonzero(active[:, :-1] & (nxt[:, 1:] < p))
+    right = nxt[rows, left + 1]
+    top = p - 1 - np.argmax(active[:, ::-1], axis=1)
+    return (rows, order[left], order[right], y[rows, left, right] / d,
+            order[top])
+
+
+def test_envelope_breaks_match_the_pair_table_bitwise():
+    # quarter-grid piece values and slopes: ties between pieces, equal
+    # slopes and crossings exactly at +-delta are common
+    from toricray.kernels import get_kernel
+    from toricray.smoothing import LineMollifier
+    rng = np.random.default_rng(31)
+    kern = get_kernel("cosine")
+    at_edge = ties = equal = pairs = 0
+    for trial in range(400):
+        p = int(rng.integers(1, 7))
+        grads = rng.integers(-2, 3, size=(p, 2))
+        if p > 1 and trial % 4 == 0:
+            grads[-1] = grads[0]                  # a duplicate piece
+        f = PLConvex([(tuple(int(c) for c in g), 0) for g in grads])
+        w = rng.integers(-2, 3, size=2).astype(float)
+        if not w.any():
+            w[0] = 1.0
+        moll = LineMollifier(f, w, (0.25, 0.5, 1.0)[trial % 3], kern)
+        a = np.concatenate([rng.integers(-6, 7, size=(150, p)) / 4.0,
+                            f.piece_values(rng.integers(-8, 9, size=(150, 2))
+                                           / 4.0)])
+        s = moll.slopes_w
+        y = (a[:, None, :] - a[:, :, None]) / np.where(
+            s[:, None] == s[None, :], np.inf, s[:, None] - s[None, :])
+        at_edge += np.sum(np.abs(y) == moll.delta)
+        ties += np.sum(a[:, :, None] == a[:, None, :]) - a.size
+        equal += np.sum(s[:, None] == s[None, :]) - p
+        for forced_off in (False, True):
+            if forced_off:
+                pairs += moll._pair
+                moll._pair = False
+            want, got = _table_breaks(moll, a), moll._breaks(a)
+            for u, v in zip(want, got):
+                assert u.shape == v.shape and u.dtype == v.dtype
+                assert u.tobytes() == v.tobytes()
+    assert min(at_edge, ties, equal) > 500 and pairs > 20
+
+
 def test_iterated_mollifier_batch_against_double_quadrature():
     from math import cos, pi
 
@@ -612,14 +675,16 @@ def test_strict_tuning_picks_the_reference_eta(eps):
 
 def test_each_smoothing_is_evaluated_once_per_point_set(monkeypatch):
     from collections import Counter
-    from toricray.smoothing import IteratedMollifier, LineMollifier
+    from toricray.smoothing import (IteratedMollifier, LineMollifier,
+                                    _StrictTerm)
     calls = Counter()
-    for cls in (LineMollifier, IteratedMollifier):
-        def counted(self, X, *args, _orig=cls.eval_many,
+    for cls, name in ((LineMollifier, "eval_many"),
+                      (IteratedMollifier, "eval_many"), (_StrictTerm, "eval")):
+        def counted(self, X, *args, _orig=getattr(cls, name),
                     _name=cls.__name__):
             calls[_name] += 1
             return _orig(self, X, *args)
-        monkeypatch.setattr(cls, "eval_many", counted)
+        monkeypatch.setattr(cls, name, counted)
 
     P, f, dec = corner_setup()
     fam = {e: build_nice_smoothing(f, P, dec, e) for e in (0.02, 0.04, 0.06)}
@@ -634,3 +699,5 @@ def test_each_smoothing_is_evaluated_once_per_point_set(monkeypatch):
         calls.clear()
         build_nice_smoothing(f, P, dec, eps, variant="strict")
         assert calls["LineMollifier"] <= 2
+        # one term Hessian serves every eta; then ``convexity``
+        assert calls["_StrictTerm"] <= 2
