@@ -10,6 +10,9 @@ of where the Hessian is supported.  Two families are built here:
   normal (1,).  Off the supports psi is exactly affine with slope equal to
   the accumulated bump masses; the value and slope are anchored to vanish
   at the left endpoint of the first support.  The empty wall sum is zero.
+  A bump's effective mass is its kernel's cdf difference across its
+  (possibly clipped) support, mass * (cdf(t_hi) - cdf(t_lo)), so a
+  generator is built without integration.
 * rational piecewise-linear convex functions f = max_i(<g_i, x> + b_i)
   (as data for test configurations; their smoothings live in smoothing.py).
 """
@@ -26,7 +29,6 @@ import numpy as np
 from ._exact import dot, frac, vec_frac
 from .kernels import Kernel, get_kernel
 from .polytope import MEMBERSHIP_TOL, Polytope
-from .quadrature import integrate_polytope
 
 __all__ = [
     "BumpSpec", "Generator", "GeneratorError",
@@ -39,10 +41,6 @@ __all__ = [
 _MIN_GAP = 1e-14
 # how far one bump's support may reach into the next one's by rounding
 _OVERLAP_SLACK = 1e-15
-# the bump-mass check: each bump's d2 is integrated to _MASS_REL_TOL and
-# must meet its effective mass within _MASS_BAND * max(1, mass)
-_MASS_REL_TOL = 1e-12
-_MASS_BAND = 1e-10
 
 
 class GeneratorError(ValueError):
@@ -238,18 +236,6 @@ class BumpGenerator1D(WallSumGenerator):
                     f"bump supports [{prev.lo}, {prev.hi}] and "
                     f"[{nxt.lo}, {nxt.hi}] overlap")
         self._set_walls(P, [(np.ones(1), bumps)])
-        self._check_masses()
-
-    def _check_masses(self):
-        for b in self.bumps:
-            got = integrate_polytope(
-                lambda X: b.d2(X[:, 0]), self.polytope,
-                lines=[((1.0,), b.lo), ((1.0,), b.hi)],
-                rel_tol=_MASS_REL_TOL).value
-            target = b.eff_mass
-            if abs(got - target) > _MASS_BAND * max(1.0, abs(target)):
-                raise GeneratorError(
-                    f"bump mass check failed: integral {got} vs {target}")
 
     # scalar-line evaluators -------------------------------------------------
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from toricray import scenarios
 from toricray._exact import dot
 from toricray.generators import (BumpSpec, GeneratorError, PLConvex,
                                  build_bump_generator, build_wall_sum,
                                  eval_generator)
 from toricray.polytope import make_polytope
-from toricray.quadrature import integrate_1d
+from toricray.quadrature import integrate_1d, integrate_polytope
 
 
 def segment(N=2):
@@ -102,13 +103,41 @@ def test_clipped_bump_mass_and_anchor():
     b = gen.bumps[0]
     assert b.lo == 0.0 and b.clipped
     assert b.eff_mass < 1.0
-    got = integrate_1d(gen.d2psi, 0.0, 0.35, rel_tol=1e-12)
-    assert got == pytest.approx(b.eff_mass, abs=1e-10)
     assert gen.psi(np.array([0.0]))[0] == 0.0
     # affine tail with the effective slope and centroid anchor
     xs = np.linspace(0.5, 2.0, 9)
     expected = b.eff_mass * (xs - b.centroid())
     assert np.max(np.abs(gen.psi(xs) - expected)) < 1e-10
+
+
+def clipped_at_both_ends(kernel):
+    return build_bump_generator(segment(), [BumpSpec(0.1, 0.25, 1.0, kernel),
+                                            BumpSpec(1.9, 0.25, 1.0, kernel)])
+
+
+@pytest.mark.parametrize("kernel", ["cosine", "smooth"])
+@pytest.mark.parametrize("build", [
+    lambda k: scenarios.segment(k).generator,
+    lambda k: scenarios.segment_narrow(k).generator,
+    lambda k: scenarios.corrected_segment(k).generator,
+    lambda k: scenarios.three_bumps(k).generator,
+    clipped_at_both_ends,
+], ids=["segment", "segment_narrow", "corrected_segment", "three_bumps",
+        "clipped"])
+def test_effective_mass_is_the_integral_of_d2(build, kernel):
+    # a bump's effective mass is its kernel's cdf difference; it meets the
+    # integral of its d2 over P, cut at the support's ends, within
+    # 1e-10 * max(1, |mass|)
+    gen = build(kernel)
+    for b in gen.bumps:
+        got = integrate_polytope(lambda X: b.d2(X[:, 0]), gen.polytope,
+                                 lines=[((1.0,), b.lo), ((1.0,), b.hi)],
+                                 rel_tol=1e-12).value
+        assert abs(got - b.eff_mass) <= 1e-10 * max(1.0, abs(b.eff_mass))
+    if build is clipped_at_both_ends:
+        lo, hi = gen.domain
+        assert [(b.lo, b.hi) for b in gen.bumps] == [(lo, 0.35), (1.65, hi)]
+        assert all(b.clipped and b.eff_mass < 1.0 for b in gen.bumps)
 
 
 def test_bump_errors():

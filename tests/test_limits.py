@@ -18,7 +18,7 @@ from toricray.polytope import face_frame, make_polytope
 from toricray.quadrature import (QuadratureError, integrate_1d,
                                  integrate_polytope)
 from toricray.quantization import MonomialDensity, pair_densities
-from toricray.scenarios import cp2_wall, segment as seg_scenario
+from toricray.scenarios import cp2_wall, segment as seg_scenario, three_bumps
 
 
 def segment(N=2):
@@ -427,3 +427,42 @@ def test_metric_oracles():
     vals = {metric_length(P, gen, s2, [((0.1,), (0.0,)), ((0.4,), (0.0,))])
             for s2 in (0.0, 10.0, 1e4)}
     assert len(vals) == 1
+
+
+def test_three_bumps_metric_picture():
+    # the sphere at infinite time: psi is affine on the four gap components,
+    # so their lengths do not move with s; the first and last hold an end of
+    # P (the two discs), the middle two do not (the cylinders).  For the
+    # cosine kernel, psi'' = (A/alpha) cos^2(pi t/2), so each neck over
+    # sqrt(s) tends to the integral of sqrt(psi''), 4 sqrt(A alpha)/pi, and
+    # each circle over a bump centre times sqrt(s) to 2 pi sqrt(alpha/A)
+    sc = three_bumps("cosine")
+    P, gen = sc.polytope, sc.generator
+    lo, hi = gen.domain
+    comps = gen.components()
+    assert [a == lo or b == hi for a, b in comps] == [True, False, False, True]
+    assert comps[0] == (lo, 0.75) and comps[-1] == (4.25, hi)
+    specs = [b.spec for b in gen.bumps]
+    neck_limit = [4 * math.sqrt(m.mass * m.halfwidth) / math.pi for m in specs]
+    assert neck_limit == pytest.approx([0.636620, 0.450158, 0.900316],
+                                       abs=1e-6)
+    circle_limit = [2 * math.pi * math.sqrt(m.halfwidth / m.mass)
+                    for m in specs]
+    lengths, neck_err, circle_err = set(), [], []
+    for s in (1e2, 1e4, 1e6):
+        lengths.add(tuple(metric_length(P, gen, s, [((a,), (0.0,)),
+                                                    ((b,), (0.0,))])
+                          for a, b in comps))
+        necks = [metric_length(P, gen, s, [((b.lo,), (0.0,)),
+                                           ((b.hi,), (0.0,))]) / math.sqrt(s)
+                 for b in gen.bumps]
+        circles = [metric_length(P, gen, s, [((m.center,), (0.0,)),
+                                             ((m.center,), (2 * math.pi,))])
+                   * math.sqrt(s) for m in specs]
+        neck_err.append([abs(g / w - 1) for g, w in zip(necks, neck_limit)])
+        circle_err.append([abs(g / w - 1)
+                           for g, w in zip(circles, circle_limit)])
+    assert len(lengths) == 1
+    for errs in (neck_err, circle_err):
+        assert all(a > b > c for a, b, c in zip(*errs))
+    assert max(neck_err[-1]) < 1e-6 and max(circle_err[-1]) < 1.1e-7

@@ -548,6 +548,23 @@ def test_no_module_imports_a_private_name_of_another():
     assert imports >= 30 and private == []
 
 
+def test_construction_layers_import_nothing_from_quadrature():
+    # polytopes, generators, potentials and decompositions are built
+    # without the integration engine: none of their modules imports from
+    # the quadrature module
+    src = Path(quadrature.__file__).resolve().parent
+    found = []
+    for name in ("_exact.py", "polytope.py", "generators.py", "potentials.py",
+                 "testconfig.py"):
+        tree = ast.parse((src / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and (
+                    node.module == "quadrature" or node.module is None and
+                    any(a.name == "quadrature" for a in node.names)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_quadrature_and_the_cli_catch_quadrature_errors():
     # a missed estimate is integrated again in one place, pair_all, which
     # reads the verdict and catches nothing; everywhere else a
