@@ -90,15 +90,13 @@ def battery_for(P: Polytope) -> list:
 # region means (limits of the uniform/weighted diagnostics)
 # ---------------------------------------------------------------------------
 
-def region_mean(region: Polytope, battery, *, weight=None,
-                rel_tol=REL_TOL) -> list:
+def region_mean(region: Polytope, battery, *, weight=None) -> list:
     """Means over the region of each member of ``battery`` (callables on
     points), optionally weighted by a density.  The weight (1 when there is
     none) is integrated once, and every member is paired on its nodes by
     one ``pair_all``, which raises QuadratureError when one misses
-    rel_tol."""
-    rule = integrate_polytope(weight or (lambda X: np.ones(len(X))), region,
-                              rel_tol=rel_tol)
+    REL_TOL."""
+    rule = integrate_polytope(weight or (lambda X: np.ones(len(X))), region)
     return [value / rule.value
             for value, _ in pair_all([(rule, tau) for tau in battery])]
 

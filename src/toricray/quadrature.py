@@ -467,22 +467,21 @@ def _times(f, members, taus):
     return g
 
 
-def integrate_polytope(f, P, *, lines=(), point=None, points=None,
-                       exponents=None, rel_tol: float = REL_TOL):
+def integrate_polytope(f, P, *, lines=(), points=None, exponents=None,
+                       rel_tol: float = REL_TOL):
     """Integral of f over the polytope P on iterated GK15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
     P and the hyperplanes {nu . x = c} given as (nu, c) pairs in ``lines``;
-    between them f should be smooth.  Each panel is also cut at the
-    coordinate of ``point`` (the integrand's peak) in its variable.  The
-    integral is iterated in x1, ..., xn by ``_level``, and each integral
-    along one variable has a budget of ``MAX_PANELS`` panels, read at call
-    time.  Raises QuadratureError by the module's verdict, so a returned
+    between them f should be smooth.  The integral is iterated in x1, ...,
+    xn by ``_level``, and each integral along one variable has a budget of
+    ``MAX_PANELS`` panels, read at call time.  Raises QuadratureError by the module's verdict, so a returned
     estimate has met its tolerance.  Returns a ``NodeSet``.
 
-    Given ``points`` (k, n) instead of ``point``, it integrates a family of
-    k integrands over P, one per row of ``points``, its peak.  ``f(X, i)``
-    then maps points and the member i of each to values, and the members
+    Given ``points`` (k, n), it integrates a family of k integrands over
+    P, one per row of ``points``, its peak: each panel of member i is also
+    cut at the coordinate of row i in its variable.  ``f(X, i)`` then maps
+    points and the member i of each to values, and the members
     refine as independent groups of one pass, each with its own panels,
     budget and verdict.  Returns one ``NodeSet`` per member.  The one
     integrand is the family of one.
@@ -497,7 +496,7 @@ def integrate_polytope(f, P, *, lines=(), point=None, points=None,
     one = points is None
     if one:
         # the family of one; a nan peak cuts nothing
-        lone, points = f, [np.full(P.dim, np.nan) if point is None else point]
+        lone, points = f, [np.full(P.dim, np.nan)]
         f = lambda X, i: lone(X)
     points = np.asarray(points, dtype=float)
     k, n = points.shape

@@ -346,7 +346,11 @@ class _StrictTerm:
 
 
 class NiceSmoothingGenerator(Generator):
-    """Smooth convex psi_eps equal to f off W_eps."""
+    """Smooth convex psi_eps equal to f off W_eps.
+
+    ``build_nice_smoothing`` sets ``checks``, the check samples
+    (``default_check_samples``) and the jet ``jet(samples, 2)`` there,
+    evaluated once: ``convexity`` and ``verify_nice_family`` read it."""
 
     def __init__(self, P: Polytope, decomp: Decomposition, eps: float,
                  mollifier, strict_term=None):
@@ -392,9 +396,8 @@ class NiceSmoothingGenerator(Generator):
 
     @cached_property
     def convexity(self) -> float:
-        """Smallest sampled Hessian eigenvalue (``default_check_samples``)."""
-        H = self.hessian(default_check_samples(self.decomp, self.eps))
-        return float(np.linalg.eigvalsh(H).min())
+        """Smallest Hessian eigenvalue on the check samples (``checks``)."""
+        return float(np.linalg.eigvalsh(self.checks[1][2]).min())
 
 
 def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
@@ -405,9 +408,10 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
     variant "nice" is the rank-adapted construction; "strict" adds a
     strictly convexifying term on the wall slab and is the negative control
     that keeps conditions a-d but breaks the exact-rank condition e.  The
-    result's ``convexity`` must be >= -1e-10; the strict term's eta is
-    halved against one mollifier Hessian and one strict-term Hessian on
-    the same check samples.
+    mollifier's jet on the check samples is evaluated once and kept, with
+    the samples, as the result's ``checks``; its ``convexity`` must be >=
+    -1e-10.  The strict term's eta is halved against that jet's Hessians
+    and one strict-term jet on the same samples.
     """
     eps = float(eps)
     if eps <= 0:
@@ -465,6 +469,8 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         moll = (LineMollifier(f, dirs[0], radii[0], kern) if ndirs == 1
                 else IteratedMollifier(f, dirs, radii, kern))
 
+    samples = default_check_samples(decomp, eps)
+    jet = moll.eval_many(samples)
     strict_term = None
     if variant == "strict":
         if not single_wall:
@@ -482,16 +488,15 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         c_jump = max(abs(float((f.G[i] - f.G[j]) @ fr.shift_vectors()[:, 0]))
                      for i in range(f.npieces) for j in range(i + 1, f.npieces))
         eta = 0.02 * c_jump * kern.peak / delta / span ** 2
-        samples = default_check_samples(decomp, eps)
-        H0 = moll.eval_many(samples)[2]  # eta changes the strict term only
-        # the term is linear in eta, so halving eta k times scales its
-        # Hessian by 0.5**k, bit for bit above the subnormal range: one
-        # term Hessian serves every k
-        H1 = _StrictTerm(fr, delta, kern, eta, u0).eval(samples)[2]
+        # the term is linear in eta, so halving eta k times scales its jet
+        # by 0.5**k, bit for bit above the subnormal range: one term jet
+        # serves every k
+        term = _StrictTerm(fr, delta, kern, eta, u0).eval(samples)
         for k in range(40):
-            if np.linalg.eigvalsh(H0 + H1 * 0.5 ** k).min() \
+            if np.linalg.eigvalsh(jet[2] + term[2] * 0.5 ** k).min() \
                     >= _CONVEXITY_ALLOWANCE:
                 strict_term = _StrictTerm(fr, delta, kern, eta * 0.5 ** k, u0)
+                jet = tuple(a + b * 0.5 ** k for a, b in zip(jet, term))
                 break
         if strict_term is None:
             raise SmoothingError("could not tune a convex strict variant")
@@ -499,6 +504,7 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         raise SmoothingError(f"unknown smoothing variant {variant!r}")
 
     gen = NiceSmoothingGenerator(P, decomp, eps, moll, strict_term=strict_term)
+    gen.checks = (samples, jet)
     if gen.convexity < _CONVEXITY_ALLOWANCE:
         raise SmoothingError(
             f"convexity violated: min sampled eigenvalue {gen.convexity:.3e}")
@@ -524,21 +530,16 @@ def default_check_samples(decomp: Decomposition, eps: float):
     P = decomp.polytope
     pts = []
     offs = np.array([0.0, 0.45, -0.45, 0.95, -0.95, 1.3, -1.3]) * eps
+    lams = np.linspace(0.08, 0.92, 7)[:, None]
     for F in decomp.faces:
         if F.frame is None:
             continue
-        fr = F.frame
         verts = F.vertices_np
-        if len(verts) == 1:
-            base = [verts[0]]
-        else:
-            lams = np.linspace(0.08, 0.92, 7)
-            base = [(1 - t) * verts[0] + t * verts[-1] for t in lams]
-        shifts = fr.shift_vectors()
-        for b in base:
-            for col in range(fr.codim):
-                for o in offs:
-                    pts.append(b + o * shifts[:, col])
+        base = verts[:1] if len(verts) == 1 else \
+            (1 - lams) * verts[0] + lams * verts[-1]
+        # by base point, then shift column, then offset
+        steps = offs[:, None] * F.frame.shift_vectors().T[:, None]
+        pts.append((base[:, None, None] + steps).reshape(-1, P.dim))
     lo, hi = P.bbox()
     if P.dim == 1:
         grid = np.linspace(lo[0], hi[0], 33)[:, None]
@@ -546,20 +547,13 @@ def default_check_samples(decomp: Decomposition, eps: float):
         g1 = np.linspace(lo[0], hi[0], 9)
         g2 = np.linspace(lo[1], hi[1], 9)
         grid = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
-    pts.extend(grid)
-    pts = np.array(pts)
+    pts = np.concatenate(pts + [grid])
     return pts[P.contains(pts, tol=-_CHECK_INSET)]
 
 
 # ---------------------------------------------------------------------------
 # family verification
 # ---------------------------------------------------------------------------
-
-def _rank(H):
-    eigs = np.linalg.eigvalsh(np.atleast_2d(H))
-    floor = 1e-8 * max(float(np.max(np.abs(eigs))), 1.0)
-    return int(np.sum(eigs > floor))
-
 
 @dataclass
 class ConditionReport:
@@ -593,20 +587,29 @@ def verify_nice_family(f: PLConvex, gens: dict) -> NiceFamilyReport:
     Lipschitz variation in eps; c) equality with f off W_eps; d) Hessian
     rank >= codim with positive-definite transverse block on each face; e)
     rank exactly codim at face points for the family members below each
-    point's own eps threshold.  One ``jet(., 2)`` call per generator, on
-    the eps_max check samples stacked with the face points, serves b)-e).
+    point's own eps threshold.  b) and c) read values on the eps_max
+    member's check samples, d) and e) Hessians at the face points: that
+    member's ``checks`` hold its jet on the samples, so it is evaluated at
+    the face points alone, and each other member once on the samples
+    stacked with the face points.
     """
     if len(gens) < 2:
         raise SmoothingError("need at least two eps values")
     eps_list = sorted(gens)
-    decomp = gens[eps_list[0]].decomp
+    top = gens[eps_list[-1]]
+    decomp = top.decomp
     P = decomp.polytope
-    samples = default_check_samples(decomp, max(eps_list))
+    samples, (top_values, _, _) = top.checks
     face_pts = _face_interior_points(decomp)
-    X = np.vstack([samples] + [p[None] for _, p, _ in face_pts])
+    Xf = np.array([p for _, p, _ in face_pts]).reshape(-1, P.dim)
     ns = len(samples)
-    # values on the samples (rows :ns), Hessians at the face points
-    jets = {e: gens[e].jet(X, 2) for e in eps_list}
+    jets = [gens[e].jet(np.vstack([samples, Xf]), 2) for e in eps_list[:-1]]
+    values = [v[:ns] for v, _, _ in jets] + [top_values]
+    # each face point's Hessians, one per eps, and their eigenvalues
+    H = np.stack([h[ns:] for _, _, h in jets] + [top.hessian(Xf)], axis=1)
+    eigs = np.linalg.eigvalsh(H)
+    floor = 1e-8 * np.maximum(np.abs(eigs).max(axis=-1), 1.0)
+    ranks = np.sum(eigs > floor[..., None], axis=-1)
     conditions = {}
 
     worst_a = min(g.convexity for g in gens.values())
@@ -615,37 +618,31 @@ def verify_nice_family(f: PLConvex, gens: dict) -> NiceFamilyReport:
 
     lip = max(abs(float(c)) for g, _ in f.pieces for c in g) + 1.0
     worst_b = 0.0
-    for e1, e2 in zip(eps_list[:-1], eps_list[1:]):
-        dv = np.max(np.abs(jets[e1][0][:ns] - jets[e2][0][:ns]))
+    for e1, e2, v1, v2 in zip(eps_list[:-1], eps_list[1:], values[:-1],
+                              values[1:]):
+        dv = np.max(np.abs(v1 - v2))
         bound = 2.0 * P.dim * lip * (e1 + e2) + _LIPSCHITZ_SLACK
         worst_b = max(worst_b, float(dv / bound))
     conditions["b"] = ConditionReport("smooth in eps (Lipschitz proxy)",
                                       worst_b <= 1.0, worst_b)
 
     worst_c = 0.0
-    for e in eps_list:
+    for e, v in zip(eps_list, values):
         outside = ~thickening_mask(decomp, e, samples)
         if np.any(outside):
-            dv = np.max(np.abs(jets[e][0][:ns][outside]
-                               - f.value(samples[outside])))
+            dv = np.max(np.abs(v[outside] - f.value(samples[outside])))
             worst_c = max(worst_c, float(dv))
     conditions["c"] = ConditionReport("equals f off W_eps",
                                       worst_c <= _OFF_WALL_BOUND, worst_c)
 
     worst_d = np.inf
     ok_d = True
-    for k, (face, _, _) in enumerate(face_pts):
+    for (face, _, _), Hk, rk in zip(face_pts, H, ranks):
         fr = face.frame
-        for e in eps_list:
-            H = jets[e][2][ns + k]
-            if _rank(H) < face.codim:
-                ok_d = False
-            Ht = fr.inverse_np.T @ H @ fr.inverse_np
-            block = Ht[fr.n_parallel:, fr.n_parallel:]
-            lam = float(np.linalg.eigvalsh(np.atleast_2d(block)).min())
-            worst_d = min(worst_d, lam)
-            if lam <= 0:
-                ok_d = False
+        Ht = fr.inverse_np.T @ Hk @ fr.inverse_np
+        lam = np.linalg.eigvalsh(Ht[:, fr.n_parallel:, fr.n_parallel:])
+        worst_d = min(worst_d, float(lam.min()))
+        ok_d &= bool(np.all(rk >= face.codim) and not np.any(lam <= 0))
     conditions["d"] = ConditionReport(
         "rank >= codim, transverse block positive definite", ok_d,
         worst_d if np.isfinite(worst_d) else 0.0)
@@ -653,17 +650,12 @@ def verify_nice_family(f: PLConvex, gens: dict) -> NiceFamilyReport:
     ok_e = True
     checked = 0
     worst_e = 0
-    for k, (face, _, margin) in enumerate(face_pts):
-        eps_p = margin / 7.0 if np.isfinite(margin) else np.inf
-        usable = [e for e in eps_list if e < eps_p]
-        if not usable:
-            continue
-        checked += 1
-        for e in usable:
-            r = _rank(jets[e][2][ns + k])
-            worst_e = max(worst_e, r - face.codim)
-            if r != face.codim:
-                ok_e = False
+    for (face, _, margin), rk in zip(face_pts, ranks):
+        usable = rk[np.array(eps_list) < margin / 7.0]
+        if usable.size:
+            checked += 1
+            worst_e = max(worst_e, int(usable.max()) - face.codim)
+            ok_e &= bool(np.all(usable == face.codim))
     if checked == 0:
         ok_e = False
     conditions["e"] = ConditionReport(

@@ -830,8 +830,8 @@ def test_polytope_panels_exact_on_polynomials(poly):
 def test_polytope_panels_separable_gaussian_against_erf():
     s, c = 1e3, np.array([0.7, 1.3])
     res = integrate_polytope(
-        lambda X: np.exp(-s * np.sum((X - c) ** 2, axis=-1)),
-        POLYTOPES["square"], point=c, rel_tol=1e-10)
+        lambda X, i: np.exp(-s * np.sum((X - c) ** 2, axis=-1)),
+        POLYTOPES["square"], points=[c], rel_tol=1e-10)[0]
     r = math.sqrt(s)
     exact = math.prod(0.5 * math.sqrt(math.pi / s)
                       * (erf(r * (2.0 - ci)) + erf(r * ci)) for ci in c)
@@ -906,11 +906,11 @@ def test_missed_pairing_is_integrated_afresh_on_the_same_cuts(monkeypatch):
     # nodes; the pairing is then the engine's integral of f times it on
     # the same cuts and rel_tol, as a family of one, and the only one made
     P = _simplex(2)
-    cuts = dict(lines=[((1, 1), 2.0)], point=(0.8, 0.8), rel_tol=1e-6)
+    cuts = dict(lines=[((1, 1), 2.0)], points=[(0.8, 0.8)], rel_tol=1e-6)
     f = lambda X: np.exp(-3.0 * np.sum((X - 0.8) ** 2, axis=1))
     tau = lambda X: np.exp(-400.0 * np.sum((X - [2.0, 0.5]) ** 2, axis=1))
-    res = integrate_polytope(f, P, **cuts)
-    fresh = integrate_polytope(lambda X: f(X) * tau(X), P, **cuts)
+    res = integrate_polytope(lambda X, i: f(X), P, **cuts)[0]
+    fresh = integrate_polytope(lambda X, i: f(X) * tau(X), P, **cuts)[0]
     calls = []
     monkeypatch.setattr(quadrature, "integrate_polytope",
                         lambda g, Q, **k: calls.append((Q, k)) or [fresh])
@@ -918,7 +918,7 @@ def test_missed_pairing_is_integrated_afresh_on_the_same_cuts(monkeypatch):
     assert len(calls) == 1
     Q, k = calls[0]
     assert (Q, k["lines"], k["rel_tol"]) == (P, cuts["lines"], 1e-6)
-    assert np.array_equal(k["points"], [cuts["point"]])
+    assert np.array_equal(k["points"], cuts["points"])
     # and the engine itself gives fresh's own pairing
     monkeypatch.undo()
     assert quadrature.pair_all([(res, tau)])[0] == (fresh.value, fresh.err)
@@ -993,8 +993,9 @@ def test_missed_pairings_are_integrated_afresh_as_one_family(monkeypatch):
     monkeypatch.undo()
     for (rule, tau), (value, err) in zip(pairings, got):
         alone = integrate_polytope(
-            lambda X: f(X, rule.member) * tau(X), P, lines=[((1, 1), 2.0)],
-            point=peaks[rule.member], rel_tol=1e-6)
+            lambda X, i: f(X, rule.member) * tau(X), P,
+            lines=[((1, 1), 2.0)], points=[peaks[rule.member]],
+            rel_tol=1e-6)[0]
         if tau is one:
             assert (value, err) == quadrature.pair_all([(rule, tau)])[0]
             assert value == pytest.approx(rule.value, rel=1e-13)
@@ -1016,8 +1017,8 @@ def test_family_members_are_their_lone_integrals_in_three_dimensions():
     together = quadrature.pair_all(
         [(rule, tau) for rule in rules for tau in taus])
     for rule in rules:
-        alone = integrate_polytope(lambda X: f(X, rule.member), PRISM,
-                                   point=peaks[rule.member], **cuts)
+        alone = integrate_polytope(lambda X, i: f(X, rule.member), PRISM,
+                                   points=[peaks[rule.member]], **cuts)[0]
         assert (rule.value, rule.err) == (alone.value, alone.err)
         for tau in taus:
             assert quadrature.pair_all([(rule, tau)])[0] == \
@@ -1036,9 +1037,9 @@ def test_prism_integrals():
 
 def test_kink_plane_cut_in_three_dimensions():
     # |x1 + x2 + x3 - 2| over the side-3 simplex, cut at its kink plane
-    res = integrate_polytope(lambda X: np.abs(X.sum(axis=1) - 2.0),
+    res = integrate_polytope(lambda X, i: np.abs(X.sum(axis=1) - 2.0),
                              _simplex(3), lines=[((1, 1, 1), 2)],
-                             point=(1, 1, 1))
+                             points=[(1, 1, 1)])[0]
     assert res.value == pytest.approx(59 / 24, rel=1e-12)
 
 

@@ -677,27 +677,203 @@ def test_each_smoothing_is_evaluated_once_per_point_set(monkeypatch):
     from collections import Counter
     from toricray.smoothing import (IteratedMollifier, LineMollifier,
                                     _StrictTerm)
-    calls = Counter()
+    from toricray.smoothing import _face_interior_points
+    calls, rows = Counter(), Counter()
     for cls, name in ((LineMollifier, "eval_many"),
                       (IteratedMollifier, "eval_many"), (_StrictTerm, "eval")):
         def counted(self, X, *args, _orig=getattr(cls, name),
                     _name=cls.__name__):
             calls[_name] += 1
+            rows[_name] += len(X)
             return _orig(self, X, *args)
         monkeypatch.setattr(cls, name, counted)
 
     P, f, dec = corner_setup()
     fam = {e: build_nice_smoothing(f, P, dec, e) for e in (0.02, 0.04, 0.06)}
-    assert calls["IteratedMollifier"] == len(fam)     # one convexity each
+    assert calls["IteratedMollifier"] == len(fam)     # one check jet each
     calls.clear()
+    rows.clear()
     assert verify_nice_family(f, fam).passed
+    # the eps_max member at the face points alone, its samples' jet read
+    # off its checks; each other member on the samples and the face points
+    ns = len(default_check_samples(dec, max(fam)))
+    nf = len(_face_interior_points(dec))
     assert calls["IteratedMollifier"] == len(fam)
+    assert rows["IteratedMollifier"] == (len(fam) - 1) * (ns + nf) + nf
 
     # the strict build halves eta 12 to 16 times at these eps
     P, f, dec = wall_setup()
     for eps in (0.05, 0.1, 0.2):
         calls.clear()
         build_nice_smoothing(f, P, dec, eps, variant="strict")
-        assert calls["LineMollifier"] <= 2
-        # one term Hessian serves every eta; then ``convexity``
-        assert calls["_StrictTerm"] <= 2
+        # one check jet of the mollifier, and one term jet that serves
+        # every eta and the checks
+        assert calls["LineMollifier"] == 1
+        assert calls["_StrictTerm"] == 1
+
+
+def _one_dimensional_setup():
+    # f = max(0, x - 1, 2x - 3) on [0, 4]: kinks at x = 1 and x = 2
+    P = make_polytope([[1], [-1]], [0, -4])
+    f = PLConvex([((0,), 0), ((1,), -1), ((2,), -3)])
+    return P, f, decompose(f, P)
+
+
+def _scenario_setup(name):
+    from toricray.scenarios import get_scenario
+    sc = get_scenario(name)
+    return sc.polytope, sc.pl, sc.decomposition
+
+
+# (setup, variant, family eps) of the check-jet and verification tests
+CHECK_FAMILIES = {
+    "cp2-wall": (lambda: _scenario_setup("cp2-wall"), "nice",
+                 (0.05, 0.1, 0.2)),
+    "cp2-wall-strict": (lambda: _scenario_setup("cp2-wall"), "strict",
+                        (0.05, 0.1, 0.2)),
+    "cp2-corner": (lambda: _scenario_setup("cp2-corner"), "nice",
+                   (0.02, 0.04, 0.06)),
+    "cp2-two-walls": (lambda: _scenario_setup("cp2-two-walls"), "nice",
+                      (0.02, 0.04, 0.06)),
+    "segment-two-kinks": (_one_dimensional_setup, "nice", (0.05, 0.1, 0.2)),
+}
+
+
+def _family(name):
+    setup, variant, eps_list = CHECK_FAMILIES[name]
+    P, f, dec = setup()
+    return f, dec, {e: build_nice_smoothing(f, P, dec, e, variant=variant)
+                    for e in eps_list}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FAMILIES))
+def test_checks_are_the_jet_on_the_check_samples(name):
+    # the build evaluates the mollifier once on the check samples; a
+    # strict build adds its term's jet scaled by 0.5**k, which is exact
+    f, dec, fam = _family(name)
+    for eps, gen in fam.items():
+        samples, jet = gen.checks
+        assert np.array_equal(samples, default_check_samples(dec, eps))
+        assert len(jet) == 3
+        for got, want in zip(jet, gen.jet(samples, 2)):
+            assert np.array_equal(got, want)
+
+
+def reference_check_samples(decomp, eps):
+    """The sample battery built point by point."""
+    P = decomp.polytope
+    pts = []
+    offs = np.array([0.0, 0.45, -0.45, 0.95, -0.95, 1.3, -1.3]) * eps
+    for F in decomp.faces:
+        if F.frame is None:
+            continue
+        fr = F.frame
+        verts = F.vertices_np
+        if len(verts) == 1:
+            base = [verts[0]]
+        else:
+            lams = np.linspace(0.08, 0.92, 7)
+            base = [(1 - t) * verts[0] + t * verts[-1] for t in lams]
+        shifts = fr.shift_vectors()
+        for b in base:
+            for col in range(fr.codim):
+                for o in offs:
+                    pts.append(b + o * shifts[:, col])
+    lo, hi = P.bbox()
+    if P.dim == 1:
+        grid = np.linspace(lo[0], hi[0], 33)[:, None]
+    else:
+        g1 = np.linspace(lo[0], hi[0], 9)
+        g2 = np.linspace(lo[1], hi[1], 9)
+        grid = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
+    pts.extend(grid)
+    pts = np.array(pts)
+    return pts[P.contains(pts, tol=-1e-9)]
+
+
+def reference_verify(f, gens):
+    """Conditions a)-e) with every member evaluated on the eps_max samples
+    stacked with the face points, and one rank per (point, eps)."""
+    from toricray.smoothing import (ConditionReport, _face_interior_points,
+                                    _CONVEXITY_ALLOWANCE, _LIPSCHITZ_SLACK,
+                                    _OFF_WALL_BOUND)
+    from toricray.testconfig import thickening_mask
+
+    def rank(H):
+        eigs = np.linalg.eigvalsh(np.atleast_2d(H))
+        floor = 1e-8 * max(float(np.max(np.abs(eigs))), 1.0)
+        return int(np.sum(eigs > floor))
+
+    eps_list = sorted(gens)
+    decomp = gens[eps_list[0]].decomp
+    P = decomp.polytope
+    samples = reference_check_samples(decomp, max(eps_list))
+    face_pts = _face_interior_points(decomp)
+    X = np.vstack([samples] + [p[None] for _, p, _ in face_pts])
+    ns = len(samples)
+    jets = {e: gens[e].jet(X, 2) for e in eps_list}
+    out = {}
+    worst_a = min(g.convexity for g in gens.values())
+    out["a"] = ConditionReport(
+        "smooth and convex", worst_a >= _CONVEXITY_ALLOWANCE, worst_a)
+    lip = max(abs(float(c)) for g, _ in f.pieces for c in g) + 1.0
+    worst_b = 0.0
+    for e1, e2 in zip(eps_list[:-1], eps_list[1:]):
+        dv = np.max(np.abs(jets[e1][0][:ns] - jets[e2][0][:ns]))
+        bound = 2.0 * P.dim * lip * (e1 + e2) + _LIPSCHITZ_SLACK
+        worst_b = max(worst_b, float(dv / bound))
+    out["b"] = ConditionReport("smooth in eps (Lipschitz proxy)",
+                               worst_b <= 1.0, worst_b)
+    worst_c = 0.0
+    for e in eps_list:
+        outside = ~thickening_mask(decomp, e, samples)
+        if np.any(outside):
+            dv = np.max(np.abs(jets[e][0][:ns][outside]
+                               - f.value(samples[outside])))
+            worst_c = max(worst_c, float(dv))
+    out["c"] = ConditionReport("equals f off W_eps",
+                               worst_c <= _OFF_WALL_BOUND, worst_c)
+    worst_d, ok_d = np.inf, True
+    for k, (face, _, _) in enumerate(face_pts):
+        fr = face.frame
+        for e in eps_list:
+            H = jets[e][2][ns + k]
+            if rank(H) < face.codim:
+                ok_d = False
+            Ht = fr.inverse_np.T @ H @ fr.inverse_np
+            block = Ht[fr.n_parallel:, fr.n_parallel:]
+            lam = float(np.linalg.eigvalsh(np.atleast_2d(block)).min())
+            worst_d = min(worst_d, lam)
+            if lam <= 0:
+                ok_d = False
+    out["d"] = ConditionReport(
+        "rank >= codim, transverse block positive definite", ok_d,
+        worst_d if np.isfinite(worst_d) else 0.0)
+    ok_e, checked, worst_e = True, 0, 0
+    for k, (face, _, margin) in enumerate(face_pts):
+        eps_p = margin / 7.0 if np.isfinite(margin) else np.inf
+        usable = [e for e in eps_list if e < eps_p]
+        if not usable:
+            continue
+        checked += 1
+        for e in usable:
+            r = rank(jets[e][2][ns + k])
+            worst_e = max(worst_e, r - face.codim)
+            if r != face.codim:
+                ok_e = False
+    if checked == 0:
+        ok_e = False
+    out["e"] = ConditionReport(
+        f"rank exactly codim for small eps ({checked} points checked)",
+        ok_e, float(worst_e))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FAMILIES))
+def test_verification_matches_the_per_point_reference(name):
+    f, dec, fam = _family(name)
+    for eps in fam:
+        assert np.array_equal(default_check_samples(dec, eps),
+                              reference_check_samples(dec, eps))
+    # name, passed and worst of each condition, exactly
+    assert verify_nice_family(f, fam).conditions == reference_verify(f, fam)
