@@ -23,7 +23,7 @@ import numpy as np
 
 from .generators import Generator
 from .polytope import (CROSSING_TOL, MEMBERSHIP_TOL, FaceFrame, Polytope,
-                       make_polytope)
+                       make_polytope, vertices_of_system)
 from .potentials import ray_jet
 from .quadrature import REL_TOL, integrate_polytope, pair_all, panel_nodes
 from .quantization import (MonomialDensity, base_log_weight, density_family,
@@ -115,13 +115,13 @@ def chord_mean(P: Polytope, frame: FaceFrame, c_perp, battery, *,
         xt = np.stack([u, np.full_like(u, c_perp[0])], axis=-1)
         return xt @ frame.inverse_np.T
 
-    # exact parallel range: each facet constraint is affine in u
-    x0, x1 = point(np.array([[0.0], [1.0]]))
-    u_lo, u_hi = (float(u) for u in P.chord(x0, x1 - x0)[:2])
-    if not u_lo < u_hi:
+    # the exact parallel range: u at the vertices of the wall's slice of P
+    u = sorted(sum(a * x for a, x in zip(frame.matrix[0], v)) for v, _ in
+               vertices_of_system(P.normals, P.offsets, 2,
+                                  [(frame.normals[0], c_perp[0])]))
+    if len(u) < 2:
         raise ValueError("chord misses the polytope")
-    # the polytope keeps the float ends as exact Fractions
-    chord = make_polytope([[1], [-1]], [u_lo, -u_hi], require_delzant=False)
+    chord = make_polytope([[1], [-1]], [u[0], -u[-1]], require_delzant=False)
     return region_mean(chord, [lambda U, tau=tau: tau(point(U))
                                for tau in battery],
                        weight=None if weight is None

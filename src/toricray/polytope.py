@@ -83,8 +83,8 @@ def _integer_normal(v) -> tuple[int, ...]:
 # boundary of P (a grid end, a facet value evaluated at m): a few thousand
 # ulps at unit scale, far below every quadrature tolerance
 MEMBERSHIP_TOL = 1e-12
-# the least |component| along a line of a hyperplane's normal for the line
-# to cross it; below it they are parallel, not divided by rounding noise
+# the least |component| along a metric path of a hyperplane's normal for the
+# path to cross it; below it they are parallel, not divided by rounding noise
 CROSSING_TOL = 1e-14
 
 
@@ -138,8 +138,9 @@ class Polytope:
 
         self._A = np.array(self.normals, dtype=float)
         self._b = np.array([float(o) for o in self.offsets])
-        # each facet {nu . x = c} as the float row (nu, c)
-        self.facets_np = np.column_stack([self._A, self._b])
+        # each facet {v . x = lambda} as an integer row, (v, lambda) scaled
+        self.facet_rows = tuple(tuple(integer_row([*v, o])[0])
+                                for v, o in zip(self.normals, self.offsets))
         self._verts_np = np.array([[float(c) for c in v] for v in self.vertices])
 
     # -- construction internals ------------------------------------------------
@@ -249,22 +250,6 @@ class Polytope:
 
     def interior_contains(self, x) -> np.ndarray:
         return np.min(self.ell(x), axis=-1) > 0.0
-
-    def chord(self, x0, d):
-        """Ends (lo, hi) of the chords {x0 + u d : lo <= u <= hi} of P from
-        the facet inequalities, for points x0 (..., n) and a direction d
-        (n,), and the facets (at_lo, at_hi) the ends lie on: the index of
-        the inequality that gives each end, the first where several do;
-        lo >= hi where the line misses P."""
-        a = self._A @ np.asarray(d, dtype=float)
-        ell = self.ell(x0)
-        up, down = a > CROSSING_TOL, a < -CROSSING_TOL
-        lo, hi = (-ell[..., side] / a[side] for side in (up, down))
-        at_lo = np.flatnonzero(up)[lo.argmax(axis=-1)]
-        at_hi = np.flatnonzero(down)[hi.argmin(axis=-1)]
-        misses = np.any(ell[..., ~(up | down)] < 0, axis=-1)
-        return (lo.max(axis=-1), np.where(misses, -np.inf, hi.min(axis=-1)),
-                at_lo, at_hi)
 
     @property
     def vertices_np(self) -> np.ndarray:

@@ -34,13 +34,14 @@ refinement: every level calls f once on the new nodes of all the members,
 and each member keeps its own panels, scale, floor, budget and verdict.
 One integrand is the family of one.  The integral is iterated in x1, ...,
 xn, in every dimension, by one recursive level with a group per fixed
-prefix (x1, ..., x_{j-1}), each prefix row carrying its member.  An
-outer level runs over the range of x_j on the slice of P at its prefix
-(the extent of the slice's vertices), cut at the x_j of every point of
-that slice where n - j + 1 breakpoint hyperplanes meet, and its integrand
-is the level below, called once per round on all of its new nodes.  The
-innermost level runs over the chords of P in xn, cut where the hyperplanes
-cross them, and calls f.  Final panels stay rows of 15 nodes through the
+prefix (x1, ..., x_{j-1}), each prefix row carrying its member.  Where a
+set of n - j + 1 hyperplanes meets in one point at a fixed prefix (an
+exact pivot of ``row_reduce`` on their integer rows), that point's x_j and
+the facet values there are affine in the prefix (Schechter 1998).  By one
+rule, each level runs from the least to the greatest such point of facets
+alone, cut at each one where no facet value is negative.  An outer level's
+integrand is the level below, called once per round on its new nodes, and
+the innermost level calls f.  Final panels stay rows of 15 nodes through the
 levels, rows under nodes off the final panels are dropped, and the nodes
 (N, n) are built once, then split into one ``NodeSet`` per member by one
 stable sort (none for a family of one).  A level's error estimate is its
@@ -73,9 +74,9 @@ The map is monotone and fixes the piece's ends, so the cuts, the panels,
 ``owners``, ``diffs`` and the verdict are those in x; only the innermost
 driver maps its nodes and multiplies by dx/du, and a ``NodeSet`` keeps the
 x nodes and the weights times dx/du.  A chord with no cut inside and both
-ends mapped is cut at its midpoint.  Each end's facet is the one
-``Polytope.chord`` names.  The outer levels' ends, at the projections of
-vertices, are not mapped.
+ends mapped is cut at its midpoint.  Each end's facet is the facet whose
+meeting point gives that end.  The outer levels' ends, at the projections
+of vertices, are not mapped.
 
 One verdict: ``integrate_polytope``, the one integrator other modules call,
 ``pair_all`` and ``adaptive_panels`` raise QuadratureError when a
@@ -90,6 +91,7 @@ in the package calls it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from itertools import combinations
@@ -97,7 +99,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polytope import CROSSING_TOL
+from ._exact import integer_row, row_reduce
 
 __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
@@ -118,12 +120,6 @@ _SPLIT_FLOOR = 1e-18
 _MIN_WIDTH = 1e-15
 # the most a returned error may be, in units of rel_tol * integral of |f|
 ALLOWANCE = 50.0
-# the slack by which a cut point, solved in floats where hyperplanes of the
-# cuts meet, may leave P and still cut its slice: a solve's rounding grows
-# with the conditioning of its hyperplanes, past ``MEMBERSHIP_TOL``
-_CUT_SLACK = 1e-9
-# the least |determinant| of n - j hyperplanes whose meeting point is a cut
-_DET_FLOOR = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -501,13 +497,11 @@ def integrate_polytope(f, P, *, lines=(), points=None, exponents=None,
     points = np.asarray(points, dtype=float)
     k, n = points.shape
     exponents, powers = _end_powers(exponents, k, len(P.normals))
-    cuts = np.concatenate([P.facets_np, np.array(
-        [[*nu, c] for nu, c in lines], dtype=float).reshape(-1, n + 1)])
     # the outermost level is handed a zero floor, from which it hands its
     # own down
-    own, total, err, head, ids, x, weights, values = _level(
-        f, P, cuts, points, powers, np.arange(k), np.empty((k, 0)), rel_tol,
-        np.zeros(k))
+    own, total, err, head, ids, x, weights, values = _level(f, _slice_maps(
+        P.facet_rows, tuple(tuple(map(float, (*nu, c))) for nu, c in lines)),
+        points, powers, np.arange(k), np.empty((k, 0)), rel_tol, np.zeros(k))
     if k > 1:
         # the final panels of each member together, in the order they had
         order = np.argsort(own, kind="stable")
@@ -573,10 +567,10 @@ def _end_pieces(lo, hi, cuts, q_lo, q_hi):
     side, and for each end (2g the lower, 2g + 1 the upper) the end a, the
     signed length b - a of its piece to the nearest cut b inside (the other
     end where there is none) and its power q, 1 where it is not mapped;
-    and a cut at the midpoint of each chord with no cut inside and both
-    ends mapped, nan on the others."""
+    and the cuts, with one more at the midpoint of each chord with no cut
+    inside and both ends mapped, nan on the others."""
     if not ((q_lo > 1) | (q_hi > 1)).any():
-        return None, None
+        return None, cuts
     inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
     first = np.minimum(np.where(inside, cuts, np.inf).min(axis=1), hi)
     last = np.maximum(np.where(inside, cuts, -np.inf).max(axis=1), lo)
@@ -589,7 +583,8 @@ def _end_pieces(lo, hi, cuts, q_lo, q_hi):
     last = np.where(q_hi > 1, last, hi)
     ends, spans, powers = (np.column_stack(c).ravel() for c in (
         (lo, hi), (first - lo, last - hi), (q_lo, q_hi)))
-    return (last, ends, spans, powers.astype(float)), mid[:, None]
+    return ((last, ends, spans, powers.astype(float)),
+            np.concatenate([cuts, mid[:, None]], axis=1))
 
 
 def _end_map(u, g, pieces):
@@ -612,18 +607,68 @@ def _end_map(u, g, pieces):
     return np.where(q > 1.0, a + span * (power * t), u), q * power
 
 
-def _level(f, P, lines, peaks, powers, member, prefix, rel_tol, floor):
+@functools.lru_cache(maxsize=64)
+def _slice_maps(facets, lines):
+    """Per level j, the maps (cut, values, ends, facet) of the S sets of
+    n - j hyperplanes, rows made exact integers, on whose columns x_{j+1},
+    ..., x_n ``row_reduce`` pivots: at a prefix row p, x_{j+1} is
+    cut[-1] - p @ cut[:-1] at each set's meeting point, and its F facet
+    values times a positive integer are p @ values[:-1] - values[-1]
+    (S * F, set-major).  ``ends`` are the sets of facets alone, ``facet``
+    their first facets; equal arguments share the arrays, never written."""
+    n, F = len(facets[0]) - 1, len(facets)
+    rows, maps = [*facets, *(integer_row(r)[0] for r in lines)], []
+    for j in range(n):
+        # the unknowns x_{j+1}, ..., x_n first, then the prefix and 1
+        m, order = n - j, [*range(j, n), *range(j), n]
+        level = [[r[c] for c in order] for r in rows]
+        cut, values, facet = [], [], []
+        for S in combinations(range(len(rows)), m):
+            ech = row_reduce([level[s] for s in S], n + 1)
+            if ech.pivots == tuple(range(m)):
+                # x_{j+i+1} = (R_i[n] - R_i[m:n] . p) / D, and D^2 times a
+                # facet value is u[m:n] . p - u[n], u = D (D W - sum W_i R_i)
+                R, D = ech.rows, ech.det
+                facet.append(S[0] if S[-1] < F else -1)
+                cut.append([a / D for a in R[0][m:]])
+                values += ([D * (D * w - sum(a * r[t] for a, r in zip(W, R)))
+                            for t, w in enumerate(W[m:], m)]
+                           for W in level[:F])
+        ends = np.flatnonzero(np.array(facet) >= 0)
+        maps.append((*(np.array(a, dtype=float).reshape(-1, j + 1).T
+                       for a in (cut, values)), ends, np.array(facet)[ends]))
+    return maps
+
+
+def _slice(maps, prefix):
+    """The slice of P at each row of ``prefix`` (k, j) in x_{j+1}: its ends
+    (lo, hi), the least and the greatest meeting point of facets alone (nan
+    where it is empty), its cuts (k, S), each meeting point where no facet
+    value is negative (nan at the others), and the facets of its ends."""
+    cut, values, ends, facet = maps[prefix.shape[1]]
+    x = cut[-1] - prefix @ cut[:-1]
+    cuts = np.where((prefix @ values[:-1] - values[-1]).reshape(
+        *x.shape, -1).min(axis=2) >= 0.0, x, np.nan)
+    e = cuts[:, ends]
+    at_lo = np.where(np.isnan(e), np.inf, e).argmin(axis=1)
+    at_hi = np.where(np.isnan(e), -np.inf, e).argmax(axis=1)
+    return (np.fmin.reduce(e, axis=1), np.fmax.reduce(e, axis=1), cuts,
+            facet[at_lo], facet[at_hi])
+
+
+def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor):
     """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
-    of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row.
-    ``member`` (k,) is the family member of each row, whose row of
-    ``peaks`` cuts its panels and whose row of ``powers`` (members, facets;
-    None when there is none) maps the ends of its innermost chords, and
-    ``floor`` (k,) the absolute tolerance the level above hands each row
-    (see ``_refine``).  Returns the prefix row of each final innermost
-    panel (R,), the integrals and their errors (k,), the coordinates the
-    levels below fixed for each panel and the index of each of those nodes
-    among the final nodes of its level, 15 a panel (R, n - 1 - j) each,
-    and x_n, the rule weights and the values of its 15 nodes (R, 15).
+    of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row, cut
+    by ``_slice`` of ``maps``.  ``member`` (k,) is the family member of
+    each row, whose row of ``peaks`` cuts its panels and whose row of
+    ``powers`` (members, facets; None when there is none) maps the ends of
+    its innermost chords, and ``floor`` (k,) the absolute tolerance the
+    level above hands each row (see ``_refine``).  Returns the prefix row
+    of each final innermost panel (R,), the integrals and their errors
+    (k,), the coordinates the levels below fixed for each panel and the
+    index of each of those nodes among the final nodes of its level, 15 a
+    panel (R, n - 1 - j) each, and x_n, the rule weights and the values of
+    its 15 nodes (R, 15).
 
     On the innermost level a chord piece that ends on a facet r where the
     member's power q is above 1 is measured in u, with x = a + (b - a) t^q
@@ -631,30 +676,13 @@ def _level(f, P, lines, peaks, powers, member, prefix, rel_tol, floor):
     panels in u are those in x.  A chord with no cut inside and both ends
     mapped is cut at its midpoint.  The level returns the nodes in x, the
     weights times dx/du and the values of f."""
-    (k, j), n = prefix.shape, P.dim
+    (k, j), n = prefix.shape, len(maps)
     inner, mapped = [], []
-    # the range of x_{j+1}: the bounding box's on the first level, where it
-    # is exact, the chords of P on an innermost level below it, and the
-    # extent of the slice's vertices, which are among the cuts, on a level
-    # in between; a segment maps its ends on the facets its chord names
-    lo, hi = (np.full(k, c[j]) for c in P.bbox())
+    lo, hi, cuts, at_lo, at_hi = _slice(maps, prefix)
+    cuts = np.concatenate([cuts, peaks[member, j, None]], axis=1)
     if j == n - 1:
-        if j > 0 or powers is not None:
-            # a segment's chord is its bounding box, bit for bit: it is
-            # asked only for the facets of the ends it maps
-            lo, hi, at_lo, at_hi = P.chord(np.concatenate(
-                [prefix, np.zeros((k, 1))], axis=1), [0.0] * j + [1.0])
-        # cut where the hyperplanes cross the chords, and at the peaks
-        crossing = lines[np.abs(lines[:, j]) > CROSSING_TOL]
-        cuts = np.concatenate([(crossing[:, -1] - prefix
-                                @ crossing[:, :j].T) / crossing[:, j],
-                               peaks[member, j, None]], axis=1)
-        pieces = None
-        if powers is not None:
-            pieces, more = _end_pieces(lo, hi, cuts, powers[member, at_lo],
-                                       powers[member, at_hi])
-        if pieces is not None:
-            cuts = np.concatenate([cuts, more], axis=1)
+        pieces, cuts = (None, cuts) if powers is None else _end_pieces(
+            lo, hi, cuts, powers[member, at_lo], powers[member, at_hi])
 
         def driver(x, g, hand):
             if pieces is not None:
@@ -668,22 +696,8 @@ def _level(f, P, lines, peaks, powers, member, prefix, rel_tol, floor):
             mapped.append((x, jac, vals))
             return vals * jac
     else:
-        # cut at the points of P where n - j of the hyperplanes meet; the
-        # integrand is the level below
-        sub = lines[np.array(list(combinations(range(len(lines)), n - j)))]
-        sub = sub[np.abs(np.linalg.det(sub[:, :, j:n])) > _DET_FLOOR]
-        rhs = sub[:, :, n] - np.moveaxis(sub[:, :, :j] @ prefix.T, -1, 0)
-        y = np.linalg.solve(sub[:, :, j:n], rhs[..., None])[..., 0]
-        cuts = np.where(P.contains(np.concatenate([np.broadcast_to(
-            prefix[:, None], (*y.shape[:2], j)), y], axis=-1), tol=_CUT_SLACK),
-            y[..., 0], np.nan)
-        if j > 0:
-            lo = np.where(np.isnan(cuts), np.inf, cuts).min(axis=1)
-            hi = np.where(np.isnan(cuts), -np.inf, cuts).max(axis=1)
-        cuts = np.concatenate([cuts, peaks[member, j, None]], axis=1)
-
         def driver(x, g, hand):
-            rows = _level(f, P, lines, peaks, powers, member[g],
+            rows = _level(f, maps, peaks, powers, member[g],
                           np.concatenate([prefix[g], x[:, None]], axis=1),
                           rel_tol, hand[g])
             inner.append((x, g, *rows))

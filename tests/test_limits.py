@@ -141,6 +141,16 @@ def test_region_and_chord_means():
         pytest.approx(4.0 / 3.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("c", [5, 3, -1], ids=["misses", "vertex", "below"])
+def test_chord_mean_of_a_wall_off_the_polytope_raises(c):
+    # {x1 = 5} and {x1 = -1} miss CP^2(3), and {x1 = 3} touches it only at
+    # the vertex (3, 0): the exact slice has fewer than two vertices
+    P = cp2()
+    with pytest.raises(ValueError, match="chord misses the polytope"):
+        chord_mean(P, face_frame(P, [[1, 0]], [c]), [float(c)],
+                   [lambda X: X[..., 1]])
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["bare", "weighted"])
 def test_region_mean_nonfinite_raises(weighted):
     weight = (lambda X: X[..., 0]) if weighted else None

@@ -291,24 +291,6 @@ def test_ell_values_examples():
                        [1.0, 1.0, 1.0])
 
 
-def test_chord_ends_and_their_facets():
-    # x2 chords of the simplex at x1 = 1 and 2.5 run from facet 1 (x2 = 0)
-    # to facet 2 (x1 + x2 = 3); the x1 chord at x2 = 1 from facet 0; a
-    # segment's chord is its bounding box
-    P = simplex()
-    lo, hi, at_lo, at_hi = P.chord(np.array([[1.0, 0.0], [2.5, 0.0]]),
-                                   [0.0, 1.0])
-    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [2.0, 0.5]
-    assert at_lo.tolist() == [1, 1] and at_hi.tolist() == [2, 2]
-    lo, hi, at_lo, at_hi = P.chord(np.array([0.0, 1.0]), [1.0, 0.0])
-    assert (float(lo), float(hi), int(at_lo), int(at_hi)) == (0.0, 2.0, 0, 2)
-    Q = make_polytope([[1], [-1]], [Fraction(-1, 2), Fraction(-5, 2)],
-                      corrected=True)
-    lo, hi, at_lo, at_hi = Q.chord(np.zeros((1, 1)), [1.0])
-    assert (lo[0], hi[0]) == tuple(Q.bbox()[i][0] for i in (0, 1))
-    assert (at_lo[0], at_hi[0]) == (0, 1)
-
-
 def test_ell_values_affine_property():
     rng = np.random.default_rng(0)
     P = simplex()
@@ -443,7 +425,7 @@ def test_membership_tolerance_is_named_once():
                                     if k.arg == "tol"]
             if any(number(t) for t in tols):
                 literal.append(f"{path.name}:{node.lineno}")
-    assert calls >= 8 and literal == []
+    assert calls >= 7 and literal == []
     assert polytope.MEMBERSHIP_TOL == 1e-12
 
 
@@ -451,8 +433,7 @@ def test_crossing_and_convexity_tolerances_are_named_once():
     # no float below 1e-8 is written in src but where a module constant is
     # defined; 1e-10 in smoothing only as its convexity allowance and in
     # quadrature, limits and quantization only as the default tolerance,
-    # 1e-12 in quadrature only as its determinant floor, and 1e-13 only as
-    # the rate-fit floor of limits
+    # and 1e-13 only as the rate-fit floor of limits
     def defined(tree, name=None):
         """ids of the nodes under the module-level constant definitions,
         or under the one of ``name``."""
@@ -473,21 +454,19 @@ def test_crossing_and_convexity_tolerances_are_named_once():
             allowed[1e-10] = defined(tree, "_CONVEXITY_ALLOWANCE")
         if path.name in ("quadrature.py", "limits.py", "quantization.py"):
             allowed[1e-10] = defined(tree, "REL_TOL")
-        if path.name == "quadrature.py":
-            allowed[1e-12] = defined(tree, "_DET_FLOOR")
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and type(node.value) is \
                     float and 0 < abs(node.value) < 1e-8:
                 seen += 1
                 if id(node) not in allowed.get(node.value, constants):
                     stray.append(f"{path.name}:{node.lineno}")
-    assert seen >= 23 and stray == []
+    assert seen >= 21 and stray == []
     assert polytope.CROSSING_TOL == 1e-14
     assert (quadrature._UNDERFLOW, quadrature._SPLIT_FLOOR,
             quadrature._MIN_WIDTH, generators._OVERLAP_SLACK) == \
         (1e-300, 1e-18, 1e-15, 1e-15)
     assert limits.RATE_FIT_FLOOR == 1e-13
-    assert (quadrature.REL_TOL, quadrature._DET_FLOOR) == (1e-10, 1e-12)
+    assert quadrature.REL_TOL == 1e-10
     assert quantization.DEFAULT_REL_TOL[1] is quadrature.REL_TOL
     assert (acceptance.C02_COSINE_BAND, acceptance.C03_PLATEAU_BAND,
             acceptance.C06_LIMIT_REL_TOL, acceptance.C10_VOLUME_DEFECT,

@@ -26,7 +26,8 @@ from scipy.special import erf
 from scipy.spatial import cKDTree
 
 from toricray import quadrature, scenarios
-from toricray.generators import BumpSpec, Generator, build_bump_generator
+from toricray.generators import (BumpSpec, Generator, build_bump_generator,
+                                 build_wall_sum)
 from toricray.limits import battery_for, region_mean
 from toricray.polytope import make_polytope
 from toricray.quadrature import (QuadratureError, TriangleMesh,
@@ -34,6 +35,7 @@ from toricray.quadrature import (QuadratureError, TriangleMesh,
                                  integrate_on_panels, integrate_polytope,
                                  log_integral_1d, panel_nodes)
 from toricray.quantization import MonomialDensity, density_family
+from toricray.smoothing import build_nice_smoothing
 
 POLYGONS = {
     "simplex": np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]),
@@ -853,9 +855,9 @@ PRISM = make_polytope([[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1],
 
 
 def test_empty_interval_gives_no_panel():
-    # a chord that misses P has lo >= hi (hi = -inf from Polytope.chord):
-    # it contributes nothing instead of the panel [hi, lo]
-    for hi in (0.0, -np.inf):
+    # a slice that misses P has lo >= hi, or nan ends from the exact cut
+    # maps: it contributes nothing instead of the panel [hi, lo]
+    for hi in (0.0, -np.inf, np.nan):
         a, b, g = quadrature._cut(np.array([1.0]), np.array([hi]),
                                   np.empty((1, 0)))
         assert len(a) == len(b) == len(g) == 0
@@ -1059,6 +1061,190 @@ def test_middle_level_runs_over_the_slice(monkeypatch):
     assert len(rows) > 2 and sum(rows) == 0
 
 
+def _float_cuts(P, lines, prefix):
+    """The float cut rule the exact maps replaced, kept as a reference: at
+    level j, each set of n - j hyperplanes (the facets, then the lines)
+    whose determinant on the columns x_{j+1}, ..., x_n exceeds 1e-12 is
+    solved by one stacked solve, and its x_{j+1} cuts where
+    ``P.contains(tol=1e-9)`` accepts its meeting point; nan elsewhere."""
+    (k, j), n = prefix.shape, P.dim
+    planes = np.array([[*v, float(o)] for v, o in zip(P.normals, P.offsets)]
+                      + [[*nu, c] for nu, c in lines], dtype=float)
+    sub = planes[np.array(list(itertools.combinations(range(len(planes)),
+                                                      n - j)))]
+    sub = sub[np.abs(np.linalg.det(sub[:, :, j:n])) > 1e-12]
+    rhs = sub[:, :, n] - np.moveaxis(sub[:, :, :j] @ prefix.T, -1, 0)
+    y = np.linalg.solve(sub[:, :, j:n], rhs[..., None])[..., 0]
+    points = np.concatenate([np.broadcast_to(prefix[:, None],
+                                             (*y.shape[:2], j)), y], axis=-1)
+    return np.where(P.contains(points, tol=1e-9), y[..., 0], np.nan)
+
+
+def _float_chord(P, prefix):
+    """The float x_n chords at the prefix rows (k, n - 1), as
+    ``Polytope.chord`` gave them, kept as a reference: the ends (lo, hi)
+    from the facet inequalities, and the facet of each end, the first
+    where several give it."""
+    A = np.array(P.normals, dtype=float)
+    ell = prefix @ A[:, :-1].T - np.array([float(o) for o in P.offsets])
+    a = A[:, -1]
+    up, down = a > 1e-14, a < -1e-14
+    lo, hi = (-ell[:, side] / a[side] for side in (up, down))
+    return (lo.max(axis=1), hi.min(axis=1),
+            np.flatnonzero(up)[lo.argmax(axis=1)],
+            np.flatnonzero(down)[hi.argmin(axis=1)])
+
+
+def _maps(P, lines):
+    """The exact cut maps ``integrate_polytope`` builds for P and lines."""
+    return quadrature._slice_maps(P.facet_rows, tuple(
+        tuple(map(float, (*nu, c))) for nu, c in lines))
+
+
+def _merged(values, gap):
+    """The sorted values, each run closer than ``gap`` merged to its
+    first."""
+    values = np.sort(values)
+    return values[np.concatenate([[True], np.diff(values) >= gap])]
+
+
+def _cut_cases():
+    """(P, lines) pairs: every shipped scenario with its generator's lines,
+    the cp2-corner and two-wall smoothings, Hirzebruch F1 and F2 and a
+    hexagon with walls and a diagonal, CP^3(3) with three walls, and
+    degenerate arrangements on CP^2(3) and CP^3(3)."""
+    cases = {}
+    for name, build in scenarios.BUILTIN_SCENARIOS.items():
+        sc = build()
+        gen = sc.generator or build_nice_smoothing(
+            sc.pl, sc.polytope, sc.decomposition, 0.1)
+        cases[name] = (sc.polytope, [(nu, c) for nu, lo, hi in gen.support
+                                     for c in (lo, hi)])
+    walls = [((1, 0), 1.0), ((0, 1), 1.0), ((1, 1), 2.0)]
+    for name, normals, offsets in (
+            ("F1", [[1, 0], [0, 1], [0, -1], [-1, -1]], [0, 0, -2, -4]),
+            ("F2", [[1, 0], [0, 1], [0, -1], [-1, -2]], [0, 0, -2, -6]),
+            ("hexagon", [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, -1]],
+             [0, 0, -3, -3, 1, -5])):
+        cases[name] = (make_polytope(normals, offsets,
+                                     require_delzant=False), walls)
+    cp2 = scenarios.cp2()
+    # x1 = 1 and x2 = 2 meet on the facet x1 + x2 = 3; x1 + x2 = 2 is
+    # parallel to it, and x1 = 5 misses P
+    cases["cp2-through-vertex"] = (cp2, [((1, 0), 1.0), ((0, 1), 2.0)])
+    cases["cp2-parallel"] = (cp2, [((1, 1), 2.0), ((1, 0), 1.0)])
+    cases["cp2-missing"] = (cp2, [((1, 0), 5.0), ((0, 1), 1.0)])
+    cp3 = _simplex(3)
+    three = [(tuple(float(i == a) for i in range(3)), c) for a in range(3)
+             for c in (0.8, 1.2)]
+    cases["cp3-three-walls"] = (cp3, three)
+    # the plane x1 + 2 x2 = 3 meets P's vertex (3, 0, 0)
+    cases["cp3-vertex-plane"] = (cp3, [((1, 2, 0), 3.0), ((0, 0, 1), 1.0)])
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_cut_cases()))
+def test_exact_cuts_match_the_float_rule(case):
+    # at random prefixes of every level the exact maps give the float
+    # rule's cut points, near-duplicates within 1e-12 merged (the float
+    # solves scatter one meeting point over several; float lines that are
+    # not concurrent, as the cp2-corner smoothing's slab ends, meet 1 ulp
+    # apart exactly), its ranges (the bounding box on the first level, the
+    # chords innermost, the extent of the cuts in between) and the facets
+    # Polytope.chord named
+    P, lines = _cut_cases()[case]
+    maps = _maps(P, lines)
+    rng = np.random.default_rng(0)
+    V = P.vertices_np
+    points = rng.dirichlet(np.ones(len(V)), size=40) @ V
+    for j in range(P.dim):
+        prefix = points[:, :j]
+        lo, hi, cuts, at_lo, at_hi = quadrature._slice(maps, prefix)
+        ref = _float_cuts(P, lines, prefix)
+        for exact, want in zip(cuts, ref):
+            exact, want = (_merged(c[~np.isnan(c)], 1e-12)
+                           for c in (exact, want))
+            assert exact.shape == want.shape
+            assert np.allclose(exact, want, rtol=0, atol=1e-9)
+        if j == P.dim - 1:
+            want = _float_chord(P, prefix)
+            assert at_lo.tolist() == want[2].tolist()
+            assert at_hi.tolist() == want[3].tolist()
+        else:
+            want = (np.nanmin(ref, axis=1), np.nanmax(ref, axis=1)) if j \
+                else tuple(np.full(len(prefix), c[0]) for c in P.bbox())
+        assert np.allclose(lo, want[0], rtol=0, atol=1e-12)
+        assert np.allclose(hi, want[1], rtol=0, atol=1e-12)
+
+
+def test_cuts_take_no_slack():
+    # the line x1 + x2 = 3 + 2^-30 misses CP^2(3) by 2^-30: none of its
+    # meeting points cuts a level, where a slack of 1e-9 took them in
+    maps = _maps(_simplex(2), [((1, 1), 3.0 + 2.0 ** -30)])
+    for prefix, want in ((np.empty((1, 0)), [0.0, 3.0]),
+                         (np.array([[1.0], [2.5]]), [0.0, 2.0])):
+        cuts = quadrature._slice(maps, prefix)[2][0]
+        assert np.unique(cuts[~np.isnan(cuts)]).tolist() == want
+
+
+def test_innermost_ends_and_their_facets():
+    # x2 chords of the simplex at x1 = 1 and 2.5 run from facet 1 (x2 = 0)
+    # to facet 2 (x1 + x2 = 3); a segment's chord is its bounding box
+    P = _simplex(2)
+    lo, hi, _, at_lo, at_hi = quadrature._slice(
+        _maps(P, ()), np.array([[1.0], [2.5]]))
+    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [2.0, 0.5]
+    assert at_lo.tolist() == [1, 1] and at_hi.tolist() == [2, 2]
+    Q = make_polytope([[1], [-1]], [Fraction(-1, 2), Fraction(-5, 2)],
+                      corrected=True)
+    lo, hi, _, at_lo, at_hi = quadrature._slice(
+        _maps(Q, ()), np.zeros((1, 0)))
+    assert (lo[0], hi[0]) == tuple(Q.bbox()[i][0] for i in (0, 1))
+    assert (at_lo[0], at_hi[0]) == (0, 1)
+
+
+def _outer_widths(rule):
+    """The width of each outer (x1) panel of a ``NodeSet``, from its
+    nodes, which span 0.98 of it."""
+    own, x = rule.owners[:, 0], rule.nodes[:, 0]
+    lo, hi = np.full(own.max() + 1, np.inf), np.full(own.max() + 1, -np.inf)
+    np.minimum.at(lo, own, x)
+    np.maximum.at(hi, own, x)
+    span = quadrature._GK15_UNIT[-1] - quadrature._GK15_UNIT[0]
+    return (hi - lo)[np.isfinite(lo)] / span
+
+
+@pytest.mark.parametrize("build, most", [
+    (lambda: scenarios.cp2_wall_sum("cosine"), 4500),
+    (scenarios.cp2_wall, 1750)], ids=["wall-sum", "wall"])
+def test_wall_densities_have_no_sliver_panels(build, most):
+    # the outer x1 level is cut where the walls' slab ends meet the facets,
+    # exactly: no two distinct outer-panel edges lie within 1e-12, so no
+    # outer panel is narrower (a float solve put the slab end x1 = 0.8
+    # beside its meeting with x1 + x2 = 3 at 0.7999999999999998), and the
+    # bare densities at (1, 1), s = 32, take 4,380 and 1,680 nodes
+    # (5,280 and 2,130 with the slivers)
+    sc = build()
+    md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 32.0,
+                         weighted=False)
+    md.log_mass()
+    assert _outer_widths(md._rule).min() >= 1e-12
+    assert len(md._rule.weights) <= most
+
+
+def test_three_wall_density_takes_few_nodes():
+    # CP^3(3) with a cosine bump across each x_i = 1: the bare density at
+    # (1, 1, 1), s = 32, takes 325,170 nodes on exact cuts (468,135 with
+    # the float solves' slivers)
+    P = _simplex(3)
+    gen = build_wall_sum(P, [(tuple(int(i == a) for i in range(3)),
+                              BumpSpec(1.0, 0.2, 1.0, "cosine"))
+                             for a in range(3)])
+    md = MonomialDensity(P, gen, [1, 1, 1], 32.0, weighted=False)
+    md.log_mass()
+    assert len(md._rule.weights) <= 330000
+
+
 def test_region_mean_in_three_dimensions():
     P = _simplex(3)
     bat = battery_for(P)
@@ -1117,7 +1303,6 @@ def test_corner_smoothing_density_against_quad():
     # given the footprint lines, is a one-dimensional reference for the
     # panels, which are cut where the support lists its slab ends
     from scipy.integrate import quad
-    from toricray.smoothing import build_nice_smoothing
     sc = scenarios.cp2_corner()
     gen = build_nice_smoothing(sc.pl, sc.polytope, sc.decomposition, 0.1,
                                kernel="cosine")
