@@ -19,6 +19,8 @@ def frac(value) -> Fraction:
     """Coerce ints, strings like '1/2' or '0.5', and floats to Fraction."""
     if isinstance(value, Fraction):
         return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, float):
         if not isfinite(value):
             raise ValueError(f"{value} is not a finite number")
@@ -38,6 +40,9 @@ def integer_vector(values: Iterable) -> tuple[int, ...]:
     """The entries as ints; ValueError unless each is an integer (1.0 is)."""
     out = []
     for v in values:
+        if type(v) is int:
+            out.append(v)
+            continue
         try:
             q = frac(v)
         except (ValueError, ArithmeticError):
@@ -51,6 +56,9 @@ def integer_vector(values: Iterable) -> tuple[int, ...]:
 def integer_row(row: Iterable) -> tuple[list[int], int]:
     """(ints, den): a rational row times ``den``, the lcm of its
     denominators, so that ``ints`` are integers."""
+    row = list(row)
+    if all(type(v) is int for v in row):
+        return row, 1
     row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
     den = lcm(*(v.denominator for v in row))
     return [v.numerator * (den // v.denominator) for v in row], den

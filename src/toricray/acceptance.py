@@ -28,7 +28,8 @@ from .generators import BumpSpec, PLConvex, build_bump_generator
 from .limits import (DiagnosticCase, battery_for, delta_case, diagnose,
                      distance_to_real, face_delta_case, fit_rate,
                      metric_length, mixed_limit_frame, polarization_distance,
-                     ray_polarization, region_mean, uniform_case)
+                     polarization_frame, ray_polarization, region_mean,
+                     uniform_case)
 from .polytope import make_polytope
 from .potentials import ray_jet
 from .quantization import (base_log_weight, density_family, gcst_image,
@@ -222,34 +223,30 @@ def c07_polarization() -> CheckResult:
     details = {}
     sc = scenarios.segment("cosine")
     P, gen = sc.polytope, sc.generator
-    f0 = ray_polarization(P, gen, 0.0, np.array([0.25]))
-    stasis = max(polarization_distance(
-        ray_polarization(P, gen, s, np.array([0.25])), f0)
-        for s in (1.0, 10.0, 100.0))
+    stasis_grid = [0.0, 1.0, 10.0, 100.0]
+    f0, *fs = ray_polarization(P, gen, stasis_grid, np.array([0.25]))
+    stasis = max(polarization_distance(f, f0) for f in fs)
     ok_stasis = stasis == 0.0
     details["stasis"] = stasis
 
     s_grid = np.array([32, 64, 128, 256, 512, 1024, 2048, 4096], dtype=float)
-    dists = [distance_to_real(ray_jet(P, gen, s, np.array([1.0])).hessian)
-             for s in s_grid]
+    dists = [distance_to_real(G)
+             for G in ray_jet(P, gen, s_grid, np.array([1.0])).hessian]
     fit = fit_rate(s_grid, dists)
     ok_rate = fit.model == "power" and 0.9 <= fit.exponent <= 1.1
     details["real_rate_exponent"] = fit.exponent
 
     ws = scenarios.cp2_wall_sum("cosine")
     x = np.array([1.0, 0.8])
-    G0 = ray_jet(ws.polytope, ws.generator, 0.0, x).hessian
+    G0, G_far = ray_jet(ws.polytope, ws.generator, [0.0, 1e8], x).hessian
     ref = mixed_limit_frame(G0, [[1.0, 0.0]], [[0.0, 1.0]])
-    fs = ray_polarization(ws.polytope, ws.generator, 1e8, x)
-    mixed = polarization_distance(fs, ref)
+    mixed = polarization_distance(polarization_frame(G_far), ref)
     ok_mixed = mixed <= 1e-6
     details["mixed_limit_dist"] = mixed
 
-    off = np.array([0.4, 0.4])
-    f0w = ray_polarization(ws.polytope, ws.generator, 0.0, off)
-    stasis2 = max(polarization_distance(
-        ray_polarization(ws.polytope, ws.generator, s, off), f0w)
-        for s in (1.0, 10.0, 100.0))
+    f0w, *fsw = ray_polarization(ws.polytope, ws.generator, stasis_grid,
+                                 np.array([0.4, 0.4]))
+    stasis2 = max(polarization_distance(f, f0w) for f in fsw)
     ok_stasis = ok_stasis and stasis2 == 0.0
     details["stasis_2d"] = stasis2
 
@@ -343,20 +340,19 @@ def c11_metric_degeneration() -> CheckResult:
     sc = scenarios.segment("cosine")
     P, gen = sc.polytope, sc.generator
     s_grid = np.array([100.0, 316.0, 1000.0, 3162.0, 10000.0])
-    across = [metric_length(P, gen, s, [((0.5,), (0.0,)), ((1.5,), (0.0,))])
-              for s in s_grid]
+    across = metric_length(P, gen, s_grid,
+                           [((0.5,), (0.0,)), ((1.5,), (0.0,))])
     fit_g = fit_rate(s_grid, across)
     growth = -fit_g.exponent
     ok = fit_g.model == "power" and abs(growth - 0.5) <= 0.05
 
-    off = [metric_length(P, gen, s, [((0.1,), (0.0,)), ((0.45,), (0.0,))])
-           for s in (0.0, 100.0, 10000.0)]
+    off = metric_length(P, gen, [0.0, 100.0, 10000.0],
+                        [((0.1,), (0.0,)), ((0.45,), (0.0,))]).tolist()
     spread = max(off) - min(off)
     ok = ok and spread <= C11_OFF_SPREAD
 
-    circ = [metric_length(P, gen, s,
-                          [((1.0,), (0.0,)), ((1.0,), (2 * math.pi,))])
-            for s in s_grid]
+    circ = metric_length(P, gen, s_grid,
+                         [((1.0,), (0.0,)), ((1.0,), (2 * math.pi,))])
     fit_c = fit_rate(s_grid, circ)
     ok = ok and fit_c.model == "power" and abs(fit_c.exponent - 0.5) <= 0.05
     return CheckResult(11, "metric stretching and collapse rates", ok,

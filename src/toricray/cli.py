@@ -315,12 +315,10 @@ def cmd_metric(args) -> int:
     else:
         xpath = [((lo + 0.1,), (0.0,)), ((hi - 0.1,), (0.0,))]
         center = 0.5 * (lo + hi)
-    rows = []
-    for s in s_grid:
-        crossing = metric_length(P, gen, s, xpath)
-        circle = metric_length(P, gen, s, [((center,), (0.0,)),
-                                           ((center,), (2 * math.pi,))])
-        rows.append((s, crossing, circle))
+    crossing = metric_length(P, gen, s_grid, xpath).tolist()
+    circle = metric_length(P, gen, s_grid, [
+        ((center,), (0.0,)), ((center,), (2 * math.pi,))]).tolist()
+    rows = list(zip(s_grid, crossing, circle))
     path = _write_csv(Path(args.output), ["s", "crossing_length",
                                           "circle_length"], rows)
     fit_x = fit_rate(s_grid, [r[1] for r in rows])

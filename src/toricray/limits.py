@@ -27,7 +27,7 @@ from .polytope import (CROSSING_TOL, MEMBERSHIP_TOL, FaceFrame, Polytope,
 from .potentials import ray_jet
 from .quadrature import REL_TOL, integrate_polytope, pair_all, panel_nodes
 from .quantization import (MonomialDensity, base_log_weight, density_family,
-                           pair_each, rate_gap)
+                           pair_each, ray_rate)
 
 __all__ = [
     "BatteryMember", "battery_for", "RateFit", "fit_rate",
@@ -207,32 +207,46 @@ def diagnose(P: Polytope, gen: Generator, cases) -> list:
     """One ``DiagnosticResult`` per case on (P, gen): pairing errors against
     the case's limits per s, and their rate fit.  The densities of every
     case are one family, so their norms make one pass; every pairing goes
-    to one ``pair_each``, so the missed ones make one more.  The gap-scan
-    grid of the uniform cases is built once."""
+    to one ``pair_each``, so the missed ones make one more.  The rate gap
+    of every uniform case comes from one ``ray_rate`` over the stack of
+    their m, on the union of their scan points off their regions, with
+    psi(m) read off the family; each case takes the least gap on its own
+    points."""
     cases = list(cases)
-    family = iter(density_family(P, gen, [(c.m, s, c.weighted)
-                                          for c in cases for s in c.s_grid]))
-    values, errs = pair_each([(d, t) for c in cases
-                              for d in [next(family) for _ in c.s_grid]
-                              for t in c.battery])
+    family = density_family(P, gen, [(c.m, s, c.weighted)
+                                     for c in cases for s in c.s_grid])
+    starts = np.cumsum([0] + [len(c.s_grid) for c in cases]).tolist()
+    densities = [family[a:b] for a, b in zip(starts[:-1], starts[1:])]
+    values, errs = pair_each([(d, t) for c, ds in zip(cases, densities)
+                              for d in ds for t in c.battery])
     ends = np.cumsum([len(c.s_grid) * len(c.battery) for c in cases])[:-1]
-    if any(c.region is not None for c in cases):
+    gaps = {}
+    scanned = [i for i, c in enumerate(cases) if c.region is not None]
+    if scanned:
         # the gap scan's points: those of P on 10,000 grid points of its
         # bounding box (a 100 x 100 grid in 2-D)
         axes = [np.linspace(a, b, 10000 if P.dim == 1 else 100)
                 for a, b in zip(*P.bbox())]
         xs = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, P.dim)
         xs = xs[P.contains(xs, tol=MEMBERSHIP_TOL)]
+        off = np.array([~cases[i].region.contains(xs, tol=MEMBERSHIP_TOL)
+                        for i in scanned])
+        union = off.any(axis=0)
+        rates = ray_rate(gen, [cases[i].m for i in scanned], xs[union])
+        for i, rate, own in zip(scanned, rates, off[:, union]):
+            ds = densities[i]
+            psi_m = ds[0].psi_m if ds else float(gen.value(
+                np.asarray(cases[i].m, dtype=float)))
+            gap = psi_m + rate[own]
+            gaps[i] = float(gap.min()) if gap.size else math.inf
     out = []
-    for c, v, e in zip(cases, np.split(values, ends), np.split(errs, ends)):
+    for i, (c, v, e) in enumerate(zip(cases, np.split(values, ends),
+                                      np.split(errs, ends))):
         v, e = (x.reshape(len(c.s_grid), len(c.battery)) for x in (v, e))
         dev = np.abs(v - [c.limits[t.name] for t in c.battery])
         fit = fit_rate(c.s_grid, dev.max(axis=1))
-        if c.region is not None:
-            gaps = rate_gap(gen, c.m, xs[~c.region.contains(
-                xs, tol=MEMBERSHIP_TOL)])
-            gap = float(gaps.min()) if gaps.size else math.inf
-            fit.aux["gap"] = gap
+        if i in gaps:
+            gap = fit.aux["gap"] = gaps[i]
             fit.aux["gap_match"] = (fit.model == "exponential"
                                     and gap > 0
                                     and abs(fit.exponent - gap) <= 0.15 * gap)
@@ -382,23 +396,32 @@ def mixed_limit_frame(G0, transverse_normals, parallel_dirs) -> PolarizationFram
     return PolarizationFrame(basis=q)
 
 
-def ray_polarization(P: Polytope, gen: Generator, s: float, x) -> PolarizationFrame:
-    return polarization_frame(ray_jet(P, gen, s, x).hessian)
+def ray_polarization(P: Polytope, gen: Generator, s, x):
+    """Holomorphic plane of Hess g_s at the point x: one frame for one ray
+    time s, or a list of one frame per s for a grid, whose Hessians come
+    from one ``ray_jet`` call."""
+    hess = ray_jet(P, gen, s, x).hessian
+    if np.ndim(s) == 0:
+        return polarization_frame(hess)
+    return [polarization_frame(h) for h in hess]
 
 
 # ---------------------------------------------------------------------------
 # metric lengths
 # ---------------------------------------------------------------------------
 
-def metric_length(P: Polytope, gen: Generator, s: float, path) -> float:
+def metric_length(P: Polytope, gen: Generator, s, path):
     """Length of a polyline in (x, theta) under dx' G_s dx + dth' G_s^-1 dth.
 
     Each segment is cut at the generator's support boundaries, and each
     piece into 48 uniform K15 panels (``panel_nodes``), so pieces off the
     support integrate identically for every s.  Each segment takes one
-    batched ray_jet call on all of its nodes and one fsum.
+    batched ray_jet call on all of its nodes and one fsum per s.  ``s`` is
+    one ray time, giving a float, or a grid of them (S,), giving an array
+    of S lengths from the same jets of g_P and psi per segment.
     """
-    total = 0.0
+    grid = np.atleast_1d(np.asarray(s, dtype=float))
+    totals = [0.0] * len(grid)
     path = [(np.asarray(x, dtype=float), np.asarray(th, dtype=float))
             for x, th in path]
     for (x0, th0), (x1, th1) in zip(path[:-1], path[1:]):
@@ -416,11 +439,13 @@ def metric_length(P: Polytope, gen: Generator, s: float, path) -> float:
                  for a, b in zip(cuts[:-1], cuts[1:])]
         t, w = panel_nodes(np.concatenate([g[:-1] for g in grids]),
                            np.concatenate([g[1:] for g in grids]))
-        G = ray_jet(P, gen, s, x0 + t.reshape(-1, 1) * dx).hessian
-        speed2 = np.einsum("i,kij,j->k", dx, G, dx)
         dth = th1 - th0
-        if np.any(dth):
-            rhs = np.broadcast_to(dth[:, None], (len(G), len(dth), 1))
-            speed2 = speed2 + np.linalg.solve(G, rhs)[..., 0] @ dth
-        total += math.fsum(w.ravel() * np.sqrt(np.maximum(speed2, 0.0)))
-    return total
+        hessians = ray_jet(P, gen, grid, x0 + t.reshape(-1, 1) * dx).hessian
+        for j, G in enumerate(hessians):
+            speed2 = np.einsum("i,kij,j->k", dx, G, dx)
+            if np.any(dth):
+                rhs = np.broadcast_to(dth[:, None], (len(G), len(dth), 1))
+                speed2 = speed2 + np.linalg.solve(G, rhs)[..., 0] @ dth
+            totals[j] += math.fsum(w.ravel()
+                                   * np.sqrt(np.maximum(speed2, 0.0)))
+    return totals[0] if np.ndim(s) == 0 else np.array(totals)

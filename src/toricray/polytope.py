@@ -64,6 +64,24 @@ def vertices_of_system(normals, offsets, dim: int, equalities=()) -> list:
     return sorted(verts.items())
 
 
+def _has_ray(V, rows) -> bool:
+    """Whether the n - 1 integer ``rows`` are independent and one side r
+    of their null line has <v, r> >= 0 for every row v of V, so that r is
+    a ray of the recession cone {V r >= 0}."""
+    n = len(V[0])
+    ech = row_reduce(rows, n)
+    if len(ech.pivots) < n - 1:
+        return False
+    # the free column gets det, each pivot column minus its row's entry
+    free = next(k for k in range(n) if k not in ech.pivots)
+    r = [0] * n
+    r[free] = ech.det
+    for row, k in zip(ech.rows, ech.pivots):
+        r[k] = -row[free]
+    dots = [sum(a * b for a, b in zip(v, r)) for v in V]
+    return min(dots) >= 0 or max(dots) <= 0
+
+
 class PolytopeError(ValueError):
     pass
 
@@ -154,9 +172,9 @@ class Polytope:
         solution to one of the pinned system, whose rows span R^n, so the
         system is empty iff the pinned one has no vertex.  A nonempty
         system with free columns contains a line.  Otherwise the recession
-        cone {V r >= 0} is pointed and <sum_j v_j, r> > 0 on its nonzero
-        points, so the system is unbounded iff the cut cone
-        {V r >= 0, <sum_j v_j, r> <= 1} has a vertex other than 0.
+        cone {V r >= 0} is pointed, so it is {0} iff it has no extreme ray;
+        each extreme ray is the null line of n - 1 independent rows of V,
+        so the system is unbounded iff one side of such a line has V r >= 0.
         """
         n, V, o = self.dim, self.normals, self.offsets
         pivots = row_reduce(V, n).pivots
@@ -165,9 +183,7 @@ class Polytope:
         verts = vertices_of_system(V, o, n, pins)
         if not verts:
             raise PolytopeError("polytope is empty")
-        cut = tuple(-sum(col) for col in zip(*V))
-        if pins or len(vertices_of_system(
-                [*V, cut], [*[0] * len(V), -1], n)) > 1:
+        if pins or any(_has_ray(V, rows) for rows in combinations(V, n - 1)):
             raise PolytopeError("polytope is unbounded")
         return verts
 

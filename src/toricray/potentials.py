@@ -10,8 +10,10 @@ closed-form from the facet description (no differencing, no symbolic engine):
 Every routine takes the polytope, the generator, the ray time s >= 0 and a
 point x of shape (n,) or a batch of shape (k, n), and every potential
 evaluation needs min ell >= INTERIOR_TOL; a BoundaryError names the point
-of a batch nearest a facet.  The Legendre inverse is a damped Newton whose line search
-keeps the iterate inside P and lowers the residual |grad g_s(x) - y|.
+of a batch nearest a facet.  ``ray_jet`` also takes a grid of s: the ray
+is affine in s, so one jet of g_P and one of psi at x serve every s.  The
+Legendre inverse is a damped Newton whose line search keeps the iterate
+inside P and lowers the residual |grad g_s(x) - y|.
 
 The determinant identity det(Hess g) * prod_r ell_r = 1/delta(x), with delta
 smooth and positive up to the boundary, is exposed as a report-style check.
@@ -77,20 +79,35 @@ def guillemin_jet(P: Polytope, x) -> PotentialJet:
     return PotentialJet(float(value) if x.ndim == 1 else value, grad, hess)
 
 
-def ray_jet(P: Polytope, gen: Generator, s: float, x) -> PotentialJet:
-    """Jet of g_s = g_P + s psi at x, one generator call for a batch."""
-    if s < 0:
+def ray_jet(P: Polytope, gen: Generator, s, x) -> PotentialJet:
+    """Jet of g_s = g_P + s psi at x, one generator call for a batch.
+
+    ``s`` is one ray time or a grid of them (S,).  The ray is affine in s,
+    so a grid takes one jet of g_P and one of psi at x, and gives each
+    entry of the jet a leading axis over s.  Each s > 0 combines them
+    as a lone call would, and each s = 0 is the jet of g_P alone.
+    """
+    grid = np.asarray(s, dtype=float)
+    if np.any(grid < 0):
         raise ValueError("ray parameter s must be >= 0")
     x = np.asarray(x, dtype=float)
     base = guillemin_jet(P, x)
-    if s == 0:
+    if grid.ndim == 0 and s == 0:
         return base
     val, grad, hess = gen.jet(x, 2)
-    if x.ndim == 1:
-        val = float(val)
-    return PotentialJet(base.value + s * val,
-                        base.gradient + s * grad,
-                        base.hessian + s * hess)
+    if grid.ndim == 0:
+        if x.ndim == 1:
+            val = float(val)
+        return PotentialJet(base.value + s * val,
+                            base.gradient + s * grad,
+                            base.hessian + s * hess)
+
+    def combine(b, d):
+        t = grid.reshape(grid.shape + (1,) * np.ndim(d))
+        return np.where(t == 0, b, b + t * d)
+    return PotentialJet(combine(base.value, val),
+                        combine(base.gradient, grad),
+                        combine(base.hessian, hess))
 
 
 def legendre_forward(P: Polytope, gen: Generator, s: float, x) -> np.ndarray:

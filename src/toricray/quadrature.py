@@ -160,8 +160,12 @@ def panel_nodes(lo, hi):
     """K15 nodes and weights, each (k, 15), of the panels [lo_i, hi_i]."""
     lo = np.asarray(lo, dtype=float)
     width = np.asarray(hi, dtype=float) - lo
-    return (lo[:, None] + width[:, None] * _GK15_UNIT,
-            width[:, None] * _GK15_SUMS[:, 0])
+    return _nodes(lo, width), width[:, None] * _GK15_SUMS[:, 0]
+
+
+def _nodes(lo, width):
+    """The K15 nodes (k, 15) of the panels of the given lo and width."""
+    return lo[:, None] + width[:, None] * _GK15_UNIT
 
 
 class Panels(NamedTuple):
@@ -231,9 +235,9 @@ def _refine(f, lo, hi, group, n_groups, rel_tol, floor):
         position of each panel's first node among all the points f was
         called on.  ``tol`` is each group's tolerance."""
         nonlocal called
-        nodes, _ = panel_nodes(ends[0], ends[1])
         width = ends[1] - ends[0]
-        x, g = nodes.ravel(), ends[2].astype(np.intp).repeat(15)
+        x = _nodes(ends[0], width).ravel()
+        g = ends[2].astype(np.intp).repeat(15)
         vals = f(x, g, tol / length)
         vals, mags = vals if isinstance(vals, tuple) else (vals, None)
         vals = np.asarray(vals, dtype=float).reshape(-1, 15)
@@ -297,7 +301,7 @@ def _verdict(value, err, weights, values, rel_tol, reason="missed"):
     None when it passes, else what is wrong with it."""
     if not (math.isfinite(value) and math.isfinite(err)):
         return f"is not finite: {value} with error {err}"
-    scale = float(weights @ np.abs(values))
+    scale = float(np.add.reduce(weights * np.abs(values)))
     if err > ALLOWANCE * rel_tol * scale + _UNDERFLOW:
         return (f"{reason}: relative error {err / max(scale, _UNDERFLOW):.2e} "
                 f"(tolerance {rel_tol})")
@@ -420,7 +424,8 @@ def pair_all(pairings):
     out, missed = [], {}
     for r, (rule, tau) in enumerate(pairings):
         values = rule.values * tau(rule.nodes)
-        value = float(rule.weights @ values)
+        # a reduction whose order does not depend on BLAS threads
+        value = float(np.add.reduce(rule.weights * values))
         # each level's bins summed in order, so that the empty bins of the
         # other members of a family add exact zeros
         err = math.fsum(np.cumsum(np.abs(np.bincount(own, d * values, 1)))[-1]

@@ -37,8 +37,10 @@ at several (m, s), bare or weighted as each member says, such as every
 diagnostic of a criterion, share the facet and slab cuts and one generator
 jet per node, so ``density_family`` norms them as the members of one
 integral: one family per (P, generator), in which only the weighted members'
-rows gather facet terms.  ``pair_each`` pairs them with their test functions
-through one ``pair_all``.
+rows gather facet terms.  A family takes psi(m) of all its distinct m from
+one jet, and their facet terms and exact exponents once each.
+``pair_each`` pairs them with their test functions through one
+``pair_all``.
 
 The weight of a lattice point m behaves like ell_r(x)^(ell_r(m)/2) near
 facet r, and ell_r(m)/2 is an exact rational, from the offsets of P and the
@@ -167,15 +169,23 @@ class MonomialDensity:
 
     def __init__(self, P: Polytope, gen: Generator, m, s: float, *,
                  weighted: bool = True):
+        m = np.asarray(m, dtype=float)
+        # the facet terms check that m lies in P, in both variants
+        self._set(P, gen, m, s, weighted, float(gen.value(m)),
+                  _facet_terms(P, m))
+
+    def _set(self, P, gen, m, s, weighted, psi_m, facets):
+        """The fields of the density at m (n,), with psi(m) and the facet
+        terms of m given, as ``density_family`` computes them once per
+        distinct m."""
         self.polytope = P
         self.generator = gen
-        self.m = np.asarray(m, dtype=float)
+        self.m = m
         self.s = float(s)
         self.weighted = bool(weighted)
         self.rel_tol = DEFAULT_REL_TOL.get(P.dim, 1e-6)
-        self.psi_m = float(gen.value(self.m))
-        # checks that m lies in P, in both variants
-        self._facets = _facet_terms(P, self.m)
+        self.psi_m = psi_m
+        self._facets = facets
         self._family = None     # the densities normed with this one
         self._norm_ready = False
         self._rule = None       # the NodeSet the mass was summed on
@@ -208,8 +218,11 @@ class MonomialDensity:
         psi_m = np.array([d.psi_m for d in todo])
         weighted = np.array([d.weighted for d in todo])
         facets = tuple(np.array(t) for t in zip(*(d._facets for d in todo)))
-        exponents = [_exponents(P, d.m) if d.weighted else [0] * len(
-            P.normals) for d in todo]
+        # each distinct m of a weighted member gets its exact powers once
+        powers = {d.m.tobytes(): d.m for d in todo if d.weighted}
+        powers = {key: _exponents(P, m) for key, m in powers.items()}
+        exponents = [powers[d.m.tobytes()] if d.weighted
+                     else [0] * len(P.normals) for d in todo]
         # each member's log density at its m, its peak, is its reference:
         # the gap vanishes there, so it is -h(m), or 0 when bare
         ref = np.zeros(len(todo))
@@ -272,9 +285,21 @@ def density_family(P: Polytope, gen: Generator, members) -> list:
     generator, whose norms are integrated together the first time one of
     them is needed; bare and weighted densities may share a family.  Each
     member keeps its own panels, reference level and rule, so each behaves
-    as the density made alone."""
-    family = [MonomialDensity(P, gen, m, s, weighted=weighted)
-              for m, s, weighted in members]
+    as the density made alone.  psi(m) of every distinct m comes from one
+    generator jet on their stack, and the facet terms (checking that m lies
+    in P) once per distinct m."""
+    members = [(np.asarray(m, dtype=float), s, w) for m, s, w in members]
+    distinct = {m.tobytes(): m for m, _, _ in members}
+    if not distinct:
+        return []
+    psi = gen.value(np.array(list(distinct.values()))).tolist()
+    terms = {key: (p, _facet_terms(P, m))
+             for (key, m), p in zip(distinct.items(), psi)}
+    family = []
+    for m, s, weighted in members:
+        d = MonomialDensity.__new__(MonomialDensity)
+        d._set(P, gen, m, s, weighted, *terms[m.tobytes()])
+        family.append(d)
     for d in family:
         d._family = family
     return family

@@ -197,6 +197,18 @@ def test_row_reduce_matches_fraction_gauss_jordan(shape):
     assert reduced == ref_rows
 
 
+def test_ints_pass_through_the_conversions():
+    # ints take no detour through str; everything else converts as before
+    assert _exact.frac(-7) == Fraction(-7)
+    assert _exact.frac("3/6") == Fraction(1, 2)
+    assert _exact.integer_vector([3, -2, 1.0, Fraction(4)]) == (3, -2, 1, 4)
+    assert _exact.integer_row([4, -6, 0]) == ([4, -6, 0], 1)
+    assert _exact.integer_row([1, Fraction(1, 2)]) == ([2, 1], 2)
+    for bad in ([True], [0.5]):
+        with pytest.raises(ValueError, match="not an integer"):
+            _exact.integer_vector(bad)
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_frac_rejects_non_finite_floats(value):
     with pytest.raises(ValueError, match="not a finite number"):

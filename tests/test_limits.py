@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from toricray import limits, quadrature
+from toricray import acceptance, limits, potentials, quadrature, scenarios
 from toricray.generators import BumpSpec, build_bump_generator, build_wall_sum
 from toricray.limits import (battery_for, chord_mean, delta_case,
                              delta_diagnostic, diagnose, distance_to_real,
@@ -14,10 +14,10 @@ from toricray.limits import (battery_for, chord_mean, delta_case,
                              polarization_distance, polarization_frame,
                              ray_polarization, real_torus_frame, region_mean,
                              uniform_case, uniform_diagnostic)
-from toricray.polytope import face_frame, make_polytope
+from toricray.polytope import MEMBERSHIP_TOL, face_frame, make_polytope
 from toricray.quadrature import (QuadratureError, integrate_1d,
                                  integrate_polytope)
-from toricray.quantization import MonomialDensity, pair_densities
+from toricray.quantization import MonomialDensity, pair_densities, rate_gap
 from toricray.scenarios import cp2_wall, segment as seg_scenario, three_bumps
 
 
@@ -475,3 +475,87 @@ def test_three_bumps_metric_picture():
     for errs in (neck_err, circle_err):
         assert all(a > b > c for a, b, c in zip(*errs))
     assert max(neck_err[-1]) < 1e-6 and max(circle_err[-1]) < 1.1e-7
+
+
+def _metric_cases():
+    ws = scenarios.cp2_wall_sum("cosine")
+    return [("segment", segment(), big_bump(),
+             [[((0.5,), (0.0,)), ((1.5,), (0.0,))],
+              [((0.1,), (0.0,)), ((0.4,), (0.0,))],
+              [((1.0,), (0.0,)), ((1.0,), (2 * math.pi,))]]),
+            ("cp2_wall_sum", ws.polytope, ws.generator,
+             [[((0.5, 0.5), (0.0, 0.0)), ((1.5, 1.0), (1.0, 2.0)),
+               ((0.6, 1.8), (1.0, 2.0))],
+              [((1.0, 0.8), (0.0, 0.0)), ((1.0, 0.8), (2 * math.pi, 0.0))]])]
+
+
+@pytest.mark.parametrize("case", _metric_cases(), ids=lambda c: c[0])
+def test_s_grid_lengths_and_planes_equal_each_s_call(case):
+    # a grid of s gives, bit for bit, each s's lone length and plane
+    _, P, gen, paths = case
+    grid = [0.0, 100.0, 316.0, 1e4]
+    for path in paths:
+        got = metric_length(P, gen, grid, path)
+        assert isinstance(got, np.ndarray) and got.shape == (len(grid),)
+        assert got.tolist() == [metric_length(P, gen, s, path) for s in grid]
+        assert type(metric_length(P, gen, grid[1], path)) is float
+        x = np.asarray(path[0][0], dtype=float)
+        frames = ray_polarization(P, gen, grid, x)
+        assert len(frames) == len(grid)
+        for s, frame in zip(grid, frames):
+            assert np.array_equal(frame.basis,
+                                  ray_polarization(P, gen, s, x).basis)
+
+
+def test_diagnose_gap_is_each_cases_rate_gap_scan(monkeypatch):
+    # criterion 5's four uniform cases scan their gaps with one ray_rate
+    # jet on the union of their off-region points, and each case's gap is
+    # the least rate_gap on its own points
+    sc = seg_scenario("cosine")
+    P, gen = sc.polytope, sc.generator
+    bat = battery_for(P)
+    cases = [uniform_case(P, [n], [64, 1024], bat, sc.regions[key],
+                          weighted=weighted)
+             for n, key in ((0, "P1"), (2, "P2"))
+             for weighted in (False, True)]
+    calls, values = [], []
+    rate = limits.ray_rate
+    value = gen.value
+    monkeypatch.setattr(limits, "ray_rate",
+                        lambda *a: calls.append(a[1]) or rate(*a))
+    monkeypatch.setattr(gen, "value", lambda x: values.append(x) or value(x))
+    got = diagnose(P, gen, cases)
+    assert len(calls) == 1 and np.shape(calls[0]) == (4, 1)
+    # psi(m) once for the family's two distinct m
+    assert len(values) == 1 and np.shape(values[0]) == (2, 1)
+    monkeypatch.undo()
+    xs = np.linspace(*P.bbox(), 10000).reshape(-1, 1)
+    xs = xs[P.contains(xs, tol=MEMBERSHIP_TOL)]
+    for c, res in zip(cases, got):
+        own = xs[~c.region.contains(xs, tol=MEMBERSHIP_TOL)]
+        assert res.fit.aux["gap"] == float(rate_gap(gen, c.m, own).min())
+
+
+def _counting(monkeypatch, modules, name):
+    calls = []
+    fn = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_polarization_criterion_takes_four_ray_jets(monkeypatch):
+    calls = _counting(monkeypatch, [potentials, limits, acceptance],
+                      "ray_jet")
+    assert acceptance.c07_polarization().passed
+    assert len(calls) <= 4
+
+
+def test_metric_criterion_takes_three_length_jets(monkeypatch):
+    calls = _counting(monkeypatch, [potentials, limits], "ray_jet")
+    assert acceptance.c11_metric_degeneration().passed
+    assert len(calls) <= 3

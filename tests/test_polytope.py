@@ -2,6 +2,8 @@
 
 import ast
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -14,7 +16,8 @@ from scipy.optimize import linprog
 
 from toricray import (acceptance, generators, limits, polytope, potentials,
                       quadrature, quantization, smoothing)
-from toricray._exact import SaturationError, det_exact, dot, solve_exact
+from toricray._exact import (SaturationError, det_exact, dot, row_reduce,
+                             solve_exact)
 from toricray.polytope import (DelzantError, Polytope, PolytopeError,
                                ell_values, face_frame, integral_points,
                                make_polytope, parse_polytope,
@@ -188,6 +191,46 @@ def facet_systems(draw):
 @given(facet_systems())
 def test_exact_classification_matches_lp(system):
     assert classify(*system) == classify_lp(*system)
+
+
+def classify_cut_cone(normals, offsets, dim):
+    """The classification by the cut-cone rule: pin V's free columns to 0;
+    the system is empty iff the pinned one has no vertex, contains a line
+    iff it is nonempty with pins, and is otherwise unbounded iff the cut
+    cone {V r >= 0, <sum_j v_j, r> <= 1} has a vertex other than 0.
+    Also whether it contains a line."""
+    pivots = row_reduce(normals, dim).pivots
+    pins = [(tuple(int(i == k) for i in range(dim)), 0)
+            for k in range(dim) if k not in pivots]
+    if not vertices_of_system(normals, offsets, dim, pins):
+        return "empty", False
+    cut = tuple(-sum(col) for col in zip(*normals))
+    if pins or len(vertices_of_system(
+            [*normals, cut], [0] * len(normals) + [-1], dim)) > 1:
+        return "unbounded", bool(pins)
+    return "accepted", False
+
+
+def test_extreme_rays_decide_as_the_cut_cone():
+    # random small rational systems in 1-3 D: bounded, empty, unbounded
+    # with a pointed recession cone, and ones containing a line
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(600):
+        dim = rng.randint(1, 3)
+        normals = [rng.choice(PRIMITIVE[dim])
+                   for _ in range(rng.randint(1, dim + 3))]
+        if dim > 1 and rng.random() < 0.15:
+            normals = [tuple(s * c for c in normals[0])
+                       for s in rng.choices((1, -1), k=len(normals))]
+        offsets = [Fraction(rng.randint(-9, 6), rng.randint(1, 3))
+                   for _ in normals]
+        want, line = classify_cut_cone(normals, offsets, dim)
+        assert classify(normals, offsets, dim) == want
+        seen[want, line] += 1
+    assert set(seen) == {("accepted", False), ("empty", False),
+                         ("unbounded", False), ("unbounded", True)}
+    assert min(seen.values()) >= 20
 
 
 def fraction_vertices(normals, offsets, dim, equalities=()):

@@ -318,3 +318,46 @@ def test_det_identity_batch_matches_pointwise():
                    * float(np.prod(P.ell(x)))) for x in X]
     assert _close(rep.deltas, want) and rep.ok_positive and rep.ok_finite
     assert det_identity_check(P, gen, 20.0, X[0]).deltas.shape == (1,)
+
+
+def _s_grid_cases():
+    ws = scenarios.cp2_wall_sum("cosine")
+    return [("segment", segment(), bump_gen(),
+             np.array([[0.3], [0.8], [1.0], [1.6]])),
+            ("cp2_wall_sum", ws.polytope, ws.generator,
+             np.array([[1.0, 0.8], [0.4, 0.4], [1.0, 1.0], [0.7, 1.9]]))]
+
+
+@pytest.mark.parametrize("case", _s_grid_cases(), ids=lambda c: c[0])
+def test_s_grid_jets_equal_each_s_call(case):
+    # the ray is affine in s: one jet of g_P and one of psi serve every s
+    # of a grid, bit for bit what a lone call at that s gives, and s = 0
+    # is the jet of g_P alone
+    _, P, gen, X = case
+    grid = [0.0, 1.0, 32.0, 4096.0, 1e8]
+    for x in (X, X[0]):
+        jet = ray_jet(P, gen, grid, x)
+        assert jet.hessian.shape == (len(grid),) + np.shape(x) + (P.dim,)
+        for k, s in enumerate(grid):
+            one = ray_jet(P, gen, s, x)
+            for got, want in ((jet.value[k], one.value),
+                              (jet.gradient[k], one.gradient),
+                              (jet.hessian[k], one.hessian)):
+                assert np.array_equal(got, want)
+        base = guillemin_jet(P, x)
+        assert np.array_equal(jet.hessian[0], base.hessian)
+
+
+def test_s_grid_takes_one_generator_jet(monkeypatch):
+    P, gen = segment(), bump_gen()
+    calls = []
+    jet = gen.jet
+
+    def counting(x, order):
+        calls.append(order)
+        return jet(x, order)
+    monkeypatch.setattr(gen, "jet", counting)
+    ray_jet(P, gen, [0.0, 10.0, 100.0], np.array([[0.5], [1.0]]))
+    assert calls == [2]
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        ray_jet(P, gen, [1.0, -1.0], np.array([1.0]))

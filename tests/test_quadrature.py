@@ -14,7 +14,10 @@ import ast
 import heapq
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -789,6 +792,38 @@ def test_panel_nodes_are_the_engines_final_panels():
         assert weights.tobytes() == res.weights[i:i + 1].tobytes()
 
 
+# pairs a 30k-node CP^2 rule with the battery and prints each value's bits
+_PAIRING_BITS = """
+import numpy as np
+from toricray.limits import battery_for
+from toricray.quadrature import integrate_polytope, pair_all
+from toricray.scenarios import cp2
+P = cp2(3)
+rule = integrate_polytope(
+    lambda X: np.exp(-40.0 * ((X - [1.0, 1.0]) ** 2).sum(-1)), P,
+    rel_tol=1e-12)
+assert len(rule.nodes) >= 30000
+print(*(value.hex() for value, _ in pair_all(
+    [(rule, tau) for tau in battery_for(P)])))
+"""
+
+
+def test_pairing_bits_do_not_depend_on_blas_threads():
+    # a BLAS dot splits a long sum among its threads; the pairing's own
+    # reduction gives the same bits with one thread and with two
+    src = str(Path(quadrature.__file__).resolve().parent.parent)
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])])
+        out.append(subprocess.run(
+            [sys.executable, "-c", _PAIRING_BITS], env=env, check=True,
+            capture_output=True, text=True).stdout.split())
+    assert len(out[0]) == 9 and out[0] == out[1]
+
+
 POLYTOPES = {
     "simplex": make_polytope([[1, 0], [0, 1], [-1, -1]], [0, 0, -3]),
     "square": make_polytope([[1, 0], [0, 1], [-1, 0], [0, -1]],
@@ -1374,7 +1409,7 @@ def test_wall_sum_mass_is_the_square_of_the_segment_mass(s):
 def test_wall_sum_density_takes_few_nodes():
     # the x2 slices the x1 integral cannot see stop at the tolerance it
     # hands them, not at their own relative one: 36,975 final nodes
-    # without that floor, 26,295 with it
+    # without that floor, 23,595 with it
     sc = scenarios.cp2_wall_sum("cosine")
     md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 8192.0,
                          weighted=False)

@@ -480,3 +480,36 @@ def test_shared_tau_is_called_once_per_level(monkeypatch):
     assert levels and levels == list(range(len(rules), len(calls)))
     for rule, value in zip(rules, got):
         assert value == quadrature.pair_all([(rule, bump)])[0]
+
+
+@pytest.mark.parametrize("which", ["segment", "cp2_wall_sum"])
+def test_family_members_equal_lone_densities(monkeypatch, which):
+    # a family takes psi(m) for all its distinct m from one jet, and the
+    # facet terms and exact powers once per distinct m; each member still
+    # equals the density made alone, bit for bit
+    if which == "segment":
+        sc = seg_scenario("cosine")
+        members = [([n], s, w) for n in (0, 1) for s in (64.0, 512.0)
+                   for w in (False, True)]
+    else:
+        sc = cp2_wall_sum("cosine")
+        members = [(m, s, w) for m in ([1, 1], [2, 0]) for s in (32.0, 512.0)
+                   for w in (False, True)]
+    P, gen = sc.polytope, sc.generator
+    bat = battery_for(P)[:3]
+    values = []
+    value = gen.value
+    monkeypatch.setattr(gen, "value", lambda x: values.append(x) or value(x))
+    family = density_family(P, gen, members)
+    assert len(values) == 1 and len(values[0]) == 2
+    monkeypatch.undo()
+    pairs = pair_densities(family, bat)
+    for d, (m, s, w), vals, errs in zip(family, members, *pairs):
+        lone = MonomialDensity(P, gen, m, s, weighted=w)
+        assert d.psi_m == lone.psi_m
+        for got, want in zip(d._facets, lone._facets):
+            assert np.array_equal(got, want)
+        assert d.log_mass() == lone.log_mass()
+        want = pair_densities([lone], bat)
+        assert np.array_equal(vals, want[0][0])
+        assert np.array_equal(errs, want[1][0])
