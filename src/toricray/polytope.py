@@ -110,7 +110,7 @@ class Polytope:
     """Bounded full-dimensional lattice polytope given by facet inequalities."""
 
     def __init__(self, dim, normals, offsets, corrected=False, *,
-                 require_delzant=True, prune=False):
+                 require_delzant=True):
         self.dim = int(dim)
         normals = [_integer_normal(v) for v in normals]
         offsets = [frac(o) for o in offsets]
@@ -146,9 +146,6 @@ class Polytope:
         if rank_exact([[v[i] - self.vertices[0][i] for i in range(self.dim)]
                        for v in self.vertices[1:]]) != self.dim:
             raise PolytopeError("polytope is not full-dimensional")
-
-        if prune:
-            self._prune_facets()
 
         self.delzant_ok, self._delzant_msg = self._delzant_check()
         if require_delzant and not self.delzant_ok:
@@ -186,24 +183,6 @@ class Polytope:
         if pins or any(_has_ray(V, rows) for rows in combinations(V, n - 1)):
             raise PolytopeError("polytope is unbounded")
         return verts
-
-    def _prune_facets(self):
-        """Drop facets that do not support an (n-1)-dimensional face."""
-        keep = []
-        for j in range(len(self.normals)):
-            active = [v for v, tight in zip(self.vertices, self.incidence)
-                      if j in tight]
-            if active and rank_exact(
-                    [[a[i] - active[0][i] for i in range(self.dim)]
-                     for a in active[1:]]) == self.dim - 1:
-                keep.append(j)
-        if keep:
-            self.normals = tuple(self.normals[j] for j in keep)
-            self.offsets = tuple(self.offsets[j] for j in keep)
-            renumber = {j: k for k, j in enumerate(keep)}
-            self.incidence = tuple(
-                frozenset(renumber[j] for j in tight if j in renumber)
-                for tight in self.incidence)
 
     def _delzant_check(self):
         for v, tight in zip(self.vertices, self.incidence):
@@ -290,11 +269,11 @@ class Polytope:
 
 
 def make_polytope(normals, offsets, corrected=False, *,
-                  require_delzant=True, prune=False) -> Polytope:
+                  require_delzant=True) -> Polytope:
     if not normals:
         raise PolytopeError("no facets given")
     return Polytope(len(normals[0]), normals, offsets, corrected,
-                    require_delzant=require_delzant, prune=prune)
+                    require_delzant=require_delzant)
 
 
 def parse_polytope(spec) -> Polytope:

@@ -2,12 +2,13 @@
 
 The non-differentiability locus W of f = max_i a_i stratifies into faces
 indexed by maximal active sets; the closures of the activity regions give
-the sub-polytope decomposition P = union P_j.  Each face carries (when the
-normal directions are lattice-adapted) a unimodular frame in which it lies
-in a coordinate slab, which is what the epsilon-thickening W_eps and the
-nice smoothings are built from.  All geometry here is exact rational;
-floating point enters only through membership tests and volumes-by-float
-conveniences.
+the sub-polytope decomposition P = union P_j.  Both, and the vertices of the
+polytope Q, are read off one table: the vertices of the epigraph of f over
+P in dimension n + 1.  Each face carries (when the normal directions are
+lattice-adapted) a unimodular frame in which it lies in a coordinate slab,
+which is what the epsilon-thickening W_eps and the nice smoothings are
+built from.  All geometry here is exact rational; floating point enters
+only through membership tests and volumes-by-float conveniences.
 """
 
 from __future__ import annotations
@@ -80,7 +81,28 @@ class Face:
         return inside & self.contains_parallel(xt[..., :npar])
 
 
-def _face_for_subset(f: PLConvex, P: Polytope, subset):
+def _vertex_table(f: PLConvex, P: Polytope):
+    """The vertices x of the subdivision of P by f, sorted, as (x, the facets
+    of P tight at x, the pieces active at x, f(x)): the vertices of the
+    epigraph {x in P, y >= a_i(x)}, rows (v_j, 0) >= lambda_j and
+    (-g_i, 1) >= b_i, from one enumeration."""
+    m = len(P.normals)
+    found = vertices_of_system(
+        [*((*v, 0) for v in P.normals), *((*(-c for c in g), 1)
+                                          for g, _ in f.pieces)],
+        [*P.offsets, *(b for _, b in f.pieces)], P.dim + 1)
+    return [(xy[:-1], frozenset(j for j in tight if j < m),
+             frozenset(j - m for j in tight if j >= m), xy[-1])
+            for xy, tight in found]
+
+
+def _affine_dim(points) -> int:
+    """Dimension of the affine hull of the points; -1 when there are none."""
+    return rank_exact([[a - b for a, b in zip(p, points[0])]
+                       for p in points[1:]]) if points else -1
+
+
+def _face_for_subset(f: PLConvex, P: Polytope, subset, table):
     pieces = [f.pieces[i] for i in subset]
     g0, b0 = pieces[0]
     diffs = [tuple(gi - g0i for gi, g0i in zip(g, g0)) for g, _ in pieces[1:]]
@@ -91,22 +113,19 @@ def _face_for_subset(f: PLConvex, P: Polytope, subset):
     if j == 0:
         return None
 
+    # the closed face is the table vertices where the whole subset is active
+    found = [(x, active) for x, _, active, _ in table if active >= set(subset)]
+    verts = [x for x, _ in found]
+    if _affine_dim(verts) != P.dim - j:
+        return None
+    # maximality: no other piece is active at every vertex, so none is
+    # active at the barycenter
+    if frozenset.intersection(*(active for _, active in found)) != set(subset):
+        return None
+
     # the pieces outside the subset stay below: <g0 - gk, x> >= bk - b0
     others = [(tuple(g0i - gki for g0i, gki in zip(g0, gk)), bk - b0)
               for k, (gk, bk) in enumerate(f.pieces) if k not in subset]
-    m = len(P.normals)
-    found = vertices_of_system([*P.normals, *(w for w, _ in others)],
-                               [*P.offsets, *(lam for _, lam in others)],
-                               P.dim, list(zip(diffs, rhs)))
-    verts = [x for x, _ in found]
-    if not verts or rank_exact([[v[i] - verts[0][i] for i in range(P.dim)]
-                                for v in verts[1:]]) != P.dim - j:
-        return None
-    # maximality: no other piece is tight at every vertex, so none is
-    # active at the barycenter
-    if any(k >= m for k in frozenset.intersection(*(t for _, t in found))):
-        return None
-
     prims = [primitivize(diffs[k]) for k in indep]
     prim_normals = [nu for nu, _ in prims]
     offsets = [scale * rhs[k] for k, (_, scale) in zip(indep, prims)]
@@ -141,6 +160,17 @@ def _face_for_subset(f: PLConvex, P: Polytope, subset):
     return face
 
 
+def _faces(f: PLConvex, P: Polytope, table):
+    faces = []
+    for size in range(2, f.npieces + 1):
+        for subset in combinations(range(f.npieces), size):
+            face = _face_for_subset(f, P, subset, table)
+            if face is not None:
+                faces.append(face)
+    faces.sort(key=lambda F: (F.codim, sorted(F.active)))
+    return faces
+
+
 def nondiff_locus(f: PLConvex, P: Polytope):
     """All faces of the non-differentiability locus of f inside P.
 
@@ -148,14 +178,7 @@ def nondiff_locus(f: PLConvex, P: Polytope):
     primitive normal directions, exact vertices, and (when lattice-adapted)
     a unimodular frame.
     """
-    faces = []
-    for size in range(2, f.npieces + 1):
-        for subset in combinations(range(f.npieces), size):
-            face = _face_for_subset(f, P, subset)
-            if face is not None:
-                faces.append(face)
-    faces.sort(key=lambda F: (F.codim, sorted(F.active)))
-    return faces
+    return _faces(f, P, _vertex_table(f, P))
 
 
 @dataclass
@@ -186,35 +209,30 @@ class Decomposition:
 
 
 def decompose(f: PLConvex, P: Polytope) -> Decomposition:
-    """Sub-polytope decomposition of P by the activity regions of f."""
+    """Sub-polytope decomposition of P by the activity regions of f: P_i,
+    the table vertices where piece i (the first of equal pieces) is active,
+    when they span dimension n, cut out by the rows of P and the kink rows
+    a_i >= a_k tight on vertices of P_i spanning dimension n - 1."""
     if f.dim != P.dim:
         raise DecompositionError(f"the PL pieces are {f.dim}-dimensional "
                                  f"but the polytope is {P.dim}-dimensional")
+    table = _vertex_table(f, P)
+    n = P.dim
     subs = []
-    seen_pieces = set()
     for i, (g, b) in enumerate(f.pieces):
-        if (g, b) in seen_pieces:
+        region = [(x, tight, active) for x, tight, active, _ in table
+                  if i in active]
+        if (f.pieces.index((g, b)) != i
+                or _affine_dim([x for x, _, _ in region]) != n):
             continue
-        seen_pieces.add((g, b))
-        if any(gk == g and bk > b for gk, bk in f.pieces):
-            continue  # a parallel piece lies above this one everywhere
-        normals = [list(v) for v in P.normals]
-        offsets = list(P.offsets)
+        rows = [row for j, row in enumerate(zip(P.normals, P.offsets))
+                if _affine_dim([x for x, t, _ in region if j in t]) == n - 1]
         for k, (gk, bk) in enumerate(f.pieces):
-            if (gk, bk) == (g, b):
-                continue
-            diff = tuple(gi - gki for gi, gki in zip(g, gk))
-            if all(d == 0 for d in diff):
-                continue
-            nu, scale = primitivize(diff)
-            normals.append(list(nu))
-            offsets.append((bk - b) * scale)
-        try:
-            Q = make_polytope(normals, offsets, require_delzant=False, prune=True)
-        except PolytopeError:
-            continue
-        subs.append((i, Q))
-    faces = nondiff_locus(f, P)
+            if _affine_dim([x for x, _, a in region if k in a]) == n - 1:
+                nu, scale = primitivize([gi - gki for gi, gki in zip(g, gk)])
+                rows.append((nu, (bk - b) * scale))
+        subs.append((i, make_polytope(*zip(*rows), require_delzant=False)))
+    faces = _faces(f, P, table)
     flags = {i: Q.delzant_ok for i, Q in subs}
     return Decomposition(pl=f, polytope=P, subpolytopes=subs, faces=faces,
                          delzant_flags=flags)
@@ -253,33 +271,24 @@ class QPolytope:
     base: Polytope
     pl: PLConvex
     K: Fraction
-    polytope: Polytope
+    vertices: tuple
     integral: bool
-
-    @property
-    def vertices(self):
-        return self.polytope.vertices
 
 
 def build_Q(f: PLConvex, P: Polytope, K) -> QPolytope:
-    """Halfspace system {x in P, 0 <= y <= K - f(x)} with exact vertices."""
+    """The exact vertices of {x in P, 0 <= y <= K - f(x)}: (v, 0) for each
+    vertex v of P and (x, K - f(x)) for each vertex x of the subdivision."""
     K = frac(K)
     fmax = f.max_over(P)
     if K < fmax:
         raise ValueError(f"ceiling K={K} is below max f = {fmax}")
-    n = P.dim
-    normals = [list(v) + [0] for v in P.normals]
-    offsets = list(P.offsets)
-    normals.append([0] * n + [1])
-    offsets.append(Fraction(0))
-    for g, b in f.pieces:
-        row = tuple([-gi for gi in g] + [Fraction(-1)])
-        nu, scale = primitivize(row)
-        normals.append(list(nu))
-        offsets.append((b - K) * scale)
-    Q = make_polytope(normals, offsets, require_delzant=False, prune=True)
-    integral = all(all(c.denominator == 1 for c in v) for v in Q.vertices)
-    return QPolytope(base=P, pl=f, K=K, polytope=Q, integral=integral)
+    table = _vertex_table(f, P)
+    if all(fx == K for *_, fx in table):
+        raise PolytopeError("polytope is not full-dimensional")
+    verts = tuple(sorted({*((*v, Fraction(0)) for v in P.vertices),
+                          *((*x, K - fx) for x, *_, fx in table)}))
+    integral = all(all(c.denominator == 1 for c in v) for v in verts)
+    return QPolytope(base=P, pl=f, K=K, vertices=verts, integral=integral)
 
 
 @dataclass

@@ -180,6 +180,12 @@ def test_decompose_and_q(tmp_path):
     assert len(report["subpolytopes"]) == 4
     assert report["Q_integral"] is True
     assert report["volume_defect"] == "0"
+    assert report["Q_vertices"] == [list(v) for v in (
+        "000", "002", "012", "030", "102", "112", "121", "211", "300")]
+    assert [(s["piece"], s["vertices"]) for s in report["subpolytopes"]] == [
+        (i, [list(v) for v in vs]) for i, vs in enumerate((
+            ("00", "01", "10", "11"), ("10", "11", "21", "30"),
+            ("01", "03", "11", "12"), ("11", "12", "21")))]
 
 
 def test_smooth_subcommand(tmp_path):

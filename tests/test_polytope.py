@@ -417,7 +417,7 @@ def test_delzant_holds_at_every_vertex():
             assert abs(det_exact([P.normals[j] for j in active])) == 1
 
 
-def test_incidence_is_the_tight_facets_and_survives_pruning():
+def test_incidence_is_the_tight_facets_with_redundant_rows():
     # CP^2(3), the 2 x 3 x 5 box and the octahedron (four facets at each
     # vertex, found by several subsets), each with one redundant facet
     # inserted that touches a single vertex and one that touches none
@@ -433,16 +433,21 @@ def test_incidence_is_the_tight_facets_and_survives_pruning():
         far = [-c for c in extra]
         Q = make_polytope(normals[:1] + [extra] + normals[1:] + [far],
                           offsets[:1] + [extra_offset] + offsets[1:] + [-99],
-                          require_delzant=False, prune=True)
+                          require_delzant=False)
         for R in (P, Q):
             assert len(R.incidence) == len(R.vertices)
             for v, tight in zip(R.vertices, R.incidence):
                 assert tight == {j for j in range(len(R.normals))
                                  if R.ell_exact(v, j) == 0}
-        assert Q.normals == P.normals and Q.offsets == P.offsets
-        assert Q.vertices == P.vertices and Q.incidence == P.incidence
+        # facet j of P is row j + (j > 0) of Q; the redundant rows 1 and
+        # len(normals) + 1 move no vertex, and the one touching a vertex
+        # makes it not simple
+        moved = [0, *range(2, len(normals) + 1)]
+        assert Q.vertices == P.vertices
+        assert [frozenset(moved[j] for j in t) for t in P.incidence] == [
+            t - {1, len(normals) + 1} for t in Q.incidence]
         assert Q.volume_exact() == P.volume_exact()
-        assert Q.delzant_ok == P.delzant_ok == delzant
+        assert P.delzant_ok == delzant and not Q.delzant_ok
 
 
 def test_membership_tolerance_is_named_once():

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricray._exact import SaturationError, dot, primitivize, rank_exact
+from toricray import testconfig
+from toricray._exact import (SaturationError, det_exact, dot, primitivize,
+                             rank_exact)
 from toricray.generators import PLConvex
 from toricray.polytope import (PolytopeError, face_frame, make_polytope,
                                vertices_of_system)
@@ -178,6 +180,13 @@ def test_build_q_rejects_low_ceiling():
     f = PLConvex([((0,), 0), ((1,), -1)])
     with pytest.raises(ValueError):
         build_Q(f, segment(), F(1, 2))
+
+
+def test_build_q_rejects_a_flat_polytope():
+    # f = K on all of P leaves Q = P x {0}
+    with pytest.raises(PolytopeError,
+                       match="^polytope is not full-dimensional$"):
+        build_Q(PLConvex([((0,), 1)]), segment(), 1)
 
 
 def test_central_fiber_counts():
@@ -382,3 +391,107 @@ def test_faces_match_the_restriction_reference(case):
             matrix, err)
         assert [(list(c), r) for c, r in face._shadow or ()] == [
             ([float(x) for x in c], float(r)) for c, r in shadow]
+
+
+@st.composite
+def pl_with_repeats(draw):
+    """``pl_on_base`` with a duplicated piece and a parallel piece below
+    another sometimes added, in a drawn order."""
+    f, P = draw(pl_on_base())
+    pieces = list(f.pieces)
+    if draw(st.booleans()):
+        pieces.append(draw(st.sampled_from(pieces)))
+    if draw(st.booleans()):
+        g, b = draw(st.sampled_from(pieces))
+        pieces.append((g, b - draw(st.sampled_from([F(1, 2), F(1)]))))
+    return PLConvex(draw(st.permutations(pieces))), P
+
+
+def affine_dim(points):
+    return rank_exact([[a - b for a, b in zip(p, points[0])]
+                       for p in points[1:]]) if points else -1
+
+
+def reference_regions(f, P):
+    """Each region P_i as the system of all rows of P and all kink rows
+    a_i >= a_k, with the rows that support no facet pruned: (i, normals,
+    offsets, vertices, incidence, delzant_ok)."""
+    n, out, seen = P.dim, [], set()
+    for i, (g, b) in enumerate(f.pieces):
+        if (g, b) in seen or any(gk == g and bk > b for gk, bk in f.pieces):
+            continue
+        seen.add((g, b))
+        rows = list(zip(P.normals, P.offsets))
+        for gk, bk in f.pieces:
+            if gk != g:
+                nu, scale = primitivize([a - c for a, c in zip(g, gk)])
+                rows.append((nu, (bk - b) * scale))
+        try:
+            R = make_polytope(*zip(*rows), require_delzant=False)
+        except PolytopeError:
+            continue
+        keep = [j for j in range(len(R.normals))
+                if affine_dim([v for v, t in zip(R.vertices, R.incidence)
+                               if j in t]) == n - 1]
+        incidence = tuple(frozenset(keep.index(j) for j in t if j in keep)
+                          for t in R.incidence)
+        delzant = all(len(t) == n and abs(det_exact(
+            [R.normals[keep[j]] for j in sorted(t)])) == 1 for t in incidence)
+        out.append((i, tuple(R.normals[j] for j in keep),
+                    tuple(R.offsets[j] for j in keep), R.vertices, incidence,
+                    delzant))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pl_with_repeats())
+def test_regions_match_the_pruned_reference(case):
+    f, P = case
+    dec = decompose(f, P)
+    assert [(i, R.normals, R.offsets, R.vertices, R.incidence, R.delzant_ok)
+            for i, R in dec.subpolytopes] == reference_regions(f, P)
+    for _, R in dec.subpolytopes:
+        for j in range(len(R.normals)):
+            assert affine_dim([v for v, t in zip(R.vertices, R.incidence)
+                               if j in t]) == P.dim - 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pl_with_repeats())
+def test_q_matches_its_halfspace_system(case):
+    f, P = case
+    n = P.dim
+    for K in (f.max_over(P) + d for d in (0, F(1, 2), 3)):
+        found = vertices_of_system(
+            [*((*v, 0) for v in P.normals), (0,) * n + (1,),
+             *((*(-c for c in g), -1) for g, _ in f.pieces)],
+            [*P.offsets, 0, *(b - K for _, b in f.pieces)], n + 1)
+        want = tuple(v for v, _ in found)
+        if affine_dim(want) < n + 1:
+            with pytest.raises(PolytopeError,
+                               match="^polytope is not full-dimensional$"):
+                build_Q(f, P, K)
+            continue
+        q = build_Q(f, P, K)
+        assert q.vertices == want
+        assert q.integral == all(c.denominator == 1 for v in want for c in v)
+
+
+@pytest.mark.parametrize("pieces, P", [
+    ([((0, 0), 0), ((1, 0), -1), ((0, 1), -1)], cp2()),
+    ([((0, 0, 0), 0), ((1, 0, 0), -1), ((0, 1, 0), -1), ((0, 0, 1), -1)],
+     cp3()),
+], ids=["cp2-corner", "cp3-corner"])
+def test_one_vertex_enumeration_per_call(monkeypatch, pieces, P):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return vertices_of_system(*args, **kwargs)
+
+    monkeypatch.setattr(testconfig, "vertices_of_system", counting)
+    f = PLConvex(pieces)
+    for call in (decompose, nondiff_locus, lambda f, P: build_Q(f, P, 2)):
+        calls.clear()
+        call(f, P)
+        assert len(calls) == 1
