@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._exact import dot, frac, vec_frac
+from .columns import row_max
 from .kernels import Kernel, get_kernel
 from .polytope import MEMBERSHIP_TOL, Polytope
 
@@ -198,6 +199,12 @@ class WallSumGenerator(Generator):
 
     def jet(self, x, order):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            # a lone point is evaluated as the one row of a stack: numpy
+            # scalars square through libm's pow (``t ** 2`` in the cosine
+            # kernel), which can round otherwise than an array's t * t
+            return tuple(None if e is None else e[0]
+                         for e in self.jet(x[None], order))
         val = np.zeros(x.shape[:-1])
         grad = np.zeros(x.shape) if order >= 1 else None
         hess = np.zeros(x.shape[:-1] + (self.dim, self.dim)) \
@@ -284,7 +291,7 @@ class PLConvex:
         return x @ self.G.T + self.B
 
     def value(self, x) -> np.ndarray:
-        return np.max(self.piece_values(x), axis=-1)
+        return row_max(self.piece_values(x))
 
     def gradient(self, x) -> np.ndarray:
         vals = self.piece_values(x)

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .columns import row_sum
 from .generators import Generator
 from .polytope import (CROSSING_TOL, MEMBERSHIP_TOL, FaceFrame, Polytope,
                        make_polytope, vertices_of_system)
@@ -76,7 +77,7 @@ def battery_for(P: Polytope) -> list:
     width = diam / 3.0
 
     def bump(X, c=center, w=width):
-        r2 = (((X - c) / w) ** 2).sum(axis=-1)
+        r2 = row_sum(((X - c) / w) ** 2)
         out = np.zeros(X.shape[:-1])
         inside = r2 < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))

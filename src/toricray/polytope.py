@@ -20,6 +20,7 @@ import numpy as np
 from ._exact import (SaturationError, det_exact, dot, frac, integer_row,
                      integer_vector, is_primitive, invert_unimodular,
                      rank_exact, row_reduce, unimodular_completion, vec_frac)
+from .columns import row_min, row_sum
 
 __all__ = [
     "Polytope", "FaceFrame", "PolytopeError", "DelzantError",
@@ -241,10 +242,10 @@ class Polytope:
         return x @ self._A.T - self._b
 
     def contains(self, x, tol: float = 0.0) -> np.ndarray:
-        return np.min(self.ell(x), axis=-1) >= -tol
+        return row_min(self.ell(x)) >= -tol
 
     def interior_contains(self, x) -> np.ndarray:
-        return np.min(self.ell(x), axis=-1) > 0.0
+        return row_min(self.ell(x)) > 0.0
 
     @property
     def vertices_np(self) -> np.ndarray:
@@ -259,7 +260,7 @@ class Polytope:
     def diameter(self) -> float:
         v = self._verts_np
         diff = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(-1)).max())
+        return float(np.sqrt(row_sum(diff ** 2)).max())
 
     # -- misc -------------------------------------------------------------------
 

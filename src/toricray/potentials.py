@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import row_dot, row_min, row_prod
 from .generators import Generator
 from .polytope import Polytope
 
@@ -59,11 +60,11 @@ class PotentialJet:
 
 def _interior_ell(P: Polytope, x: np.ndarray) -> np.ndarray:
     ell = P.ell(x)
-    if np.min(ell) < INTERIOR_TOL:
-        where = x if x.ndim == 1 else x[np.argmin(np.min(ell, axis=-1))]
+    if ell.min() < INTERIOR_TOL:
+        where = x if x.ndim == 1 else x[np.argmin(row_min(ell))]
         raise BoundaryError(
             f"point {where} is not strictly interior: potential evaluation "
-            f"needs min ell >= {INTERIOR_TOL}, got {np.min(ell)}")
+            f"needs min ell >= {INTERIOR_TOL}, got {ell.min()}")
     return ell
 
 
@@ -73,7 +74,7 @@ def guillemin_jet(P: Polytope, x) -> PotentialJet:
     ell = _interior_ell(P, x)
     A = P._A
     log_ell = np.log(ell)
-    value = 0.5 * np.sum(ell * log_ell, axis=-1)
+    value = 0.5 * row_dot(ell, log_ell)
     grad = 0.5 * (log_ell + 1.0) @ A
     hess = 0.5 * np.einsum("...r,ri,rj->...ij", 1.0 / ell, A, A)
     return PotentialJet(float(value) if x.ndim == 1 else value, grad, hess)
@@ -188,7 +189,7 @@ def det_identity_check(P: Polytope, gen: Generator, s: float,
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     hess = ray_jet(P, gen, s, samples).hessian
-    val = np.linalg.det(hess) * np.prod(P.ell(samples), axis=-1)
+    val = np.linalg.det(hess) * row_prod(P.ell(samples))
     with np.errstate(divide="ignore"):
         deltas = np.where(val != 0, 1.0 / val, np.inf)
     return DetIdentityReport(samples, deltas, bool(np.all(deltas > 0)),

@@ -100,6 +100,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._exact import integer_row, row_reduce
+from .columns import row_any, row_max, row_min
 
 __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
@@ -577,9 +578,9 @@ def _end_pieces(lo, hi, cuts, q_lo, q_hi):
     if not ((q_lo > 1) | (q_hi > 1)).any():
         return None, cuts
     inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
-    first = np.minimum(np.where(inside, cuts, np.inf).min(axis=1), hi)
-    last = np.maximum(np.where(inside, cuts, -np.inf).max(axis=1), lo)
-    mid = np.where((q_lo > 1) & (q_hi > 1) & ~inside.any(axis=1),
+    first = np.minimum(row_min(np.where(inside, cuts, np.inf)), hi)
+    last = np.maximum(row_max(np.where(inside, cuts, -np.inf)), lo)
+    mid = np.where((q_lo > 1) & (q_hi > 1) & ~row_any(inside),
                    0.5 * (lo + hi), np.nan)
     halved = ~np.isnan(mid)
     first[halved] = last[halved] = mid[halved]
@@ -652,8 +653,8 @@ def _slice(maps, prefix):
     value is negative (nan at the others), and the facets of its ends."""
     cut, values, ends, facet = maps[prefix.shape[1]]
     x = cut[-1] - prefix @ cut[:-1]
-    cuts = np.where((prefix @ values[:-1] - values[-1]).reshape(
-        *x.shape, -1).min(axis=2) >= 0.0, x, np.nan)
+    cuts = np.where(row_min((prefix @ values[:-1] - values[-1]).reshape(
+        *x.shape, -1)) >= 0.0, x, np.nan)
     e = cuts[:, ends]
     at_lo = np.where(np.isnan(e), np.inf, e).argmin(axis=1)
     at_hi = np.where(np.isnan(e), -np.inf, e).argmax(axis=1)

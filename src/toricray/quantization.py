@@ -64,6 +64,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .columns import row_dot, row_sum
 from .generators import Generator
 from .polytope import MEMBERSHIP_TOL, Polytope
 from . import quadrature
@@ -108,8 +109,7 @@ def _base_log_weight(P: Polytope, terms, X) -> np.ndarray:
     ell_x = P.ell(np.asarray(X, dtype=float))
     with np.errstate(divide="ignore"):
         log_ell = np.where(pos, np.log(np.maximum(ell_x, 0.0)), 0.0)
-    return -0.5 * (log_ell * ell_m).sum(axis=-1) \
-        + 0.5 * (ell_x.sum(axis=-1) - total)
+    return -0.5 * row_dot(log_ell, ell_m) + 0.5 * (row_sum(ell_x) - total)
 
 
 def _exponents(P: Polytope, m) -> list:
@@ -130,7 +130,7 @@ def _log_gap(P, gen, X, m, s, psi_m, weighted, facets) -> np.ndarray:
     weighted) or one per point; ``facets`` are the facet terms of the
     member or of each weighted point."""
     val, grad, _ = gen.jet(X, 1)
-    log = -(s * (psi_m + (((X - m) * grad).sum(axis=-1) - val)))
+    log = -(s * (psi_m + (row_dot(X - m, grad) - val)))
     w = np.broadcast_to(weighted, log.shape)
     if w.any():
         log[w] -= _base_log_weight(P, facets, X.compress(w, axis=0))
@@ -144,7 +144,7 @@ def ray_rate(gen: Generator, m, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     m = np.asarray(m, dtype=float)
     val, grad, _ = gen.jet(X, 1)
-    return ((X - m[..., None, :]) * grad).sum(axis=-1) - val
+    return row_dot(X - m[..., None, :], grad) - val
 
 
 def rate_gap(gen: Generator, m, X) -> np.ndarray:

@@ -30,6 +30,7 @@ from itertools import product
 import numpy as np
 
 from ._exact import primitivize, rank_exact
+from .columns import row_max, row_sum
 from .generators import Generator, PLConvex
 from .kernels import Kernel, get_kernel
 from .polytope import FaceFrame, Polytope
@@ -247,7 +248,7 @@ class IteratedMollifier:
         corner_vals = [f.piece_values(X + c) for c in self._corners]
         i_dom = np.argmax(sum(corner_vals[1:], corner_vals[0]), axis=1)
         one = np.logical_and.reduce([pv[np.arange(npts), i_dom]
-                                     >= pv.max(axis=1) for pv in corner_vals])
+                                     >= row_max(pv) for pv in corner_vals])
         it = i_dom[one]
         jet[one, 0] = f.piece_values(X[one])[np.arange(it.size), it]
         jet[one, 1:n + 1] = f.G[it]
@@ -327,7 +328,7 @@ class _StrictTerm:
         c = fr.offsets_np
         t = (xt[:, npar] - c[0]) / self.delta
         q = xt[:, :npar] - self.u0[None, :]
-        q2 = np.sum(q ** 2, axis=1)
+        q2 = row_sum(q ** 2)
         b = self.kernel.density(t)
         b1 = self.kernel.density_d1(t)
         b2 = self.kernel.density_d2(t)
@@ -608,8 +609,8 @@ def verify_nice_family(f: PLConvex, gens: dict) -> NiceFamilyReport:
     # each face point's Hessians, one per eps, and their eigenvalues
     H = np.stack([h[ns:] for _, _, h in jets] + [top.hessian(Xf)], axis=1)
     eigs = np.linalg.eigvalsh(H)
-    floor = 1e-8 * np.maximum(np.abs(eigs).max(axis=-1), 1.0)
-    ranks = np.sum(eigs > floor[..., None], axis=-1)
+    floor = 1e-8 * np.maximum(row_max(np.abs(eigs)), 1.0)
+    ranks = row_sum(eigs > floor[..., None])
     conditions = {}
 
     worst_a = min(g.convexity for g in gens.values())

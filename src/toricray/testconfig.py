@@ -23,6 +23,7 @@ import numpy as np
 
 from ._exact import (SaturationError, dot, frac, primitivize, rank_exact,
                      row_reduce)
+from .columns import row_all
 from .generators import PLConvex
 from .polytope import (MEMBERSHIP_TOL, FaceFrame, Polytope, PolytopeError,
                        face_frame, make_polytope, vertices_of_system)
@@ -76,8 +77,7 @@ class Face:
             return np.zeros(x.shape[:-1], dtype=bool)
         npar = self.frame.n_parallel
         xt = self.frame.to_frame(x)
-        inside = np.all(np.abs(xt[..., npar:] - self.frame.offsets_np) < eps,
-                        axis=-1)
+        inside = row_all(np.abs(xt[..., npar:] - self.frame.offsets_np) < eps)
         return inside & self.contains_parallel(xt[..., :npar])
 
 

@@ -274,6 +274,24 @@ def test_jet_contract(kind, gen, pts):
             and np.array_equal(h1, hess[k])
 
 
+@pytest.mark.parametrize("kernel", ["cosine", "smooth"])
+def test_a_lone_wall_sum_jet_is_its_row_of_a_stack(kernel):
+    # a lone point gets the bits of its row in any stack, also where both
+    # bumps of the CP^2 wall sum are curved: on numpy scalars t ** 2 is
+    # libm's pow, which rounds some squares otherwise than an array's t * t
+    gen = scenarios.cp2_wall_sum(kernel).generator
+    X = np.random.default_rng(0).uniform(0.75, 1.25, (2000, 2))
+    differ = []
+    for order in range(3):
+        stack = gen.jet(X, order)
+        for k, x in enumerate(X):
+            lone = gen.jet(x, order)
+            if not all(a is None and b is None or np.array_equal(a, b[k])
+                       for a, b in zip(lone, stack)):
+                differ.append((order, k))
+    assert differ == []
+
+
 def test_order_zero_jet_computes_the_value_alone(monkeypatch):
     # an order-0 wall-sum jet looks up no cdf for the slope, one per bump
     # at order 1, and both give the same values
