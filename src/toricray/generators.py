@@ -247,16 +247,23 @@ class BumpGenerator1D(WallSumGenerator):
     # scalar-line evaluators -------------------------------------------------
 
     def psi(self, t):
-        t = np.asarray(t, dtype=float)
-        return sum((b.d0(t) for b in self.bumps), np.zeros_like(t))
+        return self._line("d0", t)
 
     def dpsi(self, t):
-        t = np.asarray(t, dtype=float)
-        return sum((b.d1(t) for b in self.bumps), np.zeros_like(t))
+        return self._line("d1", t)
 
     def d2psi(self, t):
+        return self._line("d2", t)
+
+    def _line(self, derivative, t):
+        """The sum of the bumps' ``derivative`` at t.  A lone t is
+        evaluated as a one-element array, as ``jet`` evaluates a lone
+        point, so that it gets the bits of its entry in any array."""
         t = np.asarray(t, dtype=float)
-        return sum((b.d2(t) for b in self.bumps), np.zeros_like(t))
+        if t.ndim == 0:
+            return self._line(derivative, t[None])[0]
+        return sum((getattr(b, derivative)(t) for b in self.bumps),
+                   np.zeros_like(t))
 
     # components -------------------------------------------------------------
 

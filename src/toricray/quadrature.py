@@ -54,15 +54,19 @@ slices the outer integral cannot see stop early, and the weighted errors
 of an inner level sum to at most the outer tolerance.  The floor is a
 member's own, so a family member keeps its lone integral's bits.  On the
 first round of the outermost level no integral of |f| is known yet, and
-its slices keep their own relative tolerance.  Each integral along one
+its slices keep their own relative tolerance; a repair (below) knows it
+from the rule's nodes and hands it down from the first round.  Each integral along one
 variable has a budget of ``MAX_PANELS`` panels.  A ``NodeSet`` keeps, for
-every level, the final panel above each node and the node's share of that
-panel's K15 - G7 difference.  ``pair_all`` sums f_i * tau on the nodes of
-each (rule, tau) it is given, with that estimate over every level, and
-integrates the pairings that miss the verdict afresh, as one family of
-f_i * tau per family of rules, on the same cuts, end maps and rel_tol: the
-one place that integrates again after a missed estimate, and the one
-pairing of a rule.
+every level, the final panel above each node, its ends and the node's
+share of that panel's K15 - G7 difference.  ``pair_all`` sums f_i * tau on
+the nodes of each (rule, tau) it is given, with that estimate over every
+level, and repairs the pairings that miss the verdict: their refinement
+goes on from the rule's final panels at every level, whose values are the
+products on the rule's nodes, as one family of f_i * tau per family of
+rules, on the same cuts, end maps, rel_tol and budget.  Only the children
+of split panels and the inner integrals under new outer nodes call f_i *
+tau.  It is the one place that refines again after a missed estimate, and
+the one pairing of a rule.
 
 End maps: a member may behave like ell_r^e times a smooth function near
 facet r, with e = k/q an exact rational (``exponents``), where bisection
@@ -73,7 +77,8 @@ t = (u - a) / (b - a), a the chord's end and b the nearest cut: then
 The map is monotone and fixes the piece's ends, so the cuts, the panels,
 ``owners``, ``diffs`` and the verdict are those in x; only the innermost
 driver maps its nodes and multiplies by dx/du, and a ``NodeSet`` keeps the
-x nodes and the weights times dx/du.  A chord with no cut inside and both
+x nodes, the weights times dx/du and the innermost panel ends in u, from
+which a repair maps the nodes again.  A chord with no cut inside and both
 ends mapped is cut at its midpoint.  Each end's facet is the facet whose
 meeting point gives that end.  The outer levels' ends, at the projections
 of vertices, are not mapped.
@@ -217,29 +222,39 @@ def refine_groups(f, lo, hi, group, n_groups: int, *,
                    rel_tol, np.zeros(n_groups))
 
 
-def _refine(f, lo, hi, group, n_groups, rel_tol, floor):
+def _lengths(lo, hi, group, n_groups):
+    """The summed length of each group's panels, inf for an empty group,
+    which computes no integral."""
+    length = np.bincount(group, hi - lo, n_groups)
+    length[length == 0.0] = np.inf
+    return length
+
+
+def _refine(f, lo, hi, group, n_groups, rel_tol, floor, known=None):
     """``refine_groups``, where ``floor`` (n_groups,) is an absolute
     tolerance each group may stop at: group g's tolerance T_g is the larger
     of rel_tol * scale_g and floor_g, so a zero floor leaves rel_tol *
     scale_g.  f is called as f(x, g, hand), ``hand`` (n_groups,) the floor
     each group hands to the integrals f computes for its nodes: T_g over
-    the length of g's interval, floor_g over it before g has a scale."""
+    the length of g's interval, floor_g over it before g has a scale.
+    ``known``, what f would give on the 15 nodes of each given panel, in
+    their order, spares that first call, so that only the children of
+    split panels call f."""
     outs, called, budget = [], 0, MAX_PANELS
-    # an empty group computes no integral
-    length = np.bincount(group, hi - lo, n_groups)
-    length[length == 0.0] = np.inf
+    length = _lengths(lo, hi, group, n_groups)
 
-    def measure(ends, tol):
+    def measure(ends, tol, vals=None):
         """Columns of the panels whose lo, hi and group are the rows of
-        ``ends``, from one call of f on their GK15 nodes: lo, hi, group, the
-        K15 value, |K15 - G7|, the K15 value of the magnitudes and the
-        position of each panel's first node among all the points f was
-        called on.  ``tol`` is each group's tolerance."""
+        ``ends``, from one call of f on their GK15 nodes or from ``vals``
+        given there: lo, hi, group, the K15 value, |K15 - G7|, the K15 value
+        of the magnitudes and the position of each panel's first node among
+        all the points f was called on or given.  ``tol`` is each group's
+        tolerance."""
         nonlocal called
         width = ends[1] - ends[0]
-        x = _nodes(ends[0], width).ravel()
-        g = ends[2].astype(np.intp).repeat(15)
-        vals = f(x, g, tol / length)
+        if vals is None:
+            vals = f(_nodes(ends[0], width).ravel(),
+                     ends[2].astype(np.intp).repeat(15), tol / length)
         vals, mags = vals if isinstance(vals, tuple) else (vals, None)
         vals = np.asarray(vals, dtype=float).reshape(-1, 15)
         sums = (vals @ _GK15_SUMS) * width[:, None]
@@ -255,7 +270,7 @@ def _refine(f, lo, hi, group, n_groups, rel_tol, floor):
         outs.append(vals.ravel())
         return np.concatenate([ends, sums.T, first[None]])
 
-    cols = measure(np.array([lo, hi, group], dtype=float), floor)
+    cols = measure(np.array([lo, hi, group], dtype=float), floor, known)
     while True:
         lo, hi, g, value, err, mass = cols[:6]
         g = g.astype(np.intp)
@@ -395,9 +410,15 @@ class NodeSet(NamedTuple):
     level of the iterated rule (x1 first), the final panel of that level
     each node lies under and the node's weight in that panel's K15 - G7
     difference, so that ``pair_all`` gives f times any test function the
-    estimate f got.  ``rel_tol`` is the call's tolerance, ``family`` the
-    call's integrand f(X, i), P, lines, peaks and exponents, and
-    ``member`` the index i of this member."""
+    estimate f got.  ``ends`` (N / 15, n, 2) holds, for each final
+    innermost panel (15 nodes in a row) and each level, the lo and hi of
+    the final panel it lies under, in u where the innermost level measured
+    in u, and ``slots`` (N / 15, n - 1) the place of its node of each outer
+    level among the 15 of that level's panel, so that ``pair_all`` can go on
+    refining from the final panels.  ``rel_tol`` is the call's tolerance,
+    ``family`` the call's integrand f(X, i), P, lines, peaks and the
+    exponents' denominators (see ``_level``), and ``member`` the index i of
+    this member."""
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
@@ -406,6 +427,8 @@ class NodeSet(NamedTuple):
     panels: int
     owners: np.ndarray
     diffs: np.ndarray
+    ends: np.ndarray
+    slots: np.ndarray
     rel_tol: float
     family: tuple
     member: int
@@ -415,12 +438,14 @@ def pair_all(pairings):
     """(integral, error estimate) of f * tau for each (NodeSet, tau) in
     ``pairings``, f the integrand of the NodeSet's member.  Each is summed
     on the rule's nodes, with the estimate of every level: the sum over the
-    level's final panels of |K15 - G7| of the integral below them.  The
-    pairings that miss the module's verdict are integrated afresh on the
-    cuts, end maps and rel_tol of their rules, as one family per
-    ``integrate_polytope``
-    call their rules came from, whose levels call each distinct tau once;
-    it raises QuadratureError by the verdict."""
+    level's final panels of |K15 - G7| of the integral below them.  A
+    pairing that misses the module's verdict is repaired: the refinement of
+    f * tau goes on from its rule's final panels, at every level, with the
+    values f * tau has on the rule's nodes, on the rule's cuts, end maps
+    and rel_tol (see ``_level``).  The misses of the rules of one
+    ``integrate_polytope`` call are repaired together, as the members of
+    one family whose levels call each distinct tau once, and each gets the
+    bits of its lone repair.  Raises QuadratureError by the verdict."""
     pairings = list(pairings)
     out, missed = [], {}
     for r, (rule, tau) in enumerate(pairings):
@@ -433,19 +458,55 @@ def pair_all(pairings):
                         for own, d in zip(rule.owners.T, rule.diffs.T))
         out.append((value, err))
         if _verdict(value, err, rule.weights, values, rule.rel_tol):
-            missed.setdefault(id(rule.family), []).append(r)
-    for rs in missed.values():
-        rule = pairings[rs[0]][0]
-        f, P, lines, points, exponents = rule.family
-        members = np.array([pairings[r][0].member for r in rs])
-        again = integrate_polytope(
-            _times(f, members, [pairings[r][1] for r in rs]), P,
-            lines=lines, points=points[members],
-            exponents=None if exponents is None else exponents[members],
-            rel_tol=rule.rel_tol)
-        for r, res in zip(rs, again):
-            out[r] = (res.value, res.err)
+            missed.setdefault(id(rule.family), []).append((r, values))
+    for misses in missed.values():
+        rs, values = zip(*misses)
+        for r, res in zip(rs, _repair([pairings[r] for r in rs], values)):
+            out[r] = res
     return out
+
+
+def _repair(pairings, values):
+    """(integral, error estimate) of f * tau for each (rule, tau) of
+    ``pairings``, rules of one family, as one family whose member r goes on
+    from the final panels of rule r, on whose nodes f * tau has the values
+    ``values[r]``."""
+    rules, taus = zip(*pairings)
+    f, P, lines, points, powers = rules[0].family
+    members = np.array([rule.member for rule in rules])
+    k, rel_tol = len(rules), rules[0].rel_tol
+    # each row's integral of |f * tau| on its rule's nodes
+    scales = np.array([float(np.add.reduce(rule.weights * np.abs(v)))
+                       for rule, v in zip(rules, values)])
+    own, total, err, _, _, _, w, v, _ = _level(
+        _times(f, members, taus), _maps(P, lines), points[members],
+        None if powers is None else powers[members], np.arange(k), np.empty((k, 0)), rel_tol, np.zeros(k),
+        _seed(rules, values), scales)
+    _members(own, total, err, rel_tol, f"{P.dim}-D polytope integral", [w, v])
+    return list(zip(total.tolist(), err.tolist()))
+
+
+def _seed(rules, values):
+    """The seed of ``_level`` (see there) that starts row r from the final
+    panels of ``rules[r]``, on whose nodes the integrand has ``values[r]``.
+    Each row's panels of a level keep the order the rule had them in."""
+    ends = np.concatenate([rule.ends for rule in rules])
+    slots = np.concatenate([rule.slots for rule in rules])
+    panel = np.concatenate([rule.owners[::15] for rule in rules])
+    row = np.arange(len(rules)).repeat([len(rule.ends) for rule in rules])
+    levels = []
+    for j in range(ends.shape[1] - 1):
+        # each row's distinct panels, by their index among the final panels
+        _, first, local = np.unique(row * (panel[:, j].max() + 1)
+                                    + panel[:, j], return_index=True,
+                                    return_inverse=True)
+        levels.append((ends[first, j, 0], ends[first, j, 1], row[first]))
+        # the row of the level below is the node it lies under
+        row = 15 * local + slots[:, j]
+    seed = np.concatenate(values)
+    for a, b, g in reversed([*levels, (ends[:, -1, 0], ends[:, -1, 1], row)]):
+        seed = (a, b, g, seed)
+    return seed
 
 
 def _times(f, members, taus):
@@ -467,6 +528,35 @@ def _times(f, members, taus):
             tau[order[a:b]] = fn(X[order[a:b]])
         return f(X, members[i]) * tau
     return g
+
+
+def _members(own, total, err, rel_tol, what, rows):
+    """The bounds of each member's final innermost panels among those of a
+    family, and ``rows`` (the weights and values (R, 15) first, then any
+    arrays with a row per panel) in the order that puts each member's panels
+    together, in the order they had.  Raises QuadratureError when the
+    verdict fails a member."""
+    k = len(total)
+    if k == 1:
+        bounds = (0, len(own))
+    else:
+        order = np.argsort(own, kind="stable")
+        rows = [a[order] for a in rows]
+        bounds = np.searchsorted(own[order], np.arange(k + 1))
+    weights, values = rows[:2]
+    for i, a, b in zip(range(k), bounds[:-1], bounds[1:]):
+        _judge(what, float(total[i]), float(err[i]),
+               weights[a:b].ravel(), values[a:b].ravel(), rel_tol,
+               f"did not converge at {b - a} panels, with a budget of "
+               f"{MAX_PANELS} panels per integral")
+    return bounds, rows
+
+
+def _maps(P, lines):
+    """The exact cut maps of P and of the hyperplanes (nu, c) of
+    ``lines``."""
+    return _slice_maps(P.facet_rows, tuple(tuple(map(float, (*nu, c)))
+                                           for nu, c in lines))
 
 
 def integrate_polytope(f, P, *, lines=(), points=None, exponents=None,
@@ -502,49 +592,42 @@ def integrate_polytope(f, P, *, lines=(), points=None, exponents=None,
         f = lambda X, i: lone(X)
     points = np.asarray(points, dtype=float)
     k, n = points.shape
-    exponents, powers = _end_powers(exponents, k, len(P.normals))
+    powers = _end_powers(exponents, k, len(P.normals))
     # the outermost level is handed a zero floor, from which it hands its
     # own down
-    own, total, err, head, ids, x, weights, values = _level(f, _slice_maps(
-        P.facet_rows, tuple(tuple(map(float, (*nu, c))) for nu, c in lines)),
-        points, powers, np.arange(k), np.empty((k, 0)), rel_tol, np.zeros(k))
-    if k > 1:
-        # the final panels of each member together, in the order they had
-        order = np.argsort(own, kind="stable")
-        head, ids, x, weights, values = (a[order] for a in (
-            head, ids, x, weights, values))
-        ends = np.searchsorted(own[order], np.arange(k + 1))
-    else:
-        ends = (0, len(x))
+    own, total, err, head, ids, x, weights, values, ends = _level(
+        f, _maps(P, lines), points, powers, np.arange(k), np.empty((k, 0)),
+        rel_tol, np.zeros(k))
+    bounds, (weights, values, head, ids, x, ends) = _members(
+        own, total, err, rel_tol, f"{n}-D polytope integral",
+        [weights, values, head, ids, x, ends])
     nodes = np.empty((*x.shape, n))
     nodes[..., :-1] = head[:, None]
     nodes[..., -1] = x
+    slots = ids % 15
     # each node's index among the final nodes of every level, 15 a panel
     ids = np.column_stack([ids.repeat(15, axis=0), np.arange(x.size)])
     nodes, weights, values = (a.reshape(-1, *a.shape[2:]) for a in (
         nodes, weights, values))
     owners, diffs = ids // 15, weights[:, None] * _GK15_RATIO[ids % 15]
-    family = (f, P, lines, points, exponents)
+    family = (f, P, lines, points, powers)
     out = []
-    for i, a, b in zip(range(k), ends[:-1], ends[1:]):
+    for i, a, b in zip(range(k), bounds[:-1], bounds[1:]):
         rows = slice(15 * a, 15 * b)
-        res = NodeSet(nodes[rows], weights[rows], values[rows],
-                      float(total[i]), float(err[i]), int(b - a),
-                      owners[rows], diffs[rows], rel_tol, family, i)
-        _judge(f"{n}-D polytope integral", res.value, res.err, res.weights,
-               res.values, rel_tol, f"did not converge at {res.panels} "
-               f"panels, with a budget of {MAX_PANELS} panels per integral")
-        out.append(res)
+        out.append(NodeSet(nodes[rows], weights[rows], values[rows],
+                           float(total[i]), float(err[i]), int(b - a),
+                           owners[rows], diffs[rows], ends[a:b], slots[a:b],
+                           rel_tol, family, i))
     return out[0] if one else out
 
 
 def _end_powers(exponents, k, n_facets):
-    """``exponents`` as a (k, n_facets) object array of exact rationals,
-    and their denominators q, None when every q is 1 (or no exponents are
-    given); raises ValueError for a wrong shape, or an entry that is not an
-    exact rational above -1."""
+    """The denominators q (k, n_facets) of ``exponents``, exact rationals,
+    None when every q is 1 (or no exponents are given); raises ValueError
+    for a wrong shape, or an entry that is not an exact rational above
+    -1."""
     if exponents is None:
-        return None, None
+        return None
     try:
         e = np.array(exponents, dtype=object)
     except ValueError:
@@ -563,7 +646,7 @@ def _end_powers(exponents, k, n_facets):
             continue
         i, r = divmod(at, n_facets)
         raise ValueError(f"exponent {v} of member {i} at facet {r} {what}")
-    return e, (np.reshape(q, e.shape) if max(q, default=1) > 1 else None)
+    return np.reshape(q, e.shape) if max(q, default=1) > 1 else None
 
 
 def _end_pieces(lo, hi, cuts, q_lo, q_hi):
@@ -662,7 +745,8 @@ def _slice(maps, prefix):
             facet[at_lo], facet[at_hi])
 
 
-def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor):
+def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor, seed=None,
+           scale=0.0):
     """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
     of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row, cut
     by ``_slice`` of ``maps``.  ``member`` (k,) is the family member of
@@ -673,15 +757,30 @@ def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor):
     of each final innermost panel (R,), the integrals and their errors
     (k,), the coordinates the levels below fixed for each panel and the
     index of each of those nodes among the final nodes of its level, 15 a
-    panel (R, n - 1 - j) each, and x_n, the rule weights and the values of
-    its 15 nodes (R, 15).
+    panel (R, n - 1 - j) each, x_n, the rule weights and the values of its
+    15 nodes (R, 15), and the lo and hi of the final panel of each level
+    each panel lies under (R, n - j, 2).
 
     On the innermost level a chord piece that ends on a facet r where the
     member's power q is above 1 is measured in u, with x = a + (b - a) t^q
     the map of ``_end_map``: it fixes the piece's ends, so the cuts and the
     panels in u are those in x.  A chord with no cut inside and both ends
     mapped is cut at its midpoint.  The level returns the nodes in x, the
-    weights times dx/du and the values of f."""
+    weights times dx/du and the values of f.
+
+    A ``seed`` (lo, hi, group, below) starts the rows from panels a rule
+    ended with instead of from their cuts: the lo and hi of each panel (in
+    u where it is mapped) and its row, the panels of each row in the order
+    the rule had them, and ``below``, the seed of the level below, whose
+    rows are the nodes of these panels, 15 a panel in order, or on the
+    innermost level the values of f at the nodes in x.  The seeded panels
+    are measured from those values, with no call of f: the innermost
+    level maps their nodes as it maps new ones, and an outer level refines
+    the rows below from their seed.  It hands them the larger of its floor
+    and rel_tol times ``scale`` (k,), each row's integral of |f| on the
+    seed, over the length of its range: with a seed that integral is known
+    from the first round.  Only the children of split panels and the rows
+    under new nodes call f."""
     (k, j), n = prefix.shape, len(maps)
     inner, mapped = [], []
     lo, hi, cuts, at_lo, at_hi = _slice(maps, prefix)
@@ -690,27 +789,36 @@ def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor):
         pieces, cuts = (None, cuts) if powers is None else _end_pieces(
             lo, hi, cuts, powers[member, at_lo], powers[member, at_hi])
 
-        def driver(x, g, hand):
+        def driver(x, g, hand, vals=None):
             if pieces is not None:
                 x, jac = _end_map(x, g, pieces)
-            X = x[:, None] if j == 0 else np.concatenate(
-                [prefix[g], x[:, None]], axis=1)
-            vals = f(X, member[g])
+            if vals is None:
+                X = x[:, None] if j == 0 else np.concatenate(
+                    [prefix[g], x[:, None]], axis=1)
+                vals = f(X, member[g])
             if pieces is None:
                 return vals
             vals = np.asarray(vals, dtype=float)
             mapped.append((x, jac, vals))
             return vals * jac
     else:
-        def driver(x, g, hand):
+        def driver(x, g, hand, seed=None):
             rows = _level(f, maps, peaks, powers, member[g],
                           np.concatenate([prefix[g], x[:, None]], axis=1),
-                          rel_tol, hand[g])
+                          rel_tol, hand[g], seed)
             inner.append((x, g, *rows))
             # the integrals of |f| over the slices scale this level
-            own, total, _, _, _, _, w, v = rows
+            own, total, _, _, _, _, w, v, _ = rows
             return total, np.bincount(own, np.abs(w * v).sum(axis=1), len(x))
-    res = _refine(driver, *_cut(lo, hi, cuts), k, rel_tol, floor)
+    if seed is None:
+        panels, known = _cut(lo, hi, cuts), None
+    else:
+        *panels, below = seed
+        a, b, g = panels
+        hand = np.maximum(floor, rel_tol * scale) / _lengths(a, b, g, k)
+        known = driver(_nodes(a, b - a).ravel(), g.repeat(15), hand, below)
+    res = _refine(driver, *panels, k, rel_tol, floor, known)
+    ends = np.stack([res.lo, res.hi], axis=1)
     if j == n - 1:
         none = np.empty((len(res.group), 0))
         nodes, weights, values = res.nodes, res.weights, res.values
@@ -720,8 +828,8 @@ def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor):
                                   for a in zip(*mapped))
             weights = weights * jac
         return (res.group, res.total, res.err, none, none.astype(np.intp),
-                nodes, weights, values)
-    x, g, own, _, err, head, ids, xs, ws, vs = zip(*inner)
+                nodes, weights, values, ends[:, None])
+    x, g, own, _, err, head, ids, xs, ws, vs, spans = zip(*inner)
     # the owner of each panel row among all the nodes of this level
     own = np.concatenate([o + a for o, a in zip(
         np.cumsum([0, *map(len, x[:-1])]), own)])
@@ -731,8 +839,8 @@ def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor):
         np.zeros(n - 2 - j, np.intp),
         *((i.max(axis=0, initial=-1) // 15 + 1) * 15 for i in ids[:-1])],
         axis=0), ids)])
-    x, g, err, head, xs, ws, vs = map(np.concatenate, (
-        x, g, err, head, xs, ws, vs))
+    x, g, err, head, xs, ws, vs, spans = map(np.concatenate, (
+        x, g, err, head, xs, ws, vs, spans))
     # the rule weight of each node, 0 off the final panels, and its index
     # among the final nodes
     w = np.zeros(len(x))
@@ -741,10 +849,12 @@ def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor):
     index[res.pos.ravel()] = np.arange(res.pos.size)
     kept = w[own] > 0
     own = own[kept]
+    node = index[own]
     return (g[own], res.total, res.err + np.bincount(g, w * err, k),
             np.column_stack([x[own], head[kept]]),
-            np.column_stack([index[own], ids[kept]]), xs[kept],
-            w[own][:, None] * ws[kept], vs[kept])
+            np.column_stack([node, ids[kept]]), xs[kept],
+            w[own][:, None] * ws[kept], vs[kept],
+            np.concatenate([ends[node // 15, None], spans[kept]], axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -310,8 +310,8 @@ def pair_each(pairings):
     normalized density with tau, and its error estimate, for each
     (density, tau) in ``pairings``.  The densities are normed first, a
     family in one pass, and every pairing goes to one ``pair_all``, so the
-    pairings that miss on their nodes are integrated afresh as one
-    family."""
+    pairings that miss on their nodes are repaired from their rules' panels
+    as one family."""
     pairings = list(pairings)
     for d in dict.fromkeys(d for d, _ in pairings):
         d._ensure_norm()

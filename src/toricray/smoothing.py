@@ -351,7 +351,8 @@ class NiceSmoothingGenerator(Generator):
 
     ``build_nice_smoothing`` sets ``checks``, the check samples
     (``default_check_samples``) and the jet ``jet(samples, 2)`` there,
-    evaluated once: ``convexity`` and ``verify_nice_family`` read it."""
+    evaluated once: ``convexity`` and ``verify_nice_family`` read it.  A
+    strict build also sets ``convexity``, which its tuning computed."""
 
     def __init__(self, P: Polytope, decomp: Decomposition, eps: float,
                  mollifier, strict_term=None):
@@ -412,7 +413,8 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
     mollifier's jet on the check samples is evaluated once and kept, with
     the samples, as the result's ``checks``; its ``convexity`` must be >=
     -1e-10.  The strict term's eta is halved against that jet's Hessians
-    and one strict-term jet on the same samples.
+    and one strict-term jet on the same samples, and the least eigenvalue
+    of the halving that passes is the strict result's ``convexity``.
     """
     eps = float(eps)
     if eps <= 0:
@@ -494,8 +496,9 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         # serves every k
         term = _StrictTerm(fr, delta, kern, eta, u0).eval(samples)
         for k in range(40):
-            if np.linalg.eigvalsh(jet[2] + term[2] * 0.5 ** k).min() \
-                    >= _CONVEXITY_ALLOWANCE:
+            least = float(np.linalg.eigvalsh(jet[2] + term[2]
+                                             * 0.5 ** k).min())
+            if least >= _CONVEXITY_ALLOWANCE:
                 strict_term = _StrictTerm(fr, delta, kern, eta * 0.5 ** k, u0)
                 jet = tuple(a + b * 0.5 ** k for a, b in zip(jet, term))
                 break
@@ -506,6 +509,9 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
 
     gen = NiceSmoothingGenerator(P, decomp, eps, moll, strict_term=strict_term)
     gen.checks = (samples, jet)
+    if strict_term is not None:
+        # the passing halving decomposed the very Hessians of ``checks``
+        gen.convexity = least
     if gen.convexity < _CONVEXITY_ALLOWANCE:
         raise SmoothingError(
             f"convexity violated: min sampled eigenvalue {gen.convexity:.3e}")

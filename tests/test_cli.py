@@ -149,21 +149,28 @@ def test_gcst_grid_is_the_lone_densities(tmp_path):
 
 def test_gcst_pairs_each_s_grid_as_one_family(tmp_path, monkeypatch):
     # each lattice point's densities are normed in one call of the engine,
-    # and the pairings that miss on their nodes are integrated afresh as one
-    # family per lattice point, not one call per missed pairing
+    # and the pairings that miss on their nodes are repaired from their
+    # rules' panels as one family per lattice point, with no fresh
+    # integral and not one repair per missed pairing
     import sys
     from toricray import quadrature
-    engine = quadrature.integrate_polytope
-    callers = []
+    engine, repair = quadrature.integrate_polytope, quadrature._repair
+    callers, repaired = [], []
 
     def counting(*args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
         return engine(*args, **kwargs)
 
+    def repairing(pairings, *args):
+        repaired.append(len(pairings))
+        return repair(pairings, *args)
+
     monkeypatch.setattr(quadrature, "integrate_polytope", counting)
+    monkeypatch.setattr(quadrature, "_repair", repairing)
     assert run(["--max-s", "2048", "gcst", "--scenario",
                 "builtin:three-bumps", "-o", str(tmp_path)]) == 0
-    assert sorted(callers) == ["_ensure_norm"] * 6 + ["pair_all"] * 2
+    assert callers == ["_ensure_norm"] * 6
+    assert len(repaired) == 2 and min(repaired) > 1
 
 
 def test_decompose_and_q(tmp_path):

@@ -292,6 +292,17 @@ def test_a_lone_wall_sum_jet_is_its_row_of_a_stack(kernel):
     assert differ == []
 
 
+def test_a_lone_line_evaluation_is_its_entry_of_an_array():
+    # psi, dpsi and d2psi of a lone t get the bits of its entry in an
+    # array: on a numpy scalar the cosine kernel's t ** 2 is libm's pow
+    gen = scenarios.segment("cosine").generator
+    T = np.random.default_rng(0).uniform(*gen.domain, 20000)
+    for evaluate in (gen.psi, gen.dpsi, gen.d2psi):
+        array = evaluate(T)
+        assert [k for k, t in enumerate(T)
+                if not np.array_equal(evaluate(t), array[k])] == []
+
+
 def test_order_zero_jet_computes_the_value_alone(monkeypatch):
     # an order-0 wall-sum jet looks up no cdf for the slope, one per bump
     # at order 1, and both give the same values

@@ -174,14 +174,14 @@ def _count_integrals(monkeypatch):
 
 def test_battery_means_integrate_the_weight_once(monkeypatch):
     # the weight is integrated once and every member paired on its nodes;
-    # the bump, which the weight's panels do not resolve, is integrated
-    # again, and no other member is
+    # the bump, which the weight's panels do not resolve, is repaired from
+    # them, and nothing is integrated again
     calls = _count_integrals(monkeypatch)
     P = cp2()
     bat = battery_for(P)
     w = lambda X: 1.0 + X[..., 0]
     means = region_mean(P, bat, weight=w)
-    assert calls == [2, 2]
+    assert calls == [2]
     assert means[0] == pytest.approx(1.0, abs=1e-12)
     # each member's mean is the one it has alone
     for t, got in zip(bat, means):
@@ -189,13 +189,13 @@ def test_battery_means_integrate_the_weight_once(monkeypatch):
     calls.clear()
     fr = face_frame(P, [[1, 0]], [1])
     chord_mean(P, fr, [1.0], bat, weight=w)
-    assert calls == [1, 1]
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["bare", "weighted"])
 def test_resolved_members_share_the_weights_rule(monkeypatch, weighted):
     # members the weight's rule resolves make one integral in all, and the
-    # battery's bump adds exactly one more
+    # battery's bump, repaired from that rule's panels, adds none
     calls = _count_integrals(monkeypatch)
     P = cp2()
     bat = battery_for(P)
@@ -205,12 +205,12 @@ def test_resolved_members_share_the_weights_rule(monkeypatch, weighted):
     assert calls == [2]
     calls.clear()
     region_mean(P, bat, weight=w)
-    assert calls == [2, 2]
+    assert calls == [2]
 
 
 def test_diagnostic_makes_one_density_pass(monkeypatch):
     # an 8-point diagnostic norms its densities in one integral of eight
-    # members and integrates its missed pairings again in at most one more
+    # members and repairs its missed pairings with no other integral
     sc_P, gen = segment(), big_bump()
     bat = battery_for(sc_P)
     P1 = make_polytope([[1], [-1]], [0, "-1/2"], require_delzant=False)
@@ -231,12 +231,12 @@ def test_diagnostic_makes_one_density_pass(monkeypatch):
     monkeypatch.setattr(limits, "integrate_polytope", counting)
     monkeypatch.setattr(MonomialDensity, "_ensure_norm", norming)
     res = uniform_diagnostic(sc_P, gen, [0], grid, bat, P1)
-    # the region's mean first (the weight and its misses), then one pass
-    # of the densities and at most one of their misses
+    # the region's mean first (the weight alone), then one pass of the
+    # densities and nothing more
     first = calls.index("norm")
     assert calls.count("norm") == 1 and calls[first + 1] == len(grid)
-    assert len(calls) - first - 2 <= 1
-    assert 1 <= first <= 2 and calls[:first] == [1] * first
+    assert len(calls) == first + 2
+    assert calls[:first] == [1]
     # the largest error bar of each s's pairings, normalized like them
     assert res.pairing_err.shape == (len(grid),)
     assert np.all(res.pairing_err > 0)
@@ -296,9 +296,9 @@ def test_batched_delta_and_face_delta_equal_lone_diagnostics():
 
 @pytest.mark.parametrize("cid,members", [(4, 16), (5, 32), (6, 2), (8, 5)])
 def test_criterion_makes_one_density_pass(monkeypatch, cid, members):
-    # a criterion norms all of its densities in one integral and integrates
-    # their missed pairings again in at most one more; every integral before
-    # that pass is a region or chord mean (or one of its misses)
+    # a criterion norms all of its densities in one integral and repairs
+    # their missed pairings with no other integral; every integral before
+    # that pass is a region or chord mean's weight
     from toricray import acceptance
     calls = []
     engine = quadrature.integrate_polytope
@@ -318,7 +318,7 @@ def test_criterion_makes_one_density_pass(monkeypatch, cid, members):
     acceptance.ALL_CRITERIA[cid]()
     first = calls.index("norm")
     assert calls.count("norm") == 1 and calls[first + 1] == members
-    assert len(calls) - first - 2 <= 1
+    assert len(calls) == first + 2
 
 
 def test_uniform_diagnostic_two_dimensional():

@@ -571,7 +571,7 @@ def test_construction_layers_import_nothing_from_quadrature():
 
 
 def test_only_quadrature_and_the_cli_catch_quadrature_errors():
-    # a missed estimate is integrated again in one place, pair_all, which
+    # a missed estimate is refined again in one place, pair_all, which
     # reads the verdict and catches nothing; everywhere else a
     # QuadratureError propagates, up to cli.main's exit code.  A bare
     # except, or one of its bases, would catch it too.
@@ -938,50 +938,123 @@ def test_integrand_on_its_nodes_gets_its_estimate(n):
     assert len(res.values) == 15 * res.panels
 
 
-def test_missed_pairing_is_integrated_afresh_on_the_same_cuts(monkeypatch):
+def _refuse_fresh_integrals(monkeypatch):
+    """Fail the test on any call of ``integrate_polytope`` from here on."""
+    def fresh(*args, **kwargs):
+        raise AssertionError("a missed pairing is integrated afresh")
+    monkeypatch.setattr(quadrature, "integrate_polytope", fresh)
+
+
+def _repair_reference(f, P, rel_tol, **cuts):
+    """A fresh integral of f(X, i) over P as a family of one at rel_tol /
+    100, and its integral of |f|."""
+    ref = integrate_polytope(f, P, rel_tol=rel_tol / 100, **cuts)[0]
+    return ref.value, float(np.add.reduce(ref.weights * np.abs(ref.values)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_node_sets_keep_each_levels_final_panels(n):
+    # each innermost panel row of a member knows the ends of the final
+    # panel of every level above it and the place of its node there: the
+    # nodes are those ends' K15 nodes, bit for bit, and the rows under one
+    # panel agree on its ends
+    peaks = np.array([np.full(n, 0.8), np.linspace(0.4, 1.2, n)])
+    rules = integrate_polytope(
+        lambda X, i: np.exp(-3.0 * np.sum((X - peaks[i]) ** 2, axis=1)),
+        _simplex(n), points=peaks, rel_tol=1e-8)
+    for rule in rules:
+        rows = len(rule.nodes) // 15
+        assert rule.ends.shape == (rows, n, 2)
+        assert rule.slots.shape == (rows, n - 1)
+        lo, hi = rule.ends[..., 0], rule.ends[..., 1]
+        head = rule.nodes[::15, :-1]
+        assert np.array_equal(head, lo[:, :-1] + (hi - lo)[:, :-1]
+                              * quadrature._GK15_UNIT[rule.slots])
+        assert np.array_equal(rule.nodes[:, -1].reshape(rows, 15),
+                              panel_nodes(lo[:, -1], hi[:, -1])[0])
+        for j in range(n):
+            _, panel = np.unique(rule.owners[::15, j], return_inverse=True)
+            first = np.zeros(panel.max() + 1, np.intp)
+            first[panel[::-1]] = np.arange(rows)[::-1]
+            assert np.array_equal(rule.ends[:, j], rule.ends[first[panel], j])
+
+
+def test_missed_pairing_is_repaired_from_its_rules_panels(monkeypatch):
     # a narrow peak the panels of f never see misses the verdict on f's
-    # nodes; the pairing is then the engine's integral of f times it on
-    # the same cuts and rel_tol, as a family of one, and the only one made
+    # nodes; the repair goes on refining f times it from f's final panels,
+    # on the same cuts and rel_tol: it calls no fresh integral, evaluates
+    # no node of f's rule again and fewer points than a fresh integral,
+    # meets the verdict and agrees with a reference at rel_tol / 100
     P = _simplex(2)
-    cuts = dict(lines=[((1, 1), 2.0)], points=[(0.8, 0.8)], rel_tol=1e-6)
+    cuts = dict(lines=[((1, 1), 2.0)], points=[(0.8, 0.8)])
     f = lambda X: np.exp(-3.0 * np.sum((X - 0.8) ** 2, axis=1))
     tau = lambda X: np.exp(-400.0 * np.sum((X - [2.0, 0.5]) ** 2, axis=1))
-    res = integrate_polytope(lambda X, i: f(X), P, **cuts)[0]
-    fresh = integrate_polytope(lambda X, i: f(X) * tau(X), P, **cuts)[0]
-    calls = []
-    monkeypatch.setattr(quadrature, "integrate_polytope",
-                        lambda g, Q, **k: calls.append((Q, k)) or [fresh])
-    assert quadrature.pair_all([(res, tau)])[0] == (fresh.value, fresh.err)
-    assert len(calls) == 1
-    Q, k = calls[0]
-    assert (Q, k["lines"], k["rel_tol"]) == (P, cuts["lines"], 1e-6)
-    assert np.array_equal(k["points"], cuts["points"])
-    # and the engine itself gives fresh's own pairing
+    res = integrate_polytope(lambda X, i: f(X), P, rel_tol=1e-6, **cuts)[0]
+    on_nodes = res.values * tau(res.nodes)
+    assert quadrature._verdict(
+        float(np.add.reduce(res.weights * on_nodes)),
+        math.fsum(np.abs(np.bincount(own, d * on_nodes)).sum()
+                  for own, d in zip(res.owners.T, res.diffs.T)),
+        res.weights, on_nodes, 1e-6) is not None
+    seen = []
+
+    def counted(X):
+        seen.append(np.array(X))
+        return tau(X)
+
+    _refuse_fresh_integrals(monkeypatch)
+    value, err = quadrature.pair_all([(res, counted)])[0]
     monkeypatch.undo()
-    assert quadrature.pair_all([(res, tau)])[0] == (fresh.value, fresh.err)
+    assert np.array_equal(seen[0], res.nodes)
+    repair = np.concatenate(seen[1:])
+    assert not set(map(tuple, repair)) & set(map(tuple, res.nodes))
+    want, scale = _repair_reference(lambda X, i: f(X) * tau(X), P, 1e-6,
+                                    **cuts)
+    assert 0.0 < err <= quadrature.ALLOWANCE * 1e-6 * scale
+    assert abs(value - want) <= quadrature.ALLOWANCE * 1e-6 * scale
+    calls = []
+    integrate_polytope(lambda X, i: calls.append(len(X)) or f(X) * tau(X), P,
+                       rel_tol=1e-6, **cuts)
+    assert len(repair) < sum(calls)
 
 
 def test_missed_pairing_of_a_mapped_rule_keeps_its_end_maps(monkeypatch):
     # sqrt(x (3 - x)) on [0, 3] has both ends mapped by t^2; a narrow peak
-    # near x = 0 misses on its nodes, and the fresh integral of f times it
-    # maps the same ends: it is integrate_polytope of f * tau with the same
-    # exponents, bit for bit, and not the unmapped one
+    # near x = 0 misses on its nodes, and the repair maps the rule's nodes
+    # and every new node by the same end map: f * tau is evaluated only on
+    # mapped points, and the value meets the verdict and agrees with an
+    # independent quadrature
     P = make_polytope([[1], [-1]], [0, -3])
     half = [[Fraction(1, 2), Fraction(1, 2)]]
     f = lambda X: np.sqrt(X[:, 0] * (3.0 - X[:, 0]))
     tau = lambda X: np.exp(-400.0 * (X[:, 0] - 0.2) ** 2)
     res = integrate_polytope(f, P, exponents=half)
-    fresh = integrate_polytope(lambda X: f(X) * tau(X), P, exponents=half)
-    plain = integrate_polytope(lambda X: f(X) * tau(X), P)
     assert res.value == pytest.approx(9 * math.pi / 8, rel=1e-13)
-    calls = []
-    engine = quadrature.integrate_polytope
-    monkeypatch.setattr(quadrature, "integrate_polytope",
-                        lambda *a, **k: calls.append(k["exponents"])
-                        or engine(*a, **k))
-    assert quadrature.pair_all([(res, tau)])[0] == (fresh.value, fresh.err)
-    assert len(calls) == 1 and calls[0].tolist() == half
-    assert (plain.value, plain.err) != (fresh.value, fresh.err)
+    mapped, seen = [], []
+    end_map = quadrature._end_map
+
+    def mapping(u, g, pieces):
+        x, jac = end_map(u, g, pieces)
+        mapped.append(x)
+        return x, jac
+
+    def counted(X):
+        seen.append(X[:, 0].copy())
+        return tau(X)
+    monkeypatch.setattr(quadrature, "_end_map", mapping)
+    value, err = quadrature.pair_all([(res, counted)])[0]
+    monkeypatch.undo()
+    # the rule's own nodes, mapped again as they were, then each level's
+    # new ones, the very points f * tau is evaluated on
+    assert np.array_equal(mapped[0], res.nodes[:, 0])
+    assert len(mapped) == len(seen) > 2
+    assert all(np.array_equal(x, t) for x, t in zip(mapped[1:], seen[1:]))
+    want, _ = quad(lambda x: math.sqrt(x * (3.0 - x))
+                   * math.exp(-400.0 * (x - 0.2) ** 2), 0.0, 3.0,
+                   points=[0.2], epsabs=0.0, epsrel=1e-13, limit=200)
+    scale = want  # f * tau is positive
+    assert 0.0 < err <= quadrature.ALLOWANCE * res.rel_tol * scale
+    assert abs(value - want) <= quadrature.ALLOWANCE * res.rel_tol * scale
 
 
 @pytest.mark.parametrize("exponents, message", [
@@ -1008,36 +1081,46 @@ def test_negative_exponent_is_integrated_exactly():
     assert res.panels == 1
 
 
-def test_missed_pairings_are_integrated_afresh_as_one_family(monkeypatch):
-    # the misses of several members and test functions make one call of
-    # the engine, each the integral it has alone, bit for bit
+def test_missed_pairings_are_repaired_as_one_family(monkeypatch):
+    # the misses of several members and test functions are repaired as one
+    # family: its levels call f once each, as many calls as the longest
+    # lone repair makes, and no fresh integral; each miss gets the bits of
+    # its lone repair, meets the verdict and agrees with a reference
     P = _simplex(2)
     peaks = np.array([[0.8, 0.8], [0.5, 1.2], [1.5, 0.3]])
-    f = lambda X, i: np.exp(-3.0 * np.sum((X - peaks[i]) ** 2, axis=1))
+    calls = []
+
+    def f(X, i):
+        calls.append(len(X))
+        return np.exp(-3.0 * np.sum((X - peaks[i]) ** 2, axis=1))
     rules = integrate_polytope(f, P, lines=[((1, 1), 2.0)], points=peaks,
                                rel_tol=1e-6)
     narrow = [lambda X, c=c: np.exp(-400.0 * np.sum((X - c) ** 2, axis=1))
               for c in ([2.0, 0.5], [0.3, 2.2])]
     one = lambda X: np.ones(len(X))
     pairings = [(rule, tau) for rule in rules for tau in (one, *narrow)]
-    calls = []
-    engine = quadrature.integrate_polytope
-    monkeypatch.setattr(quadrature, "integrate_polytope",
-                        lambda *a, **k: calls.append(len(k["points"]))
-                        or engine(*a, **k))
+
+    _refuse_fresh_integrals(monkeypatch)
+    calls.clear()
     got = quadrature.pair_all(pairings)
-    assert calls == [6]
-    monkeypatch.undo()
+    together, longest = len(calls), 0
     for (rule, tau), (value, err) in zip(pairings, got):
-        alone = integrate_polytope(
-            lambda X, i: f(X, rule.member) * tau(X), P,
-            lines=[((1, 1), 2.0)], points=[peaks[rule.member]],
-            rel_tol=1e-6)[0]
+        calls.clear()
+        assert (value, err) == quadrature.pair_all([(rule, tau)])[0]
+        longest = max(longest, len(calls))
         if tau is one:
-            assert (value, err) == quadrature.pair_all([(rule, tau)])[0]
+            assert not calls
             assert value == pytest.approx(rule.value, rel=1e-13)
-        else:
-            assert (value, err) == (alone.value, alone.err)
+            continue
+        assert calls
+        monkeypatch.undo()
+        want, scale = _repair_reference(
+            lambda X, i: f(X, rule.member) * tau(X), P, 1e-6,
+            lines=[((1, 1), 2.0)], points=[peaks[rule.member]])
+        _refuse_fresh_integrals(monkeypatch)
+        assert 0.0 < err <= quadrature.ALLOWANCE * 1e-6 * scale
+        assert abs(value - want) <= quadrature.ALLOWANCE * 1e-6 * scale
+    assert together == longest > 0
 
 
 def test_family_members_are_their_lone_integrals_in_three_dimensions():
@@ -1239,14 +1322,11 @@ def test_innermost_ends_and_their_facets():
 
 
 def _outer_widths(rule):
-    """The width of each outer (x1) panel of a ``NodeSet``, from its
-    nodes, which span 0.98 of it."""
-    own, x = rule.owners[:, 0], rule.nodes[:, 0]
-    lo, hi = np.full(own.max() + 1, np.inf), np.full(own.max() + 1, -np.inf)
-    np.minimum.at(lo, own, x)
-    np.maximum.at(hi, own, x)
-    span = quadrature._GK15_UNIT[-1] - quadrature._GK15_UNIT[0]
-    return (hi - lo)[np.isfinite(lo)] / span
+    """The width of each outer (x1) panel of a ``NodeSet``, from the panel
+    ends it keeps."""
+    _, first = np.unique(rule.owners[::15, 0], return_index=True)
+    lo, hi = rule.ends[first, 0].T
+    return hi - lo
 
 
 @pytest.mark.parametrize("build, most", [
@@ -1265,6 +1345,51 @@ def test_wall_densities_have_no_sliver_panels(build, most):
     md.log_mass()
     assert _outer_widths(md._rule).min() >= 1e-12
     assert len(md._rule.weights) <= most
+
+
+def _repair_points(monkeypatch):
+    """(pairings, points) of each repair from here on: how many missed
+    pairings it repairs and on how many points it evaluates the
+    integrand."""
+    made, times = [], quadrature._times
+
+    def counting(f, members, taus):
+        g, record = times(f, members, taus), [len(members), 0]
+        made.append(record)
+
+        def h(X, i):
+            record[1] += len(X)
+            return g(X, i)
+        return h
+    monkeypatch.setattr(quadrature, "_times", counting)
+    return made
+
+
+def test_wall_sum_bump_is_repaired_on_few_points(monkeypatch):
+    # the battery's bump misses on the 4,380 nodes of the bare wall-sum
+    # density at (1, 1), s = 32; repaired from the density's panels it
+    # evaluates 7,485 points, where a fresh integral on the bare cuts
+    # evaluated 12,285 to end on the same 7,410 final nodes
+    made = _repair_points(monkeypatch)
+    sc = scenarios.cp2_wall_sum("cosine")
+    md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 32.0,
+                         weighted=False)
+    for tau in battery_for(sc.polytope):
+        md.pair(tau)
+    assert len(made) == 1 and made[0][0] == 1
+    assert made[0][1] <= 7600
+
+
+def test_criterion_5_bumps_are_repaired_on_few_points(monkeypatch):
+    # criterion 5's 32 densities miss the battery's bump on their nodes;
+    # repaired from their panels as one family they evaluate 5,760 points,
+    # where a fresh family on the bare cuts evaluated 13,560 to end on
+    # 7,500 final nodes
+    from toricray import acceptance
+    made = _repair_points(monkeypatch)
+    acceptance.ALL_CRITERIA[5]()
+    family = [points for pairings, points in made if pairings == 32]
+    assert len(family) == 1 and family[0] <= 5850
 
 
 def test_three_wall_density_takes_few_nodes():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
@@ -276,23 +277,32 @@ def test_log_gap_density_makes_one_jet_call():
 def test_pairings_carry_estimates_within_the_verdict(monkeypatch):
     # no cut of the s = 0 Beta density on [0, 2] follows the ends of the
     # battery's bump, so on the density's own nodes the bump's estimate
-    # misses the verdict and density times bump is integrated afresh on
-    # the same cuts; every other member is summed on the nodes
+    # misses the verdict and density times bump is repaired from the
+    # density's own panels, with no fresh integral; every other member is
+    # summed on the nodes, with one call of it.  Each pairing meets the
+    # verdict and agrees with scipy's quad within it
     P = segment(2)
     md = MonomialDensity(P, build_bump_generator(P, []), [0], 0.0)
     battery = battery_for(P)
     magnitudes = [md.pair(lambda X: np.abs(tau(X))) for tau in battery]
-    fresh = []
-    engine = quadrature.integrate_polytope
-    monkeypatch.setattr(quadrature, "integrate_polytope",
-                        lambda *a, **k: fresh.append(tau.name)
-                        or engine(*a, **k))
+
+    def fresh(*args, **kwargs):
+        raise AssertionError("a missed pairing is integrated afresh")
+    monkeypatch.setattr(quadrature, "integrate_polytope", fresh)
     for tau, magnitude in zip(battery, magnitudes):
-        values, errs = pair_densities([md], [tau])
+        calls = []
+        values, errs = pair_densities(
+            [md], [lambda X: calls.append(len(X)) or tau(X)])
         value, err = values[0, 0], errs[0, 0]
-        assert 0.0 < err <= quadrature.ALLOWANCE * md.rel_tol * magnitude
+        bound = quadrature.ALLOWANCE * md.rel_tol * magnitude
+        assert 0.0 < err <= bound
         assert md.pair(tau) == value
-    assert fresh == ["bump"] * 2
+        assert (len(calls) > 1) == (tau.name == "bump")
+        want, _ = quad(lambda x: md.normalized(np.array([[x]]))[0]
+                       * tau(np.array([[x]]))[0], 0.0, 2.0,
+                       points=[1.0 / 3.0, 5.0 / 3.0], epsabs=0.0,
+                       epsrel=1e-13, limit=200)
+        assert abs(value - want) <= bound
 
 
 def test_nonconvergence_reports_panel_count(monkeypatch):
@@ -448,35 +458,33 @@ def test_family_equals_lone_densities(case, monkeypatch):
             assert d.pair(tau) == want[0, 0]
 
 
-def test_shared_tau_is_called_once_per_level(monkeypatch):
+def test_shared_tau_is_called_once_per_level():
     # the battery's bump misses on the nodes of each of the eight densities
-    # at m = 0: their fresh family calls the one bump once per level of its
-    # refinement, on the rows of every pairing, and each pairing gets the
-    # value it has from a pair_all of its own
+    # at m = 0: their repair, one family, calls the one bump once per call
+    # of the densities' integrand, on the rows of every pairing, and each
+    # pairing gets the value it has from a pair_all of its own
     sc = seg_scenario("cosine")
     family = density_family(sc.polytope, sc.generator, [
         ([0], s, False) for s in (32, 64, 128, 256, 512, 1024, 2048, 4096)])
     family[0].log_mass()
-    rules = [d._rule for d in family]
     bump = next(t for t in battery_for(sc.polytope) if t.name == "bump")
     calls, levels = [], []
-    engine = quadrature.integrate_polytope
+    f, *rest = family[0]._rule.family
 
-    def counting(f, P, **kwargs):
-        def driver(X, i):
-            levels.append(len(calls))
-            return f(X, i)
-        return engine(driver, P, **kwargs)
+    def driver(X, i):
+        levels.append(len(calls))
+        return f(X, i)
+    # the rules of one call share one family tuple, with a counting f
+    counting = (driver, *rest)
+    rules = [d._rule._replace(family=counting) for d in family]
 
     def tau(X):
         calls.append(len(X))
         return bump(X)
 
-    monkeypatch.setattr(quadrature, "integrate_polytope", counting)
     got = quadrature.pair_all([(rule, tau) for rule in rules])
-    monkeypatch.undo()
     # one call per pairing on its own nodes, then one per level of the
-    # fresh family, made before the level's integrand
+    # repair, made after the level's integrand
     assert levels and levels == list(range(len(rules), len(calls)))
     for rule, value in zip(rules, got):
         assert value == quadrature.pair_all([(rule, bump)])[0]

@@ -673,6 +673,23 @@ def test_strict_tuning_picks_the_reference_eta(eps):
     assert gen.strict_term.eta == eta
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+def test_strict_build_decomposes_each_halving_once(monkeypatch, eps):
+    # the strict tuning decomposes one Hessian stack per halving it tries;
+    # the passing one's least eigenvalue, of the very Hessians the build
+    # keeps as its checks, is its convexity, with no further stack
+    P, f, dec = wall_setup()
+    stacks, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: stacks.append(len(a)) or eigvalsh(a))
+    gen = build_nice_smoothing(f, P, dec, eps, variant="strict")
+    convexity = gen.convexity
+    monkeypatch.undo()
+    _, halvings = reference_strict_eta(f, P, dec, eps, gen.mollifier)
+    assert len(stacks) == halvings + 1
+    assert convexity == float(np.linalg.eigvalsh(gen.checks[1][2]).min())
+
+
 def test_each_smoothing_is_evaluated_once_per_point_set(monkeypatch):
     from collections import Counter
     from toricray.smoothing import (IteratedMollifier, LineMollifier,
