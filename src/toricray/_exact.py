@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isfinite, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -32,8 +33,14 @@ def vec_frac(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(frac(v) for v in values)
 
 
+def _rational(value):
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
 def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    """Exact: ints and Fractions multiply as they are, and any other
+    entry (a float) as its Fraction."""
+    return Fraction(sum(map(mul, map(_rational, a), map(_rational, b))))
 
 
 def integer_vector(values: Iterable) -> tuple[int, ...]:

@@ -239,7 +239,7 @@ def cmd_decompose(args) -> int:
         "subpolytopes": [
             {"piece": i,
              "vertices": [[str(c) for c in v] for v in Q.vertices],
-             "delzant": dec.delzant_flags[i]}
+             "delzant": Q.delzant_ok}
             for i, Q in dec.subpolytopes],
         "faces": [
             {"codim": F.codim, "active": sorted(F.active),

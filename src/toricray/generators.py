@@ -77,14 +77,23 @@ class Generator:
 
     ``jet(x, order)`` returns (value, gradient, hessian) with shapes (...),
     (..., n) and (..., n, n), and None for the entries above ``order``.
-    ``support`` is a tuple of slabs (nu, lo, hi), each {lo <= <nu, x> <= hi},
-    whose union carries Hess psi.
+    It evaluates every x as a stack of points (N, n) through the
+    subclass's ``_jet(X, order)`` and gives each entry x's leading shape;
+    a lone point is row 0 of a stack of one, so that it gets the bits of
+    its row in any stack.  ``support`` is a tuple of slabs (nu, lo, hi),
+    each {lo <= <nu, x> <= hi}, whose union carries Hess psi.
     """
 
     dim: int
     support: tuple
 
     def jet(self, x, order: int):
+        x = np.asarray(x, dtype=float)
+        jet = self._jet(x.reshape(-1, self.dim), order)
+        return tuple([None if a is None else a[0] if x.ndim == 1
+                      else a.reshape(x.shape[:-1] + a.shape[1:]) for a in jet])
+
+    def _jet(self, X, order: int):
         raise NotImplementedError
 
     def value(self, x) -> np.ndarray:
@@ -197,20 +206,12 @@ class WallSumGenerator(Generator):
         self.support = tuple((nu, float(b.lo), float(b.hi))
                              for nu, bumps in groups for b in bumps)
 
-    def jet(self, x, order):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            # a lone point is evaluated as the one row of a stack: numpy
-            # scalars square through libm's pow (``t ** 2`` in the cosine
-            # kernel), which can round otherwise than an array's t * t
-            return tuple(None if e is None else e[0]
-                         for e in self.jet(x[None], order))
-        val = np.zeros(x.shape[:-1])
-        grad = np.zeros(x.shape) if order >= 1 else None
-        hess = np.zeros(x.shape[:-1] + (self.dim, self.dim)) \
-            if order >= 2 else None
+    def _jet(self, X, order):
+        val = np.zeros(len(X))
+        grad = np.zeros(X.shape) if order >= 1 else None
+        hess = np.zeros((len(X), self.dim, self.dim)) if order >= 2 else None
         for nu, outer, bumps in self._walls:
-            t = np.dot(x, nu)
+            t = np.dot(X, nu)
             d1 = 0.0
             for b in bumps:
                 d0, d1_b = b.d01(t, order)
@@ -244,26 +245,16 @@ class BumpGenerator1D(WallSumGenerator):
                     f"[{nxt.lo}, {nxt.hi}] overlap")
         self._set_walls(P, [(np.ones(1), bumps)])
 
-    # scalar-line evaluators -------------------------------------------------
+    # scalar-line evaluators: entries of the jet at the points t[..., None]
 
     def psi(self, t):
-        return self._line("d0", t)
+        return self.jet(np.asarray(t, dtype=float)[..., None], 0)[0]
 
     def dpsi(self, t):
-        return self._line("d1", t)
+        return self.jet(np.asarray(t, dtype=float)[..., None], 1)[1][..., 0]
 
     def d2psi(self, t):
-        return self._line("d2", t)
-
-    def _line(self, derivative, t):
-        """The sum of the bumps' ``derivative`` at t.  A lone t is
-        evaluated as a one-element array, as ``jet`` evaluates a lone
-        point, so that it gets the bits of its entry in any array."""
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self._line(derivative, t[None])[0]
-        return sum((getattr(b, derivative)(t) for b in self.bumps),
-                   np.zeros_like(t))
+        return self.jet(np.asarray(t, dtype=float)[..., None], 2)[2][..., 0, 0]
 
     # components -------------------------------------------------------------
 

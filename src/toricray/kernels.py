@@ -60,13 +60,22 @@ class Kernel:
         self._density_d2 = density_d2
         self.peak = peak
 
+    # a lone t is evaluated as an array of one, so that it gets the bits
+    # of its entry in any array: on a numpy scalar ``t ** 2`` is libm's
+    # pow, which rounds some squares otherwise than an array's t * t
     def _masked(self, fn, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        out = np.zeros_like(flat)
+        inside = np.abs(flat) < 1.0
         if np.any(inside):
-            out[inside] = fn(t[inside])
-        return out
+            out[inside] = fn(flat[inside])
+        return out.reshape(t.shape)
+
+    def _clipped(self, fn, t):
+        t = np.asarray(t, dtype=float)
+        return fn(np.minimum(np.maximum(t.reshape(-1), -1.0), 1.0)
+                  ).reshape(t.shape)
 
     def density(self, t):
         return self._masked(self._density, t)
@@ -78,16 +87,13 @@ class Kernel:
         return self._masked(self._density_d2, t)
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._cdf(np.minimum(np.maximum(t, -1.0), 1.0))
+        return self._clipped(self._cdf, t)
 
     def first_moment(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._first_moment(np.minimum(np.maximum(t, -1.0), 1.0))
+        return self._clipped(self._first_moment, t)
 
     def cdf_integral(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._cdf_integral(np.minimum(np.maximum(t, -1.0), 1.0))
+        return self._clipped(self._cdf_integral, t)
 
     def __repr__(self):
         return f"Kernel({self.name!r})"

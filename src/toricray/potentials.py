@@ -85,8 +85,9 @@ def ray_jet(P: Polytope, gen: Generator, s, x) -> PotentialJet:
 
     ``s`` is one ray time or a grid of them (S,).  The ray is affine in s,
     so a grid takes one jet of g_P and one of psi at x, and gives each
-    entry of the jet a leading axis over s.  Each s > 0 combines them
-    as a lone call would, and each s = 0 is the jet of g_P alone.
+    entry of the jet a leading axis over s.  A lone s combines them as
+    its entry of a grid does, and each s = 0 is the jet of g_P alone; a
+    lone x at a lone s has a float value.
     """
     grid = np.asarray(s, dtype=float)
     if np.any(grid < 0):
@@ -96,17 +97,12 @@ def ray_jet(P: Polytope, gen: Generator, s, x) -> PotentialJet:
     if grid.ndim == 0 and s == 0:
         return base
     val, grad, hess = gen.jet(x, 2)
-    if grid.ndim == 0:
-        if x.ndim == 1:
-            val = float(val)
-        return PotentialJet(base.value + s * val,
-                            base.gradient + s * grad,
-                            base.hessian + s * hess)
 
     def combine(b, d):
         t = grid.reshape(grid.shape + (1,) * np.ndim(d))
         return np.where(t == 0, b, b + t * d)
-    return PotentialJet(combine(base.value, val),
+    value = combine(base.value, val)
+    return PotentialJet(float(value) if value.ndim == 0 else value,
                         combine(base.gradient, grad),
                         combine(base.hessian, hess))
 

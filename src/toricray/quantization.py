@@ -57,9 +57,7 @@ points (k, n) gives each point's rate from one jet.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -113,15 +111,13 @@ def _base_log_weight(P: Polytope, terms, X) -> np.ndarray:
 
 
 def _exponents(P: Polytope, m) -> list:
-    """ell_r(m) / 2 at each facet r, exact from the offsets of P, the power
-    of ell_r in the weight exp(-h); 0 where m is not a lattice point, whose
-    float ell_r(m) gives no exact power."""
+    """ell_r(m) / 2 at each facet r, exact, the power of ell_r in the weight
+    exp(-h); 0 where m is not a lattice point, whose float ell_r(m) gives
+    no exact power."""
     if not all(c.is_integer() for c in m):
         return [0] * len(P.normals)
     m = [int(c) for c in m]
-    return [Fraction(sum(map(operator.mul, m, v)) * o.denominator
-                     - o.numerator, 2 * o.denominator)
-            for v, o in zip(P.normals, P.offsets)]
+    return [P.ell_exact(m, r) / 2 for r in range(len(P.normals))]
 
 
 def _log_gap(P, gen, X, m, s, psi_m, weighted, facets) -> np.ndarray:

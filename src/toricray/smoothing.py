@@ -351,8 +351,8 @@ class NiceSmoothingGenerator(Generator):
 
     ``build_nice_smoothing`` sets ``checks``, the check samples
     (``default_check_samples``) and the jet ``jet(samples, 2)`` there,
-    evaluated once: ``convexity`` and ``verify_nice_family`` read it.  A
-    strict build also sets ``convexity``, which its tuning computed."""
+    evaluated once, which ``verify_nice_family`` reads, and
+    ``convexity``, the least eigenvalue of its Hessians."""
 
     def __init__(self, P: Polytope, decomp: Decomposition, eps: float,
                  mollifier, strict_term=None):
@@ -363,16 +363,12 @@ class NiceSmoothingGenerator(Generator):
         self.strict_term = strict_term
         self.dim = P.dim
 
-    def jet(self, x, order):
-        x = np.asarray(x, dtype=float)
-        X = x.reshape(-1, self.dim)
+    def _jet(self, X, order):
         jet = self.mollifier.eval_many(X, order)
         if self.strict_term is not None:
             jet = [a if a is None else a + b
                    for a, b in zip(jet, self.strict_term.eval(X))]
-        return tuple(None if k > order else a[0] if x.ndim == 1
-                     else a.reshape(x.shape[:-1] + a.shape[1:])
-                     for k, a in enumerate(jet))
+        return tuple(None if k > order else a for k, a in enumerate(jet))
 
     @cached_property
     def support(self) -> tuple:
@@ -396,11 +392,6 @@ class NiceSmoothingGenerator(Generator):
                                     float(c - h), float(c + h))
         return tuple(slabs.values())
 
-    @cached_property
-    def convexity(self) -> float:
-        """Smallest Hessian eigenvalue on the check samples (``checks``)."""
-        return float(np.linalg.eigvalsh(self.checks[1][2]).min())
-
 
 def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
                          eps: float, kernel: str = "smooth",
@@ -411,10 +402,11 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
     strictly convexifying term on the wall slab and is the negative control
     that keeps conditions a-d but breaks the exact-rank condition e.  The
     mollifier's jet on the check samples is evaluated once and kept, with
-    the samples, as the result's ``checks``; its ``convexity`` must be >=
-    -1e-10.  The strict term's eta is halved against that jet's Hessians
-    and one strict-term jet on the same samples, and the least eigenvalue
-    of the halving that passes is the strict result's ``convexity``.
+    the samples, as the result's ``checks``, and the least eigenvalue of
+    its Hessians, the result's ``convexity``, must be >= -1e-10.  The
+    strict term's eta is halved against that jet's Hessians and one
+    strict-term jet on the same samples, and the least eigenvalue of the
+    halving that passes is the strict result's ``convexity``.
     """
     eps = float(eps)
     if eps <= 0:
@@ -504,14 +496,15 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
                 break
         if strict_term is None:
             raise SmoothingError("could not tune a convex strict variant")
-    elif variant != "nice":
+    elif variant == "nice":
+        least = float(np.linalg.eigvalsh(jet[2]).min())
+    else:
         raise SmoothingError(f"unknown smoothing variant {variant!r}")
 
     gen = NiceSmoothingGenerator(P, decomp, eps, moll, strict_term=strict_term)
-    gen.checks = (samples, jet)
-    if strict_term is not None:
-        # the passing halving decomposed the very Hessians of ``checks``
-        gen.convexity = least
+    # a strict build's passing halving decomposed the very Hessians of
+    # ``checks``, as a nice build does here
+    gen.checks, gen.convexity = (samples, jet), least
     if gen.convexity < _CONVEXITY_ALLOWANCE:
         raise SmoothingError(
             f"convexity violated: min sampled eigenvalue {gen.convexity:.3e}")

@@ -187,7 +187,6 @@ class Decomposition:
     polytope: Polytope
     subpolytopes: list          # list of (piece index, Polytope)
     faces: list                 # list of Face
-    delzant_flags: dict
 
     def faces_of_codim(self, j: int):
         return [F for F in self.faces if F.codim == j]
@@ -232,10 +231,8 @@ def decompose(f: PLConvex, P: Polytope) -> Decomposition:
                 nu, scale = primitivize([gi - gki for gi, gki in zip(g, gk)])
                 rows.append((nu, (bk - b) * scale))
         subs.append((i, make_polytope(*zip(*rows), require_delzant=False)))
-    faces = _faces(f, P, table)
-    flags = {i: Q.delzant_ok for i, Q in subs}
-    return Decomposition(pl=f, polytope=P, subpolytopes=subs, faces=faces,
-                         delzant_flags=flags)
+    return Decomposition(pl=f, polytope=P, subpolytopes=subs,
+                         faces=_faces(f, P, table))
 
 
 def thickening_membership(decomp: Decomposition, eps: float, x):

@@ -1,8 +1,14 @@
 """Suite-wide guards."""
 
-import pytest
+import sys
 
-from toricray import kernels
+# the suite leaves no bytecode next to the sources: a stale __pycache__
+# under src/ would change what a fresh checkout's first import compiles
+sys.dont_write_bytecode = True
+
+import pytest  # noqa: E402
+
+from toricray import kernels  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -308,3 +308,19 @@ def test_decompositions_of_unimodular_images(U_pair, t, pieces):
     assert sorted(dec_image.volumes_exact()) == sorted(dec.volumes_exact())
     assert ([(sorted(F.active), F.codim) for F in dec_image.faces]
             == [(sorted(F.active), F.codim) for F in dec.faces])
+
+
+@exact
+@given(st.lists(st.tuples(st.one_of(st.integers(-9, 9), entries,
+                                    st.floats(-4, 4)),
+                          st.one_of(st.integers(-9, 9), entries,
+                                    st.floats(-4, 4))),
+                max_size=4))
+def test_dot_is_the_exact_sum_of_products(pairs):
+    # ints and Fractions multiply as they are, a float as its Fraction:
+    # never a rounded float product
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    got = _exact.dot(a, b)
+    assert type(got) is Fraction
+    assert got == sum((Fraction(x) * Fraction(y) for x, y in pairs),
+                      Fraction(0))

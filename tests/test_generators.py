@@ -10,6 +10,7 @@ from toricray.generators import (BumpSpec, GeneratorError, PLConvex,
                                  eval_generator)
 from toricray.polytope import make_polytope
 from toricray.quadrature import integrate_1d, integrate_polytope
+from toricray.smoothing import build_nice_smoothing
 
 
 def segment(N=2):
@@ -274,21 +275,37 @@ def test_jet_contract(kind, gen, pts):
             and np.array_equal(h1, hess[k])
 
 
+def _shipped_generators(kernel):
+    """Every shipped generator kind on ``kernel``: the segment's bump, the
+    CP^2 wall sum, the CP^2 wall's nice and strict smoothings and the CP^2
+    corner's smoothing, each at eps = 0.1."""
+    wall, corner = scenarios.cp2_wall(), scenarios.cp2_corner()
+    return {
+        "segment": scenarios.segment(kernel).generator,
+        "cp2-wall-sum": scenarios.cp2_wall_sum(kernel).generator,
+        **{f"cp2-wall-{variant}": build_nice_smoothing(
+            wall.pl, wall.polytope, wall.decomposition, 0.1, kernel, variant)
+           for variant in ("nice", "strict")},
+        "cp2-corner": build_nice_smoothing(
+            corner.pl, corner.polytope, corner.decomposition, 0.1, kernel)}
+
+
 @pytest.mark.parametrize("kernel", ["cosine", "smooth"])
 def test_a_lone_wall_sum_jet_is_its_row_of_a_stack(kernel):
-    # a lone point gets the bits of its row in any stack, also where both
-    # bumps of the CP^2 wall sum are curved: on numpy scalars t ** 2 is
-    # libm's pow, which rounds some squares otherwise than an array's t * t
-    gen = scenarios.cp2_wall_sum(kernel).generator
-    X = np.random.default_rng(0).uniform(0.75, 1.25, (2000, 2))
+    # a lone point gets the bits of its row in any stack, for every kind of
+    # generator, also where both bumps of the CP^2 wall sum are curved: on
+    # numpy scalars t ** 2 is libm's pow, which rounds some squares
+    # otherwise than an array's t * t
     differ = []
-    for order in range(3):
-        stack = gen.jet(X, order)
-        for k, x in enumerate(X):
-            lone = gen.jet(x, order)
-            if not all(a is None and b is None or np.array_equal(a, b[k])
-                       for a, b in zip(lone, stack)):
-                differ.append((order, k))
+    for name, gen in _shipped_generators(kernel).items():
+        X = np.random.default_rng(0).uniform(0.75, 1.25, (2000, gen.dim))
+        for order in range(3):
+            stack = gen.jet(X, order)
+            for k, x in enumerate(X):
+                lone = gen.jet(x, order)
+                if not all(a is None and b is None or np.array_equal(a, b[k])
+                           for a, b in zip(lone, stack)):
+                    differ.append((name, order, k))
     assert differ == []
 
 
@@ -324,10 +341,20 @@ def test_order_zero_jet_computes_the_value_alone(monkeypatch):
 
 
 def test_no_generator_overrides_the_views():
-    from toricray import generators, smoothing
-    for mod in (generators, smoothing):
-        for cls in vars(mod).values():
-            if isinstance(cls, type) and issubclass(cls, generators.Generator) \
-                    and cls is not generators.Generator:
-                assert cls.jet is not generators.Generator.jet
-                assert not {"value", "gradient", "hessian"} & set(vars(cls))
+    # Generator.jet is the one evaluator that shapes a generator's input;
+    # each subclass evaluates a stack of points in its _jet
+    import importlib
+    import pkgutil
+
+    import toricray
+    from toricray.generators import Generator
+    classes = {cls for info in pkgutil.iter_modules(toricray.__path__)
+               for cls in vars(importlib.import_module(
+                   f"toricray.{info.name}")).values()
+               if isinstance(cls, type) and issubclass(cls, Generator)
+               and cls is not Generator}
+    assert {"WallSumGenerator", "BumpGenerator1D",
+            "NiceSmoothingGenerator"} <= {cls.__name__ for cls in classes}
+    for cls in classes:
+        assert cls._jet is not Generator._jet
+        assert not {"jet", "value", "gradient", "hessian"} & set(vars(cls))

@@ -71,6 +71,23 @@ def test_smooth_tables_take_scalars_and_clamp():
     assert kernel.cdf_integral(1.0) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("kernel", kernels.KERNEL_NAMES)
+def test_a_lone_t_is_its_entry_of_an_array(kernel):
+    # every kernel function gives a lone t a 0-d value with the bits of its
+    # entry in an array: on a numpy scalar the cosine kernel's t ** 2 is
+    # libm's pow, which rounds some squares otherwise than an array's t * t
+    kern = get_kernel(kernel)
+    T = np.random.default_rng(0).uniform(-1.2, 1.2, 20000)
+    for name in ("density", "density_d1", "density_d2",
+                 "cdf", "first_moment", "cdf_integral"):
+        fn = getattr(kern, name)
+        array = fn(T)
+        lone = [fn(t) for t in T]
+        assert {np.shape(v) for v in lone} == {()}, name
+        assert [k for k, v in enumerate(lone)
+                if not np.array_equal(v, array[k])] == [], name
+
+
 def test_smooth_table_build_stays_small():
     # the nodes of cdf_integral come by parts from the other two tables, not
     # from a nested quadrature pass over the grid (which peaked at 91 MB)

@@ -311,7 +311,7 @@ def _scalar_envelope(moll, x):
             grad += f.G[i] * dT
     for l, r, yb in zip(lines, lines[1:], cuts):
         dg = f.G[l] - f.G[r]
-        hess += k.density(yb / d)[0] / d * np.outer(dg, dg) / (dg @ w)
+        hess += k.density(yb / d) / d * np.outer(dg, dg) / (dg @ w)
     return val, grad, hess
 
 

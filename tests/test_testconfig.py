@@ -77,7 +77,7 @@ def test_decompose_single_wall_vertex_sets():
     assert regions[1] == {(F(1), F(0)), (F(3), F(0)), (F(1), F(2))}
     assert dec.volume_defect() == 0
     assert dec.activity_consistency_exact()
-    assert all(dec.delzant_flags.values())
+    assert all(Q.delzant_ok for _, Q in dec.subpolytopes)
 
 
 def test_decompose_affine_piece_trivial():
