@@ -3,12 +3,17 @@
 A polytope is stored as the system ell_j(x) = <x, v_j> - lambda_j >= 0 with
 primitive integer inward normals v_j and rational offsets lambda_j.  Offsets
 live in Z for ordinary polytopes and in 1/2 + Z for half-form corrected ones.
-Vertices are computed exactly; floating point appears only in the cached
-numpy views used by evaluators.
+Vertices are computed exactly; floating point appears only in the read-only
+numpy views used by evaluators.  Each distinct system (primitive integer
+normals and ``Fraction`` offsets, duplicate facets dropped) is enumerated
+and checked once; a later construction of it shares that geometry and
+repeats only the input checks.  A region derived from a bounded polytope
+comes with its vertices and incidence and is not enumerated again.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -107,94 +112,111 @@ MEMBERSHIP_TOL = 1e-12
 CROSSING_TOL = 1e-14
 
 
+@functools.lru_cache(maxsize=256)
+def _geometry(n, V, offsets):
+    """``_derive`` of the vertices of one normalized facet system, which
+    must be nonempty, bounded and full-dimensional.  The cache keeps only
+    what succeeds: a system that fails raises again on every call.
+
+    The free columns k of V's echelon are pinned to 0 by the equalities
+    <e_k, x> = 0.  A move along the null space of V takes every solution
+    to one of the pinned system, whose rows span R^n, so the system is
+    empty iff the pinned one has no vertex.  A nonempty system with free
+    columns contains a line.  Otherwise the recession cone {V r >= 0} is
+    pointed, so it is {0} iff it has no extreme ray; each extreme ray is
+    the null line of n - 1 independent rows of V, so the system is
+    unbounded iff one side of such a line has V r >= 0.
+    """
+    pivots = row_reduce(V, n).pivots
+    pins = [(tuple(int(i == k) for i in range(n)), 0)
+            for k in range(n) if k not in pivots]
+    verts = vertices_of_system(V, offsets, n, pins)
+    if not verts:
+        raise PolytopeError("polytope is empty")
+    if pins or any(_has_ray(V, rows) for rows in combinations(V, n - 1)):
+        raise PolytopeError("polytope is unbounded")
+    vertices = tuple(v for v, _ in verts)
+    if rank_exact([[v[i] - vertices[0][i] for i in range(n)]
+                   for v in vertices[1:]]) != n:
+        raise PolytopeError("polytope is not full-dimensional")
+    return _derive(n, V, offsets, vertices, tuple(t for _, t in verts))
+
+
+def _delzant_check(dim, normals, vertices, incidence):
+    for v, tight in zip(vertices, incidence):
+        if len(tight) != dim:
+            return False, (f"vertex {tuple(map(str, v))} lies on {len(tight)} "
+                           f"facets; expected {dim}")
+        d = det_exact([normals[j] for j in sorted(tight)])
+        if abs(d) != 1:
+            return False, (f"normals at vertex {tuple(map(str, v))} have "
+                           f"determinant {d}; not Delzant")
+    return True, ""
+
+
+def _derive(dim, normals, offsets, vertices, incidence):
+    """What a polytope reads off its rows, vertices and incidence: the
+    Delzant verdict and message, the integer facet rows, and read-only
+    float views of the normals, offsets and vertices."""
+    views = (np.array(normals, dtype=float),
+             np.array([float(o) for o in offsets]),
+             np.array([[float(c) for c in v] for v in vertices]))
+    for view in views:
+        view.flags.writeable = False
+    return (vertices, incidence,
+            *_delzant_check(dim, normals, vertices, incidence),
+            tuple(tuple(integer_row([*v, o])[0])
+                  for v, o in zip(normals, offsets)), *views)
+
+
 class Polytope:
     """Bounded full-dimensional lattice polytope given by facet inequalities."""
 
     def __init__(self, dim, normals, offsets, corrected=False, *,
                  require_delzant=True):
-        self.dim = int(dim)
+        dim = int(dim)
         normals = [_integer_normal(v) for v in normals]
         offsets = [frac(o) for o in offsets]
         if len(normals) != len(offsets):
             raise PolytopeError("normals and offsets length mismatch")
         for v in normals:
-            if len(v) != self.dim:
+            if len(v) != dim:
                 raise PolytopeError(f"normal {v} has wrong dimension")
             if not is_primitive(v):
                 raise PolytopeError(f"normal {v} is not primitive")
         # drop exact duplicates (same facet listed twice)
-        seen = {}
-        for v, o in zip(normals, offsets):
-            if (v, o) not in seen:
-                seen[(v, o)] = None
-        normals = [k[0] for k in seen]
-        offsets = [k[1] for k in seen]
-        self.normals = tuple(normals)
-        self.offsets = tuple(offsets)
-        self.corrected = bool(corrected)
+        seen = dict.fromkeys(zip(normals, offsets))
+        normals = tuple(v for v, _ in seen)
+        offsets = tuple(o for _, o in seen)
         # uncorrected lattice polytopes carry integer offsets; rational
         # offsets are allowed for derived objects (sub-polytopes, Q)
-        if self.corrected:
-            for o in self.offsets:
+        if corrected:
+            for o in offsets:
                 if (o - Fraction(1, 2)).denominator != 1:
                     raise PolytopeError(
                         f"corrected polytope needs offsets in 1/2+Z, got {o}")
-
-        verts = self._check_bounded_nonempty()
-        self.vertices = tuple(v for v, _ in verts)
-        # incidence[i]: the facets tight at vertices[i]
-        self.incidence = tuple(tight for _, tight in verts)
-        if rank_exact([[v[i] - self.vertices[0][i] for i in range(self.dim)]
-                       for v in self.vertices[1:]]) != self.dim:
-            raise PolytopeError("polytope is not full-dimensional")
-
-        self.delzant_ok, self._delzant_msg = self._delzant_check()
+        self._adopt(dim, normals, offsets, corrected,
+                    _geometry(dim, normals, offsets))
         if require_delzant and not self.delzant_ok:
             raise DelzantError(self._delzant_msg)
 
-        self._A = np.array(self.normals, dtype=float)
-        self._b = np.array([float(o) for o in self.offsets])
-        # each facet {v . x = lambda} as an integer row, (v, lambda) scaled
-        self.facet_rows = tuple(tuple(integer_row([*v, o])[0])
-                                for v, o in zip(self.normals, self.offsets))
-        self._verts_np = np.array([[float(c) for c in v] for v in self.vertices])
+    @classmethod
+    def _region(cls, dim, normals, offsets, vertices, incidence) -> Polytope:
+        """A full-dimensional region of a bounded polytope from its distinct
+        rows, its sorted vertices and the rows tight at each: bounded by
+        construction, so neither enumerated nor checked again."""
+        P = cls.__new__(cls)
+        P._adopt(dim, normals, offsets, False,
+                 _derive(dim, normals, offsets, vertices, incidence))
+        return P
 
-    # -- construction internals ------------------------------------------------
-
-    def _check_bounded_nonempty(self):
-        """Exact emptiness and boundedness of the facet system; returns its
-        ``vertices_of_system``.
-
-        The free columns k of V's echelon are pinned to 0 by the equalities
-        <e_k, x> = 0.  A move along the null space of V takes every
-        solution to one of the pinned system, whose rows span R^n, so the
-        system is empty iff the pinned one has no vertex.  A nonempty
-        system with free columns contains a line.  Otherwise the recession
-        cone {V r >= 0} is pointed, so it is {0} iff it has no extreme ray;
-        each extreme ray is the null line of n - 1 independent rows of V,
-        so the system is unbounded iff one side of such a line has V r >= 0.
-        """
-        n, V, o = self.dim, self.normals, self.offsets
-        pivots = row_reduce(V, n).pivots
-        pins = [(tuple(int(i == k) for i in range(n)), 0)
-                for k in range(n) if k not in pivots]
-        verts = vertices_of_system(V, o, n, pins)
-        if not verts:
-            raise PolytopeError("polytope is empty")
-        if pins or any(_has_ray(V, rows) for rows in combinations(V, n - 1)):
-            raise PolytopeError("polytope is unbounded")
-        return verts
-
-    def _delzant_check(self):
-        for v, tight in zip(self.vertices, self.incidence):
-            if len(tight) != self.dim:
-                return False, (f"vertex {tuple(map(str, v))} lies on {len(tight)} "
-                               f"facets; expected {self.dim}")
-            d = det_exact([self.normals[j] for j in sorted(tight)])
-            if abs(d) != 1:
-                return False, (f"normals at vertex {tuple(map(str, v))} have "
-                               f"determinant {d}; not Delzant")
-        return True, ""
+    def _adopt(self, dim, normals, offsets, corrected, geometry):
+        self.dim, self.normals, self.offsets = dim, normals, offsets
+        self.corrected = bool(corrected)
+        # incidence[i]: the facets tight at vertices[i]; facet_rows: each
+        # facet {v . x = lambda} as an integer row, (v, lambda) scaled
+        (self.vertices, self.incidence, self.delzant_ok, self._delzant_msg,
+         self.facet_rows, self._A, self._b, self._verts_np) = geometry
 
     # -- exact queries ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ from ._exact import (SaturationError, dot, frac, primitivize, rank_exact,
 from .columns import row_all
 from .generators import PLConvex
 from .polytope import (MEMBERSHIP_TOL, FaceFrame, Polytope, PolytopeError,
-                       face_frame, make_polytope, vertices_of_system)
+                       face_frame, vertices_of_system)
 
 __all__ = [
     "Face", "Decomposition", "QPolytope", "nondiff_locus", "decompose",
@@ -211,7 +211,9 @@ def decompose(f: PLConvex, P: Polytope) -> Decomposition:
     """Sub-polytope decomposition of P by the activity regions of f: P_i,
     the table vertices where piece i (the first of equal pieces) is active,
     when they span dimension n, cut out by the rows of P and the kink rows
-    a_i >= a_k tight on vertices of P_i spanning dimension n - 1."""
+    a_i >= a_k tight on vertices of P_i spanning dimension n - 1.  A row of
+    P_i is tight at a vertex x where its facet of P is tight or its piece k
+    is active at x, so P_i is built from the table with no enumeration."""
     if f.dim != P.dim:
         raise DecompositionError(f"the PL pieces are {f.dim}-dimensional "
                                  f"but the polytope is {P.dim}-dimensional")
@@ -224,13 +226,22 @@ def decompose(f: PLConvex, P: Polytope) -> Decomposition:
         if (f.pieces.index((g, b)) != i
                 or _affine_dim([x for x, _, _ in region]) != n):
             continue
-        rows = [row for j, row in enumerate(zip(P.normals, P.offsets))
-                if _affine_dim([x for x, t, _ in region if j in t]) == n - 1]
+        # each distinct row's index, and the row of each facet j of P and
+        # of each kink with a piece k that bounds P_i
+        rows, facet, kink = {}, {}, {}
+        for j, row in enumerate(zip(P.normals, P.offsets)):
+            if _affine_dim([x for x, t, _ in region if j in t]) == n - 1:
+                facet[j] = rows.setdefault(row, len(rows))
         for k, (gk, bk) in enumerate(f.pieces):
             if _affine_dim([x for x, _, a in region if k in a]) == n - 1:
                 nu, scale = primitivize([gi - gki for gi, gki in zip(g, gk)])
-                rows.append((nu, (bk - b) * scale))
-        subs.append((i, make_polytope(*zip(*rows), require_delzant=False)))
+                kink[k] = rows.setdefault((nu, (bk - b) * scale), len(rows))
+        incidence = tuple(frozenset([*(facet[j] for j in tight if j in facet),
+                                     *(kink[k] for k in active if k in kink)])
+                          for _, tight, active in region)
+        subs.append((i, Polytope._region(
+            n, *map(tuple, zip(*rows)), tuple(x for x, _, _ in region),
+            incidence)))
     return Decomposition(pl=f, polytope=P, subpolytopes=subs,
                          faces=_faces(f, P, table))
 

@@ -8,7 +8,15 @@ sys.dont_write_bytecode = True
 
 import pytest  # noqa: E402
 
-from toricray import kernels  # noqa: E402
+from toricray import kernels, polytope  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def geometry_cache_starts_empty():
+    """Clear the geometry the polytope constructor shares between
+    constructions of one system, so that a test that counts or patches the
+    enumeration sees the same calls in any order."""
+    polytope._geometry.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -450,6 +450,78 @@ def test_incidence_is_the_tight_facets_with_redundant_rows():
         assert P.delzant_ok == delzant and not Q.delzant_ok
 
 
+def geometry(P):
+    return (P.normals, P.offsets, P.vertices, P.incidence, P.delzant_ok,
+            P._delzant_msg, P.facet_rows)
+
+
+def test_one_system_is_enumerated_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return vertices_of_system(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "vertices_of_system", counting)
+    # the simplex with a redundant row: not Delzant, so the message counts
+    normals, offsets = [[1, 0], [0, 1], [-1, -1], [1, 1]], [0, 0, -3, 0]
+    P = make_polytope(normals, offsets, require_delzant=False)
+    Q = make_polytope(normals + normals[:1], offsets + offsets[:1],
+                      require_delzant=False)
+    assert len(calls) == 1
+    assert geometry(P) == geometry(Q) and not P.delzant_ok
+    assert "lies on 3 facets" in P._delzant_msg
+    for a, b in ((P._A, Q._A), (P._b, Q._b), (P.vertices_np, Q.vertices_np)):
+        assert np.array_equal(a, b)
+
+
+def test_offsets_of_every_form_share_one_entry():
+    # 1/2 and -1 written as a string, a Fraction, a float and an int
+    for half in ("1/2", Fraction(1, 2), 0.5):
+        for one in (-1, "-1", Fraction(-1), -1.0):
+            P = make_polytope([[1], [-1]], [half, one])
+            assert P.offsets == (Fraction(1, 2), Fraction(-1))
+            assert all(type(o) is Fraction for o in P.offsets)
+    info = polytope._geometry.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 11, 1)
+
+
+@pytest.mark.parametrize("normals, offsets, msg", [
+    ([[1], [-1]], [2, -1], "polytope is empty"),
+    ([[1, 0], [0, 1]], [0, 0], "polytope is unbounded"),
+    ([[1], [-1]], [1, -1], "polytope is not full-dimensional"),
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -2, 1, -1],
+     "polytope is not full-dimensional"),
+])
+def test_a_failing_system_raises_on_every_call(normals, offsets, msg):
+    for _ in range(3):
+        with pytest.raises(PolytopeError, match=f"^{msg}$"):
+            make_polytope(normals, offsets, require_delzant=False)
+    assert polytope._geometry.cache_info().currsize == 0
+
+
+def test_delzant_is_required_after_a_build_that_did_not_require_it():
+    normals, offsets = [[1, 0], [0, 1], [-1, -2]], [0, 0, -2]
+    P = make_polytope(normals, offsets, require_delzant=False)
+    assert not P.delzant_ok
+    with pytest.raises(DelzantError, match="determinant") as err:
+        make_polytope(normals, offsets)
+    assert str(err.value) == P._delzant_msg
+    assert polytope._geometry.cache_info().hits == 1
+
+
+def test_shared_views_cannot_be_written():
+    P, Q = simplex(), simplex()
+    assert P.vertices_np is Q.vertices_np
+    for view in (P.vertices_np, P._A, P._b):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        P.vertices_np += 1.0
+    assert Q.vertices_np.tolist() == [[0, 0], [0, 3], [3, 0]]
+    assert Q.centroid().tolist() == [1, 1]
+
+
 def test_membership_tolerance_is_named_once():
     # contains(x, tol=...) is called with the one named slack, never with a
     # number written at the call

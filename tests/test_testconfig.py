@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricray import testconfig
+from toricray import polytope, testconfig
 from toricray._exact import (SaturationError, det_exact, dot, primitivize,
                              rank_exact)
 from toricray.generators import PLConvex
@@ -454,6 +454,18 @@ def test_regions_match_the_pruned_reference(case):
         for j in range(len(R.normals)):
             assert affine_dim([v for v, t in zip(R.vertices, R.incidence)
                                if j in t]) == P.dim - 1
+    # a region read off the table is the polytope its rows enumerate afresh
+    for _, R in dec.subpolytopes:
+        polytope._geometry.cache_clear()
+        fresh = make_polytope(R.normals, R.offsets, require_delzant=False)
+        assert (R.dim, R.normals, R.offsets, R.corrected, R.vertices,
+                R.incidence, R.delzant_ok, R._delzant_msg, R.facet_rows,
+                R.volume_exact()) == (
+            fresh.dim, fresh.normals, fresh.offsets, fresh.corrected,
+            fresh.vertices, fresh.incidence, fresh.delzant_ok,
+            fresh._delzant_msg, fresh.facet_rows, fresh.volume_exact())
+        for view in ("_A", "_b", "vertices_np"):
+            assert np.array_equal(getattr(R, view), getattr(fresh, view))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -483,6 +495,8 @@ def test_q_matches_its_halfspace_system(case):
      cp3()),
 ], ids=["cp2-corner", "cp3-corner"])
 def test_one_vertex_enumeration_per_call(monkeypatch, pieces, P):
+    # the regions of a decomposition are read off its table: no polytope
+    # built on the way enumerates its own vertices
     calls = []
 
     def counting(*args, **kwargs):
@@ -490,6 +504,7 @@ def test_one_vertex_enumeration_per_call(monkeypatch, pieces, P):
         return vertices_of_system(*args, **kwargs)
 
     monkeypatch.setattr(testconfig, "vertices_of_system", counting)
+    monkeypatch.setattr(polytope, "vertices_of_system", counting)
     f = PLConvex(pieces)
     for call in (decompose, nondiff_locus, lambda f, P: build_Q(f, P, 2)):
         calls.clear()
