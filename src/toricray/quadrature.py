@@ -28,10 +28,14 @@ Polytopes: ``integrate_polytope`` cuts the panels at exact breakpoints: the
 facets of P and the caller's hyperplanes (the ends of a generator's support
 slabs).  Between them the integrand is smooth, so nothing is sampled to
 find where it concentrates; a point (the integrand's peak) adds one cut per
-variable.  It integrates a family of k integrands f(X, i) that share P and
-the hyperplanes, each cut at its own peak, as independent groups of one
-refinement: every level calls f once on the new nodes of all the members,
-and each member keeps its own panels, scale, floor, budget and verdict.
+variable.  Where the caller knows the peak's width w in a variable (a
+Laplace width), the peak m also brings the ladder m +- w 2^k, k = 0..3:
+the panels start at the scales of the peak, which bisection would reach
+one level at a time.  It integrates a family of k integrands f(X, i) that
+share P and the hyperplanes, each cut at its own peak and ladder, as
+independent groups of one refinement: every level calls f once on the new
+nodes of all the members, and each member keeps its own panels, scale,
+floor, budget and verdict.
 One integrand is the family of one.  The integral is iterated in x1, ...,
 xn, in every dimension, by one recursive level with a group per fixed
 prefix (x1, ..., x_{j-1}), each prefix row carrying its member.  Where a
@@ -126,6 +130,8 @@ _SPLIT_FLOOR = 1e-18
 _MIN_WIDTH = 1e-15
 # the most a returned error may be, in units of rel_tol * integral of |f|
 ALLOWANCE = 50.0
+# a member's cuts about its peak, in units of its width
+_LADDER = np.array([-8.0, -4.0, -2.0, -1.0, 1.0, 2.0, 4.0, 8.0])
 
 
 class QuadratureError(RuntimeError):
@@ -416,9 +422,9 @@ class NodeSet(NamedTuple):
     in u, and ``slots`` (N / 15, n - 1) the place of its node of each outer
     level among the 15 of that level's panel, so that ``pair_all`` can go on
     refining from the final panels.  ``rel_tol`` is the call's tolerance,
-    ``family`` the call's integrand f(X, i), P, lines, peaks and the
-    exponents' denominators (see ``_level``), and ``member`` the index i of
-    this member."""
+    ``family`` the call's integrand f(X, i), P, lines, each member's cuts
+    (its peak and ladder) and the exponents' denominators (see
+    ``_level``), and ``member`` the index i of this member."""
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
@@ -472,14 +478,14 @@ def _repair(pairings, values):
     from the final panels of rule r, on whose nodes f * tau has the values
     ``values[r]``."""
     rules, taus = zip(*pairings)
-    f, P, lines, points, powers = rules[0].family
+    f, P, lines, cuts, powers = rules[0].family
     members = np.array([rule.member for rule in rules])
     k, rel_tol = len(rules), rules[0].rel_tol
     # each row's integral of |f * tau| on its rule's nodes
     scales = np.array([float(np.add.reduce(rule.weights * np.abs(v)))
                        for rule, v in zip(rules, values)])
     own, total, err, _, _, _, w, v, _ = _level(
-        _times(f, members, taus), _maps(P, lines), points[members],
+        _times(f, members, taus), _maps(P, lines), cuts[members],
         None if powers is None else powers[members], np.arange(k), np.empty((k, 0)), rel_tol, np.zeros(k),
         _seed(rules, values), scales)
     _members(own, total, err, rel_tol, f"{P.dim}-D polytope integral", [w, v])
@@ -559,8 +565,8 @@ def _maps(P, lines):
                                            for nu, c in lines))
 
 
-def integrate_polytope(f, P, *, lines=(), points=None, exponents=None,
-                       rel_tol: float = REL_TOL):
+def integrate_polytope(f, P, *, lines=(), points=None, widths=None,
+                       exponents=None, rel_tol: float = REL_TOL):
     """Integral of f over the polytope P on iterated GK15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
@@ -572,7 +578,10 @@ def integrate_polytope(f, P, *, lines=(), points=None, exponents=None,
 
     Given ``points`` (k, n), it integrates a family of k integrands over
     P, one per row of ``points``, its peak: each panel of member i is also
-    cut at the coordinate of row i in its variable.  ``f(X, i)`` then maps
+    cut at the coordinate of row i in its variable.  ``widths`` (k, n),
+    nan where a width is unknown, adds the cuts m +- w 2^k, k = 0..3, at
+    the peak m of each finite positive width w; a member whose widths are
+    nan keeps the panels it has without them.  ``f(X, i)`` then maps
     points and the member i of each to values, and the members
     refine as independent groups of one pass, each with its own panels,
     budget and verdict.  Returns one ``NodeSet`` per member.  The one
@@ -593,10 +602,19 @@ def integrate_polytope(f, P, *, lines=(), points=None, exponents=None,
     points = np.asarray(points, dtype=float)
     k, n = points.shape
     powers = _end_powers(exponents, k, len(P.normals))
+    # each member's cuts (k, n, c) in each variable: its peak, then the
+    # ladder of its width
+    cuts = points[..., None]
+    if widths is not None:
+        widths = np.asarray(widths, dtype=float)
+        if widths.shape != (k, n):
+            raise ValueError(f"widths must be a ({k} members, {n} variables) "
+                             f"array, not {widths.shape}")
+        cuts = np.concatenate([cuts, cuts + widths[..., None] * _LADDER], 2)
     # the outermost level is handed a zero floor, from which it hands its
     # own down
     own, total, err, head, ids, x, weights, values, ends = _level(
-        f, _maps(P, lines), points, powers, np.arange(k), np.empty((k, 0)),
+        f, _maps(P, lines), cuts, powers, np.arange(k), np.empty((k, 0)),
         rel_tol, np.zeros(k))
     bounds, (weights, values, head, ids, x, ends) = _members(
         own, total, err, rel_tol, f"{n}-D polytope integral",
@@ -610,7 +628,7 @@ def integrate_polytope(f, P, *, lines=(), points=None, exponents=None,
     nodes, weights, values = (a.reshape(-1, *a.shape[2:]) for a in (
         nodes, weights, values))
     owners, diffs = ids // 15, weights[:, None] * _GK15_RATIO[ids % 15]
-    family = (f, P, lines, points, powers)
+    family = (f, P, lines, cuts, powers)
     out = []
     for i, a, b in zip(range(k), bounds[:-1], bounds[1:]):
         rows = slice(15 * a, 15 * b)
@@ -653,12 +671,14 @@ def _end_pieces(lo, hi, cuts, q_lo, q_hi):
     """The end pieces of the chords [lo_g, hi_g], None when no end is
     mapped: each chord's last cut strictly inside (lo_g where there is
     none, hi_g where its upper end is not mapped), which decides a node's
-    side, and for each end (2g the lower, 2g + 1 the upper) the end a, the
+    side, for each end (2g the lower, 2g + 1 the upper) the end a, the
     signed length b - a of its piece to the nearest cut b inside (the other
-    end where there is none) and its power q, 1 where it is not mapped;
-    and the cuts, with one more at the midpoint of each chord with no cut
-    inside and both ends mapped, nan on the others."""
-    if not ((q_lo > 1) | (q_hi > 1)).any():
+    end where there is none) and its power q, 1 where it is not mapped,
+    and whether each chord has a mapped end; and the cuts, with one more
+    at the midpoint of each chord with no cut inside and both ends mapped,
+    nan on the others."""
+    mapped = (q_lo > 1) | (q_hi > 1)
+    if not mapped.any():
         return None, cuts
     inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
     first = np.minimum(row_min(np.where(inside, cuts, np.inf)), hi)
@@ -672,7 +692,7 @@ def _end_pieces(lo, hi, cuts, q_lo, q_hi):
     last = np.where(q_hi > 1, last, hi)
     ends, spans, powers = (np.column_stack(c).ravel() for c in (
         (lo, hi), (first - lo, last - hi), (q_lo, q_hi)))
-    return ((last, ends, spans, powers.astype(float)),
+    return ((last, ends, spans, powers.astype(float), mapped),
             np.concatenate([cuts, mid[:, None]], axis=1))
 
 
@@ -681,9 +701,13 @@ def _end_map(u, g, pieces):
     between a chord end a and its nearest cut b, of power q > 1,
     x = a + (b - a) t^q with t = (u - a) / (b - a), so that
     (x - a)^(k/q) dx/du is a polynomial in t; x = u and dx/du = 1 off the
-    mapped pieces.  Only exactly rounded operations, so that a point gets
-    the same bits in any family."""
-    last, ends, spans, powers = pieces
+    mapped pieces, and only the points of groups with a mapped end are
+    computed.  Only exactly rounded operations, so that a point gets the
+    same bits in any family."""
+    last, ends, spans, powers, mapped = pieces
+    x, jac = u.copy(), np.ones(len(u))
+    at = np.flatnonzero(mapped.take(g))
+    u, g = u[at], g[at]
     side = 2 * g + (u > last.take(g))
     a, span, q = ends.take(side), spans.take(side), powers.take(side)
     t = (u - a) / span
@@ -693,7 +717,9 @@ def _end_map(u, g, pieces):
     power = np.ones(len(t))
     for e in range(1, int(q.max(initial=1.0))):
         power = np.where(q > e, power * t, power)
-    return np.where(q > 1.0, a + span * (power * t), u), q * power
+    x[at] = np.where(q > 1.0, a + span * (power * t), u)
+    jac[at] = q * power
+    return x, jac
 
 
 @functools.lru_cache(maxsize=64)
@@ -745,21 +771,22 @@ def _slice(maps, prefix):
             facet[at_lo], facet[at_hi])
 
 
-def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor, seed=None,
+def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
            scale=0.0):
     """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
     of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row, cut
     by ``_slice`` of ``maps``.  ``member`` (k,) is the family member of
-    each row, whose row of ``peaks`` cuts its panels and whose row of
-    ``powers`` (members, facets; None when there is none) maps the ends of
-    its innermost chords, and ``floor`` (k,) the absolute tolerance the
-    level above hands each row (see ``_refine``).  Returns the prefix row
-    of each final innermost panel (R,), the integrals and their errors
-    (k,), the coordinates the levels below fixed for each panel and the
-    index of each of those nodes among the final nodes of its level, 15 a
-    panel (R, n - 1 - j) each, x_n, the rule weights and the values of its
-    15 nodes (R, 15), and the lo and hi of the final panel of each level
-    each panel lies under (R, n - j, 2).
+    each row, whose row of ``marks`` (members, n, c), its peak and the
+    ladder of its width in each variable (nan where there is none), cuts
+    its panels, whose row of ``powers`` (members, facets; None when there
+    is none) maps the ends of its innermost chords, and ``floor`` (k,) the
+    absolute tolerance the level above hands each row (see ``_refine``).
+    Returns the prefix row of each final innermost panel (R,), the
+    integrals and their errors (k,), the coordinates the levels below
+    fixed for each panel and the index of each of those nodes among the
+    final nodes of its level, 15 a panel (R, n - 1 - j) each, x_n, the
+    rule weights and the values of its 15 nodes (R, 15), and the lo and hi
+    of the final panel of each level each panel lies under (R, n - j, 2).
 
     On the innermost level a chord piece that ends on a facet r where the
     member's power q is above 1 is measured in u, with x = a + (b - a) t^q
@@ -784,7 +811,7 @@ def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor, seed=None,
     (k, j), n = prefix.shape, len(maps)
     inner, mapped = [], []
     lo, hi, cuts, at_lo, at_hi = _slice(maps, prefix)
-    cuts = np.concatenate([cuts, peaks[member, j, None]], axis=1)
+    cuts = np.concatenate([cuts, marks[member, j]], axis=1)
     if j == n - 1:
         pieces, cuts = (None, cuts) if powers is None else _end_pieces(
             lo, hi, cuts, powers[member, at_lo], powers[member, at_hi])
@@ -803,7 +830,7 @@ def _level(f, maps, peaks, powers, member, prefix, rel_tol, floor, seed=None,
             return vals * jac
     else:
         def driver(x, g, hand, seed=None):
-            rows = _level(f, maps, peaks, powers, member[g],
+            rows = _level(f, maps, marks, powers, member[g],
                           np.concatenate([prefix[g], x[:, None]], axis=1),
                           rel_tol, hand[g], seed)
             inner.append((x, g, *rows))

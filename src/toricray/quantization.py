@@ -32,14 +32,16 @@ contributes ell_r(x) / 2 >= 0).  So log_gap_density(m) = -h(m) (0 when
 bare) is the reference level of every norm.  The density is smooth between
 the facets and the ends of the generator's support slabs, so the norm's
 panels are cut there and at m, in every dimension
-(``quadrature.integrate_polytope``).  The densities of one P and generator
-at several (m, s), bare or weighted as each member says, such as every
-diagnostic of a criterion, share the facet and slab cuts and one generator
-jet per node, so ``density_family`` norms them as the members of one
-integral: one family per (P, generator), in which only the weighted members'
-rows gather facet terms.  A family takes psi(m) of all its distinct m from
-one jet, and their facet terms and exact exponents once each.
-``pair_each`` pairs them with their test functions through one
+(``quadrature.integrate_polytope``).  In 1-D the peak's Laplace width
+sigma = (s psi''(m))^(-1/2) is known too (Wong 1989), and the panels are
+also cut at m +- sigma 2^k, k = 0..3.  The densities of one P and
+generator at several (m, s), bare or weighted as each member says, such as
+every diagnostic of a criterion, share the facet and slab cuts and one
+generator jet per node, so ``density_family`` norms them as the members of
+one integral: one family per (P, generator), in which only the weighted
+members' rows gather facet terms.  A family takes psi(m) of all its
+distinct m from one jet, and their facet terms and exact exponents once
+each.  ``pair_each`` pairs them with their test functions through one
 ``pair_all``.
 
 The weight of a lattice point m behaves like ell_r(x)^(ell_r(m)/2) near
@@ -62,7 +64,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .columns import row_dot, row_sum
+from .columns import row_dot, row_min, row_sum
 from .generators import Generator
 from .polytope import MEMBERSHIP_TOL, Polytope
 from . import quadrature
@@ -154,6 +156,19 @@ def basis_census(P: Polytope):
     return len(pts), pts
 
 
+def _widths(P: Polytope, gen: Generator, m, s):
+    """The Laplace width (s psi''(m))^(-1/2) of each member (m, s) of a
+    1-D family, from one jet on the stack of m, (k, 1): nan where
+    s psi''(m) is not finite and positive or m lies on a facet.  None in
+    higher dimensions, where cuts at the peak's scales cost more nodes
+    than they save."""
+    if P.dim != 1:
+        return None
+    curv = s * gen.jet(m, 2)[2][:, 0, 0]
+    keep = np.isfinite(curv) & (curv > 0.0) & (row_min(P.ell(m)) > 0.0)
+    return 1.0 / np.sqrt(np.where(keep, curv, np.nan))[:, None]
+
+
 class MonomialDensity:
     """Fiber density of one monomial section at ray time s.
 
@@ -204,7 +219,8 @@ class MonomialDensity:
         """Integrate the mass of this density and of every density of its
         family not yet normed, as the members of one ``integrate_polytope``
         call: one pass of panels cut at the facets, the ends of the
-        generator's support slabs and each member's m."""
+        generator's support slabs, each member's m and, in 1-D, the ladder
+        of its Laplace width (``_widths``)."""
         if self._norm_ready:
             return
         todo = [d for d in self._family or (self,) if not d._norm_ready]
@@ -243,7 +259,8 @@ class MonomialDensity:
         rules = quadrature.integrate_polytope(
             driver, P, lines=[(nu, c) for nu, lo, hi in gen.support
                               for c in (lo, hi)], points=m,
-            exponents=exponents, rel_tol=self.rel_tol)
+            widths=_widths(P, gen, m, s), exponents=exponents,
+            rel_tol=self.rel_tol)
         if min(rule.value for rule in rules) <= 0:
             raise QuantizationError("density mass underflowed")
         for d, r, rule in zip(todo, ref.tolist(), rules):

@@ -102,6 +102,13 @@ def _affine_dim(points) -> int:
                        for p in points[1:]]) if points else -1
 
 
+def _spans(points, d) -> bool:
+    """Whether distinct points that lie in a flat of dimension d span it:
+    fewer than d + 1 cannot, d + 1 or more do when d <= 1, and only the
+    others take a rank test."""
+    return len(points) > d and (d <= 1 or _affine_dim(points) == d)
+
+
 def _face_for_subset(f: PLConvex, P: Polytope, subset, table):
     pieces = [f.pieces[i] for i in subset]
     g0, b0 = pieces[0]
@@ -116,7 +123,7 @@ def _face_for_subset(f: PLConvex, P: Polytope, subset, table):
     # the closed face is the table vertices where the whole subset is active
     found = [(x, active) for x, _, active, _ in table if active >= set(subset)]
     verts = [x for x, _ in found]
-    if _affine_dim(verts) != P.dim - j:
+    if not _spans(verts, P.dim - j):
         return None
     # maximality: no other piece is active at every vertex, so none is
     # active at the barycenter
@@ -224,16 +231,17 @@ def decompose(f: PLConvex, P: Polytope) -> Decomposition:
         region = [(x, tight, active) for x, tight, active, _ in table
                   if i in active]
         if (f.pieces.index((g, b)) != i
-                or _affine_dim([x for x, _, _ in region]) != n):
+                or not _spans([x for x, _, _ in region], n)):
             continue
         # each distinct row's index, and the row of each facet j of P and
         # of each kink with a piece k that bounds P_i
         rows, facet, kink = {}, {}, {}
         for j, row in enumerate(zip(P.normals, P.offsets)):
-            if _affine_dim([x for x, t, _ in region if j in t]) == n - 1:
+            if _spans([x for x, t, _ in region if j in t], n - 1):
                 facet[j] = rows.setdefault(row, len(rows))
         for k, (gk, bk) in enumerate(f.pieces):
-            if _affine_dim([x for x, _, a in region if k in a]) == n - 1:
+            # a piece of P_i's gradient is active on all of P_i or nowhere
+            if gk != g and _spans([x for x, _, a in region if k in a], n - 1):
                 nu, scale = primitivize([gi - gki for gi, gki in zip(g, gk)])
                 kink[k] = rows.setdefault((nu, (bk - b) * scale), len(rows))
         incidence = tuple(frozenset([*(facet[j] for j in tight if j in facet),

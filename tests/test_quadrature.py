@@ -1146,6 +1146,35 @@ def test_family_members_are_their_lone_integrals_in_three_dimensions():
                 together[len(taus) * rule.member + taus.index(tau)]
 
 
+@pytest.mark.parametrize("P, peaks, lines, width", [
+    (scenarios.cp2(3), [[1.0, 1.0], [0.4, 2.1]], [((1, 0), 1.5)], 0.05),
+    (PRISM, [[0.8, 0.8, 0.5], [2.0, 0.4, 0.9]], [((1, 1, 0), 2.0)], 0.2),
+], ids=["cp2", "prism"])
+def test_width_ladder_agrees_with_the_unseeded_rule(P, peaks, lines, width):
+    # peaks seeded with their widths, one member without: each seeded
+    # integral and pairing agrees with the unseeded rule within the
+    # verdict, and the member with nan widths keeps its bits
+    peaks = np.array(peaks)
+    f = lambda X, i: np.exp(-0.5 * np.sum((X - peaks[i]) ** 2, axis=1)
+                            / width ** 2)
+    cuts = dict(points=peaks, lines=lines, rel_tol=1e-6)
+    plain = integrate_polytope(f, P, **cuts)
+    widths = np.full(peaks.shape, width)
+    widths[1] = np.nan
+    seeded = integrate_polytope(f, P, widths=widths, **cuts)
+    tau = lambda X: 1.0 + X[:, 0] * X[:, -1]
+    for a, b in zip(plain, seeded):
+        scale = float(np.sum(a.weights * np.abs(a.values)))
+        assert abs(a.value - b.value) <= quadrature.ALLOWANCE * 1e-6 * scale
+        (pa, _), (pb, _) = quadrature.pair_all([(a, tau), (b, tau)])
+        assert abs(pa - pb) <= quadrature.ALLOWANCE * 1e-6 * abs(pa)
+    assert seeded[0].panels != plain[0].panels
+    for got, want in zip(seeded[1][:6], plain[1][:6]):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="widths must be a"):
+        integrate_polytope(f, P, widths=widths[:, :1], **cuts)
+
+
 def test_prism_integrals():
     # the x3 chords above x1 + x2 > 3 miss the prism and must give no
     # panel, not the panel [-inf, 0]

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
-from toricray import quadrature
+from toricray import quadrature, quantization
 from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.limits import battery_for
 from toricray.polytope import make_polytope
@@ -514,6 +514,11 @@ def test_family_members_equal_lone_densities(monkeypatch, which):
     pairs = pair_densities(family, bat)
     for d, (m, s, w), vals, errs in zip(family, members, *pairs):
         lone = MonomialDensity(P, gen, m, s, weighted=w)
+        # the segment's m = 1 is seeded with its width, m = 0 is not
+        lone.log_mass()
+        seeded = [np.isfinite(r.family[3][r.member, :, 1:]).any()
+                  for r in (d._rule, lone._rule)]
+        assert seeded == [which == "segment" and m == [1]] * 2
         assert d.psi_m == lone.psi_m
         for got, want in zip(d._facets, lone._facets):
             assert np.array_equal(got, want)
@@ -521,3 +526,68 @@ def test_family_members_equal_lone_densities(monkeypatch, which):
         want = pair_densities([lone], bat)
         assert np.array_equal(vals, want[0][0])
         assert np.array_equal(errs, want[1][0])
+
+
+DELTA_GRID = [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0]
+
+
+def _unseeded(monkeypatch):
+    """Norm densities as if no width were known."""
+    monkeypatch.setattr(quantization, "_widths", lambda *args: None)
+
+
+@pytest.mark.parametrize("kernel", ["cosine", "smooth"])
+def test_delta_family_norms_in_few_driver_calls(monkeypatch, kernel):
+    # m = 1 is interior and psi''(1) > 0: each member's panels are also cut
+    # at m +- sigma 2^k, sigma = (s psi''(m))^(-1/2), so a delta family
+    # converges in at most three levels (seven unseeded), and its masses
+    # and pairings agree with the unseeded rule within the verdict
+    sc = seg_scenario(kernel)
+    P, gen = sc.polytope, sc.generator
+    members = [([1], s, w) for s in DELTA_GRID for w in (False, True)]
+    bat = battery_for(P)
+    calls = []
+    engine = quadrature.integrate_polytope
+    monkeypatch.setattr(quadrature, "integrate_polytope", lambda f, *a, **k:
+                        engine(lambda X, i: calls.append(len(X)) or f(X, i),
+                               *a, **k))
+    family = density_family(P, gen, members)
+    family[0].log_mass()
+    assert 0 < len(calls) <= 3
+    monkeypatch.undo()
+    values, _ = pair_densities(family, bat)
+    _unseeded(monkeypatch)
+    plain = density_family(P, gen, members)
+    want, _ = pair_densities(plain, bat)
+    bound = quadrature.ALLOWANCE * family[0].rel_tol
+    for d, p in zip(family, plain):
+        assert abs(d.log_mass() - p.log_mass()) <= bound
+    assert np.all(np.abs(values - want) <= bound * np.maximum(1.0, abs(want)))
+
+
+def test_a_member_without_width_keeps_its_bits(monkeypatch):
+    # m = 0 lies on a facet and on the plateau, where psi'' = 0: it has no
+    # width, and keeps the panels, mass and pairings of the unseeded rule,
+    # alone and in a family with seeded members
+    sc = seg_scenario("cosine")
+    P, gen = sc.polytope, sc.generator
+    bat = battery_for(P)
+    members = [([0], 512.0, w) for w in (False, True)] + [
+        ([1], s, w) for s in (64.0, 4096.0) for w in (False, True)]
+    widths = quantization._widths(P, gen, np.array([[0.0], [1.0], [1.0]]),
+                                  np.array([512.0, 512.0, 0.0]))
+    assert np.isnan(widths[[0, 2]]).all() and widths[1, 0] > 0
+    seeded = [density_family(P, gen, members),
+              [MonomialDensity(P, gen, m, s, weighted=w)
+               for m, s, w in members[:2]]]
+    got = [pair_densities(densities[:2], bat) for densities in seeded]
+    _unseeded(monkeypatch)
+    plain = [MonomialDensity(P, gen, m, s, weighted=w)
+             for m, s, w in members[:2]]
+    want = pair_densities(plain, bat)
+    for densities, pairs in zip(seeded, got):
+        for d, p in zip(densities, plain):
+            assert d.log_mass() == p.log_mass()
+            assert d._rule.panels == p._rule.panels
+        for a, b in zip(pairs, want):
+            assert np.array_equal(a, b)

@@ -510,3 +510,24 @@ def test_one_vertex_enumeration_per_call(monkeypatch, pieces, P):
         calls.clear()
         call(f, P)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pieces, P, most", [
+    ([((0, 0), 0), ((1, 0), -1), ((0, 1), -1)], cp2(), 3),
+    ([((0, 0, 0), 0), ((1, 0, 0), -1), ((0, 1, 0), -1), ((0, 0, 1), -1)],
+     cp3(), 34),
+], ids=["cp2-corner", "cp3-corner"])
+def test_vertex_counts_decide_most_rank_tests(monkeypatch, pieces, P, most):
+    # a set of fewer than d + 1 distinct vertices spans no d-flat, and two
+    # span a line: only the other sets take an exact rank test (25 on the
+    # CP2 corner and 47 on the CP3 corner with one per set)
+    calls = []
+    rank = testconfig._affine_dim
+    monkeypatch.setattr(testconfig, "_affine_dim",
+                        lambda points: calls.append(len(points)) or
+                        rank(points))
+    dec = decompose(PLConvex(pieces), P)
+    assert len(calls) <= most
+    monkeypatch.undo()
+    assert len(dec.subpolytopes) == P.dim + 1
+    assert dec.volume_defect() == 0
