@@ -169,6 +169,31 @@ def _derive(dim, normals, offsets, vertices, incidence):
                   for v, o in zip(normals, offsets)), *views)
 
 
+@functools.lru_cache(maxsize=256)
+def _volume(dim, vertices, incidence, n_facets) -> Fraction:
+    """Exact volume from the pulling triangulation: a face (a set of
+    vertices) is the union of the cones from its first vertex over its
+    facets that miss that vertex, and the facets of a face are its maximal
+    proper intersections with the facets of P.  Determinants are taken on
+    the vertices scaled to integers."""
+    den = math.lcm(*(c.denominator for v in vertices for c in v))
+    pts = [[int(c * den) for c in v] for v in vertices]
+    facets = {frozenset(i for i, tight in enumerate(incidence) if j in tight)
+              for j in range(n_facets)}
+
+    def simplices(face):
+        apex = min(face)
+        subs = {face & F for F in facets} - {face}
+        return [(apex, *s) for G in subs
+                if apex not in G and not any(G < H for H in subs)
+                for s in simplices(G)] if len(face) > 1 else [(apex,)]
+
+    total = sum(abs(det_exact([[a - b for a, b in zip(pts[i], pts[s[0]])]
+                               for i in s[1:]]))
+                for s in simplices(frozenset(range(len(pts)))))
+    return Fraction(total, math.factorial(dim) * den ** dim)
+
+
 class Polytope:
     """Bounded full-dimensional lattice polytope given by facet inequalities."""
 
@@ -227,27 +252,10 @@ class Polytope:
         return all(self.ell_exact(x, j) >= 0 for j in range(len(self.normals)))
 
     def volume_exact(self) -> Fraction:
-        """Exact volume from the pulling triangulation: a face (a set of
-        vertices) is the union of the cones from its first vertex over its
-        facets that miss that vertex, and the facets of a face are its
-        maximal proper intersections with the facets of P.  Determinants
-        are taken on the vertices scaled to integers."""
-        den = math.lcm(*(c.denominator for v in self.vertices for c in v))
-        pts = [[int(c * den) for c in v] for v in self.vertices]
-        facets = {frozenset(i for i, tight in enumerate(self.incidence)
-                            if j in tight) for j in range(len(self.normals))}
-
-        def simplices(face):
-            apex = min(face)
-            subs = {face & F for F in facets} - {face}
-            return [(apex, *s) for G in subs
-                    if apex not in G and not any(G < H for H in subs)
-                    for s in simplices(G)] if len(face) > 1 else [(apex,)]
-
-        total = sum(abs(det_exact([[a - b for a, b in zip(pts[i], pts[s[0]])]
-                                   for i in s[1:]]))
-                    for s in simplices(frozenset(range(len(pts)))))
-        return Fraction(total, math.factorial(self.dim) * den ** self.dim)
+        """Exact volume from the pulling triangulation (``_volume``), once
+        per vertex set and incidence."""
+        return _volume(self.dim, self.vertices, self.incidence,
+                       len(self.normals))
 
     def integral_points(self):
         lo = [min(v[i] for v in self.vertices) for i in range(self.dim)]

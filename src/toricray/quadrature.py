@@ -56,21 +56,22 @@ current integral of |f|, or the floor it was handed, whichever is larger)
 over the length of its range (Fritsch, Kahaner and Lyness 1981).  So the
 slices the outer integral cannot see stop early, and the weighted errors
 of an inner level sum to at most the outer tolerance.  The floor is a
-member's own, so a family member keeps its lone integral's bits.  On the
-first round of the outermost level no integral of |f| is known yet, and
-its slices keep their own relative tolerance; a repair (below) knows it
-from the rule's nodes and hands it down from the first round.  Each integral along one
-variable has a budget of ``MAX_PANELS`` panels.  A ``NodeSet`` keeps, for
-every level, the final panel above each node, its ends and the node's
-share of that panel's K15 - G7 difference.  ``pair_all`` sums f_i * tau on
-the nodes of each (rule, tau) it is given, with that estimate over every
-level, and repairs the pairings that miss the verdict: their refinement
-goes on from the rule's final panels at every level, whose values are the
-products on the rule's nodes, as one family of f_i * tau per family of
-rules, on the same cuts, end maps, rel_tol and budget.  Only the children
-of split panels and the inner integrals under new outer nodes call f_i *
-tau.  It is the one place that refines again after a missed estimate, and
-the one pairing of a rule.
+member's own, so a family member keeps its lone integral's bits.  The
+outermost level's first round, fresh or seeded, hands down rel_tol times
+the integral of |f| known before any node: a repair's (below) from its
+rule's nodes, a caller's estimate (``scales``, a density's Laplace mass),
+or none; every stop test reads the measured integral.  Each integral
+along one variable has a budget of ``MAX_PANELS`` panels.  A ``NodeSet``
+keeps, for every level, the final panel above each node, its ends and the
+node's share of that panel's K15 - G7 difference.  ``pair_all`` sums
+f_i * tau on the nodes of each (rule, tau) it is given, with that
+estimate over every level, and repairs the pairings that miss the
+verdict: their refinement goes on from the rule's final panels at every
+level, whose values are the products on the rule's nodes, as one family
+of f_i * tau per family of rules, on the same cuts, end maps, rel_tol and
+budget.  Only the children of split panels and the inner integrals under
+new outer nodes call f_i * tau.  It is the one place that refines again
+after a missed estimate, and the one pairing of a rule.
 
 End maps: a member may behave like ell_r^e times a smooth function near
 facet r, with e = k/q an exact rational (``exponents``), where bisection
@@ -244,8 +245,9 @@ def _refine(f, lo, hi, group, n_groups, rel_tol, floor, known=None):
     each group hands to the integrals f computes for its nodes: T_g over
     the length of g's interval, floor_g over it before g has a scale.
     ``known``, what f would give on the 15 nodes of each given panel, in
-    their order, spares that first call, so that only the children of
-    split panels call f."""
+    their order, spares that first call (``_level`` makes it, with the
+    floor it knows before any node), so that only the children of split
+    panels call f."""
     outs, called, budget = [], 0, MAX_PANELS
     length = _lengths(lo, hi, group, n_groups)
 
@@ -486,8 +488,8 @@ def _repair(pairings, values):
                        for rule, v in zip(rules, values)])
     own, total, err, _, _, _, w, v, _ = _level(
         _times(f, members, taus), _maps(P, lines), cuts[members],
-        None if powers is None else powers[members], np.arange(k), np.empty((k, 0)), rel_tol, np.zeros(k),
-        _seed(rules, values), scales)
+        None if powers is None else powers[members], np.arange(k),
+        np.empty((k, 0)), rel_tol, np.zeros(k), _seed(rules, values), scales)
     _members(own, total, err, rel_tol, f"{P.dim}-D polytope integral", [w, v])
     return list(zip(total.tolist(), err.tolist()))
 
@@ -566,23 +568,28 @@ def _maps(P, lines):
 
 
 def integrate_polytope(f, P, *, lines=(), points=None, widths=None,
-                       exponents=None, rel_tol: float = REL_TOL):
+                       scales=None, exponents=None, rel_tol: float = REL_TOL):
     """Integral of f over the polytope P on iterated GK15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
     P and the hyperplanes {nu . x = c} given as (nu, c) pairs in ``lines``;
     between them f should be smooth.  The integral is iterated in x1, ...,
     xn by ``_level``, and each integral along one variable has a budget of
-    ``MAX_PANELS`` panels, read at call time.  Raises QuadratureError by the module's verdict, so a returned
-    estimate has met its tolerance.  Returns a ``NodeSet``.
+    ``MAX_PANELS`` panels, read at call time.  Raises QuadratureError by
+    the module's verdict, so a returned estimate has met its tolerance.
+    Returns a ``NodeSet``.
 
     Given ``points`` (k, n), it integrates a family of k integrands over
     P, one per row of ``points``, its peak: each panel of member i is also
     cut at the coordinate of row i in its variable.  ``widths`` (k, n),
     nan where a width is unknown, adds the cuts m +- w 2^k, k = 0..3, at
     the peak m of each finite positive width w; a member whose widths are
-    nan keeps the panels it has without them.  ``f(X, i)`` then maps
-    points and the member i of each to values, and the members
+    nan keeps the panels it has without them.  ``scales`` (k,), each
+    member's integral of |f| as known before refinement (nan where it is
+    not), sets only the floor the first round of the outermost level hands
+    the slices below it (see ``_level``); the stop test reads the measured
+    integral, and a member whose scale is nan keeps its bits.  ``f(X, i)``
+    then maps points and the member i of each to values, and the members
     refine as independent groups of one pass, each with its own panels,
     budget and verdict.  Returns one ``NodeSet`` per member.  The one
     integrand is the family of one.
@@ -606,16 +613,14 @@ def integrate_polytope(f, P, *, lines=(), points=None, widths=None,
     # ladder of its width
     cuts = points[..., None]
     if widths is not None:
-        widths = np.asarray(widths, dtype=float)
-        if widths.shape != (k, n):
-            raise ValueError(f"widths must be a ({k} members, {n} variables) "
-                             f"array, not {widths.shape}")
-        cuts = np.concatenate([cuts, cuts + widths[..., None] * _LADDER], 2)
+        cuts = np.concatenate([cuts, cuts + _per_member(
+            widths, "widths", k, n)[..., None] * _LADDER], 2)
     # the outermost level is handed a zero floor, from which it hands its
     # own down
     own, total, err, head, ids, x, weights, values, ends = _level(
         f, _maps(P, lines), cuts, powers, np.arange(k), np.empty((k, 0)),
-        rel_tol, np.zeros(k))
+        rel_tol, np.zeros(k), scale=0.0 if scales is None else _per_member(
+            scales, "scales", k))
     bounds, (weights, values, head, ids, x, ends) = _members(
         own, total, err, rel_tol, f"{n}-D polytope integral",
         [weights, values, head, ids, x, ends])
@@ -637,6 +642,15 @@ def integrate_polytope(f, P, *, lines=(), points=None, widths=None,
                            owners[rows], diffs[rows], ends[a:b], slots[a:b],
                            rel_tol, family, i))
     return out[0] if one else out
+
+
+def _per_member(a, name, *shape):
+    """``a`` as floats; raises ValueError unless its shape is ``shape``."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must be a {shape} array, a row per member, "
+                         f"not {a.shape}")
+    return a
 
 
 def _end_powers(exponents, k, n_facets):
@@ -803,11 +817,13 @@ def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
     innermost level the values of f at the nodes in x.  The seeded panels
     are measured from those values, with no call of f: the innermost
     level maps their nodes as it maps new ones, and an outer level refines
-    the rows below from their seed.  It hands them the larger of its floor
-    and rel_tol times ``scale`` (k,), each row's integral of |f| on the
-    seed, over the length of its range: with a seed that integral is known
-    from the first round.  Only the children of split panels and the rows
-    under new nodes call f."""
+    the rows below from their seed.  Only the children of split panels and
+    the rows under new nodes call f.
+
+    The first round of fresh and seeded rows alike hands the rows below
+    the larger of ``floor`` and rel_tol times ``scale`` (k,), each row's
+    integral of |f| known before it (nan or 0 where none is), over the
+    length of the row's range; later rounds hand ``_refine``'s."""
     (k, j), n = prefix.shape, len(maps)
     inner, mapped = [], []
     lo, hi, cuts, at_lo, at_hi = _slice(maps, prefix)
@@ -838,12 +854,13 @@ def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
             own, total, _, _, _, _, w, v, _ = rows
             return total, np.bincount(own, np.abs(w * v).sum(axis=1), len(x))
     if seed is None:
-        panels, known = _cut(lo, hi, cuts), None
+        panels, below = _cut(lo, hi, cuts), None
     else:
         *panels, below = seed
-        a, b, g = panels
-        hand = np.maximum(floor, rel_tol * scale) / _lengths(a, b, g, k)
-        known = driver(_nodes(a, b - a).ravel(), g.repeat(15), hand, below)
+    a, b, g = panels
+    # the first round, fresh or seeded: its floor is known before any node
+    hand = np.fmax(floor, rel_tol * scale) / _lengths(a, b, g, k)
+    known = driver(_nodes(a, b - a).ravel(), g.repeat(15), hand, below)
     res = _refine(driver, *panels, k, rel_tol, floor, known)
     ends = np.stack([res.lo, res.hi], axis=1)
     if j == n - 1:

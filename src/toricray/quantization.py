@@ -32,16 +32,22 @@ contributes ell_r(x) / 2 >= 0).  So log_gap_density(m) = -h(m) (0 when
 bare) is the reference level of every norm.  The density is smooth between
 the facets and the ends of the generator's support slabs, so the norm's
 panels are cut there and at m, in every dimension
-(``quadrature.integrate_polytope``).  In 1-D the peak's Laplace width
-sigma = (s psi''(m))^(-1/2) is known too (Wong 1989), and the panels are
-also cut at m +- sigma 2^k, k = 0..3.  The densities of one P and
-generator at several (m, s), bare or weighted as each member says, such as
-every diagnostic of a criterion, share the facet and slab cuts and one
-generator jet per node, so ``density_family`` norms them as the members of
-one integral: one family per (P, generator), in which only the weighted
-members' rows gather facet terms.  A family takes psi(m) of all its
-distinct m from one jet, and their facet terms and exact exponents once
-each.  ``pair_each`` pairs them with their test functions through one
+(``quadrature.integrate_polytope``).  Laplace's method (Wong 1989) gives
+the peak's scales before any node, from the ray's curvature alone: where
+s Hess psi(m) is positive definite and m is interior, the mass of the
+density over its value at m is near (2 pi)^(n/2) det(s Hess psi(m))^(-1/2),
+capped at vol(P), since that density is at most 1.  The mass sets the
+floor the first round hands the inner slices (``scales``; a no-op in 1-D,
+which has no inner level), and in 1-D the width sigma = (s psi''(m))^(-1/2)
+also cuts the panels at m +- sigma 2^k, k = 0..3.  The densities of one P and
+generator at several (m, s), bare or weighted as each member says, such
+as every diagnostic of a criterion, share the facet and slab cuts and one
+generator jet per node, so ``density_family`` norms them as the members
+of one integral: one family per (P, generator), in which only the
+weighted members' rows gather facet terms.  A family takes psi(m) of all
+its distinct m from one jet, their facet terms and exact exponents once
+each, and their Laplace widths and masses from one order-2 jet.
+``pair_each`` pairs them with their test functions through one
 ``pair_all``.
 
 The weight of a lattice point m behaves like ell_r(x)^(ell_r(m)/2) near
@@ -156,17 +162,26 @@ def basis_census(P: Polytope):
     return len(pts), pts
 
 
-def _widths(P: Polytope, gen: Generator, m, s):
-    """The Laplace width (s psi''(m))^(-1/2) of each member (m, s) of a
-    1-D family, from one jet on the stack of m, (k, 1): nan where
-    s psi''(m) is not finite and positive or m lies on a facet.  None in
-    higher dimensions, where cuts at the peak's scales cost more nodes
-    than they save."""
-    if P.dim != 1:
-        return None
-    curv = s * gen.jet(m, 2)[2][:, 0, 0]
-    keep = np.isfinite(curv) & (curv > 0.0) & (row_min(P.ell(m)) > 0.0)
-    return 1.0 / np.sqrt(np.where(keep, curv, np.nan))[:, None]
+def _laplace(P: Polytope, gen: Generator, m, s):
+    """Laplace's estimates of each member (m, s) of a family, from one jet
+    on the stack of m (k, n), nan where s Hess psi(m) is not positive
+    definite or m lies on a facet: the width (s psi''(m))^(-1/2) (k, 1) of
+    a 1-D family (None in higher dimensions, where cuts at the peak's
+    scales cost more nodes than they save), and the mass
+    min((2 pi)^(n/2) det(s Hess psi(m))^(-1/2), vol(P)) (k,) of the
+    density over its value at m, which is at most 1 on P."""
+    # symmetric elimination on s Hess psi(m): it is positive definite iff
+    # every pivot is positive, and its determinant is their product
+    a, det = s[:, None, None] * gen.jet(m, 2)[2], np.ones(len(m))
+    while a.shape[1]:
+        pivot = np.where(a[:, 0, 0] > 0.0, a[:, 0, 0], np.nan)[:, None, None]
+        det = det * pivot[:, 0, 0]
+        a = a[:, 1:, 1:] - a[:, 1:, :1] * (a[:, :1, 1:] / pivot)
+    det = np.where(np.isfinite(det) & (row_min(P.ell(m)) > 0.0), det, np.nan)
+    mass = (2.0 * math.pi) ** (P.dim / 2) / np.sqrt(det)
+    if np.isfinite(mass).any():
+        mass = np.minimum(mass, float(P.volume_exact()))
+    return (1.0 / np.sqrt(det)[:, None] if P.dim == 1 else None), mass
 
 
 class MonomialDensity:
@@ -220,7 +235,8 @@ class MonomialDensity:
         family not yet normed, as the members of one ``integrate_polytope``
         call: one pass of panels cut at the facets, the ends of the
         generator's support slabs, each member's m and, in 1-D, the ladder
-        of its Laplace width (``_widths``)."""
+        of its Laplace width, with each member's Laplace mass as its scale
+        (``_laplace``)."""
         if self._norm_ready:
             return
         todo = [d for d in self._family or (self,) if not d._norm_ready]
@@ -256,11 +272,11 @@ class MonomialDensity:
                 return np.exp(_log_gap(P, gen, X, m[i], s[i], psi_m[i], w,
                                        terms) - ref[i])
 
+        widths, masses = _laplace(P, gen, m, s)
         rules = quadrature.integrate_polytope(
             driver, P, lines=[(nu, c) for nu, lo, hi in gen.support
-                              for c in (lo, hi)], points=m,
-            widths=_widths(P, gen, m, s), exponents=exponents,
-            rel_tol=self.rel_tol)
+                              for c in (lo, hi)], points=m, widths=widths,
+            scales=masses, exponents=exponents, rel_tol=self.rel_tol)
         if min(rule.value for rule in rules) <= 0:
             raise QuantizationError("density mass underflowed")
         for d, r, rule in zip(todo, ref.tolist(), rules):

@@ -715,17 +715,17 @@ def test_norm_makes_no_jet_call_after_last_level(monkeypatch):
     # the norm keeps the driver values of the final panels from the engine
     # instead of evaluating the density on them again
     seen = []
-    engine = quadrature._refine
+    engine = quadrature.integrate_polytope
 
     def recording(f, *args, **kwargs):
-        def level(x, g, *hand):
-            out = f(x, g, *hand)
+        def density(X, i):
+            out = f(X, i)
             seen.append(gen.jet_calls)
             return out
-        return engine(level, *args, **kwargs)
+        return engine(density, *args, **kwargs)
     cases = ((scenarios.segment("smooth"), [1]),
              (scenarios.cp2_wall_sum("cosine"), [1, 1]))
-    monkeypatch.setattr(quadrature, "_refine", recording)
+    monkeypatch.setattr(quadrature, "integrate_polytope", recording)
     for sc, m in cases:
         for s in (32.0, 4096.0):
             for weighted in (False, True):
@@ -1126,7 +1126,8 @@ def test_missed_pairings_are_repaired_as_one_family(monkeypatch):
 def test_family_members_are_their_lone_integrals_in_three_dimensions():
     # two peaks on the prism, integrated as one family: each member's
     # value, error and pairings are those of its integral made alone, bit
-    # for bit, also where a pairing misses and is integrated afresh
+    # for bit, also where a pairing misses and is repaired from the rule's
+    # final panels
     peaks = np.array([[0.8, 0.8, 0.5], [2.0, 0.4, 0.9]])
     f = lambda X, i: np.exp(-3.0 * np.sum((X - peaks[i]) ** 2, axis=1))
     cuts = dict(lines=[((1, 1, 0), 2.0)], rel_tol=1e-6)
@@ -1173,6 +1174,37 @@ def test_width_ladder_agrees_with_the_unseeded_rule(P, peaks, lines, width):
         assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="widths must be a"):
         integrate_polytope(f, P, widths=widths[:, :1], **cuts)
+
+
+def test_a_known_scale_sets_only_the_first_round():
+    # Gaussian peaks on CP^2(3), handed their mass, none (nan) and a tenth
+    # of it: the first round hands its slices rel_tol times that mass, so
+    # the slices far in the tails stop at once.  The estimated members take
+    # no more panels and agree with the plain rule within the verdict, the
+    # member with no scale keeps its bits, and an estimated member alone is
+    # its row of the family, bit for bit
+    P, width = scenarios.cp2(3), 0.05
+    peaks = np.array([[1.0, 1.0], [0.4, 2.1], [2.0, 0.5]])
+    f = lambda X, i: np.exp(-0.5 * np.sum((X - peaks[i]) ** 2, axis=1)
+                            / width ** 2)
+    mass = 2.0 * np.pi * width ** 2
+    cuts = dict(lines=[((1, 1), 2.0)], rel_tol=1e-6)
+    plain = integrate_polytope(f, P, points=peaks, **cuts)
+    scales = np.array([mass, np.nan, 0.1 * mass])
+    known = integrate_polytope(f, P, points=peaks, scales=scales, **cuts)
+    for a, b in zip(plain, known):
+        assert abs(a.value - mass) <= quadrature.ALLOWANCE * 1e-6 * mass
+        assert abs(a.value - b.value) <= quadrature.ALLOWANCE * 1e-6 * mass
+    assert known[0].panels < plain[0].panels
+    assert known[2].panels <= plain[2].panels
+    for got, want in zip(known[1][:6], plain[1][:6]):
+        assert np.array_equal(got, want)
+    alone = integrate_polytope(lambda X, i: f(X, 0), P, points=peaks[:1],
+                               scales=scales[:1], **cuts)[0]
+    for got, want in zip(alone[:6], known[0][:6]):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="scales must be a"):
+        integrate_polytope(f, P, points=peaks, scales=scales[:2], **cuts)
 
 
 def test_prism_integrals():
