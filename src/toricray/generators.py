@@ -150,21 +150,23 @@ class Bump1D:
                            ) * self.kernel.density(t[inside])
         return out
 
-    def d01(self, x, order: int = 1):
+    def d01(self, x, order: int = 1, value: bool = True):
         """(d0, d1) from one coordinate clipped to the support: both vanish
         at its left end, d1 is ``eff_mass`` at its right end, and beyond
-        it d0 goes on affinely with that slope.  At order 0, d1 is None."""
+        it d0 goes on affinely with that slope.  At order 0, d1 is None;
+        without ``value``, d0 is."""
         x = np.asarray(x, dtype=float)
         xc = np.minimum(np.maximum(x, self.lo), self.hi)
         t = (xc - self.spec.center) / self.spec.halfwidth
         d1 = self.spec.mass * self.kernel.cdf(t) - self._slope \
             if order >= 1 else None
         d0 = (self._k2 * self.kernel.cdf_integral(t) - self._slope * xc
-              + self._shift + self.eff_mass * np.maximum(x - self.hi, 0.0))
+              + self._shift + self.eff_mass * np.maximum(x - self.hi, 0.0)
+              ) if value else None
         return d0, d1
 
     def d1(self, x):
-        return self.d01(x)[1]
+        return self.d01(x, 1, False)[1]
 
     def d0(self, x):
         return self.d01(x, 0)[0]
@@ -251,10 +253,20 @@ class BumpGenerator1D(WallSumGenerator):
         return self.jet(np.asarray(t, dtype=float)[..., None], 0)[0]
 
     def dpsi(self, t):
-        return self.jet(np.asarray(t, dtype=float)[..., None], 1)[1][..., 0]
+        return self._line(t, Bump1D.d1)
 
     def d2psi(self, t):
-        return self.jet(np.asarray(t, dtype=float)[..., None], 2)[2][..., 0, 0]
+        return self._line(t, Bump1D.d2)
+
+    def _line(self, t, each):
+        """The sum over the bumps of each(bump, t), only the order asked, on
+        the flat array of t as the jet sums it, so that it has the jet's
+        bits and a lone t those of its entry in an array."""
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.size)
+        for b in self.bumps:
+            out = out + each(b, t.reshape(-1))
+        return out.reshape(t.shape)[()]
 
     # components -------------------------------------------------------------
 

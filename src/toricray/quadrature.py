@@ -31,7 +31,10 @@ find where it concentrates; a point (the integrand's peak) adds one cut per
 variable.  Where the caller knows the peak's width w in a variable (a
 Laplace width), the peak m also brings the ladder m +- w 2^k, k = 0..3:
 the panels start at the scales of the peak, which bisection would reach
-one level at a time.  It integrates a family of k integrands f(X, i) that
+one level at a time.  An inner level cuts only the slices near the peak
+at the ladder, where the widths put the slice's Gaussian mass at least
+rel_tol times the peak slice's, and no ladder takes a row past its
+budget.  It integrates a family of k integrands f(X, i) that
 share P and the hyperplanes, each cut at its own peak and ladder, as
 independent groups of one refinement: every level calls f once on the new
 nodes of all the members, and each member keeps its own panels, scale,
@@ -116,7 +119,7 @@ __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
     "log_integral_1d", "refine_groups", "integrate_polytope", "pair_all",
     "Panels", "NodeSet", "TriangleMesh", "polygon_mesh", "QuadratureError",
-    "MAX_PANELS", "ALLOWANCE", "REL_TOL",
+    "fitted_widths", "MAX_PANELS", "ALLOWANCE", "REL_TOL",
 ]
 
 # the panel budget of one integral
@@ -583,16 +586,22 @@ def integrate_polytope(f, P, *, lines=(), points=None, widths=None,
     P, one per row of ``points``, its peak: each panel of member i is also
     cut at the coordinate of row i in its variable.  ``widths`` (k, n),
     nan where a width is unknown, adds the cuts m +- w 2^k, k = 0..3, at
-    the peak m of each finite positive width w; a member whose widths are
-    nan keeps the panels it has without them.  ``scales`` (k,), each
-    member's integral of |f| as known before refinement (nan where it is
-    not), sets only the floor the first round of the outermost level hands
-    the slices below it (see ``_level``); the stop test reads the measured
-    integral, and a member whose scale is nan keeps its bits.  ``f(X, i)``
-    then maps points and the member i of each to values, and the members
-    refine as independent groups of one pass, each with its own panels,
-    budget and verdict.  Returns one ``NodeSet`` per member.  The one
-    integrand is the family of one.
+    the peak m of each finite positive width w: on the slice through the
+    peak, and on each slice of an inner level whose prefix lies within
+    sum_i ((x_i - m_i) / w_i)^2 <= 2 ln(1 / rel_tol) (a nan width adds 0),
+    where a Gaussian of these widths keeps at least rel_tol of its peak
+    slice's mass; a row whose cuts inside would leave more than
+    ``MAX_PANELS`` panels drops its ladder.  A member whose widths are nan
+    keeps the panels it has without them; ``fitted_widths`` gives a caller
+    the widths whose ladder fits the slice through the peak.  ``scales``
+    (k,), each member's integral of |f| as known before refinement (nan
+    where it is not), sets only the floor the first round of the outermost
+    level hands the slices below it (see ``_level``); the stop test reads
+    the measured integral, and a member whose scale is nan keeps its bits.
+    ``f(X, i)`` then maps points and the member i of each to values, and
+    the members refine as independent groups of one pass, each with its
+    own panels, budget and verdict.  Returns one ``NodeSet`` per member.
+    The one integrand is the family of one.
 
     ``exponents`` (k, facets), exact rationals (ints or ``Fraction``s)
     above -1, say that member i behaves like ell_r^e_ir times a smooth
@@ -785,6 +794,40 @@ def _slice(maps, prefix):
             facet[at_lo], facet[at_hi])
 
 
+def fitted_widths(P, lines, points, widths):
+    """``widths`` (k, n) where each ladder fits: nan in x_j where twice the
+    outermost rung, 16 w, exceeds the room from m_j to the nearest cut or
+    end of the slice of P at (m_1, ..., m_{j-1}), cut by the facets and
+    ``lines``; None where no width is left.  So a ladder replaces only
+    bisection from the peak's panel that would take four or more levels."""
+    maps, room = _maps(P, lines), np.empty(widths.shape)
+    for j in range(widths.shape[1]):
+        cuts = _slice(maps, points[:, :j])[2]
+        room[:, j] = np.fmin.reduce(np.abs(cuts - points[:, j:j + 1]), axis=1)
+    widths = np.where(2.0 * _LADDER[-1] * widths <= room, widths, np.nan)
+    return None if np.isnan(widths).all() else widths
+
+
+def _drop_ladders(cuts, marks, member, prefix, lo, hi, rel_tol):
+    """Set to nan, in place, the ladder that ends each row of ``cuts``, the
+    cuts of the slices of ``_level`` at ``prefix`` (k, j), but on the rows
+    near the peak and within the budget: where sum_i ((x_i - m_i) / w_i)^2
+    <= 2 ln(1 / rel_tol) over the prefix, the slice's Laplace mass at
+    least rel_tol times the peak slice's (a nan width adds 0), and where
+    the row's cuts inside, ladder included, leave at most ``MAX_PANELS``
+    panels."""
+    j = prefix.shape[1]
+    peak = marks[member, :j, 0]
+    # each width from its member's outermost rung
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (prefix - peak) * (_LADDER[-1] / (marks[member, :j, -1] - peak))
+    drop = ~(np.nansum(z * z, axis=1) <= -2.0 * math.log(rel_tol))
+    if cuts.shape[1] >= MAX_PANELS:
+        drop |= np.count_nonzero((cuts > lo[:, None]) & (cuts < hi[:, None]),
+                                 axis=1) >= MAX_PANELS
+    cuts[drop, -len(_LADDER):] = np.nan
+
+
 def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
            scale=0.0):
     """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
@@ -792,9 +835,11 @@ def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
     by ``_slice`` of ``maps``.  ``member`` (k,) is the family member of
     each row, whose row of ``marks`` (members, n, c), its peak and the
     ladder of its width in each variable (nan where there is none), cuts
-    its panels, whose row of ``powers`` (members, facets; None when there
-    is none) maps the ends of its innermost chords, and ``floor`` (k,) the
-    absolute tolerance the level above hands each row (see ``_refine``).
+    its panels, the ladder only where ``_drop_ladders`` keeps it (near the
+    peak and within the budget), whose row of ``powers`` (members, facets;
+    None when there is none) maps the ends of its innermost chords, and
+    ``floor`` (k,) the absolute tolerance the level above hands each row
+    (see ``_refine``).
     Returns the prefix row of each final innermost panel (R,), the
     integrals and their errors (k,), the coordinates the levels below
     fixed for each panel and the index of each of those nodes among the
@@ -828,6 +873,10 @@ def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
     inner, mapped = [], []
     lo, hi, cuts, at_lo, at_hi = _slice(maps, prefix)
     cuts = np.concatenate([cuts, marks[member, j]], axis=1)
+    # the outermost level's one slice is the peak's, and a row's panels
+    # number at most its cuts plus one
+    if marks.shape[2] > 1 and (j or cuts.shape[1] >= MAX_PANELS):
+        _drop_ladders(cuts, marks, member, prefix, lo, hi, rel_tol)
     if j == n - 1:
         pieces, cuts = (None, cuts) if powers is None else _end_pieces(
             lo, hi, cuts, powers[member, at_lo], powers[member, at_hi])

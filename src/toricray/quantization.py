@@ -38,17 +38,19 @@ s Hess psi(m) is positive definite and m is interior, the mass of the
 density over its value at m is near (2 pi)^(n/2) det(s Hess psi(m))^(-1/2),
 capped at vol(P), since that density is at most 1.  The mass sets the
 floor the first round hands the inner slices (``scales``; a no-op in 1-D,
-which has no inner level), and in 1-D the width sigma = (s psi''(m))^(-1/2)
-also cuts the panels at m +- sigma 2^k, k = 0..3.  The densities of one P and
-generator at several (m, s), bare or weighted as each member says, such
-as every diagnostic of a criterion, share the facet and slab cuts and one
-generator jet per node, so ``density_family`` norms them as the members
-of one integral: one family per (P, generator), in which only the
-weighted members' rows gather facet terms.  A family takes psi(m) of all
-its distinct m from one jet, their facet terms and exact exponents once
-each, and their Laplace widths and masses from one order-2 jet.
-``pair_each`` pairs them with their test functions through one
-``pair_all``.
+which has no inner level), and the widths sigma_j, from the pivots of
+s Hess psi(m) eliminated from x_n back ((s psi''(m))^(-1/2) in 1-D), also
+cut the panels at m_j +- sigma_j 2^k, k = 0..3: in 1-D always, in higher
+dimensions where the ladder fits the slice through m, and there only on
+the slices near m.  The densities of one P and generator at several
+(m, s), bare or weighted as each member says, such as every diagnostic of
+a criterion, share the facet and slab cuts and one generator jet per
+node, so ``density_family`` norms them as the members of one integral:
+one family per (P, generator), in which only the weighted members' rows
+gather facet terms.  A family takes psi(m) of all its distinct m from one
+jet, their facet terms and exact exponents once each, and their Laplace
+widths and masses from one order-2 jet.  ``pair_each`` pairs them with
+their test functions through one ``pair_all``.
 
 The weight of a lattice point m behaves like ell_r(x)^(ell_r(m)/2) near
 facet r, and ell_r(m)/2 is an exact rational, from the offsets of P and the
@@ -162,26 +164,43 @@ def basis_census(P: Polytope):
     return len(pts), pts
 
 
+def _pivots(a):
+    """The pivots (k, n) of symmetric elimination on the stack a (k, n, n),
+    first row first, nan from the first that is not positive: a is
+    positive definite iff every pivot is positive."""
+    pivots = np.empty(a.shape[:2])
+    for c in range(a.shape[1]):
+        pivots[:, c] = np.where(a[:, 0, 0] > 0.0, a[:, 0, 0], np.nan)
+        a = a[:, 1:, 1:] - a[:, 1:, :1] * (a[:, :1, 1:]
+                                           / pivots[:, c, None, None])
+    return pivots
+
+
 def _laplace(P: Polytope, gen: Generator, m, s):
     """Laplace's estimates of each member (m, s) of a family, from one jet
     on the stack of m (k, n), nan where s Hess psi(m) is not positive
-    definite or m lies on a facet: the width (s psi''(m))^(-1/2) (k, 1) of
-    a 1-D family (None in higher dimensions, where cuts at the peak's
-    scales cost more nodes than they save), and the mass
-    min((2 pi)^(n/2) det(s Hess psi(m))^(-1/2), vol(P)) (k,) of the
-    density over its value at m, which is at most 1 on P."""
-    # symmetric elimination on s Hess psi(m): it is positive definite iff
-    # every pivot is positive, and its determinant is their product
-    a, det = s[:, None, None] * gen.jet(m, 2)[2], np.ones(len(m))
-    while a.shape[1]:
-        pivot = np.where(a[:, 0, 0] > 0.0, a[:, 0, 0], np.nan)[:, None, None]
-        det = det * pivot[:, 0, 0]
-        a = a[:, 1:, 1:] - a[:, 1:, :1] * (a[:, :1, 1:] / pivot)
+    definite or m lies on a facet: the widths (k, n), p_j^(-1/2) with p_j
+    the pivots of s Hess psi(m) eliminated from x_n back to x_1, so that
+    p_n = s psi_nn is the precision a slice through m sees and p_1 the
+    marginal one the outer integral sees ((s psi''(m))^(-1/2) in 1-D), and
+    the mass min((2 pi)^(n/2) det(s Hess psi(m))^(-1/2), vol(P)) (k,) of
+    the density over its value at m, which is at most 1 on P.  In 2-D and
+    above ``_ensure_norm`` hands on only the widths whose ladder fits
+    (``quadrature.fitted_widths``): cuts at the peak's scales save nodes
+    only where bisection from the peak's panel would take four or more
+    levels to reach them, and cost nodes elsewhere."""
+    a = s[:, None, None] * gen.jet(m, 2)[2]
+    # one elimination from x_1 on and one from x_n back, stacked; the
+    # determinant is the product of the first's pivots
+    pivots = _pivots(np.concatenate([a, a[:, ::-1, ::-1]]))
+    det = np.prod(pivots[:len(a)], axis=1)
     det = np.where(np.isfinite(det) & (row_min(P.ell(m)) > 0.0), det, np.nan)
     mass = (2.0 * math.pi) ** (P.dim / 2) / np.sqrt(det)
+    widths = np.where(np.isnan(mass)[:, None], np.nan,
+                      1.0 / np.sqrt(pivots[len(a):, ::-1]))
     if np.isfinite(mass).any():
         mass = np.minimum(mass, float(P.volume_exact()))
-    return (1.0 / np.sqrt(det)[:, None] if P.dim == 1 else None), mass
+    return widths, mass
 
 
 class MonomialDensity:
@@ -234,9 +253,10 @@ class MonomialDensity:
         """Integrate the mass of this density and of every density of its
         family not yet normed, as the members of one ``integrate_polytope``
         call: one pass of panels cut at the facets, the ends of the
-        generator's support slabs, each member's m and, in 1-D, the ladder
-        of its Laplace width, with each member's Laplace mass as its scale
-        (``_laplace``)."""
+        generator's support slabs, each member's m and the ladders of its
+        Laplace widths (in 2-D and above only those that fit, by
+        ``quadrature.fitted_widths``), with each member's Laplace mass as
+        its scale (``_laplace``)."""
         if self._norm_ready:
             return
         todo = [d for d in self._family or (self,) if not d._norm_ready]
@@ -272,11 +292,13 @@ class MonomialDensity:
                 return np.exp(_log_gap(P, gen, X, m[i], s[i], psi_m[i], w,
                                        terms) - ref[i])
 
+        lines = [(nu, c) for nu, lo, hi in gen.support for c in (lo, hi)]
         widths, masses = _laplace(P, gen, m, s)
+        if P.dim > 1:
+            widths = quadrature.fitted_widths(P, lines, m, widths)
         rules = quadrature.integrate_polytope(
-            driver, P, lines=[(nu, c) for nu, lo, hi in gen.support
-                              for c in (lo, hi)], points=m, widths=widths,
-            scales=masses, exponents=exponents, rel_tol=self.rel_tol)
+            driver, P, lines=lines, points=m, widths=widths, scales=masses,
+            exponents=exponents, rel_tol=self.rel_tol)
         if min(rule.value for rule in rules) <= 0:
             raise QuantizationError("density mass underflowed")
         for d, r, rule in zip(todo, ref.tolist(), rules):

@@ -406,7 +406,8 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
     its Hessians, the result's ``convexity``, must be >= -1e-10.  The
     strict term's eta is halved against that jet's Hessians and one
     strict-term jet on the same samples, and the least eigenvalue of the
-    halving that passes is the strict result's ``convexity``.
+    first halving that passes (of at most 39, bisected where the 39th
+    passes) is the strict result's ``convexity``.
     """
     eps = float(eps)
     if eps <= 0:
@@ -487,15 +488,27 @@ def build_nice_smoothing(f: PLConvex, P: Polytope, decomp: Decomposition,
         # by 0.5**k, bit for bit above the subnormal range: one term jet
         # serves every k
         term = _StrictTerm(fr, delta, kern, eta, u0).eval(samples)
-        for k in range(40):
-            least = float(np.linalg.eigvalsh(jet[2] + term[2]
-                                             * 0.5 ** k).min())
-            if least >= _CONVEXITY_ALLOWANCE:
-                strict_term = _StrictTerm(fr, delta, kern, eta * 0.5 ** k, u0)
-                jet = tuple(a + b * 0.5 ** k for a, b in zip(jet, term))
-                break
-        if strict_term is None:
+        lowest = {}
+
+        def passes(k):
+            lowest[k] = float(np.linalg.eigvalsh(jet[2] + term[2]
+                                                 * 0.5 ** k).min())
+            return lowest[k] >= _CONVEXITY_ALLOWANCE
+        # the least eigenvalue is concave in the height 0.5**k, so once the
+        # last halving passes, each halving after a passing one passes:
+        # bisect for the first; else scan for it
+        if passes(39):
+            fails, k = -1, 39
+            while k - fails > 1:
+                mid = (fails + k) // 2
+                fails, k = (fails, mid) if passes(mid) else (mid, k)
+        else:
+            k = next((k for k in range(39) if passes(k)), None)
+        if k is None:
             raise SmoothingError("could not tune a convex strict variant")
+        least = lowest[k]
+        strict_term = _StrictTerm(fr, delta, kern, eta * 0.5 ** k, u0)
+        jet = tuple(a + b * 0.5 ** k for a, b in zip(jet, term))
     elif variant == "nice":
         least = float(np.linalg.eigvalsh(jet[2]).min())
     else:

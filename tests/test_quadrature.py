@@ -1176,6 +1176,34 @@ def test_width_ladder_agrees_with_the_unseeded_rule(P, peaks, lines, width):
         integrate_polytope(f, P, widths=widths[:, :1], **cuts)
 
 
+def test_only_the_slices_near_the_peak_take_its_ladder():
+    # a Gaussian of width w on CP^2(3) peaked at (1, 1), its x2 integrals at
+    # x1 = 1 + w t: the slices with t^2 <= 2 ln(1 / rel_tol), t up to 5.26
+    # at 1e-6, are cut at the ladder in x2, and the others keep their bits
+    # without it
+    P, w, m = scenarios.cp2(3), 0.01, np.array([1.0, 1.0])
+    f = lambda X, i: np.exp(-0.5 * np.sum((X - m) ** 2, axis=1) / w ** 2)
+    t = np.array([0.0, 1.0, 5.0, 5.5, -20.0])
+    peak = m[None, :, None]
+    ladder = np.concatenate([peak, peak + w * quadrature._LADDER], axis=2)
+    maps, rows = quadrature._maps(P, ()), (
+        None, np.zeros(len(t), np.intp), 1.0 + w * t[:, None], 1e-6,
+        np.zeros(len(t)))
+    seeded = quadrature._level(f, maps, ladder, *rows)
+    plain = quadrature._level(f, maps, peak, *rows)
+
+    def row_of(rule, row):
+        """The row's integral, error and final panels' arrays."""
+        own, total, err, *panels = rule
+        return [total[row], err[row], *(a[own == row] for a in panels)]
+    for row in range(len(t)):
+        got, want = row_of(seeded, row), row_of(plain, row)
+        # the ends of the final x2 panels
+        rungs = np.isin(got[-1][:, 0], ladder[0, 1, 1:]).any()
+        assert rungs == (abs(t[row]) <= 5.26)
+        assert rungs or all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_a_known_scale_sets_only_the_first_round():
     # Gaussian peaks on CP^2(3), handed their mass, none (nan) and a tenth
     # of it: the first round hands its slices rel_tol times that mass, so

@@ -533,7 +533,8 @@ DELTA_GRID = [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0]
 
 def _unseeded(monkeypatch):
     """Norm densities as if no width or mass were known."""
-    monkeypatch.setattr(quantization, "_laplace", lambda *args: (None, None))
+    monkeypatch.setattr(quantization, "_laplace", lambda P, gen, m, s: (
+        np.full(m.shape, np.nan), None))
 
 
 @pytest.mark.parametrize("kernel", ["cosine", "smooth"])
@@ -622,24 +623,30 @@ def test_laplace_mass_spares_the_first_rounds_slices(monkeypatch, s, most):
 
 def test_laplace_mass_is_the_gaussians_capped_at_the_volume():
     # Hess psi = 5 I at (1,1) on the cosine wall sum: the mass is
-    # (2 pi / s) det(Hess psi)^(-1/2), capped at vol(P) = 9/2; nan at s = 0,
-    # on a facet and at cp2_wall's (1,1), where Hess psi has rank 1.  In
-    # 1-D it is sqrt(2 pi) times the width
+    # (2 pi / s) det(Hess psi)^(-1/2), capped at vol(P) = 9/2, and the
+    # widths of the diagonal Hessian are (s psi_jj)^(-1/2), the mass's cap
+    # aside; both are nan at s = 0, on a facet and at cp2_wall's (1,1),
+    # where Hess psi has rank 1.  In 1-D the mass is sqrt(2 pi) times the
+    # width
     sc = cp2_wall_sum("cosine")
     P, gen = sc.polytope, sc.generator
     m = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
-    det = np.linalg.det(gen.jet(m[:1], 2)[2][0])
-    assert det == pytest.approx(25.0, rel=1e-12)
-    widths, mass = quantization._laplace(P, gen, m,
-                                         np.array([512.0, 0.1, 0.0, 512.0]))
-    assert widths is None
+    s = np.array([512.0, 0.1, 0.0, 512.0])
+    hess = gen.jet(m[:1], 2)[2][0]
+    det = np.linalg.det(hess)
+    assert det == pytest.approx(25.0, rel=1e-12) and hess[0, 1] == 0.0
+    widths, mass = quantization._laplace(P, gen, m, s)
+    assert np.array_equal(widths[:2], 1.0 / np.sqrt(s[:2, None]
+                                                    * np.diag(hess)))
+    assert np.isnan(widths[2:]).all()
     assert mass[0] == pytest.approx(2.0 * np.pi / 512.0 / np.sqrt(det),
                                     rel=1e-12)
     assert 2.0 * np.pi / 0.1 / np.sqrt(det) > 4.5 and mass[1] == 4.5
     assert np.isnan(mass[2:]).all()
     wall = cp2_wall()
-    assert np.isnan(quantization._laplace(
-        wall.polytope, wall.generator, m[:1], np.array([512.0]))[1]).all()
+    for got in quantization._laplace(wall.polytope, wall.generator, m[:1],
+                                     np.array([512.0])):
+        assert np.isnan(got).all()
     seg = seg_scenario("cosine")
     widths, mass = quantization._laplace(seg.polytope, seg.generator,
                                          np.array([[1.0]]), np.array([512.0]))
@@ -706,3 +713,145 @@ def test_a_wrong_laplace_mass_changes_only_the_cost(monkeypatch, kernel,
     for d, p in zip(family, plain):
         assert abs(d._rule.value - p._rule.value) <= bound * p._rule.value
     assert np.all(np.abs(values - want) <= bound * np.maximum(1.0, abs(want)))
+
+
+class _Quadratic(Generator):
+    """psi = x . A x / 2 on the plane, of the one Hessian A."""
+    dim = 2
+    support = ()
+
+    def __init__(self, A):
+        self.A = np.array(A, dtype=float)
+
+    def _jet(self, X, order):
+        return (None, None, np.broadcast_to(self.A, (len(X), 2, 2)))
+
+
+def test_laplace_widths_are_the_pivots_from_the_last_variable_back():
+    # with a correlated Hessian, x2's width is its conditional one,
+    # (s A_22)^(-1/2), the width a slice through m sees, and x1's its
+    # marginal one, (Sigma_11 / s)^(1/2) with Sigma = A^(-1), the width the
+    # outer integral sees; an indefinite Hessian has none, with no warning
+    A, s = np.array([[3.0, 1.0], [1.0, 2.0]]), 64.0
+    P, m = cp2(3), np.array([[1.0, 1.0]])
+    widths, mass = quantization._laplace(P, _Quadratic(A), m, np.array([s]))
+    assert widths[0] == pytest.approx(
+        [math.sqrt(np.linalg.inv(A)[0, 0] / s), 1.0 / math.sqrt(s * A[1, 1])],
+        rel=1e-14)
+    assert mass[0] == pytest.approx(2.0 * math.pi / s
+                                    / math.sqrt(np.linalg.det(A)), rel=1e-14)
+    for bad in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]):
+        widths, mass = quantization._laplace(P, _Quadratic(bad), m,
+                                             np.array([s]))
+        assert np.isnan(widths).all() and np.isnan(mass).all()
+
+
+def _withheld(monkeypatch):
+    """Norm densities with their Laplace masses but without their widths."""
+    laplace = quantization._laplace
+    monkeypatch.setattr(quantization, "_laplace", lambda P, gen, m, s: (
+        np.full(m.shape, np.nan), laplace(P, gen, m, s)[1]))
+
+
+def test_laplace_widths_cut_the_peaked_slices(monkeypatch):
+    # at s = 8192 the bare wall-sum density at (1,1) has the width 0.0049 in
+    # both variables, and its ladder fits twice over into the room of 0.2
+    # to the slab ends: the slices near its peak are cut at m_j +- w_j 2^k,
+    # so it norms in at most 3 driver calls on at most 30,000 points (25
+    # calls and 47,940 points with its widths withheld).  Its mass and
+    # pairings agree with the rule whose widths are withheld within
+    # ALLOWANCE * rel_tol times their integrals of |f|
+    sc = cp2_wall_sum("cosine")
+    P, gen = sc.polytope, sc.generator
+    bat = battery_for(P)
+    points = _count_points(monkeypatch)
+    md = MonomialDensity(P, gen, [1, 1], 8192.0, weighted=False)
+    md.log_mass()
+    assert 0 < len(points) <= 3 and sum(points) <= 30000
+    monkeypatch.undo()
+    values, _ = pair_densities([md], bat)
+    _withheld(monkeypatch)
+    plain = MonomialDensity(P, gen, [1, 1], 8192.0, weighted=False)
+    want, _ = pair_densities([plain], bat)
+    rule, bound = plain._rule, quadrature.ALLOWANCE * md.rel_tol
+    assert abs(md._rule.value - rule.value) <= bound * rule.value
+    for tau, got, pair in zip(bat, values[0], want[0]):
+        # the normalized pairing carries the errors of f tau and of the mass
+        scale = np.sum(rule.weights * np.abs(rule.values * tau(rule.nodes)))
+        assert abs(got - pair) <= bound * (scale / rule.value + abs(pair))
+
+
+@pytest.mark.parametrize("which", ["wall-sum-32", "wall-sum-512", "c08"])
+def test_widths_without_room_keep_the_bits(monkeypatch, which):
+    # the wall-sum densities at (1,1) at s = 32 and 512 (the ladder of
+    # 16 w = 0.32 does not fit the room of 0.2) and criterion 8's family
+    # on cp2_wall (a rank-1 Hessian at (1,1), a facet point at (2,0)) hand
+    # no widths, and keep the panels, masses and pairings of the rule whose
+    # widths are withheld, bit for bit
+    if which == "c08":
+        sc = cp2_wall()
+        members = [([2, 0], 2048.0, False)] + [
+            ([1, 1], s, False) for s in (1024.0, 2048.0, 4096.0, 8192.0)]
+    else:
+        sc = cp2_wall_sum("cosine")
+        members = [([1, 1], float(which[9:]), w) for w in (False, True)]
+    P, gen = sc.polytope, sc.generator
+    bat = battery_for(P)
+    family = density_family(P, gen, members)
+    got = pair_densities(family, bat)
+    _withheld(monkeypatch)
+    plain = density_family(P, gen, members)
+    want = pair_densities(plain, bat)
+    for d, p in zip(family, plain):
+        assert d._rule.family[3].shape[2] == 1
+        for a, b in zip(d._rule[:6], p._rule[:6]):
+            assert np.array_equal(a, b)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_a_1d_family_hands_on_every_width():
+    # a 1-D family fits no ladder: each member's rule is the engine's,
+    # handed the widths (s psi''(m))^(-1/2) from the scalar-line evaluator,
+    # bit for bit, on delta families and next to members without width
+    sc = seg_scenario("cosine")
+    P, gen = sc.polytope, sc.generator
+    members = [([1], s, False) for s in DELTA_GRID] + [([0], 512.0, False)]
+    family = density_family(P, gen, members)
+    family[0].log_mass()
+    m = np.array([d.m for d in family])
+    s = np.array([d.s for d in family])
+    curvature = s * gen.d2psi(m[:, 0])
+    known = (curvature > 0.0) & (m[:, 0] > 0.0)
+    widths = np.where(known, 1.0 / np.sqrt(np.where(known, curvature, 1.0)),
+                      np.nan)[:, None]
+    f, _, lines, cuts, _ = family[0]._rule.family
+    rules = quadrature.integrate_polytope(
+        f, P, lines=lines, points=m, widths=widths,
+        scales=quantization._laplace(P, gen, m, s)[1], rel_tol=1e-10)
+    assert np.isfinite(cuts[:-1, 0, 1:]).all()
+    assert np.array_equal(cuts, rules[0].family[3], equal_nan=True)
+    for d, rule in zip(family, rules):
+        for a, b in zip(d._rule[:10], rule[:10]):
+            assert np.array_equal(a, b)
+
+
+def test_a_ladder_past_the_budget_is_dropped(monkeypatch):
+    # the 1-D twin of test_nonconvergence_reports_panel_count: at s = 4 the
+    # density at m = 1 starts from 10 panels with its ladder and converges
+    # on 6 without it; with a budget of 8 panels its ladder is dropped, so
+    # that its rule is the unseeded one within the budget, bit for bit
+    sc = seg_scenario("cosine")
+    P, gen = sc.polytope, sc.generator
+    md = MonomialDensity(P, gen, [1], 4.0, weighted=False)
+    md.log_mass()
+    assert md._rule.panels == 10
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
+    md = MonomialDensity(P, gen, [1], 4.0, weighted=False)
+    md.log_mass()
+    _unseeded(monkeypatch)
+    plain = MonomialDensity(P, gen, [1], 4.0, weighted=False)
+    plain.log_mass()
+    assert md._rule.panels == plain._rule.panels <= 8
+    for a, b in zip(md._rule[:10], plain._rule[:10]):
+        assert np.array_equal(a, b)
