@@ -129,14 +129,6 @@ def row_reduce(rows: Sequence[Sequence], ncols: int | None = None) -> Echelon:
     return Echelon(mat[:len(pivots)], tuple(pivots), prev, scale, sign)
 
 
-def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """The solution of a square rational system; None when it is singular."""
-    n = len(rows)
-    ech = row_reduce([[*r, b] for r, b in zip(rows, rhs)], n + 1)
-    return (tuple(Fraction(r[n], ech.det) for r in ech.rows)
-            if ech.pivots == tuple(range(n)) else None)
-
-
 def rank_exact(rows: Sequence[Sequence]) -> int:
     return len(row_reduce(rows).pivots)
 

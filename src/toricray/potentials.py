@@ -112,9 +112,8 @@ def legendre_forward(P: Polytope, gen: Generator, s: float, x) -> np.ndarray:
     return ray_jet(P, gen, s, x).gradient
 
 
-def legendre_inverse(P: Polytope, gen: Generator, s: float, y,
-                     guess=None) -> np.ndarray:
-    """Solve grad g_s(x) = y by damped Newton.
+def legendre_inverse(P: Polytope, gen: Generator, s: float, y) -> np.ndarray:
+    """Solve grad g_s(x) = y by damped Newton from the centroid of P.
 
     Steps are halved until the iterate stays INTERIOR_TOL inside P and the
     residual |grad g_s(x) - y| decreases; the Newton direction descends it
@@ -125,7 +124,7 @@ def legendre_inverse(P: Polytope, gen: Generator, s: float, y,
     than floats resolve grad g_P) or after 200 steps.
     """
     y = np.asarray(y, dtype=float)
-    x = np.asarray(guess, dtype=float) if guess is not None else P.centroid()
+    x = P.centroid()
     jet = ray_jet(P, gen, s, x)
     r = np.linalg.norm(jet.gradient - y)
     for _ in range(200):

@@ -28,17 +28,21 @@ Polytopes: ``integrate_polytope`` cuts the panels at exact breakpoints: the
 facets of P and the caller's hyperplanes (the ends of a generator's support
 slabs).  Between them the integrand is smooth, so nothing is sampled to
 find where it concentrates; a point (the integrand's peak) adds one cut per
-variable.  Where the caller knows the peak's width w in a variable (a
-Laplace width), the peak m also brings the ladder m +- w 2^k, k = 0..3:
-the panels start at the scales of the peak, which bisection would reach
-one level at a time.  An inner level cuts only the slices near the peak
-at the ladder, where the widths put the slice's Gaussian mass at least
-rel_tol times the peak slice's, and no ladder takes a row past its
-budget.  It integrates a family of k integrands f(X, i) that
-share P and the hyperplanes, each cut at its own peak and ladder, as
-independent groups of one refinement: every level calls f once on the new
-nodes of all the members, and each member keeps its own panels, scale,
-floor, budget and verdict.
+variable.  Where the caller hands the curvature of -log f at the peak m
+(its Hessian there), Laplace's method (Wong 1989) gives the peak's widths
+w_j and mass before any node, and the engine alone decides what they
+seed.  The widths bring the ladder m_j +- w_j 2^k, k = 0..3, in 1-D
+always and above only where it fits the slice through m: the panels
+start at the scales of the peak, which bisection would reach one level
+at a time.  An inner level cuts only the slices near the peak at the
+ladder, where the widths put the slice's Gaussian mass at least rel_tol
+times the peak slice's, and no ladder takes a row past its budget.  The
+mass sets the floor of the outermost level's first round (below).  It
+integrates a family of k integrands f(X, i) that share P and the
+hyperplanes, each cut at its own peak and ladder, as independent groups
+of one refinement: every level calls f once on the new nodes of all the
+members, and each member keeps its own panels, scale, floor, budget and
+verdict.
 One integrand is the family of one.  The integral is iterated in x1, ...,
 xn, in every dimension, by one recursive level with a group per fixed
 prefix (x1, ..., x_{j-1}), each prefix row carrying its member.  Where a
@@ -62,11 +66,11 @@ of an inner level sum to at most the outer tolerance.  The floor is a
 member's own, so a family member keeps its lone integral's bits.  The
 outermost level's first round, fresh or seeded, hands down rel_tol times
 the integral of |f| known before any node: a repair's (below) from its
-rule's nodes, a caller's estimate (``scales``, a density's Laplace mass),
-or none; every stop test reads the measured integral.  Each integral
-along one variable has a budget of ``MAX_PANELS`` panels.  A ``NodeSet``
-keeps, for every level, the final panel above each node, its ends and the
-node's share of that panel's K15 - G7 difference.  ``pair_all`` sums
+rule's nodes, the Laplace mass of a member's curvature, or none; every
+stop test reads the measured integral.  Each integral along one variable
+has a budget of ``MAX_PANELS`` panels.  A ``NodeSet`` keeps, for every
+level, the final panel above each node, its ends and the node's share of
+that panel's K15 - G7 difference.  ``pair_all`` sums
 f_i * tau on the nodes of each (rule, tau) it is given, with that
 estimate over every level, and repairs the pairings that miss the
 verdict: their refinement goes on from the rule's final panels at every
@@ -119,7 +123,7 @@ __all__ = [
     "adaptive_panels", "integrate_on_panels", "panel_nodes", "integrate_1d",
     "log_integral_1d", "refine_groups", "integrate_polytope", "pair_all",
     "Panels", "NodeSet", "TriangleMesh", "polygon_mesh", "QuadratureError",
-    "fitted_widths", "MAX_PANELS", "ALLOWANCE", "REL_TOL",
+    "MAX_PANELS", "ALLOWANCE", "REL_TOL",
 ]
 
 # the panel budget of one integral
@@ -570,8 +574,8 @@ def _maps(P, lines):
                                            for nu, c in lines))
 
 
-def integrate_polytope(f, P, *, lines=(), points=None, widths=None,
-                       scales=None, exponents=None, rel_tol: float = REL_TOL):
+def integrate_polytope(f, P, *, lines=(), points=None, curvatures=None,
+                       exponents=None, rel_tol: float = REL_TOL):
     """Integral of f over the polytope P on iterated GK15 panels.
 
     ``f`` maps points (k, n) to values.  The breakpoints are the facets of
@@ -584,20 +588,20 @@ def integrate_polytope(f, P, *, lines=(), points=None, widths=None,
 
     Given ``points`` (k, n), it integrates a family of k integrands over
     P, one per row of ``points``, its peak: each panel of member i is also
-    cut at the coordinate of row i in its variable.  ``widths`` (k, n),
-    nan where a width is unknown, adds the cuts m +- w 2^k, k = 0..3, at
-    the peak m of each finite positive width w: on the slice through the
-    peak, and on each slice of an inner level whose prefix lies within
-    sum_i ((x_i - m_i) / w_i)^2 <= 2 ln(1 / rel_tol) (a nan width adds 0),
-    where a Gaussian of these widths keeps at least rel_tol of its peak
-    slice's mass; a row whose cuts inside would leave more than
-    ``MAX_PANELS`` panels drops its ladder.  A member whose widths are nan
-    keeps the panels it has without them; ``fitted_widths`` gives a caller
-    the widths whose ladder fits the slice through the peak.  ``scales``
-    (k,), each member's integral of |f| as known before refinement (nan
-    where it is not), sets only the floor the first round of the outermost
-    level hands the slices below it (see ``_level``); the stop test reads
-    the measured integral, and a member whose scale is nan keeps its bits.
+    cut at the coordinate of row i in its variable.  ``curvatures``
+    (k, n, n), the Hessian of -log f_i at each member's peak m, where f_i
+    peaks at 1, seeds the member by Laplace's method (``_laplace``): where
+    it is positive definite and m is interior, the widths w_j add the cuts
+    m_j +- w_j 2^k, k = 0..3 (in 2-D and above only where the ladder fits
+    the slice through m), on the slice through the peak and on each slice
+    of an inner level whose prefix lies within sum_i ((x_i - m_i) / w_i)^2
+    <= 2 ln(1 / rel_tol), where a Gaussian of these widths keeps at least
+    rel_tol of its peak slice's mass; a row whose cuts inside would leave
+    more than ``MAX_PANELS`` panels drops its ladder.  The Gaussian's mass
+    sets only the floor the first round of the outermost level hands the
+    slices below it (see ``_level``); the stop test reads the measured
+    integral, so a wrong curvature changes only the cost, and a member
+    without widths or mass keeps its bits.
     ``f(X, i)`` then maps points and the member i of each to values, and
     the members refine as independent groups of one pass, each with its
     own panels, budget and verdict.  Returns one ``NodeSet`` per member.
@@ -618,18 +622,24 @@ def integrate_polytope(f, P, *, lines=(), points=None, widths=None,
     points = np.asarray(points, dtype=float)
     k, n = points.shape
     powers = _end_powers(exponents, k, len(P.normals))
+    maps = _maps(P, lines)
     # each member's cuts (k, n, c) in each variable: its peak, then the
     # ladder of its width
-    cuts = points[..., None]
-    if widths is not None:
-        cuts = np.concatenate([cuts, cuts + _per_member(
-            widths, "widths", k, n)[..., None] * _LADDER], 2)
+    cuts, mass = points[..., None], 0.0
+    if curvatures is not None:
+        curvatures = np.asarray(curvatures, dtype=float)
+        if curvatures.shape != (k, n, n):
+            raise ValueError(f"curvatures must be a {(k, n, n)} array, a "
+                             f"matrix per member, not {curvatures.shape}")
+        widths, mass = _laplace(P, maps, points, curvatures)
+        if widths is not None:
+            cuts = np.concatenate([cuts, cuts + widths[..., None] * _LADDER],
+                                  2)
     # the outermost level is handed a zero floor, from which it hands its
     # own down
     own, total, err, head, ids, x, weights, values, ends = _level(
-        f, _maps(P, lines), cuts, powers, np.arange(k), np.empty((k, 0)),
-        rel_tol, np.zeros(k), scale=0.0 if scales is None else _per_member(
-            scales, "scales", k))
+        f, maps, cuts, powers, np.arange(k), np.empty((k, 0)), rel_tol,
+        np.zeros(k), scale=mass)
     bounds, (weights, values, head, ids, x, ends) = _members(
         own, total, err, rel_tol, f"{n}-D polytope integral",
         [weights, values, head, ids, x, ends])
@@ -651,15 +661,6 @@ def integrate_polytope(f, P, *, lines=(), points=None, widths=None,
                            owners[rows], diffs[rows], ends[a:b], slots[a:b],
                            rel_tol, family, i))
     return out[0] if one else out
-
-
-def _per_member(a, name, *shape):
-    """``a`` as floats; raises ValueError unless its shape is ``shape``."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"{name} must be a {shape} array, a row per member, "
-                         f"not {a.shape}")
-    return a
 
 
 def _end_powers(exponents, k, n_facets):
@@ -794,18 +795,52 @@ def _slice(maps, prefix):
             facet[at_lo], facet[at_hi])
 
 
-def fitted_widths(P, lines, points, widths):
-    """``widths`` (k, n) where each ladder fits: nan in x_j where twice the
-    outermost rung, 16 w, exceeds the room from m_j to the nearest cut or
-    end of the slice of P at (m_1, ..., m_{j-1}), cut by the facets and
-    ``lines``; None where no width is left.  So a ladder replaces only
-    bisection from the peak's panel that would take four or more levels."""
-    maps, room = _maps(P, lines), np.empty(widths.shape)
-    for j in range(widths.shape[1]):
+def _pivots(a):
+    """The pivots (k, n) of symmetric elimination on the stack a (k, n, n),
+    first row first, nan from the first that is not positive: a is
+    positive definite iff every pivot is positive."""
+    pivots = np.empty(a.shape[:2])
+    for c in range(a.shape[1]):
+        pivots[:, c] = np.where(a[:, 0, 0] > 0.0, a[:, 0, 0], np.nan)
+        a = a[:, 1:, 1:] - a[:, 1:, :1] * (a[:, :1, 1:]
+                                           / pivots[:, c, None, None])
+    return pivots
+
+
+def _laplace(P, maps, points, a):
+    """Laplace's estimates (Wong 1989) of each member of
+    ``integrate_polytope`` from a (k, n, n), the Hessian of -log f_i at its
+    peak m, nan where a is not positive definite or m lies on a facet: the
+    widths (k, n), p_j^(-1/2) with p_j the pivots of a eliminated from x_n
+    back to x_1, so that p_n = a_nn is the precision a slice through m sees
+    and p_1 the marginal one the outer integral sees, and the mass
+    min((2 pi)^(n/2) det(a)^(-1/2), vol(P)) (k,) of f_i, which peaks at 1.
+    In 1-D every width is kept and the mass is 0, as no inner level reads
+    it.  Above, a width is kept only where its ladder fits: nan in x_j
+    where twice the outermost rung, 16 w_j, exceeds the room from m_j to
+    the nearest cut or end of the slice at (m_1, ..., m_{j-1}) of
+    ``maps``, and None where none is left.  So a ladder replaces only
+    bisection from the peak's panel that would take four or more levels;
+    elsewhere its cuts cost nodes."""
+    (k, n), interior = points.shape, row_min(P.ell(points)) > 0.0
+    # one elimination from x_1 on and one from x_n back, stacked (one in
+    # 1-D); the determinant is the product of the first's pivots
+    pivots = _pivots(np.concatenate([a, a[:, ::-1, ::-1]]) if n > 1 else a)
+    det = np.prod(pivots[:k], axis=1)
+    known = np.isfinite(det) & interior
+    widths = np.where(known[:, None], 1.0 / np.sqrt(pivots[-k:, ::-1]),
+                      np.nan)
+    if n == 1:
+        return widths, 0.0
+    mass = (2.0 * math.pi) ** (n / 2) / np.sqrt(np.where(known, det, np.nan))
+    if np.isfinite(mass).any():
+        mass = np.minimum(mass, float(P.volume_exact()))
+    room = np.empty(widths.shape)
+    for j in range(n):
         cuts = _slice(maps, points[:, :j])[2]
         room[:, j] = np.fmin.reduce(np.abs(cuts - points[:, j:j + 1]), axis=1)
     widths = np.where(2.0 * _LADDER[-1] * widths <= room, widths, np.nan)
-    return None if np.isnan(widths).all() else widths
+    return None if np.isnan(widths).all() else widths, mass
 
 
 def _drop_ladders(cuts, marks, member, prefix, lo, hi, rel_tol):

@@ -32,25 +32,20 @@ contributes ell_r(x) / 2 >= 0).  So log_gap_density(m) = -h(m) (0 when
 bare) is the reference level of every norm.  The density is smooth between
 the facets and the ends of the generator's support slabs, so the norm's
 panels are cut there and at m, in every dimension
-(``quadrature.integrate_polytope``).  Laplace's method (Wong 1989) gives
-the peak's scales before any node, from the ray's curvature alone: where
-s Hess psi(m) is positive definite and m is interior, the mass of the
-density over its value at m is near (2 pi)^(n/2) det(s Hess psi(m))^(-1/2),
-capped at vol(P), since that density is at most 1.  The mass sets the
-floor the first round hands the inner slices (``scales``; a no-op in 1-D,
-which has no inner level), and the widths sigma_j, from the pivots of
-s Hess psi(m) eliminated from x_n back ((s psi''(m))^(-1/2) in 1-D), also
-cut the panels at m_j +- sigma_j 2^k, k = 0..3: in 1-D always, in higher
-dimensions where the ladder fits the slice through m, and there only on
-the slices near m.  The densities of one P and generator at several
-(m, s), bare or weighted as each member says, such as every diagnostic of
-a criterion, share the facet and slab cuts and one generator jet per
-node, so ``density_family`` norms them as the members of one integral:
-one family per (P, generator), in which only the weighted members' rows
-gather facet terms.  A family takes psi(m) of all its distinct m from one
-jet, their facet terms and exact exponents once each, and their Laplace
-widths and masses from one order-2 jet.  ``pair_each`` pairs them with
-their test functions through one ``pair_all``.
+(``quadrature.integrate_polytope``).  Near m the density over its value
+there, which peaks at 1, is close to a Gaussian of precision
+s Hess psi(m), the ray's curvature, which grows with s where the base
+weight's does not; each member hands the engine that curvature, and the
+engine seeds the member's panels from it (Laplace's method).  The
+densities of one P and generator at several (m, s), bare or weighted as
+each member says, such as every diagnostic of a criterion, share the
+facet and slab cuts and one generator jet per node, so ``density_family``
+norms them as the members of one integral: one family per
+(P, generator), in which only the weighted members' rows gather facet
+terms.  A family takes psi(m) of all its distinct m from one jet, their
+facet terms and exact exponents once each, and their curvatures from one
+order-2 jet.  ``pair_each`` pairs them with their test functions through
+one ``pair_all``.
 
 The weight of a lattice point m behaves like ell_r(x)^(ell_r(m)/2) near
 facet r, and ell_r(m)/2 is an exact rational, from the offsets of P and the
@@ -72,7 +67,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .columns import row_dot, row_min, row_sum
+from .columns import row_dot, row_sum
 from .generators import Generator
 from .polytope import MEMBERSHIP_TOL, Polytope
 from . import quadrature
@@ -164,45 +159,6 @@ def basis_census(P: Polytope):
     return len(pts), pts
 
 
-def _pivots(a):
-    """The pivots (k, n) of symmetric elimination on the stack a (k, n, n),
-    first row first, nan from the first that is not positive: a is
-    positive definite iff every pivot is positive."""
-    pivots = np.empty(a.shape[:2])
-    for c in range(a.shape[1]):
-        pivots[:, c] = np.where(a[:, 0, 0] > 0.0, a[:, 0, 0], np.nan)
-        a = a[:, 1:, 1:] - a[:, 1:, :1] * (a[:, :1, 1:]
-                                           / pivots[:, c, None, None])
-    return pivots
-
-
-def _laplace(P: Polytope, gen: Generator, m, s):
-    """Laplace's estimates of each member (m, s) of a family, from one jet
-    on the stack of m (k, n), nan where s Hess psi(m) is not positive
-    definite or m lies on a facet: the widths (k, n), p_j^(-1/2) with p_j
-    the pivots of s Hess psi(m) eliminated from x_n back to x_1, so that
-    p_n = s psi_nn is the precision a slice through m sees and p_1 the
-    marginal one the outer integral sees ((s psi''(m))^(-1/2) in 1-D), and
-    the mass min((2 pi)^(n/2) det(s Hess psi(m))^(-1/2), vol(P)) (k,) of
-    the density over its value at m, which is at most 1 on P.  In 2-D and
-    above ``_ensure_norm`` hands on only the widths whose ladder fits
-    (``quadrature.fitted_widths``): cuts at the peak's scales save nodes
-    only where bisection from the peak's panel would take four or more
-    levels to reach them, and cost nodes elsewhere."""
-    a = s[:, None, None] * gen.jet(m, 2)[2]
-    # one elimination from x_1 on and one from x_n back, stacked; the
-    # determinant is the product of the first's pivots
-    pivots = _pivots(np.concatenate([a, a[:, ::-1, ::-1]]))
-    det = np.prod(pivots[:len(a)], axis=1)
-    det = np.where(np.isfinite(det) & (row_min(P.ell(m)) > 0.0), det, np.nan)
-    mass = (2.0 * math.pi) ** (P.dim / 2) / np.sqrt(det)
-    widths = np.where(np.isnan(mass)[:, None], np.nan,
-                      1.0 / np.sqrt(pivots[len(a):, ::-1]))
-    if np.isfinite(mass).any():
-        mass = np.minimum(mass, float(P.volume_exact()))
-    return widths, mass
-
-
 class MonomialDensity:
     """Fiber density of one monomial section at ray time s.
 
@@ -253,10 +209,8 @@ class MonomialDensity:
         """Integrate the mass of this density and of every density of its
         family not yet normed, as the members of one ``integrate_polytope``
         call: one pass of panels cut at the facets, the ends of the
-        generator's support slabs, each member's m and the ladders of its
-        Laplace widths (in 2-D and above only those that fit, by
-        ``quadrature.fitted_widths``), with each member's Laplace mass as
-        its scale (``_laplace``)."""
+        generator's support slabs and each member's m, and seeded by each
+        member's curvature s Hess psi(m)."""
         if self._norm_ready:
             return
         todo = [d for d in self._family or (self,) if not d._norm_ready]
@@ -293,11 +247,9 @@ class MonomialDensity:
                                        terms) - ref[i])
 
         lines = [(nu, c) for nu, lo, hi in gen.support for c in (lo, hi)]
-        widths, masses = _laplace(P, gen, m, s)
-        if P.dim > 1:
-            widths = quadrature.fitted_widths(P, lines, m, widths)
         rules = quadrature.integrate_polytope(
-            driver, P, lines=lines, points=m, widths=widths, scales=masses,
+            driver, P, lines=lines, points=m,
+            curvatures=s[:, None, None] * gen.jet(m, 2)[2],
             exponents=exponents, rel_tol=self.rel_tol)
         if min(rule.value for rule in rules) <= 0:
             raise QuantizationError("density mass underflowed")

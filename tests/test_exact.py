@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from toricray import _exact
 from toricray._exact import (det_exact, invert_unimodular, is_primitive,
-                             primitivize, rank_exact, row_reduce, solve_exact,
+                             primitivize, rank_exact, row_reduce,
                              unimodular_completion)
 from toricray.generators import PLConvex
 from toricray.polytope import make_polytope
@@ -96,12 +96,15 @@ def leibniz(a):
 @exact
 @given(square_matrices(), st.data())
 def test_det_rank_and_solve_agree(A, data):
+    # row_reduce of the augmented rows [A | b] pivots on every column of A
+    # exactly when det A != 0, and then x = rows[:, n] / det solves A x = b
     n = len(A)
     b = [data.draw(entries) for _ in range(n)]
-    x = solve_exact(A, b)
-    assert (det_exact(A) != 0) == (rank_exact(A) == n) == (x is not None)
-    if x is not None:
-        assert matvec(A, x) == b
+    ech = row_reduce([[*r, v] for r, v in zip(A, b)], n + 1)
+    solved = ech.pivots == tuple(range(n))
+    assert (det_exact(A) != 0) == (rank_exact(A) == n) == solved
+    if solved:
+        assert matvec(A, [Fraction(r[n], ech.det) for r in ech.rows]) == b
 
 
 @exact
@@ -238,8 +241,7 @@ def test_every_exact_query_runs_the_one_row_reduction(monkeypatch):
 
     monkeypatch.setattr(_exact, "row_reduce", counted)
     A = [[2, 1], [1, 1]]
-    for query in (lambda: rank_exact(A), lambda: solve_exact(A, [1, 0]),
-                  lambda: det_exact(A),
+    for query in (lambda: rank_exact(A), lambda: det_exact(A),
                   lambda: invert_unimodular(A)):
         calls.clear()
         query()

@@ -16,8 +16,7 @@ from scipy.optimize import linprog
 
 from toricray import (acceptance, generators, limits, polytope, potentials,
                       quadrature, quantization, smoothing)
-from toricray._exact import (SaturationError, det_exact, dot, row_reduce,
-                             solve_exact)
+from toricray._exact import SaturationError, det_exact, dot, row_reduce
 from toricray.polytope import (DelzantError, Polytope, PolytopeError,
                                ell_values, face_frame, integral_points,
                                make_polytope, parse_polytope,
@@ -233,9 +232,18 @@ def test_extreme_rays_decide_as_the_cut_cone():
     assert min(seen.values()) >= 20
 
 
+def solve(rows, rhs):
+    """The solution of a square rational system, from ``row_reduce`` of its
+    augmented rows; None when it is singular."""
+    n = len(rows)
+    ech = row_reduce([[*r, b] for r, b in zip(rows, rhs)], n + 1)
+    return (tuple(Fraction(r[n], ech.det) for r in ech.rows)
+            if ech.pivots == tuple(range(n)) else None)
+
+
 def fraction_vertices(normals, offsets, dim, equalities=()):
     """Reference enumeration on Fractions: each equality becomes a pair of
-    opposite rows; solve every dim-subset with ``solve_exact`` and keep the
+    opposite rows; solve every dim-subset with ``solve`` and keep the
     solutions whose ``dot`` slacks are >= 0, with the inequalities tight
     there."""
     rows = [*zip(normals, offsets),
@@ -243,8 +251,8 @@ def fraction_vertices(normals, offsets, dim, equalities=()):
               for u, c in equalities for s in (1, -1))]
     verts = {}
     for subset in combinations(range(len(rows)), dim):
-        x = solve_exact([rows[j][0] for j in subset],
-                        [rows[j][1] for j in subset])
+        x = solve([rows[j][0] for j in subset],
+                  [rows[j][1] for j in subset])
         if x is None or x in verts:
             continue
         slacks = [dot(v, x) - o for v, o in rows]

@@ -12,6 +12,7 @@ walk.
 
 import ast
 import heapq
+import inspect
 import itertools
 import math
 import os
@@ -568,6 +569,21 @@ def test_construction_layers_import_nothing_from_quadrature():
                     any(a.name == "quadrature" for a in node.names)):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_every_engine_keyword_has_a_caller():
+    # the keywords the package's calls hand integrate_polytope are exactly
+    # its signature's: an engine knob that no caller sets fails here
+    src = Path(quadrature.__file__).resolve().parent
+    handed = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "integrate_polytope" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                handed |= {k.arg for k in node.keywords}
+    params = inspect.signature(integrate_polytope).parameters.values()
+    assert handed == {p.name for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def test_only_quadrature_and_the_cli_catch_quadrature_errors():
@@ -1147,33 +1163,48 @@ def test_family_members_are_their_lone_integrals_in_three_dimensions():
                 together[len(taus) * rule.member + taus.index(tau)]
 
 
+def _curvatures(peaks, width):
+    """The curvature I / width^2 of a Gaussian of that width at every peak
+    but the second, nan there: a Gaussian member and one without any."""
+    k, n = np.shape(peaks)
+    a = np.tile(np.eye(n) / width ** 2, (k, 1, 1))
+    a[1] = np.nan
+    return a
+
+
 @pytest.mark.parametrize("P, peaks, lines, width", [
     (scenarios.cp2(3), [[1.0, 1.0], [0.4, 2.1]], [((1, 0), 1.5)], 0.05),
     (PRISM, [[0.8, 0.8, 0.5], [2.0, 0.4, 0.9]], [((1, 1, 0), 2.0)], 0.2),
-], ids=["cp2", "prism"])
+    (PRISM, [[0.8, 0.8, 0.5], [2.0, 0.4, 0.9]], [((1, 1, 0), 2.0)], 0.02),
+], ids=["cp2", "prism", "prism-narrow"])
 def test_width_ladder_agrees_with_the_unseeded_rule(P, peaks, lines, width):
-    # peaks seeded with their widths, one member without: each seeded
-    # integral and pairing agrees with the unseeded rule within the
-    # verdict, and the member with nan widths keeps its bits
+    # Gaussian peaks handed their curvature I / w^2, one member with a nan
+    # curvature: each seeded integral and pairing agrees with the unseeded
+    # rule within the verdict, and the member without curvature keeps its
+    # bits.  On the prism, w = 0.2 has no room (16 w exceeds the distance
+    # from the peak to the nearest cut in every variable), so the engine
+    # drops its ladder; w = 0.02 fits and cuts the panels
     peaks = np.array(peaks)
     f = lambda X, i: np.exp(-0.5 * np.sum((X - peaks[i]) ** 2, axis=1)
                             / width ** 2)
     cuts = dict(points=peaks, lines=lines, rel_tol=1e-6)
     plain = integrate_polytope(f, P, **cuts)
-    widths = np.full(peaks.shape, width)
-    widths[1] = np.nan
-    seeded = integrate_polytope(f, P, widths=widths, **cuts)
+    curvatures = _curvatures(peaks, width)
+    seeded = integrate_polytope(f, P, curvatures=curvatures, **cuts)
     tau = lambda X: 1.0 + X[:, 0] * X[:, -1]
     for a, b in zip(plain, seeded):
         scale = float(np.sum(a.weights * np.abs(a.values)))
         assert abs(a.value - b.value) <= quadrature.ALLOWANCE * 1e-6 * scale
         (pa, _), (pb, _) = quadrature.pair_all([(a, tau), (b, tau)])
         assert abs(pa - pb) <= quadrature.ALLOWANCE * 1e-6 * abs(pa)
-    assert seeded[0].panels != plain[0].panels
+    ladder = seeded[0].family[3].shape[2] > 1
+    assert ladder == (width != 0.2)
+    if ladder:
+        assert seeded[0].panels != plain[0].panels
     for got, want in zip(seeded[1][:6], plain[1][:6]):
         assert np.array_equal(got, want)
-    with pytest.raises(ValueError, match="widths must be a"):
-        integrate_polytope(f, P, widths=widths[:, :1], **cuts)
+    with pytest.raises(ValueError, match="curvatures must be a"):
+        integrate_polytope(f, P, curvatures=curvatures[:, :1], **cuts)
 
 
 def test_only_the_slices_near_the_peak_take_its_ladder():
@@ -1204,9 +1235,10 @@ def test_only_the_slices_near_the_peak_take_its_ladder():
         assert rungs or all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_a_known_scale_sets_only_the_first_round():
-    # Gaussian peaks on CP^2(3), handed their mass, none (nan) and a tenth
-    # of it: the first round hands its slices rel_tol times that mass, so
+def test_a_known_scale_sets_only_the_first_round(monkeypatch):
+    # Gaussian peaks on CP^2(3), handed their Laplace mass 2 pi w^2, none
+    # (a nan curvature) and a tenth of it (``_laplace`` scaled, with no
+    # widths): the first round hands its slices rel_tol times that mass, so
     # the slices far in the tails stop at once.  The estimated members take
     # no more panels and agree with the plain rule within the verdict, the
     # member with no scale keeps its bits, and an estimated member alone is
@@ -1218,21 +1250,27 @@ def test_a_known_scale_sets_only_the_first_round():
     mass = 2.0 * np.pi * width ** 2
     cuts = dict(lines=[((1, 1), 2.0)], rel_tol=1e-6)
     plain = integrate_polytope(f, P, points=peaks, **cuts)
-    scales = np.array([mass, np.nan, 0.1 * mass])
-    known = integrate_polytope(f, P, points=peaks, scales=scales, **cuts)
+    laplace, factor = quadrature._laplace, np.array([1.0, 1.0, 0.1])
+
+    def masses(*args):
+        scales = laplace(*args)[1]
+        return None, scales * factor[:len(scales)]
+    monkeypatch.setattr(quadrature, "_laplace", masses)
+    curvatures = _curvatures(peaks, width)
+    known = integrate_polytope(f, P, points=peaks, curvatures=curvatures,
+                               **cuts)
     for a, b in zip(plain, known):
         assert abs(a.value - mass) <= quadrature.ALLOWANCE * 1e-6 * mass
         assert abs(a.value - b.value) <= quadrature.ALLOWANCE * 1e-6 * mass
+        assert b.family[3].shape[2] == 1
     assert known[0].panels < plain[0].panels
     assert known[2].panels <= plain[2].panels
     for got, want in zip(known[1][:6], plain[1][:6]):
         assert np.array_equal(got, want)
     alone = integrate_polytope(lambda X, i: f(X, 0), P, points=peaks[:1],
-                               scales=scales[:1], **cuts)[0]
+                               curvatures=curvatures[:1], **cuts)[0]
     for got, want in zip(alone[:6], known[0][:6]):
         assert np.array_equal(got, want)
-    with pytest.raises(ValueError, match="scales must be a"):
-        integrate_polytope(f, P, points=peaks, scales=scales[:2], **cuts)
 
 
 def test_prism_integrals():

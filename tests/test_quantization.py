@@ -1,6 +1,7 @@
 """Monomial densities, norms, and transform coefficients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
-from toricray import quadrature, quantization
+from toricray import polytope, quadrature
 from toricray.generators import BumpSpec, Generator, build_bump_generator
 from toricray.limits import battery_for
 from toricray.polytope import make_polytope
@@ -533,8 +534,16 @@ DELTA_GRID = [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0]
 
 def _unseeded(monkeypatch):
     """Norm densities as if no width or mass were known."""
-    monkeypatch.setattr(quantization, "_laplace", lambda P, gen, m, s: (
-        np.full(m.shape, np.nan), None))
+    monkeypatch.setattr(quadrature, "_laplace", lambda *args: (None, 0.0))
+
+
+def _laplace(P, gen, m, s):
+    """The engine's Laplace widths and masses of the members (m, s) of a
+    family on P under gen, from the curvatures s Hess psi(m) the family
+    hands it."""
+    lines = [(nu, c) for nu, lo, hi in gen.support for c in (lo, hi)]
+    return quadrature._laplace(P, quadrature._maps(P, lines), m,
+                               s[:, None, None] * gen.jet(m, 2)[2])
 
 
 @pytest.mark.parametrize("kernel", ["cosine", "smooth"])
@@ -575,9 +584,8 @@ def test_a_member_without_width_keeps_its_bits(monkeypatch):
     bat = battery_for(P)
     members = [([0], 512.0, w) for w in (False, True)] + [
         ([1], s, w) for s in (64.0, 4096.0) for w in (False, True)]
-    widths, _ = quantization._laplace(P, gen,
-                                      np.array([[0.0], [1.0], [1.0]]),
-                                      np.array([512.0, 512.0, 0.0]))
+    widths, _ = _laplace(P, gen, np.array([[0.0], [1.0], [1.0]]),
+                         np.array([512.0, 512.0, 0.0]))
     assert np.isnan(widths[[0, 2]]).all() and widths[1, 0] > 0
     seeded = [density_family(P, gen, members),
               [MonomialDensity(P, gen, m, s, weighted=w)
@@ -624,34 +632,34 @@ def test_laplace_mass_spares_the_first_rounds_slices(monkeypatch, s, most):
 def test_laplace_mass_is_the_gaussians_capped_at_the_volume():
     # Hess psi = 5 I at (1,1) on the cosine wall sum: the mass is
     # (2 pi / s) det(Hess psi)^(-1/2), capped at vol(P) = 9/2, and the
-    # widths of the diagonal Hessian are (s psi_jj)^(-1/2), the mass's cap
-    # aside; both are nan at s = 0, on a facet and at cp2_wall's (1,1),
-    # where Hess psi has rank 1.  In 1-D the mass is sqrt(2 pi) times the
-    # width
+    # widths of the diagonal Hessian are (s psi_jj)^(-1/2) where their
+    # ladder fits (at s = 8192, not at s = 0.1); both are nan at s = 0, on
+    # a facet and at cp2_wall's (1,1), where Hess psi has rank 1.  In 1-D
+    # no inner level reads a mass, so none is computed
     sc = cp2_wall_sum("cosine")
     P, gen = sc.polytope, sc.generator
     m = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
-    s = np.array([512.0, 0.1, 0.0, 512.0])
+    s = np.array([8192.0, 0.1, 0.0, 8192.0])
     hess = gen.jet(m[:1], 2)[2][0]
     det = np.linalg.det(hess)
     assert det == pytest.approx(25.0, rel=1e-12) and hess[0, 1] == 0.0
-    widths, mass = quantization._laplace(P, gen, m, s)
-    assert np.array_equal(widths[:2], 1.0 / np.sqrt(s[:2, None]
-                                                    * np.diag(hess)))
-    assert np.isnan(widths[2:]).all()
-    assert mass[0] == pytest.approx(2.0 * np.pi / 512.0 / np.sqrt(det),
+    widths, mass = _laplace(P, gen, m, s)
+    assert np.array_equal(widths[0], 1.0 / np.sqrt(s[0] * np.diag(hess)))
+    assert np.isnan(widths[1:]).all()
+    assert mass[0] == pytest.approx(2.0 * np.pi / s[0] / np.sqrt(det),
                                     rel=1e-12)
     assert 2.0 * np.pi / 0.1 / np.sqrt(det) > 4.5 and mass[1] == 4.5
     assert np.isnan(mass[2:]).all()
     wall = cp2_wall()
-    for got in quantization._laplace(wall.polytope, wall.generator, m[:1],
-                                     np.array([512.0])):
-        assert np.isnan(got).all()
+    widths, mass = _laplace(wall.polytope, wall.generator, m[:1],
+                            np.array([512.0]))
+    assert widths is None and np.isnan(mass).all()
     seg = seg_scenario("cosine")
-    widths, mass = quantization._laplace(seg.polytope, seg.generator,
-                                         np.array([[1.0]]), np.array([512.0]))
-    assert mass[0] == pytest.approx(np.sqrt(2.0 * np.pi) * widths[0, 0],
-                                    rel=1e-15)
+    widths, mass = _laplace(seg.polytope, seg.generator, np.array([[1.0]]),
+                            np.array([512.0]))
+    assert mass == 0.0 and widths[0, 0] == pytest.approx(
+        1.0 / math.sqrt(512.0 * seg.generator.d2psi(np.array([1.0]))[0]),
+        rel=1e-15)
 
 
 def test_a_member_without_laplace_mass_keeps_its_bits(monkeypatch):
@@ -698,12 +706,12 @@ def test_a_wrong_laplace_mass_changes_only_the_cost(monkeypatch, kernel,
     P, gen = sc.polytope, sc.generator
     bat = battery_for(P)
     members = [([1, 1], s, w) for s in WALL_SUM_S for w in (False, True)]
-    laplace = quantization._laplace
+    laplace = quadrature._laplace
 
     def scaled(*args):
         widths, mass = laplace(*args)
         return widths, mass * factor
-    monkeypatch.setattr(quantization, "_laplace", scaled)
+    monkeypatch.setattr(quadrature, "_laplace", scaled)
     family = density_family(P, gen, members)
     values, _ = pair_densities(family, bat)
     _unseeded(monkeypatch)
@@ -715,42 +723,35 @@ def test_a_wrong_laplace_mass_changes_only_the_cost(monkeypatch, kernel,
     assert np.all(np.abs(values - want) <= bound * np.maximum(1.0, abs(want)))
 
 
-class _Quadratic(Generator):
-    """psi = x . A x / 2 on the plane, of the one Hessian A."""
-    dim = 2
-    support = ()
-
-    def __init__(self, A):
-        self.A = np.array(A, dtype=float)
-
-    def _jet(self, X, order):
-        return (None, None, np.broadcast_to(self.A, (len(X), 2, 2)))
-
-
 def test_laplace_widths_are_the_pivots_from_the_last_variable_back():
-    # with a correlated Hessian, x2's width is its conditional one,
+    # with a correlated curvature s A, x2's width is its conditional one,
     # (s A_22)^(-1/2), the width a slice through m sees, and x1's its
     # marginal one, (Sigma_11 / s)^(1/2) with Sigma = A^(-1), the width the
-    # outer integral sees; an indefinite Hessian has none, with no warning
-    A, s = np.array([[3.0, 1.0], [1.0, 2.0]]), 64.0
+    # outer integral sees; an indefinite or rank-deficient curvature has
+    # none, with no warning
+    A, s = np.array([[3.0, 1.0], [1.0, 2.0]]), 4096.0
     P, m = cp2(3), np.array([[1.0, 1.0]])
-    widths, mass = quantization._laplace(P, _Quadratic(A), m, np.array([s]))
+    maps = quadrature._maps(P, ())
+    widths, mass = quadrature._laplace(P, maps, m, s * A[None])
     assert widths[0] == pytest.approx(
         [math.sqrt(np.linalg.inv(A)[0, 0] / s), 1.0 / math.sqrt(s * A[1, 1])],
         rel=1e-14)
     assert mass[0] == pytest.approx(2.0 * math.pi / s
                                     / math.sqrt(np.linalg.det(A)), rel=1e-14)
-    for bad in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]):
-        widths, mass = quantization._laplace(P, _Quadratic(bad), m,
-                                             np.array([s]))
-        assert np.isnan(widths).all() and np.isnan(mass).all()
+    for bad in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]],
+                [[1.0, 1.0], [1.0, 1.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            widths, mass = quadrature._laplace(P, maps, m,
+                                               s * np.array([bad]))
+        assert widths is None and np.isnan(mass).all()
 
 
 def _withheld(monkeypatch):
     """Norm densities with their Laplace masses but without their widths."""
-    laplace = quantization._laplace
-    monkeypatch.setattr(quantization, "_laplace", lambda P, gen, m, s: (
-        np.full(m.shape, np.nan), laplace(P, gen, m, s)[1]))
+    laplace = quadrature._laplace
+    monkeypatch.setattr(quadrature, "_laplace",
+                        lambda *args: (None, laplace(*args)[1]))
 
 
 def test_laplace_widths_cut_the_peaked_slices(monkeypatch):
@@ -812,8 +813,10 @@ def test_widths_without_room_keep_the_bits(monkeypatch, which):
 
 def test_a_1d_family_hands_on_every_width():
     # a 1-D family fits no ladder: each member's rule is the engine's,
-    # handed the widths (s psi''(m))^(-1/2) from the scalar-line evaluator,
-    # bit for bit, on delta families and next to members without width
+    # handed the curvatures s psi''(m) from the scalar-line evaluator, bit
+    # for bit, on delta families and next to members without width, and
+    # every member with a curvature keeps its ladder, even where 16 w
+    # exceeds the room to the nearest cut
     sc = seg_scenario("cosine")
     P, gen = sc.polytope, sc.generator
     members = [([1], s, False) for s in DELTA_GRID] + [([0], 512.0, False)]
@@ -821,19 +824,32 @@ def test_a_1d_family_hands_on_every_width():
     family[0].log_mass()
     m = np.array([d.m for d in family])
     s = np.array([d.s for d in family])
-    curvature = s * gen.d2psi(m[:, 0])
-    known = (curvature > 0.0) & (m[:, 0] > 0.0)
-    widths = np.where(known, 1.0 / np.sqrt(np.where(known, curvature, 1.0)),
-                      np.nan)[:, None]
     f, _, lines, cuts, _ = family[0]._rule.family
     rules = quadrature.integrate_polytope(
-        f, P, lines=lines, points=m, widths=widths,
-        scales=quantization._laplace(P, gen, m, s)[1], rel_tol=1e-10)
+        f, P, lines=lines, points=m,
+        curvatures=(s * gen.d2psi(m[:, 0]))[:, None, None], rel_tol=1e-10)
     assert np.isfinite(cuts[:-1, 0, 1:]).all()
+    assert np.isnan(cuts[-1, 0, 1:]).all()
+    room = np.abs(np.array([c for _, c in lines]) - 1.0).min()
+    assert 16.0 * (cuts[0, 0, -1] - 1.0) / 8.0 > room
     assert np.array_equal(cuts, rules[0].family[3], equal_nan=True)
     for d, rule in zip(family, rules):
         for a, b in zip(d._rule[:10], rule[:10]):
             assert np.array_equal(a, b)
+
+
+def test_a_1d_family_computes_no_mass(monkeypatch):
+    # no level lies below the outermost in 1-D, so no Laplace mass is read
+    # and none is computed: norming a delta family takes no exact volume
+    sc = seg_scenario("cosine")
+    members = [([1], s, w) for s in DELTA_GRID for w in (False, True)]
+    volumes = []
+    volume = polytope._volume
+    monkeypatch.setattr(polytope, "_volume",
+                        lambda *args: volumes.append(args) or volume(*args))
+    family = density_family(sc.polytope, sc.generator, members)
+    family[0].log_mass()
+    assert family[0]._rule.family[3].shape[2] > 1 and volumes == []
 
 
 def test_a_ladder_past_the_budget_is_dropped(monkeypatch):
