@@ -51,15 +51,26 @@ RATE_FIT_FLOOR = 1e-13
 
 @dataclass
 class BatteryMember:
+    """A named test function.  ``cuts`` (n, c), where given, are the
+    breakpoints of each variable at which fn is not analytic, or that
+    bound its scales: a repair of a missed pairing starts with its panels
+    split there (``quadrature.pair_all``)."""
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
+    cuts: np.ndarray | None = None
 
     def __call__(self, X):
         return self.fn(np.asarray(X, dtype=float))
 
 
 def battery_for(P: Polytope) -> list:
-    """Constants, coordinates, quadratics, a cosine wave and a smooth bump."""
+    """Constants, coordinates, quadratics, a cosine wave and a smooth bump.
+
+    The bump is exp(-1 / (1 - r^2)) on the ball of radius w = diam(P) / 3
+    about c = ``P.centroid()`` (the vertex mean), r the distance to c over
+    w, and 0 off it: it is smooth but not analytic on the sphere.  Its
+    ``cuts`` in each variable are the support's ends c_j +- w and one rung
+    c_j +- 3w/4 inside; no other member has cuts."""
     diam = P.diameter()
     center = P.centroid()
     members = [BatteryMember("one", lambda X: np.ones(X.shape[:-1]))]
@@ -83,7 +94,9 @@ def battery_for(P: Polytope) -> list:
         out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
         return out
 
-    members.append(BatteryMember("bump", bump))
+    members.append(BatteryMember(
+        "bump", bump, center[:, None] + width * np.array([-1.0, -0.75, 0.75,
+                                                          1.0])))
     return members
 
 

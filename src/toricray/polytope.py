@@ -282,6 +282,9 @@ class Polytope:
         return self._verts_np
 
     def centroid(self) -> np.ndarray:
+        """The mean of the vertices, which is the centroid only of a
+        simplex.  It places the battery's bump (``limits.battery_for``) and
+        the Newton guess of ``potentials.legendre_inverse``."""
         return self._verts_np.mean(axis=0)
 
     def bbox(self):

@@ -77,8 +77,14 @@ verdict: their refinement goes on from the rule's final panels at every
 level, whose values are the products on the rule's nodes, as one family
 of f_i * tau per family of rules, on the same cuts, end maps, rel_tol and
 budget.  Only the children of split panels and the inner integrals under
-new outer nodes call f_i * tau.  It is the one place that refines again
-after a missed estimate, and the one pairing of a rule.
+new outer nodes call f_i * tau.  A tau may carry ``cuts`` (n, c), its
+breakpoints in each variable (the battery's bump ends its support there,
+where it is not analytic): as QUADPACK's QAGP takes known break points
+(Piessens et al. 1983), the repair's first round replaces each seeded
+panel that a cut of its tau crosses by its pieces, and cuts the slices
+under their new nodes there too, instead of bisecting down to the cuts.
+It is the one place that refines again after a missed estimate, and the
+one pairing of a rule.
 
 End maps: a member may behave like ell_r^e times a smooth function near
 facet r, with e = k/q an exact rational (``exponents``), where bisection
@@ -457,10 +463,12 @@ def pair_all(pairings):
     pairing that misses the module's verdict is repaired: the refinement of
     f * tau goes on from its rule's final panels, at every level, with the
     values f * tau has on the rule's nodes, on the rule's cuts, end maps
-    and rel_tol (see ``_level``).  The misses of the rules of one
-    ``integrate_polytope`` call are repaired together, as the members of
-    one family whose levels call each distinct tau once, and each gets the
-    bits of its lone repair.  Raises QuadratureError by the verdict."""
+    and rel_tol (see ``_level``); the first round splits the panels that
+    the ``cuts`` of tau (n, c), where it has them, cross in their variable.
+    The misses of the rules of one ``integrate_polytope`` call are repaired
+    together, as the members of one family whose levels call each distinct
+    tau once, and each gets the bits of its lone repair.  Raises
+    QuadratureError by the verdict."""
     pairings = list(pairings)
     out, missed = [], {}
     for r, (rule, tau) in enumerate(pairings):
@@ -496,9 +504,24 @@ def _repair(pairings, values):
     own, total, err, _, _, _, w, v, _ = _level(
         _times(f, members, taus), _maps(P, lines), cuts[members],
         None if powers is None else powers[members], np.arange(k),
-        np.empty((k, 0)), rel_tol, np.zeros(k), _seed(rules, values), scales)
+        np.empty((k, 0)), rel_tol, np.zeros(k), _seed(rules, values), scales,
+        _breaks(taus, P.dim))
     _members(own, total, err, rel_tol, f"{P.dim}-D polytope integral", [w, v])
     return list(zip(total.tolist(), err.tolist()))
+
+
+def _breaks(taus, n):
+    """The breakpoints (k, n, c) of each tau in each variable, its ``cuts``
+    (n, c'), nan where it has fewer or none; None when no tau has any."""
+    cuts = [getattr(tau, "cuts", None) for tau in taus]
+    widths = [np.shape(c)[1] for c in cuts if c is not None]
+    if not widths:
+        return None
+    breaks = np.full((len(taus), n, max(widths)), np.nan)
+    for row, c in zip(breaks, cuts):
+        if c is not None:
+            row[:, :np.shape(c)[1]] = c
+    return breaks
 
 
 def _seed(rules, values):
@@ -843,6 +866,51 @@ def _laplace(P, maps, points, a):
     return None if np.isnan(widths).all() else widths, mass
 
 
+def _split(a, b, g, below, at):
+    """The parts of a seeded level (see ``_level``), each its panels (a, b,
+    g) and their seed below: the panels that no entry of their row of
+    ``at`` (one row per panel, nan where there is none) crosses, with their
+    seed, then the pieces of the others cut there, with none (they call f).
+    An empty part is left out."""
+    cross = row_any((at > a[:, None]) & (at < b[:, None]))
+    if not cross.any():
+        return [((a, b, g), below)]
+    a_, b_, i = _cut(a[cross], b[cross], at[cross])
+    pieces = ((a_, b_, g[cross][i]), None)
+    keep = ~cross
+    if not keep.any():
+        return [pieces]
+    return [((a[keep], b[keep], g[keep]), _kept(below, keep)), pieces]
+
+
+def _kept(seed, keep):
+    """The seed of the rows under the panels ``keep`` (a mask) of a level,
+    renumbered in order: the values of their nodes on the innermost level,
+    else the panels of the level below whose row is one of their nodes, and
+    so on down."""
+    if not isinstance(seed, tuple):
+        return seed.reshape(-1, 15)[keep].ravel()
+    a, b, g, below = seed
+    at = keep[g // 15]
+    g = g[at]
+    return (a[at], b[at], 15 * (np.cumsum(keep) - 1)[g // 15] + g % 15,
+            _kept(below, at))
+
+
+def _end_unmap(x, g, pieces):
+    """u at the points x of the rows g (of any one shape), the inverse of
+    ``_end_map``: a + (b - a) ((x - a) / (b - a))^(1/q) inside a mapped end
+    piece, x elsewhere (nan stays nan)."""
+    last, ends, spans, powers, _ = pieces
+    side = 2 * g + (x > last.take(g))
+    a, span, q = ends.take(side), spans.take(side), powers.take(side)
+    # an end that is not mapped may have no piece
+    t = (x - a) / np.where(q > 1.0, span, 1.0)
+    inside = (q > 1.0) & (t > 0.0) & (t < 1.0)
+    return np.where(inside, a + span * np.where(inside, t, 1.0) ** (1.0 / q),
+                    x)
+
+
 def _drop_ladders(cuts, marks, member, prefix, lo, hi, rel_tol):
     """Set to nan, in place, the ladder that ends each row of ``cuts``, the
     cuts of the slices of ``_level`` at ``prefix`` (k, j), but on the rows
@@ -864,7 +932,7 @@ def _drop_ladders(cuts, marks, member, prefix, lo, hi, rel_tol):
 
 
 def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
-           scale=0.0):
+           scale=0.0, breaks=None):
     """The integrals of f over x_{j+1}, ..., x_n of P at each of the k rows
     of ``prefix`` (k, j), the fixed x_1, ..., x_j, one group per row, cut
     by ``_slice`` of ``maps``.  ``member`` (k,) is the family member of
@@ -898,23 +966,35 @@ def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
     are measured from those values, with no call of f: the innermost
     level maps their nodes as it maps new ones, and an outer level refines
     the rows below from their seed.  Only the children of split panels and
-    the rows under new nodes call f.
+    the rows under new nodes call f.  ``breaks`` (members, n, c), nan where
+    there is none, are each member's own cuts in each variable: in the
+    first round a seeded panel that a break of its row crosses (in u where
+    the innermost level maps it, see ``_end_unmap``) is replaced by its
+    pieces, which call f with the rows under their nodes, while the other
+    panels and the rows under them keep their seed; a fresh row is cut at
+    its breaks too, before its ladder.
 
     The first round of fresh and seeded rows alike hands the rows below
     the larger of ``floor`` and rel_tol times ``scale`` (k,), each row's
     integral of |f| known before it (nan or 0 where none is), over the
     length of the row's range; later rounds hand ``_refine``'s."""
     (k, j), n = prefix.shape, len(maps)
-    inner, mapped = [], []
+    inner, mapped, pieces = [], [], None
     lo, hi, cuts, at_lo, at_hi = _slice(maps, prefix)
-    cuts = np.concatenate([cuts, marks[member, j]], axis=1)
+    cuts = [cuts, marks[member, j]]
+    if breaks is not None and seed is None:
+        # a fresh row is also cut at its breaks, before the ladder; a seeded
+        # one keeps its rule's cuts, and so its end maps
+        cuts.insert(1, breaks[member, j])
+    cuts = np.concatenate(cuts, axis=1)
     # the outermost level's one slice is the peak's, and a row's panels
     # number at most its cuts plus one
     if marks.shape[2] > 1 and (j or cuts.shape[1] >= MAX_PANELS):
         _drop_ladders(cuts, marks, member, prefix, lo, hi, rel_tol)
     if j == n - 1:
-        pieces, cuts = (None, cuts) if powers is None else _end_pieces(
-            lo, hi, cuts, powers[member, at_lo], powers[member, at_hi])
+        if powers is not None:
+            pieces, cuts = _end_pieces(lo, hi, cuts, powers[member, at_lo],
+                                       powers[member, at_hi])
 
         def driver(x, g, hand, vals=None):
             if pieces is not None:
@@ -932,7 +1012,7 @@ def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
         def driver(x, g, hand, seed=None):
             rows = _level(f, maps, marks, powers, member[g],
                           np.concatenate([prefix[g], x[:, None]], axis=1),
-                          rel_tol, hand[g], seed)
+                          rel_tol, hand[g], seed, breaks=breaks)
             inner.append((x, g, *rows))
             # the integrals of |f| over the slices scale this level
             own, total, _, _, _, _, w, v, _ = rows
@@ -941,11 +1021,24 @@ def _level(f, maps, marks, powers, member, prefix, rel_tol, floor, seed=None,
         panels, below = _cut(lo, hi, cuts), None
     else:
         *panels, below = seed
-    a, b, g = panels
     # the first round, fresh or seeded: its floor is known before any node
-    hand = np.fmax(floor, rel_tol * scale) / _lengths(a, b, g, k)
-    known = driver(_nodes(a, b - a).ravel(), g.repeat(15), hand, below)
-    res = _refine(driver, *panels, k, rel_tol, floor, known)
+    hand = np.fmax(floor, rel_tol * scale) / _lengths(*panels, k)
+    parts = [(panels, below)]
+    if seed is not None and breaks is not None:
+        # a seeded panel that a break of its row crosses is replaced by its
+        # pieces, which alone call f; the others keep their seed
+        at = breaks[member[panels[2]], j]
+        if pieces is not None:
+            at = _end_unmap(at, panels[2][:, None], pieces)
+        parts = _split(*panels, below, at)
+    known = [driver(_nodes(a, b - a).ravel(), g.repeat(15), hand, below)
+             for (a, b, g), below in parts]
+    panels = parts[0][0]
+    if len(parts) > 1:
+        panels = [np.concatenate(c) for c in zip(*(p for p, _ in parts))]
+        known = [tuple(map(np.concatenate, zip(*known)))
+                 if isinstance(known[0], tuple) else np.concatenate(known)]
+    res = _refine(driver, *panels, k, rel_tol, floor, known[0])
     ends = np.stack([res.lo, res.hi], axis=1)
     if j == n - 1:
         none = np.empty((len(res.group), 0))

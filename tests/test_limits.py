@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import dblquad, quad
 
 from toricray import acceptance, limits, potentials, quadrature, scenarios
 from toricray.generators import BumpSpec, build_bump_generator, build_wall_sum
@@ -39,6 +42,65 @@ def test_battery_contents():
     for required in ("one", "x1", "x2", "x1x1", "x1x2", "x2x2",
                      "cos_x1", "cos_x2"):
         assert required in names
+
+
+def test_only_the_bump_has_cuts():
+    # the bump's cuts are its support's ends c_j +- w and the rungs
+    # c_j +- 3w/4, c the vertex mean and w a third of the diameter
+    for P in (segment(), cp2()):
+        bat = battery_for(P)
+        assert [t.name for t in bat if t.cuts is not None] == ["bump"]
+        c, w = P.centroid(), P.diameter() / 3.0
+        assert np.array_equal(bat[-1].cuts, c[:, None] + w * np.array(
+            [-1.0, -0.75, 0.75, 1.0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from([1, 2]), st.data())
+def test_the_bumps_cuts_bound_its_support(dim, data):
+    # the bump is exactly 0 at and beyond its outermost cut in any
+    # variable, and positive inside its open ball (up to r = 0.999, where
+    # exp(-1 / (1 - r^2)) is about exp(-500), far above underflow)
+    P = segment() if dim == 1 else cp2()
+    bump = battery_for(P)[-1]
+    c, w = P.centroid(), P.diameter() / 3.0
+    coords = st.floats(-10.0, 10.0, allow_nan=False)
+    X = np.array(data.draw(st.lists(coords, min_size=dim, max_size=dim)))
+    j = data.draw(st.integers(0, dim - 1))
+    beyond = data.draw(st.floats(0.0, 10.0, allow_nan=False))
+    X[j] = bump.cuts[j, -1] + beyond if data.draw(st.booleans()) else \
+        bump.cuts[j, 0] - beyond
+    assert bump(X[None])[0] == 0.0
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
+                                    min_size=dim, max_size=dim)))
+    norm = math.sqrt(float(u @ u))
+    assume(norm > 1e-3)
+    r = data.draw(st.floats(0.0, 0.999))
+    assert bump((c + w * r * u / norm)[None])[0] > 0.0
+
+
+@pytest.mark.parametrize("region", ["P1", "P2"])
+def test_bump_means_over_the_segments_regions_against_quad(region):
+    # the bump's support ends at 1/3 and 5/3 on [0, 2], inside P1 = [0, 1/2]
+    # and P2 = [3/2, 2]; quad is handed the end
+    sc = seg_scenario("cosine")
+    bump = battery_for(sc.polytope)[-1]
+    (lo, hi), end = {"P1": ((0.0, 0.5), 1.0 / 3.0),
+                     "P2": ((1.5, 2.0), 5.0 / 3.0)}[region]
+    want, _ = quad(lambda x: bump(np.array([[x]]))[0], lo, hi, points=[end],
+                   epsabs=0.0, epsrel=1e-13, limit=200)
+    got, = region_mean(sc.regions[region], [bump])
+    assert got == pytest.approx(want / (hi - lo), rel=1e-9, abs=0.0)
+
+
+def test_bump_mean_over_c08s_region_against_dblquad():
+    # P2 - W = {x1 >= 11/10, x2 >= 0, x1 + x2 <= 3}, of area 1.805
+    sc = cp2_wall()
+    bump = battery_for(sc.polytope)[-1]
+    want, _ = dblquad(lambda y, x: bump(np.array([[x, y]]))[0], 1.1, 3.0,
+                      0.0, lambda x: 3.0 - x, epsabs=0.0, epsrel=1e-12)
+    got, = region_mean(sc.regions["P2_minus_W"], [bump])
+    assert got == pytest.approx(want / (1.9 ** 2 / 2.0), rel=1e-9, abs=0.0)
 
 
 def test_pair_normalization_and_uniform_mean():

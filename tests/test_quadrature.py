@@ -34,7 +34,7 @@ from toricray.generators import (BumpSpec, Generator, build_bump_generator,
                                  build_wall_sum)
 from toricray.limits import battery_for, region_mean
 from toricray.polytope import make_polytope
-from toricray.quadrature import (QuadratureError, TriangleMesh,
+from toricray.quadrature import (REL_TOL, QuadratureError, TriangleMesh,
                                  _split4_batch, adaptive_panels,
                                  integrate_on_panels, integrate_polytope,
                                  log_integral_1d, panel_nodes)
@@ -1073,6 +1073,37 @@ def test_missed_pairing_of_a_mapped_rule_keeps_its_end_maps(monkeypatch):
     assert abs(value - want) <= quadrature.ALLOWANCE * res.rel_tol * scale
 
 
+def test_a_cut_in_a_mapped_end_piece_is_mapped_into_u(monkeypatch):
+    # on [0, 3] with both ends mapped by t^2 the rule of sqrt(x (3 - x))
+    # is cut at 3/2, and every cut of the battery's bump (1/2, 3/4, 9/4 and
+    # 5/2) lies in a mapped end piece: the repair splits the panels in u
+    # where the map puts the cut, _end_map brings each cut back to itself,
+    # and the pairing agrees with scipy's quad, given the support's ends
+    P = make_polytope([[1], [-1]], [0, -3])
+    bump = battery_for(P)[-1]
+    res = integrate_polytope(lambda X: np.sqrt(X[:, 0] * (3.0 - X[:, 0])), P,
+                             exponents=[[Fraction(1, 2), Fraction(1, 2)]])
+    lo, hi, cuts = np.array([0.0]), np.array([3.0]), np.array([[1.5]])
+    pieces, _ = quadrature._end_pieces(lo, hi, cuts, np.array([2]),
+                                       np.array([2]))
+    x = bump.cuts.ravel()
+    u = quadrature._end_unmap(x, np.zeros(4, np.intp), pieces)
+    assert not np.any(np.isclose(u, x))
+    assert np.allclose(quadrature._end_map(u, np.zeros(4, np.intp),
+                                           pieces)[0], x, rtol=1e-15)
+    off = quadrature._end_unmap(np.array([1.5, np.nan]), np.zeros(2, np.intp),
+                                pieces)
+    assert off[0] == 1.5 and np.isnan(off[1])
+    parts = _splits(monkeypatch)
+    value, err = quadrature.pair_all([(res, bump)])[0]
+    assert parts
+    want, _ = quad(lambda x: math.sqrt(x * (3.0 - x))
+                   * bump(np.array([[x]]))[0], 0.0, 3.0, points=[0.5, 2.5],
+                   epsabs=0.0, epsrel=1e-13, limit=200)
+    assert 0.0 < err <= quadrature.ALLOWANCE * res.rel_tol * want
+    assert abs(value - want) <= quadrature.ALLOWANCE * res.rel_tol * want
+
+
 @pytest.mark.parametrize("exponents, message", [
     ([[Fraction(1, 2)]], r"\(1 members, 2 facets\)"),
     ([[0, 0], [0, 0]], r"\(1 members, 2 facets\)"),
@@ -1475,17 +1506,18 @@ def test_wall_densities_have_no_sliver_panels(build, most):
 
 
 def _repair_points(monkeypatch):
-    """(pairings, points) of each repair from here on: how many missed
-    pairings it repairs and on how many points it evaluates the
-    integrand."""
+    """(pairings, points, calls) of each repair from here on: how many
+    missed pairings it repairs, on how many points it evaluates the
+    integrand and in how many calls."""
     made, times = [], quadrature._times
 
     def counting(f, members, taus):
-        g, record = times(f, members, taus), [len(members), 0]
+        g, record = times(f, members, taus), [len(members), 0, 0]
         made.append(record)
 
         def h(X, i):
             record[1] += len(X)
+            record[2] += 1
             return g(X, i)
         return h
     monkeypatch.setattr(quadrature, "_times", counting)
@@ -1494,9 +1526,10 @@ def _repair_points(monkeypatch):
 
 def test_wall_sum_bump_is_repaired_on_few_points(monkeypatch):
     # the battery's bump misses on the 4,380 nodes of the bare wall-sum
-    # density at (1, 1), s = 32; repaired from the density's panels it
-    # evaluates 7,485 points, where a fresh integral on the bare cuts
-    # evaluated 12,285 to end on the same 7,410 final nodes
+    # density at (1, 1), s = 32; repaired from the density's panels, split
+    # first at the bump's cuts, it evaluates 3,690 points in 5 calls
+    # (7,485 in 7 unsplit), where a fresh integral on the bare cuts
+    # evaluated 12,285 to end on 7,410 final nodes
     made = _repair_points(monkeypatch)
     sc = scenarios.cp2_wall_sum("cosine")
     md = MonomialDensity(sc.polytope, sc.generator, [1, 1], 32.0,
@@ -1505,18 +1538,95 @@ def test_wall_sum_bump_is_repaired_on_few_points(monkeypatch):
         md.pair(tau)
     assert len(made) == 1 and made[0][0] == 1
     assert made[0][1] <= 7600
+    assert made[0][2] <= 5
 
 
 def test_criterion_5_bumps_are_repaired_on_few_points(monkeypatch):
     # criterion 5's 32 densities miss the battery's bump on their nodes;
-    # repaired from their panels as one family they evaluate 5,760 points,
-    # where a fresh family on the bare cuts evaluated 13,560 to end on
-    # 7,500 final nodes
+    # repaired from their panels as one family they evaluate 5,640 points
+    # (5,760 unsplit), where a fresh family on the bare cuts evaluated
+    # 13,560 to end on 7,500 final nodes
     from toricray import acceptance
     made = _repair_points(monkeypatch)
     acceptance.ALL_CRITERIA[5]()
-    family = [points for pairings, points in made if pairings == 32]
+    family = [points for pairings, points, _ in made if pairings == 32]
     assert len(family) == 1 and family[0] <= 5850
+
+
+def test_criterion_8_bumps_are_repaired_in_few_calls(monkeypatch):
+    # criterion 8 repairs two bump pairings: its region mean's, on the
+    # 225 nodes of the weight 1 at rel_tol 1e-10, and the density at
+    # (2, 0)'s.  Split first at the bump's cuts they make 14 and 6 calls
+    # on 11,805 and 3,000 points; unsplit they made 23 and 8 on 15,150 and
+    # 3,420
+    from toricray import acceptance
+    made = _repair_points(monkeypatch)
+    acceptance.ALL_CRITERIA[8]()
+    assert [pairings for pairings, _, _ in made] == [1, 1]
+    (_, mean_points, mean_calls), (_, points, calls) = made
+    assert mean_calls <= 14 and mean_points <= 15150
+    assert calls <= 6 and points <= 3420
+
+
+def _splits(monkeypatch):
+    """The parts of every seeded level split at a break from here on: for
+    each, whether it kept some seeded panels and its count of pieces."""
+    parts, split = [], quadrature._split
+
+    def recording(*args):
+        out = split(*args)
+        if out[-1][1] is None:
+            parts.append((len(out) == 2, len(out[-1][0][0])))
+        return out
+    monkeypatch.setattr(quadrature, "_split", recording)
+    return parts
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_row_whose_seeded_panels_are_all_split_runs(monkeypatch, n):
+    # the weight 1 ends on one outer panel, which the bump's cuts cross in
+    # x1: the repair's outermost level keeps no seeded panel, and only its
+    # pieces and the slices under their nodes call f * tau.  The mean
+    # agrees with scipy's quad, given the ends of the bump's support
+    P = make_polytope([[1], [-1]], [0, -2]) if n == 1 else _simplex(2)
+    bump = battery_for(P)[-1]
+    rule = integrate_polytope(lambda X: np.ones(len(X)), P)
+    assert len(np.unique(rule.owners[:, 0])) == 1
+    parts = _splits(monkeypatch)
+    value, err = quadrature.pair_all([(rule, bump)])[0]
+    assert parts[0] == (False, 5 if n == 1 else 3)
+    if n == 1:
+        want, _ = quad(lambda x: bump(np.array([[x]]))[0], 0.0, 2.0,
+                       points=[1.0 / 3.0, 5.0 / 3.0], epsabs=0.0,
+                       epsrel=1e-13, limit=200)
+    else:
+        want, _ = _repair_reference(lambda X, i: bump(X), P, REL_TOL,
+                                    points=[P.centroid()])
+    assert 0.0 < err <= quadrature.ALLOWANCE * REL_TOL * want
+    assert abs(value - want) <= quadrature.ALLOWANCE * REL_TOL * want
+
+
+@pytest.mark.parametrize("peak", [[0.8], [0.5, 1.5], [0.5, 1.5, 0.5]])
+def test_a_split_repair_agrees_with_a_fresh_integral(monkeypatch, peak):
+    # a peak's rule on the segment [0, 3], on CP^2(3) and on CP^3(3) misses
+    # the battery's bump; the repair splits some seeded panels at the
+    # bump's cuts and keeps the others with the seeds below them, and
+    # agrees with a fresh integral of f * bump at rel_tol / 100 within its
+    # own estimate
+    peak = np.array(peak)
+    P = _simplex(len(peak))
+    bump = battery_for(P)[-1]
+    f = lambda X: np.exp(-3.0 * np.sum((X - peak) ** 2, axis=1))
+    rule = integrate_polytope(lambda X, i: f(X), P, points=[peak],
+                              rel_tol=1e-6)[0]
+    parts = _splits(monkeypatch)
+    value, err = quadrature.pair_all([(rule, bump)])[0]
+    monkeypatch.undo()
+    assert any(kept for kept, _ in parts)
+    want, scale = _repair_reference(lambda X, i: f(X) * bump(X), P, 1e-6,
+                                    points=[peak])
+    assert 0.0 < err <= quadrature.ALLOWANCE * 1e-6 * scale
+    assert abs(value - want) <= err
 
 
 def test_three_wall_density_takes_few_nodes():

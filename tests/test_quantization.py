@@ -11,7 +11,7 @@ from scipy.special import gamma as gamma_fn
 
 from toricray import polytope, quadrature
 from toricray.generators import BumpSpec, Generator, build_bump_generator
-from toricray.limits import battery_for
+from toricray.limits import BatteryMember, battery_for
 from toricray.polytope import make_polytope
 from toricray.scenarios import (corrected_segment, cp2, cp2_wall, cp2_wall_sum,
                                 segment as seg_scenario)
@@ -292,8 +292,8 @@ def test_pairings_carry_estimates_within_the_verdict(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_polytope", fresh)
     for tau, magnitude in zip(battery, magnitudes):
         calls = []
-        values, errs = pair_densities(
-            [md], [lambda X: calls.append(len(X)) or tau(X)])
+        values, errs = pair_densities([md], [BatteryMember(
+            tau.name, lambda X: calls.append(len(X)) or tau(X), tau.cuts)])
         value, err = values[0, 0], errs[0, 0]
         bound = quadrature.ALLOWANCE * md.rel_tol * magnitude
         assert 0.0 < err <= bound
@@ -479,9 +479,11 @@ def test_shared_tau_is_called_once_per_level():
     counting = (driver, *rest)
     rules = [d._rule._replace(family=counting) for d in family]
 
-    def tau(X):
+    def counted(X):
         calls.append(len(X))
         return bump(X)
+    # the counting bump keeps the bump's cuts
+    tau = BatteryMember(bump.name, counted, bump.cuts)
 
     got = quadrature.pair_all([(rule, tau) for rule in rules])
     # one call per pairing on its own nodes, then one per level of the
